@@ -1,4 +1,4 @@
-"""Pretrained word embeddings: text-format load/save, lookup, cosine KNN.
+"""Pretrained word embeddings: text-format load/save, cosine KNN.
 
 The file format is the usual text dump: an optional "count dim" header line,
 then one "token f1 ... fd" line per word.  Candidate generation for synonym
@@ -8,7 +8,6 @@ discovery is an exact brute-force cosine scan over the entity universe.
 import numpy as np
 from dataclasses import dataclass, field
 
-from . import autodiff as ad
 from .corpus import PAD, PAD_TOKEN, UNK, UNK_TOKEN
 from .errors import DataError, ShapeError, UnknownEntityError
 
@@ -17,15 +16,10 @@ from .errors import DataError, ShapeError, UnknownEntityError
 class EmbeddingTable:
     matrix: np.ndarray          # (vocab size, embed dim) float64
     vocab: object
-    frozen: bool = True
 
     @property
     def dim(self):
         return self.matrix.shape[1]
-
-    def lookup(self, ids):
-        """Rows for a sequence of token ids, as a (len(ids), dim) matrix."""
-        return self.matrix[np.asarray(ids, dtype=int)]
 
     def vector(self, entity):
         if isinstance(entity, str):
@@ -147,9 +141,3 @@ def baseline_score(table, u, v, W):
         raise ShapeError(f"W has shape {W.shape}, expected {(table.dim, table.dim)}")
     return float(xu @ W @ xv)
 
-
-def baseline_score_var(table, u, v, w_var):
-    """Autodiff version of baseline_score for training W."""
-    xu = ad.Var(table.vector(u).reshape(1, -1))
-    xv = ad.Var(table.vector(v).reshape(-1, 1))
-    return ad.matmul(ad.matmul(xu, w_var), xv)

@@ -139,12 +139,14 @@ def eval_contexts(data, entity_ids, P, T, seed):
     return out
 
 
-def _leaky(params, config):
+def leak_slot(params, config):
+    """The matcher's leak argument: None when off, the trainable
+    params["match.leak"] when present, else a fixed zero row."""
     if not config.leaky:
         return None
     if config.leaky_trainable and "match.leak" in params:
-        return matcher.LeakyUnit(params["match.leak"], "trainable")
-    return matcher.fixed_zero_leaky(config.d_ce)
+        return params["match.leak"]
+    return np.zeros((1, config.d_ce))
 
 
 def encode_entity_set(params, config, ctx, emb):
@@ -164,9 +166,9 @@ def encode_entity_set(params, config, ctx, emb):
 def pair_scores(params, config, pairs, ctx, emb):
     """Model score for each labeled pair, with entity encodings shared."""
     enc = encode_entity_set(params, config, ctx, emb)
-    leaky = _leaky(params, config)
+    leak = leak_slot(params, config)
     w_bm = params["match.w_bm"]
-    return [matcher.match_score(enc[p.a], enc[p.b], w_bm, leaky).score for p in pairs]
+    return [matcher.match_score(enc[p.a], enc[p.b], w_bm, leak).score for p in pairs]
 
 
 def score_pair(params, config, data, emb, a, b, seed=0, P=None):
@@ -176,7 +178,7 @@ def score_pair(params, config, data, emb, a, b, seed=0, P=None):
     ctx = eval_contexts(data, {ida, idb}, P, config.max_context_len, seed)
     enc = encode_entity_set(params, config, ctx, emb)
     return matcher.match_score(enc[ida], enc[idb],
-                               params["match.w_bm"], _leaky(params, config)).score
+                               params["match.w_bm"], leak_slot(params, config)).score
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +216,9 @@ def discover(params, config, data, table, query, k=50, threshold=0.8,
     ctx = eval_contexts(data, [qid] + cand_ids, config.contexts_per_entity,
                         config.max_context_len, seed)
     enc = encode_entity_set(params, config, ctx, emb)
-    leaky = _leaky(params, config)
+    leak = leak_slot(params, config)
     w_bm = params["match.w_bm"]
-    scored = [(eid, matcher.match_score(enc[qid], enc[eid], w_bm, leaky).score)
+    scored = [(eid, matcher.match_score(enc[qid], enc[eid], w_bm, leak).score)
               for eid in cand_ids]
     scored.sort(key=lambda t: (-t[1], t[0]))
     return DiscoveryResult(qid, scored, threshold,
@@ -243,10 +245,10 @@ def evaluate(params, config, data, table, split="test", seed=0,
                         config.max_context_len, seed)
     emb = params.get("embed.table", table.matrix)
     enc = encode_entity_set(params, config, ctx, emb)
-    leaky = _leaky(params, config)
+    leak = leak_slot(params, config)
     w_bm = params["match.w_bm"]
 
-    scores = [matcher.match_score(enc[p.a], enc[p.b], w_bm, leaky).score for p in pairs]
+    scores = [matcher.match_score(enc[p.a], enc[p.b], w_bm, leak).score for p in pairs]
     auc_value = auc([(s, p.label) for s, p in zip(scores, pairs)])
 
     ap_values = []
@@ -261,7 +263,7 @@ def evaluate(params, config, data, table, split="test", seed=0,
         neighbors = embeddings.nearest_neighbors(table, qid, knn_k, entity_ids)
         cand_ids = [eid for eid, _ in neighbors.neighbors]
         reranked = sorted(((eid, matcher.match_score(enc[qid], enc[eid], w_bm,
-                                                     leaky).score)
+                                                     leak).score)
                            for eid in cand_ids), key=lambda t: (-t[1], t[0]))
         ranked_ids = [eid for eid, _ in reranked]
         ap_values.append(average_precision(ranked_ids, relevant))

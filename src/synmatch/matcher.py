@@ -11,36 +11,23 @@ participates in aggregation.
 Each context's informativeness is its best match strength on the other side;
 the global context vector is the informativeness-weighted sum of the context
 encodings, and the final score is the cosine of the two global vectors.
+
+The leak slot is None (off) or a (1, d_CE) vector l: a zero constant for the
+fixed unit, whose bilinear logits are then exactly 0, or the trainable
+parameter.  One numpy forward serves inference (`match_score`) and training
+(`pair_score_vars`, one tape node with a hand-written backward).
 """
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DataError, ShapeError
+from .errors import NumericError, ShapeError
 
 log = logging.getLogger(__name__)
-
-
-@dataclass
-class LeakyUnit:
-    """Extra matching slot. vector is (1, d_CE); zero unless trainable."""
-
-    vector: np.ndarray
-    mode: str = "fixed-zero"
-
-    def __post_init__(self):
-        self.vector = ad.as_matrix(self.vector)
-        if self.mode not in ("fixed-zero", "trainable"):
-            raise DataError(f"unknown leaky unit mode {self.mode!r}")
-        if self.mode == "fixed-zero" and np.any(self.vector != 0.0):
-            raise DataError("fixed-zero leaky unit must have an all-zero vector")
-
-
-def fixed_zero_leaky(d_ce):
-    return LeakyUnit(np.zeros((1, d_ce)), "fixed-zero")
 
 
 @dataclass
@@ -49,14 +36,14 @@ class MatchResult:
     m_bwd: np.ndarray           # (P, Q), row q-softmax, leak slot removed
     leak_fwd: np.ndarray        # (Q,) leak share per column; zeros when no leaky
     leak_bwd: np.ndarray        # (P,) leak share per row
-    a_h: np.ndarray = None      # (P,) informativeness of each h_p
-    a_g: np.ndarray = None      # (Q,)
-    h_bar: np.ndarray = None    # (d_CE,) global context for H
-    g_bar: np.ndarray = None
-    score: float = None
+    a_h: np.ndarray             # (P,) informativeness of each h_p
+    a_g: np.ndarray             # (Q,)
+    h_bar: np.ndarray           # (d_CE,) global context for H
+    g_bar: np.ndarray
+    score: float
 
 
-def _check_dims(H, G, w_bm):
+def _check_dims(H, G, w_bm, leak):
     if H.ndim != 2 or G.ndim != 2 or H.shape[0] < 1 or G.shape[0] < 1:
         raise ShapeError(f"need non-empty context matrices, got {H.shape} and {G.shape}")
     d = H.shape[1]
@@ -64,105 +51,108 @@ def _check_dims(H, G, w_bm):
         raise ShapeError(f"context dims differ: {H.shape} vs {G.shape}")
     if w_bm.shape != (d, d):
         raise ShapeError(f"bilinear matrix is {w_bm.shape}, expected {(d, d)}")
+    if leak is not None and leak.shape != (1, d):
+        raise ShapeError(f"leak vector is {leak.shape}, expected {(1, d)}")
 
 
-def bilateral_match(H, G, w_bm, leaky=None):
-    """Match two context sets; returns a MatchResult with the m-fields filled."""
-    H = np.asarray(H, dtype=float)
-    G = np.asarray(G, dtype=float)
-    w_bm = np.asarray(w_bm, dtype=float)
-    _check_dims(H, G, w_bm)
+def _match(H, G, w_bm, leak):
+    """Match, aggregate and score float arrays; leak is None or (1, d_CE)."""
+    _check_dims(H, G, w_bm, leak)
     P, Q = H.shape[0], G.shape[0]
-    L = H @ w_bm @ G.T
-    if leaky is None:
+    HW = H @ w_bm
+    L = HW @ G.T
+    if leak is None:
         m_fwd = ad.softmax_cols(L)
         m_bwd = ad.softmax_rows(L)
-        return MatchResult(m_fwd, m_bwd, np.zeros(Q), np.zeros(P))
-    l = leaky.vector
-    leak_row = l @ w_bm @ G.T               # (1, Q) logits of the leak slot
-    leak_col = H @ w_bm @ l.T               # (P, 1)
-    fwd = ad.softmax_cols(np.concatenate([L, leak_row], axis=0))
-    bwd = ad.softmax_rows(np.concatenate([L, leak_col], axis=1))
-    return MatchResult(fwd[:P], bwd[:, :Q], fwd[P], bwd[:, Q])
-
-
-def aggregate(result, H, G):
-    """Fill informativeness weights and global context vectors in place.
-
-    A context's weight is its strongest match on the other side; the weights
-    are used as-is, with no renormalisation, and the leak shares never enter.
-    """
-    H = np.asarray(H, dtype=float)
-    G = np.asarray(G, dtype=float)
-    result.a_h = result.m_bwd.max(axis=1)
-    result.a_g = result.m_fwd.max(axis=0)
-    result.h_bar = result.a_h @ H
-    result.g_bar = result.a_g @ G
-    return result
-
-
-def score(result):
-    """Cosine similarity of the two global context vectors; fills result.score."""
-    nh = np.linalg.norm(result.h_bar)
-    ng = np.linalg.norm(result.g_bar)
+        leak_fwd, leak_bwd = np.zeros(Q), np.zeros(P)
+    else:
+        leak_row = leak @ w_bm @ G.T        # (1, Q) logits of the leak slot
+        leak_col = HW @ leak.T              # (P, 1)
+        fwd = ad.softmax_cols(np.concatenate([L, leak_row], axis=0))
+        bwd = ad.softmax_rows(np.concatenate([L, leak_col], axis=1))
+        m_fwd, m_bwd, leak_fwd, leak_bwd = fwd[:P], bwd[:, :Q], fwd[P], bwd[:, Q]
+    # a context's weight is its strongest match on the other side; the
+    # weights are used as-is, with no renormalisation, and the leak shares
+    # never enter
+    a_h = m_bwd.max(axis=1)
+    a_g = m_fwd.max(axis=0)
+    h_bar = a_h @ H
+    g_bar = a_g @ G
+    nh = np.linalg.norm(h_bar)
+    ng = np.linalg.norm(g_bar)
     if nh == 0.0 or ng == 0.0:
         log.warning("zero-norm global context; score set to 0")
-        result.score = 0.0
+        score = 0.0
     else:
-        raw = float(result.h_bar @ result.g_bar / (nh * ng))
-        result.score = min(1.0, max(-1.0, raw))  # keep rounding inside [-1, 1]
-    return result.score
+        raw = float(h_bar @ g_bar / (nh * ng))
+        if not math.isfinite(raw):
+            raise NumericError(f"match score is not finite: {raw}")
+        score = min(1.0, max(-1.0, raw))  # keep rounding inside [-1, 1]
+    return MatchResult(m_fwd, m_bwd, leak_fwd, leak_bwd, a_h, a_g, h_bar, g_bar, score)
 
 
-def match_score(H, G, w_bm, leaky=None):
+def match_score(H, G, w_bm, leak=None):
     """Full pipeline: match, aggregate, score. Returns a complete MatchResult."""
-    result = bilateral_match(H, G, w_bm, leaky)
-    aggregate(result, H, G)
-    score(result)
-    return result
+    leak = None if leak is None else np.asarray(leak, dtype=float)
+    return _match(np.asarray(H, dtype=float), np.asarray(G, dtype=float),
+                  np.asarray(w_bm, dtype=float), leak)
 
 
-# ---------------------------------------------------------------------------
-# autodiff path used during training
-
-def match_vars(Hv, Gv, wv, leak=None):
-    """Var version of bilateral_match.
-
-    leak is None, the string "zero" (fixed-zero unit: its bilinear logits are
-    exactly zero, so a constant zero row/column is the same computation), or
-    a (1, d_CE) Var for the trainable unit.  Returns (m_fwd, m_bwd) with the
-    leak slot already removed.
-    """
-    L = ad.matmul(ad.matmul(Hv, wv), ad.transpose(Gv))
-    P, Q = L.shape
+def _score_backward(r, H, G, w_bm, leak, g):
+    """Gradients of r.score (scaled by the 1x1 output gradient g) for H, G,
+    w_bm and leak, from the saved forward result r."""
+    nh = np.linalg.norm(r.h_bar)
+    ng = np.linalg.norm(r.g_bar)
+    if nh == 0.0 or ng == 0.0:
+        zero = np.zeros((1, H.shape[1]))
+        return np.zeros_like(H), np.zeros_like(G), np.zeros_like(w_bm), zero
+    # cosine: ds/dh = (g_hat - s h_hat) / |h|, and symmetrically for g_bar
+    gh = g[0, 0] * (r.g_bar / ng - r.score * r.h_bar / nh) / nh
+    gg = g[0, 0] * (r.h_bar / nh - r.score * r.g_bar / ng) / ng
+    # weighted sums, then max: each weight's gradient goes to its first maximum
+    P, Q = r.m_fwd.shape
+    dm_bwd = np.zeros((P, Q))
+    dm_bwd[np.arange(P), r.m_bwd.argmax(axis=1)] = H @ gh
+    dm_fwd = np.zeros((P, Q))
+    dm_fwd[r.m_fwd.argmax(axis=0), np.arange(Q)] = G @ gg
+    # softmaxes over the leak-stacked logits; the leak slots get no upstream
+    # gradient, so only the shared dot term reaches their logits
+    c_f = (dm_fwd * r.m_fwd).sum(axis=0)
+    c_b = (dm_bwd * r.m_bwd).sum(axis=1)
+    dL = r.m_fwd * (dm_fwd - c_f) + r.m_bwd * (dm_bwd - c_b[:, None])
+    # bilinear products [H; l] W [G; l]^T; the (P, Q) corner l W l^T is unused
     if leak is None:
-        return ad.softmax_cols(L), ad.softmax_rows(L)
-    if isinstance(leak, ad.Var):
-        leak_row = ad.matmul(ad.matmul(leak, wv), ad.transpose(Gv))
-        leak_col = ad.matmul(ad.matmul(Hv, wv), ad.transpose(leak))
-    elif leak == "zero":
-        leak_row = ad.Var(np.zeros((1, Q)))
-        leak_col = ad.Var(np.zeros((P, 1)))
+        Hx, Gx, dLx = H, G, dL
     else:
-        raise ValueError(f"bad leak argument {leak!r}")
-    fwd = ad.softmax_cols(ad.concat_rows(L, leak_row))
-    bwd = ad.softmax_rows(ad.concat_cols(L, leak_col))
-    return ad.rows(fwd, 0, P), ad.cols(bwd, 0, Q)
-
-
-def cosine_var(u, v):
-    """Cosine of two (1, d) Vars."""
-    dot = ad.sum_all(u * v)
-    nu = ad.sqrt(ad.sum_all(ad.square(u)))
-    nv = ad.sqrt(ad.sum_all(ad.square(v)))
-    return ad.div(dot, nu * nv)
+        Hx, Gx = np.vstack([H, leak]), np.vstack([G, leak])
+        dLx = np.zeros((P + 1, Q + 1))
+        dLx[:P, :Q] = dL
+        dLx[P, :Q] = -r.leak_fwd * c_f
+        dLx[:P, Q] = -r.leak_bwd * c_b
+    dHx = dLx @ (Gx @ w_bm.T)
+    dGx = dLx.T @ (Hx @ w_bm)
+    dW = Hx.T @ dLx @ Gx
+    dH = dHx[:P] + np.outer(r.a_h, gh)
+    dG = dGx[:Q] + np.outer(r.a_g, gg)
+    dl = dHx[P:] + dGx[Q:]
+    return dH, dG, dW, dl
 
 
 def pair_score_vars(Hv, Gv, wv, leak=None):
-    """Differentiable match-aggregate-score for one entity pair."""
-    m_fwd, m_bwd = match_vars(Hv, Gv, wv, leak)
-    a_h = ad.max_axis(m_bwd, axis=1)            # (P, 1)
-    a_g = ad.max_axis(m_fwd, axis=0)            # (1, Q)
-    h_bar = ad.matmul(ad.transpose(a_h), Hv)    # (1, d)
-    g_bar = ad.matmul(a_g, Gv)
-    return cosine_var(h_bar, g_bar)
+    """Differentiable match-aggregate-score for one entity pair: one tape node.
+
+    leak is None, a (1, d_CE) array (held constant) or a (1, d_CE) Var.
+    """
+    Hv, Gv, wv = ad.lift(Hv), ad.lift(Gv), ad.lift(wv)
+    parents = (Hv, Gv, wv)
+    if isinstance(leak, ad.Var):
+        parents += (leak,)
+        leak = leak.value
+    elif leak is not None:
+        leak = np.asarray(leak, dtype=float)
+    r = _match(Hv.value, Gv.value, wv.value, leak)
+
+    def backward(g):
+        return _score_backward(r, Hv.value, Gv.value, wv.value, leak, g)[:len(parents)]
+
+    return ad.Var(r.score, parents, backward)

@@ -132,41 +132,16 @@ def parse_config_text(text, base=None):
 # ---------------------------------------------------------------------------
 # losses
 
-def siamese_from_score(s, y, margin):
-    """Eq-style contrastive loss on one cosine score."""
-    if y:
-        return 0.25 * (1.0 - s) ** 2
-    return max(s - margin, 0.0) ** 2
-
-
-def siamese_loss(h_bar, g_bar, y, margin):
-    s = matcher.score(matcher.MatchResult(None, None, None, None,
-                                          h_bar=np.asarray(h_bar, float),
-                                          g_bar=np.asarray(g_bar, float)))
-    return siamese_from_score(s, y, margin)
-
-
-def triplet_from_scores(s_pos, s_neg, margin):
-    return max(s_neg - s_pos + margin, 0.0)
-
-
-def triplet_loss(h_bar, g_bar_pos, g_bar_neg, margin):
-    res = matcher.MatchResult(None, None, None, None)
-    res.h_bar = np.asarray(h_bar, float)
-    res.g_bar = np.asarray(g_bar_pos, float)
-    s_pos = matcher.score(res)
-    res.g_bar = np.asarray(g_bar_neg, float)
-    s_neg = matcher.score(res)
-    return triplet_from_scores(s_pos, s_neg, margin)
-
-
 def siamese_term_var(s, y, margin):
+    """Contrastive loss on one score Var: (1 - s)^2 / 4 for a synonym pair,
+    max(s - margin, 0)^2 otherwise."""
     if y:
         return ad.scale(ad.square(1.0 - s), 0.25)
     return ad.square(ad.relu(s - margin))
 
 
 def triplet_term_var(s_pos, s_neg, margin):
+    """Triplet margin loss on two score Vars: max(s_neg - s_pos + margin, 0)."""
     return ad.relu(s_neg - s_pos + margin)
 
 
@@ -277,14 +252,6 @@ def init_model_params(config, table, rng):
     return params
 
 
-def _leak_arg(config, v):
-    if not config.leaky:
-        return None
-    if config.leaky_trainable:
-        return v["match.leak"]
-    return "zero"
-
-
 def _item_entities(item):
     if isinstance(item, corpus.TrainingTriplet):
         return (item.anchor, item.positive, item.negative)
@@ -309,7 +276,7 @@ def batch_loss_builder(items, contexts, config, frozen_emb):
         encoded = encoder.encode_batch_vars(windows, v, emb, config.encoder)
         enc = {eid: ad.rows(encoded, a, b) for eid, (a, b) in spans.items()}
         w_bm = v["match.w_bm"]
-        leak = _leak_arg(config, v)
+        leak = evaluation.leak_slot(v, config)
         total = None
         for item in items:
             if isinstance(item, corpus.TrainingTriplet):

@@ -14,6 +14,7 @@ import pytest
 
 from synmatch import (cli, corpus, embeddings, encoder, evaluation, matcher,
                       synthetic, training)
+from synmatch import autodiff as ad
 from synmatch.rng import stream_rng
 from test_evaluation import auc_pair_oracle
 from test_matcher import scalar_match_oracle
@@ -38,15 +39,15 @@ def test_matrix_form_equivalence():
             G = rng.normal(size=(q, d))
             W = rng.normal(size=(d, d))
             count += 1
-            trained = matcher.LeakyUnit(rng.normal(size=(1, d)), "trainable")
-            for leaky in (None, matcher.fixed_zero_leaky(d), trained):
-                got = matcher.bilateral_match(H, G, W, leaky)
-                leak_vec = None if leaky is None else leaky.vector[0]
+            trained = rng.normal(size=(1, d))
+            for leak in (None, np.zeros((1, d)), trained):
+                got = matcher.match_score(H, G, W, leak)
+                leak_vec = None if leak is None else leak[0]
                 want_f, want_b, leak_f, leak_b = scalar_match_oracle(H, G, W, leak_vec)
                 worst = max(worst,
                             np.max(np.abs(got.m_fwd - want_f)),
                             np.max(np.abs(got.m_bwd - want_b)))
-                if leaky is not None:
+                if leak is not None:
                     worst = max(worst,
                                 np.max(np.abs(got.leak_fwd - leak_f)),
                                 np.max(np.abs(got.leak_bwd - leak_b)))
@@ -69,14 +70,15 @@ def test_gradient_fidelity():
 
 def test_loss_trivial_cases_exact():
     m = 0.75
+    S = ad.Var
     vals = [
-        training.siamese_from_score(1.0, 1, m),
-        training.siamese_from_score(0.0, 0, m),
-        training.siamese_from_score(0.74, 0, m),
-        training.siamese_from_score(m, 0, m),
-        training.siamese_from_score(-1.0, 0, m),
-        training.triplet_from_scores(0.9, 0.9 - m, m),
-        training.triplet_from_scores(1.0, -1.0, m),
+        training.siamese_term_var(S(1.0), 1, m).item(),
+        training.siamese_term_var(S(0.0), 0, m).item(),
+        training.siamese_term_var(S(0.74), 0, m).item(),
+        training.siamese_term_var(S(m), 0, m).item(),
+        training.siamese_term_var(S(-1.0), 0, m).item(),
+        training.triplet_term_var(S(0.9), S(0.9 - m), m).item(),
+        training.triplet_term_var(S(1.0), S(-1.0), m).item(),
     ]
     ok = all(v == 0.0 for v in vals)
     report(ok, "loss trivial cases", f"all seven zero-loss cases exactly 0.0: {vals}")
@@ -89,11 +91,11 @@ def test_stochasticity_invariants():
         p, q, d = int(rng.integers(1, 9)), int(rng.integers(1, 9)), 8
         H, G = rng.normal(size=(p, d)), rng.normal(size=(q, d))
         W = rng.normal(size=(d, d))
-        plain = matcher.bilateral_match(H, G, W)
+        plain = matcher.match_score(H, G, W)
         worst = max(worst,
                     np.max(np.abs(plain.m_fwd.sum(axis=0) - 1.0)),
                     np.max(np.abs(plain.m_bwd.sum(axis=1) - 1.0)))
-        leaky = matcher.bilateral_match(H, G, W, matcher.fixed_zero_leaky(d))
+        leaky = matcher.match_score(H, G, W, np.zeros((1, d)))
         worst = max(worst,
                     np.max(np.abs(leaky.m_fwd.sum(axis=0) + leaky.leak_fwd - 1.0)),
                     np.max(np.abs(leaky.m_bwd.sum(axis=1) + leaky.leak_bwd - 1.0)))

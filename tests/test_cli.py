@@ -190,6 +190,11 @@ def test_nan_embeddings_exit_three(work, capsys):
                      "--epochs", "1", "--seed", "3")
     assert rc == 3
     assert "numeric" in err
+    rc, _, err = run(capsys, "score", "--workdir", str(work), "--index", "index.pkl",
+                     "--checkpoint", "model.json", "--embeddings", "nan_emb.txt",
+                     "ent0_0", "ent0_1", "--seed", "3")
+    assert rc == 3
+    assert "numeric" in err
 
 
 def test_gradcheck_passes_and_reports_worst_error(capsys):

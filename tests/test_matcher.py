@@ -5,7 +5,7 @@ import pytest
 
 from synmatch import autodiff as ad
 from synmatch import matcher
-from synmatch.errors import DataError, ShapeError
+from synmatch.errors import NumericError, ShapeError
 from synmatch.rng import stream_rng
 
 
@@ -43,10 +43,9 @@ def rand_instance(seed, P=5, Q=4, d=8):
 
 def test_single_pair_no_leaky():
     H, G, W = rand_instance(0, P=1, Q=1)
-    res = matcher.bilateral_match(H, G, W)
+    res = matcher.match_score(H, G, W)
     assert np.array_equal(res.m_fwd, [[1.0]])
     assert np.array_equal(res.m_bwd, [[1.0]])
-    matcher.aggregate(res, H, G)
     assert np.array_equal(res.h_bar, H[0])
     assert np.array_equal(res.g_bar, G[0])
     assert res.a_h[0] == 1.0 and res.a_g[0] == 1.0
@@ -56,8 +55,7 @@ def test_zero_logits_with_leaky_split_evenly():
     rng = stream_rng(1, "init")
     H = rng.normal(size=(2, 6))
     G = rng.normal(size=(3, 6))
-    res = matcher.bilateral_match(H, G, np.zeros((6, 6)),
-                                  leaky=matcher.fixed_zero_leaky(6))
+    res = matcher.match_score(H, G, np.zeros((6, 6)), np.zeros((1, 6)))
     assert np.allclose(res.m_fwd, 1 / 3, atol=1e-15)
     assert np.allclose(res.leak_fwd, 1 / 3, atol=1e-15)
     assert np.allclose(res.m_bwd, 1 / 4, atol=1e-15)
@@ -66,7 +64,7 @@ def test_zero_logits_with_leaky_split_evenly():
 
 def test_matrix_form_equals_scalar_form():
     H, G, W = rand_instance(2)
-    res = matcher.bilateral_match(H, G, W)
+    res = matcher.match_score(H, G, W)
     m_fwd, m_bwd, _, _ = scalar_match_oracle(H, G, W)
     assert np.max(np.abs(res.m_fwd - m_fwd)) < 1e-12
     assert np.max(np.abs(res.m_bwd - m_bwd)) < 1e-12
@@ -80,7 +78,7 @@ def test_matrix_form_equals_scalar_form_with_leaky():
         G = rng.normal(size=(Q, 6))
         W = rng.normal(size=(6, 6))
         lv = rng.normal(size=(1, 6))
-        res = matcher.bilateral_match(H, G, W, leaky=matcher.LeakyUnit(lv, "trainable"))
+        res = matcher.match_score(H, G, W, lv)
         m_fwd, m_bwd, leak_fwd, leak_bwd = scalar_match_oracle(H, G, W, lv[0])
         assert np.max(np.abs(res.m_fwd - m_fwd)) < 1e-12
         assert np.max(np.abs(res.m_bwd - m_bwd)) < 1e-12
@@ -90,14 +88,14 @@ def test_matrix_form_equals_scalar_form_with_leaky():
 
 def test_stochasticity_without_leaky():
     H, G, W = rand_instance(3)
-    res = matcher.bilateral_match(H, G, W)
+    res = matcher.match_score(H, G, W)
     assert np.max(np.abs(res.m_fwd.sum(axis=0) - 1.0)) < 1e-12
     assert np.max(np.abs(res.m_bwd.sum(axis=1) - 1.0)) < 1e-12
 
 
 def test_stochasticity_with_leaky():
     H, G, W = rand_instance(4)
-    res = matcher.bilateral_match(H, G, W, leaky=matcher.fixed_zero_leaky(8))
+    res = matcher.match_score(H, G, W, np.zeros((1, 8)))
     assert np.max(np.abs(res.m_fwd.sum(axis=0) + res.leak_fwd - 1.0)) < 1e-12
     assert np.max(np.abs(res.m_bwd.sum(axis=1) + res.leak_bwd - 1.0)) < 1e-12
 
@@ -126,30 +124,52 @@ def test_duplicate_contexts_aggregate_parallel():
     assert cross < 1e-12  # h_bar is a multiple of the repeated row
 
 
+def single_context_score(u, v):
+    """Score of one context against one: both weights are 1, so this is the
+    plain cosine of u and v."""
+    return matcher.match_score(np.atleast_2d(u), np.atleast_2d(v), np.eye(len(u))).score
+
+
 def test_score_trivial_directions():
     v = np.array([1.0, 2.0, 2.0])
-    res = matcher.MatchResult(None, None, None, None)
-    res.h_bar, res.g_bar = v, v.copy()
-    assert matcher.score(res) == pytest.approx(1.0, abs=1e-12)
-    res.g_bar = -v
-    assert matcher.score(res) == pytest.approx(-1.0, abs=1e-12)
-    res.h_bar, res.g_bar = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    assert matcher.score(res) == 0.0
+    assert single_context_score(v, v.copy()) == pytest.approx(1.0, abs=1e-12)
+    assert single_context_score(v, -v) == pytest.approx(-1.0, abs=1e-12)
+    assert single_context_score(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
 
 
 def test_zero_norm_score_warns(caplog):
-    res = matcher.MatchResult(None, None, None, None)
-    res.h_bar = np.zeros(4)
-    res.g_bar = np.ones(4)
+    # one all-zero context gives a zero-norm global context on that side
+    params = {"H": np.zeros((1, 4)), "G": np.ones((2, 4)), "W": np.eye(4)}
+
+    def zero_norm_warnings():
+        msgs = [r.getMessage() for r in caplog.records]
+        caplog.clear()
+        return sum("zero-norm" in m for m in msgs)
+
     with caplog.at_level("WARNING"):
-        assert matcher.score(res) == 0.0
-    assert any("zero-norm" in r.getMessage() for r in caplog.records)
+        assert matcher.match_score(params["H"], params["G"], params["W"]).score == 0.0
+        assert zero_norm_warnings() == 1
+        value, grads = ad.grad(
+            lambda v: matcher.pair_score_vars(v["H"], v["G"], v["W"]), params)
+        assert value == 0.0
+        assert zero_norm_warnings() == 1
+    for name, g in grads.items():
+        assert np.array_equal(g, np.zeros_like(params[name])), name
+
+
+def test_nonfinite_score_raises():
+    H, G, W = rand_instance(17)
+    H[1, 2] = np.nan
+    with pytest.raises(NumericError):
+        matcher.match_score(H, G, W)
+    with pytest.raises(NumericError):
+        matcher.pair_score_vars(ad.Var(H), ad.Var(G), ad.Var(W), np.zeros((1, 8)))
 
 
 def test_swap_symmetry_with_transposed_bilinear():
     for seed in range(10):
         H, G, W = rand_instance(seed, P=6, Q=3)
-        for leaky in (None, matcher.fixed_zero_leaky(8)):
+        for leaky in (None, np.zeros((1, 8))):
             ab = matcher.match_score(H, G, W, leaky)
             ba = matcher.match_score(G, H, W.T, leaky)
             assert abs(ab.score - ba.score) < 1e-12
@@ -184,45 +204,29 @@ def test_leaky_unit_dampens_uninformative_context():
 
     H_plus = np.concatenate([H, junk], axis=0)
     drift_plain = np.linalg.norm(g_bar(H_plus, None) - g_bar(H, None))
-    zl = matcher.fixed_zero_leaky(d)
+    zl = np.zeros((1, d))
     drift_leaky = np.linalg.norm(g_bar(H_plus, zl) - g_bar(H, zl))
     assert drift_leaky < drift_plain
 
 
-def test_leaky_unit_mode_validation():
-    with pytest.raises(DataError):
-        matcher.LeakyUnit(np.ones(4), "fixed-zero")
-    with pytest.raises(DataError):
-        matcher.LeakyUnit(np.zeros(4), "porous")
-    matcher.LeakyUnit(np.ones(4), "trainable")  # fine
+def test_leak_shape_rejected():
+    H, G, W = rand_instance(18)
+    for bad in (np.zeros(8), np.zeros((1, 7)), np.zeros((2, 8))):
+        with pytest.raises(ShapeError):
+            matcher.match_score(H, G, W, bad)
+        with pytest.raises(ShapeError):
+            matcher.pair_score_vars(ad.Var(H), ad.Var(G), ad.Var(W), bad)
 
 
 def test_dimension_mismatches_rejected():
     rng = stream_rng(13, "init")
     H = rng.normal(size=(3, 8))
     with pytest.raises(ShapeError):
-        matcher.bilateral_match(H, rng.normal(size=(2, 6)), np.eye(8))
+        matcher.match_score(H, rng.normal(size=(2, 6)), np.eye(8))
     with pytest.raises(ShapeError):
-        matcher.bilateral_match(H, rng.normal(size=(2, 8)), np.eye(7))
+        matcher.match_score(H, rng.normal(size=(2, 8)), np.eye(7))
     with pytest.raises(ShapeError):
-        matcher.bilateral_match(np.zeros((0, 8)), H, np.eye(8))
-
-
-def test_var_path_agrees_with_numpy_path():
-    H, G, W = rand_instance(14)
-    lv = stream_rng(15, "init").normal(size=(1, 8))
-    cases = [
-        (None, None),
-        (matcher.fixed_zero_leaky(8), "zero"),
-        (matcher.LeakyUnit(lv, "trainable"), ad.Var(lv)),
-    ]
-    for leaky, leak_arg in cases:
-        res = matcher.match_score(H, G, W, leaky)
-        sv = matcher.pair_score_vars(ad.Var(H), ad.Var(G), ad.Var(W), leak_arg)
-        assert abs(sv.item() - res.score) < 1e-12
-        mf, mb = matcher.match_vars(ad.Var(H), ad.Var(G), ad.Var(W), leak_arg)
-        assert np.max(np.abs(mf.value - res.m_fwd)) < 1e-14
-        assert np.max(np.abs(mb.value - res.m_bwd)) < 1e-14
+        matcher.match_score(np.zeros((0, 8)), H, np.eye(8))
 
 
 def test_gradients_through_full_match_pipeline():
@@ -235,7 +239,40 @@ def test_gradients_through_full_match_pipeline():
     }
     for leak_key in (None, "zero", "leak"):
         def builder(v):
-            leak = v["leak"] if leak_key == "leak" else leak_key
+            leak = {None: None, "zero": np.zeros((1, 6)), "leak": v["leak"]}[leak_key]
             return matcher.pair_score_vars(v["H"], v["G"], v["W"], leak)
         report = ad.finite_diff_check(builder, params, eps=1e-5)
         assert report.max_rel_error < 1e-4, str(report)
+
+
+def test_pair_score_is_one_tape_node():
+    H, G, W = (ad.Var(x) for x in rand_instance(19))
+    leak = ad.Var(np.zeros((1, 8)))
+    inputs = {id(v) for v in (H, G, W, leak)}
+    for arg in (None, np.zeros((1, 8)), leak):
+        s = matcher.pair_score_vars(H, G, W, arg)
+        added = [n for n in ad._topo_order(s) if id(n) not in inputs]
+        assert len(added) <= 2
+
+
+def test_tied_maxima_route_gradient_to_first():
+    # duplicate rows tie for the max match; the analytic backward must pick
+    # the first maximum, as the composite tape ops (ad.max_axis) do
+    def tape_reference(v):
+        L = ad.matmul(ad.matmul(v["H"], v["W"]), ad.transpose(v["G"]))
+        a_h = ad.max_axis(ad.softmax_rows(L), axis=1)
+        a_g = ad.max_axis(ad.softmax_cols(L), axis=0)
+        h = ad.matmul(ad.transpose(a_h), v["H"])
+        g = ad.matmul(a_g, v["G"])
+        norms = ad.sqrt(ad.sum_all(ad.square(h))) * ad.sqrt(ad.sum_all(ad.square(g)))
+        return ad.div(ad.sum_all(h * g), norms)
+
+    H, G, W = rand_instance(20, P=3, Q=3)
+    for params in ({"H": np.vstack([H[0], H[0]]), "G": G, "W": W},
+                   {"H": H, "G": np.vstack([G[0], G[0]]), "W": W}):
+        want_value, want = ad.grad(tape_reference, params)
+        got_value, got = ad.grad(
+            lambda v: matcher.pair_score_vars(v["H"], v["G"], v["W"]), params)
+        assert abs(got_value - want_value) < 1e-12
+        for name in params:
+            assert np.max(np.abs(got[name] - want[name])) < 1e-10, name

@@ -7,33 +7,42 @@ from synmatch import autodiff as ad
 from synmatch import corpus, embeddings, evaluation, training
 from synmatch.errors import DataError, NumericError
 from synmatch.rng import stream_rng
+from test_matcher import single_context_score
 
 
 # ---------------------------------------------------------------------------
 # losses
 
+def siamese(s, y, margin):
+    return training.siamese_term_var(ad.lift(s), y, margin).item()
+
+
+def triplet(s_pos, s_neg, margin):
+    return training.triplet_term_var(ad.lift(s_pos), ad.lift(s_neg), margin).item()
+
+
 def test_siamese_trivial_zeros_exact():
     v = np.array([1.0, 2.0, 3.0])
-    assert training.siamese_loss(v, v, 1, margin=0.75) == 0.0
+    assert siamese(single_context_score(v, v), 1, margin=0.75) == 0.0
     u = np.array([1.0, 0.0])
     w = np.array([0.0, 1.0])  # cosine 0 <= margin
-    assert training.siamese_loss(u, w, 0, margin=0.75) == 0.0
-    assert training.siamese_from_score(0.74, 0, margin=0.75) == 0.0
+    assert siamese(single_context_score(u, w), 0, margin=0.75) == 0.0
+    assert siamese(0.74, 0, margin=0.75) == 0.0
 
 
 def test_siamese_positive_at_zero_similarity():
     u = np.array([1.0, 0.0])
     w = np.array([0.0, 1.0])
-    assert training.siamese_loss(u, w, 1, margin=0.75) == 0.25
+    assert siamese(single_context_score(u, w), 1, margin=0.75) == 0.25
 
 
 def test_triplet_examples():
-    assert training.triplet_from_scores(1.0, -1.0, 0.75) == 0.0
-    assert training.triplet_from_scores(0.3, 0.3, 0.75) == 0.75
-    assert training.triplet_from_scores(0.2, 0.5, 0.75) == pytest.approx(1.05, abs=1e-12)
+    assert triplet(1.0, -1.0, 0.75) == 0.0
+    assert triplet(0.3, 0.3, 0.75) == 0.75
+    assert triplet(0.2, 0.5, 0.75) == pytest.approx(1.05, abs=1e-12)
     h = np.array([1.0, 0.0])
-    assert training.triplet_loss(h, h, -h, 0.75) == 0.0
-    assert training.triplet_loss(h, h, h, 0.75) == 0.75
+    assert triplet(single_context_score(h, h), single_context_score(h, -h), 0.75) == 0.0
+    assert triplet(single_context_score(h, h), single_context_score(h, h), 0.75) == 0.75
 
 
 def test_losses_nonnegative_everywhere():
@@ -42,22 +51,8 @@ def test_losses_nonnegative_everywhere():
         s, s2 = rng.uniform(-1, 1, size=2)
         y = int(rng.integers(2))
         m = float(rng.uniform(0.05, 1.0))
-        assert training.siamese_from_score(s, y, m) >= 0.0
-        assert training.triplet_from_scores(s, s2, m) >= 0.0
-
-
-def test_loss_var_terms_match_plain_values():
-    rng = stream_rng(1, "train")
-    for _ in range(50):
-        s_pos, s_neg = rng.uniform(-1, 1, size=2)
-        m = float(rng.uniform(0.1, 1.0))
-        y = int(rng.integers(2))
-        sv_pos = ad.Var(s_pos)
-        sv_neg = ad.Var(s_neg)
-        got = training.siamese_term_var(sv_pos, y, m).item()
-        assert got == pytest.approx(training.siamese_from_score(s_pos, y, m), abs=1e-15)
-        got = training.triplet_term_var(sv_pos, sv_neg, m).item()
-        assert got == pytest.approx(training.triplet_from_scores(s_pos, s_neg, m), abs=1e-15)
+        assert siamese(s, y, m) >= 0.0
+        assert triplet(s, s2, m) >= 0.0
 
 
 # ---------------------------------------------------------------------------
