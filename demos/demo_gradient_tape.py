@@ -16,8 +16,9 @@ params = {"W": W, "x": x}
 
 
 def loss_builder(v):
-    # s = sigmoid(x W y^T), loss = (1 - s)^2
-    s = ad.sigmoid(ad.matmul(ad.matmul(v["x"], v["W"]), ad.transpose(ad.lift(y))))
+    # s = x W y^T / |x|, loss = (1 - s)^2
+    s = ad.matmul(ad.matmul(v["x"], v["W"]), ad.transpose(ad.lift(y)))
+    s = ad.div(s, ad.sqrt(ad.sum_all(ad.square(v["x"]))))
     return ad.square(ad.lift(np.ones((1, 1))) - s)
 
 

@@ -165,29 +165,6 @@ def sqrt(a):
     return Var(y, (a,), lambda g: (g / (2.0 * y),))
 
 
-def exp(a):
-    a = lift(a)
-    y = np.exp(a.value)
-    return Var(y, (a,), lambda g: (g * y,))
-
-
-def sigmoid(a):
-    a = lift(a)
-    x = a.value
-    y = np.empty_like(x)
-    pos = x >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])  # safe: only negative inputs
-    y[~pos] = ex / (1.0 + ex)
-    return Var(y, (a,), lambda g: (g * y * (1.0 - y),))
-
-
-def tanh(a):
-    a = lift(a)
-    y = np.tanh(a.value)
-    return Var(y, (a,), lambda g: (g * (1.0 - y * y),))
-
-
 def relu(a):
     """max(x, 0) elementwise; subgradient 0 at x = 0."""
     a = lift(a)
@@ -223,12 +200,6 @@ def sum_all(a):
                lambda g: (np.full_like(a.value, g[0, 0]),))
 
 
-def sum_axis(a, axis):
-    a = lift(a)
-    return Var(a.value.sum(axis=axis, keepdims=True), (a,),
-               lambda g: (np.broadcast_to(g, a.shape).copy(),))
-
-
 def max_axis(a, axis):
     """Max along an axis (keepdims). Gradient flows to the first maximum."""
     a = lift(a)
@@ -252,48 +223,6 @@ def rows(a, start, stop):
         return (z,)
 
     return Var(a.value[start:stop].copy(), (a,), backward)
-
-
-def cols(a, start, stop):
-    a = lift(a)
-
-    def backward(g):
-        z = np.zeros_like(a.value)
-        z[:, start:stop] = g
-        return (z,)
-
-    return Var(a.value[:, start:stop].copy(), (a,), backward)
-
-
-def concat_rows(a, b):
-    a, b = lift(a), lift(b)
-    if a.shape[1] != b.shape[1]:
-        raise ShapeError(f"cannot stack {a.shape} over {b.shape}")
-    na = a.shape[0]
-    return Var(np.concatenate([a.value, b.value], axis=0), (a, b),
-               lambda g: (g[:na].copy(), g[na:].copy()))
-
-
-def concat_cols(a, b):
-    a, b = lift(a), lift(b)
-    if a.shape[0] != b.shape[0]:
-        raise ShapeError(f"cannot concatenate {a.shape} beside {b.shape}")
-    na = a.shape[1]
-    return Var(np.concatenate([a.value, b.value], axis=1), (a, b),
-               lambda g: (g[:, :na].copy(), g[:, na:].copy()))
-
-
-def take_rows(a, idx):
-    """Gather rows by integer index; gradients scatter-add back."""
-    a = lift(a)
-    idx = np.asarray(idx, dtype=np.intp)
-
-    def backward(g):
-        z = np.zeros_like(a.value)
-        np.add.at(z, idx, g)
-        return (z,)
-
-    return Var(a.value[idx], (a,), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import numpy as np
 from dataclasses import dataclass, field
 
 from .corpus import PAD, PAD_TOKEN, UNK, UNK_TOKEN
-from .errors import DataError, ShapeError, UnknownEntityError
+from .errors import DataError, UnknownEntityError
 
 
 @dataclass
@@ -126,18 +126,4 @@ def nearest_neighbors(table, entity, k, universe):
         scored.append((eid, cosine(q, table.matrix[eid])))
     scored.sort(key=lambda t: (-t[1], t[0]))
     return NeighborList(query=int(qid), neighbors=scored[:k])
-
-
-def baseline_score(table, u, v, W):
-    """Bilinear similarity x_u W x_v^T between two entity embeddings.
-
-    With W trained under the siamese objective this is the plain
-    word-embedding baseline for synonym scoring.
-    """
-    xu = table.vector(u)
-    xv = table.vector(v)
-    W = np.asarray(W, dtype=float)
-    if W.shape != (table.dim, table.dim):
-        raise ShapeError(f"W has shape {W.shape}, expected {(table.dim, table.dim)}")
-    return float(xu @ W @ xv)
 

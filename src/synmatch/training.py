@@ -14,6 +14,7 @@ import base64
 import copy
 import json
 import logging
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -30,7 +31,7 @@ ENCODERS = ("anchored", "bilstm")
 OPTIMIZERS = ("adam", "rmsprop", "adagrad", "adadelta")
 
 CHECKPOINT_FORMAT = "synmatch-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -77,6 +78,12 @@ class TrainConfig:
             raise DataError("epochs must be non-negative")
         if self.neg_ratio < 0:
             raise DataError("neg_ratio must be non-negative")
+        for name in ("learning_rate", "margin", "clip_norm", "neg_ratio"):
+            if not math.isfinite(getattr(self, name)):
+                raise DataError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.pairs_per_epoch < 0:
+            raise DataError(
+                f"pairs_per_epoch must be non-negative, got {self.pairs_per_epoch}")
         return self
 
     def to_dict(self):
@@ -476,9 +483,10 @@ def load_checkpoint(path):
             raise DataError(f"checkpoint {path} is not valid JSON: {err}") from err
     if blob.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"{path} is not a model checkpoint")
-    if blob.get("version") != CHECKPOINT_VERSION:
-        raise DataError(f"checkpoint version {blob.get('version')} unsupported "
-                        f"(expected {CHECKPOINT_VERSION})")
+    version = blob.get("version")
+    if version not in (1, CHECKPOINT_VERSION):
+        raise DataError(f"checkpoint version {version} unsupported "
+                        f"(expected 1 or {CHECKPOINT_VERSION})")
     known = {f.name for f in fields(TrainConfig)}
     cfg_dict = blob.get("config", {})
     unknown = set(cfg_dict) - known
@@ -495,4 +503,16 @@ def load_checkpoint(path):
                 f"parameter {name}: data block holds {len(raw) // 8} values "
                 f"but shape {list(shape)} needs {count}")
         params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    if version == 1:
+        _stack_v1_gates(params)
     return params, config, blob.get("meta", {})
+
+
+def _stack_v1_gates(params):
+    """Version 1 kept one LSTM matrix per gate; stack them in gate order i, f, o, g."""
+    for name in encoder.PARAM_NAMES:
+        parts = [f"{name}_{gate}" for gate in "ifog"]
+        missing = [p for p in parts if p not in params]
+        if missing:
+            raise DataError(f"version 1 checkpoint lacks parameters {missing}")
+        params[name] = np.concatenate([params.pop(p) for p in parts], axis=1)

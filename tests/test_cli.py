@@ -173,6 +173,18 @@ def test_corrupt_index_exits_two(work, tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--pairs-per-epoch", "-3"), ("--clip-norm", "nan"), ("--learning-rate", "nan")])
+def test_bad_training_numbers_exit_two(work, capsys, flag, value):
+    rc, _, err = run(capsys, "train", "--workdir", str(work), "--index", "index.pkl",
+                     "--embeddings", "data/embeddings.txt",
+                     "--checkpoint", "model_bad.json", "--d-ce", "8",
+                     "--epochs", "1", flag, value)
+    assert rc == 2
+    assert "Traceback" not in err and flag[2:].replace("-", "_") in err
+    assert not (work / "model_bad.json").exists()
+
+
 def test_missing_input_file_exits_two(capsys):
     rc, _, err = run(capsys, "evaluate", "--index", "/does/not/exist.pkl",
                      "--checkpoint", "x.json", "--embeddings", "y.txt")

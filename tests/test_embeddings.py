@@ -3,7 +3,7 @@ import pytest
 
 from synmatch import embeddings
 from synmatch.corpus import PAD, UNK, Vocabulary
-from synmatch.errors import DataError, ShapeError, UnknownEntityError
+from synmatch.errors import DataError, UnknownEntityError
 
 
 def make_vocab(tokens):
@@ -21,6 +21,8 @@ def test_load_with_header(tmp_path):
     assert table.dim == 3
     assert np.array_equal(table.vector("apple"), [1, 2, 3])
     assert np.array_equal(table.vector("pear"), [4, 5, 6])
+    with pytest.raises(UnknownEntityError):
+        table.vector("nope")
 
 
 def test_load_without_header(tmp_path):
@@ -122,31 +124,3 @@ def test_cosine_symmetric():
 
 def test_cosine_zero_norm():
     assert embeddings.cosine(np.zeros(4), np.ones(4)) == 0.0
-
-
-def test_baseline_identity_unit_vector():
-    table = unit_table({"a": [0.6, 0.8], "b": [0.0, 1.0]})
-    assert embeddings.baseline_score(table, "a", "a", np.eye(2)) == pytest.approx(1.0)
-    assert embeddings.baseline_score(table, "a", "b", np.zeros((2, 2))) == 0.0
-
-
-def test_baseline_matches_loop_oracle():
-    rng = np.random.default_rng(3)
-    table = unit_table({"a": rng.normal(size=5), "b": rng.normal(size=5)})
-    W = rng.normal(size=(5, 5))
-    xu = table.vector("a")
-    xv = table.vector("b")
-    want = 0.0
-    for i in range(5):
-        for j in range(5):
-            want += xu[i] * W[i, j] * xv[j]
-    got = embeddings.baseline_score(table, "a", "b", W)
-    assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_baseline_shape_and_unknown_errors():
-    table = unit_table({"a": [1.0, 0.0]})
-    with pytest.raises(ShapeError):
-        embeddings.baseline_score(table, "a", "a", np.eye(3))
-    with pytest.raises(UnknownEntityError):
-        table.vector("nope")

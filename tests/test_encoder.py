@@ -34,14 +34,22 @@ def rand_window(rng, min_len=1, max_len=9):
 def test_init_shapes_and_biases(setup):
     params, _ = setup
     d_h = D_CE // 2
+    assert sorted(params) == sorted(encoder.PARAM_NAMES)
+    # blocks are drawn gate by gate (Wx, then Wh, for i, f, o, g) and stacked
+    rng = stream_rng(0, "init")
     for direction in ("fw", "bw"):
-        for gate in "ifog":
-            assert params[f"enc.{direction}.Wx_{gate}"].shape == (D_EMBED, d_h)
-            assert params[f"enc.{direction}.Wh_{gate}"].shape == (d_h, d_h)
-            b = params[f"enc.{direction}.b_{gate}"]
-            want = 1.0 if gate == "f" else 0.0
-            assert np.all(b == want)
-        assert np.all(np.abs(params[f"enc.{direction}.Wx_i"]) <= 0.08)
+        wx = params[f"enc.{direction}.Wx"]
+        wh = params[f"enc.{direction}.Wh"]
+        assert wx.shape == (D_EMBED, 4 * d_h)
+        assert wh.shape == (d_h, 4 * d_h)
+        for k in range(4):
+            block = slice(k * d_h, (k + 1) * d_h)
+            assert np.array_equal(wx[:, block], rng.uniform(-0.08, 0.08, size=(D_EMBED, d_h)))
+            assert np.array_equal(wh[:, block], rng.uniform(-0.08, 0.08, size=(d_h, d_h)))
+        want = np.zeros((1, 4 * d_h))
+        want[:, d_h:2 * d_h] = 1.0       # forget-gate block starts at 1
+        assert np.array_equal(params[f"enc.{direction}.b"], want)
+        assert np.all(np.abs(wx) <= 0.08)
 
 
 def test_init_odd_dce_rejected():
@@ -52,9 +60,9 @@ def test_init_odd_dce_rejected():
 def test_entity_at_start_forward_sees_only_entity(setup):
     params, emb = setup
     d_h = D_CE // 2
-    a = encoder.encode_anchored(window([5, 6, 7], 0), params, emb)
-    b = encoder.encode_anchored(window([5, 8, 9, 10], 0), params, emb)
-    c = encoder.encode_anchored(window([5], 0), params, emb)
+    a = encoder.encode_batch([window([5, 6, 7], 0)], params, emb, "anchored")[0]
+    b = encoder.encode_batch([window([5, 8, 9, 10], 0)], params, emb, "anchored")[0]
+    c = encoder.encode_batch([window([5], 0)], params, emb, "anchored")[0]
     assert np.array_equal(a[:d_h], c[:d_h])
     assert np.array_equal(b[:d_h], c[:d_h])
     assert not np.array_equal(a[d_h:], c[d_h:])  # suffixes differ
@@ -72,8 +80,8 @@ def test_forward_half_ignores_suffix_edits(setup):
         ids = list(w.token_ids)
         ids[edit_at] = int(rng.integers(2, VOCAB))
         w2 = window(ids, w.entity_pos)
-        h1 = encoder.encode_anchored(w, params, emb)
-        h2 = encoder.encode_anchored(w2, params, emb)
+        h1 = encoder.encode_batch([w], params, emb, "anchored")[0]
+        h2 = encoder.encode_batch([w2], params, emb, "anchored")[0]
         assert np.array_equal(h1[:d_h], h2[:d_h])
 
 
@@ -89,16 +97,16 @@ def test_backward_half_ignores_prefix_edits(setup):
         ids = list(w.token_ids)
         ids[edit_at] = int(rng.integers(2, VOCAB))
         w2 = window(ids, w.entity_pos)
-        h1 = encoder.encode_anchored(w, params, emb)
-        h2 = encoder.encode_anchored(w2, params, emb)
+        h1 = encoder.encode_batch([w], params, emb, "anchored")[0]
+        h2 = encoder.encode_batch([w2], params, emb, "anchored")[0]
         assert np.array_equal(h1[d_h:], h2[d_h:])
 
 
 def test_full_equals_anchored_on_length_one(setup):
     params, emb = setup
     w = window([7], 0)
-    assert np.array_equal(encoder.encode_full(w, params, emb),
-                          encoder.encode_anchored(w, params, emb))
+    assert np.array_equal(encoder.encode_batch([w], params, emb, "bilstm")[0],
+                          encoder.encode_batch([w], params, emb, "anchored")[0])
 
 
 def test_full_differs_from_anchored_with_suffix(setup):
@@ -108,15 +116,16 @@ def test_full_differs_from_anchored_with_suffix(setup):
         w = rand_window(rng, min_len=3)
         if w.entity_pos == len(w) - 1:
             continue
-        full = encoder.encode_full(w, params, emb)
-        anch = encoder.encode_anchored(w, params, emb)
+        full = encoder.encode_batch([w], params, emb, "bilstm")[0]
+        anch = encoder.encode_batch([w], params, emb, "anchored")[0]
         assert not np.allclose(full, anch)
 
 
 def test_output_length(setup):
     params, emb = setup
-    assert encoder.encode_anchored(window([4, 5, 6], 1), params, emb).shape == (D_CE,)
-    assert encoder.encode_full(window([4, 5, 6], 1), params, emb).shape == (D_CE,)
+    w = window([4, 5, 6], 1)
+    assert encoder.encode_batch([w], params, emb, "anchored")[0].shape == (D_CE,)
+    assert encoder.encode_batch([w], params, emb, "bilstm")[0].shape == (D_CE,)
 
 
 def test_batch_matches_individual_encodes(setup):
@@ -173,6 +182,16 @@ def test_gradients_match_finite_differences(setup):
 
     report = ad.finite_diff_check(builder, params, eps=1e-4)
     assert report.max_rel_error < 1e-4, str(report)
+
+
+def test_encode_batch_vars_is_one_tape_node(setup):
+    params, emb = setup
+    leaves = {k: ad.Var(v) for k, v in params.items()}
+    emb_var = ad.Var(emb)
+    out = encoder.encode_batch_vars([window([4, 5, 6], 1), window([7, 8], 0)], leaves, emb_var)
+    inner = [node for node in ad._topo_order(out) if node.parents]
+    assert inner == [out]
+    assert len(out.parents) == 7      # six weights and the embedding matrix
 
 
 def test_padding_rows_get_no_gradient(setup):

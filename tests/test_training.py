@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from synmatch import autodiff as ad
-from synmatch import corpus, embeddings, evaluation, training
+from synmatch import corpus, embeddings, encoder, evaluation, training
 from synmatch.errors import DataError, NumericError
 from synmatch.rng import stream_rng
 from test_matcher import single_context_score
@@ -152,6 +152,18 @@ def test_config_validation():
         with pytest.raises(DataError):
             training.TrainConfig(**kw).validate()
     training.TrainConfig(learning_rate=0.0).validate()  # 0 is a usable no-op rate
+
+
+@pytest.mark.parametrize("field, value", [
+    ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+    ("margin", float("nan")), ("margin", float("inf")),
+    ("clip_norm", float("nan")), ("clip_norm", float("-inf")),
+    ("neg_ratio", float("nan")), ("neg_ratio", float("inf")),
+    ("pairs_per_epoch", -3)])
+def test_config_validation_rejects_nonfinite_and_negative_counts(field, value):
+    with pytest.raises(DataError) as err:
+        training.TrainConfig(**{field: value}).validate()
+    assert field in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +343,30 @@ def test_checkpoint_corrupted_shape_names_field(tmp_path):
     with pytest.raises(DataError) as err:
         training.load_checkpoint(str(path))
     assert "match.w_bm" in str(err.value)
+
+
+def test_checkpoint_v1_per_gate_weights_load_stacked(tmp_path):
+    params, config = make_small_model()
+    d_h = config.d_ce // 2
+    v1 = {k: v for k, v in params.items() if not k.startswith("enc.")}
+    for name in encoder.PARAM_NAMES:
+        for k, gate in enumerate("ifog"):
+            v1[f"{name}_{gate}"] = params[name][:, k * d_h:(k + 1) * d_h]
+    path = tmp_path / "v1.ckpt"
+    training.save_checkpoint(str(path), v1, config)
+    blob = json.loads(path.read_text())
+    blob["version"] = 1
+    path.write_text(json.dumps(blob))
+    loaded, cfg, _ = training.load_checkpoint(str(path))
+    assert cfg == config
+    assert sorted(loaded) == sorted(params)
+    for k in params:
+        assert np.array_equal(loaded[k], params[k])
+    del blob["params"]["enc.bw.Wh_g"]
+    path.write_text(json.dumps(blob))
+    with pytest.raises(DataError) as err:
+        training.load_checkpoint(str(path))
+    assert "enc.bw.Wh_g" in str(err.value)
 
 
 def test_checkpoint_rejects_wrong_format_and_version(tmp_path):
