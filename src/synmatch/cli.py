@@ -111,6 +111,10 @@ def _load_model(args, data):
     params, config, meta = training.load_checkpoint(args.checkpoint)
     config = _apply_config(args, config)
     table = embeddings.load_embeddings(args.embeddings, data.vocab)
+    if table.dim != params["enc.fw.Wx"].shape[0]:
+        raise DataError(
+            f"embedding file {args.embeddings} has {table.dim}-wide vectors, "
+            f"but the model expects {params['enc.fw.Wx'].shape[0]}")
     if "embed.table" in params and params["embed.table"].shape != table.matrix.shape:
         raise DataError(
             f"checkpoint embeddings shape {params['embed.table'].shape} does not "

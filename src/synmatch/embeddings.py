@@ -21,13 +21,6 @@ class EmbeddingTable:
     def dim(self):
         return self.matrix.shape[1]
 
-    def vector(self, entity):
-        if isinstance(entity, str):
-            if entity not in self.vocab:
-                raise UnknownEntityError(f"unknown entity {entity!r}")
-            entity = self.vocab.get(entity)
-        return self.matrix[int(entity)]
-
 
 @dataclass
 class NeighborList:
@@ -112,18 +105,19 @@ def cosine(u, v):
 def nearest_neighbors(table, entity, k, universe):
     """Top-k entities from `universe` by cosine similarity to `entity`.
 
-    Exact brute-force scan.  The query itself is excluded; ties break toward
-    the smaller entity id so results are reproducible.
+    Exact brute-force scan: one matrix product over the universe rows.  The
+    query itself is excluded, a zero-norm row (or query) scores 0, and ties
+    break toward the smaller entity id so results are reproducible.
     """
     qid = entity if not isinstance(entity, str) else table.vocab.get(entity)
     if isinstance(entity, str) and entity not in table.vocab:
         raise UnknownEntityError(f"unknown entity {entity!r}")
     q = table.matrix[int(qid)]
-    scored = []
-    for eid in universe:
-        if eid == qid:
-            continue
-        scored.append((eid, cosine(q, table.matrix[eid])))
-    scored.sort(key=lambda t: (-t[1], t[0]))
-    return NeighborList(query=int(qid), neighbors=scored[:k])
-
+    ids = np.array([eid for eid in universe if eid != qid], dtype=np.intp)
+    rows = table.matrix[ids]
+    norms = np.linalg.norm(rows, axis=1) * np.linalg.norm(q)
+    dots = rows @ q
+    cos = np.divide(dots, norms, out=np.zeros_like(dots), where=norms != 0.0)
+    best = np.lexsort((ids, -cos))[:k]
+    return NeighborList(query=int(qid),
+                        neighbors=[(int(ids[j]), float(cos[j])) for j in best])

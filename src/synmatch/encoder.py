@@ -9,17 +9,27 @@ runs both cells over the whole window and concatenates the final states.
 Each direction keeps its four gates stacked in the order i, f, o, g:
 `enc.{fw,bw}.Wx` (d_embed, 4 d_h), `Wh` (d_h, 4 d_h) and `b` (1, 4 d_h).
 The input projection X Wx is one product over all steps; only h Wh runs
-inside the time loop.  All windows step together, and each row's state is
-picked at its own stop step, so padding past a row's stop step never reaches
-the output.  One numpy forward serves inference (`encode_batch`) and training
-(`encode_batch_vars`, one tape node whose backward runs backpropagation
-through time by hand).
+inside the time loop.  One numpy forward serves inference (`encode_batch`)
+and training (`encode_batch_vars`, one tape node whose backward runs
+backpropagation through time by hand).
+
+Each direction steps only the (step, row) pairs it uses: a row stops at its
+stop step (the entity token for the anchored variant, the window's end for
+the plain one) and is never padded past it.  The batch is packed the way
+variable-length RNN libraries pack sequences.  Rows are sorted by stop step,
+longest first, so the n[t] rows still running at step t are always the
+leading n[t]; step t's rows sit at offs[t]:offs[t + 1] of a time-major packed
+array of sum(stop + 1) rows, with offs = cumsum(n).  The forward steps these
+blocks in order and backpropagation walks them in reverse, where the rows
+whose stop step is t, places n[t + 1]:n[t], join the gradient.
 """
+
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
-from .corpus import PAD
 from .errors import ShapeError
 
 DIRECTIONS = ("fw", "bw")
@@ -50,78 +60,112 @@ def init_encoder_params(d_embed, d_ce, rng):
     return params
 
 
-def _sigmoid(x):
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+def _sigmoid_(x):
+    """In-place sigmoid in its tanh form, 0.5 (1 + tanh(x / 2))."""
+    x *= 0.5
+    np.tanh(x, out=x)
+    x += 1.0
+    x *= 0.5
 
 
-def _forward(E, ids, stop, Wx, Wh, b):
-    """Run one direction over the (B, L) id matrix; returns the (B, d_h)
-    state at each row's stop step and the saved values `_backward` needs.
+def _gates(a, d_h):
+    """Views of the four stacked gate blocks i, f, o, g (faster than np.split)."""
+    return a[:, :d_h], a[:, d_h:2 * d_h], a[:, 2 * d_h:3 * d_h], a[:, 3 * d_h:]
 
-    Steps past a row's own stop index cannot influence its selected state, so
-    the loop only runs to max(stop).
-    """
-    B = ids.shape[0]
-    T = int(stop.max()) + 1
+
+class _Packing(NamedTuple):
+    """Packed, length-sorted layout of one direction (see the module notes)."""
+
+    order: np.ndarray   # order[j]: the input row in sorted place j
+    n: np.ndarray       # n[t]: rows with stop >= t, the leading n[t] sorted rows
+    offs: np.ndarray    # step t occupies packed rows offs[t]:offs[t + 1]
+    step: np.ndarray    # time step of each packed row
+    rank: np.ndarray    # sorted place of each packed row within its step
+    pick: np.ndarray    # packed row holding sorted row j's state at its stop
+
+
+def _pack(stop):
+    # stable, so rows with equal stops keep their input order
+    order = np.argsort(-stop, kind="stable")
+    n = np.bincount(stop)[::-1].cumsum()[::-1]
+    offs = np.concatenate(([0], np.cumsum(n)))
+    step = np.repeat(np.arange(len(n)), n)
+    rank = np.arange(offs[-1]) - offs[step]
+    pick = offs[stop[order]] + np.arange(len(order))
+    return _Packing(order, n, offs, step, rank, pick)
+
+
+def _forward(E, tok, pk, Wx, Wh, b):
+    """Run one direction over its packed token ids; returns the (B, d_h)
+    state at each row's stop step and the saved values `_backward` needs."""
+    n, offs = pk.n, pk.offs
     d_h = Wh.shape[0]
-    tok = ids[:, :T].T                     # (T, B), time-major
-    X = E[tok]                             # (T, B, d_embed)
+    X = E[tok]                             # (N, d_embed)
     # A holds the pre-activations, then (in place) the gate values i, f, o, g
-    A = (X.reshape(T * B, -1) @ Wx).reshape(T, B, 4 * d_h)
-    H = np.zeros((T + 1, B, d_h))          # H[t + 1] is the state after step t
-    C = np.zeros((T + 1, B, d_h))
-    TC = np.empty((T, B, d_h))             # tanh of the cell after step t
-    for t in range(T):
-        a = A[t]
-        a += H[t] @ Wh
-        a += b
-        a[:, :3 * d_h] = _sigmoid(a[:, :3 * d_h])
+    A = X @ Wx
+    A += b
+    H = np.empty((len(tok), d_h))          # state after each packed step
+    C = np.empty_like(H)                   # cell after each packed step
+    TC = np.empty_like(H)                  # tanh of that cell
+    for t in range(len(n)):
+        now = slice(offs[t], offs[t + 1])
+        a, c = A[now], C[now]
+        if t:
+            prev = slice(offs[t - 1], offs[t - 1] + n[t])
+            a += H[prev] @ Wh
+        _sigmoid_(a[:, :3 * d_h])
         np.tanh(a[:, 3 * d_h:], out=a[:, 3 * d_h:])
-        i, f, o, g = np.split(a, 4, axis=1)
-        C[t + 1] = f * C[t] + i * g
-        np.tanh(C[t + 1], out=TC[t])
-        np.multiply(o, TC[t], out=H[t + 1])
-    return H[stop + 1, np.arange(B)], (tok, X, A, H, C, TC, stop)
+        i, f, o, g = _gates(a, d_h)
+        np.multiply(i, g, out=c)
+        if t:
+            c += f * C[prev]
+        np.tanh(c, out=TC[now])
+        np.multiply(o, TC[now], out=H[now])
+    out = np.empty((len(pk.order), d_h))
+    out[pk.order] = H[pk.pick]
+    return out, (tok, X, A, H, C, TC, pk)
 
 
 def _backward(dout, saved, Wh):
-    """Backpropagation through time for one direction.
+    """Backpropagation through time for one direction, walking the packed
+    steps in reverse.
 
     dout is the (B, d_h) gradient of the selected states.  Returns the
-    (T·B, 4 d_h) pre-activation gradients with dWx, dWh and db.
+    (N, 4 d_h) packed pre-activation gradients with dWx, dWh and db.
     """
-    _, X, A, H, C, TC, stop = saved
-    T, B, d_h = TC.shape
+    _, X, A, H, C, TC, pk = saved
+    offs = pk.offs
+    n = np.append(pk.n, 0)
+    d_h = Wh.shape[0]
+    dout = dout[pk.order]
     dZ = np.empty_like(A)
-    dh = np.zeros((B, d_h))
-    dc = np.zeros((B, d_h))
-    for t in range(T - 1, -1, -1):
-        picked = stop == t
-        dh[picked] += dout[picked]
-        i, f, o, g = np.split(A[t], 4, axis=1)
-        dc += dh * o * (1.0 - TC[t] * TC[t])
-        di, df, do, dg = np.split(dZ[t], 4, axis=1)
-        np.multiply(dc * g, i * (1.0 - i), out=di)
-        np.multiply(dc * C[t], f * (1.0 - f), out=df)
-        np.multiply(dh * TC[t], o * (1.0 - o), out=do)
-        np.multiply(dc * i, 1.0 - g * g, out=dg)
-        dc *= f
-        dh = dZ[t] @ Wh.T
-    dZ = dZ.reshape(T * B, -1)
-    dWx = X.reshape(T * B, -1).T @ dZ
-    dWh = H[:T].reshape(T * B, -1).T @ dZ
+    dh = np.empty((len(pk.order), d_h))    # leading n[t] rows are live at step t
+    dc = np.empty_like(dh)
+    for t in range(len(n) - 2, -1, -1):
+        now = slice(offs[t], offs[t + 1])
+        # the rows whose stop step is t join here, with no cell gradient yet
+        dh[n[t + 1]:n[t]] = dout[n[t + 1]:n[t]]
+        dc[n[t + 1]:n[t]] = 0.0
+        h, c = dh[:n[t]], dc[:n[t]]
+        a, tc, z = A[now], TC[now], dZ[now]
+        i, f, o, g = _gates(a, d_h)
+        di, df, do, dg = _gates(z, d_h)
+        c += h * o * (1.0 - tc * tc)
+        np.multiply(c * g, i * (1.0 - i), out=di)
+        if t:
+            np.multiply(c * C[offs[t - 1]:offs[t - 1] + n[t]], f * (1.0 - f), out=df)
+        else:
+            df[...] = 0.0                  # the cell starts at zero
+        np.multiply(h * tc, o * (1.0 - o), out=do)
+        np.multiply(c * i, 1.0 - g * g, out=dg)
+        c *= f
+        if t:
+            np.matmul(z, Wh.T, out=h)
+    dWx = X.T @ dZ
+    # packed row p of step t >= 1 follows packed row p - n[t - 1]
+    later = slice(offs[1], None)
+    dWh = H[np.arange(offs[1], offs[-1]) - n[pk.step[later] - 1]].T @ dZ[later]
     return dZ, dWx, dWh, dZ.sum(axis=0, keepdims=True)
-
-
-def _id_matrix(windows):
-    B = len(windows)
-    L = max(len(w) for w in windows)
-    ids = np.full((B, L), PAD, dtype=np.intp)
-    rev = np.full((B, L), PAD, dtype=np.intp)
-    for b, w in enumerate(windows):
-        ids[b, :len(w)] = w.token_ids
-        rev[b, :len(w)] = w.token_ids[::-1]
-    return ids, rev
 
 
 def _encode(windows, weights, E, variant):
@@ -133,16 +177,27 @@ def _encode(windows, weights, E, variant):
         return np.zeros((0, 2 * weights[1].shape[0])), ()
     lengths = np.array([len(w) for w in windows], dtype=np.intp)
     t_e = np.array([w.entity_pos for w in windows], dtype=np.intp)
-    ids, rev_ids = _id_matrix(windows)
+    flat = np.fromiter(chain.from_iterable(w.token_ids for w in windows),
+                       dtype=np.intp, count=int(lengths.sum()))
+    first = np.cumsum(lengths) - lengths   # each window's first token in flat
+    last = first + lengths - 1
     if variant == "anchored":
         fw_stop = t_e                  # forward halts on the entity token
         bw_stop = lengths - 1 - t_e    # ditto walking in from the right
     else:
         fw_stop = lengths - 1
         bw_stop = lengths - 1
-    fw, fw_saved = _forward(E, ids, fw_stop, *weights[:3])
-    bw, bw_saved = _forward(E, rev_ids, bw_stop, *weights[3:])
-    return np.concatenate([fw, bw], axis=1), (fw_saved, bw_saved)
+    outs, saved = [], []
+    # the forward direction reads each window from its first token on, the
+    # backward one from its last token down
+    for stop, start, sign, W in ((fw_stop, first, 1, weights[:3]),
+                                 (bw_stop, last, -1, weights[3:])):
+        pk = _pack(stop)
+        tok = flat[start[pk.order[pk.rank]] + sign * pk.step]
+        out, direction = _forward(E, tok, pk, *W)
+        outs.append(out)
+        saved.append(direction)
+    return np.concatenate(outs, axis=1), tuple(saved)
 
 
 def encode_batch_vars(windows, params, emb, variant="anchored"):
@@ -171,9 +226,7 @@ def encode_batch_vars(windows, params, emb, variant="anchored"):
             dZ, dWx, dWh, db = _backward(g[:, k * d_h:(k + 1) * d_h], direction, W[3 * k + 1])
             grads += [dWx, dWh, db]
             if trains_emb:
-                tok = direction[0]
-                dX = (dZ @ W[3 * k].T).reshape(*tok.shape, -1)
-                np.add.at(dE, tok, dX)
+                np.add.at(dE, direction[0], dZ @ W[3 * k].T)
         return grads + ([dE] if trains_emb else [])
 
     return ad.Var(out, parents, backward)

@@ -505,7 +505,36 @@ def load_checkpoint(path):
         params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
     if version == 1:
         _stack_v1_gates(params)
+    _check_params(params, config)
     return params, config, blob.get("meta", {})
+
+
+def _check_params(params, config):
+    """Raise DataError unless `params` has exactly the names and shapes that
+    `init_model_params` builds for `config` (None: any length)."""
+    names = set(encoder.PARAM_NAMES) | {"match.w_bm"}
+    if config.leaky and config.leaky_trainable:
+        names.add("match.leak")
+    if config.fine_tune_embeddings:
+        names.add("embed.table")
+    missing, unexpected = sorted(names - set(params)), sorted(set(params) - names)
+    if missing or unexpected:
+        raise DataError(f"checkpoint parameters do not match its config: "
+                        f"missing {missing}, unexpected {unexpected}")
+    d_ce = config.d_ce
+    wx = params["enc.fw.Wx"]
+    d_embed = wx.shape[0] if wx.ndim else None
+    shapes = {"match.w_bm": (d_ce, d_ce), "match.leak": (1, d_ce),
+              "embed.table": (None, d_embed)}
+    for direction in encoder.DIRECTIONS:
+        shapes[f"enc.{direction}.Wx"] = (d_embed, 2 * d_ce)
+        shapes[f"enc.{direction}.Wh"] = (d_ce // 2, 2 * d_ce)
+        shapes[f"enc.{direction}.b"] = (1, 2 * d_ce)
+    for name in sorted(names):
+        got, want = params[name].shape, shapes[name]
+        if len(got) != len(want) or any(w not in (None, g) for g, w in zip(got, want)):
+            raise DataError(f"parameter {name} has shape {list(got)}, but the "
+                            f"config needs {['any' if w is None else w for w in want]}")
 
 
 def _stack_v1_gates(params):

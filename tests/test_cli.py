@@ -1,5 +1,6 @@
 """Command-line workflows: exit codes, output formats, determinism."""
 
+import json
 import pickle
 import re
 
@@ -207,6 +208,26 @@ def test_nan_embeddings_exit_three(work, capsys):
                      "ent0_0", "ent0_1", "--seed", "3")
     assert rc == 3
     assert "numeric" in err
+
+
+def test_checkpoint_missing_parameter_exits_two(work, capsys):
+    blob = json.loads((work / "model.json").read_text())
+    del blob["params"]["enc.bw.Wh"]
+    (work / "model_lacking.json").write_text(json.dumps(blob))
+    rc, _, err = run(capsys, "score", "--workdir", str(work), "--index", "index.pkl",
+                     "--checkpoint", "model_lacking.json",
+                     "--embeddings", "data/embeddings.txt", "ent0_0", "ent0_1")
+    assert rc == 2
+    assert "Traceback" not in err and "enc.bw.Wh" in err
+
+
+def test_embedding_width_mismatch_exits_two(work, capsys):
+    (work / "narrow_emb.txt").write_text("w0 " + " ".join(["0.5"] * 8) + "\n")
+    rc, _, err = run(capsys, "score", "--workdir", str(work), "--index", "index.pkl",
+                     "--checkpoint", "model.json", "--embeddings", "narrow_emb.txt",
+                     "ent0_0", "ent0_1")
+    assert rc == 2
+    assert "Traceback" not in err and "8-wide" in err
 
 
 def test_gradcheck_passes_and_reports_worst_error(capsys):

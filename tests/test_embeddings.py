@@ -13,16 +13,20 @@ def make_vocab(tokens):
     return v
 
 
+def row(table, token):
+    return table.matrix[table.vocab.get(token)]
+
+
 def test_load_with_header(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("2 3\napple 1 2 3\npear 4 5 6\n")
     vocab = make_vocab(["apple", "pear"])
     table = embeddings.load_embeddings(str(path), vocab)
     assert table.dim == 3
-    assert np.array_equal(table.vector("apple"), [1, 2, 3])
-    assert np.array_equal(table.vector("pear"), [4, 5, 6])
+    assert np.array_equal(row(table, "apple"), [1, 2, 3])
+    assert np.array_equal(row(table, "pear"), [4, 5, 6])
     with pytest.raises(UnknownEntityError):
-        table.vector("nope")
+        embeddings.nearest_neighbors(table, "nope", 1, [vocab.get("apple")])
 
 
 def test_load_without_header(tmp_path):
@@ -30,7 +34,7 @@ def test_load_without_header(tmp_path):
     path.write_text("apple 1 2 3\npear 4 5 6\n")
     table = embeddings.load_embeddings(str(path), make_vocab(["apple", "pear"]))
     assert table.dim == 3
-    assert np.array_equal(table.vector("apple"), [1, 2, 3])
+    assert np.array_equal(row(table, "apple"), [1, 2, 3])
 
 
 def test_missing_token_gets_mean_and_pad_zero(tmp_path):
@@ -38,7 +42,7 @@ def test_missing_token_gets_mean_and_pad_zero(tmp_path):
     path.write_text("apple 1 2 3\npear 3 4 5\n")
     vocab = make_vocab(["apple", "pear", "plum"])
     table = embeddings.load_embeddings(str(path), vocab)
-    assert np.array_equal(table.vector("plum"), [2, 3, 4])   # mean of file rows
+    assert np.array_equal(row(table, "plum"), [2, 3, 4])   # mean of file rows
     assert np.array_equal(table.matrix[UNK], [2, 3, 4])
     assert np.array_equal(table.matrix[PAD], [0, 0, 0])
 
@@ -112,6 +116,40 @@ def test_knn_sorted_and_excludes_query():
     best = max((eid for eid in universe if eid != nl.query),
                key=lambda eid: embeddings.cosine(matrix[nl.query], matrix[eid]))
     assert nl.neighbors[0][0] == best
+
+
+def loop_nearest_neighbors(table, qid, k, universe):
+    """The per-row reference scan: cosine descending, then smaller id."""
+    q = table.matrix[qid]
+    scored = [(eid, embeddings.cosine(q, table.matrix[eid]))
+              for eid in universe if eid != qid]
+    scored.sort(key=lambda t: (-t[1], t[0]))
+    return scored[:k]
+
+
+def test_knn_matches_loop_oracle():
+    rng = np.random.default_rng(3)
+    for trial in range(20):
+        vocab = make_vocab([f"e{i}" for i in range(60)])
+        matrix = rng.normal(size=(len(vocab), 5))
+        # planted ties: duplicated rows, rows parallel to the query's, and
+        # zero rows that all score 0 against everything
+        matrix[10:14] = matrix[20]
+        matrix[30] = matrix[7]
+        matrix[31] = 2.0 * matrix[7]
+        matrix[40:43] = 0.0
+        table = embeddings.EmbeddingTable(matrix=matrix, vocab=vocab)
+        universe = list(rng.permutation(np.arange(2, len(vocab))))
+        for qid in (7, 20, 41, int(rng.integers(2, len(vocab)))):
+            for k in (1, 5, 100):
+                got = embeddings.nearest_neighbors(table, qid, k, universe)
+                want = loop_nearest_neighbors(table, qid, k, universe)
+                assert got.query == qid
+                assert [e for e, _ in got.neighbors] == [e for e, _ in want]
+                for (_, c1), (_, c2) in zip(got.neighbors, want):
+                    assert abs(c1 - c2) <= 1e-12
+        nl = embeddings.nearest_neighbors(table, 41, 100, universe)
+        assert all(c == 0.0 for _, c in nl.neighbors)   # zero-norm query
 
 
 def test_cosine_symmetric():

@@ -215,3 +215,112 @@ def test_padding_rows_get_no_gradient(setup):
         assert np.all(gs["embed.table"][tid] == 0.0)
     for tid in used:
         assert np.any(gs["embed.table"][tid] != 0.0)
+
+
+# ---------------------------------------------------------------------------
+# packed layout against the padded reference
+
+def padded_direction(E, ids, stop, Wx, Wh, b, dout):
+    """Reference LSTM direction with padding: every row steps to max(stop) + 1
+    over the (B, L) id matrix and its state is picked at its own stop step.
+    Returns the (B, d_h) states and, for upstream gradient dout, the
+    gradients of Wx, Wh, b and E."""
+    B, T, d_h = len(ids), int(stop.max()) + 1, Wh.shape[0]
+    tok = ids[:, :T].T
+    X = E[tok]
+    acts, Hs, Cs = [], [np.zeros((B, d_h))], [np.zeros((B, d_h))]
+    for t in range(T):
+        a = X[t] @ Wx + Hs[t] @ Wh + b
+        a = np.concatenate([1.0 / (1.0 + np.exp(-a[:, :3 * d_h])), np.tanh(a[:, 3 * d_h:])], axis=1)
+        i, f, o, g = np.split(a, 4, axis=1)
+        Cs.append(f * Cs[t] + i * g)
+        Hs.append(o * np.tanh(Cs[t + 1]))
+        acts.append(a)
+    out = np.stack(Hs)[stop + 1, np.arange(B)]
+    dWx, dWh, db, dE = np.zeros_like(Wx), np.zeros_like(Wh), np.zeros_like(b), np.zeros_like(E)
+    dh, dc = np.zeros((B, d_h)), np.zeros((B, d_h))
+    for t in range(T - 1, -1, -1):
+        dh = dh + np.where((stop == t)[:, None], dout, 0.0)
+        i, f, o, g = np.split(acts[t], 4, axis=1)
+        tc = np.tanh(Cs[t + 1])
+        dc = dc + dh * o * (1.0 - tc * tc)
+        dz = np.concatenate([dc * g * i * (1 - i), dc * Cs[t] * f * (1 - f),
+                             dh * tc * o * (1 - o), dc * i * (1 - g * g)], axis=1)
+        dWx += X[t].T @ dz
+        dWh += Hs[t].T @ dz
+        db += dz.sum(axis=0, keepdims=True)
+        np.add.at(dE, tok[t], dz @ Wx.T)
+        dc = dc * f
+        dh = dz @ Wh.T
+    return out, (dWx, dWh, db, dE)
+
+
+def padded_encode(windows, params, E, variant, G):
+    """Reference encodings and the gradients of sum(out * G)."""
+    lengths = np.array([len(w) for w in windows])
+    t_e = np.array([w.entity_pos for w in windows])
+    ids = np.full((len(windows), lengths.max()), PAD)
+    rev = np.full((len(windows), lengths.max()), PAD)
+    for r, w in enumerate(windows):
+        ids[r, :len(w)] = w.token_ids
+        rev[r, :len(w)] = w.token_ids[::-1]
+    if variant == "anchored":
+        stops = (t_e, lengths - 1 - t_e)
+    else:
+        stops = (lengths - 1, lengths - 1)
+    d_h = D_CE // 2
+    outs, grads, dE = [], {}, np.zeros_like(E)
+    for k, (direction, id_matrix) in enumerate((("fw", ids), ("bw", rev))):
+        names = [f"enc.{direction}.{part}" for part in ("Wx", "Wh", "b")]
+        out, (dWx, dWh, db, dE_k) = padded_direction(
+            E, id_matrix, stops[k], *[params[n] for n in names], G[:, k * d_h:(k + 1) * d_h])
+        outs.append(out)
+        grads.update(zip(names, (dWx, dWh, db)))
+        dE += dE_k
+    grads["emb"] = dE
+    return np.concatenate(outs, axis=1), grads
+
+
+def packed_encode(windows, params, E, variant, G):
+    leaves = {k: ad.Var(v) for k, v in params.items()}
+    emb = ad.Var(E)
+    out = encoder.encode_batch_vars(windows, leaves, emb, variant)
+    assert np.array_equal(out.value, encoder.encode_batch(windows, params, E, variant))
+    names = list(leaves)
+    gs = ad.backward(ad.sum_all(ad.mul(out, ad.Var(G))), [leaves[n] for n in names] + [emb])
+    return out.value, dict(zip(names + ["emb"], gs))
+
+
+def oracle_batches():
+    rng = stream_rng(8, "init")
+    mixed = [rand_window(rng) for _ in range(12)]
+    stop0 = [window([4, 5, 6], 0), window([7], 0), window([8, 9], 1), window([3, 4, 5, 6], 3)]
+    equal = [window(list(rng.integers(2, VOCAB, size=5)), 2) for _ in range(4)]
+    return {"mixed": mixed, "stop0": stop0, "equal": equal,
+            "single": [window([5, 9, 12, 3], 1)],
+            "duplicates": [mixed[0], mixed[1], mixed[0], mixed[0], mixed[2]]}
+
+
+@pytest.mark.parametrize("variant", ["anchored", "bilstm"])
+@pytest.mark.parametrize("batch", sorted(oracle_batches()))
+def test_packed_matches_padded_reference(setup, variant, batch):
+    params, emb = setup
+    windows = oracle_batches()[batch]
+    G = stream_rng(9, "init").normal(size=(len(windows), D_CE))
+    want_out, want = padded_encode(windows, params, emb, variant, G)
+    got_out, got = packed_encode(windows, params, emb, variant, G)
+    assert np.max(np.abs(got_out - want_out)) <= 1e-12
+    assert sorted(got) == sorted(want)
+    for name in want:
+        assert np.max(np.abs(got[name] - want[name])) <= 1e-12, name
+
+
+@pytest.mark.parametrize("variant", ["anchored", "bilstm"])
+def test_permuting_windows_permutes_rows(setup, variant):
+    params, emb = setup
+    rng = stream_rng(10, "init")
+    windows = [rand_window(rng) for _ in range(15)]
+    perm = rng.permutation(len(windows))
+    out = encoder.encode_batch(windows, params, emb, variant)
+    shuffled = encoder.encode_batch([windows[p] for p in perm], params, emb, variant)
+    assert np.max(np.abs(shuffled - out[perm])) <= 1e-12

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -367,6 +368,63 @@ def test_checkpoint_v1_per_gate_weights_load_stacked(tmp_path):
     with pytest.raises(DataError) as err:
         training.load_checkpoint(str(path))
     assert "enc.bw.Wh_g" in str(err.value)
+
+
+def _drop(name):
+    def edit(params, config):
+        del params[name]
+        return config
+    return edit
+
+
+def _put(name, shape):
+    def edit(params, config):
+        params[name] = np.zeros(shape)
+        return config
+    return edit
+
+
+def _configure(**changes):
+    def edit(params, config):
+        return dataclasses.replace(config, **changes)
+    return edit
+
+
+@pytest.mark.parametrize("edit, named", [
+    pytest.param(_drop("enc.bw.Wh"), "enc.bw.Wh", id="missing"),
+    pytest.param(_put("match.extra", (6, 6)), "match.extra", id="unexpected"),
+    pytest.param(_put("embed.table", (11, 4)), "embed.table", id="table-not-fine-tuned"),
+    pytest.param(_configure(leaky_trainable=False), "match.leak", id="leak-not-trainable"),
+    pytest.param(_configure(fine_tune_embeddings=True), "embed.table", id="table-missing"),
+    pytest.param(_put("enc.fw.Wh", (4, 12)), "enc.fw.Wh", id="wh-shape"),
+    pytest.param(_put("enc.bw.Wx", (5, 12)), "enc.bw.Wx", id="directions-disagree"),
+    pytest.param(_put("enc.fw.b", (12,)), "enc.fw.b", id="bias-rank"),
+    pytest.param(_put("match.w_bm", (6, 7)), "match.w_bm", id="w_bm-shape"),
+    pytest.param(_put("match.leak", (6,)), "match.leak", id="leak-shape"),
+])
+def test_checkpoint_params_must_fit_config(tmp_path, edit, named):
+    params, config = make_small_model()
+    config = edit(params, config)
+    path = tmp_path / "model.ckpt"
+    training.save_checkpoint(str(path), params, config)
+    with pytest.raises(DataError) as err:
+        training.load_checkpoint(str(path))
+    assert named in str(err.value)
+
+
+def test_checkpoint_fine_tuned_table_checks_width(tmp_path):
+    params, config = make_small_model()
+    config = dataclasses.replace(config, fine_tune_embeddings=True)
+    path = tmp_path / "model.ckpt"
+    params["embed.table"] = np.ones((11, 4))
+    training.save_checkpoint(str(path), params, config)
+    loaded, _, _ = training.load_checkpoint(str(path))
+    assert np.array_equal(loaded["embed.table"], params["embed.table"])
+    params["embed.table"] = np.ones((11, 3))
+    training.save_checkpoint(str(path), params, config)
+    with pytest.raises(DataError) as err:
+        training.load_checkpoint(str(path))
+    assert "embed.table" in str(err.value)
 
 
 def test_checkpoint_rejects_wrong_format_and_version(tmp_path):
