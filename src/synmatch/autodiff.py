@@ -214,21 +214,12 @@ def max_axis(a, axis):
     return Var(out, (a,), backward)
 
 
-def rows(a, start, stop):
-    a = lift(a)
-
-    def backward(g):
-        z = np.zeros_like(a.value)
-        z[start:stop] = g
-        return (z,)
-
-    return Var(a.value[start:stop].copy(), (a,), backward)
-
-
 # ---------------------------------------------------------------------------
 # softmax
 
-def _softmax_np(x, axis):
+def softmax_np(x, axis):
+    """Softmax of a numpy array of any rank along `axis`, stabilised by
+    max subtraction."""
     shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=axis, keepdims=True)
@@ -236,7 +227,7 @@ def _softmax_np(x, axis):
 
 def _softmax(a, axis):
     a = lift(a)
-    y = _softmax_np(a.value, axis)
+    y = softmax_np(a.value, axis)
 
     def backward(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
@@ -249,14 +240,14 @@ def softmax_rows(x):
     """Softmax over each row, stabilised by row-max subtraction."""
     if isinstance(x, Var):
         return _softmax(x, axis=1)
-    return _softmax_np(as_matrix(x), axis=1)
+    return softmax_np(as_matrix(x), axis=1)
 
 
 def softmax_cols(x):
     """Softmax over each column, stabilised by column-max subtraction."""
     if isinstance(x, Var):
         return _softmax(x, axis=0)
-    return _softmax_np(as_matrix(x), axis=0)
+    return softmax_np(as_matrix(x), axis=0)
 
 
 # ---------------------------------------------------------------------------

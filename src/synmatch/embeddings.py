@@ -109,6 +109,8 @@ def nearest_neighbors(table, entity, k, universe):
     query itself is excluded, a zero-norm row (or query) scores 0, and ties
     break toward the smaller entity id so results are reproducible.
     """
+    if k < 0:
+        raise DataError(f"number of neighbors must be non-negative, got {k}")
     qid = entity if not isinstance(entity, str) else table.vocab.get(entity)
     if isinstance(entity, str) and entity not in table.vocab:
         raise UnknownEntityError(f"unknown entity {entity!r}")

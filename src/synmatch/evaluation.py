@@ -10,16 +10,13 @@ synsets.  All context sampling is keyed by (seed, entity), so a metric run
 is a pure function of (model, data, seed).
 """
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import corpus, embeddings, encoder, matcher
-from .errors import MetricError
+from .errors import DataError, MetricError
 from .rng import stream_rng
-
-log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -34,16 +31,10 @@ def auc(scored):
     if n_pos == 0 or n_neg == 0:
         raise MetricError(f"AUC needs both classes, got {n_pos} positives "
                           f"and {n_neg} negatives")
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores))
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        # ranks are 1-based; tied scores share the average rank
-        ranks[order[i:j + 1]] = (i + 1 + j + 1) / 2.0
-        i = j + 1
+    # ranks are 1-based; tied scores share the average rank of their group
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    ranks = (ends - (counts - 1) / 2.0)[group]
     rank_sum = ranks[labels == 1].sum()
     u = rank_sum - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
@@ -105,13 +96,8 @@ class EvalReport:
 def make_eval_pairs(store, split, rng):
     """Labeled pairs for one split: every within-synset pair as a positive,
     the same number of seeded cross-synset negatives."""
-    synset_ids = store.synset_ids(split)
-    positives = []
-    for si in synset_ids:
-        members = store.synsets[si]
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                positives.append(corpus.TrainingPair(members[i], members[j], 1))
+    positives = [corpus.TrainingPair(a, b, 1)
+                 for a, b in corpus._positive_pool(store, split)]
     entities = store.entities(split)
     negatives = []
     seen = set()
@@ -149,36 +135,37 @@ def leak_slot(params, config):
     return np.zeros((1, config.d_ce))
 
 
-def encode_entity_set(params, config, ctx, emb):
-    """Encode each entity's windows in one batched pass; id -> (P, d_CE)."""
-    order = sorted(ctx)
-    windows = []
-    spans = {}
-    for eid in order:
-        spans[eid] = (len(windows), len(windows) + len(ctx[eid]))
+def stack_windows(ctx, ids):
+    """All windows ctx[id] of the ids, in order, and rows[id]: their indices."""
+    windows, rows = [], {}
+    for eid in ids:
+        rows[eid] = np.arange(len(windows), len(windows) + len(ctx[eid]))
         windows.extend(ctx[eid])
-    if not windows:
-        return {}
-    out = encoder.encode_batch(windows, params, emb, config.encoder)
-    return {eid: out[a:b] for eid, (a, b) in spans.items()}
+    return windows, rows
 
 
-def pair_scores(params, config, pairs, ctx, emb):
-    """Model score for each labeled pair, with entity encodings shared."""
-    enc = encode_entity_set(params, config, ctx, emb)
-    leak = leak_slot(params, config)
-    w_bm = params["match.w_bm"]
-    return [matcher.match_score(enc[p.a], enc[p.b], w_bm, leak).score for p in pairs]
+def entity_scorer(params, config, ctx, emb):
+    """Encode every entity's windows in one pass; returns score(left, right),
+    the model scores of pairs (left[i], right[i]) from one matcher call, where
+    left may be one id matched against every right id."""
+    windows, rows = stack_windows(ctx, sorted(ctx))
+    enc = encoder.encode_batch(windows, params, emb, config.encoder)
+
+    def score(left, right):
+        H = enc[np.stack([rows[eid] for eid in left])]
+        G = enc[np.stack([rows[eid] for eid in right])]
+        return matcher.match_score(H, G, params["match.w_bm"],
+                                   leak_slot(params, config)).score
+
+    return score
 
 
-def score_pair(params, config, data, emb, a, b, seed=0, P=None):
+def score_pair(params, config, data, emb, a, b, seed=0):
     """Score one entity pair from scratch: sample contexts, encode, match."""
-    P = P or config.contexts_per_entity
     ida, idb = data.entity_id(a), data.entity_id(b)
-    ctx = eval_contexts(data, {ida, idb}, P, config.max_context_len, seed)
-    enc = encode_entity_set(params, config, ctx, emb)
-    return matcher.match_score(enc[ida], enc[idb],
-                               params["match.w_bm"], leak_slot(params, config)).score
+    ctx = eval_contexts(data, {ida, idb}, config.contexts_per_entity,
+                        config.max_context_len, seed)
+    return float(entity_scorer(params, config, ctx, emb)([ida], [idb])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +184,16 @@ class DiscoveryResult:
             self.accepted = [(c, s) for c, s in self.ranked if s > self.threshold]
 
 
+def knn_rerank(table, qid, k, universe, score):
+    """Shortlist qid's k embedding neighbors in universe and rerank them by
+    score(candidate ids); returns the neighbors and [(id, score)], best first."""
+    neighbors = embeddings.nearest_neighbors(table, qid, k, universe)
+    cand_ids = [eid for eid, _ in neighbors.neighbors]
+    scores = score(cand_ids) if cand_ids else []
+    ranked = sorted(zip(cand_ids, map(float, scores)), key=lambda t: (-t[1], t[0]))
+    return neighbors, ranked
+
+
 def discover(params, config, data, table, query, k=50, threshold=0.8,
              seed=0, universe=None):
     """KNN-then-rerank synonym discovery for one query entity.
@@ -210,18 +207,15 @@ def discover(params, config, data, table, query, k=50, threshold=0.8,
         universe = data.store.entities()
     if k <= 0:
         return DiscoveryResult(qid, [], threshold)
-    neighbors = embeddings.nearest_neighbors(table, qid, k, universe)
-    cand_ids = [eid for eid, _ in neighbors.neighbors]
     emb = params.get("embed.table", table.matrix)
-    ctx = eval_contexts(data, [qid] + cand_ids, config.contexts_per_entity,
-                        config.max_context_len, seed)
-    enc = encode_entity_set(params, config, ctx, emb)
-    leak = leak_slot(params, config)
-    w_bm = params["match.w_bm"]
-    scored = [(eid, matcher.match_score(enc[qid], enc[eid], w_bm, leak).score)
-              for eid in cand_ids]
-    scored.sort(key=lambda t: (-t[1], t[0]))
-    return DiscoveryResult(qid, scored, threshold,
+
+    def score(cand_ids):
+        ctx = eval_contexts(data, [qid] + cand_ids, config.contexts_per_entity,
+                            config.max_context_len, seed)
+        return entity_scorer(params, config, ctx, emb)([qid], cand_ids)
+
+    neighbors, ranked = knn_rerank(table, qid, k, universe, score)
+    return DiscoveryResult(qid, ranked, threshold,
                            candidates=list(neighbors.neighbors))
 
 
@@ -236,6 +230,8 @@ def evaluate(params, config, data, table, split="test", seed=0,
     that has at least one synonym there, against the split's entities as the
     candidate universe.
     """
+    if knn_k < 1:
+        raise DataError(f"knn_k must be at least 1, got {knn_k}")
     store = data.store
     pairs = make_eval_pairs(store, split, stream_rng(seed, "eval", 1))
     if not pairs:
@@ -244,41 +240,28 @@ def evaluate(params, config, data, table, split="test", seed=0,
     ctx = eval_contexts(data, entity_ids, config.contexts_per_entity,
                         config.max_context_len, seed)
     emb = params.get("embed.table", table.matrix)
-    enc = encode_entity_set(params, config, ctx, emb)
-    leak = leak_slot(params, config)
-    w_bm = params["match.w_bm"]
+    score = entity_scorer(params, config, ctx, emb)
 
-    scores = [matcher.match_score(enc[p.a], enc[p.b], w_bm, leak).score for p in pairs]
+    scores = score([p.a for p in pairs], [p.b for p in pairs])
     auc_value = auc([(s, p.label) for s, p in zip(scores, pairs)])
 
-    ap_values = []
-    p_at = {k: [] for k in ks}
-    r_at = {k: [] for k in ks}
-    f1_at_scores = {k: [] for k in ks}
+    runs = []  # (ranked ids, relevant ids) of each query with a synonym
     for qid in entity_ids:
-        si = store.synset_of(qid)
-        relevant = set(store.synsets[si]) - {qid}
-        if not relevant:
-            continue
-        neighbors = embeddings.nearest_neighbors(table, qid, knn_k, entity_ids)
-        cand_ids = [eid for eid, _ in neighbors.neighbors]
-        reranked = sorted(((eid, matcher.match_score(enc[qid], enc[eid], w_bm,
-                                                     leak).score)
-                           for eid in cand_ids), key=lambda t: (-t[1], t[0]))
-        ranked_ids = [eid for eid, _ in reranked]
-        ap_values.append(average_precision(ranked_ids, relevant))
-        for k in ks:
-            p_at[k].append(precision_at(ranked_ids, relevant, k))
-            r_at[k].append(recall_at(ranked_ids, relevant, k))
-            f1_at_scores[k].append(f1_at(ranked_ids, relevant, k))
-    if not ap_values:
+        relevant = set(store.synsets[store.synset_of(qid)]) - {qid}
+        if relevant:
+            _, ranked = knn_rerank(table, qid, knn_k, entity_ids,
+                                   lambda cand_ids: score([qid], cand_ids))
+            runs.append(([eid for eid, _ in ranked], relevant))
+    if not runs:
         raise MetricError(f"split {split!r} has no entity with a synonym")
 
-    mean = lambda xs: float(np.mean(xs))
+    def mean(metric, *k):
+        return float(np.mean([metric(ranked, relevant, *k) for ranked, relevant in runs]))
+
     return EvalReport(
         auc=float(auc_value),
-        map=mean(ap_values),
-        p_at_k={k: mean(v) for k, v in p_at.items()},
-        r_at_k={k: mean(v) for k, v in r_at.items()},
-        f1_at_k={k: mean(v) for k, v in f1_at_scores.items()},
+        map=mean(average_precision),
+        p_at_k={k: mean(precision_at, k) for k in ks},
+        r_at_k={k: mean(recall_at, k) for k in ks},
+        f1_at_k={k: mean(f1_at, k) for k in ks},
     )

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import autodiff as ad
-from . import corpus, encoder, evaluation, matcher
+from . import corpus, embeddings, encoder, evaluation, matcher
 from .errors import DataError, NumericError
 from .rng import stream_rng
 
@@ -140,15 +140,16 @@ def parse_config_text(text, base=None):
 # losses
 
 def siamese_term_var(s, y, margin):
-    """Contrastive loss on one score Var: (1 - s)^2 / 4 for a synonym pair,
-    max(s - margin, 0)^2 otherwise."""
-    if y:
-        return ad.scale(ad.square(1.0 - s), 0.25)
-    return ad.square(ad.relu(s - margin))
+    """Contrastive loss per score in the Var s, under the constant labels y
+    (1 synonym, 0 not; broadcast against s): (1 - s)^2 / 4 for a synonym
+    pair, max(s - margin, 0)^2 otherwise."""
+    y = np.asarray(y, dtype=float)
+    return (ad.mul(y, ad.scale(ad.square(1.0 - s), 0.25))
+            + ad.mul(1.0 - y, ad.square(ad.relu(s - margin))))
 
 
 def triplet_term_var(s_pos, s_neg, margin):
-    """Triplet margin loss on two score Vars: max(s_neg - s_pos + margin, 0)."""
+    """Triplet margin loss per pair of score Vars: max(s_neg - s_pos + margin, 0)."""
     return ad.relu(s_neg - s_pos + margin)
 
 
@@ -269,32 +270,31 @@ def batch_loss_builder(items, contexts, config, frozen_emb):
     """Builder for ad.grad: mean loss over a batch of pairs or triplets.
 
     contexts maps entity id -> list of ContextWindow (length P); all windows
-    in the batch are encoded in a single pass and sliced back per entity.
+    in the batch are encoded in one pass, and one matcher node (two for
+    triplets) scores every pair from the encoder output's rows.
     """
     order = sorted({eid for item in items for eid in _item_entities(item)})
-    spans = {}
-    windows = []
-    for eid in order:
-        spans[eid] = (len(windows), len(windows) + len(contexts[eid]))
-        windows.extend(contexts[eid])
+    windows, rows = evaluation.stack_windows(contexts, order)
+    # one (B, P) row-index array per role: a/b, or anchor/positive/negative
+    roles = [np.stack([rows[eid] for eid in role])
+             for role in zip(*map(_item_entities, items))]
+    triplets = isinstance(items[0], corpus.TrainingTriplet)
+    labels = None if triplets else [[item.label] for item in items]
 
     def builder(v):
         emb = v["embed.table"] if "embed.table" in v else frozen_emb
         encoded = encoder.encode_batch_vars(windows, v, emb, config.encoder)
-        enc = {eid: ad.rows(encoded, a, b) for eid, (a, b) in spans.items()}
         w_bm = v["match.w_bm"]
         leak = evaluation.leak_slot(v, config)
-        total = None
-        for item in items:
-            if isinstance(item, corpus.TrainingTriplet):
-                s_pos = matcher.pair_score_vars(enc[item.anchor], enc[item.positive], w_bm, leak)
-                s_neg = matcher.pair_score_vars(enc[item.anchor], enc[item.negative], w_bm, leak)
-                term = triplet_term_var(s_pos, s_neg, config.margin)
-            else:
-                s = matcher.pair_score_vars(enc[item.a], enc[item.b], w_bm, leak)
-                term = siamese_term_var(s, item.label, config.margin)
-            total = term if total is None else total + term
-        return ad.scale(total, 1.0 / len(items))
+
+        def scores(other):
+            return matcher.pair_score_vars(encoded, encoded, w_bm, leak, (roles[0], other))
+
+        if triplets:
+            terms = triplet_term_var(scores(roles[1]), scores(roles[2]), config.margin)
+        else:
+            terms = siamese_term_var(scores(roles[1]), labels, config.margin)
+        return ad.scale(ad.sum_all(terms), 1.0 / len(items))
 
     return builder
 
@@ -337,11 +337,8 @@ def gradcheck_model(seed=0, eps=1e-5):
                     items = [corpus.TrainingPair(ents[0], ents[1], 1),
                              corpus.TrainingPair(ents[2], ents[3], 0)]
 
-                class _T:
-                    dim = d_embed
-                    matrix = table
-
-                params = init_model_params(config, _T(), rng)
+                params = init_model_params(
+                    config, embeddings.EmbeddingTable(matrix=table, vocab=None), rng)
                 builder = batch_loss_builder(items, ctx, config, table)
                 report = ad.finite_diff_check(builder, params, eps=eps)
                 label = f"{objective}/{variant}/leaky={'on' if leaky else 'off'}"
@@ -354,10 +351,7 @@ def _param_norms(params):
 
 
 def _auto_items_per_epoch(store, config):
-    pool = 0
-    for si in store.synset_ids("train"):
-        n = len(store.synsets[si])
-        pool += n * (n - 1) // 2
+    pool = len(corpus._positive_pool(store))
     if config.objective == "triplet":
         return max(pool, 1)
     return max(round(pool * (1.0 + config.neg_ratio)), 1)
@@ -436,7 +430,8 @@ def train(config, data, table):
         valid_auc = None
         if valid_pairs:
             emb = params.get("embed.table", frozen_emb)
-            scores = evaluation.pair_scores(params, config, valid_pairs, valid_ctx, emb)
+            score = evaluation.entity_scorer(params, config, valid_ctx, emb)
+            scores = score([p.a for p in valid_pairs], [p.b for p in valid_pairs])
             valid_auc = evaluation.auc([(s, p.label) for s, p in zip(scores, valid_pairs)])
             if best_auc is None or valid_auc > best_auc:
                 best_auc = valid_auc

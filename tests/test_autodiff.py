@@ -165,7 +165,6 @@ def test_op_gradients_match_finite_differences():
     _check_op(lambda v: ad.sum_all(ad.square(ad.max_axis(v["a"], 1))), {"a": a})
     _check_op(lambda v: ad.sum_all(ad.sqrt(ad.square(v["a"]) + 1.0)), {"a": a})
     _check_op(lambda v: ad.sum_all(ad.div(v["a"], ad.square(v["c"]) + 2.0)), {"a": a, "c": c})
-    _check_op(lambda v: ad.sum_all(ad.square(ad.rows(v["a"], 1, 3))), {"a": a})
     _check_op(lambda v: ad.sum_all(ad.square(ad.transpose(v["a"]))), {"a": a})
 
 

@@ -186,6 +186,15 @@ def test_bad_training_numbers_exit_two(work, capsys, flag, value):
     assert not (work / "model_bad.json").exists()
 
 
+@pytest.mark.parametrize("knn_k", ["-1", "0"])
+def test_evaluate_rejects_nonpositive_knn_k(work, capsys, knn_k):
+    rc, _, err = run(capsys, "evaluate", *model_args(work), "--seed", "3",
+                     "--knn-k", knn_k, "--out", "metrics_bad.txt")
+    assert rc == 2
+    assert "Traceback" not in err and "knn_k" in err
+    assert not (work / "metrics_bad.txt").exists()
+
+
 def test_missing_input_file_exits_two(capsys):
     rc, _, err = run(capsys, "evaluate", "--index", "/does/not/exist.pkl",
                      "--checkpoint", "x.json", "--embeddings", "y.txt")

@@ -101,6 +101,14 @@ def test_knn_orthogonal_zero_similarity():
     assert nl.neighbors == [(table.vocab.get("c"), 0.0)]
 
 
+def test_knn_negative_k_rejected():
+    table = unit_table({"a": [1, 0], "c": [0, 1]})
+    universe = [table.vocab.get("a"), table.vocab.get("c")]
+    assert embeddings.nearest_neighbors(table, "a", k=0, universe=universe).neighbors == []
+    with pytest.raises(DataError):
+        embeddings.nearest_neighbors(table, "a", k=-1, universe=universe)
+
+
 def test_knn_sorted_and_excludes_query():
     rng = np.random.default_rng(1)
     vocab = make_vocab([f"e{i}" for i in range(40)])

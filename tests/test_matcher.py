@@ -255,6 +255,119 @@ def test_pair_score_is_one_tape_node():
         assert len(added) <= 2
 
 
+# ---------------------------------------------------------------------------
+# batches of pairs: the per-pair calls above are the reference
+
+def batch_instance(seed, b_h, b_g, P, Q, d=6):
+    rng = stream_rng(seed, "init", b_h, b_g, P, Q)
+    leaks = {"none": None, "zero": np.zeros((1, d)), "trained": rng.normal(size=(1, d))}
+    return (rng.normal(size=(b_h, P, d)), rng.normal(size=(b_g, Q, d)),
+            rng.normal(size=(d, d)), leaks)
+
+
+@pytest.mark.parametrize("b_h,b_g,P,Q", [(1, 1, 5, 4), (6, 6, 5, 3), (6, 6, 4, 4),
+                                         (1, 7, 4, 6), (5, 1, 3, 3)])
+def test_batched_match_equals_per_pair_loop(b_h, b_g, P, Q):
+    H, G, W, leaks = batch_instance(21, b_h, b_g, P, Q)
+    B = max(b_h, b_g)
+    for name, leak in leaks.items():
+        got = matcher.match_score(H, G, W, leak)
+        assert got.score.shape == (B,) and got.m_fwd.shape == (B, P, Q), name
+        for b in range(B):
+            Hb, Gb = H[min(b, b_h - 1)], G[min(b, b_g - 1)]
+            want = matcher.match_score(Hb, Gb, W, leak)
+            assert abs(got.score[b] - want.score) < 1e-12, name
+            for field in ("m_fwd", "m_bwd", "leak_fwd", "leak_bwd", "a_h", "a_g"):
+                diff = np.max(np.abs(getattr(got, field)[b] - getattr(want, field)))
+                assert diff < 1e-12, (name, field)
+            oracle = scalar_match_oracle(Hb, Gb, W, None if leak is None else leak[0])
+            for field, ref in zip(("m_fwd", "m_bwd", "leak_fwd", "leak_bwd"), oracle):
+                assert np.max(np.abs(getattr(got, field)[b] - ref)) < 1e-12, (name, field)
+
+
+def test_batch_pair_counts_must_agree():
+    H, G, W, _ = batch_instance(22, 3, 2, 3, 3)
+    with pytest.raises(ShapeError):
+        matcher.match_score(H, G, W)
+
+
+def test_zero_norm_pair_in_batch_scores_zero_alone(caplog):
+    H, G, W, _ = batch_instance(23, 3, 3, 4, 4)
+    H[1] = 0.0
+    with caplog.at_level("WARNING"):
+        got = matcher.match_score(H, G, W)
+    assert sum("zero-norm" in r.getMessage() for r in caplog.records) == 1
+    assert got.score[1] == 0.0
+    for b in (0, 2):
+        assert got.score[b] == matcher.match_score(H[b], G[b], W).score
+    H[2, 1, 3] = np.nan
+    with pytest.raises(NumericError):
+        matcher.match_score(H, G, W)
+    with pytest.raises(NumericError):
+        matcher.pair_score_vars(ad.Var(H.reshape(-1, 6)), ad.Var(G.reshape(-1, 6)),
+                                ad.Var(W), None, (np.arange(12).reshape(3, 4),) * 2)
+
+
+def batched_setup(seed=24, d=6, P=3):
+    """Eight entities of P rows in one matrix E, six pairs that reuse them."""
+    rng = stream_rng(seed, "init")
+    params = {"E": rng.normal(size=(8 * P, d)), "W": rng.normal(size=(d, d)),
+              "leak": rng.normal(size=(1, d))}
+    ents = np.arange(8 * P).reshape(8, P)
+    h_rows = ents[[0, 0, 1, 2, 3, 3]]
+    g_rows = ents[[4, 1, 1, 5, 6, 0]]
+    weights = rng.normal(size=(6, 1))
+    return params, h_rows, g_rows, weights
+
+
+@pytest.mark.parametrize("leak_key", [None, "zero", "leak"])
+@pytest.mark.parametrize("broadcast", [False, True])
+def test_batched_pair_score_vars_gradients(leak_key, broadcast):
+    params, h_rows, g_rows, weights = batched_setup()
+    if broadcast:
+        h_rows = h_rows[:1]          # entity 0 against every G entity
+
+    def leak_of(v):
+        return {None: None, "zero": np.zeros((1, 6)), "leak": v["leak"]}[leak_key]
+
+    def builder(v):
+        s = matcher.pair_score_vars(v["E"], v["E"], v["W"], leak_of(v), (h_rows, g_rows))
+        return ad.sum_all(ad.mul(weights, s))
+
+    report = ad.finite_diff_check(builder, params, eps=1e-5)
+    assert report.max_rel_error < 1e-4, str(report)
+
+    # reference: one single-pair node per pair, gradients summed by hand; the
+    # second round zeroes entity 1, so the pairs using it score a constant 0
+    for zeroed in (False, True):
+        if zeroed:
+            params["E"][3:6] = 0.0
+        _, got = ad.grad(builder, params)
+        want = {name: np.zeros_like(value) for name, value in params.items()}
+        for b in range(len(g_rows)):
+            hr = h_rows[min(b, len(h_rows) - 1)]
+            pair = {"H": params["E"][hr], "G": params["E"][g_rows[b]],
+                    "W": params["W"], "leak": params["leak"]}
+            _, g = ad.grad(lambda v: ad.scale(matcher.pair_score_vars(
+                v["H"], v["G"], v["W"], leak_of(v)), weights[b, 0]), pair)
+            np.add.at(want["E"], hr, g["H"])
+            np.add.at(want["E"], g_rows[b], g["G"])
+            want["W"] += g["W"]
+            want["leak"] += g["leak"]
+        for name in params:
+            assert np.max(np.abs(got[name] - want[name])) < 1e-12, (zeroed, name)
+        if zeroed:
+            assert np.array_equal(got["E"][3:6], np.zeros((3, 6)))
+
+
+def test_batched_pair_score_vars_is_one_tape_node():
+    params, h_rows, g_rows, _ = batched_setup()
+    E, W = ad.Var(params["E"]), ad.Var(params["W"])
+    s = matcher.pair_score_vars(E, E, W, None, (h_rows, g_rows))
+    assert s.shape == (len(g_rows), 1)
+    assert len(ad._topo_order(s)) == 3
+
+
 def test_tied_maxima_route_gradient_to_first():
     # duplicate rows tie for the max match; the analytic backward must pick
     # the first maximum, as the composite tape ops (ad.max_axis) do

@@ -298,6 +298,25 @@ def test_full_model_gradcheck(tmp_path):
         assert report.max_rel_error < 1e-4, f"{objective}: {report}"
 
 
+@pytest.mark.parametrize("objective", training.OBJECTIVES)
+def test_batch_tape_size_does_not_grow_with_the_batch(tmp_path, objective):
+    data, table, config = toy_setup(tmp_path, objective=objective, leaky_trainable=True)
+    params = training.init_model_params(config, table, stream_rng(3, "init"))
+    counts = []
+    for n in (2, 16):
+        rng = stream_rng(3, "train", n)
+        if objective == "triplet":
+            items = corpus.sample_triplets(data.store, n, rng)
+        else:
+            items = corpus.sample_pairs(data.store, n, 1.0, rng)
+        ctx = {eid: corpus.retrieve_contexts(data, eid, 3, 8, rng)
+               for item in items for eid in training._item_entities(item)}
+        builder = training.batch_loss_builder(items, ctx, config, table.matrix)
+        loss = builder({name: ad.Var(value) for name, value in params.items()})
+        counts.append(len(ad._topo_order(loss)))
+    assert counts[0] == counts[1]
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 
