@@ -107,12 +107,8 @@ def _apply_config(args, base):
     return training.parse_config_text(text, base=base).validate()
 
 
-def _load_model(args):
-    """Resolve the model paths, load the index, checkpoint and embeddings,
-    and echo the config; returns (data, params, config, table)."""
-    _resolve_args(args, "index", "checkpoint", "embeddings")
-    data = load_index(args.index)
-    params, config, _ = training.load_checkpoint(args.checkpoint)
+def _load_model(args, data):
+    params, config, meta = training.load_checkpoint(args.checkpoint)
     config = _apply_config(args, config)
     table = embeddings.load_embeddings(args.embeddings, data.vocab)
     if table.dim != params["enc.fw.Wx"].shape[0]:
@@ -124,8 +120,7 @@ def _load_model(args):
             f"checkpoint embeddings shape {params['embed.table'].shape} does not "
             f"match vocabulary table {table.matrix.shape}; wrong index or "
             f"embedding file?")
-    _echo_args(args, config)
-    return data, params, config, table
+    return params, config, table, meta
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +179,10 @@ def _parse_ks(text):
 
 
 def cmd_evaluate(args):
-    _resolve_args(args, "out")
-    data, params, config, table = _load_model(args)
+    _resolve_args(args, "index", "checkpoint", "embeddings", "out")
+    data = load_index(args.index)
+    params, config, table, _ = _load_model(args, data)
+    _echo_args(args, config)
     ks = _parse_ks(args.ks)
     report = evaluation.evaluate(params, config, data, table, split=args.split,
                                  seed=args.seed, ks=ks, knn_k=args.knn_k,
@@ -199,7 +196,10 @@ def cmd_evaluate(args):
 
 
 def cmd_score(args):
-    data, params, config, table = _load_model(args)
+    _resolve_args(args, "index", "checkpoint", "embeddings")
+    data = load_index(args.index)
+    params, config, table, _ = _load_model(args, data)
+    _echo_args(args, config)
     emb = params.get("embed.table", table.matrix)
     s = evaluation.score_pair(params, config, data, emb, args.entity_a,
                               args.entity_b, seed=args.seed)
@@ -208,7 +208,10 @@ def cmd_score(args):
 
 
 def cmd_discover(args):
-    data, params, config, table = _load_model(args)
+    _resolve_args(args, "index", "checkpoint", "embeddings")
+    data = load_index(args.index)
+    params, config, table, _ = _load_model(args, data)
+    _echo_args(args, config)
     result = evaluation.discover(params, config, data, table, args.query,
                                  k=args.topk, threshold=args.threshold,
                                  seed=args.seed)
@@ -265,9 +268,6 @@ def build_parser():
                         help="master seed feeding the per-subsystem streams")
     common.add_argument("--config", default=None,
                         help="key=value file whose entries override flags")
-    model = argparse.ArgumentParser(add_help=False)
-    for flag in ("--index", "--checkpoint", "--embeddings"):
-        model.add_argument(flag, required=True)
 
     parser = _Parser(prog="synmatch",
                      description="Context-based entity synonym detection.")
@@ -319,8 +319,11 @@ def build_parser():
     p.add_argument("--pairs-per-epoch", type=int, default=defaults.pairs_per_epoch)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", parents=[common, model],
+    p = sub.add_parser("evaluate", parents=[common],
                        help="compute AUC, MAP and ranking metrics on a split")
+    p.add_argument("--index", required=True)
+    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--embeddings", required=True)
     p.add_argument("--split", default="test", choices=("train", "valid", "test"))
     p.add_argument("--out", default="metrics.txt")
     p.add_argument("--ks", default="1,5,10", help="comma-separated cutoffs")
@@ -328,14 +331,20 @@ def build_parser():
     p.add_argument("--threshold", type=float, default=0.8)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("score", parents=[common, model],
+    p = sub.add_parser("score", parents=[common],
                        help="print the model score for one entity pair")
+    p.add_argument("--index", required=True)
+    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--embeddings", required=True)
     p.add_argument("entity_a")
     p.add_argument("entity_b")
     p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("discover", parents=[common, model],
+    p = sub.add_parser("discover", parents=[common],
                        help="KNN candidates then model reranking for one query")
+    p.add_argument("--index", required=True)
+    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--embeddings", required=True)
     p.add_argument("query")
     p.add_argument("--topk", type=int, default=50)
     p.add_argument("--threshold", type=float, default=0.8)

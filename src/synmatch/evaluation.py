@@ -31,10 +31,16 @@ def auc(scored):
     if n_pos == 0 or n_neg == 0:
         raise MetricError(f"AUC needs both classes, got {n_pos} positives "
                           f"and {n_neg} negatives")
-    # ranks are 1-based; tied scores share the average rank of their group
-    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
-    ends = np.cumsum(counts)
-    ranks = (ends - (counts - 1) / 2.0)[group]
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty(len(scores))
+    i = 0
+    while i < len(scores):
+        j = i
+        while j + 1 < len(scores) and scores[order[j + 1]] == scores[order[i]]:
+            j += 1
+        # ranks are 1-based; tied scores share the average rank
+        ranks[order[i:j + 1]] = (i + 1 + j + 1) / 2.0
+        i = j + 1
     rank_sum = ranks[labels == 1].sum()
     u = rank_sum - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
@@ -144,18 +150,26 @@ def stack_windows(ctx, ids):
     return windows, rows
 
 
+# pairs per matcher call when scoring many: bounds the stacked contexts
+# (at the paper config, 64 pairs are 2.6 MB a side)
+SCORE_SLICE = 64
+
+
 def entity_scorer(params, config, ctx, emb):
     """Encode every entity's windows in one pass; returns score(left, right),
-    the model scores of pairs (left[i], right[i]) from one matcher call, where
-    left may be one id matched against every right id."""
+    the model scores of pairs (left[i], right[i]), SCORE_SLICE pairs per
+    matcher call, where left may be one id matched against every right id."""
     windows, rows = stack_windows(ctx, sorted(ctx))
     enc = encoder.encode_batch(windows, params, emb, config.encoder)
 
     def score(left, right):
-        H = enc[np.stack([rows[eid] for eid in left])]
-        G = enc[np.stack([rows[eid] for eid in right])]
-        return matcher.match_score(H, G, params["match.w_bm"],
-                                   leak_slot(params, config)).score
+        h_rows = np.stack([rows[eid] for eid in left])
+        g_rows = np.stack([rows[eid] for eid in right])
+        return np.concatenate([
+            matcher.match_score(enc[h_rows if len(h_rows) == 1 else h_rows[i:i + SCORE_SLICE]],
+                                enc[g_rows[i:i + SCORE_SLICE]], params["match.w_bm"],
+                                leak_slot(params, config)).score
+            for i in range(0, len(g_rows), SCORE_SLICE)])
 
     return score
 
@@ -245,23 +259,31 @@ def evaluate(params, config, data, table, split="test", seed=0,
     scores = score([p.a for p in pairs], [p.b for p in pairs])
     auc_value = auc([(s, p.label) for s, p in zip(scores, pairs)])
 
-    runs = []  # (ranked ids, relevant ids) of each query with a synonym
+    ap_values = []
+    p_at = {k: [] for k in ks}
+    r_at = {k: [] for k in ks}
+    f1_at_scores = {k: [] for k in ks}
     for qid in entity_ids:
-        relevant = set(store.synsets[store.synset_of(qid)]) - {qid}
-        if relevant:
-            _, ranked = knn_rerank(table, qid, knn_k, entity_ids,
-                                   lambda cand_ids: score([qid], cand_ids))
-            runs.append(([eid for eid, _ in ranked], relevant))
-    if not runs:
+        si = store.synset_of(qid)
+        relevant = set(store.synsets[si]) - {qid}
+        if not relevant:
+            continue
+        _, reranked = knn_rerank(table, qid, knn_k, entity_ids,
+                                 lambda cand_ids: score([qid], cand_ids))
+        ranked_ids = [eid for eid, _ in reranked]
+        ap_values.append(average_precision(ranked_ids, relevant))
+        for k in ks:
+            p_at[k].append(precision_at(ranked_ids, relevant, k))
+            r_at[k].append(recall_at(ranked_ids, relevant, k))
+            f1_at_scores[k].append(f1_at(ranked_ids, relevant, k))
+    if not ap_values:
         raise MetricError(f"split {split!r} has no entity with a synonym")
 
-    def mean(metric, *k):
-        return float(np.mean([metric(ranked, relevant, *k) for ranked, relevant in runs]))
-
+    mean = lambda xs: float(np.mean(xs))
     return EvalReport(
         auc=float(auc_value),
-        map=mean(average_precision),
-        p_at_k={k: mean(precision_at, k) for k in ks},
-        r_at_k={k: mean(recall_at, k) for k in ks},
-        f1_at_k={k: mean(f1_at, k) for k in ks},
+        map=mean(ap_values),
+        p_at_k={k: mean(v) for k, v in p_at.items()},
+        r_at_k={k: mean(v) for k, v in r_at.items()},
+        f1_at_k={k: mean(v) for k, v in f1_at_scores.items()},
     )

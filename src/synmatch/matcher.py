@@ -59,10 +59,16 @@ def _check_dims(H, G, w_bm, leak):
         raise ShapeError(f"leak vector is {leak.shape}, expected {(1, d)}")
 
 
+def _dots(x, y):
+    """Row-wise dot products of (B, d) arrays; a stacked (1, d) @ (d, 1)
+    matmul, which rounds like the single-pair `x @ y`."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
 def _norms(h_bar, g_bar):
     """Global-context norms, 1 in pairs with a zero side, and the other pairs."""
-    nh = np.sqrt(np.vecdot(h_bar, h_bar))
-    ng = np.sqrt(np.vecdot(g_bar, g_bar))
+    nh = np.sqrt(_dots(h_bar, h_bar))
+    ng = np.sqrt(_dots(g_bar, g_bar))
     live = (nh != 0.0) & (ng != 0.0)
     return np.where(live, nh, 1.0), np.where(live, ng, 1.0), live
 
@@ -98,7 +104,7 @@ def _match(H, G, w_bm, leak):
     if not live.all():
         log.warning("zero-norm global context in %d of %d pairs; score set to 0",
                     int((~live).sum()), B)
-    raw = np.where(live, np.vecdot(h_bar, g_bar) / (nh * ng), 0.0)
+    raw = np.where(live, _dots(h_bar, g_bar) / (nh * ng), 0.0)
     if not np.isfinite(raw).all():
         raise NumericError(f"match score is not finite: {raw[~np.isfinite(raw)]}")
     score = np.clip(raw, -1.0, 1.0)  # keep rounding inside [-1, 1]

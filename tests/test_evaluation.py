@@ -184,6 +184,24 @@ def test_score_pair_reproducible_and_bounded(tiny):
         assert -1.0 <= s1 <= 1.0
 
 
+def test_entity_scorer_slices_score_like_single_pairs(tiny, monkeypatch):
+    data, table, config, params = tiny
+    ids = sorted(data.store.entities())
+    ctx = evaluation.eval_contexts(data, ids, config.contexts_per_entity,
+                                   config.max_context_len, 0)
+    left = [ids[i % 4] for i in range(7)]
+    right = [ids[(i * 3 + 1) % 4] for i in range(7)]
+    score = evaluation.entity_scorer(params, config, ctx, table.matrix)
+    single = [score([a], [b])[0] for a, b in zip(left, right)]
+    whole, whole_broadcast = score(left, right), score(left[:1], right)
+    # slices of 2 pairs: 7 pairs take 4 matcher calls, the last one short
+    monkeypatch.setattr(evaluation, "SCORE_SLICE", 2)
+    score = evaluation.entity_scorer(params, config, ctx, table.matrix)
+    assert score(left, right).tolist() == whole.tolist() == single
+    assert score(left[:1], right).tolist() == whole_broadcast.tolist()
+    assert whole_broadcast.tolist() == [score(left[:1], [b])[0] for b in right]
+
+
 def test_discover_k_zero_empty(tiny):
     data, table, config, params = tiny
     res = evaluation.discover(params, config, data, table, "sun", k=0)
