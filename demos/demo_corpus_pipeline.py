@@ -1,10 +1,11 @@
-"""Corpus to training items, step by step: ingest a tiny corpus, look at
-context windows, split synsets, and sample pairs and triplets."""
+"""Corpus to training items, step by step: ingest a tiny corpus, look at its
+occurrence index and context windows, save the index, split synsets, and
+sample pairs and triplets."""
 
 import os
 import tempfile
 
-from synmatch import corpus
+from synmatch import cli, corpus
 from synmatch.rng import stream_rng
 
 work = tempfile.mkdtemp(prefix="synmatch_demo_")
@@ -33,8 +34,21 @@ data = corpus.ingest(corpus_path, synset_path, min_count=5)
 print(f"vocabulary size {len(data.vocab)}, {len(data.lines)} lines kept")
 print(f"synsets: {[[data.vocab.token(e) for e in s] for s in data.store.synsets]}")
 
-# context windows center on the entity and shift at sentence edges
+# the occurrence index is CSR: one run of (line, position) pairs per token id,
+# in corpus order; retrieval samples from the entity's run
 eid = data.entity_id("metropolis")
+lo, hi = data.occ_start[eid], data.occ_start[eid + 1]
+first = list(zip(data.occ_line[lo:lo + 3].tolist(), data.occ_pos[lo:lo + 3].tolist()))
+print(f"metropolis occurs {hi - lo} times; first (line, position) pairs {first}")
+
+# the index file holds plain arrays (no pickle); loading derives the
+# occurrence index again from the token ids
+index_path = os.path.join(work, "index.npz")
+cli.save_index(index_path, data)
+same = cli.load_index(index_path).lines == data.lines
+print(f"index.npz: {os.path.getsize(index_path)} bytes; reloaded lines equal: {same}")
+
+# context windows center on the entity and shift at sentence edges
 rng = stream_rng(0, "eval")
 windows = corpus.retrieve_contexts(data, eid, P=3, T=5, rng=rng)
 for w in windows:

@@ -9,9 +9,13 @@ overrides flag values.  Exit codes: 0 success, 1 usage error, 2 data error,
 
 import argparse
 import os
-import pickle
 import sys
+import tokenize
+import zipfile
+import zlib
 from dataclasses import fields
+
+import numpy as np
 
 from . import corpus, embeddings, evaluation, synthetic, training
 from .errors import NumericError, SynmatchError
@@ -19,7 +23,15 @@ from .errors import DataError
 from .rng import stream_rng
 
 INDEX_FORMAT = "synmatch-index"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
+# split codes in the index: 0 is a synset with no split
+SPLIT_NAMES = (None, "train", "valid", "test")
+# the arrays of an index file besides format and version, with their dtypes
+INDEX_ARRAYS = {"vocab": np.uint8, "tokens": np.int32, "line_start": np.int64,
+                "synset_members": np.int32, "synset_start": np.int64, "split": np.int8}
+# what numpy's .npy header parser, zipfile and zlib raise on damaged bytes
+_UNREADABLE = (ValueError, EOFError, OSError, RuntimeError, zipfile.BadZipFile,
+               zlib.error, tokenize.TokenError)
 GRADCHECK_TOL = 1e-4
 
 
@@ -72,23 +84,95 @@ def _echo_args(args, config=None, skip=()):
 
 
 def save_index(path, data):
-    blob = {"format": INDEX_FORMAT, "version": INDEX_VERSION, "data": data}
+    """Write the index as an uncompressed .npz of plain arrays.
+
+    It holds the vocabulary (UTF-8 tokens joined by newlines; a token never
+    holds whitespace), the flat token ids with their line offsets, the synset
+    members with their offsets, and a split code per synset.  The occurrence
+    index is not stored: load_index derives it again from the token ids.
+    """
+    store = data.store
+    arrays = {
+        "format": np.array(INDEX_FORMAT),
+        "version": np.array(INDEX_VERSION, dtype=np.int64),
+        "vocab": np.frombuffer("\n".join(data.vocab.id_to_token).encode("utf-8"),
+                               dtype=np.uint8),
+        "tokens": data.tokens,
+        "line_start": data.line_start,
+        "synset_members": np.array([e for m in store.synsets for e in m], dtype=np.int32),
+        "synset_start": np.cumsum([0] + [len(m) for m in store.synsets], dtype=np.int64),
+        "split": np.array([SPLIT_NAMES.index(store.split.get(si)) for si in range(len(store))],
+                          dtype=np.int8),
+    }
+    # through a handle: given a name, np.savez would append ".npz" to it
     with open(path, "wb") as fh:
-        pickle.dump(blob, fh)
+        np.savez(fh, **arrays)
+
+
+def _read_index_arrays(path):
+    """Every array of an .npz file; DataError for anything else."""
+    with open(path, "rb") as fh:
+        try:
+            npz = np.load(fh, allow_pickle=False)
+            if not isinstance(npz, np.lib.npyio.NpzFile):
+                raise ValueError("a single .npy array, not an .npz archive")
+            with npz:
+                return {key: npz[key] for key in npz.files}
+        except _UNREADABLE as exc:
+            raise DataError(
+                f"{path} is not a context index file ({exc}); indexes written "
+                f"before version {INDEX_VERSION} were pickles: re-run `synmatch ingest`"
+            ) from exc
 
 
 def load_index(path):
+    """Read an index written by save_index; nothing in the file is unpickled.
+
+    Lines and the occurrence index are derived from the stored token ids, so
+    no hand-edited file can hold occurrences that disagree with its lines.
+    """
+    arrays = _read_index_arrays(path)
+
+    def bad(why):
+        return DataError(f"index {path}: {why}; re-run `synmatch ingest`")
+
+    fmt, version = arrays.get("format"), arrays.get("version")
+    if fmt is None or fmt.shape != () or fmt.dtype.kind != "U" or fmt.item() != INDEX_FORMAT:
+        raise bad("not a context index file")
+    if version is None or version.shape != () or version.dtype.kind != "i":
+        raise bad("no index version")
+    if version.item() != INDEX_VERSION:
+        raise bad(f"index version {version.item()} unsupported (expected {INDEX_VERSION})")
+    for key, dtype in INDEX_ARRAYS.items():
+        if key not in arrays:
+            raise bad(f"array {key!r} is missing")
+        if arrays[key].dtype != dtype or arrays[key].ndim != 1:
+            raise bad(f"array {key!r} is {arrays[key].dtype} of shape {arrays[key].shape}, "
+                      f"expected 1-D {np.dtype(dtype)}")
     try:
-        with open(path, "rb") as fh:
-            blob = pickle.load(fh)
-    except (pickle.UnpicklingError, EOFError, AttributeError) as exc:
-        raise DataError(f"unreadable index file {path}: {exc}") from exc
-    if not isinstance(blob, dict) or blob.get("format") != INDEX_FORMAT:
-        raise DataError(f"{path} is not a context index file")
-    if blob.get("version") != INDEX_VERSION:
-        raise DataError(f"index version {blob.get('version')} unsupported "
-                        f"(expected {INDEX_VERSION})")
-    return blob["data"]
+        tokens = arrays["vocab"].tobytes().decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise bad(f"vocabulary is not UTF-8 ({exc})") from exc
+    vocab = corpus.Vocabulary(tokens)
+    if vocab.id_to_token != tokens:
+        raise bad("vocabulary must start with <unk>, <pad> and hold no token twice")
+    for ids, starts, what in (("tokens", "line_start", "line"),
+                              ("synset_members", "synset_start", "synset")):
+        ids, starts = arrays[ids], arrays[starts]
+        if len(starts) == 0 or starts[0] != 0 or starts[-1] != len(ids) \
+                or np.any(np.diff(starts) <= 0):
+            raise bad(f"{what} offsets do not cut the ids into non-empty runs")
+        if len(ids) and not 0 <= ids.min() <= ids.max() < len(vocab):
+            raise bad(f"{what} token id outside the vocabulary of {len(vocab)}")
+    codes = arrays["split"]
+    if len(codes) != len(arrays["synset_start"]) - 1 or np.any(codes < 0) \
+            or np.any(codes >= len(SPLIT_NAMES)):
+        raise bad(f"split needs one code in 0..{len(SPLIT_NAMES) - 1} per synset")
+    store = corpus.SynsetStore(
+        synsets=corpus.unflatten(arrays["synset_members"], arrays["synset_start"]),
+        split={si: SPLIT_NAMES[c] for si, c in enumerate(codes.tolist()) if c})
+    return corpus.CorpusData(vocab=vocab, tokens=arrays["tokens"],
+                             line_start=arrays["line_start"], store=store)
 
 
 def _read_config_file(args):
@@ -107,8 +191,12 @@ def _apply_config(args, base):
     return training.parse_config_text(text, base=base).validate()
 
 
-def _load_model(args, data):
-    params, config, meta = training.load_checkpoint(args.checkpoint)
+def _load_model(args):
+    """Resolve --index, --checkpoint and --embeddings, load all three and echo
+    the config; returns (data, params, config, table)."""
+    _resolve_args(args, "index", "checkpoint", "embeddings")
+    data = load_index(args.index)
+    params, config, _ = training.load_checkpoint(args.checkpoint)
     config = _apply_config(args, config)
     table = embeddings.load_embeddings(args.embeddings, data.vocab)
     if table.dim != params["enc.fw.Wx"].shape[0]:
@@ -120,7 +208,8 @@ def _load_model(args, data):
             f"checkpoint embeddings shape {params['embed.table'].shape} does not "
             f"match vocabulary table {table.matrix.shape}; wrong index or "
             f"embedding file?")
-    return params, config, table, meta
+    _echo_args(args, config)
+    return data, params, config, table
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +268,8 @@ def _parse_ks(text):
 
 
 def cmd_evaluate(args):
-    _resolve_args(args, "index", "checkpoint", "embeddings", "out")
-    data = load_index(args.index)
-    params, config, table, _ = _load_model(args, data)
-    _echo_args(args, config)
+    _resolve_args(args, "out")
+    data, params, config, table = _load_model(args)
     ks = _parse_ks(args.ks)
     report = evaluation.evaluate(params, config, data, table, split=args.split,
                                  seed=args.seed, ks=ks, knn_k=args.knn_k,
@@ -196,10 +283,7 @@ def cmd_evaluate(args):
 
 
 def cmd_score(args):
-    _resolve_args(args, "index", "checkpoint", "embeddings")
-    data = load_index(args.index)
-    params, config, table, _ = _load_model(args, data)
-    _echo_args(args, config)
+    data, params, config, table = _load_model(args)
     emb = params.get("embed.table", table.matrix)
     s = evaluation.score_pair(params, config, data, emb, args.entity_a,
                               args.entity_b, seed=args.seed)
@@ -208,10 +292,7 @@ def cmd_score(args):
 
 
 def cmd_discover(args):
-    _resolve_args(args, "index", "checkpoint", "embeddings")
-    data = load_index(args.index)
-    params, config, table, _ = _load_model(args, data)
-    _echo_args(args, config)
+    data, params, config, table = _load_model(args)
     result = evaluation.discover(params, config, data, table, args.query,
                                  k=args.topk, threshold=args.threshold,
                                  seed=args.seed)
@@ -268,6 +349,10 @@ def build_parser():
                         help="master seed feeding the per-subsystem streams")
     common.add_argument("--config", default=None,
                         help="key=value file whose entries override flags")
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--index", required=True, help="index written by ingest")
+    model.add_argument("--checkpoint", required=True, help="model written by train")
+    model.add_argument("--embeddings", required=True, help="word embedding text file")
 
     parser = _Parser(prog="synmatch",
                      description="Context-based entity synonym detection.")
@@ -278,7 +363,7 @@ def build_parser():
                        help="build a context index from a corpus and synset file")
     p.add_argument("--corpus", required=True, help="tokenized corpus, one line per text")
     p.add_argument("--synsets", required=True, help="tab-separated synonym sets")
-    p.add_argument("--out", default="index.pkl")
+    p.add_argument("--out", default="index.npz")
     p.add_argument("--min-count", type=int, default=5,
                    help="drop entities with fewer corpus occurrences")
     p.add_argument("--valid-frac", type=float, default=0.0)
@@ -319,11 +404,8 @@ def build_parser():
     p.add_argument("--pairs-per-epoch", type=int, default=defaults.pairs_per_epoch)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", parents=[common],
+    p = sub.add_parser("evaluate", parents=[common, model],
                        help="compute AUC, MAP and ranking metrics on a split")
-    p.add_argument("--index", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--embeddings", required=True)
     p.add_argument("--split", default="test", choices=("train", "valid", "test"))
     p.add_argument("--out", default="metrics.txt")
     p.add_argument("--ks", default="1,5,10", help="comma-separated cutoffs")
@@ -331,20 +413,14 @@ def build_parser():
     p.add_argument("--threshold", type=float, default=0.8)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("score", parents=[common],
+    p = sub.add_parser("score", parents=[common, model],
                        help="print the model score for one entity pair")
-    p.add_argument("--index", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--embeddings", required=True)
     p.add_argument("entity_a")
     p.add_argument("entity_b")
     p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("discover", parents=[common],
+    p = sub.add_parser("discover", parents=[common, model],
                        help="KNN candidates then model reranking for one query")
-    p.add_argument("--index", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--embeddings", required=True)
     p.add_argument("query")
     p.add_argument("--topk", type=int, default=50)
     p.add_argument("--threshold", type=float, default=0.8)

@@ -8,6 +8,9 @@ entity tokens separated by tabs.
 
 import logging
 from dataclasses import dataclass, field
+from itertools import chain
+
+import numpy as np
 
 from .errors import DataError, NoContextError, UnknownEntityError
 
@@ -20,22 +23,18 @@ PAD_TOKEN = "<pad>"
 
 
 class Vocabulary:
-    """Token <-> id map. Ids 0 and 1 are reserved for <unk> and <pad>."""
+    """Token <-> id map in first-appearance order.
 
-    def __init__(self):
-        self.token_to_id = {UNK_TOKEN: UNK, PAD_TOKEN: PAD}
-        self.id_to_token = [UNK_TOKEN, PAD_TOKEN]
+    Ids 0 and 1 are reserved for <unk> and <pad>, also when those tokens
+    appear among `tokens`.
+    """
 
-    def add(self, token):
-        tid = self.token_to_id.get(token)
-        if tid is None:
-            tid = len(self.id_to_token)
-            self.token_to_id[token] = tid
-            self.id_to_token.append(token)
-        return tid
+    def __init__(self, tokens=()):
+        self.id_to_token = list(dict.fromkeys(chain((UNK_TOKEN, PAD_TOKEN), tokens)))
+        self.token_to_id = dict(zip(self.id_to_token, range(len(self.id_to_token))))
 
     def get(self, token):
-        """Id for token, UNK if the token was never added."""
+        """Id for token, UNK if the token is not in the vocabulary."""
         return self.token_to_id.get(token, UNK)
 
     def token(self, tid):
@@ -126,12 +125,36 @@ class TrainingTriplet:
 
 @dataclass
 class CorpusData:
-    """Everything ingest() produces: vocabulary, token lines, occurrence index, synsets."""
+    """Everything ingest() produces: vocabulary, token lines, occurrence index, synsets.
+
+    The corpus is stored flat: line li is tokens[line_start[li]:line_start[li + 1]].
+    `lines` and the occurrence index are derived from those two arrays: token
+    id t occurs at (occ_line[j], occ_pos[j]) for j in occ_start[t]:occ_start[t + 1],
+    in corpus order.
+    """
 
     vocab: Vocabulary
-    lines: list               # list of tuples of token ids
-    occurrences: dict         # token id -> list of (line index, position)
+    tokens: np.ndarray        # (n_tokens,) int32 token ids, line after line
+    line_start: np.ndarray    # (n_lines + 1,) int64 offsets of the lines in tokens
     store: SynsetStore
+    lines: list = field(init=False, repr=False)   # tuples of token ids, one per line
+    occ_start: np.ndarray = field(init=False, repr=False)   # (len(vocab) + 1,) int64
+    occ_line: np.ndarray = field(init=False, repr=False)
+    occ_pos: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.lines = unflatten(self.tokens, self.line_start)
+        lengths = np.diff(self.line_start)
+        line_of = np.repeat(np.arange(len(lengths)), lengths)
+        pos = np.arange(len(self.tokens)) - np.repeat(self.line_start[:-1], lengths)
+        # Stable, so each token keeps its (line, pos) order.  Ids cast to the
+        # narrowest unsigned type: numpy radix-sorts 8- and 16-bit keys.
+        narrow = self.tokens.astype(np.min_scalar_type(len(self.vocab) - 1))
+        order = np.argsort(narrow, kind="stable")
+        self.occ_line, self.occ_pos = line_of[order], pos[order]
+        self.occ_start = np.zeros(len(self.vocab) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.tokens, minlength=len(self.vocab)),
+                  out=self.occ_start[1:])
 
     def entity_id(self, entity):
         """Resolve a surface form (or pass through an id) to a token id."""
@@ -141,8 +164,11 @@ class CorpusData:
             return self.vocab.get(entity)
         return int(entity)
 
-    def frequency(self, entity):
-        return len(self.occurrences.get(self.entity_id(entity), ()))
+
+def unflatten(flat, starts):
+    """Tuples of Python ints flat[starts[i]:starts[i + 1]], one per run."""
+    flat, starts = flat.tolist(), starts.tolist()
+    return [tuple(flat[a:b]) for a, b in zip(starts, starts[1:])]
 
 
 def read_corpus_lines(path):
@@ -178,14 +204,13 @@ def ingest(corpus_path, synset_path, min_count=5):
     store (with a warning); their contexts would be too thin to encode.
     """
     token_lines = read_corpus_lines(corpus_path)
-    vocab = Vocabulary()
-    lines = []
-    occurrences = {}
-    for li, toks in enumerate(token_lines):
-        ids = tuple(vocab.add(t) for t in toks)
-        lines.append(ids)
-        for pos, tid in enumerate(ids):
-            occurrences.setdefault(tid, []).append((li, pos))
+    vocab = Vocabulary(chain.from_iterable(token_lines))
+    line_start = np.zeros(len(token_lines) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, token_lines), dtype=np.int64, count=len(token_lines)),
+              out=line_start[1:])
+    tokens = np.fromiter(map(vocab.token_to_id.__getitem__, chain.from_iterable(token_lines)),
+                         dtype=np.int32, count=int(line_start[-1]))
+    counts = np.bincount(tokens, minlength=len(vocab))
 
     synsets = []
     for members in read_synset_lines(synset_path):
@@ -195,7 +220,7 @@ def ingest(corpus_path, synset_path, min_count=5):
                 log.warning("synset entity %r never occurs in the corpus; dropped", surface)
                 continue
             tid = vocab.get(surface)
-            freq = len(occurrences.get(tid, ()))
+            freq = int(counts[tid])
             if freq < min_count:
                 log.warning("entity %r occurs %d time(s), fewer than min_count=%d; dropped",
                             surface, freq, min_count)
@@ -204,7 +229,7 @@ def ingest(corpus_path, synset_path, min_count=5):
         if kept:
             synsets.append(tuple(kept))
 
-    return CorpusData(vocab=vocab, lines=lines, occurrences=occurrences,
+    return CorpusData(vocab=vocab, tokens=tokens, line_start=line_start,
                       store=SynsetStore(synsets=synsets))
 
 
@@ -235,16 +260,13 @@ def retrieve_contexts(data, entity, P, T, rng):
     at least P of them, with replacement otherwise.
     """
     eid = data.entity_id(entity)
-    occ = data.occurrences.get(eid, ())
-    if not occ:
+    lo, hi = data.occ_start[eid:eid + 2].tolist() if 0 <= eid < len(data.vocab) else (0, 0)
+    count = hi - lo
+    if count == 0:
         raise NoContextError(f"entity id {eid} has no occurrences in the corpus")
-    replace = len(occ) < P
-    picks = rng.choice(len(occ), size=P, replace=replace)
-    out = []
-    for i in picks:
-        li, pos = occ[i]
-        out.append(window_around(data.lines[li], pos, T, source_line=li))
-    return out
+    picks = lo + rng.choice(count, size=P, replace=count < P)
+    return [window_around(data.lines[li], pos, T, source_line=li)
+            for li, pos in zip(data.occ_line[picks].tolist(), data.occ_pos[picks].tolist())]
 
 
 def split_synsets(store, valid_frac, test_frac, rng):

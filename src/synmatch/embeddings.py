@@ -38,48 +38,88 @@ def _parse_header(parts):
     return count, dim
 
 
+# lines parsed per numpy conversion: bounds the strings held at once
+PARSE_BLOCK = 4096
+
+
+def _parse_block(linenos, rows):
+    """(n, dim) float64 values of the rows; DataError naming the first line
+    with a value that is not a number or not finite."""
+    try:
+        values = np.array(rows, dtype=np.float64)
+    except ValueError:
+        for lineno, row in zip(linenos, rows):
+            try:
+                np.array(row, dtype=np.float64)
+            except ValueError as exc:
+                raise DataError(f"line {lineno}: {exc}") from exc
+        raise
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise DataError(f"line {linenos[np.argmin(finite)]}: value is not finite")
+    return values
+
+
+def _read_blocks(path):
+    """Yield (tokens, values) for successive blocks of an embedding file."""
+    dim = None
+    linenos, tokens, rows = [], [], []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            parts = raw.split()
+            if not parts or (lineno == 1 and _parse_header(parts)):
+                continue
+            if dim is None:
+                dim = len(parts) - 1
+                if dim == 0:
+                    raise DataError(f"line {lineno}: no values after token")
+            elif len(parts) - 1 != dim:
+                raise DataError(
+                    f"line {lineno}: expected {dim} values, got {len(parts) - 1}")
+            linenos.append(lineno)
+            tokens.append(parts[0])
+            rows.append(parts[1:])
+            if len(rows) == PARSE_BLOCK:
+                yield tokens, _parse_block(linenos, rows)
+                linenos, tokens, rows = [], [], []
+    if rows:
+        yield tokens, _parse_block(linenos, rows)
+
+
 def load_embeddings(path, vocab):
     """Read a text embedding file and align rows to vocabulary ids.
 
     Vocabulary tokens missing from the file share the UNK row, which is the
     mean of all vectors in the file.  The PAD row is zero.  A file that
-    supplies vectors for the special tokens themselves overrides both.
+    supplies vectors for the special tokens themselves overrides both; a
+    token given twice keeps its last vector.  A value that is not a finite
+    number is a DataError naming its line.
     """
     vectors = {}
-    dim = None
-    total = np.zeros(0)
+    total = None
     n_read = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            parts = raw.split()
-            if not parts:
-                continue
-            if lineno == 1 and _parse_header(parts):
-                continue
-            token, values = parts[0], parts[1:]
-            if dim is None:
-                dim = len(values)
-                if dim == 0:
-                    raise DataError(f"line {lineno}: no values after token")
-                total = np.zeros(dim)
-            elif len(values) != dim:
-                raise DataError(
-                    f"line {lineno}: expected {dim} values, got {len(values)}")
-            vec = np.array([float(x) for x in values])
-            total += vec
-            n_read += 1
-            if token in vocab:
-                vectors[vocab.get(token)] = vec
+    for tokens, values in _read_blocks(path):
+        if total is None:
+            total = np.zeros(values.shape[1])
+        for row in values:      # in file order: a pairwise sum would round the mean differently
+            total += row
+        n_read += len(values)
+        ids = np.array([vocab.token_to_id.get(t, -1) for t in tokens])
+        known = ids >= 0
+        vectors.update(zip(ids[known].tolist(), values[known]))
     if n_read == 0:
         raise DataError(f"no embedding vectors in {path}")
+    if not np.isfinite(total).all():
+        raise DataError(f"the vectors in {path} sum past the float range; "
+                        f"their mean, the UNK row, is not finite")
 
-    matrix = np.zeros((len(vocab), dim))
     unk_row = vectors.pop(UNK, total / n_read)
-    pad_row = vectors.pop(PAD, np.zeros(dim))
-    matrix[UNK] = unk_row
+    pad_row = vectors.pop(PAD, np.zeros(len(total)))
+    matrix = np.empty((len(vocab), len(total)))
+    matrix[:] = unk_row
     matrix[PAD] = pad_row
-    for tid in range(2, len(vocab)):
-        matrix[tid] = vectors.get(tid, unk_row)
+    if vectors:
+        matrix[list(vectors)] = list(vectors.values())
     return EmbeddingTable(matrix=matrix, vocab=vocab)
 
 

@@ -216,11 +216,11 @@ def discover(params, config, data, table, query, k=50, threshold=0.8,
     the model score reranks them (expensive but accurate), and candidates
     strictly above the threshold are accepted.
     """
+    if k < 1:
+        raise DataError(f"discover needs k of at least 1 candidate, got {k}")
     qid = data.entity_id(query)
     if universe is None:
         universe = data.store.entities()
-    if k <= 0:
-        return DiscoveryResult(qid, [], threshold)
     emb = params.get("embed.table", table.matrix)
 
     def score(cand_ids):

@@ -384,6 +384,12 @@ def train(config, data, table):
     opt = make_optimizer(config.optimizer, config.learning_rate)
 
     valid_pairs = evaluation.make_eval_pairs(store, "valid", stream_rng(config.seed, "eval", 1))
+    n_pos = sum(p.label for p in valid_pairs)
+    if store.synset_ids("valid") and not 0 < n_pos < len(valid_pairs):
+        raise DataError(
+            f"the valid split yields {n_pos} positive and {len(valid_pairs) - n_pos} "
+            f"negative pairs; validation AUC needs both, so two or more synsets, "
+            f"one of them with two or more entities")
     valid_ctx = {}
     if valid_pairs:
         valid_ids = sorted({eid for p in valid_pairs for eid in (p.a, p.b)})

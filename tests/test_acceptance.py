@@ -153,10 +153,10 @@ def run_pipeline(root, seed, noise="0.3"):
                      "--corpus", "data/corpus.txt",
                      "--synsets", "data/synsets.tsv",
                      "--test-frac", "0.25", "--seed", s]) == 0
-    assert cli.main(["train", "--workdir", root, "--index", "index.pkl",
+    assert cli.main(["train", "--workdir", root, "--index", "index.npz",
                      "--embeddings", "data/embeddings.txt", "--seed", s,
                      *E2E_TRAIN_FLAGS]) == 0
-    assert cli.main(["evaluate", "--workdir", root, "--index", "index.pkl",
+    assert cli.main(["evaluate", "--workdir", root, "--index", "index.npz",
                      "--checkpoint", "model.json",
                      "--embeddings", "data/embeddings.txt", "--seed", s]) == 0
     metrics = {}

@@ -3,10 +3,13 @@
 import json
 import pickle
 import re
+import zipfile
 
+import numpy as np
 import pytest
 
-from synmatch import cli
+from synmatch import cli, corpus, training
+from synmatch.errors import DataError
 
 SUBCOMMANDS = ("ingest", "train", "evaluate", "score", "discover",
                "gradcheck", "synth")
@@ -26,7 +29,7 @@ def build_workspace(root, epochs="0", seed="3"):
                      "--corpus", "data/corpus.txt",
                      "--synsets", "data/synsets.tsv",
                      "--test-frac", "0.34", "--seed", seed]) == 0
-    assert cli.main(["train", "--workdir", str(root), "--index", "index.pkl",
+    assert cli.main(["train", "--workdir", str(root), "--index", "index.npz",
                      "--embeddings", "data/embeddings.txt", "--d-ce", "8",
                      "--contexts-per-entity", "3", "--max-context-len", "13",
                      "--epochs", epochs, "--seed", seed]) == 0
@@ -40,7 +43,7 @@ def work(tmp_path_factory):
 
 
 def model_args(work):
-    return ["--workdir", str(work), "--index", "index.pkl",
+    return ["--workdir", str(work), "--index", "index.npz",
             "--checkpoint", "model.json", "--embeddings", "data/embeddings.txt"]
 
 
@@ -68,7 +71,7 @@ def test_every_run_echoes_resolved_config(work, capsys):
     assert rc == 0
     assert "# resolved config" in out
     assert "objective=siamese" in out
-    assert f"index={work}/index.pkl" in out             # paths shown resolved
+    assert f"index={work}/index.npz" in out             # paths shown resolved
 
 
 def test_self_score_prints_one(work, capsys):
@@ -138,7 +141,7 @@ def test_config_file_overrides_flags(work, capsys):
     cfg = work / "override.cfg"
     cfg.write_text("epochs=1\nlearning_rate=0.001\n")
     rc, out, _ = run(capsys, "train", "--workdir", str(work),
-                     "--index", "index.pkl", "--embeddings", "data/embeddings.txt",
+                     "--index", "index.npz", "--embeddings", "data/embeddings.txt",
                      "--checkpoint", "model_o.json", "--history", "hist_o.txt",
                      "--d-ce", "8", "--contexts-per-entity", "3",
                      "--max-context-len", "13", "--epochs", "7",
@@ -153,31 +156,197 @@ def test_config_file_unknown_key_exits_two(work, capsys):
     cfg = work / "bad.cfg"
     cfg.write_text("no_such_option=1\n")
     rc, _, err = run(capsys, "train", "--workdir", str(work),
-                     "--index", "index.pkl", "--embeddings", "data/embeddings.txt",
+                     "--index", "index.npz", "--embeddings", "data/embeddings.txt",
                      "--config", "bad.cfg")
     assert rc == 2
     assert "no_such_option" in err
+
+
+def score_with_index(capsys, work, index):
+    return run(capsys, "score", "--workdir", str(work), "--index", str(index),
+               "--checkpoint", "model.json", "--embeddings", "data/embeddings.txt",
+               "ent0_0", "ent0_1")
 
 
 def test_corrupt_index_exits_two(work, tmp_path, capsys):
     bad = tmp_path / "bad.pkl"
     with open(bad, "wb") as fh:
         pickle.dump({"format": "something-else"}, fh)
-    rc, _, err = run(capsys, "score", "--workdir", str(work),
-                     "--index", str(bad), "--checkpoint", "model.json",
-                     "--embeddings", "data/embeddings.txt", "a", "b")
+    rc, _, err = score_with_index(capsys, work, bad)
     assert rc == 2 and "not a context index" in err
     bad.write_bytes(b"junk that is not a pickle")
-    rc, _, err = run(capsys, "score", "--workdir", str(work),
-                     "--index", str(bad), "--checkpoint", "model.json",
-                     "--embeddings", "data/embeddings.txt", "a", "b")
+    rc, _, err = score_with_index(capsys, work, bad)
     assert rc == 2
+    for junk in (b"", b"PK\x03\x04 truncated zip", (work / "index.npz").read_bytes()[:300]):
+        bad.write_bytes(junk)
+        rc, _, err = score_with_index(capsys, work, bad)
+        assert rc == 2 and "re-run `synmatch ingest`" in err and "Traceback" not in err
+
+
+class _Hostile:
+    """Unpickling this runs its __reduce__: it would create the marker file."""
+
+    def __init__(self, marker):
+        self.marker = marker
+
+    def __reduce__(self):
+        return (open, (self.marker, "w"))
+
+
+def test_pickled_index_is_never_unpickled(work, tmp_path, capsys):
+    marker = tmp_path / "marker"
+    hostile = tmp_path / "index.pkl"
+    with open(hostile, "wb") as fh:
+        pickle.dump({"format": "synmatch-index", "version": 1,
+                     "data": _Hostile(str(marker))}, fh)
+    with pytest.raises(DataError, match="re-run `synmatch ingest`"):
+        cli.load_index(str(hostile))
+    rc, _, err = score_with_index(capsys, work, hostile)
+    assert rc == 2 and "not a context index" in err
+    assert not marker.exists()
+
+
+def test_index_round_trip(work):
+    data = cli.load_index(str(work / "index.npz"))
+    assert len(data.store.split) == len(data.store) == 6
+    again_path = work / "again.pkl"           # kept as given: no ".npz" appended
+    cli.save_index(str(again_path), data)
+    again = cli.load_index(str(again_path))
+    assert again.vocab.id_to_token == data.vocab.id_to_token
+    assert again.vocab.token_to_id == data.vocab.token_to_id
+    assert again.lines == data.lines
+    assert all(type(t) is int for line in again.lines for t in line)
+    for name in ("tokens", "line_start", "occ_start", "occ_line", "occ_pos"):
+        assert np.array_equal(getattr(again, name), getattr(data, name)), name
+    assert again.store.synsets == data.store.synsets
+    assert all(type(e) is int for members in again.store.synsets for e in members)
+    assert again.store.split == data.store.split
+    with zipfile.ZipFile(again_path) as zf:                # nothing stored as a pickle
+        assert sorted(zf.namelist()) == sorted(
+            f"{key}.npy" for key in ["format", "version", *cli.INDEX_ARRAYS])
+
+
+def test_index_without_split_round_trips(tmp_path):
+    (tmp_path / "c.txt").write_text("a b c\nb c d\n")
+    (tmp_path / "s.tsv").write_text("a\tb\nc\n")
+    data = corpus.ingest(str(tmp_path / "c.txt"), str(tmp_path / "s.tsv"), min_count=1)
+    cli.save_index(str(tmp_path / "i"), data)
+    again = cli.load_index(str(tmp_path / "i"))
+    assert again.store.synsets == data.store.synsets and again.store.split == {}
+
+
+def rewrite_index(src, dst, **changes):
+    with np.load(src, allow_pickle=False) as npz:
+        arrays = {key: npz[key] for key in npz.files}
+    arrays.update(changes)
+    for key in [k for k, v in changes.items() if v is None]:
+        del arrays[key]
+    with open(dst, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+@pytest.mark.parametrize("change, why", [
+    (dict(tokens=None), "'tokens' is missing"),
+    (dict(split=None), "'split' is missing"),
+    (dict(version=None), "no index version"),
+    (dict(version=np.array(1)), "version 1 unsupported"),
+    (dict(format=np.array("other")), "not a context index"),
+    ("float tokens", "'tokens' is float64"),
+    ("id past vocab", "line token id outside the vocabulary"),
+    ("negative id", "line token id outside the vocabulary"),
+    ("member past vocab", "synset token id outside the vocabulary"),
+    ("offsets past end", "line offsets"),
+    ("empty synset", "synset offsets"),
+    ("split code 4", "one code in 0..3 per synset"),
+    ("duplicate token", "hold no token twice"),
+    ("object vocab", "not a context index file"),
+])
+def test_malformed_index_exits_two(work, tmp_path, capsys, change, why):
+    src = work / "index.npz"
+    with np.load(src, allow_pickle=False) as npz:
+        tokens, vocab, line_start = npz["tokens"], npz["vocab"], npz["line_start"]
+        members, starts = npz["synset_members"], npz["synset_start"]
+    n_vocab = vocab.tobytes().count(b"\n") + 1
+    edits = {
+        "float tokens": dict(tokens=tokens.astype(np.float64)),
+        "id past vocab": dict(tokens=np.where(np.arange(len(tokens)) == 5, n_vocab,
+                                              tokens).astype(np.int32)),
+        "negative id": dict(tokens=np.where(np.arange(len(tokens)) == 0, -1,
+                                            tokens).astype(np.int32)),
+        "member past vocab": dict(synset_members=np.full_like(members, n_vocab)),
+        "offsets past end": dict(line_start=np.append(line_start[:-1], len(tokens) + 1)),
+        "empty synset": dict(synset_start=np.insert(starts, 1, 0)),
+        "split code 4": dict(split=np.full(len(starts) - 1, 4, dtype=np.int8)),
+        "duplicate token": dict(vocab=np.frombuffer(b"<unk>\n<pad>\nx\nx", dtype=np.uint8)),
+        "object vocab": dict(vocab=np.array(["<unk>", "<pad>"], dtype=object)),
+    }
+    bad = tmp_path / "bad.npz"
+    rewrite_index(src, bad, **(edits[change] if isinstance(change, str) else change))
+    with pytest.raises(DataError, match="re-run `synmatch ingest`") as err:
+        cli.load_index(str(bad))
+    assert why in str(err.value)
+    rc, _, err = score_with_index(capsys, work, bad)
+    assert rc == 2 and "Traceback" not in err
+
+
+def test_damaged_index_raises_only_data_error(work, tmp_path):
+    with np.load(work / "index.npz", allow_pickle=False) as npz:
+        arrays = {key: npz[key] for key in npz.files}
+    compressed = tmp_path / "compressed.npz"
+    np.savez_compressed(compressed, **arrays)
+    rng = np.random.default_rng(5)
+    bad = tmp_path / "bad.npz"
+    for base in ((work / "index.npz").read_bytes(), compressed.read_bytes()):
+        for trial in range(150):
+            blob = bytearray(base[:rng.integers(len(base))] if trial % 3 == 0 else base)
+            for _ in range(0 if trial % 3 == 0 else rng.integers(1, 4)):
+                blob[rng.integers(len(blob))] = rng.integers(256)
+            bad.write_bytes(bytes(blob))
+            try:
+                cli.load_index(str(bad))
+            except DataError:
+                pass
+
+
+def test_ingest_writes_index_npz_by_default(work):
+    assert (work / "index.npz").exists() and not (work / "index.pkl").exists()
+    assert zipfile.is_zipfile(work / "index.npz")
+
+
+def test_discover_rejects_nonpositive_topk(work, capsys):
+    for topk in ("-1", "0"):
+        rc, out, err = run(capsys, "discover", *model_args(work), "ent0_0",
+                           "--topk", topk, "--seed", "3")
+        assert rc == 2
+        assert "Traceback" not in err and "at least 1" in err
+        assert "CANDIDATE ENTITIES" not in out
+
+
+def test_valid_split_without_negatives_fails_before_training(tmp_path, capsys, monkeypatch):
+    # one valid synset: its three within-synset pairs are all positive
+    assert cli.main(["synth", "--workdir", str(tmp_path), "--out", "data",
+                     "--clusters", "6", "--seed", "3"]) == 0
+    assert cli.main(["ingest", "--workdir", str(tmp_path), "--corpus", "data/corpus.txt",
+                     "--synsets", "data/synsets.tsv", "--test-frac", "0.34",
+                     "--valid-frac", "0.17", "--seed", "3"]) == 0
+
+    def no_batches(*args, **kwargs):
+        raise AssertionError("a training batch ran")
+
+    monkeypatch.setattr(training.ad, "grad", no_batches)
+    capsys.readouterr()
+    rc, _, err = run(capsys, "train", "--workdir", str(tmp_path), "--index", "index.npz",
+                     "--embeddings", "data/embeddings.txt", "--d-ce", "8",
+                     "--epochs", "4", "--seed", "3")
+    assert rc == 2
+    assert "valid split" in err and "0 negative" in err and "Traceback" not in err
+    assert not (tmp_path / "history.txt").exists()
 
 
 @pytest.mark.parametrize("flag, value", [
     ("--pairs-per-epoch", "-3"), ("--clip-norm", "nan"), ("--learning-rate", "nan")])
 def test_bad_training_numbers_exit_two(work, capsys, flag, value):
-    rc, _, err = run(capsys, "train", "--workdir", str(work), "--index", "index.pkl",
+    rc, _, err = run(capsys, "train", "--workdir", str(work), "--index", "index.npz",
                      "--embeddings", "data/embeddings.txt",
                      "--checkpoint", "model_bad.json", "--d-ce", "8",
                      "--epochs", "1", flag, value)
@@ -202,28 +371,38 @@ def test_missing_input_file_exits_two(capsys):
     assert "exist.pkl" in err
 
 
-def test_nan_embeddings_exit_three(work, capsys):
+def test_nan_embeddings_exit_two(work, capsys):
     nan_file = work / "nan_emb.txt"
-    nan_file.write_text("w0 " + " ".join(["nan"] * 16) + "\n")
+    nan_file.write_text("w0 " + " ".join(["0.5"] * 16) + "\nw1 " + " ".join(["nan"] * 16) + "\n")
     rc, _, err = run(capsys, "train", "--workdir", str(work),
-                     "--index", "index.pkl", "--embeddings", "nan_emb.txt",
+                     "--index", "index.npz", "--embeddings", "nan_emb.txt",
                      "--checkpoint", "model_nan.json", "--d-ce", "8",
                      "--contexts-per-entity", "3", "--max-context-len", "13",
                      "--epochs", "1", "--seed", "3")
-    assert rc == 3
-    assert "numeric" in err
-    rc, _, err = run(capsys, "score", "--workdir", str(work), "--index", "index.pkl",
+    assert rc == 2
+    assert "line 2:" in err and "Traceback" not in err
+    assert not (work / "model_nan.json").exists()
+    rc, _, err = run(capsys, "score", "--workdir", str(work), "--index", "index.npz",
                      "--checkpoint", "model.json", "--embeddings", "nan_emb.txt",
                      "ent0_0", "ent0_1", "--seed", "3")
-    assert rc == 3
-    assert "numeric" in err
+    assert rc == 2
+    assert "line 2:" in err and "Traceback" not in err
+
+
+def test_non_numeric_embedding_exits_two(work, capsys):
+    (work / "word_emb.txt").write_text("w0 " + " ".join(["0.5"] * 15) + " half\n")
+    rc, _, err = run(capsys, "score", "--workdir", str(work), "--index", "index.npz",
+                     "--checkpoint", "model.json", "--embeddings", "word_emb.txt",
+                     "ent0_0", "ent0_1", "--seed", "3")
+    assert rc == 2
+    assert "line 1:" in err and "half" in err and "Traceback" not in err
 
 
 def test_checkpoint_missing_parameter_exits_two(work, capsys):
     blob = json.loads((work / "model.json").read_text())
     del blob["params"]["enc.bw.Wh"]
     (work / "model_lacking.json").write_text(json.dumps(blob))
-    rc, _, err = run(capsys, "score", "--workdir", str(work), "--index", "index.pkl",
+    rc, _, err = run(capsys, "score", "--workdir", str(work), "--index", "index.npz",
                      "--checkpoint", "model_lacking.json",
                      "--embeddings", "data/embeddings.txt", "ent0_0", "ent0_1")
     assert rc == 2
@@ -232,7 +411,7 @@ def test_checkpoint_missing_parameter_exits_two(work, capsys):
 
 def test_embedding_width_mismatch_exits_two(work, capsys):
     (work / "narrow_emb.txt").write_text("w0 " + " ".join(["0.5"] * 8) + "\n")
-    rc, _, err = run(capsys, "score", "--workdir", str(work), "--index", "index.pkl",
+    rc, _, err = run(capsys, "score", "--workdir", str(work), "--index", "index.npz",
                      "--checkpoint", "model.json", "--embeddings", "narrow_emb.txt",
                      "ent0_0", "ent0_1")
     assert rc == 2

@@ -60,9 +60,79 @@ def test_ingest_warns_on_absent_entity(tmp_path, caplog):
 
 
 def test_min_count_invariant(small_data):
+    counts = np.diff(small_data.occ_start)
     for ss in small_data.store.synsets:
         for e in ss:
-            assert small_data.frequency(e) >= 5
+            assert counts[e] >= 5
+
+
+def dict_of_lists_ingest(path):
+    """The per-token ingest loop the CSR index replaced, kept as its oracle:
+    (id_to_token, lines, {token id: [(line, pos), ...]})."""
+    id_to_token = [corpus.UNK_TOKEN, corpus.PAD_TOKEN]
+    token_to_id = {t: i for i, t in enumerate(id_to_token)}
+    lines, occurrences = [], {}
+    for li, toks in enumerate(corpus.read_corpus_lines(path)):
+        ids = []
+        for t in toks:
+            if t not in token_to_id:
+                token_to_id[t] = len(id_to_token)
+                id_to_token.append(t)
+            ids.append(token_to_id[t])
+        lines.append(tuple(ids))
+        for pos, tid in enumerate(ids):
+            occurrences.setdefault(tid, []).append((li, pos))
+    return id_to_token, lines, occurrences
+
+
+def csr_occurrences(data, tid):
+    lo, hi = data.occ_start[tid], data.occ_start[tid + 1]
+    return list(zip(data.occ_line[lo:hi].tolist(), data.occ_pos[lo:hi].tolist()))
+
+
+def test_csr_index_matches_dict_of_lists_oracle(tmp_path):
+    rng = np.random.default_rng(11)
+    words = ["<unk>", "<pad>"] + [f"w{i}" for i in range(40)]
+    text = []
+    for _ in range(300):
+        line = " ".join(words[i] for i in rng.integers(len(words), size=rng.integers(1, 9)))
+        text.append(line)
+        if rng.random() < 0.2:
+            text.append(line)               # exact duplicate, dropped
+        if rng.random() < 0.05:
+            text.append("   ")              # blank, dropped
+    corpus_path = write(tmp_path / "c.txt", "\n".join(text) + "\n")
+    synset_path = write(tmp_path / "s.tsv", "w0\tw1\n<unk>\tw2\n")
+    id_to_token, lines, occurrences = dict_of_lists_ingest(corpus_path)
+    data = corpus.ingest(corpus_path, synset_path, min_count=1)
+    assert data.vocab.id_to_token == id_to_token
+    assert data.vocab.get("<unk>") == corpus.UNK and data.vocab.get("<pad>") == corpus.PAD
+    assert data.lines == lines and len(lines) < len([t for t in text if t.strip()])
+    assert all(type(t) is int for line in data.lines for t in line)
+    for tid in range(len(id_to_token)):
+        assert csr_occurrences(data, tid) == occurrences.get(tid, []), id_to_token[tid]
+    # literal <unk> is id 0 and keeps its occurrences, as before
+    assert data.store.synsets == [(data.vocab.get("w0"), data.vocab.get("w1")),
+                                  (corpus.UNK, data.vocab.get("w2"))]
+    # retrieval makes the same draw as over the oracle's occurrence lists
+    for tid in (corpus.UNK, corpus.PAD, data.vocab.get("w7")):
+        occ = occurrences[tid]
+        for P in (1, 3, len(occ), len(occ) + 4):
+            got = corpus.retrieve_contexts(data, tid, P, 5, stream_rng(2, "eval", tid))
+            rng = stream_rng(2, "eval", tid)
+            want = [corpus.window_around(lines[occ[i][0]], occ[i][1], 5, occ[i][0])
+                    for i in rng.choice(len(occ), size=P, replace=len(occ) < P)]
+            assert got == want
+            assert all(type(w.entity_pos) is int and type(w.source_line) is int for w in got)
+
+
+def test_ingest_empty_corpus(tmp_path):
+    corpus_path = write(tmp_path / "c.txt", "\n  \n")
+    data = corpus.ingest(corpus_path, write(tmp_path / "s.tsv", "a\n"))
+    assert data.lines == [] and len(data.vocab) == 2 and len(data.store) == 0
+    assert data.occ_start.tolist() == [0, 0, 0]
+    with pytest.raises(NoContextError):
+        corpus.retrieve_contexts(data, corpus.UNK, 3, 10, stream_rng(0, "eval"))
 
 
 def test_window_whole_sentence():
@@ -141,6 +211,9 @@ def test_retrieve_errors(small_data):
         corpus.retrieve_contexts(small_data, "never_seen", 3, 10, stream_rng(0, "eval"))
     with pytest.raises(NoContextError):
         corpus.retrieve_contexts(small_data, corpus.PAD, 3, 10, stream_rng(0, "eval"))
+    for eid in (len(small_data.vocab), -1):
+        with pytest.raises(NoContextError):
+            corpus.retrieve_contexts(small_data, eid, 3, 10, stream_rng(0, "eval"))
 
 
 def make_store(n_synsets, size=3):

@@ -7,10 +7,7 @@ from synmatch.errors import DataError, UnknownEntityError
 
 
 def make_vocab(tokens):
-    v = Vocabulary()
-    for t in tokens:
-        v.add(t)
-    return v
+    return Vocabulary(tokens)
 
 
 def row(table, token):
@@ -54,6 +51,68 @@ def test_dim_mismatch_cites_line(tmp_path):
     with pytest.raises(DataError) as err:
         embeddings.load_embeddings(str(path), make_vocab([f"w{i}" for i in range(7)]))
     assert "line 7" in str(err.value)
+
+
+@pytest.mark.parametrize("bad, line", [("abc", 3), ("nan", 2), ("-inf", 4), ("1e999", 2)])
+def test_bad_value_cites_line(tmp_path, bad, line):
+    rows = ["3 2", "a 1 2", "b 3 4", "c 5 6"]
+    rows[line - 1] = rows[line - 1].rsplit(" ", 1)[0] + " " + bad
+    path = tmp_path / "emb.txt"
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(DataError) as err:
+        embeddings.load_embeddings(str(path), make_vocab(["a", "b", "c"]))
+    assert f"line {line}:" in str(err.value)
+
+
+def test_overflowing_mean_rejected(tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_text("a 1e308 1\nb 1e308 1\n")
+    with pytest.raises(DataError, match="not finite"), np.errstate(over="ignore"):
+        embeddings.load_embeddings(str(path), make_vocab(["a", "b", "c"]))
+
+
+def loop_load_embeddings(path, vocab):
+    """The per-value float() loader the block parser replaced, kept as its oracle."""
+    vectors, total, n_read = {}, None, 0
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            parts = raw.split()
+            if not parts or (lineno == 1 and embeddings._parse_header(parts)):
+                continue
+            vec = np.array([float(x) for x in parts[1:]])
+            total = vec.copy() if total is None else total + vec
+            n_read += 1
+            if parts[0] in vocab:
+                vectors[vocab.get(parts[0])] = vec
+    unk_row = vectors.pop(UNK, total / n_read)
+    pad_row = vectors.pop(PAD, np.zeros(len(total)))
+    matrix = np.array([unk_row, pad_row] + [vectors.get(t, unk_row)
+                                            for t in range(2, len(vocab))])
+    return matrix
+
+
+@pytest.mark.parametrize("dim", [1, 7])
+def test_block_parser_matches_float_loop_bitwise(tmp_path, monkeypatch, dim):
+    rng = np.random.default_rng(dim)
+    values = rng.normal(size=(50, dim)) * 10.0 ** rng.integers(-6, 6, size=(50, dim))
+    tokens = [f"w{i % 40}" for i in range(50)]        # w0..w9 appear twice: last wins
+    tokens[3], tokens[20], tokens[44] = "<unk>", "<pad>", "<pad>"
+    path = tmp_path / "emb.txt"
+    path.write_text(f"50 {dim}\n" + "".join(
+        t + " " + " ".join(repr(float(x)) for x in row) + "\n"
+        for t, row in zip(tokens, values)))
+    for vocab in (make_vocab([f"w{i}" for i in range(0, 45, 2)] + ["zz"]),
+                  make_vocab(["w1", "w2"])):
+        want = loop_load_embeddings(str(path), vocab)
+        for block in (4096, 7, 1):          # one block, a short last block, one row each
+            monkeypatch.setattr(embeddings, "PARSE_BLOCK", block)
+            got = embeddings.load_embeddings(str(path), vocab).matrix
+            assert got.tobytes() == want.tobytes()
+    path.write_text("".join(f"w{i} " + " ".join(repr(float(x)) for x in row) + "\n"
+                            for i, row in enumerate(values)))
+    vocab = make_vocab(["w1", "q"])
+    assert embeddings.load_embeddings(str(path), vocab).matrix.tobytes() == \
+        loop_load_embeddings(str(path), vocab).tobytes()
 
 
 def test_empty_file_errors(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from synmatch import corpus, embeddings, evaluation, training
-from synmatch.errors import MetricError
+from synmatch.errors import DataError, MetricError
 from synmatch.rng import stream_rng
 
 
@@ -202,10 +202,11 @@ def test_entity_scorer_slices_score_like_single_pairs(tiny, monkeypatch):
     assert whole_broadcast.tolist() == [score(left[:1], [b])[0] for b in right]
 
 
-def test_discover_k_zero_empty(tiny):
+@pytest.mark.parametrize("k", [0, -1])
+def test_discover_rejects_k_below_one(tiny, k):
     data, table, config, params = tiny
-    res = evaluation.discover(params, config, data, table, "sun", k=0)
-    assert res.ranked == [] and res.accepted == []
+    with pytest.raises(DataError, match="at least 1"):
+        evaluation.discover(params, config, data, table, "sun", k=k)
 
 
 def test_discover_threshold_extremes(tiny):
