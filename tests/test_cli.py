@@ -4,6 +4,7 @@ import json
 import pickle
 import re
 import zipfile
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -58,8 +59,10 @@ def test_usage_errors_exit_one(capsys):
     assert cli.main([]) == 1
     assert cli.main(["frobnicate"]) == 1
     assert cli.main(["train"]) == 1                     # missing required flags
-    assert cli.main(["ingest", "--corpus", "a", "--synsets", "b",
-                     "--config", "c"]) == 1             # config not accepted here
+    for argv in (["ingest", "--corpus", "a", "--synsets", "b"], ["gradcheck"],
+                 ["synth"]):
+        rc, _, err = run(capsys, *argv, "--config", "c")   # config not read here
+        assert rc == 1 and "--config" in err
     rc, _, err = run(capsys, "train", "--index", "x", "--embeddings", "y",
                      "--no-such-flag")
     assert rc == 1 and "no-such-flag" in err
@@ -416,6 +419,19 @@ def test_embedding_width_mismatch_exits_two(work, capsys):
                      "ent0_0", "ent0_1")
     assert rc == 2
     assert "Traceback" not in err and "8-wide" in err
+
+
+def test_synth_bad_size_exits_two(tmp_path, capsys):
+    rc, _, err = run(capsys, "synth", "--workdir", str(tmp_path), "--embed-dim", "-1")
+    assert rc == 2 and "embed_dim" in err and "Traceback" not in err
+
+
+def test_train_flags_cover_every_config_field():
+    args = cli.build_parser().parse_args(["train", "--index", "x", "--embeddings", "y"])
+    defaults = training.TrainConfig()
+    for f in fields(training.TrainConfig):
+        if f.name != "seed":
+            assert getattr(args, f.name) == getattr(defaults, f.name), f.name
 
 
 def test_gradcheck_passes_and_reports_worst_error(capsys):

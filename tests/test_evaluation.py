@@ -60,6 +60,12 @@ def test_auc_invariant_under_monotone_transform():
     assert evaluation.auc(list(zip(2.0 * scores + 7.0, labels))) == base
 
 
+def test_auc_rejects_nan_scores():
+    # a NaN has no rank: it would sort above every score
+    with pytest.raises(MetricError, match=r"NaN scores \(1 of 4\)"):
+        evaluation.auc([(float("nan"), 1), (0.2, 0), (0.5, 1), (0.1, 0)])
+
+
 def test_auc_single_class_errors():
     with pytest.raises(MetricError):
         evaluation.auc([(0.4, 1), (0.2, 1)])

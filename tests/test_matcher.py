@@ -8,6 +8,8 @@ from synmatch import matcher
 from synmatch.errors import NumericError, ShapeError
 from synmatch.rng import stream_rng
 
+import oracles as ref
+
 
 def scalar_match_oracle(H, G, W, leak_vec=None):
     """Per-pair evaluation of the matching softmaxes with plain floats."""
@@ -370,15 +372,15 @@ def test_batched_pair_score_vars_is_one_tape_node():
 
 def test_tied_maxima_route_gradient_to_first():
     # duplicate rows tie for the max match; the analytic backward must pick
-    # the first maximum, as the composite tape ops (ad.max_axis) do
+    # the first maximum, as the composite reference ops (ref.max_axis) do
     def tape_reference(v):
-        L = ad.matmul(ad.matmul(v["H"], v["W"]), ad.transpose(v["G"]))
-        a_h = ad.max_axis(ad.softmax_rows(L), axis=1)
-        a_g = ad.max_axis(ad.softmax_cols(L), axis=0)
-        h = ad.matmul(ad.transpose(a_h), v["H"])
-        g = ad.matmul(a_g, v["G"])
-        norms = ad.sqrt(ad.sum_all(ad.square(h))) * ad.sqrt(ad.sum_all(ad.square(g)))
-        return ad.div(ad.sum_all(h * g), norms)
+        L = ref.matmul(ref.matmul(v["H"], v["W"]), ref.transpose(v["G"]))
+        a_h = ref.max_axis(ref.softmax_rows(L), axis=1)
+        a_g = ref.max_axis(ref.softmax_cols(L), axis=0)
+        h = ref.matmul(ref.transpose(a_h), v["H"])
+        g = ref.matmul(a_g, v["G"])
+        norms = ref.sqrt(ad.sum_all(ad.square(h))) * ref.sqrt(ad.sum_all(ad.square(g)))
+        return ref.div(ad.sum_all(h * g), norms)
 
     H, G, W = rand_instance(20, P=3, Q=3)
     for params in ({"H": np.vstack([H[0], H[0]]), "G": G, "W": W},

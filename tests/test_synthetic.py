@@ -94,6 +94,15 @@ def test_rejects_bad_parameters(tmp_path):
         gen(tmp_path, vocab_size=40)  # 6 clusters of signature tokens need more
 
 
+@pytest.mark.parametrize("field, value", [
+    ("embed_dim", -1), ("embed_dim", 0), ("contexts_per_entity", 0),
+    ("tokens_per_context", -1)])
+def test_rejects_sizes_that_write_unusable_files(tmp_path, field, value):
+    with pytest.raises(DataError, match=field):
+        gen(tmp_path, **{field: value})
+    assert not (tmp_path / "data").exists()
+
+
 def test_ingest_keeps_every_generated_entity(tmp_path):
     paths, _ = gen(tmp_path)
     data = corpus.ingest(paths["corpus"], paths["synsets"])

@@ -235,6 +235,32 @@ def test_train_deterministic(tmp_path):
         assert np.array_equal(p1[k], p2[k])
 
 
+@pytest.mark.parametrize("resample", [False, True])
+def test_fixed_contexts_keep_each_entitys_windows(tmp_path, monkeypatch, resample):
+    data, table, config = toy_setup(tmp_path, epochs=6, pairs_per_epoch=1,
+                                    resample_contexts=resample)
+    build = training.batch_loss_builder
+    batches = []  # per batch (here one per epoch): entity -> its windows
+
+    def recording(items, contexts, *args):
+        batches.append({eid: list(contexts[eid])
+                        for item in items for eid in training._item_entities(item)})
+        return build(items, contexts, *args)
+
+    monkeypatch.setattr(training, "batch_loss_builder", recording)
+    _, history = training.train(config, data, table)
+    first = {}
+    for batch_no, windows in enumerate(batches):
+        for eid, wins in windows.items():
+            assert len(wins) == config.contexts_per_entity
+            first.setdefault(eid, (batch_no, wins))
+    kept = all(first[eid][1] == wins for windows in batches for eid, wins in windows.items())
+    assert kept != resample
+    if not resample:
+        assert max(batch_no for batch_no, _ in first.values()) > 0  # a late first sample
+        assert training.train(config, data, table)[1] == history
+
+
 def test_train_zero_learning_rate_keeps_parameters(tmp_path):
     data, table, config = toy_setup(tmp_path, epochs=1, learning_rate=0.0)
     params, _ = training.train(config, data, table)
