@@ -179,7 +179,7 @@ def _read_config_file(args):
     if args.config is None:
         return None
     path = _resolve(args.workdir, args.config)
-    with open(path, "r", encoding="utf-8") as fh:
+    with corpus.open_text(path) as fh:
         return fh.read()
 
 
@@ -435,6 +435,9 @@ def main(argv=None):
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"cannot read or write file: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

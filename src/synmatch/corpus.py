@@ -7,6 +7,7 @@ entity tokens separated by tabs.
 """
 
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -171,11 +172,33 @@ def unflatten(flat, starts):
     return [tuple(flat[a:b]) for a, b in zip(starts, starts[1:])]
 
 
+@contextmanager
+def open_text(path):
+    """Open a UTF-8 text file for reading; bytes that are not UTF-8 are a
+    DataError naming the file and the line they are on."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}, line {_undecodable_line(path)}: not UTF-8 text "
+                        f"({exc.reason})") from exc
+
+
+def _undecodable_line(path):
+    """Number of the first line, counted at newline bytes, that is not UTF-8."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return lineno
+
+
 def read_corpus_lines(path):
     """Read, tokenize and exact-deduplicate corpus lines, keeping first occurrences."""
     seen = set()
     lines = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for raw in fh:
             toks = tuple(raw.split())
             if not toks or toks in seen:
@@ -188,7 +211,7 @@ def read_corpus_lines(path):
 def read_synset_lines(path):
     """Read the synset file: one group per line, entity tokens tab-separated."""
     groups = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for raw in fh:
             members = [t for t in raw.rstrip("\n").split("\t") if t]
             if members:

@@ -5,10 +5,12 @@ then one "token f1 ... fd" line per word.  Candidate generation for synonym
 discovery is an exact brute-force cosine scan over the entity universe.
 """
 
-import numpy as np
 from dataclasses import dataclass, field
+from itertools import repeat
 
-from .corpus import PAD, PAD_TOKEN, UNK, UNK_TOKEN
+import numpy as np
+
+from .corpus import PAD, UNK, open_text
 from .errors import DataError, UnknownEntityError
 
 
@@ -38,15 +40,20 @@ def _parse_header(parts):
     return count, dim
 
 
-# lines parsed per numpy conversion: bounds the strings held at once
+# lines parsed per numpy conversion: bounds the text held at once
 PARSE_BLOCK = 4096
 
 
-def _parse_block(linenos, rows):
-    """(n, dim) float64 values of the rows; DataError naming the first line
-    with a value that is not a number or not finite."""
+def _parse_rows(linenos, texts, dim):
+    """(n, dim) values of the lines' texts, parsed row by row as float() parses
+    them; DataError naming the first line with the wrong number of values,
+    else the first with a value that is not a number."""
+    rows = [text.split() for text in texts]
+    for lineno, row in zip(linenos, rows):
+        if len(row) != dim:
+            raise DataError(f"line {lineno}: expected {dim} values, got {len(row)}")
     try:
-        values = np.array(rows, dtype=np.float64)
+        return np.array(rows, dtype=np.float64)
     except ValueError:
         for lineno, row in zip(linenos, rows):
             try:
@@ -54,6 +61,24 @@ def _parse_block(linenos, rows):
             except ValueError as exc:
                 raise DataError(f"line {lineno}: {exc}") from exc
         raise
+
+
+def _parse_block(linenos, texts, dim):
+    """(n, dim) float64 values of the lines' value texts; DataError naming
+    the first line that is malformed, or else holds a value that is not finite.
+
+    numpy's C parser converts the block in one call.  It skips empty rows,
+    rejects some spellings float() takes ("1_0", non-ASCII digits) and names
+    no file line, so on any failure the block is parsed again row by row.
+    """
+    values = None
+    if "" not in texts:
+        try:
+            values = np.loadtxt(texts, dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if values is None or values.shape != (len(texts), dim):
+        values = _parse_rows(linenos, texts, dim)
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         raise DataError(f"line {linenos[np.argmin(finite)]}: value is not finite")
@@ -63,27 +88,27 @@ def _parse_block(linenos, rows):
 def _read_blocks(path):
     """Yield (tokens, values) for successive blocks of an embedding file."""
     dim = None
-    linenos, tokens, rows = [], [], []
-    with open(path, encoding="utf-8") as fh:
+    linenos, tokens, texts = [], [], []
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            parts = raw.split()
-            if not parts or (lineno == 1 and _parse_header(parts)):
+            parts = raw.split(None, 1)
+            if not parts:
                 continue
             if dim is None:
-                dim = len(parts) - 1
+                fields = raw.split()
+                if lineno == 1 and _parse_header(fields):
+                    continue
+                dim = len(fields) - 1
                 if dim == 0:
                     raise DataError(f"line {lineno}: no values after token")
-            elif len(parts) - 1 != dim:
-                raise DataError(
-                    f"line {lineno}: expected {dim} values, got {len(parts) - 1}")
             linenos.append(lineno)
             tokens.append(parts[0])
-            rows.append(parts[1:])
-            if len(rows) == PARSE_BLOCK:
-                yield tokens, _parse_block(linenos, rows)
-                linenos, tokens, rows = [], [], []
-    if rows:
-        yield tokens, _parse_block(linenos, rows)
+            texts.append(parts[1] if len(parts) == 2 else "")
+            if len(texts) == PARSE_BLOCK:
+                yield tokens, _parse_block(linenos, texts, dim)
+                linenos, tokens, texts = [], [], []
+    if texts:
+        yield tokens, _parse_block(linenos, texts, dim)
 
 
 def load_embeddings(path, vocab):
@@ -95,31 +120,34 @@ def load_embeddings(path, vocab):
     token given twice keeps its last vector.  A value that is not a finite
     number is a DataError naming its line.
     """
-    vectors = {}
-    total = None
+    matrix = total = None
     n_read = 0
+    written = np.zeros(len(vocab), dtype=bool)
     for tokens, values in _read_blocks(path):
-        if total is None:
+        if matrix is None:
+            matrix = np.empty((len(vocab), values.shape[1]))
             total = np.zeros(values.shape[1])
-        for row in values:      # in file order: a pairwise sum would round the mean differently
-            total += row
+        # a running sum in file order: a pairwise sum would round the mean differently
+        total = np.add.accumulate(np.vstack([total, values]))[-1]
         n_read += len(values)
-        ids = np.array([vocab.token_to_id.get(t, -1) for t in tokens])
+        ids = np.fromiter(map(vocab.token_to_id.get, tokens, repeat(-1)),
+                          dtype=np.intp, count=len(tokens))
+        ids, last = np.unique(ids[::-1], return_index=True)   # a token's last row wins
         known = ids >= 0
-        vectors.update(zip(ids[known].tolist(), values[known]))
+        matrix[ids[known]] = values[len(values) - 1 - last[known]]
+        written[ids[known]] = True
     if n_read == 0:
         raise DataError(f"no embedding vectors in {path}")
     if not np.isfinite(total).all():
         raise DataError(f"the vectors in {path} sum past the float range; "
                         f"their mean, the UNK row, is not finite")
 
-    unk_row = vectors.pop(UNK, total / n_read)
-    pad_row = vectors.pop(PAD, np.zeros(len(total)))
-    matrix = np.empty((len(vocab), len(total)))
-    matrix[:] = unk_row
-    matrix[PAD] = pad_row
-    if vectors:
-        matrix[list(vectors)] = list(vectors.values())
+    if not written[UNK]:
+        matrix[UNK] = total / n_read
+    if not written[PAD]:
+        matrix[PAD] = 0.0
+    written[[UNK, PAD]] = True
+    matrix[~written] = matrix[UNK]
     return EmbeddingTable(matrix=matrix, vocab=vocab)
 
 

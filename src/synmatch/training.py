@@ -396,6 +396,7 @@ def train(config, data, table):
     best_auc = None
     best_params = None
     fixed_ctx = None
+    fixed_rng = stream_rng(config.seed, "train")
 
     for epoch in range(config.epochs):
         ep_rng = stream_rng(config.seed, "train", epoch)
@@ -405,17 +406,17 @@ def train(config, data, table):
             items = corpus.sample_pairs(store, n_items, config.neg_ratio, ep_rng)
 
         if config.resample_contexts or fixed_ctx is None:
-            ctx_rng = ep_rng if config.resample_contexts else stream_rng(config.seed, "train")
+            ctx_rng = ep_rng if config.resample_contexts else fixed_rng
             needed = sorted({eid for item in items for eid in _item_entities(item)})
             fixed_ctx = {eid: corpus.retrieve_contexts(data, eid, P, T, ctx_rng)
                          for eid in needed}
         else:
-            # fixed contexts: top up entities not seen in earlier epochs
-            ctx_rng = stream_rng(config.seed, "train")
+            # fixed contexts: top up entities not seen in earlier epochs, drawing
+            # on from where the earlier epochs left the stream
             for item in items:
                 for eid in _item_entities(item):
                     if eid not in fixed_ctx:
-                        fixed_ctx[eid] = corpus.retrieve_contexts(data, eid, P, T, ctx_rng)
+                        fixed_ctx[eid] = corpus.retrieve_contexts(data, eid, P, T, fixed_rng)
 
         epoch_loss = 0.0
         for batch_no in range(0, len(items), config.batch_size):
@@ -476,7 +477,7 @@ def save_checkpoint(path, params, config, meta=None):
 
 def load_checkpoint(path):
     """Read a checkpoint; returns (params, config, meta)."""
-    with open(path, encoding="utf-8") as fh:
+    with corpus.open_text(path) as fh:
         try:
             blob = json.load(fh)
         except json.JSONDecodeError as err:

@@ -401,6 +401,55 @@ def test_non_numeric_embedding_exits_two(work, capsys):
     assert "line 1:" in err and "half" in err and "Traceback" not in err
 
 
+NOT_UTF8 = b"\xff\xfe"
+
+
+def test_non_utf8_embeddings_exit_two(work, capsys):
+    (work / "latin_emb.txt").write_bytes(
+        b"w0 " + b" ".join([b"0.5"] * 16) + b"\nent0_0 1 2" + NOT_UTF8 + b" 3\n")
+    rc, _, err = run(capsys, "score", "--workdir", str(work), "--index", "index.npz",
+                     "--checkpoint", "model.json", "--embeddings", "latin_emb.txt",
+                     "ent0_0", "ent0_1")
+    assert rc == 2
+    assert "latin_emb.txt, line 2: not UTF-8" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("which", ["corpus", "synsets"])
+def test_non_utf8_corpus_or_synsets_exit_two(work, tmp_path, capsys, which):
+    paths = {"corpus": work / "data" / "corpus.txt", "synsets": work / "data" / "synsets.tsv"}
+    bad = tmp_path / f"bad_{which}"
+    text = paths[which].read_bytes().split(b"\n")
+    bad.write_bytes(b"\n".join(text[:2] + [text[2] + NOT_UTF8] + text[3:]))
+    paths[which] = bad
+    rc, _, err = run(capsys, "ingest", "--workdir", str(tmp_path), "--corpus", str(paths["corpus"]),
+                     "--synsets", str(paths["synsets"]), "--out", "index_bad.npz")
+    assert rc == 2
+    assert f"bad_{which}, line 3: not UTF-8" in err and "Traceback" not in err
+    assert not (tmp_path / "index_bad.npz").exists()
+
+
+def test_non_utf8_checkpoint_or_config_exits_two(work, capsys):
+    (work / "model_latin.json").write_bytes(
+        (work / "model.json").read_bytes().replace(b'"meta"', NOT_UTF8 + b'"meta"', 1))
+    (work / "latin.cfg").write_bytes(b"epochs=1\n# caf" + NOT_UTF8 + b"\n")
+    for checkpoint, extra, name in (("model_latin.json", [], "model_latin.json, line"),
+                                    ("model.json", ["--config", "latin.cfg"], "latin.cfg, line 2")):
+        rc, _, err = run(capsys, "score", "--workdir", str(work), "--index", "index.npz",
+                         "--checkpoint", checkpoint, "--embeddings", "data/embeddings.txt",
+                         *extra, "ent0_0", "ent0_1")
+        assert rc == 2
+        assert name in err and "not UTF-8" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--index", "--embeddings", "--checkpoint"])
+def test_directory_as_input_file_exits_two(work, capsys, flag):
+    args = model_args(work)
+    args[args.index(flag) + 1] = "data"
+    rc, _, err = run(capsys, "score", *args, "ent0_0", "ent0_1")
+    assert rc == 2
+    assert "cannot read" in err and "Traceback" not in err
+
+
 def test_checkpoint_missing_parameter_exits_two(work, capsys):
     blob = json.loads((work / "model.json").read_text())
     del blob["params"]["enc.bw.Wh"]

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from synmatch import embeddings
 from synmatch.corpus import PAD, UNK, Vocabulary
@@ -82,7 +85,7 @@ def loop_load_embeddings(path, vocab):
             if not parts or (lineno == 1 and embeddings._parse_header(parts)):
                 continue
             vec = np.array([float(x) for x in parts[1:]])
-            total = vec.copy() if total is None else total + vec
+            total = (np.zeros(len(vec)) if total is None else total) + vec  # +0.0 first, as the loader
             n_read += 1
             if parts[0] in vocab:
                 vectors[vocab.get(parts[0])] = vec
@@ -115,6 +118,93 @@ def test_block_parser_matches_float_loop_bitwise(tmp_path, monkeypatch, dim):
     vocab = make_vocab(["w1", "q"])
     assert embeddings.load_embeddings(str(path), vocab).matrix.tobytes() == \
         loop_load_embeddings(str(path), vocab).tobytes()
+
+
+# float() takes these and numpy's C parser does not: digit separators and
+# non-ASCII digits; then values that are not numbers or not finite
+SPELLINGS = ["1_0", "2_5.5e-1", "\u0663", "\u0661\u0662.\u0665", "\uff17",
+             "nan", "-inf", "1e999", "-1e999", "abc", "0x1p3", "1e-400", "-0.0", "+7", ".5"]
+FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                   st.floats(-1e6, 1e6).map(lambda x: "%.6f" % x))
+TOKENS = ["<unk>", "<pad>", "a", "b", "c", "x"]
+
+
+@st.composite
+def embedding_texts(draw):
+    """An embedding file's text: maybe a header, blank lines, repeated and
+    special tokens; some files hold odd spellings or rows of the wrong width."""
+    dim = draw(st.integers(1, 4))
+    numbers = st.one_of(FLOATS, st.sampled_from(SPELLINGS)) if draw(st.booleans()) else FLOATS
+    kinds = ["row", "row", "row", "blank"] + ["short", "long"] * draw(st.booleans())
+    lines = [f"{draw(st.integers(0, 99))} {dim}"] if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+            continue
+        width = dim + {"row": 0, "short": -1, "long": 1}[kind]
+        sep = draw(st.sampled_from([" ", "  ", "\t"]))
+        lines.append(sep.join([draw(st.sampled_from(TOKENS))]
+                              + draw(st.lists(numbers, min_size=width, max_size=width))))
+    return "".join(line + "\n" for line in lines)
+
+
+def expected_error(text, block):
+    """Start of the DataError a row-by-row reader raises for `text` read in
+    blocks of `block` rows, or None when the file loads: per block the first
+    row of the wrong width, else the first value float() rejects, else the
+    first value that is not finite; then an empty file or an overflowing sum."""
+    rows = [(n, line.split()) for n, line in enumerate(text.split("\n"), start=1)
+            if line.split() and not (n == 1 and embeddings._parse_header(line.split()))]
+    if not rows:
+        return "no embedding vectors"
+    dim = len(rows[0][1]) - 1
+    if dim == 0:
+        return f"line {rows[0][0]}: no values after token"
+    for i in range(0, len(rows), block):
+        chunk = rows[i:i + block]
+        for n, parts in chunk:
+            if len(parts) - 1 != dim:
+                return f"line {n}: expected {dim} values, got {len(parts) - 1}"
+        for n, parts in chunk:
+            try:
+                [float(x) for x in parts[1:]]
+            except ValueError:
+                return f"line {n}: "
+        for n, parts in chunk:
+            if not all(math.isfinite(float(x)) for x in parts[1:]):
+                return f"line {n}: value is not finite"
+    total = np.zeros(dim)
+    for _, parts in rows:
+        total += np.array([float(x) for x in parts[1:]])
+    return None if np.isfinite(total).all() else "the vectors in"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=embedding_texts())
+def test_loader_matches_loop_or_raises_data_error(tmp_path, monkeypatch, text):
+    path = tmp_path / "emb.txt"
+    path.write_text(text, encoding="utf-8")
+    vocab = make_vocab(["a", "b", "c", "zz"])
+    with np.errstate(over="ignore"):
+        for block in (1, 7, 4096):
+            monkeypatch.setattr(embeddings, "PARSE_BLOCK", block)
+            want = expected_error(text, block)
+            if want is None:
+                got = embeddings.load_embeddings(str(path), vocab).matrix
+                assert got.tobytes() == loop_load_embeddings(str(path), vocab).tobytes()
+            else:
+                with pytest.raises(DataError) as err:
+                    embeddings.load_embeddings(str(path), vocab)
+                assert str(err.value).startswith(want)
+
+
+def test_non_utf8_embedding_file_cites_line(tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_bytes(b"3 2\na 1 2\n\nb 3 \xff4\nc 5 6\n")
+    with pytest.raises(DataError, match=r"emb\.txt, line 4: not UTF-8"):
+        embeddings.load_embeddings(str(path), make_vocab(["a", "b", "c"]))
 
 
 def test_empty_file_errors(tmp_path):

@@ -261,6 +261,24 @@ def test_fixed_contexts_keep_each_entitys_windows(tmp_path, monkeypatch, resampl
         assert training.train(config, data, table)[1] == history
 
 
+def test_fixed_contexts_draw_on_one_stream(tmp_path, monkeypatch):
+    """Entities first sampled in a later epoch draw fresh random numbers, not
+    a replay of the draws epoch 0's entities got."""
+    data, table, config = toy_setup(tmp_path, epochs=6, pairs_per_epoch=1,
+                                    resample_contexts=False)
+    retrieve = corpus.retrieve_contexts
+    states = []
+
+    def recording(data, entity, P, T, rng):
+        states.append(repr(rng.bit_generator.state))
+        return retrieve(data, entity, P, T, rng)
+
+    monkeypatch.setattr(corpus, "retrieve_contexts", recording)
+    training.train(config, data, table)
+    assert len(states) > 2
+    assert len(set(states)) == len(states)
+
+
 def test_train_zero_learning_rate_keeps_parameters(tmp_path):
     data, table, config = toy_setup(tmp_path, epochs=1, learning_rate=0.0)
     params, _ = training.train(config, data, table)
