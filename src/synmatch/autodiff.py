@@ -11,8 +11,9 @@ differences.
 
 Gradients are accumulated in a per-call table rather than on the nodes, so
 `Var`s are immutable after construction and independent graphs can be
-evaluated concurrently. Evaluating the same graph twice yields bitwise
-identical results.
+evaluated concurrently. Building and differentiating the same loss twice
+yields bitwise identical results. A recorded graph is differentiated once:
+the encoder's node writes its gradients over the values it saved.
 """
 
 from dataclasses import dataclass

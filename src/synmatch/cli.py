@@ -194,6 +194,8 @@ def _apply_config(args, base):
 def _load_model(args):
     """Resolve --index, --checkpoint and --embeddings, load all three and echo
     the config; returns (data, params, config, table)."""
+    if not np.isfinite(getattr(args, "threshold", 0.0)):
+        raise DataError(f"--threshold must be a finite number, got {args.threshold}")
     _resolve_args(args, "index", "checkpoint", "embeddings")
     data = load_index(args.index)
     params, config, _ = training.load_checkpoint(args.checkpoint)

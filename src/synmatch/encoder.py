@@ -9,9 +9,15 @@ runs both cells over the whole window and concatenates the final states.
 Each direction keeps its four gates stacked in the order i, f, o, g:
 `enc.{fw,bw}.Wx` (d_embed, 4 d_h), `Wh` (d_h, 4 d_h) and `b` (1, 4 d_h).
 The input projection X Wx is one product over all steps; only h Wh runs
-inside the time loop.  One numpy forward serves inference (`encode_batch`)
-and training (`encode_batch_vars`, one tape node whose backward runs
-backpropagation through time by hand).
+inside the time loop.  The forward halves the i, f, o columns of the weights
+(exact: 0.5 is a power of two), so one tanh covers a step's gate block and
+s 0.5 + 0.5 gives the sigmoids, as sigmoid(x) = 0.5 (1 + tanh(x / 2)).  One
+numpy forward serves inference (`encode_batch`) and training
+(`encode_batch_vars`, one tape node whose backward runs backpropagation
+through time by hand).  Per packed step the forward keeps the inputs X, the
+gate values A, the states H and the cells C; the backward recomputes tanh(C)
+and writes each step's pre-activation gradients dZ over its gate values in
+A, so a node can be backpropagated only once.
 
 Each direction steps only the (step, row) pairs it uses: a row stops at its
 stop step (the entity token for the anchored variant, the window's end for
@@ -30,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ShapeError
+from .errors import ShapeError, SynmatchError
 
 DIRECTIONS = ("fw", "bw")
 PARAM_NAMES = tuple(f"enc.{d}.{part}" for d in DIRECTIONS for part in ("Wx", "Wh", "b"))
@@ -58,14 +64,6 @@ def init_encoder_params(d_embed, d_ce, rng):
         params[f"enc.{direction}.Wh"] = np.concatenate(wh, axis=1)
         params[f"enc.{direction}.b"] = b
     return params
-
-
-def _sigmoid_(x):
-    """In-place sigmoid in its tanh form, 0.5 (1 + tanh(x / 2))."""
-    x *= 0.5
-    np.tanh(x, out=x)
-    x += 1.0
-    x *= 0.5
 
 
 def _gates(a, d_h):
@@ -100,72 +98,81 @@ def _forward(E, tok, pk, Wx, Wh, b):
     state at each row's stop step and the saved values `_backward` needs."""
     n, offs = pk.n, pk.offs
     d_h = Wh.shape[0]
+    half = np.repeat([0.5, 1.0], (3 * d_h, d_h))
+    Wh = Wh * half
     X = E[tok]                             # (N, d_embed)
-    # A holds the pre-activations, then (in place) the gate values i, f, o, g
-    A = X @ Wx
-    A += b
+    # A holds the pre-activations (i, f, o halved), then in place the gate values
+    A = X @ (Wx * half)
+    A += b * half
     H = np.empty((len(tok), d_h))          # state after each packed step
     C = np.empty_like(H)                   # cell after each packed step
-    TC = np.empty_like(H)                  # tanh of that cell
+    tc = np.empty((n[0], d_h))             # tanh of the live rows' cells
     for t in range(len(n)):
         now = slice(offs[t], offs[t + 1])
         a, c = A[now], C[now]
         if t:
             prev = slice(offs[t - 1], offs[t - 1] + n[t])
             a += H[prev] @ Wh
-        _sigmoid_(a[:, :3 * d_h])
-        np.tanh(a[:, 3 * d_h:], out=a[:, 3 * d_h:])
+        np.tanh(a, out=a)
+        a[:, :3 * d_h] *= 0.5
+        a[:, :3 * d_h] += 0.5
         i, f, o, g = _gates(a, d_h)
         np.multiply(i, g, out=c)
         if t:
             c += f * C[prev]
-        np.tanh(c, out=TC[now])
-        np.multiply(o, TC[now], out=H[now])
+        np.tanh(c, out=tc[:n[t]])
+        np.multiply(o, tc[:n[t]], out=H[now])
     out = np.empty((len(pk.order), d_h))
     out[pk.order] = H[pk.pick]
-    return out, (tok, X, A, H, C, TC, pk)
+    return out, (tok, X, A, H, C, pk)
 
 
 def _backward(dout, saved, Wh):
     """Backpropagation through time for one direction, walking the packed
     steps in reverse.
 
-    dout is the (B, d_h) gradient of the selected states.  Returns the
-    (N, 4 d_h) packed pre-activation gradients with dWx, dWh and db.
+    dout is the (B, d_h) gradient of the selected states.  Each step's
+    pre-activation gradients overwrite its gate values in the saved A, which
+    is returned as the (N, 4 d_h) packed dZ together with dWx, dWh and db.
     """
-    _, X, A, H, C, TC, pk = saved
+    _, X, A, H, C, pk = saved
     offs = pk.offs
     n = np.append(pk.n, 0)
     d_h = Wh.shape[0]
     dout = dout[pk.order]
-    dZ = np.empty_like(A)
     dh = np.empty((len(pk.order), d_h))    # leading n[t] rows are live at step t
     dc = np.empty_like(dh)
+    D = np.empty((len(pk.order), 4 * d_h))  # the live rows' gate derivatives
     for t in range(len(n) - 2, -1, -1):
         now = slice(offs[t], offs[t + 1])
         # the rows whose stop step is t join here, with no cell gradient yet
         dh[n[t + 1]:n[t]] = dout[n[t + 1]:n[t]]
         dc[n[t + 1]:n[t]] = 0.0
-        h, c = dh[:n[t]], dc[:n[t]]
-        a, tc, z = A[now], TC[now], dZ[now]
+        h, c, a, d = dh[:n[t]], dc[:n[t]], A[now], D[:n[t]]
         i, f, o, g = _gates(a, d_h)
-        di, df, do, dg = _gates(z, d_h)
+        di, df, do, dg = _gates(d, d_h)
+        np.subtract(1.0, a[:, :3 * d_h], out=d[:, :3 * d_h])
+        d[:, :3 * d_h] *= a[:, :3 * d_h]   # s (1 - s) for i, f, o
+        np.multiply(g, g, out=dg)
+        np.subtract(1.0, dg, out=dg)       # 1 - g^2
+        tc = np.tanh(C[now])
         c += h * o * (1.0 - tc * tc)
-        np.multiply(c * g, i * (1.0 - i), out=di)
+        di *= c * g
         if t:
-            np.multiply(c * C[offs[t - 1]:offs[t - 1] + n[t]], f * (1.0 - f), out=df)
+            df *= c * C[offs[t - 1]:offs[t - 1] + n[t]]
         else:
             df[...] = 0.0                  # the cell starts at zero
-        np.multiply(h * tc, o * (1.0 - o), out=do)
-        np.multiply(c * i, 1.0 - g * g, out=dg)
+        do *= h * tc
+        dg *= c * i
         c *= f
+        a[...] = d                         # dZ over the step's gate values
         if t:
-            np.matmul(z, Wh.T, out=h)
-    dWx = X.T @ dZ
+            np.matmul(a, Wh.T, out=h)
+    dWx = X.T @ A
     # packed row p of step t >= 1 follows packed row p - n[t - 1]
     later = slice(offs[1], None)
-    dWh = H[np.arange(offs[1], offs[-1]) - n[pk.step[later] - 1]].T @ dZ[later]
-    return dZ, dWx, dWh, dZ.sum(axis=0, keepdims=True)
+    dWh = H[np.arange(offs[1], offs[-1]) - n[pk.step[later] - 1]].T @ A[later]
+    return A, dWx, dWh, A.sum(axis=0, keepdims=True)
 
 
 def _encode(windows, weights, E, variant):
@@ -219,10 +226,14 @@ def encode_batch_vars(windows, params, emb, variant="anchored"):
     parents = tuple(weights) + ((emb,) if trains_emb else ())
 
     def backward(g):
+        nonlocal saved
+        if saved is None:
+            raise SynmatchError("encoder node replayed: its saved gates now hold dZ")
+        directions, saved = saved, None
         d_h = W[1].shape[0]
         grads = []
         dE = np.zeros_like(E) if trains_emb else None
-        for k, direction in enumerate(saved):
+        for k, direction in enumerate(directions):
             dZ, dWx, dWh, db = _backward(g[:, k * d_h:(k + 1) * d_h], direction, W[3 * k + 1])
             grads += [dWx, dWh, db]
             if trains_emb:

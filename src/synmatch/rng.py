@@ -7,6 +7,8 @@ reproducible no matter which other subsystems ran before them.
 
 import numpy as np
 
+from .errors import DataError
+
 # Fixed stream indices; changing these changes every derived stream.
 STREAMS = {
     "ingest": 0,
@@ -22,6 +24,8 @@ def stream_rng(seed, name, *extra):
 
     Same (seed, name, extra) always yields the same stream.
     """
+    if int(seed) < 0:
+        raise DataError(f"seed must be non-negative, got {seed}")
     if name not in STREAMS:
         raise KeyError(f"unknown rng stream {name!r}; known: {sorted(STREAMS)}")
     key = [int(seed), STREAMS[name]] + [int(x) for x in extra]

@@ -81,6 +81,8 @@ class TrainConfig:
         for name in ("learning_rate", "margin", "clip_norm", "neg_ratio"):
             if not math.isfinite(getattr(self, name)):
                 raise DataError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise DataError(f"seed must be non-negative, got {self.seed}")
         if self.pairs_per_epoch < 0:
             raise DataError(
                 f"pairs_per_epoch must be non-negative, got {self.pairs_per_epoch}")

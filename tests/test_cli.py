@@ -489,3 +489,48 @@ def test_gradcheck_passes_and_reports_worst_error(capsys):
     m = re.search(r"worst relative error (\S+)", out)
     assert m and float(m.group(1)) < 1e-4
     assert out.count("max rel error") == 8
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_negative_seed_exits_two(work, tmp_path, capsys, command):
+    paths = ["--corpus", str(work / "data/corpus.txt"), "--synsets", str(work / "data/synsets.tsv"),
+             "--out", str(tmp_path / "index.npz")]
+    argv = {"ingest": paths,
+            "train": ["--workdir", str(work), "--index", "index.npz",
+                      "--embeddings", "data/embeddings.txt", "--d-ce", "8",
+                      "--checkpoint", str(tmp_path / "model.json"), "--epochs", "1"],
+            "evaluate": model_args(work) + ["--out", str(tmp_path / "metrics.txt")],
+            "score": model_args(work) + ["ent0_0", "ent0_1"],
+            "discover": model_args(work) + ["ent0_0"],
+            "gradcheck": [],
+            "synth": ["--workdir", str(tmp_path)]}[command]
+    rc, _, err = run(capsys, command, *argv, "--seed=-1")
+    assert rc == 2
+    assert "seed must be non-negative, got -1" in err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_negative_seed_in_config_or_checkpoint_exits_two(work, capsys):
+    (work / "negseed.cfg").write_text("seed=-4\n")
+    blob = json.loads((work / "model.json").read_text())
+    blob["config"]["seed"] = -4
+    (work / "model_negseed.json").write_text(json.dumps(blob))
+    for checkpoint, extra in (("model.json", ["--config", "negseed.cfg"]),
+                              ("model_negseed.json", [])):
+        rc, _, err = run(capsys, "score", "--workdir", str(work), "--index", "index.npz",
+                         "--checkpoint", checkpoint, "--embeddings", "data/embeddings.txt",
+                         *extra, "ent0_0", "ent0_1")
+        assert rc == 2
+        assert "seed must be non-negative, got -4" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["evaluate", "discover"])
+def test_non_finite_threshold_exits_two(work, tmp_path, capsys, command, threshold):
+    extra = {"evaluate": ["--out", str(tmp_path / "metrics.txt")], "discover": ["ent0_0"]}
+    rc, out, err = run(capsys, command, *model_args(work), *extra[command],
+                       f"--threshold={threshold}", "--seed", "3")
+    assert rc == 2
+    assert f"--threshold must be a finite number, got {threshold}" in err
+    assert "Traceback" not in err and "FINAL ENTITIES" not in out
+    assert not any(tmp_path.iterdir())

@@ -1,5 +1,8 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from synmatch import corpus
 from synmatch.errors import DataError, NoContextError, UnknownEntityError
@@ -316,3 +319,66 @@ def test_streams_differ():
     a = stream_rng(0, "train").integers(1 << 30, size=8)
     b = stream_rng(0, "eval").integers(1 << 30, size=8)
     assert not np.array_equal(a, b)
+
+
+WORDS = ["a", "b", "ent", "\u00e9t\u00e9", "<unk>", "<pad>", "x_1"]
+SEPARATORS = [" ", "  ", "\t", "\u00a0", "\u2028", "\r", "\r\n"]
+
+
+@st.composite
+def ingest_inputs(draw):
+    """Corpus and synsets bytes: repeated, blank and special-token lines,
+    odd whitespace, members absent from the corpus; some files hold bytes
+    that are not UTF-8."""
+    def text(line):
+        return "".join(draw(line) + draw(st.sampled_from(["\n", "\r\n", "\r"]))
+                       for _ in range(draw(st.integers(0, 10))))
+    words = st.lists(st.sampled_from(WORDS), max_size=6)
+    corpus_text = text(words.map(lambda ws: draw(st.sampled_from(SEPARATORS)).join(ws)))
+    members = st.sampled_from(WORDS + ["ghost", "a b", " a", ""])
+    synsets_text = text(st.lists(members, max_size=4, unique=True).map("\t".join))
+    blobs = []
+    for t in (corpus_text, synsets_text):
+        blob = t.encode("utf-8")
+        if draw(st.integers(0, 9)) == 5:
+            at = draw(st.integers(0, len(blob)))
+            blob = blob[:at] + draw(st.sampled_from([b"\xff", b"\xc3(", b"\xed\xa0\x80"])) + blob[at:]
+        blobs.append(blob)
+    return blobs[0], blobs[1], draw(st.integers(1, 3))
+
+
+def read_lines(blob):
+    # what a text-mode read gives: universal newlines, then one line per "\n"
+    return blob.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(inputs=ingest_inputs())
+def test_ingest_matches_line_reading_or_raises_data_error(tmp_path, inputs):
+    corpus_blob, synsets_blob, min_count = inputs
+    (tmp_path / "c.txt").write_bytes(corpus_blob)
+    (tmp_path / "s.tsv").write_bytes(synsets_blob)
+    try:
+        lines = [ln for ln in dict.fromkeys(tuple(ln.split()) for ln in read_lines(corpus_blob))
+                 if ln]
+        counts = Counter(t for ln in lines for t in ln)
+        want = []
+        for ln in read_lines(synsets_blob):
+            kept = [m for m in ln.split("\t") if m and counts.get(m, 0) >= min_count]
+            if kept:
+                want.append(kept)
+        flat = [m for kept in want for m in kept]
+        problem = None if len(set(flat)) == len(flat) else "appears in synsets"
+    except UnicodeDecodeError:
+        problem = "not UTF-8"
+    try:
+        data = corpus.ingest(str(tmp_path / "c.txt"), str(tmp_path / "s.tsv"), min_count)
+    except DataError as err:
+        assert problem is not None and problem in str(err)
+        return
+    assert problem is None
+    token = data.vocab.token
+    assert [tuple(map(token, ln)) for ln in data.lines] == lines
+    assert [[token(e) for e in ss] for ss in data.store.synsets] == want
+    assert data.occ_start[-1] == len(data.tokens) == sum(map(len, lines))

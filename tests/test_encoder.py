@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from synmatch import autodiff as ad
 from synmatch import encoder
 from synmatch.corpus import PAD, ContextWindow
-from synmatch.errors import ShapeError
+from synmatch.errors import ShapeError, SynmatchError
 from synmatch.rng import stream_rng
 
 D_EMBED = 3
@@ -192,6 +194,43 @@ def test_encode_batch_vars_is_one_tape_node(setup):
     inner = [node for node in ad._topo_order(out) if node.parents]
     assert inner == [out]
     assert len(out.parents) == 7      # six weights and the embedding matrix
+
+
+def test_replaying_an_encoder_node_raises(setup):
+    # the node's backward writes its gradients over the saved gate values
+    params, emb = setup
+    leaves = {k: ad.Var(v) for k, v in params.items()}
+    out = encoder.encode_batch_vars([window([4, 5, 6], 1), window([7, 8], 0)], leaves, emb)
+    loss = ad.sum_all(ad.square(out))
+    first = ad.backward(loss, list(leaves.values()))
+    assert all(np.all(np.isfinite(g)) for g in first)
+    with pytest.raises(SynmatchError, match="replayed"):
+        ad.backward(loss, list(leaves.values()))
+
+
+def test_tape_holds_one_gate_block_per_direction():
+    B, T, d_h = 16, 30, 32
+    rng = stream_rng(11, "init")
+    params = encoder.init_encoder_params(D_EMBED, 2 * d_h, rng)
+    emb = rng.normal(size=(VOCAB, D_EMBED))
+    windows = [window(rng.integers(2, VOCAB, size=T), 0) for _ in range(B)]
+    W = [params[name] for name in encoder.PARAM_NAMES]
+    N = B * T                         # packed rows of each bilstm direction
+    for direction in encoder._encode(windows, W, emb, "bilstm")[1]:
+        states = [x for x in direction if isinstance(x, np.ndarray) and x.shape == (N, d_h)]
+        assert len(states) == 2       # H and C, no tanh(C)
+        assert not any(np.allclose(x, np.tanh(y)) for x in states for y in states)
+    out = encoder.encode_batch_vars(windows, params, emb, "bilstm")
+    g = np.ones_like(out.value)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out.backward_fn(g)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # no second (N, 4 d_h) block for dZ beside the saved gate values
+    assert peak < N * 4 * d_h * 8
 
 
 def test_padding_rows_get_no_gradient(setup):
