@@ -32,7 +32,7 @@ junk = -3.0 * np.ones((1, d))
 H_noisy = np.vstack([H[:2], junk])
 
 plain = matcher.match_score(H_noisy, G, W)
-leaky = matcher.match_score(H_noisy, G, W, np.zeros((1, d)))
+leaky = matcher.match_score(H_noisy, G, W, leaky=True)
 print("score with junk context, no leaky:", round(plain.score, 4))
 print("score with junk context, leaky:   ", round(leaky.score, 4))
 print("leak share per column of B:", np.round(leaky.leak_fwd, 3))

@@ -272,8 +272,7 @@ def cmd_evaluate(args):
     data, params, config, table = _load_model(args)
     ks = _parse_ks(args.ks)
     report = evaluation.evaluate(params, config, data, table, split=args.split,
-                                 seed=args.seed, ks=ks, knn_k=args.knn_k,
-                                 threshold=args.threshold)
+                                 seed=args.seed, ks=ks, knn_k=args.knn_k)
     text = report.to_text()
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -373,8 +372,7 @@ def build_parser():
     p.add_argument("--embeddings", required=True, help="word embedding text file")
     p.add_argument("--checkpoint", default="model.json")
     p.add_argument("--history", default="history.txt")
-    choices = {"objective": training.OBJECTIVES, "encoder": training.ENCODERS,
-               "optimizer": training.OPTIMIZERS}
+    choices = {"objective": training.OBJECTIVES, "encoder": training.ENCODERS}
     helps = {"d_ce": "context encoding width (both directions together)"}
     for f in fields(training.TrainConfig):
         if f.name == "seed":
@@ -391,7 +389,6 @@ def build_parser():
     p.add_argument("--out", default="metrics.txt")
     p.add_argument("--ks", default="1,5,10", help="comma-separated cutoffs")
     p.add_argument("--knn-k", type=int, default=50)
-    p.add_argument("--threshold", type=float, default=0.8)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("score", parents=[common, config, model],

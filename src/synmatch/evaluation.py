@@ -128,16 +128,6 @@ def eval_contexts(data, entity_ids, P, T, seed):
     return out
 
 
-def leak_slot(params, config):
-    """The matcher's leak argument: None when off, the trainable
-    params["match.leak"] when present, else a fixed zero row."""
-    if not config.leaky:
-        return None
-    if config.leaky_trainable and "match.leak" in params:
-        return params["match.leak"]
-    return np.zeros((1, config.d_ce))
-
-
 def stack_windows(ctx, ids):
     """All windows ctx[id] of the ids, in order, and rows[id]: their indices."""
     windows, rows = [], {}
@@ -165,7 +155,7 @@ def entity_scorer(params, config, ctx, emb):
         return np.concatenate([
             matcher.match_score(enc[h_rows if len(h_rows) == 1 else h_rows[i:i + SCORE_SLICE]],
                                 enc[g_rows[i:i + SCORE_SLICE]], params["match.w_bm"],
-                                leak_slot(params, config)).score
+                                config.leaky).score
             for i in range(0, len(g_rows), SCORE_SLICE)])
 
     return score
@@ -239,7 +229,9 @@ def evaluate(params, config, data, table, split="test", seed=0,
 
     Ranking metrics run the discovery pipeline for every entity of the split
     that has at least one synonym there, against the split's entities as the
-    candidate universe.
+    candidate universe.  The report ranks candidates and accepts none, so it
+    does not depend on `threshold`, which is taken only for callers that pass
+    discover's keywords.
     """
     if knn_k < 1:
         raise DataError(f"knn_k must be at least 1, got {knn_k}")

@@ -1,4 +1,4 @@
-"""Training: metric-learning objectives, optimizers, the loop, checkpoints.
+"""Training: metric-learning objectives, Adam, the loop, checkpoints.
 
 Entity pairs (or triplets) are sampled from the train synsets each epoch,
 their contexts retrieved and encoded in one batched pass, matched and scored,
@@ -28,10 +28,14 @@ log = logging.getLogger(__name__)
 
 OBJECTIVES = ("siamese", "triplet")
 ENCODERS = ("anchored", "bilstm")
-OPTIMIZERS = ("adam", "rmsprop", "adagrad", "adadelta")
 
 CHECKPOINT_FORMAT = "synmatch-checkpoint"
 CHECKPOINT_VERSION = 2
+# options earlier versions offered, now fixed at one value: a checkpoint's
+# config may still name one, but only at that value
+RETIRED_KEYS = {"optimizer": "adam", "leaky_trainable": False, "resample_contexts": True}
+# the values each field type takes; a bool is never read as a number
+_KINDS = {bool: bool, int: int, float: (int, float), str: str}
 
 
 @dataclass
@@ -39,12 +43,10 @@ class TrainConfig:
     objective: str = "siamese"
     encoder: str = "anchored"
     leaky: bool = True
-    leaky_trainable: bool = False
     contexts_per_entity: int = 20
     max_context_len: int = 50
     d_ce: int = 256
     margin: float = 0.75
-    optimizer: str = "adam"
     batch_size: int = 16
     learning_rate: float = 0.0003
     epochs: int = 40
@@ -52,16 +54,17 @@ class TrainConfig:
     neg_ratio: float = 1.0
     clip_norm: float = 5.0
     fine_tune_embeddings: bool = False
-    resample_contexts: bool = True
     pairs_per_epoch: int = 0
 
     def validate(self):
+        for f in fields(self):
+            value, kinds = getattr(self, f.name), _KINDS[f.type]
+            if not isinstance(value, kinds) or isinstance(value, bool) != (f.type is bool):
+                raise DataError(f"{f.name} must be {f.type.__name__}, got {value!r}")
         if self.objective not in OBJECTIVES:
             raise DataError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
         if self.encoder not in ENCODERS:
             raise DataError(f"encoder must be one of {ENCODERS}, got {self.encoder!r}")
-        if self.optimizer not in OPTIMIZERS:
-            raise DataError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
         if self.contexts_per_entity < 1:
             raise DataError("contexts_per_entity must be at least 1")
         if self.max_context_len < 1:
@@ -79,7 +82,7 @@ class TrainConfig:
         if self.neg_ratio < 0:
             raise DataError("neg_ratio must be non-negative")
         for name in ("learning_rate", "margin", "clip_norm", "neg_ratio"):
-            if not math.isfinite(getattr(self, name)):
+            if not -math.inf < getattr(self, name) < math.inf:
                 raise DataError(f"{name} must be finite, got {getattr(self, name)}")
         if self.seed < 0:
             raise DataError(f"seed must be non-negative, got {self.seed}")
@@ -156,85 +159,29 @@ def triplet_term_var(s_pos, s_neg, margin):
 
 
 # ---------------------------------------------------------------------------
-# optimizers
+# optimizer
 
-class _SlotOptimizer:
-    """Shared bookkeeping: one or two moment arrays per parameter name."""
+class Adam:
+    """Adam (Kingma & Ba 2014): bias-corrected first and second moments,
+    kept per parameter name."""
 
-    def __init__(self, lr):
-        self.lr = lr
-        self.slots = {}
-
-    def slot(self, name, like, which=0):
-        key = (name, which)
-        if key not in self.slots:
-            self.slots[key] = np.zeros_like(like)
-        return self.slots[key]
-
-
-class Adam(_SlotOptimizer):
     def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        super().__init__(lr)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
+        self.m, self.v = {}, {}
 
     def step(self, params, grads):
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         for name, g in grads.items():
-            m = self.slot(name, g, 0)
-            v = self.slot(name, g, 1)
+            if name not in self.m:
+                self.m[name], self.v[name] = np.zeros_like(g), np.zeros_like(g)
+            m, v = self.m[name], self.v[name]
             m += (1 - b1) * (g - m)
             v += (1 - b2) * (g * g - v)
             m_hat = m / (1 - b1 ** self.t)
             v_hat = v / (1 - b2 ** self.t)
             params[name] = params[name] - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-class RMSProp(_SlotOptimizer):
-    def __init__(self, lr, rho=0.9, eps=1e-8):
-        super().__init__(lr)
-        self.rho, self.eps = rho, eps
-
-    def step(self, params, grads):
-        for name, g in grads.items():
-            acc = self.slot(name, g)
-            acc += (1 - self.rho) * (g * g - acc)
-            params[name] = params[name] - self.lr * g / (np.sqrt(acc) + self.eps)
-
-
-class Adagrad(_SlotOptimizer):
-    def __init__(self, lr, eps=1e-8):
-        super().__init__(lr)
-        self.eps = eps
-
-    def step(self, params, grads):
-        for name, g in grads.items():
-            acc = self.slot(name, g)
-            acc += g * g
-            params[name] = params[name] - self.lr * g / (np.sqrt(acc) + self.eps)
-
-
-class Adadelta(_SlotOptimizer):
-    def __init__(self, lr, rho=0.95, eps=1e-8):
-        super().__init__(lr)
-        self.rho, self.eps = rho, eps
-
-    def step(self, params, grads):
-        for name, g in grads.items():
-            acc_g = self.slot(name, g, 0)
-            acc_d = self.slot(name, g, 1)
-            acc_g += (1 - self.rho) * (g * g - acc_g)
-            delta = -np.sqrt(acc_d + self.eps) / np.sqrt(acc_g + self.eps) * g
-            acc_d += (1 - self.rho) * (delta * delta - acc_d)
-            params[name] = params[name] + self.lr * delta
-
-
-def make_optimizer(name, lr):
-    table = {"adam": Adam, "rmsprop": RMSProp, "adagrad": Adagrad, "adadelta": Adadelta}
-    if name not in table:
-        raise DataError(f"unknown optimizer {name!r}")
-    return table[name](lr)
 
 
 def clip_gradients(grads, max_norm):
@@ -255,8 +202,6 @@ def init_model_params(config, table, rng):
     params = encoder.init_encoder_params(table.dim, config.d_ce, rng)
     # identity start: matching an entity against itself then scores exactly 1
     params["match.w_bm"] = np.eye(config.d_ce)
-    if config.leaky and config.leaky_trainable:
-        params["match.leak"] = np.zeros((1, config.d_ce))
     if config.fine_tune_embeddings:
         params["embed.table"] = table.matrix.copy()
     return params
@@ -287,10 +232,10 @@ def batch_loss_builder(items, contexts, config, frozen_emb):
         emb = v["embed.table"] if "embed.table" in v else frozen_emb
         encoded = encoder.encode_batch_vars(windows, v, emb, config.encoder)
         w_bm = v["match.w_bm"]
-        leak = evaluation.leak_slot(v, config)
 
         def scores(other):
-            return matcher.pair_score_vars(encoded, encoded, w_bm, leak, (roles[0], other))
+            return matcher.pair_score_vars(encoded, encoded, w_bm, config.leaky,
+                                           (roles[0], other))
 
         if triplets:
             terms = triplet_term_var(scores(roles[1]), scores(roles[2]), config.margin)
@@ -305,8 +250,7 @@ def gradcheck_model(seed=0, eps=1e-5):
     """Finite-difference check of the whole model on a small random setup.
 
     Covers both objectives, both encoder variants, and the leaky unit on and
-    off (trainable when on, so its gradient is checked too).  Returns a list
-    of (label, FiniteDiffReport), one per combination.
+    off.  Returns a list of (label, FiniteDiffReport), one per combination.
     """
     n_vocab, d_embed, n_entities = 20, 4, 4
     base = stream_rng(seed, "init", 99)
@@ -319,7 +263,7 @@ def gradcheck_model(seed=0, eps=1e-5):
             for leaky in (False, True):
                 config = TrainConfig(
                     objective=objective, encoder=variant, leaky=leaky,
-                    leaky_trainable=leaky, d_ce=4, contexts_per_entity=2,
+                    d_ce=4, contexts_per_entity=2,
                     max_context_len=5, fine_tune_embeddings=True,
                     seed=seed).validate()
                 rng = stream_rng(seed, "init", len(reports))
@@ -379,7 +323,7 @@ def train(config, data, table):
     T = config.max_context_len
     params = init_model_params(config, table, stream_rng(config.seed, "init"))
     frozen_emb = table.matrix
-    opt = make_optimizer(config.optimizer, config.learning_rate)
+    opt = Adam(config.learning_rate)
 
     valid_pairs = evaluation.make_eval_pairs(store, "valid", stream_rng(config.seed, "eval", 1))
     n_pos = sum(p.label for p in valid_pairs)
@@ -397,8 +341,6 @@ def train(config, data, table):
     history = []
     best_auc = None
     best_params = None
-    fixed_ctx = None
-    fixed_rng = stream_rng(config.seed, "train")
 
     for epoch in range(config.epochs):
         ep_rng = stream_rng(config.seed, "train", epoch)
@@ -407,23 +349,14 @@ def train(config, data, table):
         else:
             items = corpus.sample_pairs(store, n_items, config.neg_ratio, ep_rng)
 
-        if config.resample_contexts or fixed_ctx is None:
-            ctx_rng = ep_rng if config.resample_contexts else fixed_rng
-            needed = sorted({eid for item in items for eid in _item_entities(item)})
-            fixed_ctx = {eid: corpus.retrieve_contexts(data, eid, P, T, ctx_rng)
-                         for eid in needed}
-        else:
-            # fixed contexts: top up entities not seen in earlier epochs, drawing
-            # on from where the earlier epochs left the stream
-            for item in items:
-                for eid in _item_entities(item):
-                    if eid not in fixed_ctx:
-                        fixed_ctx[eid] = corpus.retrieve_contexts(data, eid, P, T, fixed_rng)
+        # every epoch draws fresh contexts, in entity id order
+        needed = sorted({eid for item in items for eid in _item_entities(item)})
+        contexts = {eid: corpus.retrieve_contexts(data, eid, P, T, ep_rng) for eid in needed}
 
         epoch_loss = 0.0
         for batch_no in range(0, len(items), config.batch_size):
             batch = items[batch_no:batch_no + config.batch_size]
-            builder = batch_loss_builder(batch, fixed_ctx, config, frozen_emb)
+            builder = batch_loss_builder(batch, contexts, config, frozen_emb)
             try:
                 value, grads = ad.grad(builder, params)
             except NumericError as err:
@@ -477,6 +410,12 @@ def save_checkpoint(path, params, config, meta=None):
         fh.write("\n")
 
 
+def _json_object(value, what):
+    if not isinstance(value, dict):
+        raise DataError(f"checkpoint {what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def load_checkpoint(path):
     """Read a checkpoint; returns (params, config, meta)."""
     with corpus.open_text(path) as fh:
@@ -484,27 +423,38 @@ def load_checkpoint(path):
             blob = json.load(fh)
         except json.JSONDecodeError as err:
             raise DataError(f"checkpoint {path} is not valid JSON: {err}") from err
-    if blob.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(blob, dict) or blob.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"{path} is not a model checkpoint")
     version = blob.get("version")
-    if version not in (1, CHECKPOINT_VERSION):
+    if type(version) is not int or version not in (1, CHECKPOINT_VERSION):
         raise DataError(f"checkpoint version {version} unsupported "
                         f"(expected 1 or {CHECKPOINT_VERSION})")
-    known = {f.name for f in fields(TrainConfig)}
-    cfg_dict = blob.get("config", {})
-    unknown = set(cfg_dict) - known
+    cfg_dict = dict(_json_object(blob.get("config", {}), "config"))
+    for key, fixed in RETIRED_KEYS.items():
+        value = cfg_dict.pop(key, fixed)
+        if type(value) is not type(fixed) or value != fixed:
+            raise DataError(f"checkpoint config key {key}={value!r} is no longer "
+                            f"supported; only {key}={fixed!r} is")
+    unknown = set(cfg_dict) - {f.name for f in fields(TrainConfig)}
     if unknown:
         raise DataError(f"checkpoint config has unknown keys: {sorted(unknown)}")
     config = TrainConfig(**cfg_dict).validate()
     params = {}
-    for name, entry in blob.get("params", {}).items():
-        shape = tuple(int(x) for x in entry["shape"])
-        raw = base64.b64decode(entry["data"])
-        count = int(np.prod(shape)) if shape else 1
+    for name, entry in _json_object(blob.get("params", {}), "params").items():
+        shape, data = _json_object(entry, f"parameter {name}").get("shape"), entry.get("data")
+        if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape) \
+                or not isinstance(data, str):
+            raise DataError(f"parameter {name}: needs a shape of non-negative integers "
+                            f"and a base64 data string")
+        try:
+            raw = base64.b64decode(data, validate=True)
+        except ValueError as err:
+            raise DataError(f"parameter {name}: data is not base64 ({err})") from err
+        count = math.prod(shape)
         if len(raw) != count * 8:
             raise DataError(
                 f"parameter {name}: data block holds {len(raw) // 8} values "
-                f"but shape {list(shape)} needs {count}")
+                f"but shape {shape} needs {count}")
         params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
     if version == 1:
         _stack_v1_gates(params)
@@ -516,8 +466,6 @@ def _check_params(params, config):
     """Raise DataError unless `params` has exactly the names and shapes that
     `init_model_params` builds for `config` (None: any length)."""
     names = set(encoder.PARAM_NAMES) | {"match.w_bm"}
-    if config.leaky and config.leaky_trainable:
-        names.add("match.leak")
     if config.fine_tune_embeddings:
         names.add("embed.table")
     missing, unexpected = sorted(names - set(params)), sorted(set(params) - names)
@@ -527,8 +475,7 @@ def _check_params(params, config):
     d_ce = config.d_ce
     wx = params["enc.fw.Wx"]
     d_embed = wx.shape[0] if wx.ndim else None
-    shapes = {"match.w_bm": (d_ce, d_ce), "match.leak": (1, d_ce),
-              "embed.table": (None, d_embed)}
+    shapes = {"match.w_bm": (d_ce, d_ce), "embed.table": (None, d_embed)}
     for direction in encoder.DIRECTIONS:
         shapes[f"enc.{direction}.Wx"] = (d_embed, 2 * d_ce)
         shapes[f"enc.{direction}.Wh"] = (d_ce // 2, 2 * d_ce)
@@ -547,4 +494,7 @@ def _stack_v1_gates(params):
         missing = [p for p in parts if p not in params]
         if missing:
             raise DataError(f"version 1 checkpoint lacks parameters {missing}")
-        params[name] = np.concatenate([params.pop(p) for p in parts], axis=1)
+        try:
+            params[name] = np.concatenate([params.pop(p) for p in parts], axis=1)
+        except ValueError as err:
+            raise DataError(f"version 1 parameters {parts} do not stack: {err}") from err

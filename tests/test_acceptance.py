@@ -39,15 +39,14 @@ def test_matrix_form_equivalence():
             G = rng.normal(size=(q, d))
             W = rng.normal(size=(d, d))
             count += 1
-            trained = rng.normal(size=(1, d))
-            for leak in (None, np.zeros((1, d)), trained):
-                got = matcher.match_score(H, G, W, leak)
-                leak_vec = None if leak is None else leak[0]
+            for leaky in (False, True):
+                got = matcher.match_score(H, G, W, leaky)
+                leak_vec = np.zeros(d) if leaky else None
                 want_f, want_b, leak_f, leak_b = scalar_match_oracle(H, G, W, leak_vec)
                 worst = max(worst,
                             np.max(np.abs(got.m_fwd - want_f)),
                             np.max(np.abs(got.m_bwd - want_b)))
-                if leak is not None:
+                if leaky:
                     worst = max(worst,
                                 np.max(np.abs(got.leak_fwd - leak_f)),
                                 np.max(np.abs(got.leak_bwd - leak_b)))
@@ -95,7 +94,7 @@ def test_stochasticity_invariants():
         worst = max(worst,
                     np.max(np.abs(plain.m_fwd.sum(axis=0) - 1.0)),
                     np.max(np.abs(plain.m_bwd.sum(axis=1) - 1.0)))
-        leaky = matcher.match_score(H, G, W, np.zeros((1, d)))
+        leaky = matcher.match_score(H, G, W, leaky=True)
         worst = max(worst,
                     np.max(np.abs(leaky.m_fwd.sum(axis=0) + leaky.leak_fwd - 1.0)),
                     np.max(np.abs(leaky.m_bwd.sum(axis=1) + leaky.leak_bwd - 1.0)))
@@ -137,7 +136,7 @@ def test_metric_oracles():
 
 E2E_TRAIN_FLAGS = ["--objective", "triplet", "--d-ce", "32",
                    "--contexts-per-entity", "5", "--max-context-len", "20",
-                   "--optimizer", "adam", "--learning-rate", "3e-4",
+                   "--learning-rate", "3e-4",
                    "--batch-size", "16", "--margin", "0.75", "--epochs", "8"]
 
 

@@ -528,9 +528,77 @@ def test_negative_seed_in_config_or_checkpoint_exits_two(work, capsys):
 @pytest.mark.parametrize("command", ["evaluate", "discover"])
 def test_non_finite_threshold_exits_two(work, tmp_path, capsys, command, threshold):
     extra = {"evaluate": ["--out", str(tmp_path / "metrics.txt")], "discover": ["ent0_0"]}
+    if command == "evaluate":
+        # the report does not depend on a threshold, so evaluate takes none
+        for value in (threshold, "0.5"):
+            rc, _, err = run(capsys, command, *model_args(work), *extra[command],
+                             f"--threshold={value}", "--seed", "3")
+            assert rc == 1 and "unrecognized arguments: --threshold" in err
+        assert not any(tmp_path.iterdir())
+        return
     rc, out, err = run(capsys, command, *model_args(work), *extra[command],
                        f"--threshold={threshold}", "--seed", "3")
     assert rc == 2
     assert f"--threshold must be a finite number, got {threshold}" in err
     assert "Traceback" not in err and "FINAL ENTITIES" not in out
     assert not any(tmp_path.iterdir())
+
+
+def _set(path, value):
+    def edit(blob):
+        node = blob
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return blob
+    return edit
+
+
+@pytest.mark.parametrize("edit, named", [
+    pytest.param(_set(("params", "match.w_bm", "data"), "abc"), "match.w_bm", id="bad-base64"),
+    pytest.param(lambda blob: [blob], "not a model checkpoint", id="top-level-list"),
+    pytest.param(_set(("config", "d_ce"), "x"), "d_ce must be int", id="d_ce-string"),
+    pytest.param(_set(("config", "leaky"), "no"), "leaky must be bool", id="leaky-string"),
+    pytest.param(_set(("params", "match.w_bm"), [8, 8]), "parameter match.w_bm", id="entry-list"),
+    pytest.param(_set(("params", "match.w_bm", "shape"), [8, "8"]), "match.w_bm",
+                 id="shape-not-integer"),
+])
+def test_damaged_checkpoint_exits_two(work, capsys, edit, named):
+    blob = edit(json.loads((work / "model.json").read_text()))
+    (work / "model_damaged.json").write_text(json.dumps(blob))
+    rc, _, err = run(capsys, "score", "--workdir", str(work), "--index", "index.npz",
+                     "--checkpoint", "model_damaged.json",
+                     "--embeddings", "data/embeddings.txt", "ent0_0", "ent0_1")
+    assert rc == 2
+    assert named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value", [("optimizer", "rmsprop"), ("leaky_trainable", True),
+                                        ("resample_contexts", False)])
+def test_retired_checkpoint_key_at_another_value_exits_two(work, capsys, key, value):
+    blob = json.loads((work / "model.json").read_text())
+    blob["config"][key] = value
+    if key == "leaky_trainable":   # as the trainable leak was saved
+        blob["params"]["match.leak"] = {"shape": [1, 8], "data": "A" * 88}
+    (work / "model_retired.json").write_text(json.dumps(blob))
+    rc, _, err = run(capsys, "score", "--workdir", str(work), "--index", "index.npz",
+                     "--checkpoint", "model_retired.json",
+                     "--embeddings", "data/embeddings.txt", "ent0_0", "ent0_1")
+    assert rc == 2
+    assert f"checkpoint config key {key}=" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value, flag", [("optimizer", "adam", "--optimizer=adam"),
+                                              ("leaky_trainable", "false", "--no-leaky-trainable"),
+                                              ("resample_contexts", "true", "--resample-contexts")])
+def test_retired_keys_are_unknown_to_config_files_and_flags(work, tmp_path, capsys,
+                                                            key, value, flag):
+    (tmp_path / "retired.cfg").write_text(f"{key}={value}\n")
+    train = ["train", "--workdir", str(work), "--index", "index.npz",
+             "--embeddings", "data/embeddings.txt", "--checkpoint", str(tmp_path / "m.json"),
+             "--history", str(tmp_path / "h.txt")]
+    rc, _, err = run(capsys, *train, "--config", str(tmp_path / "retired.cfg"))
+    assert rc == 2 and f"unknown key {key!r}" in err
+    rc, _, err = run(capsys, *train, flag)
+    assert rc == 1 and f"unrecognized arguments: {flag}" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["retired.cfg"]

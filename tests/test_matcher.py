@@ -57,7 +57,7 @@ def test_zero_logits_with_leaky_split_evenly():
     rng = stream_rng(1, "init")
     H = rng.normal(size=(2, 6))
     G = rng.normal(size=(3, 6))
-    res = matcher.match_score(H, G, np.zeros((6, 6)), np.zeros((1, 6)))
+    res = matcher.match_score(H, G, np.zeros((6, 6)), leaky=True)
     assert np.allclose(res.m_fwd, 1 / 3, atol=1e-15)
     assert np.allclose(res.leak_fwd, 1 / 3, atol=1e-15)
     assert np.allclose(res.m_bwd, 1 / 4, atol=1e-15)
@@ -79,9 +79,8 @@ def test_matrix_form_equals_scalar_form_with_leaky():
         H = rng.normal(size=(P, 6))
         G = rng.normal(size=(Q, 6))
         W = rng.normal(size=(6, 6))
-        lv = rng.normal(size=(1, 6))
-        res = matcher.match_score(H, G, W, lv)
-        m_fwd, m_bwd, leak_fwd, leak_bwd = scalar_match_oracle(H, G, W, lv[0])
+        res = matcher.match_score(H, G, W, leaky=True)
+        m_fwd, m_bwd, leak_fwd, leak_bwd = scalar_match_oracle(H, G, W, np.zeros(6))
         assert np.max(np.abs(res.m_fwd - m_fwd)) < 1e-12
         assert np.max(np.abs(res.m_bwd - m_bwd)) < 1e-12
         assert np.max(np.abs(res.leak_fwd - leak_fwd)) < 1e-12
@@ -97,7 +96,7 @@ def test_stochasticity_without_leaky():
 
 def test_stochasticity_with_leaky():
     H, G, W = rand_instance(4)
-    res = matcher.match_score(H, G, W, np.zeros((1, 8)))
+    res = matcher.match_score(H, G, W, leaky=True)
     assert np.max(np.abs(res.m_fwd.sum(axis=0) + res.leak_fwd - 1.0)) < 1e-12
     assert np.max(np.abs(res.m_bwd.sum(axis=1) + res.leak_bwd - 1.0)) < 1e-12
 
@@ -165,13 +164,13 @@ def test_nonfinite_score_raises():
     with pytest.raises(NumericError):
         matcher.match_score(H, G, W)
     with pytest.raises(NumericError):
-        matcher.pair_score_vars(ad.Var(H), ad.Var(G), ad.Var(W), np.zeros((1, 8)))
+        matcher.pair_score_vars(ad.Var(H), ad.Var(G), ad.Var(W), leaky=True)
 
 
 def test_swap_symmetry_with_transposed_bilinear():
     for seed in range(10):
         H, G, W = rand_instance(seed, P=6, Q=3)
-        for leaky in (None, np.zeros((1, 8))):
+        for leaky in (False, True):
             ab = matcher.match_score(H, G, W, leaky)
             ba = matcher.match_score(G, H, W.T, leaky)
             assert abs(ab.score - ba.score) < 1e-12
@@ -205,19 +204,9 @@ def test_leaky_unit_dampens_uninformative_context():
         return matcher.match_score(H_rows, G, W, leaky).g_bar
 
     H_plus = np.concatenate([H, junk], axis=0)
-    drift_plain = np.linalg.norm(g_bar(H_plus, None) - g_bar(H, None))
-    zl = np.zeros((1, d))
-    drift_leaky = np.linalg.norm(g_bar(H_plus, zl) - g_bar(H, zl))
+    drift_plain = np.linalg.norm(g_bar(H_plus, False) - g_bar(H, False))
+    drift_leaky = np.linalg.norm(g_bar(H_plus, True) - g_bar(H, True))
     assert drift_leaky < drift_plain
-
-
-def test_leak_shape_rejected():
-    H, G, W = rand_instance(18)
-    for bad in (np.zeros(8), np.zeros((1, 7)), np.zeros((2, 8))):
-        with pytest.raises(ShapeError):
-            matcher.match_score(H, G, W, bad)
-        with pytest.raises(ShapeError):
-            matcher.pair_score_vars(ad.Var(H), ad.Var(G), ad.Var(W), bad)
 
 
 def test_dimension_mismatches_rejected():
@@ -237,22 +226,19 @@ def test_gradients_through_full_match_pipeline():
         "H": rng.normal(size=(4, 6)),
         "G": rng.normal(size=(3, 6)),
         "W": rng.normal(size=(6, 6)),
-        "leak": rng.normal(size=(1, 6)),
     }
-    for leak_key in (None, "zero", "leak"):
+    for leaky in (False, True):
         def builder(v):
-            leak = {None: None, "zero": np.zeros((1, 6)), "leak": v["leak"]}[leak_key]
-            return matcher.pair_score_vars(v["H"], v["G"], v["W"], leak)
+            return matcher.pair_score_vars(v["H"], v["G"], v["W"], leaky)
         report = ad.finite_diff_check(builder, params, eps=1e-5)
         assert report.max_rel_error < 1e-4, str(report)
 
 
 def test_pair_score_is_one_tape_node():
     H, G, W = (ad.Var(x) for x in rand_instance(19))
-    leak = ad.Var(np.zeros((1, 8)))
-    inputs = {id(v) for v in (H, G, W, leak)}
-    for arg in (None, np.zeros((1, 8)), leak):
-        s = matcher.pair_score_vars(H, G, W, arg)
+    inputs = {id(v) for v in (H, G, W)}
+    for leaky in (False, True):
+        s = matcher.pair_score_vars(H, G, W, leaky)
         added = [n for n in ad._topo_order(s) if id(n) not in inputs]
         assert len(added) <= 2
 
@@ -262,39 +248,37 @@ def test_pair_score_is_one_tape_node():
 
 def batch_instance(seed, b_h, b_g, P, Q, d=6):
     rng = stream_rng(seed, "init", b_h, b_g, P, Q)
-    leaks = {"none": None, "zero": np.zeros((1, d)), "trained": rng.normal(size=(1, d))}
-    return (rng.normal(size=(b_h, P, d)), rng.normal(size=(b_g, Q, d)),
-            rng.normal(size=(d, d)), leaks)
+    return rng.normal(size=(b_h, P, d)), rng.normal(size=(b_g, Q, d)), rng.normal(size=(d, d))
 
 
 @pytest.mark.parametrize("b_h,b_g,P,Q", [(1, 1, 5, 4), (6, 6, 5, 3), (6, 6, 4, 4),
                                          (1, 7, 4, 6), (5, 1, 3, 3)])
 def test_batched_match_equals_per_pair_loop(b_h, b_g, P, Q):
-    H, G, W, leaks = batch_instance(21, b_h, b_g, P, Q)
+    H, G, W = batch_instance(21, b_h, b_g, P, Q)
     B = max(b_h, b_g)
-    for name, leak in leaks.items():
-        got = matcher.match_score(H, G, W, leak)
-        assert got.score.shape == (B,) and got.m_fwd.shape == (B, P, Q), name
+    for leaky in (False, True):
+        got = matcher.match_score(H, G, W, leaky)
+        assert got.score.shape == (B,) and got.m_fwd.shape == (B, P, Q), leaky
         for b in range(B):
             Hb, Gb = H[min(b, b_h - 1)], G[min(b, b_g - 1)]
-            want = matcher.match_score(Hb, Gb, W, leak)
-            assert abs(got.score[b] - want.score) < 1e-12, name
+            want = matcher.match_score(Hb, Gb, W, leaky)
+            assert abs(got.score[b] - want.score) < 1e-12, leaky
             for field in ("m_fwd", "m_bwd", "leak_fwd", "leak_bwd", "a_h", "a_g"):
                 diff = np.max(np.abs(getattr(got, field)[b] - getattr(want, field)))
-                assert diff < 1e-12, (name, field)
-            oracle = scalar_match_oracle(Hb, Gb, W, None if leak is None else leak[0])
+                assert diff < 1e-12, (leaky, field)
+            oracle = scalar_match_oracle(Hb, Gb, W, np.zeros(W.shape[0]) if leaky else None)
             for field, ref in zip(("m_fwd", "m_bwd", "leak_fwd", "leak_bwd"), oracle):
-                assert np.max(np.abs(getattr(got, field)[b] - ref)) < 1e-12, (name, field)
+                assert np.max(np.abs(getattr(got, field)[b] - ref)) < 1e-12, (leaky, field)
 
 
 def test_batch_pair_counts_must_agree():
-    H, G, W, _ = batch_instance(22, 3, 2, 3, 3)
+    H, G, W = batch_instance(22, 3, 2, 3, 3)
     with pytest.raises(ShapeError):
         matcher.match_score(H, G, W)
 
 
 def test_zero_norm_pair_in_batch_scores_zero_alone(caplog):
-    H, G, W, _ = batch_instance(23, 3, 3, 4, 4)
+    H, G, W = batch_instance(23, 3, 3, 4, 4)
     H[1] = 0.0
     with caplog.at_level("WARNING"):
         got = matcher.match_score(H, G, W)
@@ -307,14 +291,13 @@ def test_zero_norm_pair_in_batch_scores_zero_alone(caplog):
         matcher.match_score(H, G, W)
     with pytest.raises(NumericError):
         matcher.pair_score_vars(ad.Var(H.reshape(-1, 6)), ad.Var(G.reshape(-1, 6)),
-                                ad.Var(W), None, (np.arange(12).reshape(3, 4),) * 2)
+                                ad.Var(W), False, (np.arange(12).reshape(3, 4),) * 2)
 
 
 def batched_setup(seed=24, d=6, P=3):
     """Eight entities of P rows in one matrix E, six pairs that reuse them."""
     rng = stream_rng(seed, "init")
-    params = {"E": rng.normal(size=(8 * P, d)), "W": rng.normal(size=(d, d)),
-              "leak": rng.normal(size=(1, d))}
+    params = {"E": rng.normal(size=(8 * P, d)), "W": rng.normal(size=(d, d))}
     ents = np.arange(8 * P).reshape(8, P)
     h_rows = ents[[0, 0, 1, 2, 3, 3]]
     g_rows = ents[[4, 1, 1, 5, 6, 0]]
@@ -322,18 +305,16 @@ def batched_setup(seed=24, d=6, P=3):
     return params, h_rows, g_rows, weights
 
 
-@pytest.mark.parametrize("leak_key", [None, "zero", "leak"])
+@pytest.mark.parametrize("leak_key", [None, "zero"])   # no leak slot; the zero leak
 @pytest.mark.parametrize("broadcast", [False, True])
 def test_batched_pair_score_vars_gradients(leak_key, broadcast):
     params, h_rows, g_rows, weights = batched_setup()
+    leaky = leak_key == "zero"
     if broadcast:
         h_rows = h_rows[:1]          # entity 0 against every G entity
 
-    def leak_of(v):
-        return {None: None, "zero": np.zeros((1, 6)), "leak": v["leak"]}[leak_key]
-
     def builder(v):
-        s = matcher.pair_score_vars(v["E"], v["E"], v["W"], leak_of(v), (h_rows, g_rows))
+        s = matcher.pair_score_vars(v["E"], v["E"], v["W"], leaky, (h_rows, g_rows))
         return ad.sum_all(ad.mul(weights, s))
 
     report = ad.finite_diff_check(builder, params, eps=1e-5)
@@ -348,14 +329,12 @@ def test_batched_pair_score_vars_gradients(leak_key, broadcast):
         want = {name: np.zeros_like(value) for name, value in params.items()}
         for b in range(len(g_rows)):
             hr = h_rows[min(b, len(h_rows) - 1)]
-            pair = {"H": params["E"][hr], "G": params["E"][g_rows[b]],
-                    "W": params["W"], "leak": params["leak"]}
+            pair = {"H": params["E"][hr], "G": params["E"][g_rows[b]], "W": params["W"]}
             _, g = ad.grad(lambda v: ad.scale(matcher.pair_score_vars(
-                v["H"], v["G"], v["W"], leak_of(v)), weights[b, 0]), pair)
+                v["H"], v["G"], v["W"], leaky), weights[b, 0]), pair)
             np.add.at(want["E"], hr, g["H"])
             np.add.at(want["E"], g_rows[b], g["G"])
             want["W"] += g["W"]
-            want["leak"] += g["leak"]
         for name in params:
             assert np.max(np.abs(got[name] - want[name])) < 1e-12, (zeroed, name)
         if zeroed:
@@ -365,7 +344,7 @@ def test_batched_pair_score_vars_gradients(leak_key, broadcast):
 def test_batched_pair_score_vars_is_one_tape_node():
     params, h_rows, g_rows, _ = batched_setup()
     E, W = ad.Var(params["E"]), ad.Var(params["W"])
-    s = matcher.pair_score_vars(E, E, W, None, (h_rows, g_rows))
+    s = matcher.pair_score_vars(E, E, W, False, (h_rows, g_rows))
     assert s.shape == (len(g_rows), 1)
     assert len(ad._topo_order(s)) == 3
 
