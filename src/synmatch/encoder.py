@@ -8,16 +8,18 @@ runs both cells over the whole window and concatenates the final states.
 
 Each direction keeps its four gates stacked in the order i, f, o, g:
 `enc.{fw,bw}.Wx` (d_embed, 4 d_h), `Wh` (d_h, 4 d_h) and `b` (1, 4 d_h).
-The input projection X Wx is one product over all steps; only h Wh runs
-inside the time loop.  The forward halves the i, f, o columns of the weights
-(exact: 0.5 is a power of two), so one tanh covers a step's gate block and
-s 0.5 + 0.5 gives the sigmoids, as sigmoid(x) = 0.5 (1 + tanh(x / 2)).  One
-numpy forward serves inference (`encode_batch`) and training
-(`encode_batch_vars`, one tape node whose backward runs backpropagation
-through time by hand).  Per packed step the forward keeps the inputs X, the
-gate values A, the states H and the cells C; the backward recomputes tanh(C)
-and writes each step's pre-activation gradients dZ over its gate values in
-A, so a node can be backpropagated only once.
+Each step adds its rows' input projection x Wx to h Wh.  The forward halves
+the i, f, o columns of the weights (exact: 0.5 is a power of two), so one
+tanh covers a step's gate block and s 0.5 + 0.5 gives the sigmoids, as
+sigmoid(x) = 0.5 (1 + tanh(x / 2)).  One numpy forward loop serves inference
+(`encode_batch`) and training (`encode_batch_vars`, one tape node whose
+backward runs backpropagation through time by hand).  For training it keeps
+the gate values A, the states H and the cells C of every packed step; the
+backward recomputes tanh(C) and writes each step's pre-activation gradients
+dZ over its gate values in A, so a node can be backpropagated only once.
+Inference keeps only the running state: each step overwrites the leading
+rows of the step before, and a row's state is written out at its stop step,
+so its memory grows with the windows, not with their length.
 
 Each direction steps only the (step, row) pairs it uses: a row stops at its
 stop step (the entity token for the anchored variant, the window's end for
@@ -79,7 +81,6 @@ class _Packing(NamedTuple):
     offs: np.ndarray    # step t occupies packed rows offs[t]:offs[t + 1]
     step: np.ndarray    # time step of each packed row
     rank: np.ndarray    # sorted place of each packed row within its step
-    pick: np.ndarray    # packed row holding sorted row j's state at its stop
 
 
 def _pack(stop):
@@ -89,45 +90,56 @@ def _pack(stop):
     offs = np.concatenate(([0], np.cumsum(n)))
     step = np.repeat(np.arange(len(n)), n)
     rank = np.arange(offs[-1]) - offs[step]
-    pick = offs[stop[order]] + np.arange(len(order))
-    return _Packing(order, n, offs, step, rank, pick)
+    return _Packing(order, n, offs, step, rank)
 
 
-def _forward(E, tok, pk, Wx, Wh, b):
+def _forward(E, tok, pk, Wx, Wh, b, save):
     """Run one direction over its packed token ids; returns the (B, d_h)
-    state at each row's stop step and the saved values `_backward` needs."""
-    n, offs = pk.n, pk.offs
+    state at each row's stop step and the saved values `_backward` needs, or
+    None without `save`, when only the running state is kept."""
+    n, offs = np.append(pk.n, 0), pk.offs
     d_h = Wh.shape[0]
     half = np.repeat([0.5, 1.0], (3 * d_h, d_h))
-    Wh = Wh * half
-    X = E[tok]                             # (N, d_embed)
+    Wx, Wh, b = Wx * half, Wh * half, b * half
+    # step t's rows sit at base[t]:base[t] + n[t]; without save each step
+    # overwrites the leading rows of the step before
+    base = offs if save else np.zeros_like(offs)
     # A holds the pre-activations (i, f, o halved), then in place the gate values
-    A = X @ (Wx * half)
-    A += b * half
-    H = np.empty((len(tok), d_h))          # state after each packed step
-    C = np.empty_like(H)                   # cell after each packed step
-    tc = np.empty((n[0], d_h))             # tanh of the live rows' cells
-    for t in range(len(n)):
-        now = slice(offs[t], offs[t + 1])
-        a, c = A[now], C[now]
+    A = np.empty((len(tok) if save else n[0], 4 * d_h))
+    H = np.empty((len(A), d_h))            # state after each step
+    C = np.empty_like(H)                   # cell after each step
+    S = np.empty((n[0], d_h))              # the live rows' f c, then tanh(c)
+    out = np.empty((len(pk.order), d_h))
+    for t in range(len(n) - 1):
+        now = slice(base[t], base[t] + n[t])
+        a, c, h, s = A[now], C[now], H[now], S[:n[t]]
+        x = E[tok[offs[t]:offs[t + 1]]]
+        if n[t] == 1 and len(tok) > 1:
+            # numpy sends a one-row product to gemv, which rounds unlike gemm;
+            # two rows keep each row equal to its row of one whole product
+            a[...] = (np.repeat(x, 2, axis=0) @ Wx)[:1]
+        else:
+            np.matmul(x, Wx, out=a)
+        a += b
         if t:
-            prev = slice(offs[t - 1], offs[t - 1] + n[t])
+            prev = slice(base[t - 1], base[t - 1] + n[t])
             a += H[prev] @ Wh
         np.tanh(a, out=a)
         a[:, :3 * d_h] *= 0.5
         a[:, :3 * d_h] += 0.5
         i, f, o, g = _gates(a, d_h)
+        if t:
+            np.multiply(f, C[prev], out=s)
         np.multiply(i, g, out=c)
         if t:
-            c += f * C[prev]
-        np.tanh(c, out=tc[:n[t]])
-        np.multiply(o, tc[:n[t]], out=H[now])
-    out = np.empty((len(pk.order), d_h))
-    out[pk.order] = H[pk.pick]
-    return out, (tok, X, A, H, C, pk)
+            c += s
+        np.tanh(c, out=s)
+        np.multiply(o, s, out=h)
+        out[pk.order[n[t + 1]:n[t]]] = h[n[t + 1]:]   # the rows that stop at t
+    return out, ((tok, A, H, C, pk) if save else None)
 
 
-def _backward(dout, saved, Wh):
+def _backward(dout, saved, E, Wh):
     """Backpropagation through time for one direction, walking the packed
     steps in reverse.
 
@@ -135,7 +147,7 @@ def _backward(dout, saved, Wh):
     pre-activation gradients overwrite its gate values in the saved A, which
     is returned as the (N, 4 d_h) packed dZ together with dWx, dWh and db.
     """
-    _, X, A, H, C, pk = saved
+    tok, A, H, C, pk = saved
     offs = pk.offs
     n = np.append(pk.n, 0)
     d_h = Wh.shape[0]
@@ -168,16 +180,16 @@ def _backward(dout, saved, Wh):
         a[...] = d                         # dZ over the step's gate values
         if t:
             np.matmul(a, Wh.T, out=h)
-    dWx = X.T @ A
+    dWx = E[tok].T @ A
     # packed row p of step t >= 1 follows packed row p - n[t - 1]
     later = slice(offs[1], None)
     dWh = H[np.arange(offs[1], offs[-1]) - n[pk.step[later] - 1]].T @ A[later]
     return A, dWx, dWh, A.sum(axis=0, keepdims=True)
 
 
-def _encode(windows, weights, E, variant):
+def _encode(windows, weights, E, variant, save=True):
     """Both directions over the batch: (B, d_CE) encodings and, per direction,
-    the values its backward needs."""
+    the values its backward needs (None without `save`)."""
     if variant not in ("anchored", "bilstm"):
         raise ValueError(f"unknown encoder variant {variant!r}")
     if not windows:
@@ -201,7 +213,7 @@ def _encode(windows, weights, E, variant):
                                  (bw_stop, last, -1, weights[3:])):
         pk = _pack(stop)
         tok = flat[start[pk.order[pk.rank]] + sign * pk.step]
-        out, direction = _forward(E, tok, pk, *W)
+        out, direction = _forward(E, tok, pk, *W, save=save)
         outs.append(out)
         saved.append(direction)
     return np.concatenate(outs, axis=1), tuple(saved)
@@ -234,7 +246,7 @@ def encode_batch_vars(windows, params, emb, variant="anchored"):
         grads = []
         dE = np.zeros_like(E) if trains_emb else None
         for k, direction in enumerate(directions):
-            dZ, dWx, dWh, db = _backward(g[:, k * d_h:(k + 1) * d_h], direction, W[3 * k + 1])
+            dZ, dWx, dWh, db = _backward(g[:, k * d_h:(k + 1) * d_h], direction, E, W[3 * k + 1])
             grads += [dWx, dWh, db]
             if trains_emb:
                 np.add.at(dE, direction[0], dZ @ W[3 * k].T)
@@ -246,4 +258,4 @@ def encode_batch_vars(windows, params, emb, variant="anchored"):
 def encode_batch(windows, params, emb, variant="anchored"):
     """Encode a batch for inference: plain (B, d_CE) array out, no tape."""
     W = [np.asarray(params[name], dtype=float) for name in PARAM_NAMES]
-    return _encode(windows, W, np.asarray(emb, dtype=float), variant)[0]
+    return _encode(windows, W, np.asarray(emb, dtype=float), variant, save=False)[0]

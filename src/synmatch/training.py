@@ -185,8 +185,13 @@ class Adam:
 
 
 def clip_gradients(grads, max_norm):
-    """Scale all gradients down to a global norm cap; 0 or less disables."""
+    """Scale all gradients down to a global norm cap; 0 or less disables.
+
+    A norm that is not finite raises NumericError before any gradient is
+    scaled."""
     total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    if not math.isfinite(total):
+        raise NumericError(f"gradient norm is {total}")
     if max_norm > 0 and total > max_norm:
         factor = max_norm / total
         for name in grads:
@@ -359,11 +364,11 @@ def train(config, data, table):
             builder = batch_loss_builder(batch, contexts, config, frozen_emb)
             try:
                 value, grads = ad.grad(builder, params)
+                clip_gradients(grads, config.clip_norm)
             except NumericError as err:
                 raise NumericError(
                     f"{err} (epoch {epoch}, batch {batch_no // config.batch_size}; "
                     f"parameter norms: {_param_norms(params)})") from err
-            clip_gradients(grads, config.clip_norm)
             opt.step(params, grads)
             epoch_loss += value * len(batch)
         epoch_loss /= len(items)

@@ -233,6 +233,26 @@ def test_tape_holds_one_gate_block_per_direction():
     assert peak < N * 4 * d_h * 8
 
 
+def test_inference_keeps_only_the_running_state():
+    B, d_h = 16, 32
+    rng = stream_rng(11, "init")
+    params = encoder.init_encoder_params(D_EMBED, 2 * d_h, rng)
+    emb = rng.normal(size=(VOCAB, D_EMBED))
+    peaks = {}
+    for T in (30, 60):
+        windows = [window(rng.integers(2, VOCAB, size=T), 0) for _ in range(B)]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            encoder.encode_batch(windows, params, emb, "bilstm")
+            peaks[T] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    # below one (N, d_h) block of states, and not growing with the window length
+    assert peaks[60] < B * 60 * d_h * 8
+    assert peaks[60] < 1.25 * peaks[30]
+
+
 def test_padding_rows_get_no_gradient(setup):
     _, emb = setup
     rng = stream_rng(7, "init")

@@ -2,6 +2,7 @@ import base64
 import copy
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -106,6 +107,20 @@ def test_clip_gradients():
     assert grads["a"][0, 0] == 0.3
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("max_norm", [5.0, 0.0])
+def test_clip_gradients_rejects_non_finite_norm(bad, max_norm):
+    grads = {"w": np.array([bad, 1.0])}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no RuntimeWarning on the way
+        with pytest.raises(NumericError, match="gradient norm"):
+            training.clip_gradients(grads, max_norm)
+    assert grads["w"][1] == 1.0             # nothing was scaled
+    # finite gradients whose squared norm overflows are refused too
+    with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(NumericError):
+        training.clip_gradients({"w": np.array([1e200, 1.0])}, max_norm)
+
+
 # ---------------------------------------------------------------------------
 # config text format
 
@@ -135,6 +150,31 @@ def test_config_parse_errors():
         training.parse_config_text("leaky=maybe\n")
     with pytest.raises(DataError):
         training.parse_config_text("epochs=three\n")
+
+
+# pieces the config texts below are built from
+CONFIG_KEYS = [f.name for f in dataclasses.fields(training.TrainConfig)] + [
+    "optimizer", "Leaky", "d ce", "", "#d_ce"]
+CONFIG_VALUES = ["", "0", "1", "-1", "2", "7", "64", " 8 ", "+3", "1_000", "0x10", "9" * 5000,
+                 "\uff18", "0.5", "-0.0", "1e-3", "1e400", "-1e400", "nan", "inf", "true",
+                 "FALSE", "yes", "off", "maybe", "siamese", "triplet", "anchored", "bilstm",
+                 "gru", "adam", "a=b", "\u00e9"]
+CONFIG_LINES = st.one_of(
+    st.tuples(st.sampled_from(CONFIG_KEYS), st.sampled_from(["=", " = ", "=="]),
+              st.sampled_from(CONFIG_VALUES)).map("".join),
+    st.sampled_from(["", "  ", "# comment", "#", "d_ce", "=", "d_ce: 8"]),
+    st.text(max_size=12))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(lines=st.lists(CONFIG_LINES, max_size=6),
+       newline=st.sampled_from(["\n", "\r\n", "\r", "\u2028"]))
+def test_config_text_validates_and_round_trips_or_raises_data_error(lines, newline):
+    try:
+        config = training.parse_config_text(newline.join(lines)).validate()
+    except DataError:
+        return
+    assert training.parse_config_text(config.to_text()) == config
 
 
 def test_config_validation():
@@ -283,6 +323,30 @@ def test_train_aborts_with_diagnostics_on_nonfinite_loss(tmp_path):
         training.train(config, data, table)
     msg = str(err.value)
     assert "epoch 0" in msg and "batch" in msg and "match.w_bm" in msg
+
+
+def test_train_aborts_on_non_finite_gradient_norm(tmp_path, monkeypatch):
+    data, table, config = toy_setup(tmp_path, epochs=2)
+    real_grad = training.ad.grad
+    calls = []
+
+    def grad(builder, params):
+        value, grads = real_grad(builder, params)
+        calls.append(value)
+        if len(calls) == 5:                 # 3 batches an epoch: epoch 1, batch 1
+            grads["match.w_bm"][0, 0] = np.inf
+        return value, grads
+
+    monkeypatch.setattr(training.ad, "grad", grad)
+    steps = []
+    monkeypatch.setattr(training.Adam, "step", lambda self, p, g: steps.append(g))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError) as err:
+            training.train(config, data, table)
+    msg = str(err.value)
+    assert "gradient norm is inf" in msg and "epoch 1, batch 1" in msg and "match.w_bm" in msg
+    assert len(steps) == 4                  # no step on the bad gradient
 
 
 def test_auto_items_per_epoch(tmp_path):
