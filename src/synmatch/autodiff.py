@@ -1,10 +1,11 @@
 """Minimal reverse-mode gradient tape over dense float64 matrices.
 
 Every tape value is a 2-D numpy float64 array; scalars are 1x1 matrices.
-`Var` wraps one matrix as a node in an operation graph. The encoder and the
-matcher each record a batch as one node with a hand-written backward; the
-elementwise ops in this module build the losses on their scores. `backward`
-replays the graph in reverse topological order and accumulates gradients.
+`Var` wraps one matrix as a node in an operation graph. This module has no
+ops: the encoder, the matcher and each training loss record a batch as one
+node with a hand-written backward, so a training graph is the seven weight
+leaves and three or four nodes above them. `backward` replays the graph in
+reverse topological order and accumulates gradients.
 `grad` evaluates a scalar loss builder over a named parameter set and returns
 every gradient; `finite_diff_check` verifies those gradients against central
 differences.
@@ -45,10 +46,6 @@ class Var:
 
     __slots__ = ("value", "parents", "backward_fn")
 
-    # make `ndarray <op> Var` fall through to our reflected operators instead
-    # of numpy broadcasting Var as an object scalar
-    __array_ufunc__ = None
-
     def __init__(self, value, parents=(), backward_fn=None):
         self.value = value if isinstance(value, np.ndarray) and value.ndim == 2 \
             and value.dtype == np.float64 else as_matrix(value)
@@ -64,97 +61,10 @@ class Var:
             raise ShapeError(f"item() on non-scalar of shape {self.shape}")
         return float(self.value[0, 0])
 
-    # operator sugar; non-Var operands are lifted to constants
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
 
 def lift(x):
     """Wrap `x` as a constant leaf unless it already is a Var."""
     return x if isinstance(x, Var) else Var(x)
-
-
-def _unbroadcast(g, shape):
-    # reduce an output gradient back to an input that was broadcast up
-    if g.shape == shape:
-        return g
-    if shape[0] == 1 and g.shape[0] != 1:
-        g = g.sum(axis=0, keepdims=True)
-    if shape[1] == 1 and g.shape[1] != 1:
-        g = g.sum(axis=1, keepdims=True)
-    if g.shape != shape:
-        raise ShapeError(f"cannot reduce gradient {g.shape} to {shape}")
-    return g
-
-
-def _check_broadcast(sa, sb):
-    for da, db in zip(sa, sb):
-        if da != db and da != 1 and db != 1:
-            raise ShapeError(f"shapes {sa} and {sb} do not broadcast")
-
-
-# ---------------------------------------------------------------------------
-# elementwise ops
-
-def add(a, b):
-    a, b = lift(a), lift(b)
-    _check_broadcast(a.shape, b.shape)
-    return Var(a.value + b.value, (a, b),
-               lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
-
-
-def sub(a, b):
-    a, b = lift(a), lift(b)
-    _check_broadcast(a.shape, b.shape)
-    return Var(a.value - b.value, (a, b),
-               lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
-
-
-def mul(a, b):
-    a, b = lift(a), lift(b)
-    _check_broadcast(a.shape, b.shape)
-    return Var(a.value * b.value, (a, b),
-               lambda g: (_unbroadcast(g * b.value, a.shape),
-                          _unbroadcast(g * a.value, b.shape)))
-
-
-def scale(a, c):
-    a = lift(a)
-    c = float(c)
-    return Var(a.value * c, (a,), lambda g: (g * c,))
-
-
-def square(a):
-    a = lift(a)
-    return Var(a.value * a.value, (a,), lambda g: (2.0 * a.value * g,))
-
-
-def relu(a):
-    """max(x, 0) elementwise; subgradient 0 at x = 0."""
-    a = lift(a)
-    y = np.maximum(a.value, 0.0)
-    return Var(y, (a,), lambda g: (g * (a.value > 0.0),))
-
-
-def sum_all(a):
-    a = lift(a)
-    return Var(np.array([[a.value.sum()]]), (a,),
-               lambda g: (np.full_like(a.value, g[0, 0]),))
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +95,7 @@ def backward(loss, wrt):
     if loss.value.size != 1:
         raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
     order = _topo_order(loss)
-    # every node is replayed: the model's nodes all lead to parameters, and a
-    # lifted constant costs one elementwise product
+    # every node is replayed: the model's nodes all lead to parameters
     grads = {id(loss): np.ones_like(loss.value)}
     for node in reversed(order):
         g = grads.get(id(node))

@@ -205,11 +205,6 @@ def _load_model(args):
         raise DataError(
             f"embedding file {args.embeddings} has {table.dim}-wide vectors, "
             f"but the model expects {params['enc.fw.Wx'].shape[0]}")
-    if "embed.table" in params and params["embed.table"].shape != table.matrix.shape:
-        raise DataError(
-            f"checkpoint embeddings shape {params['embed.table'].shape} does not "
-            f"match vocabulary table {table.matrix.shape}; wrong index or "
-            f"embedding file?")
     _echo_args(args, config)
     return data, params, config, table
 
@@ -283,8 +278,7 @@ def cmd_evaluate(args):
 
 def cmd_score(args):
     data, params, config, table = _load_model(args)
-    emb = params.get("embed.table", table.matrix)
-    s = evaluation.score_pair(params, config, data, emb, args.entity_a,
+    s = evaluation.score_pair(params, config, data, table.matrix, args.entity_a,
                               args.entity_b, seed=args.seed)
     print(f"{s:.6f}")
     return 0

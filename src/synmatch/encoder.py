@@ -13,10 +13,12 @@ the i, f, o columns of the weights (exact: 0.5 is a power of two), so one
 tanh covers a step's gate block and s 0.5 + 0.5 gives the sigmoids, as
 sigmoid(x) = 0.5 (1 + tanh(x / 2)).  One numpy forward loop serves inference
 (`encode_batch`) and training (`encode_batch_vars`, one tape node whose
-backward runs backpropagation through time by hand).  For training it keeps
-the gate values A, the states H and the cells C of every packed step; the
-backward recomputes tanh(C) and writes each step's pre-activation gradients
-dZ over its gate values in A, so a node can be backpropagated only once.
+backward runs backpropagation through time by hand).  The word embeddings
+are frozen: the node's parents, and its gradients, are the six weights.  For
+training the forward keeps the gate values A, the states H and the cells C of
+every packed step; the backward recomputes tanh(C) and writes each step's
+pre-activation gradients dZ over its gate values in A, so a node can be
+backpropagated only once.
 Inference keeps only the running state: each step overwrites the leading
 rows of the step before, and a row's state is written out at its stop step,
 so its memory grows with the windows, not with their length.
@@ -144,8 +146,8 @@ def _backward(dout, saved, E, Wh):
     steps in reverse.
 
     dout is the (B, d_h) gradient of the selected states.  Each step's
-    pre-activation gradients overwrite its gate values in the saved A, which
-    is returned as the (N, 4 d_h) packed dZ together with dWx, dWh and db.
+    pre-activation gradients dZ overwrite its gate values in the saved A,
+    from which dWx, dWh and db, the returned gradients, are summed.
     """
     tok, A, H, C, pk = saved
     offs = pk.offs
@@ -184,7 +186,7 @@ def _backward(dout, saved, E, Wh):
     # packed row p of step t >= 1 follows packed row p - n[t - 1]
     later = slice(offs[1], None)
     dWh = H[np.arange(offs[1], offs[-1]) - n[pk.step[later] - 1]].T @ A[later]
-    return A, dWx, dWh, A.sum(axis=0, keepdims=True)
+    return dWx, dWh, A.sum(axis=0, keepdims=True)
 
 
 def _encode(windows, weights, E, variant, save=True):
@@ -220,22 +222,20 @@ def _encode(windows, weights, E, variant, save=True):
 
 
 def encode_batch_vars(windows, params, emb, variant="anchored"):
-    """Encode a batch of ContextWindows into a (B, d_CE) Var: one tape node.
+    """Encode a batch of ContextWindows into a (B, d_CE) Var: one tape node
+    whose parents are the six weights.
 
-    `params` maps names to Vars (training) or arrays; `emb` is the
-    (vocab, d_embed) embedding matrix, again Var or array, and receives a
-    gradient only when it is a Var.  variant is "anchored" (stop each
+    `params` maps names to Vars (training) or arrays; `emb` is the frozen
+    (vocab, d_embed) embedding matrix.  variant is "anchored" (stop each
     direction at the entity token) or "bilstm" (run to the ends and keep the
     final states).
     """
     weights = [ad.lift(params[name]) for name in PARAM_NAMES]
     W = [w.value for w in weights]
-    trains_emb = isinstance(emb, ad.Var)
-    E = emb.value if trains_emb else np.asarray(emb, dtype=float)
+    E = np.asarray(emb, dtype=float)
     out, saved = _encode(windows, W, E, variant)
     if not windows:
         return ad.Var(out)
-    parents = tuple(weights) + ((emb,) if trains_emb else ())
 
     def backward(g):
         nonlocal saved
@@ -244,15 +244,11 @@ def encode_batch_vars(windows, params, emb, variant="anchored"):
         directions, saved = saved, None
         d_h = W[1].shape[0]
         grads = []
-        dE = np.zeros_like(E) if trains_emb else None
         for k, direction in enumerate(directions):
-            dZ, dWx, dWh, db = _backward(g[:, k * d_h:(k + 1) * d_h], direction, E, W[3 * k + 1])
-            grads += [dWx, dWh, db]
-            if trains_emb:
-                np.add.at(dE, direction[0], dZ @ W[3 * k].T)
-        return grads + ([dE] if trains_emb else [])
+            grads += _backward(g[:, k * d_h:(k + 1) * d_h], direction, E, W[3 * k + 1])
+        return grads
 
-    return ad.Var(out, parents, backward)
+    return ad.Var(out, tuple(weights), backward)
 
 
 def encode_batch(windows, params, emb, variant="anchored"):

@@ -208,12 +208,11 @@ def discover(params, config, data, table, query, k=50, threshold=0.8,
     qid = data.entity_id(query)
     if universe is None:
         universe = data.store.entities()
-    emb = params.get("embed.table", table.matrix)
 
     def score(cand_ids):
         ctx = eval_contexts(data, [qid] + cand_ids, config.contexts_per_entity,
                             config.max_context_len, seed)
-        return entity_scorer(params, config, ctx, emb)([qid], cand_ids)
+        return entity_scorer(params, config, ctx, table.matrix)([qid], cand_ids)
 
     neighbors, ranked = knn_rerank(table, qid, k, universe, score)
     return DiscoveryResult(qid, ranked, threshold,
@@ -242,8 +241,7 @@ def evaluate(params, config, data, table, split="test", seed=0,
     entity_ids = sorted(store.entities(split))
     ctx = eval_contexts(data, entity_ids, config.contexts_per_entity,
                         config.max_context_len, seed)
-    emb = params.get("embed.table", table.matrix)
-    score = entity_scorer(params, config, ctx, emb)
+    score = entity_scorer(params, config, ctx, table.matrix)
 
     scores = score([p.a for p in pairs], [p.b for p in pairs])
     auc_value = auc([(s, p.label) for s, p in zip(scores, pairs)])

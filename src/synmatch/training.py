@@ -2,7 +2,9 @@
 
 Entity pairs (or triplets) are sampled from the train synsets each epoch,
 their contexts retrieved and encoded in one batched pass, matched and scored,
-and the siamese or triplet loss backpropagated through the whole stack.
+and the siamese or triplet loss backpropagated through the whole stack.  A
+batch's tape is the seven weight leaves, one encoder node, one matcher node
+(two for triplets) and one loss node; the word embeddings stay frozen.
 Validation AUC on held-out synsets picks the parameters to keep.
 
 Checkpoints are canonical JSON: sorted keys, parameters as base64-encoded
@@ -33,7 +35,8 @@ CHECKPOINT_FORMAT = "synmatch-checkpoint"
 CHECKPOINT_VERSION = 2
 # options earlier versions offered, now fixed at one value: a checkpoint's
 # config may still name one, but only at that value
-RETIRED_KEYS = {"optimizer": "adam", "leaky_trainable": False, "resample_contexts": True}
+RETIRED_KEYS = {"optimizer": "adam", "leaky_trainable": False, "resample_contexts": True,
+                "fine_tune_embeddings": False}
 # the values each field type takes; a bool is never read as a number
 _KINDS = {bool: bool, int: int, float: (int, float), str: str}
 
@@ -53,7 +56,6 @@ class TrainConfig:
     seed: int = 0
     neg_ratio: float = 1.0
     clip_norm: float = 5.0
-    fine_tune_embeddings: bool = False
     pairs_per_epoch: int = 0
 
     def validate(self):
@@ -105,7 +107,7 @@ class TrainConfig:
 
 
 def _coerce(field, raw):
-    if field.type == "bool" or field.type is bool:
+    if field.type is bool:
         low = raw.strip().lower()
         if low in ("true", "1", "yes", "on"):
             return True
@@ -113,9 +115,9 @@ def _coerce(field, raw):
             return False
         raise DataError(f"config key {field.name}: cannot read {raw!r} as a boolean")
     try:
-        if field.type == "int" or field.type is int:
+        if field.type is int:
             return int(raw)
-        if field.type == "float" or field.type is float:
+        if field.type is float:
             return float(raw)
     except ValueError:
         raise DataError(f"config key {field.name}: cannot read {raw!r} as {field.type}")
@@ -144,18 +146,46 @@ def parse_config_text(text, base=None):
 # ---------------------------------------------------------------------------
 # losses
 
-def siamese_term_var(s, y, margin):
-    """Contrastive loss per score in the Var s, under the constant labels y
-    (1 synonym, 0 not; broadcast against s): (1 - s)^2 / 4 for a synonym
-    pair, max(s - margin, 0)^2 otherwise."""
+def _mean_node(terms, parents, backward):
+    return ad.Var(np.array([[terms.sum() * (1.0 / terms.size)]]), parents, backward)
+
+
+def siamese_loss(s, y, margin):
+    """Mean contrastive loss over the scores in the Var s under the constant
+    labels y (1 synonym, 0 not; one per score, or one for all): (1 - s)^2 / 4
+    for a synonym pair, max(s - margin, 0)^2 otherwise.  One tape node, whose
+    backward gives each score -(1 - s) y / 2 + 2 max(s - margin, 0) (1 - y),
+    divided by the number of scores."""
+    s = ad.lift(s)
     y = np.asarray(y, dtype=float)
-    return (ad.mul(y, ad.scale(ad.square(1.0 - s), 0.25))
-            + ad.mul(1.0 - y, ad.square(ad.relu(s - margin))))
+    d = 1.0 - s.value
+    r = np.maximum(s.value - margin, 0.0)
+    terms = y * (d * d * 0.25) + (1.0 - y) * (r * r)
+
+    def backward(g):
+        # the products follow the chain rule through the terms factor by
+        # factor; another order rounds differently and moves every model
+        c = g[0, 0] * (1.0 / terms.size)
+        return (-(2.0 * d * (c * y * 0.25))
+                + 2.0 * r * (c * (1.0 - y)) * (s.value - margin > 0.0),)
+
+    return _mean_node(terms, (s,), backward)
 
 
-def triplet_term_var(s_pos, s_neg, margin):
-    """Triplet margin loss per pair of score Vars: max(s_neg - s_pos + margin, 0)."""
-    return ad.relu(s_neg - s_pos + margin)
+def triplet_loss(s_pos, s_neg, margin):
+    """Mean triplet margin loss max(s_neg - s_pos + margin, 0) over pairs of
+    scores in two Vars: one tape node."""
+    s_pos, s_neg = ad.lift(s_pos), ad.lift(s_neg)
+    z = s_neg.value - s_pos.value + margin
+    terms = np.maximum(z, 0.0)
+
+    def backward(g):
+        d_neg = g[0, 0] * (1.0 / terms.size) * (z > 0.0)
+        return d_neg, -d_neg
+
+    # s_neg first: backward adds the negative pairs' share of the encoder
+    # gradient before the positive pairs'; the other order rounds differently
+    return _mean_node(terms, (s_neg, s_pos), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +237,6 @@ def init_model_params(config, table, rng):
     params = encoder.init_encoder_params(table.dim, config.d_ce, rng)
     # identity start: matching an entity against itself then scores exactly 1
     params["match.w_bm"] = np.eye(config.d_ce)
-    if config.fine_tune_embeddings:
-        params["embed.table"] = table.matrix.copy()
     return params
 
 
@@ -218,7 +246,7 @@ def _item_entities(item):
     return (item.a, item.b)
 
 
-def batch_loss_builder(items, contexts, config, frozen_emb):
+def batch_loss_builder(items, contexts, config, emb):
     """Builder for ad.grad: mean loss over a batch of pairs or triplets.
 
     contexts maps entity id -> list of ContextWindow (length P); all windows
@@ -234,7 +262,6 @@ def batch_loss_builder(items, contexts, config, frozen_emb):
     labels = None if triplets else [[item.label] for item in items]
 
     def builder(v):
-        emb = v["embed.table"] if "embed.table" in v else frozen_emb
         encoded = encoder.encode_batch_vars(windows, v, emb, config.encoder)
         w_bm = v["match.w_bm"]
 
@@ -243,10 +270,8 @@ def batch_loss_builder(items, contexts, config, frozen_emb):
                                            (roles[0], other))
 
         if triplets:
-            terms = triplet_term_var(scores(roles[1]), scores(roles[2]), config.margin)
-        else:
-            terms = siamese_term_var(scores(roles[1]), labels, config.margin)
-        return ad.scale(ad.sum_all(terms), 1.0 / len(items))
+            return triplet_loss(scores(roles[1]), scores(roles[2]), config.margin)
+        return siamese_loss(scores(roles[1]), labels, config.margin)
 
     return builder
 
@@ -269,8 +294,7 @@ def gradcheck_model(seed=0, eps=1e-5):
                 config = TrainConfig(
                     objective=objective, encoder=variant, leaky=leaky,
                     d_ce=4, contexts_per_entity=2,
-                    max_context_len=5, fine_tune_embeddings=True,
-                    seed=seed).validate()
+                    max_context_len=5, seed=seed).validate()
                 rng = stream_rng(seed, "init", len(reports))
                 ctx = {}
                 for eid in ents:
@@ -304,7 +328,11 @@ def _auto_items_per_epoch(store, config):
     pool = len(corpus._positive_pool(store))
     if config.objective == "triplet":
         return max(pool, 1)
-    return max(round(pool * (1.0 + config.neg_ratio)), 1)
+    total = pool * (1.0 + config.neg_ratio)
+    if not math.isfinite(total):
+        raise DataError(f"neg_ratio {config.neg_ratio} asks for {total} pairs per epoch "
+                        f"from {pool} positive pairs; set pairs_per_epoch or a smaller ratio")
+    return max(round(total), 1)
 
 
 def train(config, data, table):
@@ -327,7 +355,6 @@ def train(config, data, table):
     P = config.contexts_per_entity
     T = config.max_context_len
     params = init_model_params(config, table, stream_rng(config.seed, "init"))
-    frozen_emb = table.matrix
     opt = Adam(config.learning_rate)
 
     valid_pairs = evaluation.make_eval_pairs(store, "valid", stream_rng(config.seed, "eval", 1))
@@ -361,7 +388,7 @@ def train(config, data, table):
         epoch_loss = 0.0
         for batch_no in range(0, len(items), config.batch_size):
             batch = items[batch_no:batch_no + config.batch_size]
-            builder = batch_loss_builder(batch, contexts, config, frozen_emb)
+            builder = batch_loss_builder(batch, contexts, config, table.matrix)
             try:
                 value, grads = ad.grad(builder, params)
                 clip_gradients(grads, config.clip_norm)
@@ -375,8 +402,7 @@ def train(config, data, table):
 
         valid_auc = None
         if valid_pairs:
-            emb = params.get("embed.table", frozen_emb)
-            score = evaluation.entity_scorer(params, config, valid_ctx, emb)
+            score = evaluation.entity_scorer(params, config, valid_ctx, table.matrix)
             scores = score([p.a for p in valid_pairs], [p.b for p in valid_pairs])
             valid_auc = evaluation.auc([(s, p.label) for s, p in zip(scores, valid_pairs)])
             if best_auc is None or valid_auc > best_auc:
@@ -431,9 +457,9 @@ def load_checkpoint(path):
     if not isinstance(blob, dict) or blob.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"{path} is not a model checkpoint")
     version = blob.get("version")
-    if type(version) is not int or version not in (1, CHECKPOINT_VERSION):
+    if type(version) is not int or version != CHECKPOINT_VERSION:
         raise DataError(f"checkpoint version {version} unsupported "
-                        f"(expected 1 or {CHECKPOINT_VERSION})")
+                        f"(expected {CHECKPOINT_VERSION})")
     cfg_dict = dict(_json_object(blob.get("config", {}), "config"))
     for key, fixed in RETIRED_KEYS.items():
         value = cfg_dict.pop(key, fixed)
@@ -461,8 +487,6 @@ def load_checkpoint(path):
                 f"parameter {name}: data block holds {len(raw) // 8} values "
                 f"but shape {shape} needs {count}")
         params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-    if version == 1:
-        _stack_v1_gates(params)
     _check_params(params, config)
     return params, config, blob.get("meta", {})
 
@@ -471,8 +495,6 @@ def _check_params(params, config):
     """Raise DataError unless `params` has exactly the names and shapes that
     `init_model_params` builds for `config` (None: any length)."""
     names = set(encoder.PARAM_NAMES) | {"match.w_bm"}
-    if config.fine_tune_embeddings:
-        names.add("embed.table")
     missing, unexpected = sorted(names - set(params)), sorted(set(params) - names)
     if missing or unexpected:
         raise DataError(f"checkpoint parameters do not match its config: "
@@ -480,7 +502,7 @@ def _check_params(params, config):
     d_ce = config.d_ce
     wx = params["enc.fw.Wx"]
     d_embed = wx.shape[0] if wx.ndim else None
-    shapes = {"match.w_bm": (d_ce, d_ce), "embed.table": (None, d_embed)}
+    shapes = {"match.w_bm": (d_ce, d_ce)}
     for direction in encoder.DIRECTIONS:
         shapes[f"enc.{direction}.Wx"] = (d_embed, 2 * d_ce)
         shapes[f"enc.{direction}.Wh"] = (d_ce // 2, 2 * d_ce)
@@ -491,15 +513,3 @@ def _check_params(params, config):
             raise DataError(f"parameter {name} has shape {list(got)}, but the "
                             f"config needs {['any' if w is None else w for w in want]}")
 
-
-def _stack_v1_gates(params):
-    """Version 1 kept one LSTM matrix per gate; stack them in gate order i, f, o, g."""
-    for name in encoder.PARAM_NAMES:
-        parts = [f"{name}_{gate}" for gate in "ifog"]
-        missing = [p for p in parts if p not in params]
-        if missing:
-            raise DataError(f"version 1 checkpoint lacks parameters {missing}")
-        try:
-            params[name] = np.concatenate([params.pop(p) for p in parts], axis=1)
-        except ValueError as err:
-            raise DataError(f"version 1 parameters {parts} do not stack: {err}") from err

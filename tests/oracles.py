@@ -2,8 +2,11 @@
 
 The tape ops here compose the matcher's score from small recorded steps, each
 with its textbook backward; `test_matcher` checks the matcher's hand-written
-backward against them. `cosine` is the per-row reference for the KNN scan.
-The library's tape keeps only the ops its losses record.
+backward against them, and `sum_all`, `square` and `mul` reduce the encoder's
+and the matcher's outputs to the scalar a gradient check needs. Binary ops
+take two operands of one shape. `cosine` is
+the per-row reference for the KNN scan. The library's tape has no ops: every
+node it records has a hand-written backward.
 """
 
 import numpy as np
@@ -13,13 +16,33 @@ from synmatch import matcher
 from synmatch.errors import ShapeError
 
 
-def div(a, b):
+def _binary(a, b):
     a, b = ad.lift(a), ad.lift(b)
-    ad._check_broadcast(a.shape, b.shape)
-    out = a.value / b.value
-    return ad.Var(out, (a, b),
-                  lambda g: (ad._unbroadcast(g / b.value, a.shape),
-                             ad._unbroadcast(-g * a.value / (b.value * b.value), b.shape)))
+    if a.shape != b.shape:
+        raise ShapeError(f"operand shapes differ: {a.shape} and {b.shape}")
+    return a, b
+
+
+def mul(a, b):
+    a, b = _binary(a, b)
+    return ad.Var(a.value * b.value, (a, b), lambda g: (g * b.value, g * a.value))
+
+
+def div(a, b):
+    a, b = _binary(a, b)
+    return ad.Var(a.value / b.value, (a, b),
+                  lambda g: (g / b.value, -g * a.value / (b.value * b.value)))
+
+
+def square(a):
+    a = ad.lift(a)
+    return ad.Var(a.value * a.value, (a,), lambda g: (2.0 * a.value * g,))
+
+
+def sum_all(a):
+    a = ad.lift(a)
+    return ad.Var(np.array([[a.value.sum()]]), (a,),
+                  lambda g: (np.full_like(a.value, g[0, 0]),))
 
 
 def sqrt(a):

@@ -71,13 +71,13 @@ def test_loss_trivial_cases_exact():
     m = 0.75
     S = ad.Var
     vals = [
-        training.siamese_term_var(S(1.0), 1, m).item(),
-        training.siamese_term_var(S(0.0), 0, m).item(),
-        training.siamese_term_var(S(0.74), 0, m).item(),
-        training.siamese_term_var(S(m), 0, m).item(),
-        training.siamese_term_var(S(-1.0), 0, m).item(),
-        training.triplet_term_var(S(0.9), S(0.9 - m), m).item(),
-        training.triplet_term_var(S(1.0), S(-1.0), m).item(),
+        training.siamese_loss(S(1.0), 1, m).item(),
+        training.siamese_loss(S(0.0), 0, m).item(),
+        training.siamese_loss(S(0.74), 0, m).item(),
+        training.siamese_loss(S(m), 0, m).item(),
+        training.siamese_loss(S(-1.0), 0, m).item(),
+        training.triplet_loss(S(0.9), S(0.9 - m), m).item(),
+        training.triplet_loss(S(1.0), S(-1.0), m).item(),
     ]
     ok = all(v == 0.0 for v in vals)
     report(ok, "loss trivial cases", f"all seven zero-loss cases exactly 0.0: {vals}")

@@ -1,5 +1,6 @@
 """Command-line workflows: exit codes, output formats, determinism."""
 
+import base64
 import json
 import pickle
 import re
@@ -347,7 +348,8 @@ def test_valid_split_without_negatives_fails_before_training(tmp_path, capsys, m
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--pairs-per-epoch", "-3"), ("--clip-norm", "nan"), ("--learning-rate", "nan")])
+    ("--pairs-per-epoch", "-3"), ("--clip-norm", "nan"), ("--learning-rate", "nan"),
+    ("--neg-ratio", "1e308")])   # finite, but the pairs per epoch it asks for are not
 def test_bad_training_numbers_exit_two(work, capsys, flag, value):
     rc, _, err = run(capsys, "train", "--workdir", str(work), "--index", "index.npz",
                      "--embeddings", "data/embeddings.txt",
@@ -544,6 +546,10 @@ def test_non_finite_threshold_exits_two(work, tmp_path, capsys, command, thresho
     assert not any(tmp_path.iterdir())
 
 
+# one (1, 8) parameter of zeros, as a checkpoint stores it
+EMBED_TABLE = {"shape": [1, 8], "data": base64.b64encode(bytes(64)).decode("ascii")}
+
+
 def _set(path, value):
     def edit(blob):
         node = blob
@@ -557,6 +563,8 @@ def _set(path, value):
 @pytest.mark.parametrize("edit, named", [
     pytest.param(_set(("params", "match.w_bm", "data"), "abc"), "match.w_bm", id="bad-base64"),
     pytest.param(lambda blob: [blob], "not a model checkpoint", id="top-level-list"),
+    pytest.param(_set(("params", "embed.table"), EMBED_TABLE), "unexpected ['embed.table']",
+                 id="embedding-table"),
     pytest.param(_set(("config", "d_ce"), "x"), "d_ce must be int", id="d_ce-string"),
     pytest.param(_set(("config", "leaky"), "no"), "leaky must be bool", id="leaky-string"),
     pytest.param(_set(("params", "match.w_bm"), [8, 8]), "parameter match.w_bm", id="entry-list"),
@@ -574,12 +582,15 @@ def test_damaged_checkpoint_exits_two(work, capsys, edit, named):
 
 
 @pytest.mark.parametrize("key, value", [("optimizer", "rmsprop"), ("leaky_trainable", True),
-                                        ("resample_contexts", False)])
+                                        ("resample_contexts", False),
+                                        ("fine_tune_embeddings", True)])
 def test_retired_checkpoint_key_at_another_value_exits_two(work, capsys, key, value):
     blob = json.loads((work / "model.json").read_text())
     blob["config"][key] = value
     if key == "leaky_trainable":   # as the trainable leak was saved
         blob["params"]["match.leak"] = {"shape": [1, 8], "data": "A" * 88}
+    if key == "fine_tune_embeddings":   # as the tuned table was saved
+        blob["params"]["embed.table"] = EMBED_TABLE
     (work / "model_retired.json").write_text(json.dumps(blob))
     rc, _, err = run(capsys, "score", "--workdir", str(work), "--index", "index.npz",
                      "--checkpoint", "model_retired.json",
@@ -590,7 +601,9 @@ def test_retired_checkpoint_key_at_another_value_exits_two(work, capsys, key, va
 
 @pytest.mark.parametrize("key, value, flag", [("optimizer", "adam", "--optimizer=adam"),
                                               ("leaky_trainable", "false", "--no-leaky-trainable"),
-                                              ("resample_contexts", "true", "--resample-contexts")])
+                                              ("resample_contexts", "true", "--resample-contexts"),
+                                              ("fine_tune_embeddings", "false",
+                                               "--no-fine-tune-embeddings")])
 def test_retired_keys_are_unknown_to_config_files_and_flags(work, tmp_path, capsys,
                                                             key, value, flag):
     (tmp_path / "retired.cfg").write_text(f"{key}={value}\n")

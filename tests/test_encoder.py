@@ -9,6 +9,8 @@ from synmatch.corpus import PAD, ContextWindow
 from synmatch.errors import ShapeError, SynmatchError
 from synmatch.rng import stream_rng
 
+import oracles as ref
+
 D_EMBED = 3
 D_CE = 8
 VOCAB = 20
@@ -174,13 +176,10 @@ def test_gradients_match_finite_differences(setup):
     _, emb = setup
     rng = stream_rng(6, "init")
     params = encoder.init_encoder_params(D_EMBED, 4, rng)
-    params["embed.table"] = emb.copy()
     windows = [window([4, 5, 6, 7], 1), window([8, 9, 10], 2)]
 
     def builder(v):
-        enc = {k: v[k] for k in v if k.startswith("enc.")}
-        out = encoder.encode_batch_vars(windows, enc, v["embed.table"])
-        return ad.sum_all(ad.square(out))
+        return ref.sum_all(ref.square(encoder.encode_batch_vars(windows, v, emb)))
 
     report = ad.finite_diff_check(builder, params, eps=1e-4)
     assert report.max_rel_error < 1e-4, str(report)
@@ -189,11 +188,12 @@ def test_gradients_match_finite_differences(setup):
 def test_encode_batch_vars_is_one_tape_node(setup):
     params, emb = setup
     leaves = {k: ad.Var(v) for k, v in params.items()}
-    emb_var = ad.Var(emb)
-    out = encoder.encode_batch_vars([window([4, 5, 6], 1), window([7, 8], 0)], leaves, emb_var)
+    out = encoder.encode_batch_vars([window([4, 5, 6], 1), window([7, 8], 0)], leaves, emb)
     inner = [node for node in ad._topo_order(out) if node.parents]
     assert inner == [out]
-    assert len(out.parents) == 7      # six weights and the embedding matrix
+    # the six weights, in PARAM_NAMES order; the embeddings are frozen
+    assert out.parents == tuple(leaves[name] for name in encoder.PARAM_NAMES)
+    assert len(out.backward_fn(np.ones(out.shape))) == 6
 
 
 def test_replaying_an_encoder_node_raises(setup):
@@ -201,7 +201,7 @@ def test_replaying_an_encoder_node_raises(setup):
     params, emb = setup
     leaves = {k: ad.Var(v) for k, v in params.items()}
     out = encoder.encode_batch_vars([window([4, 5, 6], 1), window([7, 8], 0)], leaves, emb)
-    loss = ad.sum_all(ad.square(out))
+    loss = ref.sum_all(ref.square(out))
     first = ad.backward(loss, list(leaves.values()))
     assert all(np.all(np.isfinite(g)) for g in first)
     with pytest.raises(SynmatchError, match="replayed"):
@@ -254,26 +254,22 @@ def test_inference_keeps_only_the_running_state():
 
 
 def test_padding_rows_get_no_gradient(setup):
+    # a ragged batch: a short window beside a long one gets the weight
+    # gradients it gets alone, so no step past its end contributes
     _, emb = setup
     rng = stream_rng(7, "init")
     params = encoder.init_encoder_params(D_EMBED, 4, rng)
-    params["embed.table"] = emb.copy()
-    # ragged batch: the short window is padded up to length 5 internally
     windows = [window([4, 5, 6, 7, 8], 2), window([9, 10], 1)]
+    for variant in ("anchored", "bilstm"):
+        def gradients(batch):
+            return ad.grad(lambda v: ref.sum_all(ref.square(
+                encoder.encode_batch_vars(batch, v, emb, variant))), params)[1]
 
-    def builder(v):
-        enc = {k: v[k] for k in v if k.startswith("enc.")}
-        out = encoder.encode_batch_vars(windows, enc, v["embed.table"])
-        return ad.sum_all(ad.square(out))
-
-    _, gs = ad.grad(builder, params)
-    assert np.all(gs["embed.table"][PAD] == 0.0)
-    used = {t for w in windows for t in w.token_ids}
-    unused = set(range(VOCAB)) - used - {PAD}
-    for tid in unused:
-        assert np.all(gs["embed.table"][tid] == 0.0)
-    for tid in used:
-        assert np.any(gs["embed.table"][tid] != 0.0)
+        together = gradients(windows)
+        alone = [gradients([w]) for w in windows]
+        for name in params:
+            diff = together[name] - alone[0][name] - alone[1][name]
+            assert np.max(np.abs(diff)) <= 1e-12, (variant, name)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +279,7 @@ def padded_direction(E, ids, stop, Wx, Wh, b, dout):
     """Reference LSTM direction with padding: every row steps to max(stop) + 1
     over the (B, L) id matrix and its state is picked at its own stop step.
     Returns the (B, d_h) states and, for upstream gradient dout, the
-    gradients of Wx, Wh, b and E."""
+    gradients of Wx, Wh and b."""
     B, T, d_h = len(ids), int(stop.max()) + 1, Wh.shape[0]
     tok = ids[:, :T].T
     X = E[tok]
@@ -296,7 +292,7 @@ def padded_direction(E, ids, stop, Wx, Wh, b, dout):
         Hs.append(o * np.tanh(Cs[t + 1]))
         acts.append(a)
     out = np.stack(Hs)[stop + 1, np.arange(B)]
-    dWx, dWh, db, dE = np.zeros_like(Wx), np.zeros_like(Wh), np.zeros_like(b), np.zeros_like(E)
+    dWx, dWh, db = np.zeros_like(Wx), np.zeros_like(Wh), np.zeros_like(b)
     dh, dc = np.zeros((B, d_h)), np.zeros((B, d_h))
     for t in range(T - 1, -1, -1):
         dh = dh + np.where((stop == t)[:, None], dout, 0.0)
@@ -308,10 +304,9 @@ def padded_direction(E, ids, stop, Wx, Wh, b, dout):
         dWx += X[t].T @ dz
         dWh += Hs[t].T @ dz
         db += dz.sum(axis=0, keepdims=True)
-        np.add.at(dE, tok[t], dz @ Wx.T)
         dc = dc * f
         dh = dz @ Wh.T
-    return out, (dWx, dWh, db, dE)
+    return out, (dWx, dWh, db)
 
 
 def padded_encode(windows, params, E, variant, G):
@@ -328,26 +323,22 @@ def padded_encode(windows, params, E, variant, G):
     else:
         stops = (lengths - 1, lengths - 1)
     d_h = D_CE // 2
-    outs, grads, dE = [], {}, np.zeros_like(E)
+    outs, grads = [], {}
     for k, (direction, id_matrix) in enumerate((("fw", ids), ("bw", rev))):
         names = [f"enc.{direction}.{part}" for part in ("Wx", "Wh", "b")]
-        out, (dWx, dWh, db, dE_k) = padded_direction(
+        out, direction_grads = padded_direction(
             E, id_matrix, stops[k], *[params[n] for n in names], G[:, k * d_h:(k + 1) * d_h])
         outs.append(out)
-        grads.update(zip(names, (dWx, dWh, db)))
-        dE += dE_k
-    grads["emb"] = dE
+        grads.update(zip(names, direction_grads))
     return np.concatenate(outs, axis=1), grads
 
 
 def packed_encode(windows, params, E, variant, G):
     leaves = {k: ad.Var(v) for k, v in params.items()}
-    emb = ad.Var(E)
-    out = encoder.encode_batch_vars(windows, leaves, emb, variant)
+    out = encoder.encode_batch_vars(windows, leaves, E, variant)
     assert np.array_equal(out.value, encoder.encode_batch(windows, params, E, variant))
-    names = list(leaves)
-    gs = ad.backward(ad.sum_all(ad.mul(out, ad.Var(G))), [leaves[n] for n in names] + [emb])
-    return out.value, dict(zip(names + ["emb"], gs))
+    gs = ad.backward(ref.sum_all(ref.mul(out, G)), list(leaves.values()))
+    return out.value, dict(zip(leaves, gs))
 
 
 def oracle_batches():

@@ -19,11 +19,11 @@ from test_matcher import single_context_score
 # losses
 
 def siamese(s, y, margin):
-    return training.siamese_term_var(ad.lift(s), y, margin).item()
+    return training.siamese_loss(s, y, margin).item()
 
 
 def triplet(s_pos, s_neg, margin):
-    return training.triplet_term_var(ad.lift(s_pos), ad.lift(s_neg), margin).item()
+    return training.triplet_loss(s_pos, s_neg, margin).item()
 
 
 def test_siamese_trivial_zeros_exact():
@@ -58,6 +58,42 @@ def test_losses_nonnegative_everywhere():
         m = float(rng.uniform(0.05, 1.0))
         assert siamese(s, y, m) >= 0.0
         assert triplet(s, s2, m) >= 0.0
+
+
+def test_losses_are_the_mean_of_their_terms():
+    s = np.array([[0.9], [0.2], [-0.4], [0.8]])
+    y = np.array([[1.0], [1.0], [0.0], [0.0]])
+    per_pair = [siamese(v, label, 0.5) for v, label in zip(s[:, 0], y[:, 0])]
+    assert siamese(s, y, 0.5) == pytest.approx(np.mean(per_pair), abs=1e-15)
+    assert per_pair == pytest.approx([0.0025, 0.16, 0.0, 0.09], abs=1e-15)
+    s_neg = np.array([[0.1], [0.6], [0.95], [-0.2]])
+    per_triplet = [triplet(a, b, 0.5) for a, b in zip(s[:, 0], s_neg[:, 0])]
+    assert triplet(s, s_neg, 0.5) == pytest.approx(np.mean(per_triplet), abs=1e-15)
+    assert per_triplet == pytest.approx([0.0, 0.9, 1.85, 0.0], abs=1e-15)
+
+
+def test_loss_gradients_match_central_differences():
+    # both labels on both sides of the margin, and hinges on and off; no
+    # score sits within the step of a kink
+    s = np.array([[0.9], [0.2], [-0.4], [0.8], [0.3], [0.62]])
+    y = np.array([[1.0], [1.0], [0.0], [0.0], [0.0], [1.0]])
+    s_neg = np.array([[0.1], [0.6], [0.95], [-0.2], [0.5], [-0.9]])
+    margin = 0.5
+    report = ad.finite_diff_check(
+        lambda v: training.siamese_loss(v["s"], y, margin), {"s": s}, eps=1e-6)
+    assert report.max_rel_error < 1e-8, str(report)
+    report = ad.finite_diff_check(
+        lambda v: training.triplet_loss(v["pos"], v["neg"], margin),
+        {"pos": s, "neg": s_neg}, eps=1e-6)
+    assert report.max_rel_error < 1e-8, str(report)
+    # the closed forms, divided by the number of scores
+    _, g = ad.grad(lambda v: training.siamese_loss(v["s"], y, margin), {"s": s})
+    want = (-(1 - s) * y / 2 + 2 * np.maximum(s - margin, 0) * (1 - y)) / len(s)
+    assert np.max(np.abs(g["s"] - want)) < 1e-15
+    _, g = ad.grad(lambda v: training.triplet_loss(v["pos"], v["neg"], margin),
+                   {"pos": s, "neg": s_neg})
+    active = (s_neg - s + margin > 0) / len(s)
+    assert np.array_equal(g["neg"], active) and np.array_equal(g["pos"], -active)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +227,7 @@ def test_config_validation():
 
 @pytest.mark.parametrize("field, value", [
     ("d_ce", "x"), ("d_ce", 8.0), ("epochs", True), ("leaky", "no"), ("leaky", 1),
-    ("fine_tune_embeddings", None), ("objective", 5), ("margin", "0.5"),
+    ("leaky", None), ("objective", 5), ("margin", "0.5"),
     ("learning_rate", False), ("seed", [0])])
 def test_config_validation_checks_each_value_type(field, value):
     with pytest.raises(DataError) as err:
@@ -371,7 +407,7 @@ def test_full_model_gradcheck(tmp_path):
     for objective in training.OBJECTIVES:
         config = training.TrainConfig(
             objective=objective, d_ce=4, contexts_per_entity=2, max_context_len=5,
-            leaky=True, fine_tune_embeddings=True, seed=3).validate()
+            leaky=True, seed=3).validate()
         params = training.init_model_params(config, table, stream_rng(3, "init"))
         ep_rng = stream_rng(3, "train")
         if objective == "triplet":
@@ -402,6 +438,33 @@ def test_batch_tape_size_does_not_grow_with_the_batch(tmp_path, objective):
         loss = builder({name: ad.Var(value) for name, value in params.items()})
         counts.append(len(ad._topo_order(loss)))
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("objective", training.OBJECTIVES)
+def test_batch_tape_is_weights_encoder_matchers_and_loss(tmp_path, objective):
+    """7 weight leaves, 1 encoder node, 1 matcher node per role pair (2 for
+    triplets) and 1 loss node: 10 nodes for a siamese batch, 11 for a triplet
+    batch."""
+    data, table, config = toy_setup(tmp_path, objective=objective)
+    params = training.init_model_params(config, table, stream_rng(3, "init"))
+    rng = stream_rng(3, "train")
+    if objective == "triplet":
+        items = corpus.sample_triplets(data.store, 4, rng)
+    else:
+        items = corpus.sample_pairs(data.store, 4, 1.0, rng)
+    ctx = {eid: corpus.retrieve_contexts(data, eid, 3, 8, rng)
+           for item in items for eid in training._item_entities(item)}
+    leaves = {name: ad.Var(value) for name, value in params.items()}
+    loss = training.batch_loss_builder(items, ctx, config, table.matrix)(leaves)
+    order = ad._topo_order(loss)
+    assert len(order) == (11 if objective == "triplet" else 10)
+    assert {id(n) for n in order if not n.parents} == {id(v) for v in leaves.values()}
+    assert len(leaves) == 7
+    matchers = loss.parents
+    assert len(matchers) == (2 if objective == "triplet" else 1)
+    (enc,) = {id(m.parents[0]): m.parents[0] for m in matchers}.values()
+    assert all(m.parents[1] is enc and m.parents[2] is leaves["match.w_bm"] for m in matchers)
+    assert enc.parents == tuple(leaves[name] for name in encoder.PARAM_NAMES)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +515,8 @@ def test_checkpoint_corrupted_shape_names_field(tmp_path):
     assert "match.w_bm" in str(err.value)
 
 
-def test_checkpoint_v1_per_gate_weights_load_stacked(tmp_path):
+def test_checkpoint_v1_is_unsupported(tmp_path):
+    """Version 1 kept one LSTM matrix per gate; such a file is refused."""
     params, config = make_small_model()
     d_h = config.d_ce // 2
     v1 = {k: v for k, v in params.items() if not k.startswith("enc.")}
@@ -464,22 +528,8 @@ def test_checkpoint_v1_per_gate_weights_load_stacked(tmp_path):
     blob = json.loads(path.read_text())
     blob["version"] = 1
     path.write_text(json.dumps(blob))
-    loaded, cfg, _ = training.load_checkpoint(str(path))
-    assert cfg == config
-    assert sorted(loaded) == sorted(params)
-    for k in params:
-        assert np.array_equal(loaded[k], params[k])
-    del blob["params"]["enc.bw.Wh_g"]
-    path.write_text(json.dumps(blob))
-    with pytest.raises(DataError) as err:
+    with pytest.raises(DataError, match=r"checkpoint version 1 unsupported \(expected 2\)"):
         training.load_checkpoint(str(path))
-    assert "enc.bw.Wh_g" in str(err.value)
-    blob["params"]["enc.bw.Wh_g"] = blob["params"]["enc.bw.Wh_f"]
-    blob["params"]["enc.fw.b_o"]["shape"] = [d_h]   # a gate that cannot stack
-    path.write_text(json.dumps(blob))
-    with pytest.raises(DataError) as err:
-        training.load_checkpoint(str(path))
-    assert "enc.fw.b_o" in str(err.value)
 
 
 def _drop(name):
@@ -496,18 +546,11 @@ def _put(name, shape):
     return edit
 
 
-def _configure(**changes):
-    def edit(params, config):
-        return dataclasses.replace(config, **changes)
-    return edit
-
-
 @pytest.mark.parametrize("edit, named", [
     pytest.param(_drop("enc.bw.Wh"), "enc.bw.Wh", id="missing"),
     pytest.param(_put("match.extra", (6, 6)), "match.extra", id="unexpected"),
     pytest.param(_put("embed.table", (11, 4)), "embed.table", id="table-not-fine-tuned"),
     pytest.param(_put("match.leak", (1, 6)), "match.leak", id="leak-not-trainable"),
-    pytest.param(_configure(fine_tune_embeddings=True), "embed.table", id="table-missing"),
     pytest.param(_put("enc.fw.Wh", (4, 12)), "enc.fw.Wh", id="wh-shape"),
     pytest.param(_put("enc.bw.Wx", (5, 12)), "enc.bw.Wx", id="directions-disagree"),
     pytest.param(_put("enc.fw.b", (12,)), "enc.fw.b", id="bias-rank"),
@@ -524,19 +567,22 @@ def test_checkpoint_params_must_fit_config(tmp_path, edit, named):
     assert named in str(err.value)
 
 
-def test_checkpoint_fine_tuned_table_checks_width(tmp_path):
+def test_checkpoint_from_fine_tuned_model_raises(tmp_path):
+    """Embeddings are frozen: a checkpoint that fine-tuned them, as written
+    when that was an option, is refused, naming the key or the table."""
     params, config = make_small_model()
-    config = dataclasses.replace(config, fine_tune_embeddings=True)
-    path = tmp_path / "model.ckpt"
     params["embed.table"] = np.ones((11, 4))
+    path = tmp_path / "model.ckpt"
     training.save_checkpoint(str(path), params, config)
-    loaded, _, _ = training.load_checkpoint(str(path))
-    assert np.array_equal(loaded["embed.table"], params["embed.table"])
-    params["embed.table"] = np.ones((11, 3))
-    training.save_checkpoint(str(path), params, config)
-    with pytest.raises(DataError) as err:
+    blob = json.loads(path.read_text())
+    blob["config"]["fine_tune_embeddings"] = True
+    path.write_text(json.dumps(blob))
+    with pytest.raises(DataError, match="fine_tune_embeddings=True is no longer supported"):
         training.load_checkpoint(str(path))
-    assert "embed.table" in str(err.value)
+    blob["config"]["fine_tune_embeddings"] = False
+    path.write_text(json.dumps(blob))
+    with pytest.raises(DataError, match=r"unexpected \['embed.table'\]"):
+        training.load_checkpoint(str(path))
 
 
 def test_checkpoint_rejects_wrong_format_and_version(tmp_path):
@@ -564,9 +610,9 @@ def test_loaded_model_scores_identically(tmp_path):
 
 
 def test_checkpoint_naming_retired_keys_at_their_values_loads(tmp_path):
-    """A checkpoint written while the optimizer, the trainable leak and fixed
-    contexts were options holds their keys; at the values now fixed it loads
-    as if they were absent."""
+    """A checkpoint written while the optimizer, the trainable leak, fixed
+    contexts and fine-tuned embeddings were options holds their keys; at the
+    values now fixed it loads as if they were absent."""
     data, table, config = toy_setup(tmp_path, epochs=2)
     params, _ = training.train(config, data, table)
     path = tmp_path / "model.ckpt"
