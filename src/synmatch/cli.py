@@ -432,6 +432,9 @@ def main(argv=None):
     except OSError as exc:
         print(f"cannot read or write file: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"not enough memory: {exc or 'an allocation failed'}", file=sys.stderr)
+        return 2
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

@@ -142,6 +142,9 @@ class CorpusData:
     occ_start: np.ndarray = field(init=False, repr=False)   # (len(vocab) + 1,) int64
     occ_line: np.ndarray = field(init=False, repr=False)
     occ_pos: np.ndarray = field(init=False, repr=False)
+    # evaluation windows drawn so far, by (seed, P, T, entity id); filled by
+    # evaluation.eval_contexts
+    eval_windows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.lines = unflatten(self.tokens, self.line_start)
@@ -226,6 +229,8 @@ def ingest(corpus_path, synset_path, min_count=5):
     the corpus, or occur fewer than min_count times, are dropped from the
     store (with a warning); their contexts would be too thin to encode.
     """
+    if min_count < 0:
+        raise DataError(f"min_count must be non-negative, got {min_count}")
     token_lines = read_corpus_lines(corpus_path)
     vocab = Vocabulary(chain.from_iterable(token_lines))
     line_start = np.zeros(len(token_lines) + 1, dtype=np.int64)

@@ -7,7 +7,9 @@ full context-matching model, keep those above a threshold.
 Evaluation reports AUC over labeled entity pairs plus ranking metrics
 (MAP, P@K, R@K, F1@K) over per-entity discovery runs against held-out
 synsets.  All context sampling is keyed by (seed, entity), so a metric run
-is a pure function of (model, data, seed).
+is a pure function of (model, data, seed).  Each entity's windows are drawn
+once per loaded corpus (`eval_contexts`): repeated discover, score and
+evaluate calls on one CorpusData reuse them.
 """
 
 from dataclasses import dataclass, field
@@ -120,11 +122,24 @@ def make_eval_pairs(store, split, rng):
 
 
 def eval_contexts(data, entity_ids, P, T, seed):
-    """Context windows per entity, keyed by (seed, entity) for reproducibility."""
+    """Context windows per entity, keyed by (seed, entity) for reproducibility.
+
+    An entity's windows come from stream_rng(seed, "eval", 0, entity), so they
+    are a pure function of (corpus, seed, P, T, entity).  Each is drawn once
+    per CorpusData and kept as a tuple in data.eval_windows; later calls
+    return that tuple.  The memo has no cap: it holds one entry per (seed, P,
+    T, entity) asked for.  An entity with no occurrence raises NoContextError
+    on every call.
+    """
     out = {}
     for eid in entity_ids:
-        rng = stream_rng(seed, "eval", 0, int(eid))
-        out[eid] = corpus.retrieve_contexts(data, eid, P, T, rng)
+        key = (seed, P, T, int(eid))
+        windows = data.eval_windows.get(key)
+        if windows is None:
+            rng = stream_rng(seed, "eval", 0, int(eid))
+            windows = tuple(corpus.retrieve_contexts(data, eid, P, T, rng))
+            data.eval_windows[key] = windows
+        out[eid] = windows
     return out
 
 

@@ -9,6 +9,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from synmatch import cli, corpus, training
 from synmatch.errors import DataError
@@ -210,21 +211,25 @@ def test_pickled_index_is_never_unpickled(work, tmp_path, capsys):
     assert not marker.exists()
 
 
+def assert_same_index(got, want):
+    assert got.vocab.id_to_token == want.vocab.id_to_token
+    assert got.vocab.token_to_id == want.vocab.token_to_id
+    assert got.lines == want.lines
+    for name in ("tokens", "line_start", "occ_start", "occ_line", "occ_pos"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.store.synsets == want.store.synsets
+    assert got.store.split == want.store.split
+
+
 def test_index_round_trip(work):
     data = cli.load_index(str(work / "index.npz"))
     assert len(data.store.split) == len(data.store) == 6
     again_path = work / "again.pkl"           # kept as given: no ".npz" appended
     cli.save_index(str(again_path), data)
     again = cli.load_index(str(again_path))
-    assert again.vocab.id_to_token == data.vocab.id_to_token
-    assert again.vocab.token_to_id == data.vocab.token_to_id
-    assert again.lines == data.lines
+    assert_same_index(again, data)
     assert all(type(t) is int for line in again.lines for t in line)
-    for name in ("tokens", "line_start", "occ_start", "occ_line", "occ_pos"):
-        assert np.array_equal(getattr(again, name), getattr(data, name)), name
-    assert again.store.synsets == data.store.synsets
     assert all(type(e) is int for members in again.store.synsets for e in members)
-    assert again.store.split == data.store.split
     with zipfile.ZipFile(again_path) as zf:                # nothing stored as a pickle
         assert sorted(zf.namelist()) == sorted(
             f"{key}.npy" for key in ["format", "version", *cli.INDEX_ARRAYS])
@@ -293,14 +298,21 @@ def test_malformed_index_exits_two(work, tmp_path, capsys, change, why):
     assert rc == 2 and "Traceback" not in err
 
 
-def test_damaged_index_raises_only_data_error(work, tmp_path):
+@pytest.fixture(scope="module")
+def index_files(work, tmp_path_factory):
+    """The saved index, and its file's bytes stored and deflated."""
     with np.load(work / "index.npz", allow_pickle=False) as npz:
         arrays = {key: npz[key] for key in npz.files}
-    compressed = tmp_path / "compressed.npz"
+    compressed = tmp_path_factory.mktemp("index") / "compressed.npz"
     np.savez_compressed(compressed, **arrays)
+    return (cli.load_index(str(work / "index.npz")),
+            ((work / "index.npz").read_bytes(), compressed.read_bytes()))
+
+
+def test_damaged_index_raises_only_data_error(index_files, tmp_path):
     rng = np.random.default_rng(5)
     bad = tmp_path / "bad.npz"
-    for base in ((work / "index.npz").read_bytes(), compressed.read_bytes()):
+    for base in index_files[1]:
         for trial in range(150):
             blob = bytearray(base[:rng.integers(len(base))] if trial % 3 == 0 else base)
             for _ in range(0 if trial % 3 == 0 else rng.integers(1, 4)):
@@ -310,6 +322,29 @@ def test_damaged_index_raises_only_data_error(work, tmp_path):
                 cli.load_index(str(bad))
             except DataError:
                 pass
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(which=st.integers(0, 1), cut=st.booleans(), draws=st.data())
+def test_damaged_index_loads_as_saved_or_raises_data_error(index_files, tmp_path, which,
+                                                           cut, draws):
+    saved, blobs = index_files
+    blob = bytearray(blobs[which])
+    if cut:
+        del blob[draws.draw(st.integers(0, len(blob) - 1), label="cut at"):]
+    if blob:
+        spots = st.tuples(st.integers(0, len(blob) - 1), st.integers(0, 255))
+        for at, byte in draws.draw(st.lists(spots, min_size=0 if cut else 1, max_size=4),
+                                   label="bytes set"):
+            blob[at] = byte
+    bad = tmp_path / "damaged.npz"
+    bad.write_bytes(bytes(blob))
+    try:
+        loaded = cli.load_index(str(bad))
+    except DataError:
+        return
+    assert_same_index(loaded, saved)
 
 
 def test_ingest_writes_index_npz_by_default(work):
@@ -477,6 +512,29 @@ def test_synth_bad_size_exits_two(tmp_path, capsys):
     assert rc == 2 and "embed_dim" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("exc", [
+    MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,)"),
+    MemoryError()])
+def test_out_of_memory_exits_two_in_one_line(tmp_path, capsys, monkeypatch, exc):
+    def too_big(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli.synthetic, "generate", too_big)
+    rc, _, err = run(capsys, "synth", "--workdir", str(tmp_path), "--embed-dim", "100000000000")
+    assert rc == 2
+    assert err.startswith("not enough memory: ") and err.count("\n") == 1
+    assert str(exc) in err and "Traceback" not in err
+
+
+def test_negative_min_count_exits_two(work, tmp_path, capsys):
+    rc, _, err = run(capsys, "ingest", "--corpus", str(work / "data/corpus.txt"),
+                     "--synsets", str(work / "data/synsets.tsv"),
+                     "--out", str(tmp_path / "index.npz"), "--min-count", "-5")
+    assert rc == 2
+    assert "min_count must be non-negative, got -5" in err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_train_flags_cover_every_config_field():
     args = cli.build_parser().parse_args(["train", "--index", "x", "--embeddings", "y"])
     defaults = training.TrainConfig()
@@ -615,3 +673,66 @@ def test_retired_keys_are_unknown_to_config_files_and_flags(work, tmp_path, caps
     rc, _, err = run(capsys, *train, flag)
     assert rc == 1 and f"unrecognized arguments: {flag}" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["retired.cfg"]
+
+
+# Flag values for the CLI fuzz test.  No width or count here is both valid
+# and large: such a value would allocate for real.
+COUNTS = ["0", "1", "2", "3", "-1", "+4", "1_0", "7", "50", "2.5", "a", "9" * 30]
+WIDTHS = ["-2", "0", "1", "2", "7", "8", "+4", "1_0", "x", ""]
+REALS = ["0", "0.5", "-0.0", "1", "-1", "0.001", "1e308", "1e-320", "nan", "inf", "-inf", "x"]
+NAMES = ["ent0_0", "ent0_1", "ent3_2", "ent5_1", "<pad>", "<unk>", "ghost", "", "-x", "ent0_0 "]
+SEEDS = ["0", "3", "-1", "+7", "9" * 30, "1e3"]
+MODEL_FLAGS = {"--seed": SEEDS}
+FUZZ_FLAGS = {
+    "score": MODEL_FLAGS,
+    "discover": dict(MODEL_FLAGS, **{"--topk": COUNTS,
+                                     "--threshold": REALS}),
+    "evaluate": dict(MODEL_FLAGS, **{"--split": ["train", "valid", "test", "dev", ""],
+                                     "--ks": ["1,5,10", "3", "", ",", "0", "-1", "1,,2", "a",
+                                              "1, 2", "9" * 30],
+                                     "--knn-k": COUNTS}),
+    "train": {"--seed": SEEDS, "--d-ce": WIDTHS, "--contexts-per-entity": COUNTS,
+              "--max-context-len": COUNTS, "--batch-size": COUNTS,
+              "--pairs-per-epoch": COUNTS, "--learning-rate": REALS, "--margin": REALS,
+              "--neg-ratio": REALS, "--clip-norm": REALS,
+              "--objective": ["siamese", "triplet", "contrastive", ""],
+              "--encoder": ["anchored", "bilstm", "gru"], "--leaky": [None],
+              "--no-leaky": [None], "--epochs": ["0"]},
+}
+
+
+@st.composite
+def cli_args(draw, command):
+    """Arguments of score, discover, evaluate or `train --epochs 0`: fuzzed
+    flags, now and then one that belongs to another command."""
+    table = FUZZ_FLAGS[command]
+    others = sorted({f for flags in FUZZ_FLAGS.values() for f in flags} - set(table))
+    names = draw(st.lists(st.sampled_from(sorted(table)), max_size=4))
+    if draw(st.integers(0, 7)) == 0:
+        names.append(draw(st.sampled_from(others)))
+    argv = []
+    for name in names:
+        values = table.get(name, COUNTS)
+        value = draw(st.sampled_from(values))
+        argv.append(name if value is None else f"{name}={value}")
+    positional = {"score": 2, "discover": 1}.get(command, 0)
+    return draw(st.lists(st.sampled_from(NAMES), min_size=positional,
+                         max_size=positional)) + argv
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_FLAGS))
+@settings(max_examples=20, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(draws=st.data())
+def test_fuzzed_flags_exit_zero_to_three_without_traceback(work, tmp_path, capsys, command,
+                                                           draws):
+    argv = draws.draw(cli_args(command), label="arguments")
+    outputs = {"train": ["--checkpoint", str(tmp_path / "model.json"),
+                         "--history", str(tmp_path / "history.txt"), "--epochs", "0",
+                         "--workdir", str(work), "--index", "index.npz",
+                         "--embeddings", "data/embeddings.txt"],
+               "evaluate": ["--out", str(tmp_path / "metrics.txt")] + model_args(work)}
+    rc, _, err = run(capsys, command, *outputs.get(command, model_args(work)), *argv)
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    assert (rc == 0) != bool(err.strip())

@@ -39,6 +39,14 @@ def test_ingest_drops_low_frequency_entity(tmp_path):
     assert "spot" in kept   # 6 occurrences
 
 
+def test_ingest_rejects_negative_min_count(tmp_path):
+    corpus_path = write(tmp_path / "c.txt", "a b c\n")
+    synset_path = write(tmp_path / "s.tsv", "a\tb\n")
+    with pytest.raises(DataError, match="min_count must be non-negative, got -5"):
+        corpus.ingest(corpus_path, synset_path, min_count=-5)
+    assert len(corpus.ingest(corpus_path, synset_path, min_count=0).store) == 1
+
+
 def test_ingest_dedupes_exact_lines(tmp_path):
     corpus_path = write(tmp_path / "c.txt", "a b c\na b c\nd e f\n")
     synset_path = write(tmp_path / "s.tsv", "")

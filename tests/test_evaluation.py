@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from synmatch import corpus, embeddings, evaluation, training
-from synmatch.errors import DataError, MetricError
+from synmatch import cli, corpus, embeddings, evaluation, training
+from synmatch.errors import DataError, MetricError, NoContextError
 from synmatch.rng import stream_rng
 
 
@@ -245,3 +247,100 @@ def test_evaluate_report_shape(tiny):
     # every test entity has exactly one synonym, so per-query recall at 2 is
     # 0 or 1 and the mean over the 4 queries lands on a quarter
     assert rep.r_at_k[2] in (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# evaluation windows are drawn once per CorpusData
+
+def fresh_copy(data):
+    """A CorpusData over the same corpus, with nothing drawn yet."""
+    return corpus.CorpusData(vocab=data.vocab, tokens=data.tokens,
+                             line_start=data.line_start, store=data.store)
+
+
+def fresh_draws(data, ids, P, T, seed):
+    return {eid: corpus.retrieve_contexts(data, eid, P, T, stream_rng(seed, "eval", 0, eid))
+            for eid in ids}
+
+
+def test_eval_contexts_equal_fresh_draws(tiny):
+    data = fresh_copy(tiny[0])
+    ids = sorted(data.store.entities())
+    for seed in (0, 5):
+        for P, T in ((3, 6), (8, 3)):
+            want = fresh_draws(data, ids, P, T, seed)
+            for _ in range(2):
+                got = evaluation.eval_contexts(data, ids, P, T, seed)
+                assert list(got) == ids
+                assert {eid: list(w) for eid, w in got.items()} == want
+                assert all(type(w) is tuple for w in got.values())
+    assert len(data.eval_windows) == 2 * 2 * len(ids)
+
+
+def count_retrievals(monkeypatch):
+    calls = []
+    retrieve = corpus.retrieve_contexts
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return retrieve(*args, **kwargs)
+
+    monkeypatch.setattr(corpus, "retrieve_contexts", counted)
+    return calls
+
+
+def test_second_discover_draws_no_windows(tiny, monkeypatch):
+    _, table, config, params = tiny
+    data = fresh_copy(tiny[0])
+    calls = count_retrievals(monkeypatch)
+    first = evaluation.discover(params, config, data, table, "sun", k=10, threshold=0.0)
+    assert len(calls) == 4                 # the query and its three candidates
+    second = evaluation.discover(params, config, data, table, "sun", k=10, threshold=0.0)
+    assert len(calls) == 4
+    assert second.ranked == first.ranked and second.candidates == first.candidates
+    # a corpus with nothing drawn yet ranks the same
+    again = evaluation.discover(params, config, fresh_copy(data), table, "sun", k=10,
+                                threshold=0.0)
+    assert len(calls) == 8
+    assert again.ranked == first.ranked and again.candidates == first.candidates
+
+
+def test_memo_starts_empty_on_ingest_and_index_load(tiny, tmp_path):
+    _, table, config, params = tiny
+    data = fresh_copy(tiny[0])
+    assert data.eval_windows == {}
+    evaluation.discover(params, config, data, table, "sun", k=10)
+    assert data.eval_windows
+    cli.save_index(str(tmp_path / "index.npz"), data)
+    assert cli.load_index(str(tmp_path / "index.npz")).eval_windows == {}
+    memo = next(f for f in dataclasses.fields(corpus.CorpusData) if f.name == "eval_windows")
+    assert not memo.init and not memo.repr and not memo.compare
+    assert "eval_windows" not in repr(data)
+
+
+def test_callers_cannot_change_stored_windows(tiny):
+    data = fresh_copy(tiny[0])
+    ids = sorted(data.store.entities())
+    want = fresh_draws(data, ids, 3, 6, 0)
+    got = evaluation.eval_contexts(data, ids, 3, 6, 0)
+    got[ids[0]] = ()
+    del got[ids[1]]
+    windows = got[ids[2]]
+    with pytest.raises(AttributeError):
+        windows.append(windows[0])
+    with pytest.raises(TypeError):
+        windows[0] = windows[1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        windows[0].token_ids = ()
+    again = evaluation.eval_contexts(data, ids, 3, 6, 0)
+    assert {eid: list(w) for eid, w in again.items()} == want
+
+
+def test_entity_without_context_raises_every_call(tiny, monkeypatch):
+    data = fresh_copy(tiny[0])
+    calls = count_retrievals(monkeypatch)
+    for attempt in (1, 2):
+        with pytest.raises(NoContextError):
+            evaluation.eval_contexts(data, [corpus.PAD], 3, 6, 0)
+        assert len(calls) == attempt
+    assert data.eval_windows == {}
