@@ -22,6 +22,8 @@ backpropagated only once.
 Inference keeps only the running state: each step overwrites the leading
 rows of the step before, and a row's state is written out at its stop step,
 so its memory grows with the windows, not with their length.
+A one-row product goes to gemm as two rows (`_matmul`), so a window encodes
+to the same bits in any batch, for inference and training alike.
 
 Each direction steps only the (step, row) pairs it uses: a row stops at its
 stop step (the entity token for the anchored variant, the window's end for
@@ -95,6 +97,17 @@ def _pack(stop):
     return _Packing(order, n, offs, step, rank)
 
 
+def _matmul(x, W, out):
+    """x @ W into out.  numpy sends a one-row product to gemv, which rounds
+    unlike gemm; as two rows it goes to gemm, so every row of every batch
+    gets the bits it gets in any other batch."""
+    if len(x) == 1:
+        out[...] = (np.repeat(x, 2, axis=0) @ W)[:1]
+    else:
+        np.matmul(x, W, out=out)
+    return out
+
+
 def _forward(E, tok, pk, Wx, Wh, b, save):
     """Run one direction over its packed token ids; returns the (B, d_h)
     state at each row's stop step and the saved values `_backward` needs, or
@@ -111,21 +124,16 @@ def _forward(E, tok, pk, Wx, Wh, b, save):
     H = np.empty((len(A), d_h))            # state after each step
     C = np.empty_like(H)                   # cell after each step
     S = np.empty((n[0], d_h))              # the live rows' f c, then tanh(c)
+    Z = np.empty((n[0], 4 * d_h))          # the live rows' h Wh
     out = np.empty((len(pk.order), d_h))
     for t in range(len(n) - 1):
         now = slice(base[t], base[t] + n[t])
         a, c, h, s = A[now], C[now], H[now], S[:n[t]]
-        x = E[tok[offs[t]:offs[t + 1]]]
-        if n[t] == 1 and len(tok) > 1:
-            # numpy sends a one-row product to gemv, which rounds unlike gemm;
-            # two rows keep each row equal to its row of one whole product
-            a[...] = (np.repeat(x, 2, axis=0) @ Wx)[:1]
-        else:
-            np.matmul(x, Wx, out=a)
+        _matmul(E[tok[offs[t]:offs[t + 1]]], Wx, a)
         a += b
         if t:
             prev = slice(base[t - 1], base[t - 1] + n[t])
-            a += H[prev] @ Wh
+            a += _matmul(H[prev], Wh, Z[:n[t]])
         np.tanh(a, out=a)
         a[:, :3 * d_h] *= 0.5
         a[:, :3 * d_h] += 0.5

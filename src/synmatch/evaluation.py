@@ -8,10 +8,14 @@ Evaluation reports AUC over labeled entity pairs plus ranking metrics
 (MAP, P@K, R@K, F1@K) over per-entity discovery runs against held-out
 synsets.  All context sampling is keyed by (seed, entity), so a metric run
 is a pure function of (model, data, seed).  Each entity's windows are drawn
-once per loaded corpus (`eval_contexts`): repeated discover, score and
-evaluate calls on one CorpusData reuse them.
+once per loaded corpus (`eval_contexts`), and their encodings are kept for
+one model at a time (`entity_scorer`): repeated discover, score and evaluate
+calls on one CorpusData encode only the entities not seen before.  The
+encodings are kept on the assumption that the embedding matrix is not
+written in place between calls; nothing in this package writes it.
 """
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,31 +161,57 @@ def stack_windows(ctx, ids):
 SCORE_SLICE = 64
 
 
-def entity_scorer(params, config, ctx, emb):
-    """Encode every entity's windows in one pass; returns score(left, right),
-    the model scores of pairs (left[i], right[i]), SCORE_SLICE pairs per
-    matcher call, where left may be one id matched against every right id."""
-    windows, rows = stack_windows(ctx, sorted(ctx))
-    enc = encoder.encode_batch(windows, params, emb, config.encoder)
+def _encoder_key(params, config, seed):
+    """What an entity's encodings depend on besides its id and the embedding
+    matrix: the encoder weights by content, the variant, seed, P and T."""
+    digest = hashlib.blake2b()
+    for name in encoder.PARAM_NAMES:
+        w = np.ascontiguousarray(params[name], dtype=float)
+        digest.update(repr(w.shape).encode())
+        digest.update(w)
+    return (digest.digest(), config.encoder, seed, config.contexts_per_entity,
+            config.max_context_len)
+
+
+def entity_scorer(params, config, data, emb, entity_ids, seed):
+    """Score the entities' windows; returns score(left, right), the model
+    scores of pairs (left[i], right[i]), SCORE_SLICE pairs per matcher call,
+    where left may be one id matched against every right id.
+
+    data.eval_encodings holds one model's encodings, keyed by _encoder_key
+    and the emb object; another key replaces them all.  Entities not held
+    yet are encoded in one batch.
+    """
+    ctx = eval_contexts(data, entity_ids, config.contexts_per_entity,
+                        config.max_context_len, seed)
+    key = _encoder_key(params, config, seed)
+    slot = data.eval_encodings
+    if slot.get("key") != key or slot.get("emb") is not emb:
+        slot.clear()
+        slot.update(key=key, emb=emb, enc={})
+    enc = slot["enc"]
+    missing = sorted(set(ctx) - enc.keys())
+    if missing:
+        windows, rows = stack_windows(ctx, missing)
+        new = encoder.encode_batch(windows, params, emb, config.encoder)
+        new.flags.writeable = False      # its views below are read-only too
+        enc.update((eid, new[r[0]:r[-1] + 1]) for eid, r in rows.items())
 
     def score(left, right):
-        h_rows = np.stack([rows[eid] for eid in left])
-        g_rows = np.stack([rows[eid] for eid in right])
+        H, G = [enc[eid] for eid in left], [enc[eid] for eid in right]
         return np.concatenate([
-            matcher.match_score(enc[h_rows if len(h_rows) == 1 else h_rows[i:i + SCORE_SLICE]],
-                                enc[g_rows[i:i + SCORE_SLICE]], params["match.w_bm"],
+            matcher.match_score(np.stack(H if len(H) == 1 else H[i:i + SCORE_SLICE]),
+                                np.stack(G[i:i + SCORE_SLICE]), params["match.w_bm"],
                                 config.leaky).score
-            for i in range(0, len(g_rows), SCORE_SLICE)])
+            for i in range(0, len(G), SCORE_SLICE)])
 
     return score
 
 
 def score_pair(params, config, data, emb, a, b, seed=0):
-    """Score one entity pair from scratch: sample contexts, encode, match."""
+    """Score one entity pair: sample (or reuse) contexts, encode, match."""
     ida, idb = data.entity_id(a), data.entity_id(b)
-    ctx = eval_contexts(data, {ida, idb}, config.contexts_per_entity,
-                        config.max_context_len, seed)
-    return float(entity_scorer(params, config, ctx, emb)([ida], [idb])[0])
+    return float(entity_scorer(params, config, data, emb, [ida, idb], seed)([ida], [idb])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +255,8 @@ def discover(params, config, data, table, query, k=50, threshold=0.8,
         universe = data.store.entities()
 
     def score(cand_ids):
-        ctx = eval_contexts(data, [qid] + cand_ids, config.contexts_per_entity,
-                            config.max_context_len, seed)
-        return entity_scorer(params, config, ctx, table.matrix)([qid], cand_ids)
+        return entity_scorer(params, config, data, table.matrix, [qid] + cand_ids,
+                             seed)([qid], cand_ids)
 
     neighbors, ranked = knn_rerank(table, qid, k, universe, score)
     return DiscoveryResult(qid, ranked, threshold,
@@ -254,9 +283,7 @@ def evaluate(params, config, data, table, split="test", seed=0,
     if not pairs:
         raise MetricError(f"split {split!r} yields no evaluation pairs")
     entity_ids = sorted(store.entities(split))
-    ctx = eval_contexts(data, entity_ids, config.contexts_per_entity,
-                        config.max_context_len, seed)
-    score = entity_scorer(params, config, ctx, table.matrix)
+    score = entity_scorer(params, config, data, table.matrix, entity_ids, seed)
 
     scores = score([p.a for p in pairs], [p.b for p in pairs])
     auc_value = auc([(s, p.label) for s, p in zip(scores, pairs)])

@@ -364,10 +364,9 @@ def train(config, data, table):
             f"the valid split yields {n_pos} positive and {len(valid_pairs) - n_pos} "
             f"negative pairs; validation AUC needs both, so two or more synsets, "
             f"one of them with two or more entities")
-    valid_ctx = {}
-    if valid_pairs:
-        valid_ids = sorted({eid for p in valid_pairs for eid in (p.a, p.b)})
-        valid_ctx = evaluation.eval_contexts(data, valid_ids, P, T, config.seed)
+    valid_ids = sorted({eid for p in valid_pairs for eid in (p.a, p.b)})
+    # an entity without context fails here, before the first epoch
+    evaluation.eval_contexts(data, valid_ids, P, T, config.seed)
 
     n_items = config.pairs_per_epoch or _auto_items_per_epoch(store, config)
     history = []
@@ -402,7 +401,8 @@ def train(config, data, table):
 
         valid_auc = None
         if valid_pairs:
-            score = evaluation.entity_scorer(params, config, valid_ctx, table.matrix)
+            score = evaluation.entity_scorer(params, config, data, table.matrix, valid_ids,
+                                             config.seed)
             scores = score([p.a for p in valid_pairs], [p.b for p in valid_pairs])
             valid_auc = evaluation.auc([(s, p.label) for s, p in zip(scores, valid_pairs)])
             if best_auc is None or valid_auc > best_auc:

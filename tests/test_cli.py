@@ -682,6 +682,11 @@ WIDTHS = ["-2", "0", "1", "2", "7", "8", "+4", "1_0", "x", ""]
 REALS = ["0", "0.5", "-0.0", "1", "-1", "0.001", "1e308", "1e-320", "nan", "inf", "-inf", "x"]
 NAMES = ["ent0_0", "ent0_1", "ent3_2", "ent5_1", "<pad>", "<unk>", "ghost", "", "-x", "ent0_0 "]
 SEEDS = ["0", "3", "-1", "+7", "9" * 30, "1e3"]
+# synth sizes: at most 10 each, so the largest corpus is 10^4 short lines
+SIZES = ["0", "1", "2", "3", "-1", "+4", "1_0", "2.5", "a", ""]
+# ingest inputs, relative to the workdir; --out never takes a fuzzed value
+PATHS = ["data/corpus.txt", "data/synsets.tsv", "data/embeddings.txt", "index.npz",
+         "nowhere.txt", ""]
 MODEL_FLAGS = {"--seed": SEEDS}
 FUZZ_FLAGS = {
     "score": MODEL_FLAGS,
@@ -698,13 +703,18 @@ FUZZ_FLAGS = {
               "--objective": ["siamese", "triplet", "contrastive", ""],
               "--encoder": ["anchored", "bilstm", "gru"], "--leaky": [None],
               "--no-leaky": [None], "--epochs": ["0"]},
+    "ingest": {"--seed": SEEDS, "--corpus": PATHS, "--synsets": PATHS, "--min-count": COUNTS,
+               "--valid-frac": REALS + ["0.25", "0.6"], "--test-frac": REALS + ["0.25", "0.6"]},
+    "synth": {"--seed": SEEDS, "--noise": REALS,
+              **dict.fromkeys(["--clusters", "--entities-per-cluster", "--contexts-per-entity",
+                               "--vocab-size", "--embed-dim", "--tokens-per-context"], SIZES)},
 }
 
 
 @st.composite
 def cli_args(draw, command):
-    """Arguments of score, discover, evaluate or `train --epochs 0`: fuzzed
-    flags, now and then one that belongs to another command."""
+    """Arguments of any command but gradcheck, `train` at `--epochs 0`:
+    fuzzed flags, now and then one that belongs to another command."""
     table = FUZZ_FLAGS[command]
     others = sorted({f for flags in FUZZ_FLAGS.values() for f in flags} - set(table))
     names = draw(st.lists(st.sampled_from(sorted(table)), max_size=4))
@@ -731,7 +741,11 @@ def test_fuzzed_flags_exit_zero_to_three_without_traceback(work, tmp_path, capsy
                          "--history", str(tmp_path / "history.txt"), "--epochs", "0",
                          "--workdir", str(work), "--index", "index.npz",
                          "--embeddings", "data/embeddings.txt"],
-               "evaluate": ["--out", str(tmp_path / "metrics.txt")] + model_args(work)}
+               "evaluate": ["--out", str(tmp_path / "metrics.txt")] + model_args(work),
+               "ingest": ["--workdir", str(work), "--corpus", "data/corpus.txt",
+                          "--synsets", "data/synsets.tsv", "--out", str(tmp_path / "index.npz")],
+               "synth": ["--workdir", str(tmp_path), "--out", "synth", "--clusters", "3",
+                         "--contexts-per-entity", "4", "--vocab-size", "60", "--embed-dim", "4"]}
     rc, _, err = run(capsys, command, *outputs.get(command, model_args(work)), *argv)
     assert rc in (0, 1, 2, 3)
     assert "Traceback" not in err

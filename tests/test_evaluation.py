@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from synmatch import cli, corpus, embeddings, evaluation, training
+from synmatch import cli, corpus, embeddings, encoder, evaluation, training
 from synmatch.errors import DataError, MetricError, NoContextError
 from synmatch.rng import stream_rng
 
@@ -195,16 +195,14 @@ def test_score_pair_reproducible_and_bounded(tiny):
 def test_entity_scorer_slices_score_like_single_pairs(tiny, monkeypatch):
     data, table, config, params = tiny
     ids = sorted(data.store.entities())
-    ctx = evaluation.eval_contexts(data, ids, config.contexts_per_entity,
-                                   config.max_context_len, 0)
     left = [ids[i % 4] for i in range(7)]
     right = [ids[(i * 3 + 1) % 4] for i in range(7)]
-    score = evaluation.entity_scorer(params, config, ctx, table.matrix)
+    score = evaluation.entity_scorer(params, config, data, table.matrix, ids, 0)
     single = [score([a], [b])[0] for a, b in zip(left, right)]
     whole, whole_broadcast = score(left, right), score(left[:1], right)
     # slices of 2 pairs: 7 pairs take 4 matcher calls, the last one short
     monkeypatch.setattr(evaluation, "SCORE_SLICE", 2)
-    score = evaluation.entity_scorer(params, config, ctx, table.matrix)
+    score = evaluation.entity_scorer(params, config, data, table.matrix, ids, 0)
     assert score(left, right).tolist() == whole.tolist() == single
     assert score(left[:1], right).tolist() == whole_broadcast.tolist()
     assert whole_broadcast.tolist() == [score(left[:1], [b])[0] for b in right]
@@ -308,14 +306,18 @@ def test_second_discover_draws_no_windows(tiny, monkeypatch):
 def test_memo_starts_empty_on_ingest_and_index_load(tiny, tmp_path):
     _, table, config, params = tiny
     data = fresh_copy(tiny[0])
-    assert data.eval_windows == {}
+    assert data.eval_windows == {} and data.eval_encodings == {}
     evaluation.discover(params, config, data, table, "sun", k=10)
     assert data.eval_windows
     cli.save_index(str(tmp_path / "index.npz"), data)
     assert cli.load_index(str(tmp_path / "index.npz")).eval_windows == {}
-    memo = next(f for f in dataclasses.fields(corpus.CorpusData) if f.name == "eval_windows")
-    assert not memo.init and not memo.repr and not memo.compare
-    assert "eval_windows" not in repr(data)
+    loaded = cli.load_index(str(tmp_path / "index.npz"))
+    assert data.eval_encodings and loaded.eval_encodings == {}
+    for name in ("eval_windows", "eval_encodings"):
+        memo = next(f for f in dataclasses.fields(corpus.CorpusData) if f.name == name)
+        assert not memo.init and not memo.repr and not memo.compare
+        assert name not in repr(data)
+        assert getattr(fresh_copy(data), name) == {}
 
 
 def test_callers_cannot_change_stored_windows(tiny):
@@ -344,3 +346,131 @@ def test_entity_without_context_raises_every_call(tiny, monkeypatch):
             evaluation.eval_contexts(data, [corpus.PAD], 3, 6, 0)
         assert len(calls) == attempt
     assert data.eval_windows == {}
+
+
+# ---------------------------------------------------------------------------
+# encodings are kept per CorpusData for one model at a time
+
+def count_encoded(monkeypatch):
+    """Windows encoded by each encoder.encode_batch call from now on."""
+    calls = []
+    encode = encoder.encode_batch
+
+    def counted(windows, *args, **kwargs):
+        calls.append(len(windows))
+        return encode(windows, *args, **kwargs)
+
+    monkeypatch.setattr(encoder, "encode_batch", counted)
+    return calls
+
+
+def test_second_discover_encodes_no_windows(tiny, monkeypatch):
+    _, table, config, params = tiny
+    data = fresh_copy(tiny[0])
+    calls = count_encoded(monkeypatch)
+    first = evaluation.discover(params, config, data, table, "sun", k=10, threshold=0.0)
+    # the query and its three candidates, in one batch
+    assert calls == [4 * config.contexts_per_entity]
+    second = evaluation.discover(params, config, data, table, "sun", k=10, threshold=0.0)
+    assert len(calls) == 1
+    assert second.ranked == first.ranked and second.candidates == first.candidates
+
+
+def test_evaluate_after_discovers_reports_as_on_a_fresh_index(tiny, tmp_path, monkeypatch):
+    _, table, config, params = tiny
+    data = fresh_copy(tiny[0])
+    for query in ("sun", "mar", "sun"):
+        evaluation.discover(params, config, data, table, query, k=2, threshold=0.0)
+    calls = count_encoded(monkeypatch)
+    report = evaluation.evaluate(params, config, data, table, split="test", ks=(1, 2))
+    assert sum(calls) < 4 * config.contexts_per_entity   # some entities were held
+    cli.save_index(str(tmp_path / "index.npz"), data)
+    fresh = cli.load_index(str(tmp_path / "index.npz"))
+    want = evaluation.evaluate(params, config, fresh, table, split="test", ks=(1, 2))
+    assert report.to_text() == want.to_text()
+
+
+def _change_weight_in_place(params, table, config):
+    params["enc.bw.Wh"][1, 2] += 0.25
+    return params, table, config
+
+
+MODEL_CHANGES = {
+    "weight-in-place": _change_weight_in_place,
+    "embedding-object": lambda p, t, c: (p, dataclasses.replace(t, matrix=t.matrix.copy()), c),
+    "P": lambda p, t, c: (p, t, dataclasses.replace(c, contexts_per_entity=2)),
+    "T": lambda p, t, c: (p, t, dataclasses.replace(c, max_context_len=4)),
+    "variant": lambda p, t, c: (p, t, dataclasses.replace(c, encoder="bilstm")),
+}
+
+
+@pytest.mark.parametrize("change", sorted(MODEL_CHANGES) + ["seed"])
+def test_model_change_encodes_again(tiny, monkeypatch, change):
+    _, table, config, params = tiny
+    params = {k: v.copy() for k, v in params.items()}
+    data = fresh_copy(tiny[0])
+    evaluation.discover(params, config, data, table, "sun", k=10)
+    seed = 0
+    if change == "seed":
+        seed = 3
+    else:
+        params, table, config = MODEL_CHANGES[change](params, table, config)
+    calls = count_encoded(monkeypatch)
+    got = evaluation.discover(params, config, data, table, "sun", k=10, seed=seed)
+    assert calls == [4 * config.contexts_per_entity]
+    want = evaluation.discover(params, config, fresh_copy(data), table, "sun", k=10, seed=seed)
+    assert got.ranked == want.ranked and got.candidates == want.candidates
+    # the whole slot was replaced: the old model's encodings are gone
+    assert len(data.eval_encodings["enc"]) == 4
+
+
+def test_entity_without_context_is_not_encoded(tiny, monkeypatch):
+    _, table, config, params = tiny
+    data = fresh_copy(tiny[0])
+    sun = data.entity_id("sun")
+    calls = count_encoded(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(NoContextError):
+            evaluation.entity_scorer(params, config, data, table.matrix, [sun, corpus.PAD], 0)
+    assert calls == []
+    assert corpus.PAD not in data.eval_encodings.get("enc", {})
+
+
+def test_callers_cannot_write_stored_encodings(tiny):
+    _, table, config, params = tiny
+    data = fresh_copy(tiny[0])
+    evaluation.discover(params, config, data, table, "sun", k=10)
+    stored = data.eval_encodings["enc"]
+    assert len(stored) == 4
+    for enc in stored.values():
+        with pytest.raises(ValueError):
+            enc[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            enc.flags.writeable = True
+
+
+# history.txt of the run below, as written when each epoch's validation
+# encoded all of its windows in one batch of its own
+VALID_HISTORY = ("epoch=0 loss=4.934040688187e-02 valid_auc=0.916667\n"
+                 "epoch=1 loss=5.777678501486e-02 valid_auc=0.944444\n"
+                 "epoch=2 loss=3.142681825610e-02 valid_auc=0.944444\n")
+
+
+def test_validation_encodes_once_an_epoch_and_keeps_its_history(tmp_path, capsys,
+                                                                monkeypatch):
+    root = str(tmp_path)
+    assert cli.main(["synth", "--workdir", root, "--out", "data", "--clusters", "10",
+                     "--noise", "0.9", "--contexts-per-entity", "10", "--vocab-size", "200",
+                     "--seed", "11"]) == 0
+    assert cli.main(["ingest", "--workdir", root, "--corpus", "data/corpus.txt",
+                     "--synsets", "data/synsets.tsv", "--valid-frac", "0.25",
+                     "--test-frac", "0.25", "--seed", "11"]) == 0
+    calls = count_encoded(monkeypatch)
+    assert cli.main(["train", "--workdir", root, "--index", "index.npz",
+                     "--embeddings", "data/embeddings.txt", "--d-ce", "8",
+                     "--contexts-per-entity", "3", "--max-context-len", "13",
+                     "--epochs", "3", "--seed", "11"]) == 0
+    capsys.readouterr()
+    # each epoch's new weights replace the slot: all valid windows, once an epoch
+    assert len(calls) == 3 and len(set(calls)) == 1
+    assert (tmp_path / "history.txt").read_text() == VALID_HISTORY
