@@ -289,7 +289,7 @@ def cmd_discover(args):
     result = evaluation.discover(params, config, data, table, args.query,
                                  k=args.topk, threshold=args.threshold,
                                  seed=args.seed)
-    print(f"CANDIDATE ENTITIES (top {args.topk} by embedding cosine)")
+    print(f"CANDIDATE ENTITIES (top {len(result.candidates)} by embedding cosine)")
     for eid, sim in result.candidates:
         print(f"  {data.vocab.token(eid)}  {sim:.6f}")
     print(f"FINAL ENTITIES (model score > {args.threshold:.6f})")

@@ -163,11 +163,14 @@ class CorpusData:
                   out=self.occ_start[1:])
 
     def entity_id(self, entity):
-        """Resolve a surface form (or pass through an id) to a token id."""
+        """Resolve a surface form, or check an id, to a token id; an unknown
+        form or an id outside the vocabulary is an UnknownEntityError."""
         if isinstance(entity, str):
             if entity not in self.vocab:
                 raise UnknownEntityError(f"unknown entity {entity!r}")
             return self.vocab.get(entity)
+        if not 0 <= int(entity) < len(self.vocab):
+            raise UnknownEntityError(f"entity id {entity} outside [0, {len(self.vocab)})")
         return int(entity)
 
 
@@ -289,7 +292,7 @@ def retrieve_contexts(data, entity, P, T, rng):
     Occurrences are drawn uniformly, without replacement when the entity has
     at least P of them, with replacement otherwise.
     """
-    eid = data.entity_id(entity)
+    eid = data.entity_id(entity) if isinstance(entity, str) else int(entity)
     lo, hi = data.occ_start[eid:eid + 2].tolist() if 0 <= eid < len(data.vocab) else (0, 0)
     count = hi - lo
     if count == 0:

@@ -174,11 +174,12 @@ def nearest_neighbors(table, entity, k, universe):
     if isinstance(entity, str) and entity not in table.vocab:
         raise UnknownEntityError(f"unknown entity {entity!r}")
     q = table.matrix[int(qid)]
-    ids = np.array([eid for eid in universe if eid != qid], dtype=np.intp)
+    ids = np.asarray(universe, dtype=np.intp)
+    ids = ids[ids != qid]
     rows = table.matrix[ids]
     norms = np.linalg.norm(rows, axis=1) * np.linalg.norm(q)
     dots = rows @ q
     cos = np.divide(dots, norms, out=np.zeros_like(dots), where=norms != 0.0)
     best = np.lexsort((ids, -cos))[:k]
     return NeighborList(query=int(qid),
-                        neighbors=[(int(ids[j]), float(cos[j])) for j in best])
+                        neighbors=list(zip(ids[best].tolist(), cos[best].tolist())))

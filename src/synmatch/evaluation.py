@@ -10,12 +10,14 @@ synsets.  All context sampling is keyed by (seed, entity), so a metric run
 is a pure function of (model, data, seed).  Each entity's windows are drawn
 once per loaded corpus (`eval_contexts`), and their encodings are kept for
 one model at a time (`entity_scorer`): repeated discover, score and evaluate
-calls on one CorpusData encode only the entities not seen before.  The
-encodings are kept on the assumption that the embedding matrix is not
-written in place between calls; nothing in this package writes it.
+calls on one CorpusData draw and encode only the entities not seen before.
+A call checks the model by comparing its encoder weights bit for bit with
+copies kept beside the encodings, so a weight changed in place is seen.  The
+embedding matrix is compared by identity only: the encodings are kept on the
+assumption that it is not written in place between calls; nothing in this
+package writes it.
 """
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,16 +163,12 @@ def stack_windows(ctx, ids):
 SCORE_SLICE = 64
 
 
-def _encoder_key(params, config, seed):
-    """What an entity's encodings depend on besides its id and the embedding
-    matrix: the encoder weights by content, the variant, seed, P and T."""
-    digest = hashlib.blake2b()
-    for name in encoder.PARAM_NAMES:
-        w = np.ascontiguousarray(params[name], dtype=float)
-        digest.update(repr(w.shape).encode())
-        digest.update(w)
-    return (digest.digest(), config.encoder, seed, config.contexts_per_entity,
-            config.max_context_len)
+def _same_weights(params, held):
+    """Whether the encoder weights in params equal the held float64 copies
+    bit for bit, shapes included: -0.0 differs from 0.0, equal NaNs match."""
+    return all(np.array_equal(np.asarray(params[name], dtype=float).view(np.int64),
+                              w.view(np.int64))
+               for name, w in zip(encoder.PARAM_NAMES, held))
 
 
 def entity_scorer(params, config, data, emb, entity_ids, seed):
@@ -178,32 +176,42 @@ def entity_scorer(params, config, data, emb, entity_ids, seed):
     scores of pairs (left[i], right[i]), SCORE_SLICE pairs per matcher call,
     where left may be one id matched against every right id.
 
-    data.eval_encodings holds one model's encodings, keyed by _encoder_key
-    and the emb object; another key replaces them all.  Entities not held
-    yet are encoded in one batch.
+    data.eval_encodings holds one model's encodings: read-only copies of
+    the six encoder weights, compared bit for bit on each call, the variant,
+    seed, P, T and the emb object; another model replaces them all.  The
+    encodings are one read-only (entities, P, d_ce) array; entities not held
+    yet get their windows and are encoded in one batch.
     """
-    ctx = eval_contexts(data, entity_ids, config.contexts_per_entity,
-                        config.max_context_len, seed)
-    key = _encoder_key(params, config, seed)
+    P, T = config.contexts_per_entity, config.max_context_len
+    key = (config.encoder, seed, P, T)
     slot = data.eval_encodings
-    if slot.get("key") != key or slot.get("emb") is not emb:
+    if (slot.get("key") != key or slot.get("emb") is not emb
+            or not _same_weights(params, slot["weights"])):
+        weights = [np.array(params[name], dtype=float) for name in encoder.PARAM_NAMES]
+        for w in weights:
+            w.flags.writeable = False
         slot.clear()
-        slot.update(key=key, emb=emb, enc={})
-    enc = slot["enc"]
-    missing = sorted(set(ctx) - enc.keys())
+        slot.update(key=key, emb=emb, weights=weights, rows={}, enc=np.empty(0))
+    rows = slot["rows"]
+    missing = sorted({int(eid) for eid in entity_ids} - rows.keys())
     if missing:
-        windows, rows = stack_windows(ctx, missing)
-        new = encoder.encode_batch(windows, params, emb, config.encoder)
-        new.flags.writeable = False      # its views below are read-only too
-        enc.update((eid, new[r[0]:r[-1] + 1]) for eid, r in rows.items())
+        ctx = eval_contexts(data, missing, P, T, seed)
+        new = encoder.encode_batch([w for eid in missing for w in ctx[eid]], params, emb,
+                                   config.encoder)
+        held = np.concatenate([slot["enc"].reshape(-1, new.shape[1]), new])
+        held.flags.writeable = False
+        slot["enc"] = held.reshape(-1, P, new.shape[1])   # a view: stays read-only
+        rows.update(zip(missing, range(len(rows), len(slot["enc"]))))
+    enc = slot["enc"]
 
     def score(left, right):
-        H, G = [enc[eid] for eid in left], [enc[eid] for eid in right]
+        li = np.array([rows[eid] for eid in left], dtype=np.intp)
+        ri = np.array([rows[eid] for eid in right], dtype=np.intp)
         return np.concatenate([
-            matcher.match_score(np.stack(H if len(H) == 1 else H[i:i + SCORE_SLICE]),
-                                np.stack(G[i:i + SCORE_SLICE]), params["match.w_bm"],
+            matcher.match_score(enc[li if len(li) == 1 else li[i:i + SCORE_SLICE]],
+                                enc[ri[i:i + SCORE_SLICE]], params["match.w_bm"],
                                 config.leaky).score
-            for i in range(0, len(G), SCORE_SLICE)])
+            for i in range(0, len(ri), SCORE_SLICE)])
 
     return score
 

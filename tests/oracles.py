@@ -5,8 +5,10 @@ with its textbook backward; `test_matcher` checks the matcher's hand-written
 backward against them, and `sum_all`, `square` and `mul` reduce the encoder's
 and the matcher's outputs to the scalar a gradient check needs. Binary ops
 take two operands of one shape. `cosine` is
-the per-row reference for the KNN scan. The library's tape has no ops: every
-node it records has a hand-written backward.
+the per-row reference for the KNN scan, and `nearest_neighbors` is the KNN
+scan as it was written with a Python loop over the universe and the results:
+the library's scan must return the same (id, cosine) lists, bit for bit. The
+library's tape has no ops: every node it records has a hand-written backward.
 """
 
 import numpy as np
@@ -117,3 +119,15 @@ def cosine(u, v):
     if nu == 0.0 or nv == 0.0:
         return 0.0
     return float(np.dot(u, v) / (nu * nv))
+
+
+def nearest_neighbors(table, qid, k, universe):
+    """(id, cosine) of qid's top-k rows in universe: the reference scan."""
+    q = table.matrix[int(qid)]
+    ids = np.array([eid for eid in universe if eid != qid], dtype=np.intp)
+    rows = table.matrix[ids]
+    norms = np.linalg.norm(rows, axis=1) * np.linalg.norm(q)
+    dots = rows @ q
+    cos = np.divide(dots, norms, out=np.zeros_like(dots), where=norms != 0.0)
+    best = np.lexsort((ids, -cos))[:k]
+    return [(int(ids[j]), float(cos[j])) for j in best]

@@ -111,6 +111,16 @@ def test_discover_prints_candidates_then_accepted(work, capsys):
         assert float(row.split()[-1]) > 0.5
 
 
+def test_discover_header_counts_the_candidates_listed(work, capsys):
+    rc, out, _ = run(capsys, "discover", *model_args(work), "ent0_0",
+                     "--topk", "100000", "--threshold", "0.5", "--seed", "3")
+    assert rc == 0
+    lines = out.splitlines()
+    final = lines.index("FINAL ENTITIES (model score > 0.500000)")
+    cand = lines.index("CANDIDATE ENTITIES (top 17 by embedding cosine)")
+    assert final - cand - 1 == 17      # all 18 entities but the query
+
+
 def test_discover_threshold_one_accepts_nothing(work, capsys):
     rc, out, _ = run(capsys, "discover", *model_args(work), "ent0_0",
                      "--topk", "5", "--threshold", "1.0", "--seed", "3")

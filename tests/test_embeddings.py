@@ -311,6 +311,30 @@ def test_knn_matches_loop_oracle():
         assert all(c == 0.0 for _, c in nl.neighbors)   # zero-norm query
 
 
+def test_knn_equals_reference_scan_exactly():
+    rng = np.random.default_rng(5)
+    vocab = make_vocab([f"e{i}" for i in range(50)])
+    for trial in range(6):
+        matrix = rng.normal(size=(len(vocab), 7))
+        # planted ties: duplicated and parallel rows, and zero rows
+        matrix[10:14] = matrix[20]
+        matrix[30], matrix[31] = matrix[7], 3.0 * matrix[7]
+        matrix[40:43] = 0.0
+        table = embeddings.EmbeddingTable(matrix=matrix, vocab=vocab)
+        ids = rng.permutation(np.arange(2, len(vocab)))[:30]
+        for qid in (7, 20, 41, int(rng.integers(2, len(vocab)))):
+            for members in (ids, ids[ids != qid], np.append(ids, qid), ids[:0]):
+                universes = (members.tolist(), list(members), tuple(members.tolist()),
+                             members)
+                for universe in universes:
+                    for k in (0, 1, 5, len(members) + 3):
+                        got = embeddings.nearest_neighbors(table, qid, k, universe)
+                        want = ref.nearest_neighbors(table, qid, k, universe)
+                        assert got.query == qid and got.neighbors == want
+                        assert all(type(e) is int and type(c) is float
+                                   for e, c in got.neighbors)
+
+
 def test_cosine_symmetric():
     rng = np.random.default_rng(2)
     for _ in range(50):

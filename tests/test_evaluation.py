@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from synmatch import cli, corpus, embeddings, encoder, evaluation, training
-from synmatch.errors import DataError, MetricError, NoContextError
+from synmatch.errors import DataError, MetricError, NoContextError, UnknownEntityError
 from synmatch.rng import stream_rng
 
 
@@ -215,6 +215,19 @@ def test_discover_rejects_k_below_one(tiny, k):
         evaluation.discover(params, config, data, table, "sun", k=k)
 
 
+@pytest.mark.parametrize("eid", ["vocab-size", 10**6, -1])
+def test_bad_integer_id_is_an_unknown_entity(tiny, eid):
+    data, table, config, params = tiny
+    eid = len(data.vocab) if eid == "vocab-size" else eid
+    with pytest.raises(UnknownEntityError, match=f"entity id {eid} outside"):
+        data.entity_id(eid)
+    with pytest.raises(UnknownEntityError, match=f"entity id {eid} outside"):
+        evaluation.discover(params, config, data, table, eid, k=2)
+    for a, b in ((eid, "sun"), ("sun", eid)):
+        with pytest.raises(UnknownEntityError, match=f"entity id {eid} outside"):
+            evaluation.score_pair(params, config, data, table.matrix, a, b)
+
+
 def test_discover_threshold_extremes(tiny):
     data, table, config, params = tiny
     low = evaluation.discover(params, config, data, table, "sun", k=10, threshold=-1.0)
@@ -395,8 +408,15 @@ def _change_weight_in_place(params, table, config):
     return params, table, config
 
 
+def _negate_a_zero_weight(params, table, config):
+    assert params["enc.fw.b"][0, 0] == 0.0
+    params["enc.fw.b"][0, 0] = -0.0      # the same value, another bit pattern
+    return params, table, config
+
+
 MODEL_CHANGES = {
     "weight-in-place": _change_weight_in_place,
+    "negative-zero": _negate_a_zero_weight,
     "embedding-object": lambda p, t, c: (p, dataclasses.replace(t, matrix=t.matrix.copy()), c),
     "P": lambda p, t, c: (p, t, dataclasses.replace(c, contexts_per_entity=2)),
     "T": lambda p, t, c: (p, t, dataclasses.replace(c, max_context_len=4)),
@@ -421,7 +441,28 @@ def test_model_change_encodes_again(tiny, monkeypatch, change):
     want = evaluation.discover(params, config, fresh_copy(data), table, "sun", k=10, seed=seed)
     assert got.ranked == want.ranked and got.candidates == want.candidates
     # the whole slot was replaced: the old model's encodings are gone
-    assert len(data.eval_encodings["enc"]) == 4
+    assert len(data.eval_encodings["rows"]) == len(data.eval_encodings["enc"]) == 4
+
+
+def test_weights_copied_to_new_arrays_encode_nothing(tiny, monkeypatch):
+    _, table, config, params = tiny
+    data = fresh_copy(tiny[0])
+    first = evaluation.discover(params, config, data, table, "sun", k=10)
+    copied = {name: w.copy() for name, w in params.items()}
+    calls = count_encoded(monkeypatch)
+    again = evaluation.discover(copied, config, data, table, "sun", k=10)
+    assert calls == []
+    assert again.ranked == first.ranked and again.candidates == first.candidates
+
+
+def test_weight_check_compares_shapes_and_bits(tiny):
+    params = tiny[3]
+    held = [np.array(params[name]) for name in encoder.PARAM_NAMES]
+    assert evaluation._same_weights(params, held)
+    name = encoder.PARAM_NAMES[2]
+    for other in (params[name].reshape(-1), params[name].reshape(1, -1).T,
+                  np.negative(params[name]), params[name][:, :-1]):
+        assert not evaluation._same_weights(dict(params, **{name: other}), held)
 
 
 def test_entity_without_context_is_not_encoded(tiny, monkeypatch):
@@ -433,7 +474,7 @@ def test_entity_without_context_is_not_encoded(tiny, monkeypatch):
         with pytest.raises(NoContextError):
             evaluation.entity_scorer(params, config, data, table.matrix, [sun, corpus.PAD], 0)
     assert calls == []
-    assert corpus.PAD not in data.eval_encodings.get("enc", {})
+    assert corpus.PAD not in data.eval_encodings.get("rows", {})
 
 
 def test_callers_cannot_write_stored_encodings(tiny):
@@ -441,12 +482,16 @@ def test_callers_cannot_write_stored_encodings(tiny):
     data = fresh_copy(tiny[0])
     evaluation.discover(params, config, data, table, "sun", k=10)
     stored = data.eval_encodings["enc"]
-    assert len(stored) == 4
-    for enc in stored.values():
+    assert len(data.eval_encodings["rows"]) == len(stored) == 4
+    for enc in (stored, stored[0]):
         with pytest.raises(ValueError):
             enc[0, 0] = 1.0
         with pytest.raises(ValueError):
             enc.flags.writeable = True
+    # the weight copies the check compares with are read-only too
+    for w in data.eval_encodings["weights"]:
+        with pytest.raises(ValueError):
+            w[0, 0] = 1.0
 
 
 # history.txt of the run below, as written when each epoch's validation
