@@ -164,9 +164,10 @@ def save_embeddings(path, table):
 def nearest_neighbors(table, entity, k, universe):
     """Top-k entities from `universe` by cosine similarity to `entity`.
 
-    Exact brute-force scan: one matrix product over the universe rows.  The
-    query itself is excluded, a zero-norm row (or query) scores 0, and ties
-    break toward the smaller entity id so results are reproducible.
+    Exact brute-force scan: one matrix product over the universe rows.  A
+    universe id outside the vocabulary is an UnknownEntityError.  The query
+    itself is excluded, a zero-norm row (or query) scores 0, and ties break
+    toward the smaller entity id so results are reproducible.
     """
     if k < 0:
         raise DataError(f"number of neighbors must be non-negative, got {k}")
@@ -175,6 +176,10 @@ def nearest_neighbors(table, entity, k, universe):
         raise UnknownEntityError(f"unknown entity {entity!r}")
     q = table.matrix[int(qid)]
     ids = np.asarray(universe, dtype=np.intp)
+    bad = (ids < 0) | (ids >= len(table.matrix))
+    if bad.any():
+        raise UnknownEntityError(
+            f"universe entity id {ids[bad][0]} outside [0, {len(table.matrix)})")
     ids = ids[ids != qid]
     rows = table.matrix[ids]
     norms = np.linalg.norm(rows, axis=1) * np.linalg.norm(q)

@@ -8,22 +8,28 @@ runs both cells over the whole window and concatenates the final states.
 
 Each direction keeps its four gates stacked in the order i, f, o, g:
 `enc.{fw,bw}.Wx` (d_embed, 4 d_h), `Wh` (d_h, 4 d_h) and `b` (1, 4 d_h).
-Each step adds its rows' input projection x Wx to h Wh.  The forward halves
-the i, f, o columns of the weights (exact: 0.5 is a power of two), so one
-tanh covers a step's gate block and s 0.5 + 0.5 gives the sigmoids, as
-sigmoid(x) = 0.5 (1 + tanh(x / 2)).  One numpy forward loop serves inference
-(`encode_batch`) and training (`encode_batch_vars`, one tape node whose
-backward runs backpropagation through time by hand).  The word embeddings
-are frozen: the node's parents, and its gradients, are the six weights.  For
-training the forward keeps the gate values A, the states H and the cells C of
-every packed step; the backward recomputes tanh(C) and writes each step's
-pre-activation gradients dZ over its gate values in A, so a node can be
-backpropagated only once.
+The forward splits each weight once per call into four contiguous gate
+blocks and halves those of i, f and o (exact: 0.5 is a power of two), so one
+tanh covers a step's gate values and s 0.5 + 0.5 gives the sigmoids, as
+sigmoid(x) = 0.5 (1 + tanh(x / 2)).  A step keeps its gate values gate by
+gate: step t's (4, n[t], d_h) block fills the flat range that rows
+offs[t]:offs[t + 1] of a row-major (rows, 4 d_h) array would, so the gate
+math runs on contiguous memory, and the step's input and recurrent products
+are one stacked matmul each, a gemm per gate.  One numpy forward loop serves
+inference (`encode_batch`) and training (`encode_batch_vars`, one tape node
+whose backward runs backpropagation through time by hand).  The word
+embeddings are frozen: the node's parents, and its gradients, are the six
+weights.  For training the forward keeps the gate values A, the states H and
+the cells C of every packed step.  The backward recomputes tanh(C), works
+out each step's gate derivatives gate by gate in a scratch block, and writes
+them, the pre-activation gradients dZ, row by row over the step's gate
+values in A; the recurrent dZ Wh^T and the weight gradients thus read a
+row-major (rows, 4 d_h) dZ, and a node can be backpropagated only once.
 Inference keeps only the running state: each step overwrites the leading
 rows of the step before, and a row's state is written out at its stop step,
 so its memory grows with the windows, not with their length.
-A one-row product goes to gemm as two rows (`_matmul`), so a window encodes
-to the same bits in any batch, for inference and training alike.
+A one-row step goes to gemm as two rows, so a window encodes to the same
+bits in any batch, for inference and training alike.
 
 Each direction steps only the (step, row) pairs it uses: a row stops at its
 stop step (the entity token for the anchored variant, the window's end for
@@ -42,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ShapeError, SynmatchError
+from .errors import DataError, ShapeError, SynmatchError
 
 DIRECTIONS = ("fw", "bw")
 PARAM_NAMES = tuple(f"enc.{d}.{part}" for d in DIRECTIONS for part in ("Wx", "Wh", "b"))
@@ -72,11 +78,6 @@ def init_encoder_params(d_embed, d_ce, rng):
     return params
 
 
-def _gates(a, d_h):
-    """Views of the four stacked gate blocks i, f, o, g (faster than np.split)."""
-    return a[:, :d_h], a[:, d_h:2 * d_h], a[:, 2 * d_h:3 * d_h], a[:, 3 * d_h:]
-
-
 class _Packing(NamedTuple):
     """Packed, length-sorted layout of one direction (see the module notes)."""
 
@@ -97,47 +98,50 @@ def _pack(stop):
     return _Packing(order, n, offs, step, rank)
 
 
-def _matmul(x, W, out):
-    """x @ W into out.  numpy sends a one-row product to gemv, which rounds
-    unlike gemm; as two rows it goes to gemm, so every row of every batch
-    gets the bits it gets in any other batch."""
-    if len(x) == 1:
-        out[...] = (np.repeat(x, 2, axis=0) @ W)[:1]
-    else:
-        np.matmul(x, W, out=out)
-    return out
-
-
 def _forward(E, tok, pk, Wx, Wh, b, save):
     """Run one direction over its packed token ids; returns the (B, d_h)
     state at each row's stop step and the saved values `_backward` needs, or
     None without `save`, when only the running state is kept."""
     n, offs = np.append(pk.n, 0), pk.offs
     d_h = Wh.shape[0]
-    half = np.repeat([0.5, 1.0], (3 * d_h, d_h))
-    Wx, Wh, b = Wx * half, Wh * half, b * half
+    w = 4 * d_h
+    half = np.array([0.5, 0.5, 0.5, 1.0])[:, None, None]
+    # each weight as four contiguous (k, d_h) gate blocks, i, f, o halved
+    Wx, Wh, b = (np.ascontiguousarray(W.reshape(len(W), 4, d_h).transpose(1, 0, 2)) * half
+                 for W in (Wx, Wh, b))
     # step t's rows sit at base[t]:base[t] + n[t]; without save each step
     # overwrites the leading rows of the step before
     base = offs if save else np.zeros_like(offs)
-    # A holds the pre-activations (i, f, o halved), then in place the gate values
-    A = np.empty((len(tok) if save else n[0], 4 * d_h))
-    H = np.empty((len(A), d_h))            # state after each step
+    # A holds each step's (4, n[t], d_h) pre-activations (i, f, o halved) at
+    # the flat range of its rows, then in place its gate values
+    A = np.empty((len(tok) if save else n[0]) * w)
+    H = np.empty((len(A) // w, d_h))       # state after each step
     C = np.empty_like(H)                   # cell after each step
     S = np.empty((n[0], d_h))              # the live rows' f c, then tanh(c)
-    Z = np.empty((n[0], 4 * d_h))          # the live rows' h Wh
+    Z = np.empty(max(n[0], 2) * w)         # the live rows' x Wx, then h Wh
     out = np.empty((len(pk.order), d_h))
     for t in range(len(n) - 1):
         now = slice(base[t], base[t] + n[t])
-        a, c, h, s = A[now], C[now], H[now], S[:n[t]]
-        _matmul(E[tok[offs[t]:offs[t + 1]]], Wx, a)
-        a += b
+        a = A[base[t] * w:(base[t] + n[t]) * w].reshape(4, n[t], d_h)
+        c, h, s = C[now], H[now], S[:n[t]]
+        x = E[tok[offs[t]:offs[t + 1]]]
         if t:
             prev = slice(base[t - 1], base[t - 1] + n[t])
-            a += _matmul(H[prev], Wh, Z[:n[t]])
+            hp = H[prev]
+        if n[t] == 1:
+            # numpy sends a one-row product to gemv, which rounds unlike gemm;
+            # as two rows it goes to gemm, so every row of every batch gets
+            # the bits it gets in any other batch
+            x = np.repeat(x, 2, axis=0)
+            hp = np.repeat(hp, 2, axis=0) if t else None
+        z = Z[:len(x) * w].reshape(4, len(x), d_h)
+        np.add(np.matmul(x[None], Wx, out=z)[:, :n[t]], b, out=a)
+        if t:
+            a += np.matmul(hp[None], Wh, out=z)[:, :n[t]]
         np.tanh(a, out=a)
-        a[:, :3 * d_h] *= 0.5
-        a[:, :3 * d_h] += 0.5
-        i, f, o, g = _gates(a, d_h)
+        a[:3] *= 0.5
+        a[:3] += 0.5
+        i, f, o, g = a
         if t:
             np.multiply(f, C[prev], out=s)
         np.multiply(i, g, out=c)
@@ -153,28 +157,33 @@ def _backward(dout, saved, E, Wh):
     """Backpropagation through time for one direction, walking the packed
     steps in reverse.
 
-    dout is the (B, d_h) gradient of the selected states.  Each step's
-    pre-activation gradients dZ overwrite its gate values in the saved A,
-    from which dWx, dWh and db, the returned gradients, are summed.
+    dout is the (B, d_h) gradient of the selected states.  Each step's gate
+    derivatives are worked out gate by gate in a scratch block; its
+    pre-activation gradients dZ then overwrite its gate values in the saved
+    A row by row, so A reads as the row-major (rows, 4 d_h) dZ from which
+    dWx, dWh and db, the returned gradients, are summed.
     """
     tok, A, H, C, pk = saved
     offs = pk.offs
     n = np.append(pk.n, 0)
     d_h = Wh.shape[0]
+    w = 4 * d_h
     dout = dout[pk.order]
     dh = np.empty((len(pk.order), d_h))    # leading n[t] rows are live at step t
     dc = np.empty_like(dh)
-    D = np.empty((len(pk.order), 4 * d_h))  # the live rows' gate derivatives
+    D = np.empty(len(pk.order) * w)        # the live rows' gate derivatives
     for t in range(len(n) - 2, -1, -1):
         now = slice(offs[t], offs[t + 1])
         # the rows whose stop step is t join here, with no cell gradient yet
         dh[n[t + 1]:n[t]] = dout[n[t + 1]:n[t]]
         dc[n[t + 1]:n[t]] = 0.0
-        h, c, a, d = dh[:n[t]], dc[:n[t]], A[now], D[:n[t]]
-        i, f, o, g = _gates(a, d_h)
-        di, df, do, dg = _gates(d, d_h)
-        np.subtract(1.0, a[:, :3 * d_h], out=d[:, :3 * d_h])
-        d[:, :3 * d_h] *= a[:, :3 * d_h]   # s (1 - s) for i, f, o
+        h, c = dh[:n[t]], dc[:n[t]]
+        block = A[offs[t] * w:offs[t + 1] * w]
+        a, d = block.reshape(4, n[t], d_h), D[:len(block)].reshape(4, n[t], d_h)
+        i, f, o, g = a
+        di, df, do, dg = d
+        np.subtract(1.0, a[:3], out=d[:3])
+        d[:3] *= a[:3]                     # s (1 - s) for i, f, o
         np.multiply(g, g, out=dg)
         np.subtract(1.0, dg, out=dg)       # 1 - g^2
         tc = np.tanh(C[now])
@@ -187,9 +196,11 @@ def _backward(dout, saved, E, Wh):
         do *= h * tc
         dg *= c * i
         c *= f
-        a[...] = d                         # dZ over the step's gate values
+        # dZ row by row over the step's gate values
+        np.copyto(block.reshape(n[t], 4, d_h), d.transpose(1, 0, 2))
         if t:
-            np.matmul(a, Wh.T, out=h)
+            np.matmul(block.reshape(n[t], w), Wh.T, out=h)
+    A = A.reshape(-1, w)
     dWx = E[tok].T @ A
     # packed row p of step t >= 1 follows packed row p - n[t - 1]
     later = slice(offs[1], None)
@@ -201,7 +212,7 @@ def _encode(windows, weights, E, variant, save=True):
     """Both directions over the batch: (B, d_CE) encodings and, per direction,
     the values its backward needs (None without `save`)."""
     if variant not in ("anchored", "bilstm"):
-        raise ValueError(f"unknown encoder variant {variant!r}")
+        raise DataError(f"unknown encoder variant {variant!r}")
     if not windows:
         return np.zeros((0, 2 * weights[1].shape[0])), ()
     lengths = np.array([len(w) for w in windows], dtype=np.intp)

@@ -252,6 +252,18 @@ def test_knn_orthogonal_zero_similarity():
     assert nl.neighbors == [(table.vocab.get("c"), 0.0)]
 
 
+@pytest.mark.parametrize("bad", [-1, "vocab-size", 10**6])
+def test_knn_universe_id_outside_vocabulary_rejected(bad):
+    table = unit_table({"a": [1, 0], "b": [1, 1], "c": [0, 1]})
+    bad = len(table.matrix) if bad == "vocab-size" else bad
+    a, b, c = (table.vocab.get(t) for t in "abc")
+    for universe in ([b, c, bad], [bad], np.array([bad, b])):
+        with pytest.raises(UnknownEntityError, match=f"entity id {bad} outside"):
+            embeddings.nearest_neighbors(table, "a", k=2, universe=universe)
+    assert embeddings.nearest_neighbors(table, "a", k=2, universe=[]).neighbors == []
+    assert embeddings.nearest_neighbors(table, "a", k=2, universe=[a]).neighbors == []
+
+
 def test_knn_negative_k_rejected():
     table = unit_table({"a": [1, 0], "c": [0, 1]})
     universe = [table.vocab.get("a"), table.vocab.get("c")]

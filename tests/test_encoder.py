@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from synmatch import autodiff as ad
 from synmatch import encoder
 from synmatch.corpus import PAD, ContextWindow
-from synmatch.errors import ShapeError, SynmatchError
+from synmatch.errors import DataError, ShapeError, SynmatchError
 from synmatch.rng import stream_rng
 
 import oracles as ref
@@ -169,8 +169,9 @@ def test_hidden_states_bounded(setup):
 
 def test_unknown_variant_rejected(setup):
     params, emb = setup
-    with pytest.raises(ValueError):
-        encoder.encode_batch([window([3], 0)], params, emb, variant="gru")
+    for encode in (encoder.encode_batch, encoder.encode_batch_vars):
+        with pytest.raises(DataError, match="unknown encoder variant 'gru'"):
+            encode([window([3], 0)], params, emb, variant="gru")
 
 
 def test_gradients_match_finite_differences(setup):
@@ -218,9 +219,14 @@ def test_tape_holds_one_gate_block_per_direction():
     W = [params[name] for name in encoder.PARAM_NAMES]
     N = B * T                         # packed rows of each bilstm direction
     for direction in encoder._encode(windows, W, emb, "bilstm")[1]:
-        states = [x for x in direction if isinstance(x, np.ndarray) and x.shape == (N, d_h)]
+        arrays = [x for x in direction if isinstance(x, np.ndarray)]
+        states = [x for x in arrays if x.shape == (N, d_h)]
         assert len(states) == 2       # H and C, no tanh(C)
         assert not any(np.allclose(x, np.tanh(y)) for x in states for y in states)
+        # the gate values (sigmoids and tanh): one flat block, each step's gate by gate
+        gates = [x for x in arrays if x.size >= N * 4 * d_h]
+        assert [x.shape for x in gates] == [(N * 4 * d_h,)]
+        assert np.all((gates[0] >= -1.0) & (gates[0] <= 1.0))
     out = encoder.encode_batch_vars(windows, params, emb, "bilstm")
     g = np.ones_like(out.value)
     tracemalloc.start()
@@ -323,7 +329,7 @@ def padded_encode(windows, params, E, variant, G):
         stops = (t_e, lengths - 1 - t_e)
     else:
         stops = (lengths - 1, lengths - 1)
-    d_h = D_CE // 2
+    d_h = params["enc.fw.Wh"].shape[0]
     outs, grads = [], {}
     for k, (direction, id_matrix) in enumerate((("fw", ids), ("bw", rev))):
         names = [f"enc.{direction}.{part}" for part in ("Wx", "Wh", "b")]
@@ -352,18 +358,30 @@ def oracle_batches():
             "duplicates": [mixed[0], mixed[1], mixed[0], mixed[0], mixed[2]]}
 
 
-@pytest.mark.parametrize("variant", ["anchored", "bilstm"])
-@pytest.mark.parametrize("batch", sorted(oracle_batches()))
-def test_packed_matches_padded_reference(setup, variant, batch):
-    params, emb = setup
-    windows = oracle_batches()[batch]
-    G = stream_rng(9, "init").normal(size=(len(windows), D_CE))
+def assert_packed_matches_padded_reference(params, emb, variant, windows):
+    G = stream_rng(9, "init").normal(size=(len(windows), 2 * params["enc.fw.Wh"].shape[0]))
     want_out, want = padded_encode(windows, params, emb, variant, G)
     got_out, got = packed_encode(windows, params, emb, variant, G)
     assert np.max(np.abs(got_out - want_out)) <= 1e-12
     assert sorted(got) == sorted(want)
     for name in want:
         assert np.max(np.abs(got[name] - want[name])) <= 1e-12, name
+
+
+@pytest.mark.parametrize("variant", ["anchored", "bilstm"])
+@pytest.mark.parametrize("batch", sorted(oracle_batches()))
+def test_packed_matches_padded_reference(setup, variant, batch):
+    params, emb = setup
+    assert_packed_matches_padded_reference(params, emb, variant, oracle_batches()[batch])
+
+
+@pytest.mark.parametrize("variant", ["anchored", "bilstm"])
+@pytest.mark.parametrize("batch", sorted(oracle_batches()))
+def test_packed_matches_padded_reference_at_d_ce_32(setup, variant, batch):
+    # the width of tier-1 training and the benchmarks (d_h = 16)
+    _, emb = setup
+    params = encoder.init_encoder_params(D_EMBED, 32, stream_rng(13, "init"))
+    assert_packed_matches_padded_reference(params, emb, variant, oracle_batches()[batch])
 
 
 @pytest.mark.parametrize("variant", ["anchored", "bilstm"])

@@ -223,6 +223,12 @@ def test_bad_integer_id_is_an_unknown_entity(tiny, eid):
         data.entity_id(eid)
     with pytest.raises(UnknownEntityError, match=f"entity id {eid} outside"):
         evaluation.discover(params, config, data, table, eid, k=2)
+    # a caller's universe is checked too, where the KNN scan reads it
+    with pytest.raises(UnknownEntityError, match=f"entity id {eid} outside"):
+        evaluation.discover(params, config, data, table, "sun", k=2,
+                            universe=sorted(data.store.entities()) + [eid])
+    empty = evaluation.discover(params, config, data, table, "sun", k=2, universe=[])
+    assert empty.candidates == [] and empty.ranked == []
     for a, b in ((eid, "sun"), ("sun", eid)):
         with pytest.raises(UnknownEntityError, match=f"entity id {eid} outside"):
             evaluation.score_pair(params, config, data, table.matrix, a, b)
