@@ -5,6 +5,8 @@ sample pairs and triplets."""
 import os
 import tempfile
 
+import numpy as np
+
 from synmatch import cli, corpus
 from synmatch.rng import stream_rng
 
@@ -31,7 +33,7 @@ with open(synset_path, "w") as fh:
     fh.write("villageton\thamletville\n")
 
 data = corpus.ingest(corpus_path, synset_path, min_count=5)
-print(f"vocabulary size {len(data.vocab)}, {len(data.lines)} lines kept")
+print(f"vocabulary size {len(data.vocab)}, {len(data.line_start) - 1} lines kept")
 print(f"synsets: {[[data.vocab.token(e) for e in s] for s in data.store.synsets]}")
 
 # the occurrence index is CSR: one run of (line, position) pairs per token id,
@@ -42,10 +44,12 @@ first = list(zip(data.occ_line[lo:lo + 3].tolist(), data.occ_pos[lo:lo + 3].toli
 print(f"metropolis occurs {hi - lo} times; first (line, position) pairs {first}")
 
 # the index file holds plain arrays (no pickle); loading derives the
-# occurrence index again from the token ids
+# occurrence index again from the token ids and builds no line's tuple
 index_path = os.path.join(work, "index.npz")
 cli.save_index(index_path, data)
-same = cli.load_index(index_path).lines == data.lines
+again = cli.load_index(index_path)
+same = all(np.array_equal(getattr(again, name), getattr(data, name))
+           for name in ("tokens", "line_start"))
 print(f"index.npz: {os.path.getsize(index_path)} bytes; reloaded lines equal: {same}")
 
 # context windows center on the entity and shift at sentence edges

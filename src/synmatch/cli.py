@@ -128,8 +128,8 @@ def _read_index_arrays(path):
 def load_index(path):
     """Read an index written by save_index; nothing in the file is unpickled.
 
-    Lines and the occurrence index are derived from the stored token ids, so
-    no hand-edited file can hold occurrences that disagree with its lines.
+    The occurrence index is derived from the stored token ids, so no hand-edited
+    file can disagree with its lines; each line's tuple is built on first use.
     """
     arrays = _read_index_arrays(path)
 
@@ -221,7 +221,7 @@ def cmd_ingest(args):
     save_index(args.out, data)
     counts = {name: len(data.store.synset_ids(name))
               for name in ("train", "valid", "test")}
-    print(f"ingested {len(data.lines)} lines, vocabulary {len(data.vocab)}, "
+    print(f"ingested {len(data.line_start) - 1} lines, vocabulary {len(data.vocab)}, "
           f"{len(data.store.entities())} entities in {len(data.store)} synsets")
     print(f"split train={counts['train']} valid={counts['valid']} "
           f"test={counts['test']}")

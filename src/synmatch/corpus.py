@@ -3,7 +3,8 @@
 The corpus is plain text, one tokenized sentence per line, tokens separated by
 whitespace.  Multi-word entities must already be joined into single tokens
 (e.g. "new_york_city").  Synsets live in a separate file, one group per line,
-entity tokens separated by tabs.
+entity tokens separated by tabs.  Ingest and index loads keep the lines as flat
+token arrays; a line's tuple of ids is built only when a window is cut from it.
 """
 
 import logging
@@ -129,16 +130,17 @@ class CorpusData:
     """Everything ingest() produces: vocabulary, token lines, occurrence index, synsets.
 
     The corpus is stored flat: line li is tokens[line_start[li]:line_start[li + 1]].
-    `lines` and the occurrence index are derived from those two arrays: token
-    id t occurs at (occ_line[j], occ_pos[j]) for j in occ_start[t]:occ_start[t + 1],
-    in corpus order.
+    The occurrence index is derived from those arrays on construction: token id t
+    occurs at (occ_line[j], occ_pos[j]) for j in occ_start[t]:occ_start[t + 1], in
+    corpus order.  line(li) builds line li's tuple on first use and keeps it; like
+    the eval memos, that assumes the token arrays are never written in place.
     """
 
     vocab: Vocabulary
     tokens: np.ndarray        # (n_tokens,) int32 token ids, line after line
     line_start: np.ndarray    # (n_lines + 1,) int64 offsets of the lines in tokens
     store: SynsetStore
-    lines: list = field(init=False, repr=False)   # tuples of token ids, one per line
+    line_slots: list = field(init=False, repr=False, compare=False)   # filled by line()
     occ_start: np.ndarray = field(init=False, repr=False)   # (len(vocab) + 1,) int64
     occ_line: np.ndarray = field(init=False, repr=False)
     occ_pos: np.ndarray = field(init=False, repr=False)
@@ -149,7 +151,7 @@ class CorpusData:
     eval_encodings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.lines = unflatten(self.tokens, self.line_start)
+        self.line_slots = [None] * (len(self.line_start) - 1)
         lengths = np.diff(self.line_start)
         line_of = np.repeat(np.arange(len(lengths)), lengths)
         pos = np.arange(len(self.tokens)) - np.repeat(self.line_start[:-1], lengths)
@@ -161,6 +163,19 @@ class CorpusData:
         self.occ_start = np.zeros(len(self.vocab) + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.tokens, minlength=len(self.vocab)),
                   out=self.occ_start[1:])
+
+    @property
+    def lines(self):
+        """Every line's tuple, built afresh: slow, and it fills no slot of line()."""
+        return unflatten(self.tokens, self.line_start)
+
+    def line(self, li):
+        """Line li as a tuple of Python ints, built on first use and kept."""
+        got = self.line_slots[li]
+        if got is None:
+            a, b = self.line_start[li:li + 2].tolist()
+            got = self.line_slots[li] = tuple(self.tokens[a:b].tolist())
+        return got
 
     def entity_id(self, entity):
         """Resolve a surface form, or check an id, to a token id; an unknown
@@ -298,7 +313,7 @@ def retrieve_contexts(data, entity, P, T, rng):
     if count == 0:
         raise NoContextError(f"entity id {eid} has no occurrences in the corpus")
     picks = lo + rng.choice(count, size=P, replace=count < P)
-    return [window_around(data.lines[li], pos, T, source_line=li)
+    return [window_around(data.line(li), pos, T, source_line=li)
             for li, pos in zip(data.occ_line[picks].tolist(), data.occ_pos[picks].tolist())]
 
 

@@ -9,12 +9,15 @@ the per-row reference for the KNN scan, and `nearest_neighbors` is the KNN
 scan as it was written with a Python loop over the universe and the results:
 the library's scan must return the same (id, cosine) lists, bit for bit. The
 library's tape has no ops: every node it records has a hand-written backward.
+`retrieve_contexts` cuts windows as the library did when it built every line's
+tuple up front: the library, which builds a line only when it cuts from it,
+must return the same windows under the same random stream.
 """
 
 import numpy as np
 
 from synmatch import autodiff as ad
-from synmatch import matcher
+from synmatch import corpus, matcher
 from synmatch.errors import ShapeError
 
 
@@ -131,3 +134,12 @@ def nearest_neighbors(table, qid, k, universe):
     cos = np.divide(dots, norms, out=np.zeros_like(dots), where=norms != 0.0)
     best = np.lexsort((ids, -cos))[:k]
     return [(int(ids[j]), float(cos[j])) for j in best]
+
+
+def retrieve_contexts(data, eid, P, T, rng):
+    """P windows of token id eid, cut by window_around from every line's
+    tuple; occurrences are found by a scan of those tuples, in corpus order."""
+    lines = corpus.unflatten(data.tokens, data.line_start)
+    occ = [(li, pos) for li, line in enumerate(lines) for pos, t in enumerate(line) if t == eid]
+    picks = rng.choice(len(occ), size=P, replace=len(occ) < P)
+    return [corpus.window_around(lines[occ[i][0]], occ[i][1], T, occ[i][0]) for i in picks]

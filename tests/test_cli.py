@@ -362,6 +362,18 @@ def test_ingest_writes_index_npz_by_default(work):
     assert zipfile.is_zipfile(work / "index.npz")
 
 
+def test_ingest_prints_the_number_of_lines_kept(tmp_path, capsys):
+    (tmp_path / "c.txt").write_text("a b c\na b c\n\n  \nb c d\nc d e a\n")
+    (tmp_path / "s.tsv").write_text("a\tb\n")
+    rc, out, _ = run(capsys, "ingest", "--workdir", str(tmp_path), "--corpus", "c.txt",
+                     "--synsets", "s.tsv", "--min-count", "1")
+    assert rc == 0
+    kept = cli.load_index(str(tmp_path / "index.npz"))
+    assert len(kept.lines) == 3 and len(kept.vocab) == 7
+    assert "ingested 3 lines, vocabulary 7, 2 entities in 1 synsets\n" \
+           "split train=1 valid=0 test=0\n" in out
+
+
 def test_discover_rejects_nonpositive_topk(work, capsys):
     for topk in ("-1", "0"):
         rc, out, err = run(capsys, "discover", *model_args(work), "ent0_0",

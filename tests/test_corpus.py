@@ -1,12 +1,15 @@
+import dataclasses
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from synmatch import corpus
+from synmatch import cli, corpus
 from synmatch.errors import DataError, NoContextError, UnknownEntityError
 from synmatch.rng import stream_rng
+
+import oracles as ref
 
 
 def write(path, text):
@@ -225,6 +228,61 @@ def test_retrieve_errors(small_data):
     for eid in (len(small_data.vocab), -1):
         with pytest.raises(NoContextError):
             corpus.retrieve_contexts(small_data, eid, 3, 10, stream_rng(0, "eval"))
+
+
+@st.composite
+def small_corpora(draw):
+    """A corpus of 1-8 lines over six token ids, one id among them, P and T:
+    lines run shorter and longer than T, the id sits first or last on some
+    lines, and P falls above and below its occurrence count."""
+    vocab = corpus.Vocabulary(["w0", "w1", "w2", "w3"])
+    ids = st.integers(0, len(vocab) - 1)
+    eid = draw(ids)
+    lines = []
+    for _ in range(draw(st.integers(1, 8))):
+        line = draw(st.lists(ids, min_size=1, max_size=14))
+        at = draw(st.sampled_from([None, 0, -1]))
+        if at is not None:
+            line[at] = eid
+        lines.append(line)
+    if not any(eid in line for line in lines):
+        lines[-1][-1] = eid
+    line_start = np.cumsum([0] + [len(line) for line in lines], dtype=np.int64)
+    tokens = np.array([t for line in lines for t in line], dtype=np.int32)
+    data = corpus.CorpusData(vocab=vocab, tokens=tokens, line_start=line_start,
+                             store=corpus.SynsetStore())
+    return data, eid, draw(st.integers(1, 10)), draw(st.integers(1, 10)), draw(st.integers(0, 3))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=small_corpora())
+def test_retrieve_matches_eager_line_oracle(case):
+    data, eid, P, T, seed = case
+    got = corpus.retrieve_contexts(data, eid, P, T, stream_rng(seed, "eval", eid))
+    assert got == ref.retrieve_contexts(data, eid, P, T, stream_rng(seed, "eval", eid))
+    assert all(type(t) is int for w in got for t in w.token_ids)
+    lines = data.lines
+    for li, want in enumerate(lines):
+        line = data.line(li)
+        assert line == want and type(line) is tuple
+        assert all(type(t) is int for t in line)
+        assert data.line(li) is line
+
+
+def test_lines_are_built_on_first_use_only(tmp_path, small_data):
+    n_lines = len(small_data.line_start) - 1
+    cli.save_index(str(tmp_path / "index.npz"), small_data)
+    for data in (small_data, cli.load_index(str(tmp_path / "index.npz"))):
+        assert data.line_slots == [None] * n_lines
+        assert data.lines == small_data.lines
+        assert data.line_slots == [None] * n_lines        # reading lines fills none
+        ws = corpus.retrieve_contexts(data, "gamma", 3, 4, stream_rng(0, "eval"))
+        filled = [li for li, line in enumerate(data.line_slots) if line is not None]
+        assert filled == sorted({w.source_line for w in ws}) and len(filled) == 3
+    spec = {f.name: f for f in dataclasses.fields(corpus.CorpusData)}
+    for name in ("line_slots", "eval_windows"):
+        assert not spec[name].repr and not spec[name].compare, name
+    assert "line_slots" not in repr(small_data)
 
 
 def make_store(n_synsets, size=3):
