@@ -64,6 +64,8 @@ def _resolve_args(args, *names):
 def _fmt_value(v):
     if isinstance(v, bool):
         return "true" if v else "false"
+    if isinstance(v, list):
+        return " ".join(map(str, v))
     return str(v)
 
 
@@ -191,20 +193,27 @@ def _apply_config(args, base):
     return training.parse_config_text(text, base=base).validate()
 
 
-def _load_model(args):
-    """Resolve --index, --checkpoint and --embeddings, load all three and echo
-    the config; returns (data, params, config, table)."""
+def _load_model(args, entities=()):
+    """Resolve --index, --checkpoint and --embeddings, load all three, check
+    that every name in entities is known and echo the config; returns (data,
+    params, config, table).  A --config file may change how the model is
+    run, not its width: a d_ce other than the checkpoint's is a DataError."""
     if not np.isfinite(getattr(args, "threshold", 0.0)):
         raise DataError(f"--threshold must be a finite number, got {args.threshold}")
     _resolve_args(args, "index", "checkpoint", "embeddings")
     data = load_index(args.index)
-    params, config, _ = training.load_checkpoint(args.checkpoint)
-    config = _apply_config(args, config)
+    params, saved, _ = training.load_checkpoint(args.checkpoint)
+    config = _apply_config(args, saved)
+    if config.d_ce != saved.d_ce:
+        raise DataError(f"--config sets d_ce={config.d_ce}, but checkpoint "
+                        f"{args.checkpoint} holds a model of d_ce={saved.d_ce}")
     table = embeddings.load_embeddings(args.embeddings, data.vocab)
     if table.dim != params["enc.fw.Wx"].shape[0]:
         raise DataError(
             f"embedding file {args.embeddings} has {table.dim}-wide vectors, "
             f"but the model expects {params['enc.fw.Wx'].shape[0]}")
+    for name in entities:
+        data.entity_id(name)
     _echo_args(args, config)
     return data, params, config, table
 
@@ -277,7 +286,7 @@ def cmd_evaluate(args):
 
 
 def cmd_score(args):
-    data, params, config, table = _load_model(args)
+    data, params, config, table = _load_model(args, [args.entity_a, args.entity_b])
     s = evaluation.score_pair(params, config, data, table.matrix, args.entity_a,
                               args.entity_b, seed=args.seed)
     print(f"{s:.6f}")
@@ -285,16 +294,19 @@ def cmd_score(args):
 
 
 def cmd_discover(args):
-    data, params, config, table = _load_model(args)
-    result = evaluation.discover(params, config, data, table, args.query,
-                                 k=args.topk, threshold=args.threshold,
-                                 seed=args.seed)
-    print(f"CANDIDATE ENTITIES (top {len(result.candidates)} by embedding cosine)")
-    for eid, sim in result.candidates:
-        print(f"  {data.vocab.token(eid)}  {sim:.6f}")
-    print(f"FINAL ENTITIES (model score > {args.threshold:.6f})")
-    for eid, s in result.accepted:
-        print(f"  {data.vocab.token(eid)}  {s:.6f}")
+    """Discover each query in turn on one loaded model; every result is in
+    hand before the first block is printed, so a failing query prints none."""
+    data, params, config, table = _load_model(args, args.query)
+    results = [evaluation.discover(params, config, data, table, query, k=args.topk,
+                                   threshold=args.threshold, seed=args.seed)
+               for query in args.query]
+    for result in results:
+        print(f"CANDIDATE ENTITIES (top {len(result.candidates)} by embedding cosine)")
+        for eid, sim in result.candidates:
+            print(f"  {data.vocab.token(eid)}  {sim:.6f}")
+        print(f"FINAL ENTITIES (model score > {args.threshold:.6f})")
+        for eid, s in result.accepted:
+            print(f"  {data.vocab.token(eid)}  {s:.6f}")
     return 0
 
 
@@ -392,8 +404,8 @@ def build_parser():
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("discover", parents=[common, config, model],
-                       help="KNN candidates then model reranking for one query")
-    p.add_argument("query")
+                       help="KNN candidates then model reranking for each query")
+    p.add_argument("query", nargs="+", help="one or more entity names, answered in order")
     p.add_argument("--topk", type=int, default=50)
     p.add_argument("--threshold", type=float, default=0.8)
     p.set_defaults(func=cmd_discover)

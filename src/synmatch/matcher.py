@@ -16,7 +16,12 @@ encodings, and the final score is the cosine of the two global vectors.
 One numpy forward serves inference (`match_score`) and training
 (`pair_score_vars`, one tape node with a hand-written backward); both take
 `leaky`, a bool.  Both score a batch of B pairs at once, and either side may
-be one entity broadcast against the other's B.
+be one entity broadcast against the other's B.  The forward takes the
+projected left side H W_BM from its caller: `pair_score_vars` computes it
+once per call and its backward reuses it, and `match_score` takes one held
+by the caller (`evaluation.entity_scorer` keeps one per entity) or computes
+it.  numpy takes a stack's product as one (P, d) @ (d, d) gemm per pair, so
+a projection held per entity has the bits of one taken in the batch.
 """
 
 import logging
@@ -77,15 +82,12 @@ def _softmax(x, axis):
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def _match(H, G, w_bm, leaky):
+def _match(H, HW, G, leaky):
     """Match, aggregate and score float stacks H (B or 1, P, d) and G (B or 1,
-    Q, d), with or without the leak slot."""
-    _check_dims(H, G, w_bm)
+    Q, d), with or without the leak slot; HW is H @ w_bm."""
     P, Q = H.shape[1], G.shape[1]
     B = max(H.shape[0], G.shape[0])
-    Gt = G.transpose(0, 2, 1)
-    HW = H @ w_bm
-    L = HW @ Gt
+    L = HW @ G.transpose(0, 2, 1)
     if not leaky:
         m_fwd = _softmax(L, axis=1)
         m_bwd = _softmax(L, axis=2)
@@ -114,27 +116,36 @@ def _match(H, G, w_bm, leaky):
     return MatchResult(m_fwd, m_bwd, leak_fwd, leak_bwd, a_h, a_g, h_bar, g_bar, score)
 
 
-def match_score(H, G, w_bm, leaky=False):
+def match_score(H, G, w_bm, leaky=False, HW=None):
     """Full pipeline: match, aggregate, score. Returns a complete MatchResult.
 
     H (P, d) and G (Q, d) score one pair.  Stacks H (B, P, d) and G (B, Q, d),
     either of which may be (1, ., d), score B pairs: every field of the
-    result then has a leading B axis.
+    result then has a leading B axis.  HW, shaped like H, is H @ w_bm when
+    the caller holds it; it is used as given, so it must be that product.
     """
     H, G, w_bm = (np.asarray(x, dtype=float) for x in (H, G, w_bm))
-    if H.ndim != 2 or G.ndim != 2:
-        return _match(H, G, w_bm, leaky)
-    r = _match(H[None], G[None], w_bm, leaky)
+    single = H.ndim == 2 and G.ndim == 2
+    if single:
+        H, G = H[None], G[None]
+    _check_dims(H, G, w_bm)
+    if HW is None:
+        HW = H @ w_bm
+    elif np.shape(HW) != H.shape[single:]:
+        raise ShapeError(f"projected side is {np.shape(HW)}, expected {H.shape[single:]}")
+    r = _match(H, np.asarray(HW, dtype=float).reshape(H.shape), G, leaky)
+    if not single:
+        return r
     one = {f.name: getattr(r, f.name)[0] for f in fields(r)}
     return MatchResult(**dict(one, score=float(one["score"])))
 
 
-def _score_backward(r, H, G, w_bm, g):
+def _score_backward(r, H, HW, G, w_bm, g):
     """Gradients of the scores r.score weighted by g (B, 1), from the saved
-    forward result r: dH (B, P, d) and dG (B, Q, d) per pair, and dW summed
-    over the batch."""
+    forward result r and its inputs (HW is H @ w_bm): dH (B, P, d) and dG
+    (B, Q, d) per pair, and dW summed over the batch."""
     B, P, Q = r.m_fwd.shape
-    H, G = np.broadcast_to(H, (B,) + H.shape[1:]), np.broadcast_to(G, (B,) + G.shape[1:])
+    H, HW, G = (np.broadcast_to(x, (B,) + x.shape[1:]) for x in (H, HW, G))
     nh, ng, live = _norms(r.h_bar, r.g_bar)
     nh, ng, s = nh[:, None], ng[:, None], r.score[:, None]
     # zero-norm pairs score a constant 0, so they pass back no gradient
@@ -155,7 +166,7 @@ def _score_backward(r, H, G, w_bm, g):
     d = w_bm.shape[0]
     dW = H.reshape(-1, d).T @ (dL @ G).reshape(-1, d)
     dH = dL @ (G @ w_bm.T) + r.a_h[:, :, None] * gh[:, None, :]
-    dG = dL.transpose(0, 2, 1) @ (H @ w_bm) + r.a_g[:, :, None] * gg[:, None, :]
+    dG = dL.transpose(0, 2, 1) @ HW + r.a_g[:, :, None] * gg[:, None, :]
     return dH, dG, dW
 
 
@@ -172,10 +183,12 @@ def pair_score_vars(Hv, Gv, wv, leaky=False, rows=None):
         rows = (np.arange(Hv.shape[0])[None], np.arange(Gv.shape[0])[None])
     h_rows, g_rows = (np.asarray(x, dtype=np.intp) for x in rows)
     H, G = Hv.value[h_rows], Gv.value[g_rows]
-    r = _match(H, G, wv.value, leaky)
+    _check_dims(H, G, wv.value)
+    HW = H @ wv.value
+    r = _match(H, HW, G, leaky)
 
     def backward(g):
-        dH, dG, dW = _score_backward(r, H, G, wv.value, g)
+        dH, dG, dW = _score_backward(r, H, HW, G, wv.value, g)
         dHv, dGv = np.zeros_like(Hv.value), np.zeros_like(Gv.value)
         np.add.at(dHv, np.broadcast_to(h_rows, dH.shape[:2]), dH)
         np.add.at(dGv, np.broadcast_to(g_rows, dG.shape[:2]), dG)

@@ -11,7 +11,10 @@ the library's scan must return the same (id, cosine) lists, bit for bit. The
 library's tape has no ops: every node it records has a hand-written backward.
 `retrieve_contexts` cuts windows as the library did when it built every line's
 tuple up front: the library, which builds a line only when it cuts from it,
-must return the same windows under the same random stream.
+must return the same windows under the same random stream. `entity_scores`
+scores held encodings one pair at a time with `matcher.match_score`, which
+projects the left side itself: the library, which keeps each left entity's
+projection, must return the same scores, bit for bit.
 """
 
 import numpy as np
@@ -143,3 +146,12 @@ def retrieve_contexts(data, eid, P, T, rng):
     occ = [(li, pos) for li, line in enumerate(lines) for pos, t in enumerate(line) if t == eid]
     picks = rng.choice(len(occ), size=P, replace=len(occ) < P)
     return [corpus.window_around(lines[occ[i][0]], occ[i][1], T, occ[i][0]) for i in picks]
+
+
+def entity_scores(enc, rows, w_bm, leaky, left, right):
+    """Scores of the pairs (left[i], right[i]), or (left[0], right[i]) when
+    left is one id: each pair matched alone on the encodings enc[rows[id]],
+    with no projection held."""
+    left = list(left) * len(right) if len(left) == 1 else left
+    return [matcher.match_score(enc[rows[a]], enc[rows[b]], w_bm, leaky).score
+            for a, b in zip(left, right)]

@@ -121,6 +121,33 @@ def test_discover_header_counts_the_candidates_listed(work, capsys):
     assert final - cand - 1 == 17      # all 18 entities but the query
 
 
+def blocks(out):
+    """Discover output from the first candidates block on: the echo dropped."""
+    return out[out.index("CANDIDATE ENTITIES"):]
+
+
+def test_discover_many_queries_prints_each_block_as_alone(work, capsys):
+    queries = ["ent3_2", "ent0_0", "ent5_1", "ent0_0"]
+    flags = ["--topk", "4", "--threshold", "0.2", "--seed", "3"]
+    rc, out, _ = run(capsys, "discover", *model_args(work), *queries, *flags)
+    assert rc == 0
+    assert out.count("# resolved config") == 1
+    assert f"query={' '.join(queries)}\n" in out
+    want = []
+    for query in queries:
+        rc, alone, _ = run(capsys, "discover", *model_args(work), query, *flags)
+        assert rc == 0 and f"query={query}\n" in alone
+        want.append(blocks(alone))
+    assert blocks(out) == "".join(want)
+
+
+def test_discover_unknown_query_prints_nothing(work, capsys):
+    for queries in (["ent0_0", "ghost"], ["ghost", "ent0_0"]):
+        rc, out, err = run(capsys, "discover", *model_args(work), *queries)
+        assert rc == 2 and out == ""
+        assert "ghost" in err
+
+
 def test_discover_threshold_one_accepts_nothing(work, capsys):
     rc, out, _ = run(capsys, "discover", *model_args(work), "ent0_0",
                      "--topk", "5", "--threshold", "1.0", "--seed", "3")
@@ -165,6 +192,22 @@ def test_config_file_overrides_flags(work, capsys):
     assert rc == 0
     assert "epochs=1" in out and "learning_rate=0.001" in out
     assert len((work / "hist_o.txt").read_text().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["evaluate", "score", "discover"])
+def test_config_d_ce_other_than_checkpoint_exits_two(work, tmp_path, capsys, command):
+    (tmp_path / "wide.cfg").write_text("d_ce=16\n")
+    extra = {"evaluate": ["--out", str(tmp_path / "metrics.txt")],
+             "score": ["ent0_0", "ent0_1"], "discover": ["ent0_0"]}[command]
+    rc, out, err = run(capsys, command, *model_args(work), *extra,
+                       "--config", str(tmp_path / "wide.cfg"))
+    assert rc == 2 and out == ""
+    assert "d_ce=16" in err and "d_ce=8" in err
+    # the checkpoint's own width, restated, runs as without a config file
+    (tmp_path / "same.cfg").write_text("d_ce=8\n")
+    rc, out, _ = run(capsys, command, *model_args(work), *extra,
+                     "--config", str(tmp_path / "same.cfg"))
+    assert rc == 0 and "d_ce=8\n" in out
 
 
 def test_config_file_unknown_key_exits_two(work, capsys):

@@ -7,6 +7,8 @@ from synmatch import cli, corpus, embeddings, encoder, evaluation, training
 from synmatch.errors import DataError, MetricError, NoContextError, UnknownEntityError
 from synmatch.rng import stream_rng
 
+import oracles as ref
+
 
 def auc_pair_oracle(scored):
     """O(n^2) Mann-Whitney pair counting; ties count one half."""
@@ -498,6 +500,89 @@ def test_callers_cannot_write_stored_encodings(tiny):
     for w in data.eval_encodings["weights"]:
         with pytest.raises(ValueError):
             w[0, 0] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# each left-side entity's projection enc[e] @ w_bm is kept beside its encodings
+
+@pytest.mark.parametrize("leaky", [False, True])
+@pytest.mark.parametrize("d_ce, P", [(8, 3), (256, 20)])     # tiny, and paper-shaped
+def test_entity_scorer_equals_unprojected_oracle(tiny, d_ce, P, leaky):
+    data, table, config, _ = tiny
+    data = fresh_copy(data)
+    config = dataclasses.replace(config, d_ce=d_ce, contexts_per_entity=P, leaky=leaky)
+    params = training.init_model_params(config, table, stream_rng(8, "init"))
+    params["match.w_bm"] = stream_rng(9, "init").normal(size=(d_ce, d_ce)) / np.sqrt(d_ce)
+    ids = sorted(data.store.entities())
+    score = evaluation.entity_scorer(params, config, data, table.matrix, ids, 0)
+    slot = data.eval_encodings
+
+    def want(left, right):
+        return ref.entity_scores(slot["enc"], slot["rows"], params["match.w_bm"], leaky,
+                                 left, right)
+
+    # gathered left sides over two matcher calls of SCORE_SLICE pairs, then broadcast ones
+    left = [ids[i % 4] for i in range(evaluation.SCORE_SLICE + 6)]
+    right = [ids[(i * 3 + i // 4) % 4] for i in range(len(left))]
+    assert score(left, right).tolist() == want(left, right)
+    for a in ids:
+        assert score([a], ids).tolist() == want([a], ids)
+    assert sorted(slot["proj"]["rows"]) == ids
+
+
+def test_discover_projects_only_its_query(tiny):
+    _, table, config, params = tiny
+    data = fresh_copy(tiny[0])
+    evaluation.discover(params, config, data, table, "sun", k=10)
+    proj = data.eval_encodings["proj"]
+    assert proj["rows"] == {data.entity_id("sun"): 0} and len(proj["hw"]) == 1
+
+
+def test_evaluate_projects_each_left_entity_once(tiny):
+    _, table, config, params = tiny
+    data = fresh_copy(tiny[0])
+    first = evaluation.evaluate(params, config, data, table, split="test", ks=(1, 2))
+    proj = data.eval_encodings["proj"]
+    pairs = evaluation.make_eval_pairs(data.store, "test", stream_rng(0, "eval", 1))
+    lefts = {p.a for p in pairs} | set(data.store.entities("test"))   # every one is a query
+    # one projected row per distinct left entity: none was projected twice
+    assert sorted(proj["rows"]) == sorted(lefts) and len(proj["hw"]) == len(lefts)
+    hw = proj["hw"]
+    again = evaluation.evaluate(params, config, data, table, split="test", ks=(1, 2))
+    assert data.eval_encodings["proj"]["hw"] is hw        # nothing projected
+    assert again.to_text() == first.to_text()
+
+
+def test_w_bm_change_projects_again_and_encodes_nothing(tiny, monkeypatch):
+    _, table, config, params = tiny
+    params = {k: v.copy() for k, v in params.items()}
+    data = fresh_copy(tiny[0])
+    first = evaluation.discover(params, config, data, table, "sun", k=10)
+    enc, proj = data.eval_encodings["enc"], data.eval_encodings["proj"]
+    params["match.w_bm"][0, 1] += 0.5          # written in place, the encoder untouched
+    encoded = count_encoded(monkeypatch)
+    got = evaluation.discover(params, config, data, table, "sun", k=10)
+    assert encoded == [] and data.eval_encodings["enc"] is enc
+    again = data.eval_encodings["proj"]
+    assert again is not proj and len(again["hw"]) == 1
+    assert not np.array_equal(again["hw"], proj["hw"])
+    assert got.ranked != first.ranked
+    want = evaluation.discover(params, config, fresh_copy(data), table, "sun", k=10)
+    assert got.ranked == want.ranked
+
+
+def test_callers_cannot_write_stored_projections(tiny):
+    _, table, config, params = tiny
+    data = fresh_copy(tiny[0])
+    evaluation.discover(params, config, data, table, "sun", k=10)
+    hw = data.eval_encodings["proj"]["hw"]
+    with pytest.raises(ValueError):
+        hw[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        hw.flags.writeable = True
+    # as are the copy of w_bm the check compares with
+    with pytest.raises(ValueError):
+        data.eval_encodings["w_bm"][0, 0] = 1.0
 
 
 # history.txt of the run below, as written when each epoch's validation

@@ -218,6 +218,12 @@ def test_dimension_mismatches_rejected():
         matcher.match_score(H, rng.normal(size=(2, 8)), np.eye(7))
     with pytest.raises(ShapeError):
         matcher.match_score(np.zeros((0, 8)), H, np.eye(8))
+    # a held projection must be shaped like the side it projects
+    for HW in (H.T, H[None], H[:2]):
+        with pytest.raises(ShapeError):
+            matcher.match_score(H, H, np.eye(8), HW=HW)
+    same = matcher.match_score(H, H, np.eye(8), HW=H)
+    assert same.score == matcher.match_score(H, H, np.eye(8)).score
 
 
 def test_gradients_through_full_match_pipeline():
