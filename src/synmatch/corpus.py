@@ -147,7 +147,8 @@ class CorpusData:
     # evaluation windows drawn so far, by (seed, P, T, entity id); filled by
     # evaluation.eval_contexts
     eval_windows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # one model's encodings of those windows; filled by evaluation.entity_scorer
+    # one model's encodings of those windows and their projections enc @ w_bm,
+    # under one row map; filled by evaluation.entity_scorer
     eval_encodings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -165,21 +165,23 @@ def nearest_neighbors(table, entity, k, universe):
     """Top-k entities from `universe` by cosine similarity to `entity`.
 
     Exact brute-force scan: one matrix product over the universe rows.  A
-    universe id outside the vocabulary is an UnknownEntityError.  The query
-    itself is excluded, a zero-norm row (or query) scores 0, and ties break
-    toward the smaller entity id so results are reproducible.
+    query or universe id outside the vocabulary is an UnknownEntityError.
+    The query itself is excluded, a zero-norm row (or query) scores 0, and
+    ties break toward the smaller entity id so results are reproducible.
     """
     if k < 0:
         raise DataError(f"number of neighbors must be non-negative, got {k}")
     qid = entity if not isinstance(entity, str) else table.vocab.get(entity)
     if isinstance(entity, str) and entity not in table.vocab:
         raise UnknownEntityError(f"unknown entity {entity!r}")
+    n = len(table.matrix)
+    if not 0 <= int(qid) < n:
+        raise UnknownEntityError(f"query entity id {int(qid)} outside [0, {n})")
     q = table.matrix[int(qid)]
     ids = np.asarray(universe, dtype=np.intp)
-    bad = (ids < 0) | (ids >= len(table.matrix))
+    bad = (ids < 0) | (ids >= n)
     if bad.any():
-        raise UnknownEntityError(
-            f"universe entity id {ids[bad][0]} outside [0, {len(table.matrix)})")
+        raise UnknownEntityError(f"universe entity id {ids[bad][0]} outside [0, {n})")
     ids = ids[ids != qid]
     rows = table.matrix[ids]
     norms = np.linalg.norm(rows, axis=1) * np.linalg.norm(q)

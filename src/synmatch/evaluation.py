@@ -11,19 +11,17 @@ is a pure function of (model, data, seed).  Each entity's windows are drawn
 once per loaded corpus (`eval_contexts`), and their encodings are kept for
 one model at a time (`entity_scorer`): repeated discover, score and evaluate
 calls on one CorpusData draw and encode only the entities not seen before.
-A call checks the model by comparing its encoder weights bit for bit with
+A call checks the model by comparing its seven weights bit for bit with
 copies kept beside the encodings, so a weight changed in place is seen.  The
 embedding matrix is compared by identity only: the encodings are kept on the
 assumption that it is not written in place between calls; nothing in this
 package writes it.
 
-Beside the encodings, each entity scored as a left side keeps its bilinear
-projection enc[e] @ w_bm, made on first use and held read-only like them,
-with a copy of match.w_bm compared bit for bit on each call: a w_bm that
-differs drops the projections and keeps the encodings.  The matcher takes
-the held projection in place of multiplying again, with the same bits.
-It costs at most entities x P x d_ce floats, 20 MB for 500 entities at the
-paper config.
+Each entity is projected when it is encoded, enc[e] @ w_bm, and the
+projection is held read-only beside its encodings under the same row: the
+matcher takes it in place of multiplying again, with the same bits.  Both
+cost entities x P x d_ce floats each, 20 MB for 500 entities at the paper
+config.
 """
 
 from dataclasses import dataclass, field
@@ -171,20 +169,21 @@ def stack_windows(ctx, ids):
 SCORE_SLICE = 64
 
 
-def _held_copies(params, names):
-    """Read-only float64 copies of the named weights."""
-    held = [np.array(params[name], dtype=float) for name in names]
-    for w in held:
+def _held_copies(params):
+    """Read-only float64 copies of the seven scoring weights, by name."""
+    held = {name: np.array(params[name], dtype=float)
+            for name in encoder.PARAM_NAMES + ("match.w_bm",)}
+    for w in held.values():
         w.flags.writeable = False
     return held
 
 
-def _same_weights(params, held, names=encoder.PARAM_NAMES):
-    """Whether the named weights in params equal the held float64 copies
-    bit for bit, shapes included: -0.0 differs from 0.0, equal NaNs match."""
+def _same_weights(params, held):
+    """Whether the weights in params equal the held float64 copies bit for
+    bit, shapes included: -0.0 differs from 0.0, equal NaNs match."""
     return all(np.array_equal(np.asarray(params[name], dtype=float).view(np.int64),
                               w.view(np.int64))
-               for name, w in zip(names, held))
+               for name, w in held.items())
 
 
 def entity_scorer(params, config, data, emb, entity_ids, seed):
@@ -192,15 +191,13 @@ def entity_scorer(params, config, data, emb, entity_ids, seed):
     scores of pairs (left[i], right[i]), SCORE_SLICE pairs per matcher call,
     where left may be one id matched against every right id.
 
-    data.eval_encodings holds one model's encodings: read-only copies of
-    the six encoder weights, compared bit for bit on each call, the variant,
-    seed, P, T and the emb object; another model replaces them all.  The
-    encodings are one read-only (entities, P, d_ce) array; entities not held
-    yet get their windows and are encoded in one batch.  Beside them,
-    slot["proj"] holds the projections enc[e] @ w_bm of the entities score()
-    has taken as a left side, one read-only (entities, P, d_ce) array with
-    its own row map, made on first use, and a read-only copy of w_bm: a w_bm
-    that differs bit for bit drops the projections and keeps the encodings.
+    data.eval_encodings holds one model's scoring memo: read-only copies of
+    the seven weights (the encoder's six and match.w_bm), compared bit for
+    bit on each call, the variant, seed, P, T and the emb object; another
+    model replaces it all.  Entities not held yet get their windows and are
+    encoded in one batch and projected at once, enc[e] @ w_bm.  The
+    encodings and the projections are two read-only (entities, P, d_ce)
+    arrays under one row map.
     """
     P, T = config.contexts_per_entity, config.max_context_len
     key = (config.encoder, seed, P, T)
@@ -208,41 +205,31 @@ def entity_scorer(params, config, data, emb, entity_ids, seed):
     if (slot.get("key") != key or slot.get("emb") is not emb
             or not _same_weights(params, slot["weights"])):
         slot.clear()
-        slot.update(key=key, emb=emb, weights=_held_copies(params, encoder.PARAM_NAMES),
-                    rows={}, enc=np.empty(0))
-    if "w_bm" not in slot or not _same_weights(params, [slot["w_bm"]], ["match.w_bm"]):
-        slot.update(w_bm=_held_copies(params, ["match.w_bm"])[0],
-                    proj={"rows": {}, "hw": np.empty(0)})
-    rows = slot["rows"]
+        slot.update(key=key, emb=emb, weights=_held_copies(params), rows={},
+                    enc=np.empty(0), hw=np.empty(0))
+    rows, w_bm = slot["rows"], slot["weights"]["match.w_bm"]
     missing = sorted({int(eid) for eid in entity_ids} - rows.keys())
     if missing:
         ctx = eval_contexts(data, missing, P, T, seed)
         new = encoder.encode_batch([w for eid in missing for w in ctx[eid]], params, emb,
-                                   config.encoder)
-        held = np.concatenate([slot["enc"].reshape(-1, new.shape[1]), new])
-        held.flags.writeable = False
-        slot["enc"] = held.reshape(-1, P, new.shape[1])   # a view: stays read-only
+                                   config.encoder).reshape(len(missing), P, -1)
+        d = new.shape[2]
+        # a stacked product: one (P, d) @ (d, d) gemm per entity, as in the matcher
+        for name, block in (("enc", new), ("hw", new @ w_bm)):
+            held = np.concatenate([slot[name].reshape(-1, d), block.reshape(-1, d)])
+            held.flags.writeable = False
+            slot[name] = held.reshape(-1, P, d)     # a view: stays read-only
         rows.update(zip(missing, range(len(rows), len(slot["enc"]))))
-    enc, w_bm, proj = slot["enc"], slot["w_bm"], slot["proj"]
+    enc, hw = slot["enc"], slot["hw"]
 
     def score(left, right):
-        new = sorted({int(eid) for eid in left} - proj["rows"].keys())
-        if new:
-            # a stacked product: one (P, d) @ (d, d) gemm per entity, as in the matcher
-            hw = enc[[rows[eid] for eid in new]] @ w_bm
-            d = hw.shape[2]
-            held = np.concatenate([proj["hw"].reshape(-1, d), hw.reshape(-1, d)])
-            held.flags.writeable = False
-            proj["hw"] = held.reshape(-1, *hw.shape[1:])     # a view: stays read-only
-            proj["rows"].update(zip(new, range(len(proj["rows"]), len(proj["hw"]))))
         li = np.array([rows[eid] for eid in left], dtype=np.intp)
-        pi = np.array([proj["rows"][int(eid)] for eid in left], dtype=np.intp)
         ri = np.array([rows[eid] for eid in right], dtype=np.intp)
-        hw, scores = proj["hw"], []
+        scores = []
         for i in range(0, len(ri), SCORE_SLICE):
-            lo = slice(0, 1) if len(li) == 1 else slice(i, i + SCORE_SLICE)
-            scores.append(matcher.match_score(enc[li[lo]], enc[ri[i:i + SCORE_SLICE]], w_bm,
-                                              config.leaky, HW=hw[pi[lo]]).score)
+            lo = li[:1] if len(li) == 1 else li[i:i + SCORE_SLICE]
+            scores.append(matcher.match_score(enc[lo], enc[ri[i:i + SCORE_SLICE]], w_bm,
+                                              config.leaky, HW=hw[lo]).score)
         return np.concatenate(scores)
 
     return score

@@ -19,9 +19,10 @@ One numpy forward serves inference (`match_score`) and training
 be one entity broadcast against the other's B.  The forward takes the
 projected left side H W_BM from its caller: `pair_score_vars` computes it
 once per call and its backward reuses it, and `match_score` takes one held
-by the caller (`evaluation.entity_scorer` keeps one per entity) or computes
-it.  numpy takes a stack's product as one (P, d) @ (d, d) gemm per pair, so
-a projection held per entity has the bits of one taken in the batch.
+by the caller (`evaluation.entity_scorer` projects each entity when it
+encodes it) or computes it.  numpy takes a stack's product as one
+(P, d) @ (d, d) gemm per pair, so a projection held per entity has the bits
+of one taken in the batch.
 """
 
 import logging

@@ -264,6 +264,16 @@ def test_knn_universe_id_outside_vocabulary_rejected(bad):
     assert embeddings.nearest_neighbors(table, "a", k=2, universe=[a]).neighbors == []
 
 
+
+@pytest.mark.parametrize("bad", [-1, "vocab-size", 10**6])
+def test_knn_query_id_outside_vocabulary_rejected(bad):
+    table = unit_table({"a": [1, 0], "b": [1, 1], "c": [0, 1]})
+    bad = len(table.matrix) if bad == "vocab-size" else bad
+    universe = [table.vocab.get(t) for t in "abc"]
+    for query in (bad, np.intp(bad)):
+        with pytest.raises(UnknownEntityError, match=f"entity id {bad} outside"):
+            embeddings.nearest_neighbors(table, query, k=2, universe=universe)
+
 def test_knn_negative_k_rejected():
     table = unit_table({"a": [1, 0], "c": [0, 1]})
     universe = [table.vocab.get("a"), table.vocab.get("c")]

@@ -422,8 +422,14 @@ def _negate_a_zero_weight(params, table, config):
     return params, table, config
 
 
+def _change_w_bm_in_place(params, table, config):
+    params["match.w_bm"][0, 1] += 0.5          # the encoder untouched
+    return params, table, config
+
+
 MODEL_CHANGES = {
     "weight-in-place": _change_weight_in_place,
+    "w_bm": _change_w_bm_in_place,
     "negative-zero": _negate_a_zero_weight,
     "embedding-object": lambda p, t, c: (p, dataclasses.replace(t, matrix=t.matrix.copy()), c),
     "P": lambda p, t, c: (p, t, dataclasses.replace(c, contexts_per_entity=2)),
@@ -448,8 +454,9 @@ def test_model_change_encodes_again(tiny, monkeypatch, change):
     assert calls == [4 * config.contexts_per_entity]
     want = evaluation.discover(params, config, fresh_copy(data), table, "sun", k=10, seed=seed)
     assert got.ranked == want.ranked and got.candidates == want.candidates
-    # the whole slot was replaced: the old model's encodings are gone
-    assert len(data.eval_encodings["rows"]) == len(data.eval_encodings["enc"]) == 4
+    # the whole slot was replaced: the old model's encodings and projections are gone
+    slot = data.eval_encodings
+    assert len(slot["rows"]) == len(slot["enc"]) == len(slot["hw"]) == 4
 
 
 def test_weights_copied_to_new_arrays_encode_nothing(tiny, monkeypatch):
@@ -465,12 +472,12 @@ def test_weights_copied_to_new_arrays_encode_nothing(tiny, monkeypatch):
 
 def test_weight_check_compares_shapes_and_bits(tiny):
     params = tiny[3]
-    held = [np.array(params[name]) for name in encoder.PARAM_NAMES]
+    held = evaluation._held_copies(params)
     assert evaluation._same_weights(params, held)
-    name = encoder.PARAM_NAMES[2]
-    for other in (params[name].reshape(-1), params[name].reshape(1, -1).T,
-                  np.negative(params[name]), params[name][:, :-1]):
-        assert not evaluation._same_weights(dict(params, **{name: other}), held)
+    for name in encoder.PARAM_NAMES + ("match.w_bm",):
+        for other in (params[name].reshape(-1), params[name].reshape(1, -1).T,
+                      np.negative(params[name]), params[name][:, :-1]):
+            assert not evaluation._same_weights(dict(params, **{name: other}), held), name
 
 
 def test_entity_without_context_is_not_encoded(tiny, monkeypatch):
@@ -489,100 +496,65 @@ def test_callers_cannot_write_stored_encodings(tiny):
     _, table, config, params = tiny
     data = fresh_copy(tiny[0])
     evaluation.discover(params, config, data, table, "sun", k=10)
-    stored = data.eval_encodings["enc"]
-    assert len(data.eval_encodings["rows"]) == len(stored) == 4
-    for enc in (stored, stored[0]):
+    slot = data.eval_encodings
+    assert len(slot["rows"]) == len(slot["enc"]) == len(slot["hw"]) == 4
+    for stored in (slot["enc"], slot["hw"], slot["enc"][0], slot["hw"][0]):
         with pytest.raises(ValueError):
-            enc[0, 0] = 1.0
+            stored[0, 0] = 1.0
         with pytest.raises(ValueError):
-            enc.flags.writeable = True
-    # the weight copies the check compares with are read-only too
-    for w in data.eval_encodings["weights"]:
+            stored.flags.writeable = True
+    # the seven weight copies the check compares with are read-only too
+    assert sorted(slot["weights"]) == sorted(encoder.PARAM_NAMES + ("match.w_bm",))
+    for w in slot["weights"].values():
         with pytest.raises(ValueError):
             w[0, 0] = 1.0
 
 
 # ---------------------------------------------------------------------------
-# each left-side entity's projection enc[e] @ w_bm is kept beside its encodings
+# each entity's projection enc[e] @ w_bm is made when it is encoded and kept beside it
 
 @pytest.mark.parametrize("leaky", [False, True])
 @pytest.mark.parametrize("d_ce, P", [(8, 3), (256, 20)])     # tiny, and paper-shaped
 def test_entity_scorer_equals_unprojected_oracle(tiny, d_ce, P, leaky):
     data, table, config, _ = tiny
-    data = fresh_copy(data)
     config = dataclasses.replace(config, d_ce=d_ce, contexts_per_entity=P, leaky=leaky)
     params = training.init_model_params(config, table, stream_rng(8, "init"))
     params["match.w_bm"] = stream_rng(9, "init").normal(size=(d_ce, d_ce)) / np.sqrt(d_ce)
     ids = sorted(data.store.entities())
-    score = evaluation.entity_scorer(params, config, data, table.matrix, ids, 0)
-    slot = data.eval_encodings
+    # all at once, and over two calls: the second appends its rows to the held ones
+    for arrivals in ([ids], [ids[:2], ids]):
+        data = fresh_copy(data)
+        for some in arrivals:
+            score = evaluation.entity_scorer(params, config, data, table.matrix, some, 0)
+        slot = data.eval_encodings
+        assert sorted(slot["rows"]) == ids and len(slot["hw"]) == len(ids)
 
-    def want(left, right):
-        return ref.entity_scores(slot["enc"], slot["rows"], params["match.w_bm"], leaky,
-                                 left, right)
+        def want(left, right):
+            return ref.entity_scores(slot["enc"], slot["rows"], params["match.w_bm"], leaky,
+                                     left, right)
 
-    # gathered left sides over two matcher calls of SCORE_SLICE pairs, then broadcast ones
-    left = [ids[i % 4] for i in range(evaluation.SCORE_SLICE + 6)]
-    right = [ids[(i * 3 + i // 4) % 4] for i in range(len(left))]
-    assert score(left, right).tolist() == want(left, right)
-    for a in ids:
-        assert score([a], ids).tolist() == want([a], ids)
-    assert sorted(slot["proj"]["rows"]) == ids
-
-
-def test_discover_projects_only_its_query(tiny):
-    _, table, config, params = tiny
-    data = fresh_copy(tiny[0])
-    evaluation.discover(params, config, data, table, "sun", k=10)
-    proj = data.eval_encodings["proj"]
-    assert proj["rows"] == {data.entity_id("sun"): 0} and len(proj["hw"]) == 1
+        # gathered left sides over two matcher calls of SCORE_SLICE pairs, then broadcast ones
+        left = [ids[i % 4] for i in range(evaluation.SCORE_SLICE + 6)]
+        right = [ids[(i * 3 + i // 4) % 4] for i in range(len(left))]
+        assert score(left, right).tolist() == want(left, right)
+        for a in ids:
+            assert score([a], ids).tolist() == want([a], ids)
 
 
-def test_evaluate_projects_each_left_entity_once(tiny):
+def test_evaluate_projects_each_left_entity_once(tiny, monkeypatch):
     _, table, config, params = tiny
     data = fresh_copy(tiny[0])
     first = evaluation.evaluate(params, config, data, table, split="test", ks=(1, 2))
-    proj = data.eval_encodings["proj"]
+    slot = data.eval_encodings
     pairs = evaluation.make_eval_pairs(data.store, "test", stream_rng(0, "eval", 1))
     lefts = {p.a for p in pairs} | set(data.store.entities("test"))   # every one is a query
-    # one projected row per distinct left entity: none was projected twice
-    assert sorted(proj["rows"]) == sorted(lefts) and len(proj["hw"]) == len(lefts)
-    hw = proj["hw"]
+    # one projected row per left entity: none was projected twice
+    assert sorted(slot["rows"]) == sorted(lefts) and len(slot["hw"]) == len(lefts)
+    hw = slot["hw"]
+    calls = count_encoded(monkeypatch)
     again = evaluation.evaluate(params, config, data, table, split="test", ks=(1, 2))
-    assert data.eval_encodings["proj"]["hw"] is hw        # nothing projected
+    assert calls == [] and data.eval_encodings["hw"] is hw    # nothing encoded or projected
     assert again.to_text() == first.to_text()
-
-
-def test_w_bm_change_projects_again_and_encodes_nothing(tiny, monkeypatch):
-    _, table, config, params = tiny
-    params = {k: v.copy() for k, v in params.items()}
-    data = fresh_copy(tiny[0])
-    first = evaluation.discover(params, config, data, table, "sun", k=10)
-    enc, proj = data.eval_encodings["enc"], data.eval_encodings["proj"]
-    params["match.w_bm"][0, 1] += 0.5          # written in place, the encoder untouched
-    encoded = count_encoded(monkeypatch)
-    got = evaluation.discover(params, config, data, table, "sun", k=10)
-    assert encoded == [] and data.eval_encodings["enc"] is enc
-    again = data.eval_encodings["proj"]
-    assert again is not proj and len(again["hw"]) == 1
-    assert not np.array_equal(again["hw"], proj["hw"])
-    assert got.ranked != first.ranked
-    want = evaluation.discover(params, config, fresh_copy(data), table, "sun", k=10)
-    assert got.ranked == want.ranked
-
-
-def test_callers_cannot_write_stored_projections(tiny):
-    _, table, config, params = tiny
-    data = fresh_copy(tiny[0])
-    evaluation.discover(params, config, data, table, "sun", k=10)
-    hw = data.eval_encodings["proj"]["hw"]
-    with pytest.raises(ValueError):
-        hw[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        hw.flags.writeable = True
-    # as are the copy of w_bm the check compares with
-    with pytest.raises(ValueError):
-        data.eval_encodings["w_bm"][0, 0] = 1.0
 
 
 # history.txt of the run below, as written when each epoch's validation
