@@ -36,12 +36,16 @@ data = corpus.ingest(corpus_path, synset_path, min_count=5)
 print(f"vocabulary size {len(data.vocab)}, {len(data.line_start) - 1} lines kept")
 print(f"synsets: {[[data.vocab.token(e) for e in s] for s in data.store.synsets]}")
 
-# the occurrence index is CSR: one run of (line, position) pairs per token id,
-# in corpus order; retrieval samples from the entity's run
+# the occurrence index is CSR: one run of flat token positions per token id,
+# in corpus order; retrieval samples from the entity's run and finds each
+# pick's line by a binary search of the line offsets
 eid = data.entity_id("metropolis")
 lo, hi = data.occ_start[eid], data.occ_start[eid + 1]
-first = list(zip(data.occ_line[lo:lo + 3].tolist(), data.occ_pos[lo:lo + 3].tolist()))
-print(f"metropolis occurs {hi - lo} times; first (line, position) pairs {first}")
+first = data.occ[lo:lo + 3]
+lis = np.searchsorted(data.line_start[1:], first, side="right")
+pairs = list(zip(lis.tolist(), (first - data.line_start[lis]).tolist()))
+print(f"metropolis occurs {hi - lo} times; first flat positions {first.tolist()}, "
+      f"as (line, position) pairs {pairs}")
 
 # the index file holds plain arrays (no pickle); loading derives the
 # occurrence index again from the token ids and builds no line's tuple

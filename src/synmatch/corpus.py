@@ -63,10 +63,6 @@ class ContextWindow:
                 f"entity_pos {self.entity_pos} outside window of "
                 f"length {len(self.token_ids)}")
 
-    @property
-    def entity_id(self):
-        return self.token_ids[self.entity_pos]
-
     def __len__(self):
         return len(self.token_ids)
 
@@ -131,7 +127,7 @@ class CorpusData:
 
     The corpus is stored flat: line li is tokens[line_start[li]:line_start[li + 1]].
     The occurrence index is derived from those arrays on construction: token id t
-    occurs at (occ_line[j], occ_pos[j]) for j in occ_start[t]:occ_start[t + 1], in
+    occurs at the flat positions occ[occ_start[t]:occ_start[t + 1]] of tokens, in
     corpus order.  line(li) builds line li's tuple on first use and keeps it; like
     the eval memos, that assumes the token arrays are never written in place.
     """
@@ -142,8 +138,7 @@ class CorpusData:
     store: SynsetStore
     line_slots: list = field(init=False, repr=False, compare=False)   # filled by line()
     occ_start: np.ndarray = field(init=False, repr=False)   # (len(vocab) + 1,) int64
-    occ_line: np.ndarray = field(init=False, repr=False)
-    occ_pos: np.ndarray = field(init=False, repr=False)
+    occ: np.ndarray = field(init=False, repr=False)         # (n_tokens,) int64
     # evaluation windows drawn so far, by (seed, P, T, entity id); filled by
     # evaluation.eval_contexts
     eval_windows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -153,14 +148,10 @@ class CorpusData:
 
     def __post_init__(self):
         self.line_slots = [None] * (len(self.line_start) - 1)
-        lengths = np.diff(self.line_start)
-        line_of = np.repeat(np.arange(len(lengths)), lengths)
-        pos = np.arange(len(self.tokens)) - np.repeat(self.line_start[:-1], lengths)
-        # Stable, so each token keeps its (line, pos) order.  Ids cast to the
-        # narrowest unsigned type: numpy radix-sorts 8- and 16-bit keys.
+        # Stable, so each token's positions stay in corpus order.  Ids cast to
+        # the narrowest unsigned type: numpy radix-sorts 8- and 16-bit keys.
         narrow = self.tokens.astype(np.min_scalar_type(len(self.vocab) - 1))
-        order = np.argsort(narrow, kind="stable")
-        self.occ_line, self.occ_pos = line_of[order], pos[order]
+        self.occ = np.argsort(narrow, kind="stable")
         self.occ_start = np.zeros(len(self.vocab) + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.tokens, minlength=len(self.vocab)),
                   out=self.occ_start[1:])
@@ -259,7 +250,8 @@ def ingest(corpus_path, synset_path, min_count=5):
               out=line_start[1:])
     tokens = np.fromiter(map(vocab.token_to_id.__getitem__, chain.from_iterable(token_lines)),
                          dtype=np.int32, count=int(line_start[-1]))
-    counts = np.bincount(tokens, minlength=len(vocab))
+    data = CorpusData(vocab=vocab, tokens=tokens, line_start=line_start, store=SynsetStore())
+    counts = np.diff(data.occ_start)
 
     synsets = []
     for members in read_synset_lines(synset_path):
@@ -278,8 +270,8 @@ def ingest(corpus_path, synset_path, min_count=5):
         if kept:
             synsets.append(tuple(kept))
 
-    return CorpusData(vocab=vocab, tokens=tokens, line_start=line_start,
-                      store=SynsetStore(synsets=synsets))
+    data.store = SynsetStore(synsets=synsets)
+    return data
 
 
 def window_around(token_ids, pos, T, source_line=-1):
@@ -313,9 +305,10 @@ def retrieve_contexts(data, entity, P, T, rng):
     count = hi - lo
     if count == 0:
         raise NoContextError(f"entity id {eid} has no occurrences in the corpus")
-    picks = lo + rng.choice(count, size=P, replace=count < P)
+    at = data.occ[lo + rng.choice(count, size=P, replace=count < P)]
+    lis = np.searchsorted(data.line_start[1:], at, side="right")
     return [window_around(data.line(li), pos, T, source_line=li)
-            for li, pos in zip(data.occ_line[picks].tolist(), data.occ_pos[picks].tolist())]
+            for li, pos in zip(lis.tolist(), (at - data.line_start[lis]).tolist())]
 
 
 def split_synsets(store, valid_frac, test_frac, rng):

@@ -268,7 +268,7 @@ def assert_same_index(got, want):
     assert got.vocab.id_to_token == want.vocab.id_to_token
     assert got.vocab.token_to_id == want.vocab.token_to_id
     assert got.lines == want.lines
-    for name in ("tokens", "line_start", "occ_start", "occ_line", "occ_pos"):
+    for name in ("tokens", "line_start", "occ_start", "occ"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert got.store.synsets == want.store.synsets
     assert got.store.split == want.store.split

@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from synmatch import cli, corpus
 from synmatch.errors import DataError, NoContextError, UnknownEntityError
@@ -99,9 +99,8 @@ def dict_of_lists_ingest(path):
     return id_to_token, lines, occurrences
 
 
-def csr_occurrences(data, tid):
-    lo, hi = data.occ_start[tid], data.occ_start[tid + 1]
-    return list(zip(data.occ_line[lo:hi].tolist(), data.occ_pos[lo:hi].tolist()))
+def postings(data, tid):
+    return data.occ[data.occ_start[tid]:data.occ_start[tid + 1]].tolist()
 
 
 def test_csr_index_matches_dict_of_lists_oracle(tmp_path):
@@ -123,8 +122,11 @@ def test_csr_index_matches_dict_of_lists_oracle(tmp_path):
     assert data.vocab.get("<unk>") == corpus.UNK and data.vocab.get("<pad>") == corpus.PAD
     assert data.lines == lines and len(lines) < len([t for t in text if t.strip()])
     assert all(type(t) is int for line in data.lines for t in line)
+    offsets = np.cumsum([0] + [len(line) for line in lines]).tolist()
     for tid in range(len(id_to_token)):
-        assert csr_occurrences(data, tid) == occurrences.get(tid, []), id_to_token[tid]
+        want = [offsets[li] + pos for li, pos in occurrences.get(tid, [])]
+        assert postings(data, tid) == want == np.flatnonzero(data.tokens == tid).tolist(), \
+            id_to_token[tid]
     # literal <unk> is id 0 and keeps its occurrences, as before
     assert data.store.synsets == [(data.vocab.get("w0"), data.vocab.get("w1")),
                                   (corpus.UNK, data.vocab.get("w2"))]
@@ -140,11 +142,19 @@ def test_csr_index_matches_dict_of_lists_oracle(tmp_path):
             assert all(type(w.entity_pos) is int and type(w.source_line) is int for w in got)
 
 
+def test_occurrence_index_is_one_postings_array(small_data):
+    assert np.array_equal(small_data.occ, np.argsort(small_data.tokens, kind="stable"))
+    assert small_data.occ.dtype == np.int64
+    per_token = {name for name, value in vars(small_data).items()
+                 if isinstance(value, np.ndarray) and len(value) == len(small_data.tokens)}
+    assert per_token == {"tokens", "occ"}
+
+
 def test_ingest_empty_corpus(tmp_path):
     corpus_path = write(tmp_path / "c.txt", "\n  \n")
     data = corpus.ingest(corpus_path, write(tmp_path / "s.tsv", "a\n"))
     assert data.lines == [] and len(data.vocab) == 2 and len(data.store) == 0
-    assert data.occ_start.tolist() == [0, 0, 0]
+    assert data.occ_start.tolist() == [0, 0, 0] and data.occ.tolist() == []
     with pytest.raises(NoContextError):
         corpus.retrieve_contexts(data, corpus.UNK, 3, 10, stream_rng(0, "eval"))
 
@@ -230,13 +240,15 @@ def test_retrieve_errors(small_data):
             corpus.retrieve_contexts(small_data, eid, 3, 10, stream_rng(0, "eval"))
 
 
+SIX_IDS = corpus.Vocabulary(["w0", "w1", "w2", "w3"])
+
+
 @st.composite
 def small_corpora(draw):
     """A corpus of 1-8 lines over six token ids, one id among them, P and T:
     lines run shorter and longer than T, the id sits first or last on some
     lines, and P falls above and below its occurrence count."""
-    vocab = corpus.Vocabulary(["w0", "w1", "w2", "w3"])
-    ids = st.integers(0, len(vocab) - 1)
+    ids = st.integers(0, len(SIX_IDS) - 1)
     eid = draw(ids)
     lines = []
     for _ in range(draw(st.integers(1, 8))):
@@ -247,20 +259,33 @@ def small_corpora(draw):
         lines.append(line)
     if not any(eid in line for line in lines):
         lines[-1][-1] = eid
+    return corpus_case(lines, eid, draw(st.integers(1, 10)), draw(st.integers(1, 10)),
+                       draw(st.integers(0, 3)))
+
+
+def corpus_case(lines, eid, P, T, seed):
     line_start = np.cumsum([0] + [len(line) for line in lines], dtype=np.int64)
     tokens = np.array([t for line in lines for t in line], dtype=np.int32)
-    data = corpus.CorpusData(vocab=vocab, tokens=tokens, line_start=line_start,
+    data = corpus.CorpusData(vocab=SIX_IDS, tokens=tokens, line_start=line_start,
                              store=corpus.SynsetStore())
-    return data, eid, draw(st.integers(1, 10)), draw(st.integers(1, 10)), draw(st.integers(0, 3))
+    return data, eid, P, T, seed
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(case=small_corpora())
+# the entity first on line 0, first on a later line, last on the last line,
+# alone on a one-token line, and all of those at once
+@example(case=corpus_case([[2, 3, 4, 5], [3, 4]], 2, 3, 3, 0))
+@example(case=corpus_case([[3, 4, 5], [4, 5], [2, 3, 4, 5]], 2, 2, 2, 1))
+@example(case=corpus_case([[3, 4], [4, 5, 3, 2]], 2, 4, 3, 2))
+@example(case=corpus_case([[3, 4], [2], [4, 5]], 2, 1, 5, 3))
+@example(case=corpus_case([[2, 3, 4], [3, 2], [2], [4, 3, 2]], 2, 9, 2, 0))
 def test_retrieve_matches_eager_line_oracle(case):
     data, eid, P, T, seed = case
     got = corpus.retrieve_contexts(data, eid, P, T, stream_rng(seed, "eval", eid))
     assert got == ref.retrieve_contexts(data, eid, P, T, stream_rng(seed, "eval", eid))
     assert all(type(t) is int for w in got for t in w.token_ids)
+    assert all(type(w.entity_pos) is int and type(w.source_line) is int for w in got)
     lines = data.lines
     for li, want in enumerate(lines):
         line = data.line(li)

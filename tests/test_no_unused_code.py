@@ -4,7 +4,9 @@ or demos cannot build up there.
 A top-level function counts as called when another function's body names it:
 bare inside its own module or where it was imported by name, or as an
 attribute of a name bound to its module. A non-dunder method counts as called
-when another function's body reads an attribute of that name from anything.
+when another function's body reads an attribute of that name from anything;
+a property only when that read is not the callee of a call, so a call
+`x.name(...)` of a same-named method does not keep a property alive.
 """
 
 import ast
@@ -25,14 +27,16 @@ ENTRY_POINTS = {
 
 def _functions(tree):
     """(qualified name, kind, def node) for top-level functions and for the
-    methods of top-level classes."""
+    methods and properties of top-level classes."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
             yield node.name, "function", node
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef):
-                    yield f"{node.name}.{item.name}", "method", item
+                    kind = "property" if any(isinstance(d, ast.Name) and d.id == "property"
+                                             for d in item.decorator_list) else "method"
+                    yield f"{node.name}.{item.name}", kind, item
 
 
 def _is_dunder(qualname):
@@ -57,16 +61,20 @@ def _imports(tree):
 
 def _references(module, tree, defs):
     """For each def node of the module: the set of functions its body refers
-    to, as ("function", module, name) and ("method", None, name)."""
+    to, as ("function", module, name), ("method", None, name) and, for an
+    attribute read that is not called, ("property", None, name)."""
     modules, names = _imports(tree)
     out = {}
     for _, _, node in defs:
         refs = set()
+        callees = {id(sub.func) for sub in ast.walk(node) if isinstance(sub, ast.Call)}
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name):
                 refs.add(("function",) + names.get(sub.id, (module, sub.id)))
             elif isinstance(sub, ast.Attribute):
                 refs.add(("method", None, sub.attr))
+                if id(sub) not in callees:
+                    refs.add(("property", None, sub.attr))
                 if isinstance(sub.value, ast.Name) and sub.value.id in modules:
                     refs.add(("function", modules[sub.value.id], sub.attr))
         out[id(node)] = refs
@@ -78,10 +86,11 @@ def _parsed():
             for path in sorted(SRC.glob("*.py"))}
 
 
-def unreferenced():
-    """Top-level functions and non-dunder methods that no other function in
-    src/ refers to, less the entry points."""
-    parsed = _parsed()
+def unreferenced(parsed=None):
+    """Top-level functions, non-dunder methods and properties that no other
+    function in src/ (or in the given {module: tree}) refers to, less the
+    entry points."""
+    parsed = _parsed() if parsed is None else parsed
     defs = {module: list(_functions(tree)) for module, tree in parsed.items()}
     refs = {}
     for module, tree in parsed.items():
@@ -91,8 +100,8 @@ def unreferenced():
         for qualname, kind, node in items:
             if _is_dunder(qualname) or f"{module}.{qualname}" in ENTRY_POINTS:
                 continue
-            key = ("method", None, qualname.split(".")[-1]) if kind == "method" \
-                else ("function", module, qualname)
+            key = ("function", module, qualname) if kind == "function" \
+                else (kind, None, qualname.split(".")[-1])
             if not any(key in found for caller, found in refs.items() if caller != id(node)):
                 missing.append(f"{module}.{qualname}")
     return missing
@@ -106,3 +115,19 @@ def test_entry_points_exist():
     found = {f"{module}.{name}" for module, tree in _parsed().items()
              for name, _, _ in _functions(tree)}
     assert ENTRY_POINTS <= found
+
+
+def test_a_call_does_not_keep_a_property():
+    tree = ast.parse(
+        "class A:\n"
+        "    @property\n"
+        "    def key(self):\n"
+        "        return 1\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return 2\n"
+        "    def run(self, other):\n"
+        "        return self.size + other.key(0)\n"
+        "def main():\n"
+        "    return A().run\n")
+    assert unreferenced({"m": tree}) == ["m.A.key", "m.main"]
