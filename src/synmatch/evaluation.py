@@ -259,12 +259,15 @@ class DiscoveryResult:
 
 def knn_rerank(table, qid, k, universe, score):
     """Shortlist qid's k embedding neighbors in universe and rerank them by
-    score(candidate ids); returns the neighbors and [(id, score)], best first."""
+    score(candidate ids); returns the neighbors and [(id, score)], best first,
+    equal scores (-0.0 equals 0.0) toward the smaller id."""
     neighbors = embeddings.nearest_neighbors(table, qid, k, universe)
     cand_ids = [eid for eid, _ in neighbors.neighbors]
-    scores = score(cand_ids) if cand_ids else []
-    ranked = sorted(zip(cand_ids, map(float, scores)), key=lambda t: (-t[1], t[0]))
-    return neighbors, ranked
+    if not cand_ids:
+        return neighbors, []
+    ids, scores = np.array(cand_ids), np.asarray(score(cand_ids), dtype=float)
+    order = np.lexsort((ids, -scores))
+    return neighbors, list(zip(ids[order].tolist(), scores[order].tolist()))
 
 
 def discover(params, config, data, table, query, k=50, threshold=0.8,

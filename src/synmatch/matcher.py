@@ -23,6 +23,29 @@ by the caller (`evaluation.entity_scorer` projects each entity when it
 encodes it) or computes it.  numpy takes a stack's product as one
 (P, d) @ (d, d) gemm per pair, so a projection held per entity has the bits
 of one taken in the batch.
+
+The softmaxes reduce over axes of P or Q, a few to a few dozen terms, and
+numpy is slow at a reduction over such an axis when it is the innermost one
+(one short inner loop per result) but fast when it is the outermost of a
+contiguous array (one long elementwise pass per term).  So the forward lays
+each reduction out where numpy is fast, and keeps the bits of the plain
+(B, P, Q) softmaxes:
+- Every max (the softmax shifts, and the weights a_h and a_g) runs over a
+  contiguous copy with the reduced axis outermost.  A max is exact in any
+  order.  The leak slot's zero logit joins a column as one more slab, a row
+  as np.maximum with 0; a zero's sign cannot change exp of the shift.
+- The column softmax (over P) runs in a (P, B, Q) layout, the leak slot a
+  zero slab after the P rows.  numpy sums axis 1 of a (B, P, Q) array term
+  by term, in order, as it sums axis 0 here; only with Q = 1 is that axis
+  innermost there, summed pairwise, and `_sum_over_p` takes that case as
+  numpy does.
+- The row softmax's sum (over Q) stays on the (B, P, Q) layout, with the
+  leak slot a zero column beside it: numpy sums an innermost axis of 8 or
+  more terms pairwise, with eight accumulators, which no other layout
+  reproduces.
+- a_h and a_g are the largest exp over the softmax's sum, max(e) / z: IEEE
+  division is correctly rounded and so keeps the order, and this equals
+  max(e / z).
 """
 
 import logging
@@ -76,34 +99,44 @@ def _norms(h_bar, g_bar):
     return np.where(live, nh, 1.0), np.where(live, ng, 1.0), live
 
 
-def _softmax(x, axis):
-    """Softmax along `axis`, stabilised by max subtraction."""
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+def _sum_over_p(e):
+    """Sum a (P, B, Q) stack over P with the bits numpy gives axis 1 of the
+    same stack laid out (B, P, Q): term by term, in order, except when Q is
+    1, where that axis is the innermost and numpy sums it pairwise."""
+    if e.shape[2] == 1:
+        return np.ascontiguousarray(e[:, :, 0].T).sum(axis=1)[:, None]
+    return e.sum(axis=0)
 
 
 def _match(H, HW, G, leaky):
     """Match, aggregate and score float stacks H (B or 1, P, d) and G (B or 1,
     Q, d), with or without the leak slot; HW is H @ w_bm."""
-    P, Q = H.shape[1], G.shape[1]
-    B = max(H.shape[0], G.shape[0])
     L = HW @ G.transpose(0, 2, 1)
-    if not leaky:
-        m_fwd = _softmax(L, axis=1)
-        m_bwd = _softmax(L, axis=2)
-        leak_fwd, leak_bwd = np.zeros((B, Q)), np.zeros((B, P))
+    B, P, Q = L.shape
+    # the column softmax, over P, in the (P, B, Q) layout
+    Lc = np.zeros((P + 1 if leaky else P, B, Q))
+    Lc[:P] = L.transpose(1, 0, 2)
+    ec = np.exp(Lc - Lc.max(axis=0))
+    zc = _sum_over_p(ec)
+    # the row softmax, over Q: its max over a (Q, B, P) copy, its sum over
+    # the innermost axis of (B, P, Q)
+    row_max = np.ascontiguousarray(L.transpose(2, 0, 1)).max(axis=0)
+    if leaky:
+        row_max = np.maximum(row_max, 0.0)
+        L = np.concatenate([L, np.zeros((B, P, 1))], axis=2)
+    er = np.exp(L - row_max[:, :, None])
+    zr = er.sum(axis=2)
+    m_fwd = (ec[:P] / zc).transpose(1, 0, 2)
+    m_bwd = (er / zr[:, :, None])[:, :, :Q]
+    if leaky:
+        leak_fwd, leak_bwd = ec[P] / zc, er[:, :, Q] / zr
     else:
-        # the leak slot: a zero logit row under L and a zero column beside it
-        fwd = _softmax(np.concatenate([L, np.zeros((B, 1, Q))], axis=1), axis=1)
-        bwd = _softmax(np.concatenate([L, np.zeros((B, P, 1))], axis=2), axis=2)
-        m_fwd, m_bwd = fwd[:, :P], bwd[:, :, :Q]
-        leak_fwd, leak_bwd = fwd[:, P], bwd[:, :, Q]
+        leak_fwd, leak_bwd = np.zeros((B, Q)), np.zeros((B, P))
     # a context's weight is its strongest match on the other side; the
     # weights are used as-is, with no renormalisation, and the leak shares
     # never enter
-    a_h = m_bwd.max(axis=2)
-    a_g = m_fwd.max(axis=1)
+    a_h = np.ascontiguousarray(er[:, :, :Q].transpose(2, 0, 1)).max(axis=0) / zr
+    a_g = ec[:P].max(axis=0) / zc
     h_bar = (a_h[:, None, :] @ H)[:, 0]
     g_bar = (a_g[:, None, :] @ G)[:, 0]
     nh, ng, live = _norms(h_bar, g_bar)

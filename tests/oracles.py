@@ -14,14 +14,25 @@ tuple up front: the library, which builds a line only when it cuts from it,
 must return the same windows under the same random stream. `entity_scores`
 scores held encodings one pair at a time with `matcher.match_score`, which
 projects the left side itself: the library, which keeps each left entity's
-projection, must return the same scores, bit for bit.
+projection, must return the same scores, bit for bit. `match` is the
+matcher's forward as it was written with one softmax per direction, each
+max and sum taken along its own axis of the (B, P, Q) logit stack and the
+leak slot concatenated as a zero logit row and column; it shares `_dots`
+and `_norms` with the library. The library's forward, which takes its
+reductions over other layouts, must return the same MatchResult, bit for
+bit. `_softmax` is that forward's softmax, which the tape ops here record.
 """
+
+import logging
 
 import numpy as np
 
 from synmatch import autodiff as ad
 from synmatch import corpus, matcher
-from synmatch.errors import ShapeError
+from synmatch.errors import NumericError, ShapeError
+from synmatch.matcher import MatchResult, _dots, _norms
+
+log = logging.getLogger(__name__)
 
 
 def _binary(a, b):
@@ -92,9 +103,50 @@ def max_axis(a, axis):
     return ad.Var(out, (a,), backward)
 
 
-def _softmax(a, axis):
+def _softmax(x, axis):
+    """Softmax along `axis`, stabilised by max subtraction."""
+    shifted = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def match(H, HW, G, leaky):
+    """Match, aggregate and score float stacks H (B or 1, P, d) and G (B or 1,
+    Q, d), with or without the leak slot; HW is H @ w_bm."""
+    P, Q = H.shape[1], G.shape[1]
+    B = max(H.shape[0], G.shape[0])
+    L = HW @ G.transpose(0, 2, 1)
+    if not leaky:
+        m_fwd = _softmax(L, axis=1)
+        m_bwd = _softmax(L, axis=2)
+        leak_fwd, leak_bwd = np.zeros((B, Q)), np.zeros((B, P))
+    else:
+        # the leak slot: a zero logit row under L and a zero column beside it
+        fwd = _softmax(np.concatenate([L, np.zeros((B, 1, Q))], axis=1), axis=1)
+        bwd = _softmax(np.concatenate([L, np.zeros((B, P, 1))], axis=2), axis=2)
+        m_fwd, m_bwd = fwd[:, :P], bwd[:, :, :Q]
+        leak_fwd, leak_bwd = fwd[:, P], bwd[:, :, Q]
+    # a context's weight is its strongest match on the other side; the
+    # weights are used as-is, with no renormalisation, and the leak shares
+    # never enter
+    a_h = m_bwd.max(axis=2)
+    a_g = m_fwd.max(axis=1)
+    h_bar = (a_h[:, None, :] @ H)[:, 0]
+    g_bar = (a_g[:, None, :] @ G)[:, 0]
+    nh, ng, live = _norms(h_bar, g_bar)
+    if not live.all():
+        log.warning("zero-norm global context in %d of %d pairs; score set to 0",
+                    int((~live).sum()), B)
+    raw = np.where(live, _dots(h_bar, g_bar) / (nh * ng), 0.0)
+    if not np.isfinite(raw).all():
+        raise NumericError(f"match score is not finite: {raw[~np.isfinite(raw)]}")
+    score = np.clip(raw, -1.0, 1.0)  # keep rounding inside [-1, 1]
+    return MatchResult(m_fwd, m_bwd, leak_fwd, leak_bwd, a_h, a_g, h_bar, g_bar, score)
+
+
+def _softmax_op(a, axis):
     a = ad.lift(a)
-    y = matcher._softmax(a.value, axis)
+    y = _softmax(a.value, axis)
 
     def backward(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
@@ -107,15 +159,15 @@ def softmax_rows(x):
     """Softmax over each row: the matcher's forward, recorded with a backward
     when x is a Var."""
     if isinstance(x, ad.Var):
-        return _softmax(x, axis=1)
-    return matcher._softmax(ad.as_matrix(x), axis=1)
+        return _softmax_op(x, axis=1)
+    return _softmax(ad.as_matrix(x), axis=1)
 
 
 def softmax_cols(x):
     """Softmax over each column; see softmax_rows."""
     if isinstance(x, ad.Var):
-        return _softmax(x, axis=0)
-    return matcher._softmax(ad.as_matrix(x), axis=0)
+        return _softmax_op(x, axis=0)
+    return _softmax(ad.as_matrix(x), axis=0)
 
 
 def cosine(u, v):

@@ -1,6 +1,7 @@
 """The gradient tape, and the reference ops in `oracles` that the matcher
-and encoder tests compare against (their softmax forward is the matcher's
-own): both are checked against loop oracles and central differences."""
+and encoder tests compare against (their softmax forward is the one of the
+matcher's reference forward, `oracles.match`): both are checked against
+loop oracles and central differences."""
 
 import numpy as np
 import pytest

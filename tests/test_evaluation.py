@@ -256,6 +256,23 @@ def test_discover_sorted_by_model_score(tiny):
         assert s == pytest.approx(direct, abs=1e-12)
 
 
+def test_knn_rerank_breaks_score_ties_toward_the_smaller_id():
+    # row i's cosine to row 0 grows with i, so the KNN lists 9, 8, ..., 1:
+    # a tie keeps that order unless the rerank puts the smaller id first
+    matrix = np.array([[1.0, 0.0]] + [[1.0, 0.1 * (10 - i)] for i in range(1, 10)])
+    table = embeddings.EmbeddingTable(matrix=matrix, vocab=None)
+    model = {9: 0.1, 8: 0.5, 7: 0.9, 6: 0.5, 5: 0.0, 4: -0.3, 3: -0.0, 2: 0.2, 1: -1.0}
+    neighbors, ranked = evaluation.knn_rerank(table, 0, 9, range(10),
+                                              lambda ids: np.array([model[i] for i in ids]))
+    assert [eid for eid, _ in neighbors.neighbors] == list(range(9, 0, -1))
+    # -0.0 equals 0.0, so 3 goes before 5
+    assert ranked == [(7, 0.9), (6, 0.5), (8, 0.5), (2, 0.2), (9, 0.1), (3, 0.0), (5, 0.0),
+                      (4, -0.3), (1, -1.0)]
+    assert np.signbit(ranked[5][1]) and not np.signbit(ranked[6][1])
+    assert all(type(eid) is int and type(s) is float for eid, s in ranked)
+    assert evaluation.knn_rerank(table, 0, 9, [], None)[1] == []
+
+
 def test_evaluate_report_shape(tiny):
     data, table, config, params = tiny
     rep = evaluation.evaluate(params, config, data, table, split="test",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -159,12 +160,21 @@ def test_zero_norm_score_warns(caplog):
 
 
 def test_nonfinite_score_raises():
-    H, G, W = rand_instance(17)
-    H[1, 2] = np.nan
-    with pytest.raises(NumericError):
-        matcher.match_score(H, G, W)
-    with pytest.raises(NumericError):
-        matcher.pair_score_vars(ad.Var(H), ad.Var(G), ad.Var(W), leaky=True)
+    for case in ("nan in H", "inf in G", "logit overflow"):
+        H, G, W = rand_instance(17)
+        if case == "nan in H":
+            H[1, 2] = np.nan
+        elif case == "inf in G":
+            G[2, 1] = np.inf
+        else:
+            H[1], G[2] = 1e200, 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(H @ W @ G.T).all(), case
+            for leaky in (False, True):
+                with pytest.raises(NumericError):
+                    matcher.match_score(H, G, W, leaky)
+                with pytest.raises(NumericError):
+                    matcher.pair_score_vars(ad.Var(H), ad.Var(G), ad.Var(W), leaky)
 
 
 def test_swap_symmetry_with_transposed_bilinear():
@@ -258,7 +268,8 @@ def batch_instance(seed, b_h, b_g, P, Q, d=6):
 
 
 @pytest.mark.parametrize("b_h,b_g,P,Q", [(1, 1, 5, 4), (6, 6, 5, 3), (6, 6, 4, 4),
-                                         (1, 7, 4, 6), (5, 1, 3, 3)])
+                                         (1, 7, 4, 6), (5, 1, 3, 3), (1, 9, 20, 21),
+                                         (9, 9, 21, 20), (4, 1, 8, 8)])
 def test_batched_match_equals_per_pair_loop(b_h, b_g, P, Q):
     H, G, W = batch_instance(21, b_h, b_g, P, Q)
     B = max(b_h, b_g)
@@ -268,13 +279,80 @@ def test_batched_match_equals_per_pair_loop(b_h, b_g, P, Q):
         for b in range(B):
             Hb, Gb = H[min(b, b_h - 1)], G[min(b, b_g - 1)]
             want = matcher.match_score(Hb, Gb, W, leaky)
-            assert abs(got.score[b] - want.score) < 1e-12, leaky
+            assert got.score[b] == want.score, leaky
             for field in ("m_fwd", "m_bwd", "leak_fwd", "leak_bwd", "a_h", "a_g"):
-                diff = np.max(np.abs(getattr(got, field)[b] - getattr(want, field)))
-                assert diff < 1e-12, (leaky, field)
+                assert np.array_equal(getattr(got, field)[b], getattr(want, field)), (leaky, field)
             oracle = scalar_match_oracle(Hb, Gb, W, np.zeros(W.shape[0]) if leaky else None)
             for field, ref in zip(("m_fwd", "m_bwd", "leak_fwd", "leak_bwd"), oracle):
                 assert np.max(np.abs(getattr(got, field)[b] - ref)) < 1e-12, (leaky, field)
+
+
+def bit_instance(seed, b_h, b_g, P, Q, scale, d=6):
+    """Stacks whose logits hold exact ties and all-negative rows and columns.
+
+    h_1 repeats h_0 when P > 2, and g_1 repeats g_0 when Q > 2.  The first
+    two coordinates carry an offset through an identity block of W: h_{P-1}
+    gets -50 against every g, and g_{Q-1} -50 against every h, so their
+    logits are all negative and the leak slot holds the row's and the
+    column's max.  W is scaled by scale.
+    """
+    rng = stream_rng(seed, "init", b_h, b_g, P, Q)
+    H, G = rng.normal(size=(b_h, P, d)), rng.normal(size=(b_g, Q, d))
+    W = rng.normal(size=(d, d))
+    H[:, :, :2], G[:, :, :2] = (0.0, 1.0), (1.0, 0.0)
+    H[:, -1, 0], G[:, -1, 1] = -50.0, -50.0
+    if P > 2:
+        H[:, 1] = H[:, 0]
+    if Q > 2:
+        G[:, 1] = G[:, 0]
+    W[:2], W[:, :2] = 0.0, 0.0
+    W[0, 0] = W[1, 1] = 1.0
+    return H, G, scale * W
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+def check_bits_against_reference(H, G, W, leaky):
+    HW = H @ W
+    want, got = ref.match(H, HW, G, leaky), matcher._match(H, HW, G, leaky)
+    for f in dataclasses.fields(want):
+        assert same_bits(getattr(got, f.name), getattr(want, f.name)), f.name
+    # the backward reads the forward's fields, whatever their memory layout
+    g = stream_rng(0, "init", *H.shape).normal(size=(len(want.score), 1))
+    for name, x, y in zip(("dH", "dG", "dW"), matcher._score_backward(got, H, HW, G, W, g),
+                          matcher._score_backward(want, H, HW, G, W, g)):
+        assert same_bits(x, y), name
+
+
+SIZES = (1, 5, 7, 8, 20, 21)
+
+
+@pytest.mark.parametrize("P", SIZES)
+@pytest.mark.parametrize("Q", SIZES)
+@pytest.mark.parametrize("b_h,b_g", [(1, 9), (9, 1), (9, 9)])
+def test_match_keeps_the_reference_bits(P, Q, b_h, b_g):
+    for leaky in (False, True):
+        for scale in (1e-3, 0.1, 1.0, 30.0):
+            H, G, W = bit_instance(25, b_h, b_g, P, Q, scale)
+            L = H @ W @ G.transpose(0, 2, 1)
+            assert (L[:, -1] < 0).all() and (L[:, :, -1] < 0).all()
+            if P > 2:
+                assert np.array_equal(L[:, 0], L[:, 1])
+            if Q > 2:
+                assert np.array_equal(L[:, :, 0], L[:, :, 1])
+            with np.errstate(under="ignore"):
+                check_bits_against_reference(H, G, W, leaky)
+
+
+@pytest.mark.parametrize("b_h,b_g,P,d", [(1, 3750, 5, 32), (1, 50, 5, 32), (1, 14, 20, 256)])
+def test_match_keeps_the_reference_bits_at_serving_shapes(b_h, b_g, P, d):
+    # one query against its candidates, and every pair of an evaluate in one call
+    H, G, W = batch_instance(26, b_h, b_g, P, P, d)
+    for leaky in (False, True):
+        check_bits_against_reference(H, G, W / np.sqrt(d), leaky)
 
 
 def test_batch_pair_counts_must_agree():
@@ -298,6 +376,23 @@ def test_zero_norm_pair_in_batch_scores_zero_alone(caplog):
     with pytest.raises(NumericError):
         matcher.pair_score_vars(ad.Var(H.reshape(-1, 6)), ad.Var(G.reshape(-1, 6)),
                                 ad.Var(W), False, (np.arange(12).reshape(3, 4),) * 2)
+
+
+@pytest.mark.parametrize("b_h,b_g", [(0, 0), (1, 0), (0, 1)])
+def test_empty_batch_scores_nothing(b_h, b_g):
+    # a stack of no pairs, or one entity broadcast against none
+    H, G, W = batch_instance(27, b_h, b_g, 3, 4)
+    E = stream_rng(27, "init").normal(size=(8, 6))
+    rows = (np.zeros((b_h, 3), dtype=np.intp), np.zeros((b_g, 4), dtype=np.intp))
+    for leaky in (False, True):
+        got = matcher.match_score(H, G, W, leaky)
+        assert {f.name: getattr(got, f.name).shape for f in dataclasses.fields(got)} == {
+            "m_fwd": (0, 3, 4), "m_bwd": (0, 3, 4), "leak_fwd": (0, 4), "leak_bwd": (0, 3),
+            "a_h": (0, 3), "a_g": (0, 4), "h_bar": (0, 6), "g_bar": (0, 6), "score": (0,)}
+        value, grads = ad.grad(lambda v: ref.sum_all(matcher.pair_score_vars(
+            v["E"], v["E"], v["W"], leaky, rows)), {"E": E, "W": W})
+        assert value == 0.0
+        assert not grads["E"].any() and not grads["W"].any()
 
 
 def batched_setup(seed=24, d=6, P=3):
