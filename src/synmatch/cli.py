@@ -294,12 +294,11 @@ def cmd_score(args):
 
 
 def cmd_discover(args):
-    """Discover each query in turn on one loaded model; every result is in
-    hand before the first block is printed, so a failing query prints none."""
+    """Discover every query in one pass on one loaded model; every result is
+    in hand before the first block is printed, so a failing query prints none."""
     data, params, config, table = _load_model(args, args.query)
-    results = [evaluation.discover(params, config, data, table, query, k=args.topk,
-                                   threshold=args.threshold, seed=args.seed)
-               for query in args.query]
+    results = evaluation.discover_many(params, config, data, table, args.query, k=args.topk,
+                                       threshold=args.threshold, seed=args.seed)
     for result in results:
         print(f"CANDIDATE ENTITIES (top {len(result.candidates)} by embedding cosine)")
         for eid, sim in result.candidates:

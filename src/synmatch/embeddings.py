@@ -161,32 +161,44 @@ def save_embeddings(path, table):
             fh.write(f"{table.vocab.token(tid)} {values}\n")
 
 
-def nearest_neighbors(table, entity, k, universe):
-    """Top-k entities from `universe` by cosine similarity to `entity`.
+def nearest_neighbors(table, entities, k, universe):
+    """Top-k entities from `universe` by cosine similarity to each of `entities`;
+    one NeighborList per query, in order.
 
-    Exact brute-force scan: one matrix product over the universe rows.  A
-    query or universe id outside the vocabulary is an UnknownEntityError.
-    The query itself is excluded, a zero-norm row (or query) scores 0, and
-    ties break toward the smaller entity id so results are reproducible.
+    Exact brute-force scan.  The universe rows are gathered and their norms
+    taken once per call; each query's cosines are one matrix-vector product
+    over the rows left once the query itself is excluded, the product a
+    one-query scan takes, so a query gets the same bits alone or in a batch
+    (neither the product over all rows nor one product for all queries
+    does).  A query or universe id outside the vocabulary is an
+    UnknownEntityError.  A zero-norm row (or query) scores 0, and ties break
+    toward the smaller entity id so results are reproducible.
     """
     if k < 0:
         raise DataError(f"number of neighbors must be non-negative, got {k}")
-    qid = entity if not isinstance(entity, str) else table.vocab.get(entity)
-    if isinstance(entity, str) and entity not in table.vocab:
-        raise UnknownEntityError(f"unknown entity {entity!r}")
     n = len(table.matrix)
-    if not 0 <= int(qid) < n:
-        raise UnknownEntityError(f"query entity id {int(qid)} outside [0, {n})")
-    q = table.matrix[int(qid)]
+    qids = []
+    for entity in entities:
+        if isinstance(entity, str) and entity not in table.vocab:
+            raise UnknownEntityError(f"unknown entity {entity!r}")
+        qid = int(table.vocab.get(entity) if isinstance(entity, str) else entity)
+        if not 0 <= qid < n:
+            raise UnknownEntityError(f"query entity id {qid} outside [0, {n})")
+        qids.append(qid)
     ids = np.asarray(universe, dtype=np.intp)
     bad = (ids < 0) | (ids >= n)
     if bad.any():
         raise UnknownEntityError(f"universe entity id {ids[bad][0]} outside [0, {n})")
-    ids = ids[ids != qid]
     rows = table.matrix[ids]
-    norms = np.linalg.norm(rows, axis=1) * np.linalg.norm(q)
-    dots = rows @ q
-    cos = np.divide(dots, norms, out=np.zeros_like(dots), where=norms != 0.0)
-    best = np.lexsort((ids, -cos))[:k]
-    return NeighborList(query=int(qid),
-                        neighbors=list(zip(ids[best].tolist(), cos[best].tolist())))
+    # np.linalg.norm(rows, axis=1) and np.linalg.norm(q), bit for bit
+    row_norms = np.sqrt((rows * rows).sum(axis=1))
+    out = []
+    for qid in qids:
+        q = table.matrix[qid]
+        keep = ids != qid
+        kept, dots = ids[keep], rows[keep] @ q
+        norms = row_norms[keep] * np.sqrt(q.dot(q))
+        cos = np.divide(dots, norms, out=np.zeros_like(dots), where=norms != 0.0)
+        best = np.lexsort((kept, -cos))[:k]
+        out.append(NeighborList(qid, list(zip(kept[best].tolist(), cos[best].tolist()))))
+    return out

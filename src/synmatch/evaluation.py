@@ -6,7 +6,13 @@ full context-matching model, keep those above a threshold.
 
 Evaluation reports AUC over labeled entity pairs plus ranking metrics
 (MAP, P@K, R@K, F1@K) over per-entity discovery runs against held-out
-synsets.  All context sampling is keyed by (seed, entity), so a metric run
+synsets.  `evaluate`, `discover` and `discover_many` rank through one
+multi-query shortlist-then-rerank, `knn_rerank`: one KNN scan shortlists
+every query, then the matcher scores whole queries per call, each query's
+encodings and projection broadcast against a stack of its own candidates,
+as many queries with as many candidates as SCORE_FLOATS allows.  numpy
+still runs one product per pair, so a query scores the same bits alone or
+grouped.  All context sampling is keyed by (seed, entity), so a metric run
 is a pure function of (model, data, seed).  Each entity's windows are drawn
 once per loaded corpus (`eval_contexts`), and their encodings are kept for
 one model at a time (`entity_scorer`): repeated discover, score and evaluate
@@ -164,9 +170,13 @@ def stack_windows(ctx, ids):
     return windows, rows
 
 
-# pairs per matcher call when scoring many: bounds the stacked contexts
-# (at the paper config, 64 pairs are 2.6 MB a side)
-SCORE_SLICE = 64
+# floats one matcher call stacks at most, 1 MB: a query's encodings and
+# projection and its K candidates' encodings are (K + 2) x P x d_ce floats.  At
+# the paper config (P 20, d_ce 256) a query of 14 candidates stacks 655 KB, so
+# a call takes one such query, or 8 evaluation pairs (983 KB); at P 5, d_ce 32
+# it takes 15 queries of 50 candidates (998 KB).  Calls that stacked two or
+# four times as much took longer per pair.
+SCORE_FLOATS = 2**17
 
 
 def _held_copies(params):
@@ -187,9 +197,15 @@ def _same_weights(params, held):
 
 
 def entity_scorer(params, config, data, emb, entity_ids, seed):
-    """Score the entities' windows; returns score(left, right), the model
-    scores of pairs (left[i], right[i]), SCORE_SLICE pairs per matcher call,
-    where left may be one id matched against every right id.
+    """Score the entities' windows; returns score(left, right), where right[i]
+    lists the candidates of left[i], and score gives one array of model
+    scores per left id.
+
+    Queries with as many candidates are scored together: one matcher call
+    takes as many whole queries as SCORE_FLOATS allows, each query's
+    encodings and projection broadcast against its own candidates, and a
+    query too long for one call alone is scored in slices of its candidates.
+    A pair's score has the same bits however its query is grouped.
 
     data.eval_encodings holds one model's scoring memo: read-only copies of
     the seven weights (the encoder's six and match.w_bm), compared bit for
@@ -222,15 +238,33 @@ def entity_scorer(params, config, data, emb, entity_ids, seed):
         rows.update(zip(missing, range(len(rows), len(slot["enc"]))))
     enc, hw = slot["enc"], slot["hw"]
 
+    def match(li, ri):
+        """(N, K) scores of the queries at rows li against their candidates ri."""
+        r = matcher.match_score(enc[li], enc[ri], w_bm, config.leaky, HW=hw[li])
+        return r.score.reshape(ri.shape)
+
     def score(left, right):
-        li = np.array([rows[eid] for eid in left], dtype=np.intp)
-        ri = np.array([rows[eid] for eid in right], dtype=np.intp)
-        scores = []
-        for i in range(0, len(ri), SCORE_SLICE):
-            lo = li[:1] if len(li) == 1 else li[i:i + SCORE_SLICE]
-            scores.append(matcher.match_score(enc[lo], enc[ri[i:i + SCORE_SLICE]], w_bm,
-                                              config.leaky, HW=hw[lo]).score)
-        return np.concatenate(scores)
+        out = [None] * len(left)
+        by_length = {}
+        for i, cands in enumerate(right):
+            by_length.setdefault(len(cands), []).append(i)
+        entity = P * enc.shape[-1]          # floats of one entity's encodings
+        for K, queries in by_length.items():
+            li = np.array([rows[left[i]] for i in queries], dtype=np.intp)
+            ri = np.array([[rows[c] for c in right[i]] for i in queries],
+                          dtype=np.intp).reshape(len(queries), K)
+            per_call = SCORE_FLOATS // ((K + 2) * entity)
+            if per_call:
+                for at in range(0, len(queries), per_call):
+                    scores = match(li[at:at + per_call], ri[at:at + per_call])
+                    for i, row in zip(queries[at:at + per_call], scores):
+                        out[i] = row
+                continue
+            step = max(1, SCORE_FLOATS // entity - 2)
+            for j, i in enumerate(queries):
+                out[i] = np.concatenate([match(li[j:j + 1], ri[j:j + 1, at:at + step])[0]
+                                         for at in range(0, K, step)])
+        return out
 
     return score
 
@@ -238,7 +272,7 @@ def entity_scorer(params, config, data, emb, entity_ids, seed):
 def score_pair(params, config, data, emb, a, b, seed=0):
     """Score one entity pair: sample (or reuse) contexts, encode, match."""
     ida, idb = data.entity_id(a), data.entity_id(b)
-    return float(entity_scorer(params, config, data, emb, [ida, idb], seed)([ida], [idb])[0])
+    return float(entity_scorer(params, config, data, emb, [ida, idb], seed)([ida], [[idb]])[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -257,40 +291,54 @@ class DiscoveryResult:
             self.accepted = [(c, s) for c, s in self.ranked if s > self.threshold]
 
 
-def knn_rerank(table, qid, k, universe, score):
-    """Shortlist qid's k embedding neighbors in universe and rerank them by
-    score(candidate ids); returns the neighbors and [(id, score)], best first,
-    equal scores (-0.0 equals 0.0) toward the smaller id."""
-    neighbors = embeddings.nearest_neighbors(table, qid, k, universe)
-    cand_ids = [eid for eid, _ in neighbors.neighbors]
-    if not cand_ids:
-        return neighbors, []
-    ids, scores = np.array(cand_ids), np.asarray(score(cand_ids), dtype=float)
-    order = np.lexsort((ids, -scores))
-    return neighbors, list(zip(ids[order].tolist(), scores[order].tolist()))
+def knn_rerank(table, qids, k, universe, score):
+    """Shortlist each query's k embedding neighbors in universe, then rerank
+    every shortlist by score(queries, shortlists), one call for all queries
+    with a candidate; returns (neighbors, [(id, score)] best first) per
+    query, equal scores (-0.0 equals 0.0) toward the smaller id."""
+    shortlists = embeddings.nearest_neighbors(table, qids, k, universe)
+    live = [i for i, nl in enumerate(shortlists) if nl.neighbors]
+    ranked = [[] for _ in shortlists]
+    if live:
+        cands = [[eid for eid, _ in shortlists[i].neighbors] for i in live]
+        for i, ids, scores in zip(live, cands, score([qids[i] for i in live], cands)):
+            ids, scores = np.array(ids), np.asarray(scores, dtype=float)
+            order = np.lexsort((ids, -scores))
+            ranked[i] = list(zip(ids[order].tolist(), scores[order].tolist()))
+    return list(zip(shortlists, ranked))
+
+
+def discover_many(params, config, data, table, queries, k=50, threshold=0.8,
+                  seed=0, universe=None):
+    """KNN-then-rerank synonym discovery for each query entity; one
+    DiscoveryResult per query, each as `discover` gives it alone.
+
+    Candidates come from cosine neighbors in the embedding space (cheap),
+    the model score reranks them (expensive but accurate), and candidates
+    strictly above the threshold are accepted.  Every query is shortlisted
+    first, then the queries and their candidates are encoded in one batch
+    and all shortlists reranked together.
+    """
+    if k < 1:
+        raise DataError(f"discover needs k of at least 1 candidate, got {k}")
+    qids = [data.entity_id(query) for query in queries]
+    if universe is None:
+        universe = data.store.entities()
+
+    def score(left, right):
+        ids = left + [eid for cands in right for eid in cands]
+        return entity_scorer(params, config, data, table.matrix, ids, seed)(left, right)
+
+    return [DiscoveryResult(qid, ranked, threshold, candidates=list(neighbors.neighbors))
+            for qid, (neighbors, ranked) in zip(qids, knn_rerank(table, qids, k, universe,
+                                                                 score))]
 
 
 def discover(params, config, data, table, query, k=50, threshold=0.8,
              seed=0, universe=None):
-    """KNN-then-rerank synonym discovery for one query entity.
-
-    Candidates come from cosine neighbors in the embedding space (cheap),
-    the model score reranks them (expensive but accurate), and candidates
-    strictly above the threshold are accepted.
-    """
-    if k < 1:
-        raise DataError(f"discover needs k of at least 1 candidate, got {k}")
-    qid = data.entity_id(query)
-    if universe is None:
-        universe = data.store.entities()
-
-    def score(cand_ids):
-        return entity_scorer(params, config, data, table.matrix, [qid] + cand_ids,
-                             seed)([qid], cand_ids)
-
-    neighbors, ranked = knn_rerank(table, qid, k, universe, score)
-    return DiscoveryResult(qid, ranked, threshold,
-                           candidates=list(neighbors.neighbors))
+    """`discover_many` for one query entity: its DiscoveryResult."""
+    return discover_many(params, config, data, table, [query], k, threshold, seed,
+                         universe)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +350,9 @@ def evaluate(params, config, data, table, split="test", seed=0,
 
     Ranking metrics run the discovery pipeline for every entity of the split
     that has at least one synonym there, against the split's entities as the
-    candidate universe.  The report ranks candidates and accepts none, so it
-    does not depend on `threshold`, which is taken only for callers that pass
-    discover's keywords.
+    candidate universe, all queries in one `knn_rerank`.  The report ranks
+    candidates and accepts none, so it does not depend on `threshold`, which
+    is taken only for callers that pass discover's keywords.
     """
     if knn_k < 1:
         raise DataError(f"knn_k must be at least 1, got {knn_k}")
@@ -315,21 +363,18 @@ def evaluate(params, config, data, table, split="test", seed=0,
     entity_ids = sorted(store.entities(split))
     score = entity_scorer(params, config, data, table.matrix, entity_ids, seed)
 
-    scores = score([p.a for p in pairs], [p.b for p in pairs])
+    scores = np.concatenate(score([p.a for p in pairs], [[p.b] for p in pairs]))
     auc_value = auc([(s, p.label) for s, p in zip(scores, pairs)])
 
+    synonyms = {qid: set(store.synsets[store.synset_of(qid)]) - {qid} for qid in entity_ids}
+    queries = [qid for qid in entity_ids if synonyms[qid]]
     ap_values = []
     p_at = {k: [] for k in ks}
     r_at = {k: [] for k in ks}
     f1_at_scores = {k: [] for k in ks}
-    for qid in entity_ids:
-        si = store.synset_of(qid)
-        relevant = set(store.synsets[si]) - {qid}
-        if not relevant:
-            continue
-        _, reranked = knn_rerank(table, qid, knn_k, entity_ids,
-                                 lambda cand_ids: score([qid], cand_ids))
-        ranked_ids = [eid for eid, _ in reranked]
+    for qid, (_, reranked) in zip(queries, knn_rerank(table, queries, knn_k, entity_ids,
+                                                      score)):
+        ranked_ids, relevant = [eid for eid, _ in reranked], synonyms[qid]
         ap_values.append(average_precision(ranked_ids, relevant))
         for k in ks:
             p_at[k].append(precision_at(ranked_ids, relevant, k))

@@ -16,13 +16,19 @@ encodings, and the final score is the cosine of the two global vectors.
 One numpy forward serves inference (`match_score`) and training
 (`pair_score_vars`, one tape node with a hand-written backward); both take
 `leaky`, a bool.  Both score a batch of B pairs at once, and either side may
-be one entity broadcast against the other's B.  The forward takes the
-projected left side H W_BM from its caller: `pair_score_vars` computes it
-once per call and its backward reuses it, and `match_score` takes one held
-by the caller (`evaluation.entity_scorer` projects each entity when it
-encodes it) or computes it.  numpy takes a stack's product as one
-(P, d) @ (d, d) gemm per pair, so a projection held per entity has the bits
-of one taken in the batch.
+be one entity broadcast against the other's B.  `match_score` also takes
+groups: N left entities H (N, P, d), each broadcast against its own K
+candidates G (N, K, Q, d), so that one call ranks N queries' shortlists.
+The forward takes every batch in that grouped shape, a batch of pairs as N
+groups of one candidate or one group of B, and numpy runs the logits and
+the aggregations as one (P, d) @ (d, Q) and one (1, P) @ (P, d) product
+per pair whatever the grouping, so every pair keeps its bits.  The forward
+takes the projected left side H W_BM from its caller: `pair_score_vars`
+computes it once per call and its backward reuses it, and `match_score`
+takes one held by the caller (`evaluation.entity_scorer` projects each
+entity when it encodes it) or computes it.  numpy takes a stack's product
+as one (P, d) @ (d, d) gemm per pair, so a projection held per entity has
+the bits of one taken in the batch.
 
 The softmaxes reduce over axes of P or Q, a few to a few dozen terms, and
 numpy is slow at a reduction over such an axis when it is the innermost one
@@ -74,12 +80,12 @@ class MatchResult:
 
 
 def _check_dims(H, G, w_bm):
-    if H.ndim != 3 or G.ndim != 3 or H.shape[1] < 1 or G.shape[1] < 1:
+    if H.ndim != 3 or G.ndim not in (3, 4) or H.shape[1] < 1 or G.shape[-2] < 1:
         raise ShapeError(f"need non-empty context stacks, got {H.shape} and {G.shape}")
-    if H.shape[0] != G.shape[0] and 1 not in (H.shape[0], G.shape[0]):
+    if H.shape[0] != G.shape[0] and (G.ndim == 4 or 1 not in (H.shape[0], G.shape[0])):
         raise ShapeError(f"pair counts differ: {H.shape} vs {G.shape}")
     d = H.shape[2]
-    if G.shape[2] != d:
+    if G.shape[-1] != d:
         raise ShapeError(f"context dims differ: {H.shape} vs {G.shape}")
     if w_bm.shape != (d, d):
         raise ShapeError(f"bilinear matrix is {w_bm.shape}, expected {(d, d)}")
@@ -110,9 +116,14 @@ def _sum_over_p(e):
 
 def _match(H, HW, G, leaky):
     """Match, aggregate and score float stacks H (B or 1, P, d) and G (B or 1,
-    Q, d), with or without the leak slot; HW is H @ w_bm."""
-    L = HW @ G.transpose(0, 2, 1)
-    B, P, Q = L.shape
+    Q, d), or groups H (N, P, d) and G (N, K, Q, d), with or without the leak
+    slot; HW is H @ w_bm.  Every field has a leading axis of the B = N K pairs."""
+    if G.ndim == 3:                 # pairs: one group of B, or B groups of one
+        G = G[None] if len(H) == 1 else G[:, None]
+    L = HW[:, None] @ G.transpose(0, 1, 3, 2)
+    N, K, P, Q = L.shape
+    B = N * K
+    L = L.reshape(B, P, Q)
     # the column softmax, over P, in the (P, B, Q) layout
     Lc = np.zeros((P + 1 if leaky else P, B, Q))
     Lc[:P] = L.transpose(1, 0, 2)
@@ -137,8 +148,9 @@ def _match(H, HW, G, leaky):
     # never enter
     a_h = np.ascontiguousarray(er[:, :, :Q].transpose(2, 0, 1)).max(axis=0) / zr
     a_g = ec[:P].max(axis=0) / zc
-    h_bar = (a_h[:, None, :] @ H)[:, 0]
-    g_bar = (a_g[:, None, :] @ G)[:, 0]
+    d = H.shape[2]
+    h_bar = (a_h.reshape(N, K, 1, P) @ H[:, None]).reshape(B, d)
+    g_bar = (a_g.reshape(N, K, 1, Q) @ G).reshape(B, d)
     nh, ng, live = _norms(h_bar, g_bar)
     if not live.all():
         log.warning("zero-norm global context in %d of %d pairs; score set to 0",
@@ -146,7 +158,7 @@ def _match(H, HW, G, leaky):
     raw = np.where(live, _dots(h_bar, g_bar) / (nh * ng), 0.0)
     if not np.isfinite(raw).all():
         raise NumericError(f"match score is not finite: {raw[~np.isfinite(raw)]}")
-    score = np.clip(raw, -1.0, 1.0)  # keep rounding inside [-1, 1]
+    score = np.minimum(np.maximum(raw, -1.0), 1.0)  # keep rounding inside [-1, 1]
     return MatchResult(m_fwd, m_bwd, leak_fwd, leak_bwd, a_h, a_g, h_bar, g_bar, score)
 
 
@@ -155,8 +167,10 @@ def match_score(H, G, w_bm, leaky=False, HW=None):
 
     H (P, d) and G (Q, d) score one pair.  Stacks H (B, P, d) and G (B, Q, d),
     either of which may be (1, ., d), score B pairs: every field of the
-    result then has a leading B axis.  HW, shaped like H, is H @ w_bm when
-    the caller holds it; it is used as given, so it must be that product.
+    result then has a leading B axis.  Groups H (N, P, d) and G (N, K, Q, d)
+    score each H[n] against its K candidates G[n], B = N K pairs, query n's
+    in rows n K to (n + 1) K.  HW, shaped like H, is H @ w_bm when the
+    caller holds it; it is used as given, so it must be that product.
     """
     H, G, w_bm = (np.asarray(x, dtype=float) for x in (H, G, w_bm))
     single = H.ndim == 2 and G.ndim == 2

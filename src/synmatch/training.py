@@ -403,7 +403,8 @@ def train(config, data, table):
         if valid_pairs:
             score = evaluation.entity_scorer(params, config, data, table.matrix, valid_ids,
                                              config.seed)
-            scores = score([p.a for p in valid_pairs], [p.b for p in valid_pairs])
+            scores = np.concatenate(score([p.a for p in valid_pairs],
+                                          [[p.b] for p in valid_pairs]))
             valid_auc = evaluation.auc([(s, p.label) for s, p in zip(scores, valid_pairs)])
             if best_auc is None or valid_auc > best_auc:
                 best_auc = valid_auc

@@ -21,6 +21,11 @@ leak slot concatenated as a zero logit row and column; it shares `_dots`
 and `_norms` with the library. The library's forward, which takes its
 reductions over other layouts, must return the same MatchResult, bit for
 bit. `_softmax` is that forward's softmax, which the tape ops here record.
+`evaluate` is the evaluation as it ran one ranking query at a time: each
+query shortlisted alone by the reference scan, its candidates scored in one
+matcher call with the query broadcast, and the evaluation pairs in calls of
+64; the library, which shortlists every query in one scan and scores whole
+queries per matcher call, must report the same fields, bit for bit.
 """
 
 import logging
@@ -28,9 +33,10 @@ import logging
 import numpy as np
 
 from synmatch import autodiff as ad
-from synmatch import corpus, matcher
+from synmatch import corpus, evaluation, matcher
 from synmatch.errors import NumericError, ShapeError
 from synmatch.matcher import MatchResult, _dots, _norms
+from synmatch.rng import stream_rng
 
 log = logging.getLogger(__name__)
 
@@ -207,3 +213,47 @@ def entity_scores(enc, rows, w_bm, leaky, left, right):
     left = list(left) * len(right) if len(left) == 1 else left
     return [matcher.match_score(enc[rows[a]], enc[rows[b]], w_bm, leaky).score
             for a, b in zip(left, right)]
+
+
+def evaluate(params, config, data, table, split="test", seed=0, ks=(1, 5, 10), knn_k=50):
+    """The EvalReport of evaluation.evaluate, one ranking query at a time."""
+    store = data.store
+    pairs = evaluation.make_eval_pairs(store, split, stream_rng(seed, "eval", 1))
+    entity_ids = sorted(store.entities(split))
+    evaluation.entity_scorer(params, config, data, table.matrix, entity_ids, seed)
+    slot = data.eval_encodings
+    rows, enc, hw, w_bm = slot["rows"], slot["enc"], slot["hw"], slot["weights"]["match.w_bm"]
+
+    def score(left, right):
+        li = np.array([rows[eid] for eid in left], dtype=np.intp)
+        ri = np.array([rows[eid] for eid in right], dtype=np.intp)
+        scores = []
+        for i in range(0, len(ri), 64):
+            lo = li[:1] if len(li) == 1 else li[i:i + 64]
+            scores.append(matcher.match_score(enc[lo], enc[ri[i:i + 64]], w_bm,
+                                              config.leaky, HW=hw[lo]).score)
+        return np.concatenate(scores)
+
+    scores = score([p.a for p in pairs], [p.b for p in pairs])
+    auc_value = evaluation.auc([(s, p.label) for s, p in zip(scores, pairs)])
+    ap_values, p_at, r_at, f1 = [], {k: [] for k in ks}, {k: [] for k in ks}, {k: [] for k in ks}
+    for qid in entity_ids:
+        relevant = set(store.synsets[store.synset_of(qid)]) - {qid}
+        if not relevant:
+            continue
+        cand_ids = [eid for eid, _ in nearest_neighbors(table, qid, knn_k, entity_ids)]
+        ranked_ids = []
+        if cand_ids:
+            ids, cand_scores = np.array(cand_ids), score([qid], cand_ids)
+            ranked_ids = ids[np.lexsort((ids, -cand_scores))].tolist()
+        ap_values.append(evaluation.average_precision(ranked_ids, relevant))
+        for k in ks:
+            p_at[k].append(evaluation.precision_at(ranked_ids, relevant, k))
+            r_at[k].append(evaluation.recall_at(ranked_ids, relevant, k))
+            f1[k].append(evaluation.f1_at(ranked_ids, relevant, k))
+    mean = lambda xs: float(np.mean(xs))
+    return evaluation.EvalReport(
+        auc=float(auc_value), map=mean(ap_values),
+        p_at_k={k: mean(v) for k, v in p_at.items()},
+        r_at_k={k: mean(v) for k, v in r_at.items()},
+        f1_at_k={k: mean(v) for k, v in f1.items()})

@@ -28,7 +28,7 @@ def test_load_with_header(tmp_path):
     assert np.array_equal(row(table, "apple"), [1, 2, 3])
     assert np.array_equal(row(table, "pear"), [4, 5, 6])
     with pytest.raises(UnknownEntityError):
-        embeddings.nearest_neighbors(table, "nope", 1, [vocab.get("apple")])
+        embeddings.nearest_neighbors(table, ["nope"], 1, [vocab.get("apple")])
 
 
 def test_load_without_header(tmp_path):
@@ -240,15 +240,15 @@ def unit_table(vectors):
 def test_knn_duplicate_vector_ranks_first():
     table = unit_table({"a": [1, 0], "b": [1, 0], "c": [0, 1]})
     ids = [table.vocab.get(t) for t in ("a", "b", "c")]
-    nl = embeddings.nearest_neighbors(table, "a", k=2, universe=ids)
+    nl, = embeddings.nearest_neighbors(table, ["a"], k=2, universe=ids)
     assert nl.neighbors[0][0] == table.vocab.get("b")
     assert nl.neighbors[0][1] == pytest.approx(1.0)
 
 
 def test_knn_orthogonal_zero_similarity():
     table = unit_table({"a": [1, 0], "c": [0, 1]})
-    nl = embeddings.nearest_neighbors(table, "a", k=1,
-                                      universe=[table.vocab.get("a"), table.vocab.get("c")])
+    nl, = embeddings.nearest_neighbors(table, ["a"], k=1,
+                                       universe=[table.vocab.get("a"), table.vocab.get("c")])
     assert nl.neighbors == [(table.vocab.get("c"), 0.0)]
 
 
@@ -259,9 +259,9 @@ def test_knn_universe_id_outside_vocabulary_rejected(bad):
     a, b, c = (table.vocab.get(t) for t in "abc")
     for universe in ([b, c, bad], [bad], np.array([bad, b])):
         with pytest.raises(UnknownEntityError, match=f"entity id {bad} outside"):
-            embeddings.nearest_neighbors(table, "a", k=2, universe=universe)
-    assert embeddings.nearest_neighbors(table, "a", k=2, universe=[]).neighbors == []
-    assert embeddings.nearest_neighbors(table, "a", k=2, universe=[a]).neighbors == []
+            embeddings.nearest_neighbors(table, ["a"], k=2, universe=universe)
+    assert embeddings.nearest_neighbors(table, ["a"], k=2, universe=[])[0].neighbors == []
+    assert embeddings.nearest_neighbors(table, ["a"], k=2, universe=[a])[0].neighbors == []
 
 
 
@@ -270,16 +270,17 @@ def test_knn_query_id_outside_vocabulary_rejected(bad):
     table = unit_table({"a": [1, 0], "b": [1, 1], "c": [0, 1]})
     bad = len(table.matrix) if bad == "vocab-size" else bad
     universe = [table.vocab.get(t) for t in "abc"]
-    for query in (bad, np.intp(bad)):
+    # alone, or after a good query: nothing is returned for either
+    for queries in ([bad], [np.intp(bad)], ["a", bad]):
         with pytest.raises(UnknownEntityError, match=f"entity id {bad} outside"):
-            embeddings.nearest_neighbors(table, query, k=2, universe=universe)
+            embeddings.nearest_neighbors(table, queries, k=2, universe=universe)
 
 def test_knn_negative_k_rejected():
     table = unit_table({"a": [1, 0], "c": [0, 1]})
     universe = [table.vocab.get("a"), table.vocab.get("c")]
-    assert embeddings.nearest_neighbors(table, "a", k=0, universe=universe).neighbors == []
+    assert embeddings.nearest_neighbors(table, ["a"], k=0, universe=universe)[0].neighbors == []
     with pytest.raises(DataError):
-        embeddings.nearest_neighbors(table, "a", k=-1, universe=universe)
+        embeddings.nearest_neighbors(table, ["a"], k=-1, universe=universe)
 
 
 def test_knn_sorted_and_excludes_query():
@@ -288,7 +289,7 @@ def test_knn_sorted_and_excludes_query():
     matrix = rng.normal(size=(len(vocab), 8))
     table = embeddings.EmbeddingTable(matrix=matrix, vocab=vocab)
     universe = list(range(2, len(vocab)))
-    nl = embeddings.nearest_neighbors(table, "e7", k=14, universe=universe)
+    nl, = embeddings.nearest_neighbors(table, ["e7"], k=14, universe=universe)
     assert len(nl.neighbors) == 14
     assert nl.query not in [eid for eid, _ in nl.neighbors]
     sims = [s for _, s in nl.neighbors]
@@ -323,38 +324,44 @@ def test_knn_matches_loop_oracle():
         universe = list(rng.permutation(np.arange(2, len(vocab))))
         for qid in (7, 20, 41, int(rng.integers(2, len(vocab)))):
             for k in (1, 5, 100):
-                got = embeddings.nearest_neighbors(table, qid, k, universe)
+                got, = embeddings.nearest_neighbors(table, [qid], k, universe)
                 want = loop_nearest_neighbors(table, qid, k, universe)
                 assert got.query == qid
                 assert [e for e, _ in got.neighbors] == [e for e, _ in want]
                 for (_, c1), (_, c2) in zip(got.neighbors, want):
                     assert abs(c1 - c2) <= 1e-12
-        nl = embeddings.nearest_neighbors(table, 41, 100, universe)
+        nl, = embeddings.nearest_neighbors(table, [41], 100, universe)
         assert all(c == 0.0 for _, c in nl.neighbors)   # zero-norm query
 
 
 def test_knn_equals_reference_scan_exactly():
     rng = np.random.default_rng(5)
     vocab = make_vocab([f"e{i}" for i in range(50)])
-    for trial in range(6):
-        matrix = rng.normal(size=(len(vocab), 7))
+    # from 8 columns on, the BLAS gives a row's dot product other bits when
+    # the row sits elsewhere in the matrix, so each query needs its own rows
+    for dim in [7] * 6 + [50] * 3:
+        matrix = rng.normal(size=(len(vocab), dim))
         # planted ties: duplicated and parallel rows, and zero rows
         matrix[10:14] = matrix[20]
         matrix[30], matrix[31] = matrix[7], 3.0 * matrix[7]
         matrix[40:43] = 0.0
         table = embeddings.EmbeddingTable(matrix=matrix, vocab=vocab)
         ids = rng.permutation(np.arange(2, len(vocab)))[:30]
-        for qid in (7, 20, 41, int(rng.integers(2, len(vocab)))):
-            for members in (ids, ids[ids != qid], np.append(ids, qid), ids[:0]):
+        # each query alone, then all in one call: every query keeps its bits
+        qids = [7, 20, 41, int(rng.integers(2, len(vocab)))]
+        for queries in [[qid] for qid in qids] + [qids]:
+            for members in (ids, ids[ids != queries[0]], np.append(ids, queries[0]), ids[:0]):
                 universes = (members.tolist(), list(members), tuple(members.tolist()),
                              members)
                 for universe in universes:
                     for k in (0, 1, 5, len(members) + 3):
-                        got = embeddings.nearest_neighbors(table, qid, k, universe)
-                        want = ref.nearest_neighbors(table, qid, k, universe)
-                        assert got.query == qid and got.neighbors == want
-                        assert all(type(e) is int and type(c) is float
-                                   for e, c in got.neighbors)
+                        got = embeddings.nearest_neighbors(table, queries, k, universe)
+                        assert [nl.query for nl in got] == queries
+                        for qid, nl in zip(queries, got):
+                            assert nl.neighbors == ref.nearest_neighbors(table, qid, k,
+                                                                         universe)
+                            assert all(type(e) is int and type(c) is float
+                                       for e, c in nl.neighbors)
 
 
 def test_cosine_symmetric():

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from synmatch import cli, corpus, embeddings, encoder, evaluation, training
+from synmatch import cli, corpus, embeddings, encoder, evaluation, matcher, synthetic, training
 from synmatch.errors import DataError, MetricError, NoContextError, UnknownEntityError
 from synmatch.rng import stream_rng
 
@@ -194,20 +194,47 @@ def test_score_pair_reproducible_and_bounded(tiny):
         assert -1.0 <= s1 <= 1.0
 
 
+def record_calls(monkeypatch):
+    """The (N, K) leading shape of the candidate stack of every matcher call."""
+    calls, match_score = [], matcher.match_score
+
+    def recorded(H, G, *args, **kwargs):
+        calls.append(G.shape[:2])
+        return match_score(H, G, *args, **kwargs)
+
+    monkeypatch.setattr(matcher, "match_score", recorded)
+    return calls
+
+
 def test_entity_scorer_slices_score_like_single_pairs(tiny, monkeypatch):
     data, table, config, params = tiny
     ids = sorted(data.store.entities())
     left = [ids[i % 4] for i in range(7)]
     right = [ids[(i * 3 + 1) % 4] for i in range(7)]
+    # queries of 1 to 7 candidates, an id may come twice
+    lengths = (1, 2, 3, 4, 7, 3, 7)
+    shortlists = [[ids[(i + j) % 4] for j in range(n)] for i, n in enumerate(lengths)]
     score = evaluation.entity_scorer(params, config, data, table.matrix, ids, 0)
-    single = [score([a], [b])[0] for a, b in zip(left, right)]
-    whole, whole_broadcast = score(left, right), score(left[:1], right)
-    # slices of 2 pairs: 7 pairs take 4 matcher calls, the last one short
-    monkeypatch.setattr(evaluation, "SCORE_SLICE", 2)
-    score = evaluation.entity_scorer(params, config, data, table.matrix, ids, 0)
-    assert score(left, right).tolist() == whole.tolist() == single
-    assert score(left[:1], right).tolist() == whole_broadcast.tolist()
-    assert whole_broadcast.tolist() == [score(left[:1], [b])[0] for b in right]
+    single = [score([a], [[b]])[0][0] for a, b in zip(left, right)]
+    alone = [score([a], [cands])[0] for a, cands in zip(left, shortlists)]
+    assert [x.tolist() for x in alone] == [[score([a], [[b]])[0][0] for b in cands]
+                                           for a, cands in zip(left, shortlists)]
+    calls = record_calls(monkeypatch)
+    pairs, grouped = score(left, [[b] for b in right]), score(left, shortlists)
+    # one call per shortlist length: every query of a length in one call
+    assert calls == [(7, 1), (1, 1), (1, 2), (2, 3), (1, 4), (2, 7)]
+    # a bound of 8 entities' encodings: 2 pairs a call, 1 query of 3 or 4
+    # candidates, and a query of 7 in slices of 6 and 1
+    monkeypatch.setattr(evaluation, "SCORE_FLOATS",
+                        8 * config.contexts_per_entity * config.d_ce)
+    calls.clear()
+    sliced_pairs, sliced = score(left, [[b] for b in right]), score(left, shortlists)
+    assert calls == [(2, 1)] * 3 + [(1, 1)] + [(1, 1), (1, 2), (1, 3), (1, 3), (1, 4)] + [
+        (1, 6), (1, 1)] * 2
+    assert [x.tolist() for x in sliced_pairs] == [x.tolist() for x in pairs] == [
+        [s] for s in single]
+    assert [x.tolist() for x in sliced] == [x.tolist() for x in grouped] == [
+        x.tolist() for x in alone]
 
 
 @pytest.mark.parametrize("k", [0, -1])
@@ -262,15 +289,30 @@ def test_knn_rerank_breaks_score_ties_toward_the_smaller_id():
     matrix = np.array([[1.0, 0.0]] + [[1.0, 0.1 * (10 - i)] for i in range(1, 10)])
     table = embeddings.EmbeddingTable(matrix=matrix, vocab=None)
     model = {9: 0.1, 8: 0.5, 7: 0.9, 6: 0.5, 5: 0.0, 4: -0.3, 3: -0.0, 2: 0.2, 1: -1.0}
-    neighbors, ranked = evaluation.knn_rerank(table, 0, 9, range(10),
-                                              lambda ids: np.array([model[i] for i in ids]))
+    calls = []
+
+    def score(queries, shortlists):
+        # query 0 reads the model; query 5 scores every candidate 0, odd ids as -0.0
+        calls.append(list(queries))
+        return [np.array([model[c] if q == 0 else -0.0 if c % 2 else 0.0 for c in cands])
+                for q, cands in zip(queries, shortlists)]
+
+    (neighbors, ranked), (_, ranked5) = evaluation.knn_rerank(table, [0, 5], 9, range(10),
+                                                              score)
+    assert calls == [[0, 5]]        # both queries reranked in one call
     assert [eid for eid, _ in neighbors.neighbors] == list(range(9, 0, -1))
     # -0.0 equals 0.0, so 3 goes before 5
     assert ranked == [(7, 0.9), (6, 0.5), (8, 0.5), (2, 0.2), (9, 0.1), (3, 0.0), (5, 0.0),
                       (4, -0.3), (1, -1.0)]
     assert np.signbit(ranked[5][1]) and not np.signbit(ranked[6][1])
-    assert all(type(eid) is int and type(s) is float for eid, s in ranked)
-    assert evaluation.knn_rerank(table, 0, 9, [], None)[1] == []
+    assert [eid for eid, _ in ranked5] == [0, 1, 2, 3, 4, 6, 7, 8, 9]
+    assert all(type(eid) is int and type(s) is float for eid, s in ranked + ranked5)
+    # an empty shortlist is not scored, and with no other query nothing is
+    calls.clear()
+    (_, empty), (_, alone) = evaluation.knn_rerank(table, [3, 0], 9, [3], score)
+    assert calls == [[0]] and empty == [] and alone == [(3, 0.0)]
+    assert evaluation.knn_rerank(table, [0], 9, [], None) == [
+        (embeddings.NeighborList(0, []), [])]
 
 
 def test_evaluate_report_shape(tiny):
@@ -532,7 +574,7 @@ def test_callers_cannot_write_stored_encodings(tiny):
 
 @pytest.mark.parametrize("leaky", [False, True])
 @pytest.mark.parametrize("d_ce, P", [(8, 3), (256, 20)])     # tiny, and paper-shaped
-def test_entity_scorer_equals_unprojected_oracle(tiny, d_ce, P, leaky):
+def test_entity_scorer_equals_unprojected_oracle(tiny, monkeypatch, d_ce, P, leaky):
     data, table, config, _ = tiny
     config = dataclasses.replace(config, d_ce=d_ce, contexts_per_entity=P, leaky=leaky)
     params = training.init_model_params(config, table, stream_rng(8, "init"))
@@ -550,12 +592,97 @@ def test_entity_scorer_equals_unprojected_oracle(tiny, d_ce, P, leaky):
             return ref.entity_scores(slot["enc"], slot["rows"], params["match.w_bm"], leaky,
                                      left, right)
 
-        # gathered left sides over two matcher calls of SCORE_SLICE pairs, then broadcast ones
-        left = [ids[i % 4] for i in range(evaluation.SCORE_SLICE + 6)]
+        # gathered left sides as pairs, then every id against all ids, at the
+        # set bound and at one of 6 pairs or 3 such queries a matcher call
+        left = [ids[i % 4] for i in range(14)]
         right = [ids[(i * 3 + i // 4) % 4] for i in range(len(left))]
-        assert score(left, right).tolist() == want(left, right)
-        for a in ids:
-            assert score([a], ids).tolist() == want([a], ids)
+        for floats in (evaluation.SCORE_FLOATS, 18 * P * d_ce):
+            monkeypatch.setattr(evaluation, "SCORE_FLOATS", floats)
+            assert np.concatenate(score(left, [[b] for b in right])).tolist() == want(left,
+                                                                                     right)
+            assert [x.tolist() for x in score(ids, [ids] * 4)] == [want([a], ids) for a in ids]
+
+
+# ---------------------------------------------------------------------------
+# an evaluate's ranking queries, and a discover pass's queries, are scored in
+# grouped matcher calls with the bits of one query at a time
+
+@pytest.fixture(scope="module")
+def tier1(tmp_path_factory):
+    """A tier-1-shaped split: 40 synsets of 3 entities, 30 entities held out;
+    d_ce 32, P 5, T 20."""
+    root = tmp_path_factory.mktemp("tier1")
+    paths = synthetic.generate(str(root), clusters=40, entities_per_cluster=3,
+                               contexts_per_entity=30, tokens_per_context=12, noise=0.3,
+                               seed=12)
+    data = corpus.ingest(paths["corpus"], paths["synsets"])
+    data.store = corpus.split_synsets(data.store, 0.0, 0.25, stream_rng(12, "ingest"))
+    table = embeddings.load_embeddings(paths["embeddings"], data.vocab)
+    config = training.TrainConfig(d_ce=32, contexts_per_entity=5, max_context_len=20).validate()
+    return data, table, config
+
+
+def scoring_model(config, table):
+    """Initial weights with a random match.w_bm, so that scores spread."""
+    params = training.init_model_params(config, table, stream_rng(13, "init"))
+    params["match.w_bm"] = stream_rng(14, "init").normal(size=(config.d_ce,) * 2) / np.sqrt(
+        config.d_ce)
+    return params
+
+
+def report_bits(report):
+    values = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    return {name: v.hex() if isinstance(v, float) else {k: x.hex() for k, x in v.items()}
+            for name, v in values.items()}
+
+
+@pytest.mark.parametrize("variant", ["anchored", "bilstm"])
+@pytest.mark.parametrize("leaky", [False, True])
+@pytest.mark.parametrize("split_data", ["tiny", "tier1"])
+def test_evaluate_equals_per_query_oracle(request, monkeypatch, split_data, leaky, variant):
+    data, table, config = request.getfixturevalue(split_data)[:3]
+    config = dataclasses.replace(config, leaky=leaky, encoder=variant)
+    params = scoring_model(config, table)
+    data = fresh_copy(data)
+    n = len(data.store.entities("test"))
+    entity = config.contexts_per_entity * config.d_ce
+    for knn_k in (2, 50):                   # 50: more candidates than the split holds
+        K = min(knn_k, n - 1)
+        want = report_bits(ref.evaluate(params, config, data, table, knn_k=knn_k))
+        # the set bound, 3 queries a call, and every query in two slices
+        for floats in (evaluation.SCORE_FLOATS, 3 * (K + 2) * entity, (K + 1) * entity):
+            monkeypatch.setattr(evaluation, "SCORE_FLOATS", floats)
+            got = evaluation.evaluate(params, config, data, table, knn_k=knn_k)
+            assert report_bits(got) == want, (knn_k, floats)
+
+
+def result_bits(result):
+    return (result.query, [(eid, s.hex()) for eid, s in result.ranked],
+            [(eid, c.hex()) for eid, c in result.candidates],
+            [(eid, s.hex()) for eid, s in result.accepted])
+
+
+@pytest.mark.parametrize("split_data", ["tiny", "tier1"])
+def test_discover_many_equals_one_query_at_a_time(request, monkeypatch, split_data):
+    data, table, config = request.getfixturevalue(split_data)[:3]
+    params = scoring_model(config, table)
+    test = sorted(data.store.entities("test"))
+    universe = test[1:]
+    # the first query is outside the universe, so its shortlist is one longer;
+    # a query may come twice
+    queries = [test[0]] + test[1::2] + [test[1]]
+    entity = config.contexts_per_entity * config.d_ce
+    for k in (2, 50):
+        K = min(k, len(universe))
+        alone = [result_bits(evaluation.discover(params, config, fresh_copy(data), table, q,
+                                                 k=k, threshold=0.0, universe=universe))
+                 for q in queries]
+        # the set bound, 2 queries a call, and the longer query in two slices
+        for floats in (evaluation.SCORE_FLOATS, 2 * (K + 2) * entity, (K + 1) * entity):
+            monkeypatch.setattr(evaluation, "SCORE_FLOATS", floats)
+            got = evaluation.discover_many(params, config, fresh_copy(data), table, queries,
+                                           k=k, threshold=0.0, universe=universe)
+            assert [result_bits(r) for r in got] == alone, (k, floats)
 
 
 def test_evaluate_projects_each_left_entity_once(tiny, monkeypatch):

@@ -234,6 +234,10 @@ def test_dimension_mismatches_rejected():
             matcher.match_score(H, H, np.eye(8), HW=HW)
     same = matcher.match_score(H, H, np.eye(8), HW=H)
     assert same.score == matcher.match_score(H, H, np.eye(8)).score
+    # groups: each query has its own candidates, never one stack broadcast
+    for G in (np.zeros((2, 4, 3, 8)), np.zeros((1, 4, 3, 7)), np.zeros((1, 4, 0, 8))):
+        with pytest.raises(ShapeError):
+            matcher.match_score(H[None], G, np.eye(8))
 
 
 def test_gradients_through_full_match_pipeline():
@@ -347,12 +351,33 @@ def test_match_keeps_the_reference_bits(P, Q, b_h, b_g):
                 check_bits_against_reference(H, G, W, leaky)
 
 
+# evaluate's ranking queries as groups, N queries of K candidates each:
+# serve_rank's 75 of 50 at P 5, d_ce 32, and train_paper's 15 of 14 at P 20, d_ce 256
+GROUPS = {3750: (75, 50), 14: (15, 14)}
+
+
 @pytest.mark.parametrize("b_h,b_g,P,d", [(1, 3750, 5, 32), (1, 50, 5, 32), (1, 14, 20, 256)])
 def test_match_keeps_the_reference_bits_at_serving_shapes(b_h, b_g, P, d):
     # one query against its candidates, and every pair of an evaluate in one call
     H, G, W = batch_instance(26, b_h, b_g, P, P, d)
     for leaky in (False, True):
         check_bits_against_reference(H, G, W / np.sqrt(d), leaky)
+    if b_g not in GROUPS:
+        return
+    # N groups, each query broadcast against its own K candidates: the rows of
+    # group n equal query n's broadcast call in every field
+    N, K = GROUPS[b_g]
+    rng = stream_rng(26, "init", N, K)
+    H, G, W = rng.normal(size=(N, P, d)), rng.normal(size=(N, K, P, d)), W / np.sqrt(d)
+    HW = H @ W
+    for leaky in (False, True):
+        got = matcher.match_score(H, G, W, leaky, HW=HW)
+        assert got.score.shape == (N * K,) and got.m_fwd.shape == (N * K, P, P)
+        for n in range(N):
+            want = matcher.match_score(H[n:n + 1], G[n], W, leaky, HW=HW[n:n + 1])
+            for f in dataclasses.fields(want):
+                assert same_bits(getattr(got, f.name)[n * K:(n + 1) * K],
+                                 getattr(want, f.name)), (n, f.name)
 
 
 def test_batch_pair_counts_must_agree():

@@ -19,6 +19,7 @@ ENTRY_POINTS = {
     "cli.main",                     # the console script
     "embeddings.save_embeddings",   # the embedding file format's writer
     "cli._Parser.error",            # argparse's hook for usage errors
+    "evaluation.discover",          # discover_many for one query: perfbench, the demos
     # perfbench's checks compare it; ROADMAP item 3 switches them to the
     # token arrays and retires it
     "corpus.CorpusData.lines",
