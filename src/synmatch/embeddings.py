@@ -189,15 +189,15 @@ def nearest_neighbors(table, entities, k, universe):
     bad = (ids < 0) | (ids >= n)
     if bad.any():
         raise UnknownEntityError(f"universe entity id {ids[bad][0]} outside [0, {n})")
-    rows = table.matrix[ids]
-    # np.linalg.norm(rows, axis=1) and np.linalg.norm(q), bit for bit
-    row_norms = np.sqrt((rows * rows).sum(axis=1))
+    # take copies the rows fancy indexing would, in about two thirds of the time
+    rows = table.matrix.take(ids, axis=0)
+    row_norms = np.linalg.norm(rows, axis=1)
     out = []
     for qid in qids:
         q = table.matrix[qid]
-        keep = ids != qid
-        kept, dots = ids[keep], rows[keep] @ q
-        norms = row_norms[keep] * np.sqrt(q.dot(q))
+        keep = np.flatnonzero(ids != qid)
+        kept, dots = ids.take(keep), rows.take(keep, axis=0) @ q
+        norms = row_norms.take(keep) * np.linalg.norm(q)
         cos = np.divide(dots, norms, out=np.zeros_like(dots), where=norms != 0.0)
         best = np.lexsort((kept, -cos))[:k]
         out.append(NeighborList(qid, list(zip(kept[best].tolist(), cos[best].tolist()))))

@@ -10,18 +10,18 @@ synsets.  `evaluate`, `discover` and `discover_many` rank through one
 multi-query shortlist-then-rerank, `knn_rerank`: one KNN scan shortlists
 every query, then the matcher scores whole queries per call, each query's
 encodings and projection broadcast against a stack of its own candidates,
-as many queries with as many candidates as SCORE_FLOATS allows.  numpy
-still runs one product per pair, so a query scores the same bits alone or
-grouped.  All context sampling is keyed by (seed, entity), so a metric run
-is a pure function of (model, data, seed).  Each entity's windows are drawn
-once per loaded corpus (`eval_contexts`), and their encodings are kept for
-one model at a time (`entity_scorer`): repeated discover, score and evaluate
-calls on one CorpusData draw and encode only the entities not seen before.
-A call checks the model by comparing its seven weights bit for bit with
-copies kept beside the encodings, so a weight changed in place is seen.  The
-embedding matrix is compared by identity only: the encodings are kept on the
-assumption that it is not written in place between calls; nothing in this
-package writes it.
+as many queries with as many candidates as SCORE_FLOATS allows, and up to
+SCORE_SLICE candidates of a query a call.  numpy still runs one product per
+pair, so a query scores the same bits alone, grouped or sliced.  All context
+sampling is keyed by (seed, entity), so a metric run is a pure function of
+(model, data, seed).  Each entity's windows are drawn once per loaded corpus
+(`eval_contexts`), and their encodings are kept for one model at a time
+(`entity_scorer`): repeated discover, score and evaluate calls on one
+CorpusData draw and encode only the entities not seen before.  A call checks
+the model by comparing its seven weights bit for bit with copies kept beside
+the encodings, so a weight changed in place is seen.  The embedding matrix is
+compared by identity only: the encodings are kept on the assumption that it
+is not written in place between calls; nothing in this package writes it.
 
 Each entity is projected when it is encoded, enc[e] @ w_bm, and the
 projection is held read-only beside its encodings under the same row: the
@@ -31,6 +31,7 @@ config.
 """
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -170,13 +171,17 @@ def stack_windows(ctx, ids):
     return windows, rows
 
 
-# floats one matcher call stacks at most, 1 MB: a query's encodings and
-# projection and its K candidates' encodings are (K + 2) x P x d_ce floats.  At
-# the paper config (P 20, d_ce 256) a query of 14 candidates stacks 655 KB, so
-# a call takes one such query, or 8 evaluation pairs (983 KB); at P 5, d_ce 32
-# it takes 15 queries of 50 candidates (998 KB).  Calls that stacked two or
-# four times as much took longer per pair.
+# A matcher call takes whole queries, as many as SCORE_FLOATS allows and at
+# least one, and at most SCORE_SLICE candidates of each.  A query's encodings
+# and projection and its K candidates' encodings are (K + 2) x P x d_ce floats.
+# At P 5, d_ce 32 a call takes 15 queries of 50 candidates, 998 KB; calls that
+# stacked two or four times as much took longer per pair.  At the paper config
+# (P 20, d_ce 256) a call takes one query of up to 64 candidates, 2.1 MB at 50
+# and 2.7 MB at 64: scoring a query of 50 in three calls of 1 MB took 9-22%
+# longer.  Evaluation pairs go 8 to a call there, 983 KB, in a third to two
+# fifths of the time of 64 pairs a call.
 SCORE_FLOATS = 2**17
+SCORE_SLICE = 64
 
 
 def _held_copies(params):
@@ -202,10 +207,11 @@ def entity_scorer(params, config, data, emb, entity_ids, seed):
     scores per left id.
 
     Queries with as many candidates are scored together: one matcher call
-    takes as many whole queries as SCORE_FLOATS allows, each query's
-    encodings and projection broadcast against its own candidates, and a
-    query too long for one call alone is scored in slices of its candidates.
-    A pair's score has the same bits however its query is grouped.
+    takes as many whole queries as SCORE_FLOATS allows, at least one, each
+    query's encodings and projection broadcast against its own candidates,
+    and a query of more than SCORE_SLICE candidates is scored in slices of
+    that many.  A pair's score has the same bits however its query is
+    grouped or sliced.
 
     data.eval_encodings holds one model's scoring memo: read-only copies of
     the seven weights (the encoder's six and match.w_bm), compared bit for
@@ -238,11 +244,6 @@ def entity_scorer(params, config, data, emb, entity_ids, seed):
         rows.update(zip(missing, range(len(rows), len(slot["enc"]))))
     enc, hw = slot["enc"], slot["hw"]
 
-    def match(li, ri):
-        """(N, K) scores of the queries at rows li against their candidates ri."""
-        r = matcher.match_score(enc[li], enc[ri], w_bm, config.leaky, HW=hw[li])
-        return r.score.reshape(ri.shape)
-
     def score(left, right):
         out = [None] * len(left)
         by_length = {}
@@ -251,19 +252,19 @@ def entity_scorer(params, config, data, emb, entity_ids, seed):
         entity = P * enc.shape[-1]          # floats of one entity's encodings
         for K, queries in by_length.items():
             li = np.array([rows[left[i]] for i in queries], dtype=np.intp)
-            ri = np.array([[rows[c] for c in right[i]] for i in queries],
+            ri = np.array([rows[c] for i in queries for c in right[i]],
                           dtype=np.intp).reshape(len(queries), K)
-            per_call = SCORE_FLOATS // ((K + 2) * entity)
-            if per_call:
-                for at in range(0, len(queries), per_call):
-                    scores = match(li[at:at + per_call], ri[at:at + per_call])
-                    for i, row in zip(queries[at:at + per_call], scores):
-                        out[i] = row
-                continue
-            step = max(1, SCORE_FLOATS // entity - 2)
-            for j, i in enumerate(queries):
-                out[i] = np.concatenate([match(li[j:j + 1], ri[j:j + 1, at:at + step])[0]
-                                         for at in range(0, K, step)])
+            width = min(K, SCORE_SLICE)
+            per_call = max(1, SCORE_FLOATS // ((width + 2) * entity))
+            scores = np.empty(ri.shape)
+            for at in range(0, len(queries), per_call):
+                lb = li[at:at + per_call]
+                for j in range(0, K, width):
+                    rb = ri[at:at + per_call, j:j + width]
+                    r = matcher.match_score(enc[lb], enc[rb], w_bm, config.leaky, HW=hw[lb])
+                    scores[at:at + per_call, j:j + width] = r.score.reshape(rb.shape)
+            for i, row in zip(queries, scores):
+                out[i] = row
         return out
 
     return score
@@ -272,7 +273,8 @@ def entity_scorer(params, config, data, emb, entity_ids, seed):
 def score_pair(params, config, data, emb, a, b, seed=0):
     """Score one entity pair: sample (or reuse) contexts, encode, match."""
     ida, idb = data.entity_id(a), data.entity_id(b)
-    return float(entity_scorer(params, config, data, emb, [ida, idb], seed)([ida], [[idb]])[0][0])
+    score = entity_scorer(params, config, data, emb, [ida, idb], seed)
+    return float(score([ida], [[idb]])[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +328,8 @@ def discover_many(params, config, data, table, queries, k=50, threshold=0.8,
         universe = data.store.entities()
 
     def score(left, right):
-        ids = left + [eid for cands in right for eid in cands]
-        return entity_scorer(params, config, data, table.matrix, ids, seed)(left, right)
+        return entity_scorer(params, config, data, table.matrix, chain(left, *right),
+                             seed)(left, right)
 
     return [DiscoveryResult(qid, ranked, threshold, candidates=list(neighbors.neighbors))
             for qid, (neighbors, ranked) in zip(qids, knn_rerank(table, qids, k, universe,

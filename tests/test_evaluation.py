@@ -223,10 +223,11 @@ def test_entity_scorer_slices_score_like_single_pairs(tiny, monkeypatch):
     pairs, grouped = score(left, [[b] for b in right]), score(left, shortlists)
     # one call per shortlist length: every query of a length in one call
     assert calls == [(7, 1), (1, 1), (1, 2), (2, 3), (1, 4), (2, 7)]
-    # a bound of 8 entities' encodings: 2 pairs a call, 1 query of 3 or 4
-    # candidates, and a query of 7 in slices of 6 and 1
+    # a bound of 8 entities' encodings and 6 candidates: 2 pairs a call, 1
+    # query of 3 or 4 candidates, and a query of 7 in slices of 6 and 1
     monkeypatch.setattr(evaluation, "SCORE_FLOATS",
                         8 * config.contexts_per_entity * config.d_ce)
+    monkeypatch.setattr(evaluation, "SCORE_SLICE", 6)
     calls.clear()
     sliced_pairs, sliced = score(left, [[b] for b in right]), score(left, shortlists)
     assert calls == [(2, 1)] * 3 + [(1, 1)] + [(1, 1), (1, 2), (1, 3), (1, 3), (1, 4)] + [
@@ -649,11 +650,16 @@ def test_evaluate_equals_per_query_oracle(request, monkeypatch, split_data, leak
     for knn_k in (2, 50):                   # 50: more candidates than the split holds
         K = min(knn_k, n - 1)
         want = report_bits(ref.evaluate(params, config, data, table, knn_k=knn_k))
-        # the set bound, 3 queries a call, and every query in two slices
-        for floats in (evaluation.SCORE_FLOATS, 3 * (K + 2) * entity, (K + 1) * entity):
+        # the set bounds, 3 queries a call, and 2 queries a call with every
+        # query in two slices
+        half = (K + 1) // 2
+        for floats, width in ((evaluation.SCORE_FLOATS, evaluation.SCORE_SLICE),
+                              (3 * (K + 2) * entity, evaluation.SCORE_SLICE),
+                              (2 * (half + 2) * entity, half)):
             monkeypatch.setattr(evaluation, "SCORE_FLOATS", floats)
+            monkeypatch.setattr(evaluation, "SCORE_SLICE", width)
             got = evaluation.evaluate(params, config, data, table, knn_k=knn_k)
-            assert report_bits(got) == want, (knn_k, floats)
+            assert report_bits(got) == want, (knn_k, floats, width)
 
 
 def result_bits(result):
@@ -677,12 +683,15 @@ def test_discover_many_equals_one_query_at_a_time(request, monkeypatch, split_da
         alone = [result_bits(evaluation.discover(params, config, fresh_copy(data), table, q,
                                                  k=k, threshold=0.0, universe=universe))
                  for q in queries]
-        # the set bound, 2 queries a call, and the longer query in two slices
-        for floats in (evaluation.SCORE_FLOATS, 2 * (K + 2) * entity, (K + 1) * entity):
+        # the set bounds, 2 queries a call, and the longer query in two slices
+        for floats, width in ((evaluation.SCORE_FLOATS, evaluation.SCORE_SLICE),
+                              (2 * (K + 2) * entity, evaluation.SCORE_SLICE),
+                              (2 * (K + 2) * entity, K)):
             monkeypatch.setattr(evaluation, "SCORE_FLOATS", floats)
+            monkeypatch.setattr(evaluation, "SCORE_SLICE", width)
             got = evaluation.discover_many(params, config, fresh_copy(data), table, queries,
                                            k=k, threshold=0.0, universe=universe)
-            assert [result_bits(r) for r in got] == alone, (k, floats)
+            assert [result_bits(r) for r in got] == alone, (k, floats, width)
 
 
 def test_evaluate_projects_each_left_entity_once(tiny, monkeypatch):
