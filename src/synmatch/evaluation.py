@@ -5,21 +5,24 @@ shortlist candidates by embedding cosine, rescore each candidate with the
 full context-matching model, keep those above a threshold.
 
 Evaluation reports AUC over labeled entity pairs plus ranking metrics
-(MAP, P@K, R@K, F1@K) over per-entity discovery runs against held-out
-synsets.  `evaluate`, `discover` and `discover_many` rank through one
-multi-query shortlist-then-rerank, `knn_rerank`: one KNN scan shortlists
-every query, then the matcher scores whole queries per call, each query's
-encodings and projection broadcast against a stack of its own candidates,
-as many queries with as many candidates as SCORE_FLOATS allows, and up to
-SCORE_SLICE candidates of a query a call.  numpy still runs one product per
-pair, so a query scores the same bits alone, grouped or sliced.  All context
-sampling is keyed by (seed, entity), so a metric run is a pure function of
-(model, data, seed).  Each entity's windows are drawn once per loaded corpus
-(`eval_contexts`), and their encodings are kept for one model at a time
-(`entity_scorer`): repeated discover, score and evaluate calls on one
-CorpusData draw and encode only the entities not seen before.  A call checks
-the model by comparing its seven weights bit for bit with copies kept beside
-the encodings, so a weight changed in place is seen.  The embedding matrix is
+(MAP, P@K, R@K, F1@K, from one walk over each ranked list) over per-entity
+discovery runs against held-out synsets.  `evaluate`, `discover` and
+`discover_many` rank through one multi-query shortlist-then-rerank,
+`knn_rerank`: one KNN scan shortlists every query, then the matcher scores
+whole queries per call, each query's encodings and projection against a
+stack of its own candidates, as many queries with as many candidates as
+SCORE_FLOATS allows, and up to SCORE_SLICE candidates of a query a call.
+numpy still runs one product per pair, so a query scores the same bits
+alone, grouped or sliced.  All context sampling is keyed by (seed, entity),
+so a metric run is a pure function of (model, data, seed).  Each entity's
+windows are drawn once per loaded corpus (`eval_contexts`), and their
+encodings are kept for one model at a time (`entity_scorer`): each score
+call draws and encodes, in one batch, only the entities it names that are
+not held yet, so repeated discover, score and evaluate calls on one
+CorpusData encode each entity once.  `entity_scorer` checks the model by
+comparing its seven weights bit for bit with copies kept beside the
+encodings, so a weight changed in place between calls is seen, and a scorer
+encodes with those copies.  The embedding matrix is
 compared by identity only: the encodings are kept on the assumption that it
 is not written in place between calls; nothing in this package writes it.
 
@@ -30,6 +33,7 @@ cost entities x P x d_ce floats each, 20 MB for 500 entities at the paper
 config.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -64,37 +68,24 @@ def auc(scored):
     return u / (n_pos * n_neg)
 
 
-def average_precision(ranked, relevant):
-    """AP with the standard denominator: the number of relevant items."""
+def rank_metrics(ranked, relevant, ks):
+    """AP of one ranked list, with the number of relevant items as its
+    denominator, and {k: (P@k, R@k, F1@k)} for each k of ks, from one walk
+    over the list."""
     if not relevant:
-        raise MetricError("average precision needs at least one relevant item")
-    hits = 0
+        raise MetricError("rank metrics need at least one relevant item")
+    if any(k < 1 for k in ks):
+        raise MetricError(f"K must be positive, got {min(ks)}")
+    found = [i for i, item in enumerate(ranked, start=1) if item in relevant]  # hits' ranks
     total = 0.0
-    for i, item in enumerate(ranked, start=1):
-        if item in relevant:
-            hits += 1
-            total += hits / i
-    return total / len(relevant)
-
-
-def precision_at(ranked, relevant, k):
-    if k < 1:
-        raise MetricError(f"K must be positive, got {k}")
-    return sum(1 for item in ranked[:k] if item in relevant) / k
-
-
-def recall_at(ranked, relevant, k):
-    if not relevant:
-        raise MetricError("recall needs at least one relevant item")
-    return sum(1 for item in ranked[:k] if item in relevant) / len(relevant)
-
-
-def f1_at(ranked, relevant, k):
-    p = precision_at(ranked, relevant, k)
-    r = recall_at(ranked, relevant, k)
-    if p + r == 0.0:
-        return 0.0
-    return 2.0 * p * r / (p + r)
+    for hits, i in enumerate(found, start=1):
+        total += hits / i
+    at_k = {}
+    for k in ks:
+        h = bisect_right(found, k)          # hits in the first k
+        p, r = h / k, h / len(relevant)
+        at_k[k] = (p, r, 0.0 if p + r == 0.0 else 2.0 * p * r / (p + r))
+    return total / len(relevant), at_k
 
 
 @dataclass
@@ -201,50 +192,57 @@ def _same_weights(params, held):
                for name, w in held.items())
 
 
-def entity_scorer(params, config, data, emb, entity_ids, seed):
-    """Score the entities' windows; returns score(left, right), where right[i]
-    lists the candidates of left[i], and score gives one array of model
-    scores per left id.
+def entity_scorer(params, config, data, emb, seed):
+    """The model's scores of entity pairs: returns score(left, right), where
+    right[i] lists the candidates of left[i], and score gives one array of
+    model scores per left id.
+
+    data.eval_encodings holds one model's scoring memo: read-only copies of
+    the seven weights (the encoder's six and match.w_bm), the variant, seed,
+    P, T and the emb object.  The scorer compares params bit for bit with the
+    memo's weight copies and takes them when all match, or else copies
+    params anew, and it encodes and projects with those copies: it scores
+    the weights as they were when it was made, whatever is later written to
+    params.  A score call finds the memo of its own copies or starts one,
+    replacing another model's.  The entities a call names that are not held
+    yet get their windows and are encoded in one batch and projected at
+    once, enc[e] @ w_bm; the encoder gives an entity the same bits in any
+    batch.  The encodings and the projections are two read-only (entities,
+    P, d_ce) arrays under one row map.
 
     Queries with as many candidates are scored together: one matcher call
     takes as many whole queries as SCORE_FLOATS allows, at least one, each
-    query's encodings and projection broadcast against its own candidates,
-    and a query of more than SCORE_SLICE candidates is scored in slices of
-    that many.  A pair's score has the same bits however its query is
-    grouped or sliced.
-
-    data.eval_encodings holds one model's scoring memo: read-only copies of
-    the seven weights (the encoder's six and match.w_bm), compared bit for
-    bit on each call, the variant, seed, P, T and the emb object; another
-    model replaces it all.  Entities not held yet get their windows and are
-    encoded in one batch and projected at once, enc[e] @ w_bm.  The
-    encodings and the projections are two read-only (entities, P, d_ce)
-    arrays under one row map.
+    query's encodings and projection against its own candidates, and a query
+    of more than SCORE_SLICE candidates is scored in slices of that many.  A
+    pair's score has the same bits however its query is grouped or sliced.
     """
     P, T = config.contexts_per_entity, config.max_context_len
     key = (config.encoder, seed, P, T)
-    slot = data.eval_encodings
-    if (slot.get("key") != key or slot.get("emb") is not emb
-            or not _same_weights(params, slot["weights"])):
-        slot.clear()
-        slot.update(key=key, emb=emb, weights=_held_copies(params), rows={},
-                    enc=np.empty(0), hw=np.empty(0))
-    rows, w_bm = slot["rows"], slot["weights"]["match.w_bm"]
-    missing = sorted({int(eid) for eid in entity_ids} - rows.keys())
-    if missing:
-        ctx = eval_contexts(data, missing, P, T, seed)
-        new = encoder.encode_batch([w for eid in missing for w in ctx[eid]], params, emb,
-                                   config.encoder).reshape(len(missing), P, -1)
-        d = new.shape[2]
-        # a stacked product: one (P, d) @ (d, d) gemm per entity, as in the matcher
-        for name, block in (("enc", new), ("hw", new @ w_bm)):
-            held = np.concatenate([slot[name].reshape(-1, d), block.reshape(-1, d)])
-            held.flags.writeable = False
-            slot[name] = held.reshape(-1, P, d)     # a view: stays read-only
-        rows.update(zip(missing, range(len(rows), len(slot["enc"]))))
-    enc, hw = slot["enc"], slot["hw"]
+    memo = data.eval_encodings
+    same = (memo.get("key") == key and memo.get("emb") is emb
+            and _same_weights(params, memo["weights"]))
+    weights = memo["weights"] if same else _held_copies(params)
 
     def score(left, right):
+        slot = data.eval_encodings
+        if slot.get("weights") is not weights:
+            slot.clear()
+            slot.update(key=key, emb=emb, weights=weights, rows={}, enc=np.empty(0),
+                        hw=np.empty(0))
+        rows = slot["rows"]
+        missing = sorted(int(eid) for eid in set(chain(left, *right)).difference(rows))
+        if missing:
+            ctx = eval_contexts(data, missing, P, T, seed)
+            new = encoder.encode_batch([w for eid in missing for w in ctx[eid]], weights, emb,
+                                       config.encoder).reshape(len(missing), P, -1)
+            d = new.shape[2]
+            # a stacked product: one (P, d) @ (d, d) gemm per entity, as in the matcher
+            for name, block in (("enc", new), ("hw", new @ weights["match.w_bm"])):
+                held = np.concatenate([slot[name].reshape(-1, d), block.reshape(-1, d)])
+                held.flags.writeable = False
+                slot[name] = held.reshape(-1, P, d)     # a view: stays read-only
+            rows.update(zip(missing, range(len(rows), len(slot["enc"]))))
+        enc, hw = slot["enc"], slot["hw"]
         out = [None] * len(left)
         by_length = {}
         for i, cands in enumerate(right):
@@ -261,7 +259,7 @@ def entity_scorer(params, config, data, emb, entity_ids, seed):
                 lb = li[at:at + per_call]
                 for j in range(0, K, width):
                     rb = ri[at:at + per_call, j:j + width]
-                    r = matcher.match_score(enc[lb], enc[rb], w_bm, config.leaky, HW=hw[lb])
+                    r = matcher.match_score(enc[lb], hw[lb], enc[rb], config.leaky)
                     scores[at:at + per_call, j:j + width] = r.score.reshape(rb.shape)
             for i, row in zip(queries, scores):
                 out[i] = row
@@ -272,9 +270,8 @@ def entity_scorer(params, config, data, emb, entity_ids, seed):
 
 def score_pair(params, config, data, emb, a, b, seed=0):
     """Score one entity pair: sample (or reuse) contexts, encode, match."""
-    ida, idb = data.entity_id(a), data.entity_id(b)
-    score = entity_scorer(params, config, data, emb, [ida, idb], seed)
-    return float(score([ida], [[idb]])[0][0])
+    score = entity_scorer(params, config, data, emb, seed)
+    return float(score([data.entity_id(a)], [[data.entity_id(b)]])[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -318,19 +315,15 @@ def discover_many(params, config, data, table, queries, k=50, threshold=0.8,
     Candidates come from cosine neighbors in the embedding space (cheap),
     the model score reranks them (expensive but accurate), and candidates
     strictly above the threshold are accepted.  Every query is shortlisted
-    first, then the queries and their candidates are encoded in one batch
-    and all shortlists reranked together.
+    first, then all shortlists are reranked in one score call, which encodes
+    the queries and candidates not held yet in one batch.
     """
     if k < 1:
         raise DataError(f"discover needs k of at least 1 candidate, got {k}")
     qids = [data.entity_id(query) for query in queries]
     if universe is None:
         universe = data.store.entities()
-
-    def score(left, right):
-        return entity_scorer(params, config, data, table.matrix, chain(left, *right),
-                             seed)(left, right)
-
+    score = entity_scorer(params, config, data, table.matrix, seed)
     return [DiscoveryResult(qid, ranked, threshold, candidates=list(neighbors.neighbors))
             for qid, (neighbors, ranked) in zip(qids, knn_rerank(table, qids, k, universe,
                                                                  score))]
@@ -363,33 +356,22 @@ def evaluate(params, config, data, table, split="test", seed=0,
     if not pairs:
         raise MetricError(f"split {split!r} yields no evaluation pairs")
     entity_ids = sorted(store.entities(split))
-    score = entity_scorer(params, config, data, table.matrix, entity_ids, seed)
+    # an entity without context fails here, even one that no score call names
+    eval_contexts(data, entity_ids, config.contexts_per_entity, config.max_context_len, seed)
+    score = entity_scorer(params, config, data, table.matrix, seed)
 
     scores = np.concatenate(score([p.a for p in pairs], [[p.b] for p in pairs]))
     auc_value = auc([(s, p.label) for s, p in zip(scores, pairs)])
 
     synonyms = {qid: set(store.synsets[store.synset_of(qid)]) - {qid} for qid in entity_ids}
     queries = [qid for qid in entity_ids if synonyms[qid]]
-    ap_values = []
-    p_at = {k: [] for k in ks}
-    r_at = {k: [] for k in ks}
-    f1_at_scores = {k: [] for k in ks}
-    for qid, (_, reranked) in zip(queries, knn_rerank(table, queries, knn_k, entity_ids,
-                                                      score)):
-        ranked_ids, relevant = [eid for eid, _ in reranked], synonyms[qid]
-        ap_values.append(average_precision(ranked_ids, relevant))
-        for k in ks:
-            p_at[k].append(precision_at(ranked_ids, relevant, k))
-            r_at[k].append(recall_at(ranked_ids, relevant, k))
-            f1_at_scores[k].append(f1_at(ranked_ids, relevant, k))
-    if not ap_values:
+    per_query = [rank_metrics([eid for eid, _ in reranked], synonyms[qid], ks)
+                 for qid, (_, reranked) in zip(queries, knn_rerank(table, queries, knn_k,
+                                                                   entity_ids, score))]
+    if not per_query:
         raise MetricError(f"split {split!r} has no entity with a synonym")
 
     mean = lambda xs: float(np.mean(xs))
-    return EvalReport(
-        auc=float(auc_value),
-        map=mean(ap_values),
-        p_at_k={k: mean(v) for k, v in p_at.items()},
-        r_at_k={k: mean(v) for k, v in r_at.items()},
-        f1_at_k={k: mean(v) for k, v in f1_at_scores.items()},
-    )
+    at_k = lambda j: {k: mean([at[k][j] for _, at in per_query]) for k in ks}
+    return EvalReport(auc=float(auc_value), map=mean([ap for ap, _ in per_query]),
+                      p_at_k=at_k(0), r_at_k=at_k(1), f1_at_k=at_k(2))

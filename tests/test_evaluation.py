@@ -76,26 +76,30 @@ def test_auc_single_class_errors():
 
 
 def test_average_precision_examples():
-    assert evaluation.average_precision([5], {5}) == 1.0
-    ap = evaluation.average_precision([7, 3, 9, 4], {7, 9})
+    assert evaluation.rank_metrics([5], {5}, ())[0] == 1.0
+    ap = evaluation.rank_metrics([7, 3, 9, 4], {7, 9}, ())[0]
     assert ap == (1 / 1 + 2 / 3) / 2
     assert ap == pytest.approx(0.8333, abs=1e-4)
 
 
 def test_average_precision_needs_relevant():
     with pytest.raises(MetricError):
-        evaluation.average_precision([1, 2], set())
+        evaluation.rank_metrics([1, 2], set(), (1,))
+    for k in (0, -1):
+        with pytest.raises(MetricError, match="K must be positive"):
+            evaluation.rank_metrics([1, 2], {1}, (1, k))
 
 
 def test_precision_recall_f1_at_k():
     ranked = [1, 2, 3, 4]
     relevant = {1, 3}
-    assert evaluation.precision_at(ranked, relevant, 1) == 1.0
-    assert evaluation.recall_at(ranked, relevant, 4) == 1.0
-    assert evaluation.recall_at(ranked, relevant, 1) == 0.5
+    _, at = evaluation.rank_metrics(ranked, relevant, (1, 3, 4))
+    assert at[1][0] == 1.0
+    assert at[4][1] == 1.0
+    assert at[1][1] == 0.5
     p, r = 2 / 3, 1.0
-    assert evaluation.f1_at(ranked, relevant, 3) == pytest.approx(2 * p * r / (p + r))
-    assert evaluation.f1_at([9, 8], {1}, 2) == 0.0
+    assert at[3][2] == pytest.approx(2 * p * r / (p + r))
+    assert evaluation.rank_metrics([9, 8], {1}, (2,))[1][2][2] == 0.0
 
 
 def test_rank_metric_monotonicity():
@@ -104,11 +108,28 @@ def test_rank_metric_monotonicity():
         n = int(rng.integers(3, 30))
         ranked = list(rng.permutation(n))
         relevant = set(rng.choice(n, size=max(1, n // 3), replace=False).tolist())
-        recalls = [evaluation.recall_at(ranked, relevant, k) for k in range(1, n + 1)]
-        weighted = [k * evaluation.precision_at(ranked, relevant, k)
-                    for k in range(1, n + 1)]
+        _, at = evaluation.rank_metrics(ranked, relevant, range(1, n + 1))
+        recalls = [at[k][1] for k in range(1, n + 1)]
+        weighted = [k * at[k][0] for k in range(1, n + 1)]
         assert all(a <= b + 1e-12 for a, b in zip(recalls, recalls[1:]))
         assert all(a <= b + 1e-12 for a, b in zip(weighted, weighted[1:]))
+
+
+def test_rank_metrics_keep_the_reference_bits():
+    # one walk gives the bits of one walk per metric, k within and past the list
+    rng = stream_rng(4, "eval")
+    for _ in range(200):
+        n = int(rng.integers(0, 40))
+        ranked = rng.permutation(60)[:n].tolist()
+        relevant = set(rng.choice(60, size=int(rng.integers(1, 12)), replace=False).tolist())
+        ks = sorted(set(rng.integers(1, 50, size=4).tolist()))
+        ap, at = evaluation.rank_metrics(ranked, relevant, ks)
+        assert ap.hex() == ref.average_precision(ranked, relevant).hex()
+        assert list(at) == ks
+        for k in ks:
+            want = (ref.precision_at(ranked, relevant, k), ref.recall_at(ranked, relevant, k),
+                    ref.f1_at(ranked, relevant, k))
+            assert [x.hex() for x in at[k]] == [float(x).hex() for x in want], k
 
 
 def test_report_serialization():
@@ -198,9 +219,9 @@ def record_calls(monkeypatch):
     """The (N, K) leading shape of the candidate stack of every matcher call."""
     calls, match_score = [], matcher.match_score
 
-    def recorded(H, G, *args, **kwargs):
+    def recorded(H, HW, G, *args, **kwargs):
         calls.append(G.shape[:2])
-        return match_score(H, G, *args, **kwargs)
+        return match_score(H, HW, G, *args, **kwargs)
 
     monkeypatch.setattr(matcher, "match_score", recorded)
     return calls
@@ -214,7 +235,7 @@ def test_entity_scorer_slices_score_like_single_pairs(tiny, monkeypatch):
     # queries of 1 to 7 candidates, an id may come twice
     lengths = (1, 2, 3, 4, 7, 3, 7)
     shortlists = [[ids[(i + j) % 4] for j in range(n)] for i, n in enumerate(lengths)]
-    score = evaluation.entity_scorer(params, config, data, table.matrix, ids, 0)
+    score = evaluation.entity_scorer(params, config, data, table.matrix, 0)
     single = [score([a], [[b]])[0][0] for a, b in zip(left, right)]
     alone = [score([a], [cands])[0] for a, cands in zip(left, shortlists)]
     assert [x.tolist() for x in alone] == [[score([a], [[b]])[0][0] for b in cands]
@@ -519,6 +540,28 @@ def test_model_change_encodes_again(tiny, monkeypatch, change):
     assert len(slot["rows"]) == len(slot["enc"]) == len(slot["hw"]) == 4
 
 
+def test_scorer_keeps_the_weights_it_was_made_with(tiny, monkeypatch):
+    _, table, config, params = tiny
+    params = {k: v.copy() for k, v in params.items()}
+    data = fresh_copy(tiny[0])
+    ids = sorted(data.store.entities())
+    want = [x.tolist() for x in evaluation.entity_scorer(
+        params, config, fresh_copy(data), table.matrix, 0)(ids, [ids] * 4)]
+    score = evaluation.entity_scorer(params, config, data, table.matrix, 0)
+    score(ids[:2], [ids[:2]] * 2)               # two entities held
+    for change in (_change_weight_in_place, _change_w_bm_in_place):
+        change(params, table, config)
+    # the other two are encoded and projected with the weights as they were
+    assert [x.tolist() for x in score(ids, [ids] * 4)] == want
+    # the changed weights take the memo over; the first scorer's next call
+    # starts it again for its own weights
+    calls = count_encoded(monkeypatch)
+    changed = evaluation.entity_scorer(params, config, data, table.matrix, 0)(ids, [ids] * 4)
+    assert [x.tolist() for x in changed] != want
+    assert [x.tolist() for x in score(ids, [ids] * 4)] == want
+    assert calls == [4 * config.contexts_per_entity] * 2
+
+
 def test_weights_copied_to_new_arrays_encode_nothing(tiny, monkeypatch):
     _, table, config, params = tiny
     data = fresh_copy(tiny[0])
@@ -545,11 +588,28 @@ def test_entity_without_context_is_not_encoded(tiny, monkeypatch):
     data = fresh_copy(tiny[0])
     sun = data.entity_id("sun")
     calls = count_encoded(monkeypatch)
+    score = evaluation.entity_scorer(params, config, data, table.matrix, 0)
     for _ in range(2):
         with pytest.raises(NoContextError):
-            evaluation.entity_scorer(params, config, data, table.matrix, [sun, corpus.PAD], 0)
+            score([sun], [[corpus.PAD]])
+    # the call draws every window before it encodes: sun is not encoded either
     assert calls == []
-    assert corpus.PAD not in data.eval_encodings.get("rows", {})
+    assert data.eval_encodings["rows"] == {}
+    # evaluate draws the windows of every split entity before it scores any, so
+    # a split entity with no context fails it though, at seed 5, no evaluation
+    # pair and no shortlist of one candidate names it
+    store = data.store
+    data.store = corpus.SynsetStore(synsets=store.synsets + [(corpus.PAD,)],
+                                    split={**store.split, len(store.synsets): "test"})
+    pairs = evaluation.make_eval_pairs(data.store, "test", stream_rng(5, "eval", 1))
+    assert corpus.PAD not in {eid for p in pairs for eid in (p.a, p.b)}
+    queries = [eid for eid in data.store.entities("test") if eid != corpus.PAD]
+    assert corpus.PAD not in {eid for nl in embeddings.nearest_neighbors(
+        table, queries, 1, data.store.entities("test")) for eid, _ in nl.neighbors}
+    with pytest.raises(NoContextError):
+        evaluation.evaluate(params, config, data, table, split="test", seed=5, knn_k=1,
+                            ks=(1,))
+    assert calls == []
 
 
 def test_callers_cannot_write_stored_encodings(tiny):
@@ -584,8 +644,9 @@ def test_entity_scorer_equals_unprojected_oracle(tiny, monkeypatch, d_ce, P, lea
     # all at once, and over two calls: the second appends its rows to the held ones
     for arrivals in ([ids], [ids[:2], ids]):
         data = fresh_copy(data)
+        score = evaluation.entity_scorer(params, config, data, table.matrix, 0)
         for some in arrivals:
-            score = evaluation.entity_scorer(params, config, data, table.matrix, some, 0)
+            score(some, [some] * len(some))
         slot = data.eval_encodings
         assert sorted(slot["rows"]) == ids and len(slot["hw"]) == len(ids)
 

@@ -44,9 +44,14 @@ def rand_instance(seed, P=5, Q=4, d=8):
     return rng.normal(size=(P, d)), rng.normal(size=(Q, d)), rng.normal(size=(d, d))
 
 
+def pair_rows(H, G):
+    """pair_score_vars' rows for one pair: every row of H against every row of G."""
+    return np.arange(H.shape[0])[None], np.arange(G.shape[0])[None]
+
+
 def test_single_pair_no_leaky():
     H, G, W = rand_instance(0, P=1, Q=1)
-    res = matcher.match_score(H, G, W)
+    res = ref.match_pair(H, G, W)
     assert np.array_equal(res.m_fwd, [[1.0]])
     assert np.array_equal(res.m_bwd, [[1.0]])
     assert np.array_equal(res.h_bar, H[0])
@@ -58,7 +63,7 @@ def test_zero_logits_with_leaky_split_evenly():
     rng = stream_rng(1, "init")
     H = rng.normal(size=(2, 6))
     G = rng.normal(size=(3, 6))
-    res = matcher.match_score(H, G, np.zeros((6, 6)), leaky=True)
+    res = ref.match_pair(H, G, np.zeros((6, 6)), leaky=True)
     assert np.allclose(res.m_fwd, 1 / 3, atol=1e-15)
     assert np.allclose(res.leak_fwd, 1 / 3, atol=1e-15)
     assert np.allclose(res.m_bwd, 1 / 4, atol=1e-15)
@@ -67,7 +72,7 @@ def test_zero_logits_with_leaky_split_evenly():
 
 def test_matrix_form_equals_scalar_form():
     H, G, W = rand_instance(2)
-    res = matcher.match_score(H, G, W)
+    res = ref.match_pair(H, G, W)
     m_fwd, m_bwd, _, _ = scalar_match_oracle(H, G, W)
     assert np.max(np.abs(res.m_fwd - m_fwd)) < 1e-12
     assert np.max(np.abs(res.m_bwd - m_bwd)) < 1e-12
@@ -80,7 +85,7 @@ def test_matrix_form_equals_scalar_form_with_leaky():
         H = rng.normal(size=(P, 6))
         G = rng.normal(size=(Q, 6))
         W = rng.normal(size=(6, 6))
-        res = matcher.match_score(H, G, W, leaky=True)
+        res = ref.match_pair(H, G, W, leaky=True)
         m_fwd, m_bwd, leak_fwd, leak_bwd = scalar_match_oracle(H, G, W, np.zeros(6))
         assert np.max(np.abs(res.m_fwd - m_fwd)) < 1e-12
         assert np.max(np.abs(res.m_bwd - m_bwd)) < 1e-12
@@ -90,21 +95,21 @@ def test_matrix_form_equals_scalar_form_with_leaky():
 
 def test_stochasticity_without_leaky():
     H, G, W = rand_instance(3)
-    res = matcher.match_score(H, G, W)
+    res = ref.match_pair(H, G, W)
     assert np.max(np.abs(res.m_fwd.sum(axis=0) - 1.0)) < 1e-12
     assert np.max(np.abs(res.m_bwd.sum(axis=1) - 1.0)) < 1e-12
 
 
 def test_stochasticity_with_leaky():
     H, G, W = rand_instance(4)
-    res = matcher.match_score(H, G, W, leaky=True)
+    res = ref.match_pair(H, G, W, leaky=True)
     assert np.max(np.abs(res.m_fwd.sum(axis=0) + res.leak_fwd - 1.0)) < 1e-12
     assert np.max(np.abs(res.m_bwd.sum(axis=1) + res.leak_bwd - 1.0)) < 1e-12
 
 
 def test_aggregation_matches_oracle():
     H, G, W = rand_instance(5)
-    res = matcher.match_score(H, G, W)
+    res = ref.match_pair(H, G, W)
     P, Q = H.shape[0], G.shape[0]
     a_h = np.array([max(res.m_bwd[p, q] for q in range(Q)) for p in range(P)])
     a_g = np.array([max(res.m_fwd[p, q] for p in range(P)) for q in range(Q)])
@@ -121,7 +126,7 @@ def test_duplicate_contexts_aggregate_parallel():
     row = rng.normal(size=8)
     H = np.tile(row, (4, 1))
     G = rng.normal(size=(3, 8))
-    res = matcher.match_score(H, G, rng.normal(size=(8, 8)))
+    res = ref.match_pair(H, G, rng.normal(size=(8, 8)))
     cross = np.linalg.norm(np.outer(res.h_bar, row) - np.outer(row, res.h_bar))
     assert cross < 1e-12  # h_bar is a multiple of the repeated row
 
@@ -129,7 +134,7 @@ def test_duplicate_contexts_aggregate_parallel():
 def single_context_score(u, v):
     """Score of one context against one: both weights are 1, so this is the
     plain cosine of u and v."""
-    return matcher.match_score(np.atleast_2d(u), np.atleast_2d(v), np.eye(len(u))).score
+    return ref.match_pair(np.atleast_2d(u), np.atleast_2d(v), np.eye(len(u))).score
 
 
 def test_score_trivial_directions():
@@ -149,10 +154,11 @@ def test_zero_norm_score_warns(caplog):
         return sum("zero-norm" in m for m in msgs)
 
     with caplog.at_level("WARNING"):
-        assert matcher.match_score(params["H"], params["G"], params["W"]).score == 0.0
+        assert ref.match_pair(params["H"], params["G"], params["W"]).score == 0.0
         assert zero_norm_warnings() == 1
         value, grads = ad.grad(
-            lambda v: matcher.pair_score_vars(v["H"], v["G"], v["W"]), params)
+            lambda v: matcher.pair_score_vars(v["H"], v["G"], v["W"], False,
+                                              pair_rows(v["H"], v["G"])), params)
         assert value == 0.0
         assert zero_norm_warnings() == 1
     for name, g in grads.items():
@@ -172,17 +178,18 @@ def test_nonfinite_score_raises():
             assert not np.isfinite(H @ W @ G.T).all(), case
             for leaky in (False, True):
                 with pytest.raises(NumericError):
-                    matcher.match_score(H, G, W, leaky)
+                    ref.match_pair(H, G, W, leaky)
                 with pytest.raises(NumericError):
-                    matcher.pair_score_vars(ad.Var(H), ad.Var(G), ad.Var(W), leaky)
+                    matcher.pair_score_vars(ad.Var(H), ad.Var(G), ad.Var(W), leaky,
+                                            pair_rows(H, G))
 
 
 def test_swap_symmetry_with_transposed_bilinear():
     for seed in range(10):
         H, G, W = rand_instance(seed, P=6, Q=3)
         for leaky in (False, True):
-            ab = matcher.match_score(H, G, W, leaky)
-            ba = matcher.match_score(G, H, W.T, leaky)
+            ab = ref.match_pair(H, G, W, leaky)
+            ba = ref.match_pair(G, H, W.T, leaky)
             assert abs(ab.score - ba.score) < 1e-12
             assert np.max(np.abs(ab.m_fwd - ba.m_bwd.T)) < 1e-12
             assert np.max(np.abs(ab.m_bwd - ba.m_fwd.T)) < 1e-12
@@ -194,8 +201,8 @@ def test_swap_symmetry_with_symmetric_bilinear():
     G = rng.normal(size=(5, 8))
     A = rng.normal(size=(8, 8))
     W = A + A.T
-    ab = matcher.match_score(H, G, W)
-    ba = matcher.match_score(G, H, W)
+    ab = ref.match_pair(H, G, W)
+    ba = ref.match_pair(G, H, W)
     assert abs(ab.score - ba.score) < 1e-12
 
 
@@ -211,7 +218,7 @@ def test_leaky_unit_dampens_uninformative_context():
     assert np.all(junk @ W @ G.T < -10.0)  # just below the leak's zero logit
 
     def g_bar(H_rows, leaky):
-        return matcher.match_score(H_rows, G, W, leaky).g_bar
+        return ref.match_pair(H_rows, G, W, leaky).g_bar
 
     H_plus = np.concatenate([H, junk], axis=0)
     drift_plain = np.linalg.norm(g_bar(H_plus, False) - g_bar(H, False))
@@ -221,23 +228,27 @@ def test_leaky_unit_dampens_uninformative_context():
 
 def test_dimension_mismatches_rejected():
     rng = stream_rng(13, "init")
-    H = rng.normal(size=(3, 8))
-    with pytest.raises(ShapeError):
-        matcher.match_score(H, rng.normal(size=(2, 6)), np.eye(8))
-    with pytest.raises(ShapeError):
-        matcher.match_score(H, rng.normal(size=(2, 8)), np.eye(7))
-    with pytest.raises(ShapeError):
-        matcher.match_score(np.zeros((0, 8)), H, np.eye(8))
-    # a held projection must be shaped like the side it projects
-    for HW in (H.T, H[None], H[:2]):
+    H = rng.normal(size=(2, 3, 8))
+    HW, G = H @ np.eye(8), rng.normal(size=(2, 4, 5, 8))
+    assert matcher.match_score(H, HW, G).score.shape == (8,)
+    for args in (
+            (H, HW, rng.normal(size=(2, 4, 5, 6))),          # context dims differ
+            (H[:, :0], HW[:, :0], G),                          # no contexts on a side
+            (H, HW, G[:, :, :0]),
+            # the retired forms: one 2-D pair, a 2-D H, and pair stacks with a 3-D G
+            (H[0], HW[0], G[0, 0]), (H[0], HW[0], G[0]), (H, HW, G[:, 0]),
+            (H[:1], HW[:1], G[:, 0]),
+            # a held projection must be shaped like the side it projects
+            (H, HW.transpose(0, 2, 1), G), (H, HW[:1], G), (H, HW[0], G),
+            # groups: each query has its own candidates, never one stack broadcast
+            (H, HW, G[:1]), (H[:1], HW[:1], G)):
         with pytest.raises(ShapeError):
-            matcher.match_score(H, H, np.eye(8), HW=HW)
-    same = matcher.match_score(H, H, np.eye(8), HW=H)
-    assert same.score == matcher.match_score(H, H, np.eye(8)).score
-    # groups: each query has its own candidates, never one stack broadcast
-    for G in (np.zeros((2, 4, 3, 8)), np.zeros((1, 4, 3, 7)), np.zeros((1, 4, 0, 8))):
+            matcher.match_score(*args)
+    # pair_score_vars projects its left side: the bilinear matrix must be d x d
+    for W in (np.eye(7), np.ones((8, 7))):
         with pytest.raises(ShapeError):
-            matcher.match_score(H[None], G, np.eye(8))
+            matcher.pair_score_vars(ad.Var(H[0]), ad.Var(G[0, 0]), ad.Var(W), False,
+                                    pair_rows(H[0], G[0, 0]))
 
 
 def test_gradients_through_full_match_pipeline():
@@ -249,7 +260,8 @@ def test_gradients_through_full_match_pipeline():
     }
     for leaky in (False, True):
         def builder(v):
-            return matcher.pair_score_vars(v["H"], v["G"], v["W"], leaky)
+            return matcher.pair_score_vars(v["H"], v["G"], v["W"], leaky,
+                                           pair_rows(v["H"], v["G"]))
         report = ad.finite_diff_check(builder, params, eps=1e-5)
         assert report.max_rel_error < 1e-4, str(report)
 
@@ -258,41 +270,41 @@ def test_pair_score_is_one_tape_node():
     H, G, W = (ad.Var(x) for x in rand_instance(19))
     inputs = {id(v) for v in (H, G, W)}
     for leaky in (False, True):
-        s = matcher.pair_score_vars(H, G, W, leaky)
+        s = matcher.pair_score_vars(H, G, W, leaky, pair_rows(H, G))
         added = [n for n in ad._topo_order(s) if id(n) not in inputs]
         assert len(added) <= 2
 
 
 # ---------------------------------------------------------------------------
-# batches of pairs: the per-pair calls above are the reference
+# groups of pairs: the one-pair calls above are the reference
 
-def batch_instance(seed, b_h, b_g, P, Q, d=6):
-    rng = stream_rng(seed, "init", b_h, b_g, P, Q)
-    return rng.normal(size=(b_h, P, d)), rng.normal(size=(b_g, Q, d)), rng.normal(size=(d, d))
+def group_instance(seed, N, K, P, Q, d=6):
+    """N queries H (N, P, d), each with its own K candidates G (N, K, Q, d)."""
+    rng = stream_rng(seed, "init", N, K, P, Q)
+    return rng.normal(size=(N, P, d)), rng.normal(size=(N, K, Q, d)), rng.normal(size=(d, d))
 
 
-@pytest.mark.parametrize("b_h,b_g,P,Q", [(1, 1, 5, 4), (6, 6, 5, 3), (6, 6, 4, 4),
-                                         (1, 7, 4, 6), (5, 1, 3, 3), (1, 9, 20, 21),
-                                         (9, 9, 21, 20), (4, 1, 8, 8)])
-def test_batched_match_equals_per_pair_loop(b_h, b_g, P, Q):
-    H, G, W = batch_instance(21, b_h, b_g, P, Q)
-    B = max(b_h, b_g)
+@pytest.mark.parametrize("N,K,P,Q", [(1, 1, 5, 4), (6, 6, 5, 3), (6, 6, 4, 4),
+                                     (1, 7, 4, 6), (5, 1, 3, 3), (1, 9, 20, 21),
+                                     (9, 9, 21, 20), (4, 1, 8, 8)])
+def test_batched_match_equals_per_pair_loop(N, K, P, Q):
+    H, G, W = group_instance(21, N, K, P, Q)
     for leaky in (False, True):
-        got = matcher.match_score(H, G, W, leaky)
-        assert got.score.shape == (B,) and got.m_fwd.shape == (B, P, Q), leaky
-        for b in range(B):
-            Hb, Gb = H[min(b, b_h - 1)], G[min(b, b_g - 1)]
-            want = matcher.match_score(Hb, Gb, W, leaky)
+        got = matcher.match_score(H, H @ W, G, leaky)
+        assert got.score.shape == (N * K,) and got.m_fwd.shape == (N * K, P, Q), leaky
+        for b in range(N * K):
+            Hb, Gb = H[b // K], G[b // K, b % K]
+            want = ref.match_pair(Hb, Gb, W, leaky)
             assert got.score[b] == want.score, leaky
             for field in ("m_fwd", "m_bwd", "leak_fwd", "leak_bwd", "a_h", "a_g"):
                 assert np.array_equal(getattr(got, field)[b], getattr(want, field)), (leaky, field)
             oracle = scalar_match_oracle(Hb, Gb, W, np.zeros(W.shape[0]) if leaky else None)
-            for field, ref in zip(("m_fwd", "m_bwd", "leak_fwd", "leak_bwd"), oracle):
-                assert np.max(np.abs(getattr(got, field)[b] - ref)) < 1e-12, (leaky, field)
+            for field, exact in zip(("m_fwd", "m_bwd", "leak_fwd", "leak_bwd"), oracle):
+                assert np.max(np.abs(getattr(got, field)[b] - exact)) < 1e-12, (leaky, field)
 
 
-def bit_instance(seed, b_h, b_g, P, Q, scale, d=6):
-    """Stacks whose logits hold exact ties and all-negative rows and columns.
+def bit_instance(seed, N, K, P, Q, scale, d=6):
+    """Groups whose logits hold exact ties and all-negative rows and columns.
 
     h_1 repeats h_0 when P > 2, and g_1 repeats g_0 when Q > 2.  The first
     two coordinates carry an offset through an identity block of W: h_{P-1}
@@ -300,15 +312,15 @@ def bit_instance(seed, b_h, b_g, P, Q, scale, d=6):
     logits are all negative and the leak slot holds the row's and the
     column's max.  W is scaled by scale.
     """
-    rng = stream_rng(seed, "init", b_h, b_g, P, Q)
-    H, G = rng.normal(size=(b_h, P, d)), rng.normal(size=(b_g, Q, d))
+    rng = stream_rng(seed, "init", N, K, P, Q)
+    H, G = rng.normal(size=(N, P, d)), rng.normal(size=(N, K, Q, d))
     W = rng.normal(size=(d, d))
-    H[:, :, :2], G[:, :, :2] = (0.0, 1.0), (1.0, 0.0)
-    H[:, -1, 0], G[:, -1, 1] = -50.0, -50.0
+    H[..., :2], G[..., :2] = (0.0, 1.0), (1.0, 0.0)
+    H[:, -1, 0], G[:, :, -1, 1] = -50.0, -50.0
     if P > 2:
         H[:, 1] = H[:, 0]
     if Q > 2:
-        G[:, 1] = G[:, 0]
+        G[:, :, 1] = G[:, :, 0]
     W[:2], W[:, :2] = 0.0, 0.0
     W[0, 0] = W[1, 1] = 1.0
     return H, G, scale * W
@@ -320,14 +332,19 @@ def same_bits(x, y):
 
 
 def check_bits_against_reference(H, G, W, leaky):
+    """The groups H (N, P, d) and G (N, K, Q, d) against the reference
+    forward, which takes them as N K pairs, and each pair's backward."""
+    N, K, Q, d = G.shape
     HW = H @ W
-    want, got = ref.match(H, HW, G, leaky), matcher._match(H, HW, G, leaky)
+    # the pairs: query n repeated for each of its K candidates
+    Hp, HWp, Gp = np.repeat(H, K, axis=0), np.repeat(HW, K, axis=0), G.reshape(N * K, Q, d)
+    want, got = ref.match(Hp, HWp, Gp, leaky), matcher._match(H, HW, G, leaky)
     for f in dataclasses.fields(want):
         assert same_bits(getattr(got, f.name), getattr(want, f.name)), f.name
     # the backward reads the forward's fields, whatever their memory layout
     g = stream_rng(0, "init", *H.shape).normal(size=(len(want.score), 1))
-    for name, x, y in zip(("dH", "dG", "dW"), matcher._score_backward(got, H, HW, G, W, g),
-                          matcher._score_backward(want, H, HW, G, W, g)):
+    for name, x, y in zip(("dH", "dG", "dW"), matcher._score_backward(got, Hp, HWp, Gp, W, g),
+                          matcher._score_backward(want, Hp, HWp, Gp, W, g)):
         assert same_bits(x, y), name
 
 
@@ -336,17 +353,17 @@ SIZES = (1, 5, 7, 8, 20, 21)
 
 @pytest.mark.parametrize("P", SIZES)
 @pytest.mark.parametrize("Q", SIZES)
-@pytest.mark.parametrize("b_h,b_g", [(1, 9), (9, 1), (9, 9)])
-def test_match_keeps_the_reference_bits(P, Q, b_h, b_g):
+@pytest.mark.parametrize("N,K", [(1, 9), (9, 1), (9, 9)])
+def test_match_keeps_the_reference_bits(P, Q, N, K):
     for leaky in (False, True):
         for scale in (1e-3, 0.1, 1.0, 30.0):
-            H, G, W = bit_instance(25, b_h, b_g, P, Q, scale)
-            L = H @ W @ G.transpose(0, 2, 1)
-            assert (L[:, -1] < 0).all() and (L[:, :, -1] < 0).all()
+            H, G, W = bit_instance(25, N, K, P, Q, scale)
+            L = (H @ W)[:, None] @ G.transpose(0, 1, 3, 2)
+            assert (L[:, :, -1] < 0).all() and (L[..., -1] < 0).all()
             if P > 2:
-                assert np.array_equal(L[:, 0], L[:, 1])
-            if Q > 2:
                 assert np.array_equal(L[:, :, 0], L[:, :, 1])
+            if Q > 2:
+                assert np.array_equal(L[..., 0], L[..., 1])
             with np.errstate(under="ignore"):
                 check_bits_against_reference(H, G, W, leaky)
 
@@ -356,61 +373,67 @@ def test_match_keeps_the_reference_bits(P, Q, b_h, b_g):
 GROUPS = {3750: (75, 50), 14: (15, 14)}
 
 
-@pytest.mark.parametrize("b_h,b_g,P,d", [(1, 3750, 5, 32), (1, 50, 5, 32), (1, 14, 20, 256)])
-def test_match_keeps_the_reference_bits_at_serving_shapes(b_h, b_g, P, d):
-    # one query against its candidates, and every pair of an evaluate in one call
-    H, G, W = batch_instance(26, b_h, b_g, P, P, d)
+@pytest.mark.parametrize("N,K,P,d", [(1, 3750, 5, 32), (1, 50, 5, 32), (1, 14, 20, 256)])
+def test_match_keeps_the_reference_bits_at_serving_shapes(N, K, P, d):
+    # one query against its candidates, and every pair of an evaluate in one group
+    H, G, W = group_instance(26, N, K, P, P, d)
     for leaky in (False, True):
         check_bits_against_reference(H, G, W / np.sqrt(d), leaky)
-    if b_g not in GROUPS:
+    if K not in GROUPS:
         return
-    # N groups, each query broadcast against its own K candidates: the rows of
-    # group n equal query n's broadcast call in every field
-    N, K = GROUPS[b_g]
+    # N groups, each query against its own K candidates: the rows of group n
+    # equal query n's call alone in every field
+    N, K = GROUPS[K]
     rng = stream_rng(26, "init", N, K)
     H, G, W = rng.normal(size=(N, P, d)), rng.normal(size=(N, K, P, d)), W / np.sqrt(d)
     HW = H @ W
     for leaky in (False, True):
-        got = matcher.match_score(H, G, W, leaky, HW=HW)
+        got = matcher.match_score(H, HW, G, leaky)
         assert got.score.shape == (N * K,) and got.m_fwd.shape == (N * K, P, P)
         for n in range(N):
-            want = matcher.match_score(H[n:n + 1], G[n], W, leaky, HW=HW[n:n + 1])
+            want = matcher.match_score(H[n:n + 1], HW[n:n + 1], G[n:n + 1], leaky)
             for f in dataclasses.fields(want):
                 assert same_bits(getattr(got, f.name)[n * K:(n + 1) * K],
                                  getattr(want, f.name)), (n, f.name)
 
 
 def test_batch_pair_counts_must_agree():
-    H, G, W = batch_instance(22, 3, 2, 3, 3)
+    H, _, W = group_instance(22, 3, 2, 3, 3)
+    _, G, _ = group_instance(22, 2, 2, 3, 3)
     with pytest.raises(ShapeError):
-        matcher.match_score(H, G, W)
+        matcher.match_score(H, H @ W, G)
+    E = stream_rng(22, "init").normal(size=(8, 6))
+    rows = (np.zeros((3, 3), dtype=np.intp), np.zeros((2, 3), dtype=np.intp))
+    with pytest.raises(ShapeError):
+        matcher.pair_score_vars(ad.Var(E), ad.Var(E), ad.Var(W), False, rows)
 
 
 def test_zero_norm_pair_in_batch_scores_zero_alone(caplog):
-    H, G, W = batch_instance(23, 3, 3, 4, 4)
-    H[1] = 0.0
+    H, G, W = group_instance(23, 3, 2, 4, 4)
+    H[1] = 0.0                       # both pairs of query 1
     with caplog.at_level("WARNING"):
-        got = matcher.match_score(H, G, W)
+        got = matcher.match_score(H, H @ W, G)
     assert sum("zero-norm" in r.getMessage() for r in caplog.records) == 1
-    assert got.score[1] == 0.0
-    for b in (0, 2):
-        assert got.score[b] == matcher.match_score(H[b], G[b], W).score
+    assert got.score[2] == got.score[3] == 0.0
+    for b in (0, 1, 4, 5):
+        assert got.score[b] == ref.match_pair(H[b // 2], G[b // 2, b % 2], W).score
     H[2, 1, 3] = np.nan
     with pytest.raises(NumericError):
-        matcher.match_score(H, G, W)
+        matcher.match_score(H, H @ W, G)
     with pytest.raises(NumericError):
-        matcher.pair_score_vars(ad.Var(H.reshape(-1, 6)), ad.Var(G.reshape(-1, 6)),
-                                ad.Var(W), False, (np.arange(12).reshape(3, 4),) * 2)
+        matcher.pair_score_vars(ad.Var(H.reshape(-1, 6)), ad.Var(G.reshape(-1, 6)), ad.Var(W),
+                                False, (np.arange(12).reshape(3, 4).repeat(2, axis=0),
+                                        np.arange(24).reshape(6, 4)))
 
 
-@pytest.mark.parametrize("b_h,b_g", [(0, 0), (1, 0), (0, 1)])
-def test_empty_batch_scores_nothing(b_h, b_g):
-    # a stack of no pairs, or one entity broadcast against none
-    H, G, W = batch_instance(27, b_h, b_g, 3, 4)
+@pytest.mark.parametrize("N,K", [(0, 0), (1, 0), (0, 1)])
+def test_empty_batch_scores_nothing(N, K):
+    # no groups, or one query with no candidates
+    H, G, W = group_instance(27, N, K, 3, 4)
     E = stream_rng(27, "init").normal(size=(8, 6))
-    rows = (np.zeros((b_h, 3), dtype=np.intp), np.zeros((b_g, 4), dtype=np.intp))
+    rows = (np.zeros((N * K, 3), dtype=np.intp), np.zeros((N * K, 4), dtype=np.intp))
     for leaky in (False, True):
-        got = matcher.match_score(H, G, W, leaky)
+        got = matcher.match_score(H, H @ W, G, leaky)
         assert {f.name: getattr(got, f.name).shape for f in dataclasses.fields(got)} == {
             "m_fwd": (0, 3, 4), "m_bwd": (0, 3, 4), "leak_fwd": (0, 4), "leak_bwd": (0, 3),
             "a_h": (0, 3), "a_g": (0, 4), "h_bar": (0, 6), "g_bar": (0, 6), "score": (0,)}
@@ -437,7 +460,7 @@ def test_batched_pair_score_vars_gradients(leak_key, broadcast):
     params, h_rows, g_rows, weights = batched_setup()
     leaky = leak_key == "zero"
     if broadcast:
-        h_rows = h_rows[:1]          # entity 0 against every G entity
+        h_rows = h_rows[[0] * len(g_rows)]          # entity 0 against every G entity
 
     def builder(v):
         s = matcher.pair_score_vars(v["E"], v["E"], v["W"], leaky, (h_rows, g_rows))
@@ -454,10 +477,11 @@ def test_batched_pair_score_vars_gradients(leak_key, broadcast):
         _, got = ad.grad(builder, params)
         want = {name: np.zeros_like(value) for name, value in params.items()}
         for b in range(len(g_rows)):
-            hr = h_rows[min(b, len(h_rows) - 1)]
+            hr = h_rows[b]
             pair = {"H": params["E"][hr], "G": params["E"][g_rows[b]], "W": params["W"]}
             _, g = ad.grad(lambda v: ref.mul(matcher.pair_score_vars(
-                v["H"], v["G"], v["W"], leaky), weights[b, 0]), pair)
+                v["H"], v["G"], v["W"], leaky, pair_rows(v["H"], v["G"])), weights[b, 0]),
+                pair)
             np.add.at(want["E"], hr, g["H"])
             np.add.at(want["E"], g_rows[b], g["G"])
             want["W"] += g["W"]
@@ -492,8 +516,8 @@ def test_tied_maxima_route_gradient_to_first():
     for params in ({"H": np.vstack([H[0], H[0]]), "G": G, "W": W},
                    {"H": H, "G": np.vstack([G[0], G[0]]), "W": W}):
         want_value, want = ad.grad(tape_reference, params)
-        got_value, got = ad.grad(
-            lambda v: matcher.pair_score_vars(v["H"], v["G"], v["W"]), params)
+        got_value, got = ad.grad(lambda v: matcher.pair_score_vars(
+            v["H"], v["G"], v["W"], False, pair_rows(v["H"], v["G"])), params)
         assert abs(got_value - want_value) < 1e-12
         for name in params:
             assert np.max(np.abs(got[name] - want[name])) < 1e-10, name
