@@ -19,15 +19,19 @@ are one stacked matmul each, a gemm per gate.  One numpy forward loop serves
 inference (`encode_batch`) and training (`encode_batch_vars`, one tape node
 whose backward runs backpropagation through time by hand).  The word
 embeddings are frozen: the node's parents, and its gradients, are the six
-weights.  For training the forward keeps the gate values A, the states H and
-the cells C of every packed step.  The backward recomputes tanh(C), works
-out each step's gate derivatives gate by gate in a scratch block, and writes
-them, the pre-activation gradients dZ, row by row over the step's gate
-values in A; the recurrent dZ Wh^T and the weight gradients thus read a
-row-major (rows, 4 d_h) dZ, and a node can be backpropagated only once.
-Inference keeps only the running state: each step overwrites the leading
-rows of the step before, and a row's state is written out at its stop step,
-so its memory grows with the windows, not with their length.
+weights.  The states are one running buffer in both modes: each step
+overwrites the leading rows of the step before, and a row's state is written
+out at its stop step.  For training the forward keeps the gate values A and
+the cells C of every packed step; inference keeps only the running cells,
+so its memory grows with the windows, not with their length.  The backward
+recomputes tanh(C), works out each step's gate derivatives gate by gate in
+a scratch block, and writes them, the pre-activation gradients dZ, row by
+row over the step's gate values in A; the recurrent dZ Wh^T and the weight
+gradients thus read a row-major (rows, 4 d_h) dZ, and a node can be
+backpropagated only once.  Before its o gate goes, step t rebuilds its
+states o tanh(c) over the cells of step t + 1, which are spent by then, so
+the rows of every step after the first hold the states they follow and
+dWh is one product over them.
 A one-row step goes to gemm as two rows, so a window encodes to the same
 bits in any batch, for inference and training alike.
 
@@ -100,8 +104,9 @@ def _pack(stop):
 
 def _forward(E, tok, pk, Wx, Wh, b, save):
     """Run one direction over its packed token ids; returns the (B, d_h)
-    state at each row's stop step and the saved values `_backward` needs, or
-    None without `save`, when only the running state is kept."""
+    state at each row's stop step and the saved values `_backward` needs,
+    every step's gate values and cells, or None without `save`, when only
+    the running state and cell are kept."""
     n, offs = np.append(pk.n, 0), pk.offs
     d_h = Wh.shape[0]
     w = 4 * d_h
@@ -109,31 +114,28 @@ def _forward(E, tok, pk, Wx, Wh, b, save):
     # each weight as four contiguous (k, d_h) gate blocks, i, f, o halved
     Wx, Wh, b = (np.ascontiguousarray(W.reshape(len(W), 4, d_h).transpose(1, 0, 2)) * half
                  for W in (Wx, Wh, b))
-    # step t's rows sit at base[t]:base[t] + n[t]; without save each step
-    # overwrites the leading rows of the step before
+    # step t's gate values and cell sit at base[t]:base[t] + n[t]; without
+    # save each step overwrites the leading rows of the step before
     base = offs if save else np.zeros_like(offs)
     # A holds each step's (4, n[t], d_h) pre-activations (i, f, o halved) at
     # the flat range of its rows, then in place its gate values
     A = np.empty((len(tok) if save else n[0]) * w)
-    H = np.empty((len(A) // w, d_h))       # state after each step
-    C = np.empty_like(H)                   # cell after each step
+    C = np.empty((len(A) // w, d_h))       # cell after each step
+    H = np.empty((n[0], d_h))              # the live rows' state
     S = np.empty((n[0], d_h))              # the live rows' f c, then tanh(c)
     Z = np.empty(max(n[0], 2) * w)         # the live rows' x Wx, then h Wh
     out = np.empty((len(pk.order), d_h))
     for t in range(len(n) - 1):
-        now = slice(base[t], base[t] + n[t])
         a = A[base[t] * w:(base[t] + n[t]) * w].reshape(4, n[t], d_h)
-        c, h, s = C[now], H[now], S[:n[t]]
+        c, h, s = C[base[t]:base[t] + n[t]], H[:n[t]], S[:n[t]]
         x = E[tok[offs[t]:offs[t + 1]]]
-        if t:
-            prev = slice(base[t - 1], base[t - 1] + n[t])
-            hp = H[prev]
+        hp = h
         if n[t] == 1:
             # numpy sends a one-row product to gemv, which rounds unlike gemm;
             # as two rows it goes to gemm, so every row of every batch gets
             # the bits it gets in any other batch
             x = np.repeat(x, 2, axis=0)
-            hp = np.repeat(hp, 2, axis=0) if t else None
+            hp = np.repeat(h, 2, axis=0)
         z = Z[:len(x) * w].reshape(4, len(x), d_h)
         np.add(np.matmul(x[None], Wx, out=z)[:, :n[t]], b, out=a)
         if t:
@@ -143,14 +145,14 @@ def _forward(E, tok, pk, Wx, Wh, b, save):
         a[:3] += 0.5
         i, f, o, g = a
         if t:
-            np.multiply(f, C[prev], out=s)
+            np.multiply(f, C[base[t - 1]:base[t - 1] + n[t]], out=s)
         np.multiply(i, g, out=c)
         if t:
             c += s
         np.tanh(c, out=s)
         np.multiply(o, s, out=h)
         out[pk.order[n[t + 1]:n[t]]] = h[n[t + 1]:]   # the rows that stop at t
-    return out, ((tok, A, H, C, pk) if save else None)
+    return out, ((tok, A, C, pk) if save else None)
 
 
 def _backward(dout, saved, E, Wh):
@@ -161,9 +163,11 @@ def _backward(dout, saved, E, Wh):
     derivatives are worked out gate by gate in a scratch block; its
     pre-activation gradients dZ then overwrite its gate values in the saved
     A row by row, so A reads as the row-major (rows, 4 d_h) dZ from which
-    dWx, dWh and db, the returned gradients, are summed.
+    dWx, dWh and db, the returned gradients, are summed.  Step t first
+    writes its states o tanh(c) over the spent cells of the step t + 1 rows
+    that follow them, the states dWh takes.
     """
-    tok, A, H, C, pk = saved
+    tok, A, C, pk = saved
     offs = pk.offs
     n = np.append(pk.n, 0)
     d_h = Wh.shape[0]
@@ -187,6 +191,8 @@ def _backward(dout, saved, E, Wh):
         np.multiply(g, g, out=dg)
         np.subtract(1.0, dg, out=dg)       # 1 - g^2
         tc = np.tanh(C[now])
+        # step t + 1's cells are spent: their rows take the states they follow
+        np.multiply(o[:n[t + 1]], tc[:n[t + 1]], out=C[offs[t + 1]:offs[t + 1] + n[t + 1]])
         c += h * o * (1.0 - tc * tc)
         di *= c * g
         if t:
@@ -202,9 +208,7 @@ def _backward(dout, saved, E, Wh):
             np.matmul(block.reshape(n[t], w), Wh.T, out=h)
     A = A.reshape(-1, w)
     dWx = E[tok].T @ A
-    # packed row p of step t >= 1 follows packed row p - n[t - 1]
-    later = slice(offs[1], None)
-    dWh = H[np.arange(offs[1], offs[-1]) - n[pk.step[later] - 1]].T @ A[later]
+    dWh = C[offs[1]:].T @ A[offs[1]:]      # the states that steps 1 on follow
     return dWx, dWh, A.sum(axis=0, keepdims=True)
 
 

@@ -215,6 +215,7 @@ def entity_scorer(params, config, data, emb, seed):
     query's encodings and projection against its own candidates, and a query
     of more than SCORE_SLICE candidates is scored in slices of that many.  A
     pair's score has the same bits however its query is grouped or sliced.
+    A query with no candidates gets an empty score array.
     """
     P, T = config.contexts_per_entity, config.max_context_len
     key = (config.encoder, seed, P, T)
@@ -252,7 +253,7 @@ def entity_scorer(params, config, data, emb, seed):
             li = np.array([rows[left[i]] for i in queries], dtype=np.intp)
             ri = np.array([rows[c] for i in queries for c in right[i]],
                           dtype=np.intp).reshape(len(queries), K)
-            width = min(K, SCORE_SLICE)
+            width = min(K, SCORE_SLICE) or 1     # no candidates: empty score rows
             per_call = max(1, SCORE_FLOATS // ((width + 2) * entity))
             scores = np.empty(ri.shape)
             for at in range(0, len(queries), per_call):

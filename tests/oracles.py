@@ -30,6 +30,11 @@ scores whole queries per matcher call, must report the same fields, bit for
 bit. `average_precision`, `precision_at`, `recall_at` and `f1_at` are the
 rank metrics as they were written one function and one walk each: the
 library's `rank_metrics`, one walk for all, must return their bits.
+`lstm_forward` and `lstm_backward` are the encoder's training forward and
+BPTT for one direction as they were written to save every step's states H
+and gather, for dWh, the states each packed row follows: the library, which
+saves no states and rebuilds them in spent cell rows, must return the same
+outputs and gradients, bit for bit.
 """
 
 import dataclasses
@@ -309,3 +314,96 @@ def evaluate(params, config, data, table, split="test", seed=0, ks=(1, 5, 10), k
         p_at_k={k: mean(v) for k, v in p_at.items()},
         r_at_k={k: mean(v) for k, v in r_at.items()},
         f1_at_k={k: mean(v) for k, v in f1.items()})
+
+
+def lstm_forward(E, tok, pk, Wx, Wh, b):
+    """The encoder's training forward for one direction as it was written to
+    keep the states H beside the gate values A and the cells C of every
+    packed step: returns the (B, d_h) states at the stop steps and
+    (tok, A, H, C, pk) for `lstm_backward`."""
+    n, offs = np.append(pk.n, 0), pk.offs
+    d_h = Wh.shape[0]
+    w = 4 * d_h
+    half = np.array([0.5, 0.5, 0.5, 1.0])[:, None, None]
+    Wx, Wh, b = (np.ascontiguousarray(W.reshape(len(W), 4, d_h).transpose(1, 0, 2)) * half
+                 for W in (Wx, Wh, b))
+    A = np.empty(len(tok) * w)
+    H = np.empty((len(tok), d_h))
+    C = np.empty_like(H)
+    S = np.empty((n[0], d_h))
+    Z = np.empty(max(n[0], 2) * w)
+    out = np.empty((len(pk.order), d_h))
+    for t in range(len(n) - 1):
+        now = slice(offs[t], offs[t] + n[t])
+        a = A[offs[t] * w:(offs[t] + n[t]) * w].reshape(4, n[t], d_h)
+        c, h, s = C[now], H[now], S[:n[t]]
+        x = E[tok[offs[t]:offs[t + 1]]]
+        if t:
+            prev = slice(offs[t - 1], offs[t - 1] + n[t])
+            hp = H[prev]
+        if n[t] == 1:
+            x = np.repeat(x, 2, axis=0)
+            hp = np.repeat(hp, 2, axis=0) if t else None
+        z = Z[:len(x) * w].reshape(4, len(x), d_h)
+        np.add(np.matmul(x[None], Wx, out=z)[:, :n[t]], b, out=a)
+        if t:
+            a += np.matmul(hp[None], Wh, out=z)[:, :n[t]]
+        np.tanh(a, out=a)
+        a[:3] *= 0.5
+        a[:3] += 0.5
+        i, f, o, g = a
+        if t:
+            np.multiply(f, C[prev], out=s)
+        np.multiply(i, g, out=c)
+        if t:
+            c += s
+        np.tanh(c, out=s)
+        np.multiply(o, s, out=h)
+        out[pk.order[n[t + 1]:n[t]]] = h[n[t + 1]:]
+    return out, (tok, A, H, C, pk)
+
+
+def lstm_backward(dout, saved, E, Wh):
+    """BPTT over `lstm_forward`'s saved values, dWh from a gather of the
+    states each packed row follows: returns dWx, dWh and db."""
+    tok, A, H, C, pk = saved
+    offs = pk.offs
+    n = np.append(pk.n, 0)
+    d_h = Wh.shape[0]
+    w = 4 * d_h
+    dout = dout[pk.order]
+    dh = np.empty((len(pk.order), d_h))
+    dc = np.empty_like(dh)
+    D = np.empty(len(pk.order) * w)
+    for t in range(len(n) - 2, -1, -1):
+        now = slice(offs[t], offs[t + 1])
+        dh[n[t + 1]:n[t]] = dout[n[t + 1]:n[t]]
+        dc[n[t + 1]:n[t]] = 0.0
+        h, c = dh[:n[t]], dc[:n[t]]
+        block = A[offs[t] * w:offs[t + 1] * w]
+        a, d = block.reshape(4, n[t], d_h), D[:len(block)].reshape(4, n[t], d_h)
+        i, f, o, g = a
+        di, df, do, dg = d
+        np.subtract(1.0, a[:3], out=d[:3])
+        d[:3] *= a[:3]
+        np.multiply(g, g, out=dg)
+        np.subtract(1.0, dg, out=dg)
+        tc = np.tanh(C[now])
+        c += h * o * (1.0 - tc * tc)
+        di *= c * g
+        if t:
+            df *= c * C[offs[t - 1]:offs[t - 1] + n[t]]
+        else:
+            df[...] = 0.0
+        do *= h * tc
+        dg *= c * i
+        c *= f
+        np.copyto(block.reshape(n[t], 4, d_h), d.transpose(1, 0, 2))
+        if t:
+            np.matmul(block.reshape(n[t], w), Wh.T, out=h)
+    A = A.reshape(-1, w)
+    dWx = E[tok].T @ A
+    # packed row p of step t >= 1 follows packed row p - n[t - 1]
+    later = slice(offs[1], None)
+    dWh = H[np.arange(offs[1], offs[-1]) - n[pk.step[later] - 1]].T @ A[later]
+    return dWx, dWh, A.sum(axis=0, keepdims=True)

@@ -218,15 +218,18 @@ def test_tape_holds_one_gate_block_per_direction():
     windows = [window(rng.integers(2, VOCAB, size=T), 0) for _ in range(B)]
     W = [params[name] for name in encoder.PARAM_NAMES]
     N = B * T                         # packed rows of each bilstm direction
-    for direction in encoder._encode(windows, W, emb, "bilstm")[1]:
+    out, saved = encoder._encode(windows, W, emb, "bilstm")
+    for k, direction in enumerate(saved):
         arrays = [x for x in direction if isinstance(x, np.ndarray)]
         states = [x for x in arrays if x.shape == (N, d_h)]
-        assert len(states) == 2       # H and C, no tanh(C)
-        assert not any(np.allclose(x, np.tanh(y)) for x in states for y in states)
+        assert len(states) == 1       # C alone: no H, no tanh(C)
         # the gate values (sigmoids and tanh): one flat block, each step's gate by gate
         gates = [x for x in arrays if x.size >= N * 4 * d_h]
         assert [x.shape for x in gates] == [(N * 4 * d_h,)]
         assert np.all((gates[0] >= -1.0) & (gates[0] <= 1.0))
+        # every row stops at the last step, whose o tanh(c) is the output
+        o = gates[0][-B * 4 * d_h:].reshape(4, B, d_h)[2]
+        assert np.array_equal(o * np.tanh(states[0][-B:]), out[:, k * d_h:(k + 1) * d_h])
     out = encoder.encode_batch_vars(windows, params, emb, "bilstm")
     g = np.ones_like(out.value)
     tracemalloc.start()
@@ -236,8 +239,9 @@ def test_tape_holds_one_gate_block_per_direction():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    # no second (N, 4 d_h) block for dZ beside the saved gate values
-    assert peak < N * 4 * d_h * 8
+    # no second (N, 4 d_h) block for dZ beside the saved gate values, and no
+    # (N, d_h) gather of the states for dWh
+    assert peak < 1.5 * N * d_h * 8
 
 
 def test_inference_keeps_only_the_running_state():
@@ -355,6 +359,7 @@ def oracle_batches():
     equal = [window(list(rng.integers(2, VOCAB, size=5)), 2) for _ in range(4)]
     return {"mixed": mixed, "stop0": stop0, "equal": equal,
             "single": [window([5, 9, 12, 3], 1)],
+            "ones": [window([5], 0), window([9], 0), window([12], 0)],
             "duplicates": [mixed[0], mixed[1], mixed[0], mixed[0], mixed[2]]}
 
 
@@ -382,6 +387,56 @@ def test_packed_matches_padded_reference_at_d_ce_32(setup, variant, batch):
     _, emb = setup
     params = encoder.init_encoder_params(D_EMBED, 32, stream_rng(13, "init"))
     assert_packed_matches_padded_reference(params, emb, variant, oracle_batches()[batch])
+
+
+def bits(x):
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+def assert_direction_keeps_the_reference_bits(params, emb, variant, windows):
+    # the library's saved values against the reference that saves H
+    W = [params[name] for name in encoder.PARAM_NAMES]
+    d_h = W[1].shape[0]
+    dout = stream_rng(14, "init").normal(size=(len(windows), 2 * d_h))
+    out, saved = encoder._encode(windows, W, emb, variant)
+    for k, direction in enumerate(saved):
+        cols = slice(k * d_h, (k + 1) * d_h)
+        tok, pk = direction[0], direction[-1]
+        want_out, want = ref.lstm_forward(emb, tok, pk, *W[3 * k:3 * k + 3])
+        got = [out[:, cols], *encoder._backward(dout[:, cols], direction, emb, W[3 * k + 1])]
+        wanted = [want_out, *ref.lstm_backward(dout[:, cols], want, emb, W[3 * k + 1])]
+        for name, x, y in zip(("out", "dWx", "dWh", "db"), got, wanted):
+            assert x.shape == y.shape and np.array_equal(bits(x), bits(y)), (k, name)
+
+
+def test_oracle_batches_hold_the_edge_steps(setup):
+    params, emb = setup
+    W = [params[name] for name in encoder.PARAM_NAMES]
+    # a recurrent step with one live row (the two-row gemm path) ...
+    packs = [direction[-1] for variant in ("anchored", "bilstm")
+             for windows in oracle_batches().values()
+             for direction in encoder._encode(windows, W, emb, variant)[1]]
+    assert any(len(pk.n) > 1 and pk.n[-1] == 1 for pk in packs)
+    # ... and a batch whose rows all stop at step 0, so no row follows another
+    assert any(len(pk.n) == 1 for pk in packs)
+
+
+@pytest.mark.parametrize("d_ce", [4, 32])
+@pytest.mark.parametrize("variant", ["anchored", "bilstm"])
+@pytest.mark.parametrize("batch", sorted(oracle_batches()))
+def test_direction_keeps_the_reference_bits(setup, d_ce, variant, batch):
+    _, emb = setup
+    params = encoder.init_encoder_params(D_EMBED, d_ce, stream_rng(15, "init"))
+    assert_direction_keeps_the_reference_bits(params, emb, variant, oracle_batches()[batch])
+
+
+@pytest.mark.parametrize("variant", ["anchored", "bilstm"])
+def test_direction_keeps_the_reference_bits_at_d_h_128(variant):
+    # the width of the paper config, d_ce 256
+    rng = stream_rng(16, "init")
+    params = encoder.init_encoder_params(EXACT_EMBED, 256, rng)
+    emb = rng.normal(size=(VOCAB, EXACT_EMBED))
+    assert_direction_keeps_the_reference_bits(params, emb, variant, oracle_batches()["mixed"])
 
 
 @pytest.mark.parametrize("variant", ["anchored", "bilstm"])

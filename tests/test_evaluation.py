@@ -259,6 +259,22 @@ def test_entity_scorer_slices_score_like_single_pairs(tiny, monkeypatch):
         x.tolist() for x in alone]
 
 
+def test_entity_scorer_scores_empty_shortlists_as_empty(tiny, monkeypatch):
+    data, table, config, params = tiny
+    ids = sorted(data.store.entities())
+    score = evaluation.entity_scorer(params, config, data, table.matrix, 0)
+    left = [ids[0], ids[1], ids[2], ids[1]]
+    right = [[], [ids[2], ids[3]], [], [ids[0]]]
+    calls = record_calls(monkeypatch)
+    got = score(left, right)
+    # the empty queries make no matcher call
+    assert calls == [(1, 2), (1, 1)]
+    assert [x.shape for x in got] == [(0,), (2,), (0,), (1,)]
+    assert got[1].tolist() == score([ids[1]], [[ids[2], ids[3]]])[0].tolist()
+    assert got[3].tolist() == score([ids[1]], [[ids[0]]])[0].tolist()
+    assert [x.shape for x in score([ids[3]], [[]])] == [(0,)]
+
+
 @pytest.mark.parametrize("k", [0, -1])
 def test_discover_rejects_k_below_one(tiny, k):
     data, table, config, params = tiny
