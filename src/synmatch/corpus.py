@@ -24,6 +24,11 @@ UNK_TOKEN = "<unk>"
 PAD_TOKEN = "<pad>"
 
 
+def is_integer(x):
+    """Whether x is a Python or numpy integer; a bool is not one."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 class Vocabulary:
     """Token <-> id map in first-appearance order.
 
@@ -171,12 +176,15 @@ class CorpusData:
 
     def entity_id(self, entity):
         """Resolve a surface form, or check an id, to a token id; an unknown
-        form or an id outside the vocabulary is an UnknownEntityError."""
+        form, a bool or non-integer id, or an id outside the vocabulary is an
+        UnknownEntityError.  Ids are Python or numpy integers."""
         if isinstance(entity, str):
             if entity not in self.vocab:
                 raise UnknownEntityError(f"unknown entity {entity!r}")
             return self.vocab.get(entity)
-        if not 0 <= int(entity) < len(self.vocab):
+        if not is_integer(entity):
+            raise UnknownEntityError(f"entity id {entity!r} is not an integer")
+        if not 0 <= entity < len(self.vocab):
             raise UnknownEntityError(f"entity id {entity} outside [0, {len(self.vocab)})")
         return int(entity)
 

@@ -10,7 +10,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .corpus import PAD, UNK, open_text
+from .corpus import PAD, UNK, is_integer, open_text
 from .errors import DataError, UnknownEntityError
 
 
@@ -166,38 +166,48 @@ def nearest_neighbors(table, entities, k, universe):
     one NeighborList per query, in order.
 
     Exact brute-force scan.  The universe rows are gathered and their norms
-    taken once per call; each query's cosines are one matrix-vector product
-    over the rows left once the query itself is excluded, the product a
-    one-query scan takes, so a query gets the same bits alone or in a batch
-    (neither the product over all rows nor one product for all queries
-    does).  A query or universe id outside the vocabulary is an
-    UnknownEntityError.  A zero-norm row (or query) scores 0, and ties break
-    toward the smaller entity id so results are reproducible.
+    taken once per call, each the square root of the row's sum of squares,
+    the sum np.linalg.norm takes; each query's cosines are one
+    matrix-vector product over the rows left once the query itself is
+    excluded, the product a one-query scan takes, so a query gets the same
+    bits alone or in a batch (neither the product over all rows nor one
+    product for all queries does).  Ids are Python or numpy integers: a
+    bool or non-integer query or universe id, or one outside the
+    vocabulary, is an UnknownEntityError, and a k that is not a
+    non-negative integer a DataError.  A zero-norm row (or query) scores 0,
+    and ties break toward the smaller entity id so results are
+    reproducible.
     """
-    if k < 0:
-        raise DataError(f"number of neighbors must be non-negative, got {k}")
+    if not is_integer(k) or k < 0:
+        raise DataError(f"number of neighbors must be a non-negative integer, got {k!r}")
     n = len(table.matrix)
     qids = []
     for entity in entities:
-        if isinstance(entity, str) and entity not in table.vocab:
-            raise UnknownEntityError(f"unknown entity {entity!r}")
-        qid = int(table.vocab.get(entity) if isinstance(entity, str) else entity)
-        if not 0 <= qid < n:
-            raise UnknownEntityError(f"query entity id {qid} outside [0, {n})")
-        qids.append(qid)
-    ids = np.asarray(universe, dtype=np.intp)
+        if isinstance(entity, str):
+            if entity not in table.vocab:
+                raise UnknownEntityError(f"unknown entity {entity!r}")
+            entity = table.vocab.get(entity)
+        elif not is_integer(entity):
+            raise UnknownEntityError(f"query entity id {entity!r} is not an integer")
+        if not 0 <= entity < n:
+            raise UnknownEntityError(f"query entity id {entity} outside [0, {n})")
+        qids.append(int(entity))
+    ids = np.asarray(universe)
+    if ids.size and ids.dtype.kind not in "iu":
+        raise UnknownEntityError(f"universe entity ids must be integers, got {ids.dtype}")
+    ids = ids.astype(np.intp, copy=False)
     bad = (ids < 0) | (ids >= n)
     if bad.any():
         raise UnknownEntityError(f"universe entity id {ids[bad][0]} outside [0, {n})")
     # take copies the rows fancy indexing would, in about two thirds of the time
     rows = table.matrix.take(ids, axis=0)
-    row_norms = np.linalg.norm(rows, axis=1)
+    row_norms = np.sqrt((rows * rows).sum(axis=1))
     out = []
     for qid in qids:
         q = table.matrix[qid]
         keep = np.flatnonzero(ids != qid)
         kept, dots = ids.take(keep), rows.take(keep, axis=0) @ q
-        norms = row_norms.take(keep) * np.linalg.norm(q)
+        norms = row_norms.take(keep) * np.sqrt(q.dot(q))
         cos = np.divide(dots, norms, out=np.zeros_like(dots), where=norms != 0.0)
         best = np.lexsort((kept, -cos))[:k]
         out.append(NeighborList(qid, list(zip(kept[best].tolist(), cos[best].tolist()))))

@@ -124,7 +124,6 @@ def _forward(E, tok, pk, Wx, Wh, b, save):
     H = np.empty((n[0], d_h))              # the live rows' state
     S = np.empty((n[0], d_h))              # the live rows' f c, then tanh(c)
     Z = np.empty(max(n[0], 2) * w)         # the live rows' x Wx, then h Wh
-    out = np.empty((len(pk.order), d_h))
     for t in range(len(n) - 1):
         a = A[base[t] * w:(base[t] + n[t]) * w].reshape(4, n[t], d_h)
         c, h, s = C[base[t]:base[t] + n[t]], H[:n[t]], S[:n[t]]
@@ -151,7 +150,9 @@ def _forward(E, tok, pk, Wx, Wh, b, save):
             c += s
         np.tanh(c, out=s)
         np.multiply(o, s, out=h)
-        out[pk.order[n[t + 1]:n[t]]] = h[n[t + 1]:]   # the rows that stop at t
+    # rows n[t + 1]:n[t] of H, those that stop at t, hold their state at t
+    out = np.empty_like(H)
+    out[pk.order] = H
     return out, ((tok, A, C, pk) if save else None)
 
 
@@ -172,15 +173,14 @@ def _backward(dout, saved, E, Wh):
     n = np.append(pk.n, 0)
     d_h = Wh.shape[0]
     w = 4 * d_h
-    dout = dout[pk.order]
-    dh = np.empty((len(pk.order), d_h))    # leading n[t] rows are live at step t
-    dc = np.empty_like(dh)
+    # the leading n[t] rows are live at step t; rows n[t + 1]:n[t], those
+    # that stop at t, join there with their output gradient and no cell
+    # gradient, since later steps write only rows below n[t + 1]
+    dh = dout[pk.order]
+    dc = np.zeros_like(dh)
     D = np.empty(len(pk.order) * w)        # the live rows' gate derivatives
     for t in range(len(n) - 2, -1, -1):
         now = slice(offs[t], offs[t + 1])
-        # the rows whose stop step is t join here, with no cell gradient yet
-        dh[n[t + 1]:n[t]] = dout[n[t + 1]:n[t]]
-        dc[n[t + 1]:n[t]] = 0.0
         h, c = dh[:n[t]], dc[:n[t]]
         block = A[offs[t] * w:offs[t + 1] * w]
         a, d = block.reshape(4, n[t], d_h), D[:len(block)].reshape(4, n[t], d_h)

@@ -185,11 +185,14 @@ def _held_copies(params):
 
 
 def _same_weights(params, held):
-    """Whether the weights in params equal the held float64 copies bit for
-    bit, shapes included: -0.0 differs from 0.0, equal NaNs match."""
-    return all(np.array_equal(np.asarray(params[name], dtype=float).view(np.int64),
-                              w.view(np.int64))
-               for name, w in held.items())
+    """Whether the weights in params, as float64, equal the held copies bit
+    for bit, shapes included, compared as int64 views: -0.0 differs from
+    0.0, NaNs with equal payloads match."""
+    for name, w in held.items():
+        x = np.asarray(params[name], dtype=float)
+        if x.shape != w.shape or not (x.view(np.int64) == w.view(np.int64)).all():
+            return False
+    return True
 
 
 def entity_scorer(params, config, data, emb, seed):

@@ -35,17 +35,18 @@ each reduction out where numpy is fast, and keeps the bits of the plain
 (B, P, Q) softmaxes:
 - Every max (the softmax shifts, and the weights a_h and a_g) runs over a
   contiguous copy with the reduced axis outermost.  A max is exact in any
-  order.  The leak slot's zero logit joins a column as one more slab, a row
-  as np.maximum with 0; a zero's sign cannot change exp of the shift.
+  order.  The leak slot's zero logit joins each pool as one more slab; a
+  zero's sign cannot change exp of the shift.
 - The column softmax (over P) runs in a (P, B, Q) layout, the leak slot a
   zero slab after the P rows.  numpy sums axis 1 of a (B, P, Q) array term
   by term, in order, as it sums axis 0 here; only with Q = 1 is that axis
   innermost there, summed pairwise, and `_sum_over_p` takes that case as
   numpy does.
-- The row softmax's sum (over Q) stays on the (B, P, Q) layout, with the
-  leak slot a zero column beside it: numpy sums an innermost axis of 8 or
-  more terms pairwise, with eight accumulators, which no other layout
-  reproduces.
+- The row softmax (over Q) runs in a (Q, B, P) layout, the leak slot a
+  zero slab after the Q rows.  numpy sums axis 2 of a (B, P, Q) array, the
+  innermost, term by term below 8 terms, as it sums axis 0 here; from 8
+  terms on it sums pairwise, with eight accumulators, which no other layout
+  reproduces, so `_sum_over_q` sums a (B, P, Q) copy there.
 - a_h and a_g are the largest exp over the softmax's sum, max(e) / z: IEEE
   division is correctly rounded and so keeps the order, and this equals
   max(e / z).
@@ -111,6 +112,24 @@ def _sum_over_p(e):
     return e.sum(axis=0)
 
 
+def _sum_over_q(e):
+    """Sum a (Q, B, P) stack over Q with the bits numpy gives axis 2 of the
+    same stack laid out (B, P, Q), the innermost: term by term, in order,
+    below 8 terms, pairwise from 8 on."""
+    if len(e) < 8:
+        return e.sum(axis=0)
+    return np.ascontiguousarray(e.transpose(1, 2, 0)).sum(axis=2)
+
+
+def _pool_exp(Lt, leaky):
+    """exp of logits Lt laid out with the pooled axis first, each pool shifted
+    by its max, the leak slot a zero slab after the logits."""
+    e = np.zeros((len(Lt) + 1 if leaky else len(Lt),) + Lt.shape[1:])
+    e[:len(Lt)] = Lt
+    e -= e.max(axis=0)
+    return np.exp(e, out=e)
+
+
 def _match(H, HW, G, leaky):
     """Match, aggregate and score float groups H (N, P, d) and G (N, K, Q, d),
     with or without the leak slot; HW is H @ w_bm.  Every field has a leading
@@ -119,29 +138,22 @@ def _match(H, HW, G, leaky):
     N, K, P, Q = L.shape
     B = N * K
     L = L.reshape(B, P, Q)
-    # the column softmax, over P, in the (P, B, Q) layout
-    Lc = np.zeros((P + 1 if leaky else P, B, Q))
-    Lc[:P] = L.transpose(1, 0, 2)
-    ec = np.exp(Lc - Lc.max(axis=0))
+    # the column softmax, over P, in the (P, B, Q) layout, and the row
+    # softmax, over Q, in the (Q, B, P) layout
+    ec = _pool_exp(L.transpose(1, 0, 2), leaky)
     zc = _sum_over_p(ec)
-    # the row softmax, over Q: its max over a (Q, B, P) copy, its sum over
-    # the innermost axis of (B, P, Q)
-    row_max = np.ascontiguousarray(L.transpose(2, 0, 1)).max(axis=0)
-    if leaky:
-        row_max = np.maximum(row_max, 0.0)
-        L = np.concatenate([L, np.zeros((B, P, 1))], axis=2)
-    er = np.exp(L - row_max[:, :, None])
-    zr = er.sum(axis=2)
+    er = _pool_exp(L.transpose(2, 0, 1), leaky)
+    zr = _sum_over_q(er)
     m_fwd = (ec[:P] / zc).transpose(1, 0, 2)
-    m_bwd = (er / zr[:, :, None])[:, :, :Q]
+    m_bwd = (er[:Q] / zr).transpose(1, 2, 0)
     if leaky:
-        leak_fwd, leak_bwd = ec[P] / zc, er[:, :, Q] / zr
+        leak_fwd, leak_bwd = ec[P] / zc, er[Q] / zr
     else:
         leak_fwd, leak_bwd = np.zeros((B, Q)), np.zeros((B, P))
     # a context's weight is its strongest match on the other side; the
     # weights are used as-is, with no renormalisation, and the leak shares
     # never enter
-    a_h = np.ascontiguousarray(er[:, :, :Q].transpose(2, 0, 1)).max(axis=0) / zr
+    a_h = er[:Q].max(axis=0) / zr
     a_g = ec[:P].max(axis=0) / zc
     d = H.shape[2]
     h_bar = (a_h.reshape(N, K, 1, P) @ H[:, None]).reshape(B, d)

@@ -240,6 +240,20 @@ def test_retrieve_errors(small_data):
             corpus.retrieve_contexts(small_data, eid, 3, 10, stream_rng(0, "eval"))
 
 
+@pytest.mark.parametrize("bad", [2.7, 2.0, True, False, np.bool_(True), np.float64(2.0), None])
+def test_entity_id_must_be_an_integer(small_data, bad):
+    # 2.7 would read as 2, True as 1, which is PAD
+    with pytest.raises(UnknownEntityError, match="not an integer"):
+        small_data.entity_id(bad)
+
+
+def test_entity_id_takes_python_and_numpy_integers(small_data):
+    eid = small_data.vocab.get("alpha")
+    for x in (eid, np.int64(eid), np.uint8(eid), np.intp(eid)):
+        got = small_data.entity_id(x)
+        assert got == eid and type(got) is int
+
+
 SIX_IDS = corpus.Vocabulary(["w0", "w1", "w2", "w3"])
 
 

@@ -275,6 +275,43 @@ def test_knn_query_id_outside_vocabulary_rejected(bad):
         with pytest.raises(UnknownEntityError, match=f"entity id {bad} outside"):
             embeddings.nearest_neighbors(table, queries, k=2, universe=universe)
 
+
+@pytest.mark.parametrize("bad", [2.9, 2.0, True, np.float64(2.0), np.bool_(True), None])
+def test_knn_query_id_must_be_an_integer(bad):
+    table = unit_table({"a": [1, 0], "b": [1, 1], "c": [0, 1]})
+    universe = [table.vocab.get(t) for t in "abc"]
+    with pytest.raises(UnknownEntityError):
+        embeddings.nearest_neighbors(table, [bad], k=2, universe=universe)
+
+
+@pytest.mark.parametrize("bad", [[2.7, 3], np.array([2.0, 3.0]), np.array([True, False]),
+                                 [True, False], ["2", "3"]])
+def test_knn_universe_ids_must_be_integers(bad):
+    table = unit_table({"a": [1, 0], "b": [1, 1], "c": [0, 1]})
+    with pytest.raises(UnknownEntityError):
+        embeddings.nearest_neighbors(table, ["a"], k=2, universe=bad)
+
+
+def test_knn_takes_python_and_numpy_integers():
+    table = unit_table({"a": [1, 0], "b": [1, 1], "c": [0, 1]})
+    a, b, c = (table.vocab.get(t) for t in "abc")
+    want = embeddings.nearest_neighbors(table, [a], k=2, universe=[a, b, c])
+    for query, universe, k in ((np.int64(a), np.array([a, b, c], dtype=np.uint8), np.int32(2)),
+                               (np.intp(a), [np.int16(a), b, np.uint32(c)], 2)):
+        assert embeddings.nearest_neighbors(table, [query], k, universe) == want
+    # an empty universe is valid whatever its dtype
+    for universe in ([], (), np.array([]), np.array([], dtype=bool)):
+        assert embeddings.nearest_neighbors(table, [a], 2, universe)[0].neighbors == []
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, "2", None])
+def test_knn_k_must_be_an_integer(bad):
+    table = unit_table({"a": [1, 0], "c": [0, 1]})
+    universe = [table.vocab.get("a"), table.vocab.get("c")]
+    with pytest.raises(DataError, match="non-negative integer"):
+        embeddings.nearest_neighbors(table, ["a"], k=bad, universe=universe)
+
+
 def test_knn_negative_k_rejected():
     table = unit_table({"a": [1, 0], "c": [0, 1]})
     universe = [table.vocab.get("a"), table.vocab.get("c")]
@@ -339,7 +376,8 @@ def test_knn_equals_reference_scan_exactly():
     vocab = make_vocab([f"e{i}" for i in range(50)])
     # from 8 columns on, the BLAS gives a row's dot product other bits when
     # the row sits elsewhere in the matrix, so each query needs its own rows
-    for dim in [7] * 6 + [50] * 3:
+    # serve_rank's width is 16
+    for dim in [7] * 6 + [16] * 3 + [50] * 3:
         matrix = rng.normal(size=(len(vocab), dim))
         # planted ties: duplicated and parallel rows, and zero rows
         matrix[10:14] = matrix[20]

@@ -597,6 +597,23 @@ def test_weight_check_compares_shapes_and_bits(tiny):
         for other in (params[name].reshape(-1), params[name].reshape(1, -1).T,
                       np.negative(params[name]), params[name][:, :-1]):
             assert not evaluation._same_weights(dict(params, **{name: other}), held), name
+    # one 0.0 turned to -0.0 differs; a NaN with an equal payload matches
+    name = "match.w_bm"
+    w = params[name].copy()
+    w[0, 0] = 0.0
+    flipped = w.copy()
+    flipped[0, 0] = -0.0
+    assert not evaluation._same_weights(dict(params, **{name: flipped}),
+                                        evaluation._held_copies(dict(params, **{name: w})))
+    w[0, 0] = np.nan
+    nan_held = evaluation._held_copies(dict(params, **{name: w}))
+    assert evaluation._same_weights(dict(params, **{name: w.copy()}), nan_held)
+    # an integer-typed weight equal in value matches its float64 copy
+    ints = np.arange(params[name].size).reshape(params[name].shape)
+    int_held = evaluation._held_copies(dict(params, **{name: ints}))
+    assert evaluation._same_weights(dict(params, **{name: ints}), int_held)
+    assert evaluation._same_weights(dict(params, **{name: ints.astype(float)}), int_held)
+    assert not evaluation._same_weights(dict(params, **{name: ints + 1}), int_held)
 
 
 def test_entity_without_context_is_not_encoded(tiny, monkeypatch):
