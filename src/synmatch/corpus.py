@@ -306,10 +306,14 @@ def retrieve_contexts(data, entity, P, T, rng):
     """Sample P context windows for an entity.
 
     Occurrences are drawn uniformly, without replacement when the entity has
-    at least P of them, with replacement otherwise.
+    at least P of them, with replacement otherwise.  The entity resolves
+    through `CorpusData.entity_id`; P and T are positive integers.
     """
-    eid = data.entity_id(entity) if isinstance(entity, str) else int(entity)
-    lo, hi = data.occ_start[eid:eid + 2].tolist() if 0 <= eid < len(data.vocab) else (0, 0)
+    eid = data.entity_id(entity)
+    for name, n in (("P", P), ("T", T)):
+        if not is_integer(n) or n < 1:
+            raise DataError(f"{name} must be a positive integer, got {n!r}")
+    lo, hi = data.occ_start[eid:eid + 2].tolist()
     count = hi - lo
     if count == 0:
         raise NoContextError(f"entity id {eid} has no occurrences in the corpus")

@@ -33,6 +33,8 @@ cost entities x P x d_ce floats each, 20 MB for 500 entities at the paper
 config.
 """
 
+import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
@@ -324,6 +326,9 @@ def discover_many(params, config, data, table, queries, k=50, threshold=0.8,
     """
     if k < 1:
         raise DataError(f"discover needs k of at least 1 candidate, got {k}")
+    if (isinstance(threshold, bool) or not isinstance(threshold, numbers.Real)
+            or not -math.inf < threshold < math.inf):
+        raise DataError(f"threshold must be a finite real number, got {threshold!r}")
     qids = [data.entity_id(query) for query in queries]
     if universe is None:
         universe = data.store.entities()

@@ -30,23 +30,16 @@ taken in the batch.
 The softmaxes reduce over axes of P or Q, a few to a few dozen terms, and
 numpy is slow at a reduction over such an axis when it is the innermost one
 (one short inner loop per result) but fast when it is the outermost of a
-contiguous array (one long elementwise pass per term).  So the forward lays
-each reduction out where numpy is fast, and keeps the bits of the plain
-(B, P, Q) softmaxes:
-- Every max (the softmax shifts, and the weights a_h and a_g) runs over a
-  contiguous copy with the reduced axis outermost.  A max is exact in any
-  order.  The leak slot's zero logit joins each pool as one more slab; a
-  zero's sign cannot change exp of the shift.
-- The column softmax (over P) runs in a (P, B, Q) layout, the leak slot a
-  zero slab after the P rows.  numpy sums axis 1 of a (B, P, Q) array term
-  by term, in order, as it sums axis 0 here; only with Q = 1 is that axis
-  innermost there, summed pairwise, and `_sum_over_p` takes that case as
-  numpy does.
-- The row softmax (over Q) runs in a (Q, B, P) layout, the leak slot a
-  zero slab after the Q rows.  numpy sums axis 2 of a (B, P, Q) array, the
-  innermost, term by term below 8 terms, as it sums axis 0 here; from 8
-  terms on it sums pairwise, with eight accumulators, which no other layout
-  reproduces, so `_sum_over_q` sums a (B, P, Q) copy there.
+contiguous array (one long elementwise pass per term).  So the forward runs
+the column softmax (over P) in a (P, B, Q) layout and the row softmax (over
+Q) in a (Q, B, P) layout, the leak slot a zero slab after the logits:
+- Every max (the softmax shifts, and the weights a_h and a_g) runs over the
+  pooled axis.  A max is exact in any order, and a zero's sign cannot
+  change exp of the shift.
+- Every softmax sum adds its pool term by term, in pool order, the leak
+  slot last, and the backward's dot terms add theirs the same way.
+  `_pool_sum` writes that loop, so the order holds for every shape; numpy's
+  own sum over an axis is pairwise for some shapes.
 - a_h and a_g are the largest exp over the softmax's sum, max(e) / z: IEEE
   division is correctly rounded and so keeps the order, and this equals
   max(e / z).
@@ -103,22 +96,12 @@ def _norms(h_bar, g_bar):
     return np.where(live, nh, 1.0), np.where(live, ng, 1.0), live
 
 
-def _sum_over_p(e):
-    """Sum a (P, B, Q) stack over P with the bits numpy gives axis 1 of the
-    same stack laid out (B, P, Q): term by term, in order, except when Q is
-    1, where that axis is the innermost and numpy sums it pairwise."""
-    if e.shape[2] == 1:
-        return np.ascontiguousarray(e[:, :, 0].T).sum(axis=1)[:, None]
-    return e.sum(axis=0)
-
-
-def _sum_over_q(e):
-    """Sum a (Q, B, P) stack over Q with the bits numpy gives axis 2 of the
-    same stack laid out (B, P, Q), the innermost: term by term, in order,
-    below 8 terms, pairwise from 8 on."""
-    if len(e) < 8:
-        return e.sum(axis=0)
-    return np.ascontiguousarray(e.transpose(1, 2, 0)).sum(axis=2)
+def _pool_sum(e):
+    """The sum of a stack over its first axis, term by term, in order."""
+    z = e[0].copy()
+    for x in e[1:]:
+        z += x
+    return z
 
 
 def _pool_exp(Lt, leaky):
@@ -141,9 +124,9 @@ def _match(H, HW, G, leaky):
     # the column softmax, over P, in the (P, B, Q) layout, and the row
     # softmax, over Q, in the (Q, B, P) layout
     ec = _pool_exp(L.transpose(1, 0, 2), leaky)
-    zc = _sum_over_p(ec)
+    zc = _pool_sum(ec)
     er = _pool_exp(L.transpose(2, 0, 1), leaky)
-    zr = _sum_over_q(er)
+    zr = _pool_sum(er)
     m_fwd = (ec[:P] / zc).transpose(1, 0, 2)
     m_bwd = (er[:Q] / zr).transpose(1, 2, 0)
     if leaky:
@@ -200,8 +183,8 @@ def _score_backward(r, H, HW, G, w_bm, g):
               * (G @ gg[:, :, None]).transpose(0, 2, 1))
     # softmaxes: a leak slot has no upstream gradient, so it drops out of the
     # dot terms c, and its logit is a constant, so nothing flows past it
-    c_f = (dm_fwd * r.m_fwd).sum(axis=1)
-    c_b = (dm_bwd * r.m_bwd).sum(axis=2)
+    c_f = _pool_sum((dm_fwd * r.m_fwd).transpose(1, 0, 2))
+    c_b = _pool_sum((dm_bwd * r.m_bwd).transpose(2, 0, 1))
     dL = r.m_fwd * (dm_fwd - c_f[:, None, :]) + r.m_bwd * (dm_bwd - c_b[:, :, None])
     # bilinear products H W G^T
     d = w_bm.shape[0]

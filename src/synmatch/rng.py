@@ -7,6 +7,7 @@ reproducible no matter which other subsystems ran before them.
 
 import numpy as np
 
+from .corpus import is_integer
 from .errors import DataError
 
 # Fixed stream indices; changing these changes every derived stream.
@@ -22,9 +23,12 @@ STREAMS = {
 def stream_rng(seed, name, *extra):
     """Generator for subsystem `name`, optionally keyed further by `extra` ints.
 
-    Same (seed, name, extra) always yields the same stream.
+    Same (seed, name, extra) always yields the same stream.  The seed is a
+    non-negative Python or numpy integer; a bool or a float is a DataError.
     """
-    if int(seed) < 0:
+    if not is_integer(seed):
+        raise DataError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
         raise DataError(f"seed must be non-negative, got {seed}")
     if name not in STREAMS:
         raise KeyError(f"unknown rng stream {name!r}; known: {sorted(STREAMS)}")

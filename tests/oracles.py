@@ -21,7 +21,9 @@ max and sum taken along its own axis of the (B, P, Q) logit stack and the
 leak slot concatenated as a zero logit row and column; it shares `_dots`
 and `_norms` with the library. The library's forward, which takes its
 reductions over other layouts, must return the same MatchResult, bit for
-bit. `_softmax` is that forward's softmax, which the tape ops here record.
+bit. `_softmax` is that forward's softmax, which the tape ops here record;
+its sum is a written loop over the pool axis, term by term in pool order,
+the order the library's `_pool_sum` writes.
 `evaluate` is the evaluation as it ran one ranking query at a time: each
 query shortlisted alone by the reference scan, its candidates scored as one
 group in one matcher call, and the evaluation pairs as groups of one in
@@ -120,10 +122,14 @@ def max_axis(a, axis):
 
 
 def _softmax(x, axis):
-    """Softmax along `axis`, stabilised by max subtraction."""
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    """Softmax along `axis`, stabilised by max subtraction; the sum adds the
+    terms one at a time, in order along the axis."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    terms = np.moveaxis(e, axis, 0)
+    z = terms[0].copy()
+    for t in terms[1:]:
+        z += t
+    return e / np.expand_dims(z, axis)
 
 
 def match(H, HW, G, leaky):

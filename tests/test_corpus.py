@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from synmatch import cli, corpus
-from synmatch.errors import DataError, NoContextError, UnknownEntityError
+from synmatch.errors import DataError, NoContextError, SynmatchError, UnknownEntityError
 from synmatch.rng import stream_rng
 
 import oracles as ref
@@ -235,9 +235,14 @@ def test_retrieve_errors(small_data):
         corpus.retrieve_contexts(small_data, "never_seen", 3, 10, stream_rng(0, "eval"))
     with pytest.raises(NoContextError):
         corpus.retrieve_contexts(small_data, corpus.PAD, 3, 10, stream_rng(0, "eval"))
-    for eid in (len(small_data.vocab), -1):
-        with pytest.raises(NoContextError):
+    # ids outside the vocabulary, and a float or a bool, resolve through entity_id
+    for eid in (len(small_data.vocab), -1, 66.7, True):
+        with pytest.raises(UnknownEntityError):
             corpus.retrieve_contexts(small_data, eid, 3, 10, stream_rng(0, "eval"))
+    for P, T, name in ((0, 10, "P"), (-1, 10, "P"), (2.0, 10, "P"), (3, 0, "T"), (3, -2, "T"),
+                       (3, True, "T")):
+        with pytest.raises(DataError, match=f"{name} must be a positive integer"):
+            corpus.retrieve_contexts(small_data, "alpha", P, T, stream_rng(0, "eval"))
 
 
 @pytest.mark.parametrize("bad", [2.7, 2.0, True, False, np.bool_(True), np.float64(2.0), None])
@@ -283,6 +288,42 @@ def corpus_case(lines, eid, P, T, seed):
     data = corpus.CorpusData(vocab=SIX_IDS, tokens=tokens, line_start=line_start,
                              store=corpus.SynsetStore())
     return data, eid, P, T, seed
+
+
+# w0 and w1 on every line, w2 on two, and w3, <unk> and <pad> on none
+BOUNDARY = corpus_case([[2, 3, 4, 2], [3, 2], [4, 3, 2, 3, 3]], 2, 1, 1, 0)[0]
+NAMES = ["w0", "w1", "w2", "w3", "<pad>", "w4", "", "W0"]
+ENTITIES = st.one_of(
+    st.sampled_from(NAMES), st.integers(-3, len(SIX_IDS) + 2), st.booleans(),
+    st.integers(-3, len(SIX_IDS) + 2).map(float), st.floats(allow_nan=True),
+    st.integers(0, len(SIX_IDS) + 2).map(np.int64), st.integers(0, 255).map(np.uint8),
+    st.booleans().map(np.bool_))
+COUNTS = st.one_of(st.integers(-2, 6), st.integers(-2, 6).map(np.int32),
+                   st.integers(-2, 6).map(float), st.booleans(), st.just(float("nan")))
+
+
+def resolves(x):
+    """The id x names without a conversion, or None."""
+    if isinstance(x, str):
+        return SIX_IDS.get(x) if x in SIX_IDS else None
+    ok = corpus.is_integer(x) and 0 <= x < len(SIX_IDS)
+    return int(x) if ok else None
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(entity=ENTITIES, P=COUNTS, T=COUNTS)
+def test_retrieve_returns_windows_or_a_typed_error(entity, P, T):
+    eid = resolves(entity)
+    valid = (eid is not None and BOUNDARY.occ_start[eid] < BOUNDARY.occ_start[eid + 1]
+             and all(corpus.is_integer(n) and n >= 1 for n in (P, T)))
+    try:
+        got = corpus.retrieve_contexts(BOUNDARY, entity, P, T, stream_rng(0, "eval"))
+    except SynmatchError:
+        assert not valid
+        return
+    assert valid and len(got) == P
+    for w in got:
+        assert w.token_ids[w.entity_pos] == eid and len(w.token_ids) <= T
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

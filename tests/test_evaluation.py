@@ -308,6 +308,31 @@ def test_discover_threshold_extremes(tiny):
     assert low.accepted == low.ranked
     high = evaluation.discover(params, config, data, table, "sun", k=10, threshold=1.0)
     assert high.accepted == []
+    # an integer too large for a float is a finite threshold too
+    huge = evaluation.discover(params, config, data, table, "sun", k=10, threshold=10**400)
+    assert huge.accepted == []
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -np.inf, True, "0.5", None])
+def test_discover_rejects_a_threshold_that_is_not_finite(tiny, threshold):
+    data, table, config, params = tiny
+    with pytest.raises(DataError, match="threshold must be a finite real number"):
+        evaluation.discover_many(params, config, data, table, ["sun"], k=2, threshold=threshold)
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, np.float64(3.0), True, "1", None])
+def test_a_seed_that_is_not_an_integer_is_a_data_error(tiny, seed):
+    data, table, config, params = tiny
+    # a fresh corpus: no memo keyed by an equal integer seed answers first
+    data = fresh_copy(data)
+    for call in (lambda: evaluation.evaluate(params, config, data, table, seed=seed),
+                 lambda: evaluation.discover(params, config, data, table, "sun", k=2, seed=seed),
+                 lambda: evaluation.score_pair(params, config, data, table.matrix, "sun", "sea",
+                                               seed=seed),
+                 lambda: training.train(dataclasses.replace(config, seed=seed), data, table)):
+        # train's config check names the field's type
+        with pytest.raises(DataError, match="seed must be (an integer|int), got"):
+            call()
 
 
 def test_discover_sorted_by_model_score(tiny):

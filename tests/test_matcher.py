@@ -348,22 +348,12 @@ def check_bits_against_reference(H, G, W, leaky):
         assert same_bits(x, y), name
 
 
-@pytest.mark.parametrize("Q", list(range(1, 25)) + [127, 128, 129, 200])
-def test_sum_over_q_keeps_numpy_bits(Q):
-    # exact zeros among terms from 1e-8 to 1e8, so the order of the adds shows
-    rng = stream_rng(27, "init", Q)
-    e = rng.random((Q, 4, 7)) * 10.0 ** rng.integers(-8, 9, size=(Q, 4, 7))
-    e[rng.random(e.shape) < 0.2] = 0.0
-    want = np.ascontiguousarray(e.transpose(1, 2, 0)).sum(axis=2)
-    assert same_bits(matcher._sum_over_q(e), want)
-
-
 SIZES = (1, 5, 7, 8, 20, 21)
 
 
 @pytest.mark.parametrize("P", SIZES)
 @pytest.mark.parametrize("Q", SIZES)
-@pytest.mark.parametrize("N,K", [(1, 9), (9, 1), (9, 9)])
+@pytest.mark.parametrize("N,K", [(1, 1), (1, 9), (9, 1), (9, 9)])
 def test_match_keeps_the_reference_bits(P, Q, N, K):
     for leaky in (False, True):
         for scale in (1e-3, 0.1, 1.0, 30.0):
