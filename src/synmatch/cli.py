@@ -18,8 +18,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import corpus, embeddings, evaluation, synthetic, training
-from .errors import NumericError, SynmatchError
-from .errors import DataError
+from .errors import DataError, NumericError, SynmatchError
 from .rng import stream_rng
 
 INDEX_FORMAT = "synmatch-index"
@@ -177,20 +176,12 @@ def load_index(path):
                              line_start=arrays["line_start"], store=store)
 
 
-def _read_config_file(args):
-    if args.config is None:
-        return None
-    path = _resolve(args.workdir, args.config)
-    with corpus.open_text(path) as fh:
-        return fh.read()
-
-
 def _apply_config(args, base):
     """Overlay the --config file (if any) on a TrainConfig built from flags."""
-    text = _read_config_file(args)
-    if text is None:
+    if args.config is None:
         return base.validate()
-    return training.parse_config_text(text, base=base).validate()
+    with corpus.open_text(_resolve(args.workdir, args.config)) as fh:
+        return training.parse_config_text(fh.read(), base=base).validate()
 
 
 def _load_model(args, entities=()):
@@ -212,8 +203,7 @@ def _load_model(args, entities=()):
         raise DataError(
             f"embedding file {args.embeddings} has {table.dim}-wide vectors, "
             f"but the model expects {params['enc.fw.Wx'].shape[0]}")
-    for name in entities:
-        data.entity_id(name)
+    corpus.entity_ids(entities, data.vocab, len(data.vocab))
     _echo_args(args, config)
     return data, params, config, table
 

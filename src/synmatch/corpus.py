@@ -29,6 +29,41 @@ def is_integer(x):
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def check_count(name, value, floor):
+    """The count check (P, T, k, knn_k and others): a DataError naming `name`
+    unless value is an integer (a bool is not one) of at least floor."""
+    if not is_integer(value) or value < floor:
+        kind = "a positive" if floor else "a non-negative"
+        raise DataError(f"{name} must be {kind} integer (at least {floor}), got {value!r}")
+
+
+def entity_id(entity, vocab, n):
+    """The id rule: the id `entity` names among n.  A name resolves through
+    vocab, or is unknown; a Python or numpy integer, not a bool, must lie in
+    [0, n); anything else is not an integer.  Each is an UnknownEntityError."""
+    if isinstance(entity, str):
+        if entity not in vocab:
+            raise UnknownEntityError(f"unknown entity {entity!r}")
+        return vocab.get(entity)
+    if not is_integer(entity):
+        raise UnknownEntityError(f"entity id {entity!r} is not an integer")
+    if not 0 <= entity < n:
+        raise UnknownEntityError(f"entity id {entity} outside [0, {n})")
+    return int(entity)
+
+
+def entity_ids(entities, vocab, n):
+    """entity_id of each element as one intp array: a 1-d integer np.asarray of
+    ids in [2, n) takes only a range check (a max of ids - 2 as uint64) before
+    the cast; all else, names, floats, np.uint64 among signed ints, bad ids and
+    ids 0 and 1 (what bools among ints become), goes element by element."""
+    ids = np.asarray(entities)
+    if (ids.dtype.kind in "iu" and ids.ndim == 1 and ids.size and np.maximum.reduce(
+            np.subtract(ids, 2, dtype=np.uint64, casting="unsafe")) < n - 2):
+        return ids.astype(np.intp, copy=False)
+    return np.array([entity_id(e, vocab, n) for e in entities], dtype=np.intp)
+
+
 class Vocabulary:
     """Token <-> id map in first-appearance order.
 
@@ -175,18 +210,8 @@ class CorpusData:
         return got
 
     def entity_id(self, entity):
-        """Resolve a surface form, or check an id, to a token id; an unknown
-        form, a bool or non-integer id, or an id outside the vocabulary is an
-        UnknownEntityError.  Ids are Python or numpy integers."""
-        if isinstance(entity, str):
-            if entity not in self.vocab:
-                raise UnknownEntityError(f"unknown entity {entity!r}")
-            return self.vocab.get(entity)
-        if not is_integer(entity):
-            raise UnknownEntityError(f"entity id {entity!r} is not an integer")
-        if not 0 <= entity < len(self.vocab):
-            raise UnknownEntityError(f"entity id {entity} outside [0, {len(self.vocab)})")
-        return int(entity)
+        """The token id entity names: `entity_id` over the vocabulary."""
+        return entity_id(entity, self.vocab, len(self.vocab))
 
 
 def unflatten(flat, starts):
@@ -310,9 +335,8 @@ def retrieve_contexts(data, entity, P, T, rng):
     through `CorpusData.entity_id`; P and T are positive integers.
     """
     eid = data.entity_id(entity)
-    for name, n in (("P", P), ("T", T)):
-        if not is_integer(n) or n < 1:
-            raise DataError(f"{name} must be a positive integer, got {n!r}")
+    check_count("P", P, 1)
+    check_count("T", T, 1)
     lo, hi = data.occ_start[eid:eid + 2].tolist()
     count = hi - lo
     if count == 0:

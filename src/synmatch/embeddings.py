@@ -10,8 +10,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .corpus import PAD, UNK, is_integer, open_text
-from .errors import DataError, UnknownEntityError
+from .corpus import PAD, UNK, check_count, entity_ids, open_text
+from .errors import DataError
 
 
 @dataclass
@@ -166,49 +166,28 @@ def nearest_neighbors(table, entities, k, universe):
     one NeighborList per query, in order.
 
     Exact brute-force scan.  The universe rows are gathered and their norms
-    taken once per call, each the square root of the row's sum of squares,
-    the sum np.linalg.norm takes; each query's cosines are one
-    matrix-vector product over the rows left once the query itself is
-    excluded, the product a one-query scan takes, so a query gets the same
-    bits alone or in a batch (neither the product over all rows nor one
-    product for all queries does).  Ids are Python or numpy integers: a
-    bool or non-integer query or universe id, or one outside the
-    vocabulary, is an UnknownEntityError, and a k that is not a
-    non-negative integer a DataError.  A zero-norm row (or query) scores 0,
-    and ties break toward the smaller entity id so results are
-    reproducible.
+    taken once per call, each the square root of the row's sum of squares, the
+    sum np.linalg.norm takes; each query's cosines are one matrix-vector
+    product over the rows left once the query itself is excluded, the product a
+    one-query scan takes, so a query gets the same bits alone or in a batch
+    (neither the product over all rows nor one product for all queries does).
+    Queries and universe pass `corpus.entity_ids` over the table's rows, k
+    `corpus.check_count`.  A zero-norm row (or query) scores 0, and ties break
+    toward the smaller entity id so results are reproducible.
     """
-    if not is_integer(k) or k < 0:
-        raise DataError(f"number of neighbors must be a non-negative integer, got {k!r}")
-    n = len(table.matrix)
-    qids = []
-    for entity in entities:
-        if isinstance(entity, str):
-            if entity not in table.vocab:
-                raise UnknownEntityError(f"unknown entity {entity!r}")
-            entity = table.vocab.get(entity)
-        elif not is_integer(entity):
-            raise UnknownEntityError(f"query entity id {entity!r} is not an integer")
-        if not 0 <= entity < n:
-            raise UnknownEntityError(f"query entity id {entity} outside [0, {n})")
-        qids.append(int(entity))
-    ids = np.asarray(universe)
-    if ids.size and ids.dtype.kind not in "iu":
-        raise UnknownEntityError(f"universe entity ids must be integers, got {ids.dtype}")
-    ids = ids.astype(np.intp, copy=False)
-    bad = (ids < 0) | (ids >= n)
-    if bad.any():
-        raise UnknownEntityError(f"universe entity id {ids[bad][0]} outside [0, {n})")
+    check_count("k", k, 0)
+    qids = entity_ids(entities, table.vocab, len(table.matrix)).tolist()
+    ids = entity_ids(universe, table.vocab, len(table.matrix))
     # take copies the rows fancy indexing would, in about two thirds of the time
     rows = table.matrix.take(ids, axis=0)
     row_norms = np.sqrt((rows * rows).sum(axis=1))
     out = []
     for qid in qids:
         q = table.matrix[qid]
-        keep = np.flatnonzero(ids != qid)
+        keep = (ids != qid).nonzero()[0]
         kept, dots = ids.take(keep), rows.take(keep, axis=0) @ q
         norms = row_norms.take(keep) * np.sqrt(q.dot(q))
-        cos = np.divide(dots, norms, out=np.zeros_like(dots), where=norms != 0.0)
+        cos = np.divide(dots, norms, out=np.zeros(len(dots)), where=norms != 0.0)
         best = np.lexsort((kept, -cos))[:k]
         out.append(NeighborList(qid, list(zip(kept[best].tolist(), cos[best].tolist()))))
     return out

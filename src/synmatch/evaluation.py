@@ -37,13 +37,13 @@ import math
 import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
 from . import corpus, embeddings, encoder, matcher
 from .errors import DataError, MetricError
-from .rng import stream_rng
+from .rng import check_seed, stream_rng
 
 
 # ---------------------------------------------------------------------------
@@ -73,11 +73,11 @@ def auc(scored):
 def rank_metrics(ranked, relevant, ks):
     """AP of one ranked list, with the number of relevant items as its
     denominator, and {k: (P@k, R@k, F1@k)} for each k of ks, from one walk
-    over the list."""
+    over the list; each k is an integer (a bool is not one) of at least 1."""
     if not relevant:
         raise MetricError("rank metrics need at least one relevant item")
-    if any(k < 1 for k in ks):
-        raise MetricError(f"K must be positive, got {min(ks)}")
+    if not all(corpus.is_integer(k) and k >= 1 for k in ks):
+        raise MetricError(f"K must be positive integers, got {ks!r}")
     found = [i for i, item in enumerate(ranked, start=1) if item in relevant]  # hits' ranks
     total = 0.0
     for hits, i in enumerate(found, start=1):
@@ -141,8 +141,9 @@ def eval_contexts(data, entity_ids, P, T, seed):
     per CorpusData and kept as a tuple in data.eval_windows; later calls
     return that tuple.  The memo has no cap: it holds one entry per (seed, P,
     T, entity) asked for.  An entity with no occurrence raises NoContextError
-    on every call.
+    on every call.  The seed passes `check_seed` before it keys the memo.
     """
+    check_seed(seed)
     out = {}
     for eid in entity_ids:
         key = (seed, P, T, int(eid))
@@ -192,15 +193,29 @@ def _same_weights(params, held):
     0.0, NaNs with equal payloads match."""
     for name, w in held.items():
         x = np.asarray(params[name], dtype=float)
-        if x.shape != w.shape or not (x.view(np.int64) == w.view(np.int64)).all():
+        if x.shape != w.shape or np.count_nonzero(x.view(np.int64) != w.view(np.int64)):
             return False
     return True
 
 
 def entity_scorer(params, config, data, emb, seed):
-    """The model's scores of entity pairs: returns score(left, right), where
-    right[i] lists the candidates of left[i], and score gives one array of
-    model scores per left id.
+    """Scores of entity pairs as `_scorer` gives them, for any entities: each
+    score call passes its ids through `corpus.entity_ids`, names included."""
+    scores = _scorer(params, config, data, emb, seed)
+
+    def score(left, right):
+        if len(left) != len(right):
+            raise DataError(f"{len(left)} left entities but {len(right)} candidate lists")
+        ids = iter(corpus.entity_ids(list(chain(left, *right)), data.vocab, len(data.vocab)))
+        return scores(list(islice(ids, len(left))), [list(islice(ids, len(c))) for c in right])
+
+    return score
+
+
+def _scorer(params, config, data, emb, seed):
+    """The model's scores of entity pairs, for checked ids as discover_many and
+    evaluate pass them: returns score(left, right), where right[i] lists the
+    candidates of left[i], and score gives one array of model scores per left id.
 
     data.eval_encodings holds one model's scoring memo: read-only copies of
     the seven weights (the encoder's six and match.w_bm), the variant, seed,
@@ -219,9 +234,10 @@ def entity_scorer(params, config, data, emb, seed):
     takes as many whole queries as SCORE_FLOATS allows, at least one, each
     query's encodings and projection against its own candidates, and a query
     of more than SCORE_SLICE candidates is scored in slices of that many.  A
-    pair's score has the same bits however its query is grouped or sliced.
-    A query with no candidates gets an empty score array.
-    """
+    pair's score has the same bits however its query is grouped or sliced,
+    and a query with no candidates gets an empty score array.  The seed
+    passes `check_seed` before it keys the memo."""
+    check_seed(seed)
     P, T = config.contexts_per_entity, config.max_context_len
     key = (config.encoder, seed, P, T)
     memo = data.eval_encodings
@@ -276,8 +292,7 @@ def entity_scorer(params, config, data, emb, seed):
 
 def score_pair(params, config, data, emb, a, b, seed=0):
     """Score one entity pair: sample (or reuse) contexts, encode, match."""
-    score = entity_scorer(params, config, data, emb, seed)
-    return float(score([data.entity_id(a)], [[data.entity_id(b)]])[0][0])
+    return float(entity_scorer(params, config, data, emb, seed)([a], [[b]])[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +322,7 @@ def knn_rerank(table, qids, k, universe, score):
     if live:
         cands = [[eid for eid, _ in shortlists[i].neighbors] for i in live]
         for i, ids, scores in zip(live, cands, score([qids[i] for i in live], cands)):
-            ids, scores = np.array(ids), np.asarray(scores, dtype=float)
+            ids, scores = np.array(ids, dtype=np.intp), np.asarray(scores, dtype=float)
             order = np.lexsort((ids, -scores))
             ranked[i] = list(zip(ids[order].tolist(), scores[order].tolist()))
     return list(zip(shortlists, ranked))
@@ -322,20 +337,19 @@ def discover_many(params, config, data, table, queries, k=50, threshold=0.8,
     the model score reranks them (expensive but accurate), and candidates
     strictly above the threshold are accepted.  Every query is shortlisted
     first, then all shortlists are reranked in one score call, which encodes
-    the queries and candidates not held yet in one batch.
+    the queries and candidates not held yet in one batch.  The queries go
+    through `corpus.entity_ids` together; k is an integer of at least 1.
     """
-    if k < 1:
-        raise DataError(f"discover needs k of at least 1 candidate, got {k}")
+    corpus.check_count("k", k, 1)
     if (isinstance(threshold, bool) or not isinstance(threshold, numbers.Real)
             or not -math.inf < threshold < math.inf):
         raise DataError(f"threshold must be a finite real number, got {threshold!r}")
-    qids = [data.entity_id(query) for query in queries]
+    qids = corpus.entity_ids(queries, data.vocab, len(data.vocab))
     if universe is None:
         universe = data.store.entities()
-    score = entity_scorer(params, config, data, table.matrix, seed)
-    return [DiscoveryResult(qid, ranked, threshold, candidates=list(neighbors.neighbors))
-            for qid, (neighbors, ranked) in zip(qids, knn_rerank(table, qids, k, universe,
-                                                                 score))]
+    score = _scorer(params, config, data, table.matrix, seed)
+    return [DiscoveryResult(nl.query, ranked, threshold, candidates=nl.neighbors)
+            for nl, ranked in knn_rerank(table, qids, k, universe, score)]
 
 
 def discover(params, config, data, table, query, k=50, threshold=0.8,
@@ -356,10 +370,10 @@ def evaluate(params, config, data, table, split="test", seed=0,
     that has at least one synonym there, against the split's entities as the
     candidate universe, all queries in one `knn_rerank`.  The report ranks
     candidates and accepts none, so it does not depend on `threshold`, which
-    is taken only for callers that pass discover's keywords.
+    is taken only for callers that pass discover's keywords.  knn_k is an
+    integer of at least 1.
     """
-    if knn_k < 1:
-        raise DataError(f"knn_k must be at least 1, got {knn_k}")
+    corpus.check_count("knn_k", knn_k, 1)
     store = data.store
     pairs = make_eval_pairs(store, split, stream_rng(seed, "eval", 1))
     if not pairs:
@@ -367,7 +381,7 @@ def evaluate(params, config, data, table, split="test", seed=0,
     entity_ids = sorted(store.entities(split))
     # an entity without context fails here, even one that no score call names
     eval_contexts(data, entity_ids, config.contexts_per_entity, config.max_context_len, seed)
-    score = entity_scorer(params, config, data, table.matrix, seed)
+    score = _scorer(params, config, data, table.matrix, seed)
 
     scores = np.concatenate(score([p.a for p in pairs], [[p.b] for p in pairs]))
     auc_value = auc([(s, p.label) for s, p in zip(scores, pairs)])

@@ -20,16 +20,18 @@ STREAMS = {
 }
 
 
-def stream_rng(seed, name, *extra):
-    """Generator for subsystem `name`, optionally keyed further by `extra` ints.
-
-    Same (seed, name, extra) always yields the same stream.  The seed is a
-    non-negative Python or numpy integer; a bool or a float is a DataError.
-    """
+def check_seed(seed):
+    """A DataError unless seed is a non-negative Python or numpy integer."""
     if not is_integer(seed):
         raise DataError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise DataError(f"seed must be non-negative, got {seed}")
+
+
+def stream_rng(seed, name, *extra):
+    """Generator for subsystem `name`, optionally keyed further by `extra` ints;
+    the same (seed, name, extra) always yields the same stream."""
+    check_seed(seed)
     if name not in STREAMS:
         raise KeyError(f"unknown rng stream {name!r}; known: {sorted(STREAMS)}")
     key = [int(seed), STREAMS[name]] + [int(x) for x in extra]

@@ -13,6 +13,7 @@ import os
 
 import numpy as np
 
+from .corpus import check_count
 from .errors import DataError
 from .rng import stream_rng
 
@@ -32,13 +33,12 @@ def generate(out_dir, clusters, entities_per_cluster=3, contexts_per_entity=30,
     non-entity tokens (cluster signatures plus shared background); entity
     tokens come on top.
     """
-    if clusters < 1 or entities_per_cluster < 2:
-        raise DataError("need at least 1 cluster with 2 entities each")
-    for name, value, least in (("contexts_per_entity", contexts_per_entity, 1),
+    for name, value, floor in (("clusters", clusters, 1),
+                               ("entities_per_cluster", entities_per_cluster, 2),
+                               ("contexts_per_entity", contexts_per_entity, 1),
                                ("embed_dim", embed_dim, 1),
                                ("tokens_per_context", tokens_per_context, 0)):
-        if value < least:
-            raise DataError(f"{name} must be at least {least}, got {value}")
+        check_count(name, value, floor)
     if not 0.0 <= noise <= 1.0:
         raise DataError(f"noise fraction {noise} outside [0, 1]")
     n_signature = clusters * SIGNATURE_TOKENS_PER_CLUSTER

@@ -24,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from . import corpus, embeddings, encoder, evaluation, matcher
 from .errors import DataError, NumericError
-from .rng import stream_rng
+from .rng import check_seed, stream_rng
 
 log = logging.getLogger(__name__)
 
@@ -67,30 +67,21 @@ class TrainConfig:
             raise DataError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
         if self.encoder not in ENCODERS:
             raise DataError(f"encoder must be one of {ENCODERS}, got {self.encoder!r}")
-        if self.contexts_per_entity < 1:
-            raise DataError("contexts_per_entity must be at least 1")
-        if self.max_context_len < 1:
-            raise DataError("max_context_len must be at least 1")
+        for name, floor in (("contexts_per_entity", 1), ("max_context_len", 1),
+                            ("batch_size", 1), ("epochs", 0), ("pairs_per_epoch", 0)):
+            corpus.check_count(name, getattr(self, name), floor)
         if self.d_ce < 2 or self.d_ce % 2:
             raise DataError(f"d_ce must be a positive even number, got {self.d_ce}")
         if self.margin <= 0:
             raise DataError(f"margin must be positive, got {self.margin}")
         if self.learning_rate < 0:
             raise DataError(f"learning rate must be non-negative, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise DataError("batch_size must be at least 1")
-        if self.epochs < 0:
-            raise DataError("epochs must be non-negative")
         if self.neg_ratio < 0:
             raise DataError("neg_ratio must be non-negative")
         for name in ("learning_rate", "margin", "clip_norm", "neg_ratio"):
             if not -math.inf < getattr(self, name) < math.inf:
                 raise DataError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.seed < 0:
-            raise DataError(f"seed must be non-negative, got {self.seed}")
-        if self.pairs_per_epoch < 0:
-            raise DataError(
-                f"pairs_per_epoch must be non-negative, got {self.pairs_per_epoch}")
+        check_seed(self.seed)
         return self
 
     def to_dict(self):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from synmatch import cli, corpus
+from synmatch import cli, corpus, embeddings, evaluation, training
 from synmatch.errors import DataError, NoContextError, SynmatchError, UnknownEntityError
 from synmatch.rng import stream_rng
 
@@ -324,6 +324,186 @@ def test_retrieve_returns_windows_or_a_typed_error(entity, P, T):
     assert valid and len(got) == P
     for w in got:
         assert w.token_ids[w.entity_pos] == eid and len(w.token_ids) <= T
+
+
+# A model over eight ids: UNK and PAD, which never occur, and e0-e5 (ids 2-7),
+# which all do, in three test synsets of two.  It backs the property tests of
+# the library's other entry points; their memos fill as the examples run.
+MODEL_VOCAB = corpus.Vocabulary([f"e{i}" for i in range(6)])
+
+
+def boundary_model():
+    lines = [[2, 3, 4], [5, 6, 7, 2], [3, 5, 7], [4, 6, 2, 3], [7, 6, 5, 4]]
+    line_start = np.cumsum([0] + [len(line) for line in lines], dtype=np.int64)
+    tokens = np.array([t for line in lines for t in line], dtype=np.int32)
+    store = corpus.SynsetStore(synsets=[(2, 3), (4, 5), (6, 7)],
+                               split={0: "test", 1: "test", 2: "test"})
+    data = corpus.CorpusData(vocab=MODEL_VOCAB, tokens=tokens, line_start=line_start,
+                             store=store)
+    matrix = stream_rng(0, "init").normal(size=(len(MODEL_VOCAB), 4))
+    table = embeddings.EmbeddingTable(matrix=matrix, vocab=MODEL_VOCAB)
+    config = training.TrainConfig(d_ce=4, contexts_per_entity=2, max_context_len=4,
+                                  epochs=0).validate()
+    return data, table, config, training.init_model_params(config, table, stream_rng(1, "init"))
+
+
+MODEL = boundary_model()
+N_MODEL = len(MODEL_VOCAB)
+MODEL_IDS = st.one_of(
+    st.sampled_from(["e0", "e3", "e5", "<unk>", "<pad>", "e6", ""]),
+    st.integers(-2, N_MODEL + 1), st.integers(-2, N_MODEL + 1).map(np.int64),
+    st.integers(-2, N_MODEL + 1).map(np.int16), st.integers(0, N_MODEL + 1).map(np.uint64),
+    st.integers(0, N_MODEL + 1).map(np.uint8), st.sampled_from([2**63 + 5, 2**64 - 1, -2**63 - 1]),
+    st.just(np.uint64(2**63 + 5)), st.booleans(), st.booleans().map(np.bool_),
+    st.integers(-2, N_MODEL + 1).map(float), st.floats(allow_nan=True),
+    st.integers(0, N_MODEL).map(np.float64))
+# lists mix every kind above; arrays are uint64 (values past 2**63 included) or int64
+MODEL_SEQS = st.one_of(
+    st.lists(MODEL_IDS, max_size=4),
+    st.lists(st.sampled_from([2, 3, 6, 7, N_MODEL, 2**63 + 5]), max_size=3).map(
+        lambda ids: np.array(ids, dtype=np.uint64)),
+    st.lists(st.integers(-2, N_MODEL + 1), max_size=3).map(
+        lambda ids: np.array(ids, dtype=np.int64)))
+MODEL_COUNTS = st.one_of(COUNTS, st.sampled_from(["3", None, 2**70]))
+SEEDS = st.one_of(st.integers(0, 2), st.integers(0, 2).map(np.int64),
+                  st.sampled_from([-1, 1.0, 1.5, True, False, np.float64(1.0), "1", None]))
+THRESHOLDS = st.one_of(st.floats(allow_nan=True), st.integers(-2, 2), st.booleans(),
+                       st.sampled_from(["0.5", None, np.float64(0.25)]))
+
+
+def model_id(x):
+    """The id x names in MODEL without a conversion, or None."""
+    if isinstance(x, str):
+        return MODEL_VOCAB.get(x) if x in MODEL_VOCAB else None
+    ok = isinstance(x, (int, np.integer)) and not isinstance(x, bool) and 0 <= x < N_MODEL
+    return int(x) if ok else None
+
+
+def model_ids(xs):
+    """The ids a sequence names in MODEL, or None if one names none."""
+    ids = [model_id(x) for x in xs]
+    return None if None in ids else ids
+
+
+def count_ok(n, floor):
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= floor
+
+
+def no_context(*ids):
+    """Whether UNK or PAD, which never occur, is among ids: a valid call that
+    encodes one fails with NoContextError."""
+    return bool({0, 1}.intersection(ids))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(queries=MODEL_SEQS, k=MODEL_COUNTS, universe=MODEL_SEQS)
+@example(queries=[np.int16(2)], k=2, universe=[np.int16(2), 3, np.uint64(4)])
+@example(queries=["e0"], k=np.int32(2), universe=["e1", "e2", 5])
+@example(queries=[], k=2, universe=[True, 3])
+@example(queries=[3], k=2, universe=np.array([2**63 + 5], dtype=np.uint64))
+def test_knn_returns_neighbors_or_a_typed_error(queries, k, universe):
+    data, table, _, _ = MODEL
+    qids, uids = model_ids(queries), model_ids(universe)
+    valid = qids is not None and uids is not None and count_ok(k, 0)
+    try:
+        got = embeddings.nearest_neighbors(table, queries, k, universe)
+    except SynmatchError:
+        assert not valid
+        return
+    assert valid and [nl.query for nl in got] == qids
+    for nl in got:
+        ids = [e for e, _ in nl.neighbors]
+        assert all(type(e) is int for e in ids) and len(ids) == min(
+            k, sum(u != nl.query for u in uids))
+        assert set(ids) <= set(uids) - {nl.query}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(queries=st.one_of(MODEL_IDS, MODEL_SEQS), k=MODEL_COUNTS, threshold=THRESHOLDS,
+       seed=SEEDS, universe=st.one_of(st.none(), MODEL_SEQS))
+@example(queries="e0", k="5", threshold=0.5, seed=0, universe=None)
+@example(queries=["e0"], k=2.5, threshold=0.5, seed=0, universe=None)
+@example(queries=["e0", np.int64(5)], k=3, threshold=0.5, seed=1, universe=None)
+@example(queries=["e0", np.int64(5)], k=3, threshold=0.5, seed=1.0, universe=None)
+@example(queries=np.array([3], dtype=np.uint64), k=3, threshold=0.5, seed=True, universe=None)
+def test_discover_returns_results_or_a_typed_error(queries, k, threshold, seed, universe):
+    data, table, config, params = MODEL
+    many = isinstance(queries, (list, np.ndarray))
+    qids = model_ids(queries if many else [queries])
+    uids = data.store.entities() if universe is None else model_ids(universe)
+    valid = (qids is not None and uids is not None and count_ok(k, 1) and count_ok(seed, 0)
+             and not isinstance(threshold, (bool, str, type(None)))
+             and -np.inf < threshold < np.inf)
+    call = evaluation.discover_many if many else evaluation.discover
+    try:
+        got = call(params, config, data, table, queries, k=k, threshold=threshold, seed=seed,
+                   universe=universe)
+    except SynmatchError:
+        assert not valid or no_context(*qids, *uids)
+        return
+    assert valid
+    got = got if many else [got]
+    assert [r.query for r in got] == qids
+    for r in got:
+        assert {e for e, _ in r.ranked} <= set(uids) - {r.query} and len(r.ranked) <= k
+        assert all(s > threshold for _, s in r.accepted)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(a=MODEL_IDS, b=MODEL_IDS, seed=SEEDS)
+@example(a="e0", b=5, seed=1)
+@example(a="e0", b=5, seed=1.0)
+@example(a="e0", b=5.0, seed=1)
+def test_score_pair_returns_a_score_or_a_typed_error(a, b, seed):
+    data, table, config, params = MODEL
+    ia, ib = model_id(a), model_id(b)
+    valid = ia is not None and ib is not None and count_ok(seed, 0)
+    try:
+        got = evaluation.score_pair(params, config, data, table.matrix, a, b, seed=seed)
+    except SynmatchError:
+        assert not valid or no_context(ia, ib)
+        return
+    assert valid and -1.0 <= got <= 1.0
+    assert got == evaluation.score_pair(params, config, data, table.matrix, ia, ib,
+                                        seed=int(seed))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(knn_k=MODEL_COUNTS, ks=st.lists(MODEL_COUNTS, max_size=3).map(tuple), seed=SEEDS)
+@example(knn_k="5", ks=(1,), seed=0)
+@example(knn_k=3, ks=(2.5,), seed=0)
+@example(knn_k=3, ks=(True,), seed=0)
+def test_evaluate_returns_a_report_or_a_typed_error(knn_k, ks, seed):
+    data, table, config, params = MODEL
+    valid = count_ok(knn_k, 1) and all(count_ok(k, 1) for k in ks) and count_ok(seed, 0)
+    try:
+        report = evaluation.evaluate(params, config, data, table, knn_k=knn_k, ks=ks, seed=seed)
+    except SynmatchError:
+        assert not valid
+        return
+    assert valid and set(report.p_at_k) == set(ks)
+    assert 0.0 <= report.auc <= 1.0 and 0.0 <= report.map <= 1.0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(groups=st.lists(st.tuples(MODEL_IDS, st.lists(MODEL_IDS, max_size=3)), max_size=3),
+       seed=SEEDS)
+@example(groups=[("e0", ["e3", 6])], seed=1)
+@example(groups=[(2.0, [5])], seed=1)
+@example(groups=[(2, [5])], seed=True)
+def test_entity_scorer_scores_or_raises_a_typed_error(groups, seed):
+    data, table, config, params = MODEL
+    left, right = [a for a, _ in groups], [cands for _, cands in groups]
+    lids, rids = model_ids(left), [model_ids(cands) for cands in right]
+    valid = lids is not None and None not in rids and count_ok(seed, 0)
+    try:
+        got = evaluation.entity_scorer(params, config, data, table.matrix, seed)(left, right)
+    except SynmatchError:
+        assert not valid or no_context(*lids, *(e for ids in rids for e in ids))
+        return
+    assert valid
+    want = evaluation.entity_scorer(params, config, data, table.matrix, int(seed))(lids, rids)
+    assert [x.tolist() for x in got] == [x.tolist() for x in want]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

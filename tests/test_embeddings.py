@@ -285,7 +285,8 @@ def test_knn_query_id_must_be_an_integer(bad):
 
 
 @pytest.mark.parametrize("bad", [[2.7, 3], np.array([2.0, 3.0]), np.array([True, False]),
-                                 [True, False], ["2", "3"]])
+                                 [True, False], ["2", "3"], [True, 3], [3, np.True_],
+                                 [np.int16(2), 3.0]])
 def test_knn_universe_ids_must_be_integers(bad):
     table = unit_table({"a": [1, 0], "b": [1, 1], "c": [0, 1]})
     with pytest.raises(UnknownEntityError):
@@ -296,12 +297,38 @@ def test_knn_takes_python_and_numpy_integers():
     table = unit_table({"a": [1, 0], "b": [1, 1], "c": [0, 1]})
     a, b, c = (table.vocab.get(t) for t in "abc")
     want = embeddings.nearest_neighbors(table, [a], k=2, universe=[a, b, c])
+    # numpy makes float64 of np.uint64 mixed with signed integers; names are
+    # ids too, in the universe as in the queries
     for query, universe, k in ((np.int64(a), np.array([a, b, c], dtype=np.uint8), np.int32(2)),
-                               (np.intp(a), [np.int16(a), b, np.uint32(c)], 2)):
+                               (np.intp(a), [np.int16(a), b, np.uint32(c)], 2),
+                               (np.uint64(a), [np.int16(a), b, np.uint64(c)], 2),
+                               ("a", ["a", b, "c"], np.uint64(2))):
         assert embeddings.nearest_neighbors(table, [query], k, universe) == want
     # an empty universe is valid whatever its dtype
     for universe in ([], (), np.array([]), np.array([], dtype=bool)):
         assert embeddings.nearest_neighbors(table, [a], 2, universe)[0].neighbors == []
+
+
+def test_knn_names_a_uint64_id_as_given():
+    # a cast to intp before the range check would name it -9223372036854775803
+    table = unit_table({"a": [1, 0], "b": [1, 1], "c": [0, 1]})
+    big = 2**63 + 5
+    for universe in (np.array([big], dtype=np.uint64), [big], [np.uint64(big), 3]):
+        with pytest.raises(UnknownEntityError, match=f"entity id {big} outside"):
+            embeddings.nearest_neighbors(table, ["a"], k=2, universe=universe)
+    with pytest.raises(UnknownEntityError, match=f"entity id {big} outside"):
+        embeddings.nearest_neighbors(table, np.array([big], dtype=np.uint64), k=2, universe=[3])
+
+
+def test_knn_takes_ids_0_and_1_but_not_bools():
+    # numpy reads a bool among integers as 0 or 1, so those ids go one by one
+    table = unit_table({"a": [1, 0], "b": [1, 1]})
+    got = embeddings.nearest_neighbors(table, [np.int64(2)], k=3, universe=[0, 1, 2, 3])
+    assert [e for e, _ in got[0].neighbors] == [3, 0, 1]
+    assert got == embeddings.nearest_neighbors(table, [2], 3, np.arange(4, dtype=np.uint8))
+    for universe in ([0, True, 3], [False, 2]):
+        with pytest.raises(UnknownEntityError, match="is not an integer"):
+            embeddings.nearest_neighbors(table, [2], k=3, universe=universe)
 
 
 @pytest.mark.parametrize("bad", [2.5, 2.0, True, "2", None])

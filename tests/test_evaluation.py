@@ -335,6 +335,58 @@ def test_a_seed_that_is_not_an_integer_is_a_data_error(tiny, seed):
             call()
 
 
+def test_a_warm_memo_refuses_a_seed_equal_to_an_integer_one(tiny):
+    data, table, config, params = tiny
+    data = fresh_copy(data)
+    want = evaluation.discover(params, config, data, table, "sun", k=3, seed=1)
+    pair = evaluation.score_pair(params, config, data, table.matrix, "sun", "sea", seed=1)
+    sun = data.entity_id("sun")
+    # 1.0 == True == 1, with equal hashes: each would find seed 1's memo entries
+    for seed in (1.0, True, np.float64(1.0)):
+        for call in (lambda: evaluation.discover(params, config, data, table, "sun", k=3,
+                                                 seed=seed),
+                     lambda: evaluation.score_pair(params, config, data, table.matrix, "sun",
+                                                   "sea", seed=seed),
+                     lambda: evaluation.entity_scorer(params, config, data, table.matrix, seed),
+                     lambda: evaluation.eval_contexts(data, [sun], 3, 6, seed)):
+            with pytest.raises(DataError, match="seed must be an integer"):
+                call()
+    assert evaluation.discover(params, config, data, table, "sun", k=3,
+                               seed=np.int64(1)) == want
+    assert evaluation.score_pair(params, config, data, table.matrix, "sun", "sea",
+                                 seed=np.int64(1)) == pair
+
+
+@pytest.mark.parametrize("bad", ["5", 2.5, 5.0, True, None, 0, -1])
+def test_knn_k_is_a_positive_integer(tiny, bad):
+    data, table, config, params = tiny
+    with pytest.raises(DataError, match="knn_k must be a positive integer"):
+        evaluation.evaluate(params, config, data, table, knn_k=bad)
+
+
+@pytest.mark.parametrize("bad", ["5", 2.5, 5.0, True, None])
+def test_discover_k_is_a_positive_integer(tiny, bad):
+    data, table, config, params = tiny
+    with pytest.raises(DataError, match="k must be a positive integer"):
+        evaluation.discover(params, config, data, table, "sun", k=bad)
+
+
+@pytest.mark.parametrize("ks", [(2.5,), (1, 5.0), (True,), ("5",), (None,), (np.float64(2),)])
+def test_a_cutoff_that_is_not_a_positive_integer_is_a_metric_error(tiny, ks):
+    data, table, config, params = tiny
+    with pytest.raises(MetricError, match="K must be positive integers"):
+        evaluation.rank_metrics([1, 2], {1}, ks)
+    with pytest.raises(MetricError, match="K must be positive integers"):
+        evaluation.evaluate(params, config, data, table, ks=ks)
+
+
+def test_numpy_integer_cutoffs_are_cutoffs(tiny):
+    data, table, config, params = tiny
+    want = evaluation.evaluate(params, config, data, table, ks=(1, 2))
+    assert evaluation.evaluate(params, config, data, table,
+                               ks=(np.int64(1), np.uint8(2))).to_text() == want.to_text()
+
+
 def test_discover_sorted_by_model_score(tiny):
     data, table, config, params = tiny
     res = evaluation.discover(params, config, data, table, "sun", k=10, threshold=0.0)

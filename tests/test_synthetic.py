@@ -96,7 +96,8 @@ def test_rejects_bad_parameters(tmp_path):
 
 @pytest.mark.parametrize("field, value", [
     ("embed_dim", -1), ("embed_dim", 0), ("contexts_per_entity", 0),
-    ("tokens_per_context", -1)])
+    ("tokens_per_context", -1), ("clusters", 0), ("entities_per_cluster", 1),
+    ("contexts_per_entity", 2.5), ("embed_dim", True), ("clusters", 2.0)])
 def test_rejects_sizes_that_write_unusable_files(tmp_path, field, value):
     with pytest.raises(DataError, match=field):
         gen(tmp_path, **{field: value})
