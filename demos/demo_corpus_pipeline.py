@@ -76,7 +76,7 @@ for name in ("train", "test"):
 full = corpus.split_synsets(data.store, valid_frac=0.0, test_frac=0.0,
                             rng=stream_rng(0, "ingest"))
 pair_rng = stream_rng(0, "train")
-pairs = corpus.sample_pairs(full, 4, neg_ratio=1.0, rng=pair_rng)
+pairs = corpus.sample_pairs(full, 4, rng=pair_rng)
 for p in pairs:
     print(f"pair {data.vocab.token(p.a)} / {data.vocab.token(p.b)} label={p.label}")
 triplets = corpus.sample_triplets(full, 2, pair_rng)

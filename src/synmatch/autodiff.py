@@ -138,11 +138,11 @@ class FiniteDiffReport:
         return f"max rel error {self.max_rel_error:.3e} at {where} ({self.entries} entries)"
 
 
-def finite_diff_check(loss_builder, params, eps=1e-4, floor=1e-3):
+def finite_diff_check(loss_builder, params, eps=1e-4):
     """Compare tape gradients against central differences, entry by entry.
 
-    Relative error per entry is |ad - fd| / (|ad| + |fd| + floor); the floor
-    keeps entries too small for the step size to resolve from dominating.
+    Relative error per entry is |ad - fd| / (|ad| + |fd| + 1e-3); the floor
+    1e-3 keeps entries too small for the step size to resolve from dominating.
     Returns a FiniteDiffReport with the worst entry and its parameter name.
     """
     if eps <= 0:
@@ -165,7 +165,7 @@ def finite_diff_check(loss_builder, params, eps=1e-4, floor=1e-3):
             f_minus = value_at(base)
             arr[idx] = orig
             fd = (f_plus - f_minus) / (2.0 * eps)
-            rel = abs(ad[idx] - fd) / (abs(ad[idx]) + abs(fd) + floor)
+            rel = abs(ad[idx] - fd) / (abs(ad[idx]) + abs(fd) + 1e-3)
             worst.entries += 1
             if rel > worst.max_rel_error:
                 worst.max_rel_error = rel

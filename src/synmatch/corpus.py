@@ -57,7 +57,10 @@ def entity_ids(entities, vocab, n):
     ids in [2, n) takes only a range check (a max of ids - 2 as uint64) before
     the cast; all else, names, floats, np.uint64 among signed ints, bad ids and
     ids 0 and 1 (what bools among ints become), goes element by element."""
-    ids = np.asarray(entities)
+    try:
+        ids = np.asarray(entities)
+    except ValueError:   # a ragged nesting, as in [2, [3, 4]]: check each element
+        ids = np.empty(0)
     if (ids.dtype.kind in "iu" and ids.ndim == 1 and ids.size and np.maximum.reduce(
             np.subtract(ids, 2, dtype=np.uint64, casting="unsafe")) < n - 2):
         return ids.astype(np.intp, copy=False)
@@ -398,18 +401,18 @@ def _random_non_synonym(store, entities, anchor, rng):
                     "the train split has no usable negatives")
 
 
-def sample_pairs(store, n, neg_ratio, rng):
-    """Sample n labeled pairs from the train split.
+def sample_pairs(store, n, rng):
+    """Sample n labeled pairs from the train split, one negative per positive.
 
     Positives come from within train synsets, negatives pair a train entity
-    with a uniformly random non-synonym train entity.  neg_ratio negatives
-    are drawn per positive; n is split as n_pos = round(n / (1 + neg_ratio)).
+    with a uniformly random non-synonym train entity; n_pos = round(n / 2)
+    of the n are positive.
     """
     pool = _positive_pool(store)
     if not pool:
         raise DataError("train split contains no positive pair")
     entities = store.entities("train")
-    n_pos = round(n / (1.0 + neg_ratio))
+    n_pos = round(n / 2.0)
     pairs = []
     for i in rng.integers(len(pool), size=n_pos):
         a, b = pool[i]

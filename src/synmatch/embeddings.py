@@ -151,14 +151,13 @@ def load_embeddings(path, vocab):
     return EmbeddingTable(matrix=matrix, vocab=vocab)
 
 
-def save_embeddings(path, table):
-    """Write every vocabulary row (specials included) with 6-decimal precision."""
-    v, dim = table.matrix.shape
+def save_embeddings(path, tokens, matrix):
+    """Write a "count dim" header, then each token with its row of matrix,
+    values at 6-decimal precision."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{v} {dim}\n")
-        for tid in range(v):
-            values = " ".join("%.6f" % x for x in table.matrix[tid])
-            fh.write(f"{table.vocab.token(tid)} {values}\n")
+        fh.write("%d %d\n" % matrix.shape)
+        for tok, row in zip(tokens, matrix):
+            fh.write(tok + " " + " ".join("%.6f" % x for x in row) + "\n")
 
 
 def nearest_neighbors(table, entities, k, universe):

@@ -311,17 +311,17 @@ class DiscoveryResult:
             self.accepted = [(c, s) for c, s in self.ranked if s > self.threshold]
 
 
-def knn_rerank(table, qids, k, universe, score):
+def knn_rerank(table, queries, k, universe, score):
     """Shortlist each query's k embedding neighbors in universe, then rerank
-    every shortlist by score(queries, shortlists), one call for all queries
+    every shortlist by score(query ids, shortlists), one call for all queries
     with a candidate; returns (neighbors, [(id, score)] best first) per
     query, equal scores (-0.0 equals 0.0) toward the smaller id."""
-    shortlists = embeddings.nearest_neighbors(table, qids, k, universe)
+    shortlists = embeddings.nearest_neighbors(table, queries, k, universe)
     live = [i for i, nl in enumerate(shortlists) if nl.neighbors]
     ranked = [[] for _ in shortlists]
     if live:
         cands = [[eid for eid, _ in shortlists[i].neighbors] for i in live]
-        for i, ids, scores in zip(live, cands, score([qids[i] for i in live], cands)):
+        for i, ids, scores in zip(live, cands, score([shortlists[i].query for i in live], cands)):
             ids, scores = np.array(ids, dtype=np.intp), np.asarray(scores, dtype=float)
             order = np.lexsort((ids, -scores))
             ranked[i] = list(zip(ids[order].tolist(), scores[order].tolist()))
@@ -337,19 +337,18 @@ def discover_many(params, config, data, table, queries, k=50, threshold=0.8,
     the model score reranks them (expensive but accurate), and candidates
     strictly above the threshold are accepted.  Every query is shortlisted
     first, then all shortlists are reranked in one score call, which encodes
-    the queries and candidates not held yet in one batch.  The queries go
-    through `corpus.entity_ids` together; k is an integer of at least 1.
+    the queries and candidates not held yet in one batch.  The KNN passes the
+    queries through `corpus.entity_ids` together; k is an integer >= 1.
     """
     corpus.check_count("k", k, 1)
     if (isinstance(threshold, bool) or not isinstance(threshold, numbers.Real)
             or not -math.inf < threshold < math.inf):
         raise DataError(f"threshold must be a finite real number, got {threshold!r}")
-    qids = corpus.entity_ids(queries, data.vocab, len(data.vocab))
     if universe is None:
         universe = data.store.entities()
     score = _scorer(params, config, data, table.matrix, seed)
     return [DiscoveryResult(nl.query, ranked, threshold, candidates=nl.neighbors)
-            for nl, ranked in knn_rerank(table, qids, k, universe, score)]
+            for nl, ranked in knn_rerank(table, queries, k, universe, score)]
 
 
 def discover(params, config, data, table, query, k=50, threshold=0.8,

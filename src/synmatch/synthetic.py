@@ -14,6 +14,7 @@ import os
 import numpy as np
 
 from .corpus import check_count
+from .embeddings import save_embeddings
 from .errors import DataError
 from .rng import stream_rng
 
@@ -88,8 +89,5 @@ def generate(out_dir, clusters, entities_per_cluster=3, contexts_per_entity=30,
     with open(synset_path, "w", encoding="utf-8") as fh:
         for members in entities:
             fh.write("\t".join(members) + "\n")
-    with open(embed_path, "w", encoding="utf-8") as fh:
-        fh.write(f"{len(vectors)} {embed_dim}\n")
-        for tok, vec in vectors.items():
-            fh.write(tok + " " + " ".join("%.6f" % x for x in vec) + "\n")
+    save_embeddings(embed_path, vectors, np.array(list(vectors.values())))
     return {"corpus": corpus_path, "synsets": synset_path, "embeddings": embed_path}

@@ -36,9 +36,11 @@ CHECKPOINT_VERSION = 2
 # options earlier versions offered, now fixed at one value: a checkpoint's
 # config may still name one, but only at that value
 RETIRED_KEYS = {"optimizer": "adam", "leaky_trainable": False, "resample_contexts": True,
-                "fine_tune_embeddings": False}
+                "fine_tune_embeddings": False, "neg_ratio": 1.0, "clip_norm": 5.0}
 # the values each field type takes; a bool is never read as a number
 _KINDS = {bool: bool, int: int, float: (int, float), str: str}
+# the global gradient norm cap: each batch's gradients are scaled down to it
+CLIP_NORM = 5.0
 
 
 @dataclass
@@ -54,8 +56,6 @@ class TrainConfig:
     learning_rate: float = 0.0003
     epochs: int = 40
     seed: int = 0
-    neg_ratio: float = 1.0
-    clip_norm: float = 5.0
     pairs_per_epoch: int = 0
 
     def validate(self):
@@ -72,15 +72,11 @@ class TrainConfig:
             corpus.check_count(name, getattr(self, name), floor)
         if self.d_ce < 2 or self.d_ce % 2:
             raise DataError(f"d_ce must be a positive even number, got {self.d_ce}")
-        if self.margin <= 0:
-            raise DataError(f"margin must be positive, got {self.margin}")
-        if self.learning_rate < 0:
-            raise DataError(f"learning rate must be non-negative, got {self.learning_rate}")
-        if self.neg_ratio < 0:
-            raise DataError("neg_ratio must be non-negative")
-        for name in ("learning_rate", "margin", "clip_norm", "neg_ratio"):
-            if not -math.inf < getattr(self, name) < math.inf:
-                raise DataError(f"{name} must be finite, got {getattr(self, name)}")
+        if not 0 < self.margin < math.inf:
+            raise DataError(f"margin must be positive and finite, got {self.margin}")
+        if not 0 <= self.learning_rate < math.inf:
+            raise DataError(f"learning_rate must be non-negative and finite, "
+                            f"got {self.learning_rate}")
         check_seed(self.seed)
         return self
 
@@ -183,17 +179,19 @@ def triplet_loss(s_pos, s_neg, margin):
 # optimizer
 
 class Adam:
-    """Adam (Kingma & Ba 2014): bias-corrected first and second moments,
-    kept per parameter name."""
+    """Adam (Kingma & Ba 2014) at its paper's constants: bias-corrected first
+    and second moments, kept per parameter name."""
 
-    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr):
+        self.lr = lr
         self.t = 0
         self.m, self.v = {}, {}
 
     def step(self, params, grads):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         for name, g in grads.items():
             if name not in self.m:
                 self.m[name], self.v[name] = np.zeros_like(g), np.zeros_like(g)
@@ -202,19 +200,20 @@ class Adam:
             v += (1 - b2) * (g * g - v)
             m_hat = m / (1 - b1 ** self.t)
             v_hat = v / (1 - b2 ** self.t)
-            params[name] = params[name] - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            params[name] = params[name] - self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
-def clip_gradients(grads, max_norm):
-    """Scale all gradients down to a global norm cap; 0 or less disables.
+def clip_gradients(grads):
+    """Scale all gradients down to the global norm cap CLIP_NORM; returns
+    their norm before clipping.
 
     A norm that is not finite raises NumericError before any gradient is
     scaled."""
     total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
     if not math.isfinite(total):
         raise NumericError(f"gradient norm is {total}")
-    if max_norm > 0 and total > max_norm:
-        factor = max_norm / total
+    if total > CLIP_NORM:
+        factor = CLIP_NORM / total
         for name in grads:
             grads[name] = grads[name] * factor
     return total
@@ -267,7 +266,7 @@ def batch_loss_builder(items, contexts, config, emb):
     return builder
 
 
-def gradcheck_model(seed=0, eps=1e-5):
+def gradcheck_model(seed=0):
     """Finite-difference check of the whole model on a small random setup.
 
     Covers both objectives, both encoder variants, and the leaky unit on and
@@ -305,7 +304,7 @@ def gradcheck_model(seed=0, eps=1e-5):
                 params = init_model_params(
                     config, embeddings.EmbeddingTable(matrix=table, vocab=None), rng)
                 builder = batch_loss_builder(items, ctx, config, table)
-                report = ad.finite_diff_check(builder, params, eps=eps)
+                report = ad.finite_diff_check(builder, params, eps=1e-5)
                 label = f"{objective}/{variant}/leaky={'on' if leaky else 'off'}"
                 reports.append((label, report))
     return reports
@@ -316,14 +315,9 @@ def _param_norms(params):
 
 
 def _auto_items_per_epoch(store, config):
+    """A triplet per positive train pair, or that pair and one negative."""
     pool = len(corpus._positive_pool(store))
-    if config.objective == "triplet":
-        return max(pool, 1)
-    total = pool * (1.0 + config.neg_ratio)
-    if not math.isfinite(total):
-        raise DataError(f"neg_ratio {config.neg_ratio} asks for {total} pairs per epoch "
-                        f"from {pool} positive pairs; set pairs_per_epoch or a smaller ratio")
-    return max(round(total), 1)
+    return pool if config.objective == "triplet" else 2 * pool
 
 
 def train(config, data, table):
@@ -369,7 +363,7 @@ def train(config, data, table):
         if config.objective == "triplet":
             items = corpus.sample_triplets(store, n_items, ep_rng)
         else:
-            items = corpus.sample_pairs(store, n_items, config.neg_ratio, ep_rng)
+            items = corpus.sample_pairs(store, n_items, ep_rng)
 
         # every epoch draws fresh contexts, in entity id order
         needed = sorted({eid for item in items for eid in _item_entities(item)})
@@ -381,7 +375,7 @@ def train(config, data, table):
             builder = batch_loss_builder(batch, contexts, config, table.matrix)
             try:
                 value, grads = ad.grad(builder, params)
-                clip_gradients(grads, config.clip_norm)
+                clip_gradients(grads)
             except NumericError as err:
                 raise NumericError(
                     f"{err} (epoch {epoch}, batch {batch_no // config.batch_size}; "
@@ -454,7 +448,9 @@ def load_checkpoint(path):
     cfg_dict = dict(_json_object(blob.get("config", {}), "config"))
     for key, fixed in RETIRED_KEYS.items():
         value = cfg_dict.pop(key, fixed)
-        if type(value) is not type(fixed) or value != fixed:
+        # a float key's value, as a float field's, may be an int but never a bool
+        if (not isinstance(value, _KINDS[type(fixed)]) or value != fixed
+                or isinstance(value, bool) != isinstance(fixed, bool)):
             raise DataError(f"checkpoint config key {key}={value!r} is no longer "
                             f"supported; only {key}={fixed!r} is")
     unknown = set(cfg_dict) - {f.name for f in fields(TrainConfig)}

@@ -357,9 +357,11 @@ MODEL_IDS = st.one_of(
     st.just(np.uint64(2**63 + 5)), st.booleans(), st.booleans().map(np.bool_),
     st.integers(-2, N_MODEL + 1).map(float), st.floats(allow_nan=True),
     st.integers(0, N_MODEL).map(np.float64))
-# lists mix every kind above; arrays are uint64 (values past 2**63 included) or int64
+# lists mix every kind above, now and then a nested list (ragged or not), which
+# names no id; arrays are uint64 (values past 2**63 included) or int64
 MODEL_SEQS = st.one_of(
     st.lists(MODEL_IDS, max_size=4),
+    st.lists(st.one_of(MODEL_IDS, st.lists(MODEL_IDS, max_size=2)), min_size=1, max_size=3),
     st.lists(st.sampled_from([2, 3, 6, 7, N_MODEL, 2**63 + 5]), max_size=3).map(
         lambda ids: np.array(ids, dtype=np.uint64)),
     st.lists(st.integers(-2, N_MODEL + 1), max_size=3).map(
@@ -401,6 +403,8 @@ def no_context(*ids):
 @example(queries=["e0"], k=np.int32(2), universe=["e1", "e2", 5])
 @example(queries=[], k=2, universe=[True, 3])
 @example(queries=[3], k=2, universe=np.array([2**63 + 5], dtype=np.uint64))
+@example(queries=[2, [3, 4]], k=2, universe=[2, 3])
+@example(queries=[2], k=2, universe=[[2], 3])
 def test_knn_returns_neighbors_or_a_typed_error(queries, k, universe):
     data, table, _, _ = MODEL
     qids, uids = model_ids(queries), model_ids(universe)
@@ -426,6 +430,9 @@ def test_knn_returns_neighbors_or_a_typed_error(queries, k, universe):
 @example(queries=["e0", np.int64(5)], k=3, threshold=0.5, seed=1, universe=None)
 @example(queries=["e0", np.int64(5)], k=3, threshold=0.5, seed=1.0, universe=None)
 @example(queries=np.array([3], dtype=np.uint64), k=3, threshold=0.5, seed=True, universe=None)
+@example(queries=[2, [3, 4]], k=3, threshold=0.5, seed=0, universe=None)
+@example(queries=[[2], 3], k=3, threshold=0.5, seed=0, universe=None)
+@example(queries=["e0"], k=3, threshold=0.5, seed=0, universe=[2, [3, 4]])
 def test_discover_returns_results_or_a_typed_error(queries, k, threshold, seed, universe):
     data, table, config, params = MODEL
     many = isinstance(queries, (list, np.ndarray))
@@ -602,22 +609,22 @@ def all_train(store):
 
 
 def test_sample_pairs_single_synset():
+    """One synset gives positives, but no negative to draw beside them."""
     store = all_train(corpus.SynsetStore(synsets=[(5, 6)]))
-    rng = stream_rng(0, "train")
-    pairs = corpus.sample_pairs(store, 10, neg_ratio=0.0, rng=rng)
-    assert all(p.label == 1 and {p.a, p.b} == {5, 6} for p in pairs)
+    with pytest.raises(DataError, match="non-synonym"):
+        corpus.sample_pairs(store, 2, stream_rng(0, "train"))
 
 
 def test_sample_pairs_ratio():
     store = all_train(make_store(5))
-    pairs = corpus.sample_pairs(store, 100, neg_ratio=1.0, rng=stream_rng(1, "train"))
+    pairs = corpus.sample_pairs(store, 100, rng=stream_rng(1, "train"))
     assert len(pairs) == 100
     assert sum(p.label for p in pairs) == 50
 
 
 def test_sample_pairs_negatives_never_synonyms():
     store = all_train(make_store(6))
-    pairs = corpus.sample_pairs(store, 400, neg_ratio=1.0, rng=stream_rng(2, "train"))
+    pairs = corpus.sample_pairs(store, 400, rng=stream_rng(2, "train"))
     for p in pairs:
         if p.label == 0:
             assert not store.are_synonyms(p.a, p.b)
@@ -628,7 +635,7 @@ def test_sample_pairs_negatives_never_synonyms():
 def test_sample_pairs_no_positives_errors():
     store = corpus.SynsetStore(synsets=[(1, 2)])  # no split assigned
     with pytest.raises(DataError):
-        corpus.sample_pairs(store, 10, 1.0, stream_rng(0, "train"))
+        corpus.sample_pairs(store, 10, stream_rng(0, "train"))
 
 
 def test_sample_triplets():

@@ -223,7 +223,7 @@ def test_save_load_round_trip(tmp_path):
     src.write_text("\n".join(lines) + "\n")
     table = embeddings.load_embeddings(str(src), vocab)
     out = tmp_path / "out.txt"
-    embeddings.save_embeddings(str(out), table)
+    embeddings.save_embeddings(str(out), vocab.id_to_token, table.matrix)
     again = embeddings.load_embeddings(str(out), vocab)
     assert np.max(np.abs(again.matrix - table.matrix)) <= 1e-6
 

@@ -17,7 +17,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "synmatch"
 # entry points: called from outside src/ by design
 ENTRY_POINTS = {
     "cli.main",                     # the console script
-    "embeddings.save_embeddings",   # the embedding file format's writer
     "cli._Parser.error",            # argparse's hook for usage errors
     "evaluation.discover",          # discover_many for one query: perfbench, the demos
     # perfbench's checks compare it; ROADMAP item 3 switches them to the

@@ -131,31 +131,29 @@ def test_adam_descends_a_quadratic():
 
 
 def test_clip_gradients():
+    assert training.CLIP_NORM == 5.0
     grads = {"a": np.array([[3.0]]), "b": np.array([[4.0]])}
-    norm = training.clip_gradients(grads, 5.0)
+    norm = training.clip_gradients(grads)
     assert norm == 5.0
     assert grads["a"][0, 0] == 3.0  # exactly at the cap: untouched
-    grads = {"a": np.array([[3.0]]), "b": np.array([[4.0]])}
-    training.clip_gradients(grads, 1.0)
+    grads = {"a": np.array([[30.0]]), "b": np.array([[40.0]])}
+    assert training.clip_gradients(grads) == 50.0
     total = np.sqrt(sum((g ** 2).sum() for g in grads.values()))
-    assert total == pytest.approx(1.0, abs=1e-12)
-    grads = {"a": np.array([[0.3]])}
-    training.clip_gradients(grads, 0.0)  # disabled
-    assert grads["a"][0, 0] == 0.3
+    assert total == pytest.approx(5.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-@pytest.mark.parametrize("max_norm", [5.0, 0.0])
-def test_clip_gradients_rejects_non_finite_norm(bad, max_norm):
-    grads = {"w": np.array([bad, 1.0])}
+@pytest.mark.parametrize("finite", [5.0, 0.0])   # the other entry: at the cap, or zero
+def test_clip_gradients_rejects_non_finite_norm(bad, finite):
+    grads = {"w": np.array([bad, finite])}
     with warnings.catch_warnings():
         warnings.simplefilter("error")      # no RuntimeWarning on the way
         with pytest.raises(NumericError, match="gradient norm"):
-            training.clip_gradients(grads, max_norm)
-    assert grads["w"][1] == 1.0             # nothing was scaled
+            training.clip_gradients(grads)
+    assert grads["w"][1] == finite          # nothing was scaled
     # finite gradients whose squared norm overflows are refused too
     with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(NumericError):
-        training.clip_gradients({"w": np.array([1e200, 1.0])}, max_norm)
+        training.clip_gradients({"w": np.array([1e200, finite])})
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +216,7 @@ def test_config_validation():
     bad = [dict(objective="cosface"), dict(encoder="gru"),
            dict(d_ce=7), dict(d_ce=0), dict(margin=0.0), dict(learning_rate=-1.0),
            dict(batch_size=0), dict(contexts_per_entity=0), dict(max_context_len=0),
-           dict(epochs=-1), dict(neg_ratio=-0.5)]
+           dict(epochs=-1)]
     for kw in bad:
         with pytest.raises(DataError):
             training.TrainConfig(**kw).validate()
@@ -239,8 +237,6 @@ def test_config_validation_checks_each_value_type(field, value):
 @pytest.mark.parametrize("field, value", [
     ("learning_rate", float("nan")), ("learning_rate", float("inf")),
     ("margin", float("nan")), ("margin", float("inf")),
-    ("clip_norm", float("nan")), ("clip_norm", float("-inf")),
-    ("neg_ratio", float("nan")), ("neg_ratio", float("inf")),
     ("pairs_per_epoch", -3)])
 def test_config_validation_rejects_nonfinite_and_negative_counts(field, value):
     with pytest.raises(DataError) as err:
@@ -389,7 +385,7 @@ def test_train_aborts_on_non_finite_gradient_norm(tmp_path, monkeypatch):
 def test_auto_items_per_epoch(tmp_path):
     data, table, config = toy_setup(tmp_path)
     store = data.store
-    assert training._auto_items_per_epoch(store, config) == 4  # 2 pairs * (1+1)
+    assert training._auto_items_per_epoch(store, config) == 4  # 2 pairs, 1 negative each
     triplet = training.TrainConfig(objective="triplet").validate()
     assert training._auto_items_per_epoch(store, triplet) == 2
 
@@ -414,7 +410,7 @@ def test_full_model_gradcheck(tmp_path):
         if objective == "triplet":
             items = corpus.sample_triplets(data.store, 2, ep_rng)
         else:
-            items = corpus.sample_pairs(data.store, 2, 1.0, ep_rng)
+            items = corpus.sample_pairs(data.store, 2, ep_rng)
         ctx = {eid: corpus.retrieve_contexts(data, eid, 2, 5, ep_rng)
                for item in items for eid in training._item_entities(item)}
         builder = training.batch_loss_builder(items, ctx, config, table.matrix)
@@ -432,7 +428,7 @@ def test_batch_tape_size_does_not_grow_with_the_batch(tmp_path, objective):
         if objective == "triplet":
             items = corpus.sample_triplets(data.store, n, rng)
         else:
-            items = corpus.sample_pairs(data.store, n, 1.0, rng)
+            items = corpus.sample_pairs(data.store, n, rng)
         ctx = {eid: corpus.retrieve_contexts(data, eid, 3, 8, rng)
                for item in items for eid in training._item_entities(item)}
         builder = training.batch_loss_builder(items, ctx, config, table.matrix)
@@ -452,7 +448,7 @@ def test_batch_tape_is_weights_encoder_matchers_and_loss(tmp_path, objective):
     if objective == "triplet":
         items = corpus.sample_triplets(data.store, 4, rng)
     else:
-        items = corpus.sample_pairs(data.store, 4, 1.0, rng)
+        items = corpus.sample_pairs(data.store, 4, rng)
     ctx = {eid: corpus.retrieve_contexts(data, eid, 3, 8, rng)
            for item in items for eid in training._item_entities(item)}
     leaves = {name: ad.Var(value) for name, value in params.items()}
@@ -615,8 +611,9 @@ def test_loaded_model_scores_identically(tmp_path):
 
 def test_checkpoint_naming_retired_keys_at_their_values_loads(tmp_path):
     """A checkpoint written while the optimizer, the trainable leak, fixed
-    contexts and fine-tuned embeddings were options holds their keys; at the
-    values now fixed it loads as if they were absent."""
+    contexts, fine-tuned embeddings, the negative ratio and the clip norm were
+    options holds their keys; at the values now fixed it loads as if they
+    were absent."""
     data, table, config = toy_setup(tmp_path, epochs=2)
     params, _ = training.train(config, data, table)
     path = tmp_path / "model.ckpt"
@@ -636,8 +633,26 @@ def test_checkpoint_naming_retired_keys_at_their_values_loads(tmp_path):
     assert path.read_bytes() == fresh
 
 
+def test_checkpoint_stating_retired_numbers_as_ints_loads(tmp_path):
+    """neg_ratio and clip_norm were float fields, which took an int and saved
+    it as a JSON int: a number equal in value to the fixed one loads."""
+    data, table, config = toy_setup(tmp_path)
+    params = training.init_model_params(config, table, stream_rng(3, "init"))
+    path = tmp_path / "model.ckpt"
+    training.save_checkpoint(str(path), params, config)
+    blob = json.loads(path.read_text())
+    blob["config"].update(neg_ratio=1, clip_norm=5)
+    path.write_text(json.dumps(blob))
+    loaded, cfg, _ = training.load_checkpoint(str(path))
+    assert cfg == config
+    assert all(loaded[k].tobytes() == params[k].tobytes() for k in params)
+    before = evaluation.score_pair(params, config, data, table.matrix, "e1", "e3", seed=4)
+    assert evaluation.score_pair(loaded, cfg, data, table.matrix, "e1", "e3", seed=4) == before
+
+
 # values and keys the mutations below put into a checkpoint's JSON
-JSON_VALUES = [None, True, False, 0, 1, -1, 2, 6, 7, 0.5, 6.0, -0.0, float("nan"), 10 ** 30,
+JSON_VALUES = [None, True, False, 0, 1, -1, 2, 5, 6, 7, 0.5, 1.0, 5.0, 6.0, -0.0, float("nan"),
+               10 ** 30,
                "", "x", "adam", "rmsprop", "abc", "AAAAAAAAAAA=", "\u00e9", [], [6], [6, 6],
                [6, -6], [True, 6], [6, 6.0], {}, {"shape": [], "data": "AAAAAAAAAAA="}]
 JSON_KEYS = list(training.RETIRED_KEYS) + ["match.leak", "d_ce", "leaky", "shape", "data",
@@ -687,6 +702,11 @@ def test_checkpoint_loads_as_stated_or_raises_data_error(tmp_path, data):
         return
     stated = json.loads(text)
     kept = {k: v for k, v in stated.get("config", {}).items() if k not in training.RETIRED_KEYS}
+    for k, v in stated.get("config", {}).items():
+        if k in training.RETIRED_KEYS:   # at the fixed value; a float key's may be an int
+            fixed = training.RETIRED_KEYS[k]
+            kinds = (int, float) if type(fixed) is float else (type(fixed),)
+            assert v == fixed and type(v) in kinds
     assert cfg == training.TrainConfig(**kept)
     assert all(type(getattr(cfg, k)) is type(v) for k, v in kept.items())
     assert sorted(loaded) == sorted(stated["params"])
