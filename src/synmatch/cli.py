@@ -75,7 +75,7 @@ def _echo(pairs):
 
 
 def _echo_args(args, config=None, skip=()):
-    drop = {"func", "config_text"} | set(skip)
+    drop = {"func"} | set(skip)
     pairs = {k.replace("_", "-"): v for k, v in vars(args).items()
              if k not in drop and v is not None}
     if config is not None:

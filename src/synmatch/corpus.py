@@ -172,7 +172,7 @@ class CorpusData:
     The occurrence index is derived from those arrays on construction: token id t
     occurs at the flat positions occ[occ_start[t]:occ_start[t + 1]] of tokens, in
     corpus order.  line(li) builds line li's tuple on first use and keeps it; like
-    the eval memos, that assumes the token arrays are never written in place.
+    the scorer, that assumes the token arrays are never written in place.
     """
 
     vocab: Vocabulary
@@ -182,12 +182,9 @@ class CorpusData:
     line_slots: list = field(init=False, repr=False, compare=False)   # filled by line()
     occ_start: np.ndarray = field(init=False, repr=False)   # (len(vocab) + 1,) int64
     occ: np.ndarray = field(init=False, repr=False)         # (n_tokens,) int64
-    # evaluation windows drawn so far, by (seed, P, T, entity id); filled by
-    # evaluation.eval_contexts
-    eval_windows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # one model's encodings of those windows and their projections enc @ w_bm,
-    # under one row map; filled by evaluation.entity_scorer
-    eval_encodings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the evaluation.Scorer of the last model scored on this corpus; set by
+    # evaluation._scorer
+    scorer: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.line_slots = [None] * (len(self.line_start) - 1)
@@ -277,8 +274,7 @@ def ingest(corpus_path, synset_path, min_count=5):
     the corpus, or occur fewer than min_count times, are dropped from the
     store (with a warning); their contexts would be too thin to encode.
     """
-    if min_count < 0:
-        raise DataError(f"min_count must be non-negative, got {min_count}")
+    check_count("min_count", min_count, 0)
     token_lines = read_corpus_lines(corpus_path)
     vocab = Vocabulary(chain.from_iterable(token_lines))
     line_start = np.zeros(len(token_lines) + 1, dtype=np.int64)
@@ -405,14 +401,14 @@ def sample_pairs(store, n, rng):
     """Sample n labeled pairs from the train split, one negative per positive.
 
     Positives come from within train synsets, negatives pair a train entity
-    with a uniformly random non-synonym train entity; n_pos = round(n / 2)
-    of the n are positive.
+    with a uniformly random non-synonym train entity; (n + 1) // 2 of the n
+    are positive, so positives never fall short of negatives.
     """
     pool = _positive_pool(store)
     if not pool:
         raise DataError("train split contains no positive pair")
     entities = store.entities("train")
-    n_pos = round(n / 2.0)
+    n_pos = (n + 1) // 2
     pairs = []
     for i in rng.integers(len(pool), size=n_pos):
         a, b = pool[i]

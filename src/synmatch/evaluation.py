@@ -14,17 +14,16 @@ stack of its own candidates, as many queries with as many candidates as
 SCORE_FLOATS allows, and up to SCORE_SLICE candidates of a query a call.
 numpy still runs one product per pair, so a query scores the same bits
 alone, grouped or sliced.  All context sampling is keyed by (seed, entity),
-so a metric run is a pure function of (model, data, seed).  Each entity's
-windows are drawn once per loaded corpus (`eval_contexts`), and their
-encodings are kept for one model at a time (`entity_scorer`): each score
-call draws and encodes, in one batch, only the entities it names that are
-not held yet, so repeated discover, score and evaluate calls on one
-CorpusData encode each entity once.  `entity_scorer` checks the model by
-comparing its seven weights bit for bit with copies kept beside the
-encodings, so a weight changed in place between calls is seen, and a scorer
-encodes with those copies.  The embedding matrix is
-compared by identity only: the encodings are kept on the assumption that it
-is not written in place between calls; nothing in this package writes it.
+so a metric run is a pure function of (model, data, seed).  A `Scorer`
+holds one model's windows, encodings and projections, and each score call
+draws and encodes, in one batch, only the entities it names that are not
+held yet.  discover, score and evaluate calls find their Scorer on
+data.scorer, kept for one model at a time, so repeated calls on one
+CorpusData encode each entity once.  The model is recognised by its seven
+weights, compared bit for bit with the Scorer's copies, so a weight changed
+in place between calls is seen.  The embedding matrix is compared by
+identity only: the encodings are kept on the assumption that it is not
+written in place between calls; nothing in this package writes it.
 
 Each entity is projected when it is encoded, enc[e] @ w_bm, and the
 projection is held read-only beside its encodings under the same row: the
@@ -134,26 +133,12 @@ def make_eval_pairs(store, split, rng):
 
 
 def eval_contexts(data, entity_ids, P, T, seed):
-    """Context windows per entity, keyed by (seed, entity) for reproducibility.
-
-    An entity's windows come from stream_rng(seed, "eval", 0, entity), so they
-    are a pure function of (corpus, seed, P, T, entity).  Each is drawn once
-    per CorpusData and kept as a tuple in data.eval_windows; later calls
-    return that tuple.  The memo has no cap: it holds one entry per (seed, P,
-    T, entity) asked for.  An entity with no occurrence raises NoContextError
-    on every call.  The seed passes `check_seed` before it keys the memo.
-    """
-    check_seed(seed)
-    out = {}
-    for eid in entity_ids:
-        key = (seed, P, T, int(eid))
-        windows = data.eval_windows.get(key)
-        if windows is None:
-            rng = stream_rng(seed, "eval", 0, int(eid))
-            windows = tuple(corpus.retrieve_contexts(data, eid, P, T, rng))
-            data.eval_windows[key] = windows
-        out[eid] = windows
-    return out
+    """Context windows per entity, a tuple each, drawn from stream_rng(seed,
+    "eval", 0, entity): a pure function of (corpus, seed, P, T, entity).  An
+    entity with no occurrence raises NoContextError."""
+    return {eid: tuple(corpus.retrieve_contexts(data, eid, P, T,
+                                                stream_rng(seed, "eval", 0, int(eid))))
+            for eid in entity_ids}
 
 
 def stack_windows(ctx, ids):
@@ -198,35 +183,23 @@ def _same_weights(params, held):
     return True
 
 
-def entity_scorer(params, config, data, emb, seed):
-    """Scores of entity pairs as `_scorer` gives them, for any entities: each
-    score call passes its ids through `corpus.entity_ids`, names included."""
-    scores = _scorer(params, config, data, emb, seed)
-
-    def score(left, right):
-        if len(left) != len(right):
-            raise DataError(f"{len(left)} left entities but {len(right)} candidate lists")
-        ids = iter(corpus.entity_ids(list(chain(left, *right)), data.vocab, len(data.vocab)))
-        return scores(list(islice(ids, len(left))), [list(islice(ids, len(c))) for c in right])
-
-    return score
+def _model_key(config, seed):
+    """What a Scorer's scores depend on besides its weights and emb."""
+    return (config.encoder, config.leaky, seed, config.contexts_per_entity,
+            config.max_context_len)
 
 
-def _scorer(params, config, data, emb, seed):
-    """The model's scores of entity pairs, for checked ids as discover_many and
-    evaluate pass them: returns score(left, right), where right[i] lists the
-    candidates of left[i], and score gives one array of model scores per left id.
+class Scorer:
+    """One model's scores of entity pairs, for checked ids as discover_many
+    and evaluate pass them: score(left, right), where right[i] lists the
+    candidates of left[i], gives one array of model scores per left id.
 
-    data.eval_encodings holds one model's scoring memo: read-only copies of
-    the seven weights (the encoder's six and match.w_bm), the variant, seed,
-    P, T and the emb object.  The scorer compares params bit for bit with the
-    memo's weight copies and takes them when all match, or else copies
-    params anew, and it encodes and projects with those copies: it scores
-    the weights as they were when it was made, whatever is later written to
-    params.  A score call finds the memo of its own copies or starts one,
-    replacing another model's.  The entities a call names that are not held
-    yet get their windows and are encoded in one batch and projected at
-    once, enc[e] @ w_bm; the encoder gives an entity the same bits in any
+    It encodes and projects with read-only copies of the seven weights (the
+    encoder's six and match.w_bm) taken when it is made.  It keeps a copy of
+    `windows`, by entity, and a call draws the windows of the other entities
+    it names (`eval_contexts`) before it encodes any.  A call encodes the
+    entities it names that are not held yet in one batch and projects them
+    at once, enc[e] @ w_bm; the encoder gives an entity the same bits in any
     batch.  The encodings and the projections are two read-only (entities,
     P, d_ce) arrays under one row map.
 
@@ -235,36 +208,34 @@ def _scorer(params, config, data, emb, seed):
     query's encodings and projection against its own candidates, and a query
     of more than SCORE_SLICE candidates is scored in slices of that many.  A
     pair's score has the same bits however its query is grouped or sliced,
-    and a query with no candidates gets an empty score array.  The seed
-    passes `check_seed` before it keys the memo."""
-    check_seed(seed)
-    P, T = config.contexts_per_entity, config.max_context_len
-    key = (config.encoder, seed, P, T)
-    memo = data.eval_encodings
-    same = (memo.get("key") == key and memo.get("emb") is emb
-            and _same_weights(params, memo["weights"]))
-    weights = memo["weights"] if same else _held_copies(params)
+    and a query with no candidates gets an empty score array."""
 
-    def score(left, right):
-        slot = data.eval_encodings
-        if slot.get("weights") is not weights:
-            slot.clear()
-            slot.update(key=key, emb=emb, weights=weights, rows={}, enc=np.empty(0),
-                        hw=np.empty(0))
-        rows = slot["rows"]
+    def __init__(self, params, config, data, emb, seed, windows=None):
+        check_seed(seed)
+        self.key = _model_key(config, seed)
+        self.data, self.emb = data, emb
+        self.weights = _held_copies(params)
+        self.windows = dict(windows or {})
+        self.rows = {}
+        self.enc = self.hw = np.empty(0)
+
+    def __call__(self, left, right):
+        variant, leaky, seed, P, T = self.key
+        rows, weights = self.rows, self.weights
         missing = sorted(int(eid) for eid in set(chain(left, *right)).difference(rows))
         if missing:
-            ctx = eval_contexts(data, missing, P, T, seed)
-            new = encoder.encode_batch([w for eid in missing for w in ctx[eid]], weights, emb,
-                                       config.encoder).reshape(len(missing), P, -1)
+            self.windows.update(eval_contexts(
+                self.data, [eid for eid in missing if eid not in self.windows], P, T, seed))
+            new = encoder.encode_batch([w for eid in missing for w in self.windows[eid]],
+                                       weights, self.emb, variant).reshape(len(missing), P, -1)
             d = new.shape[2]
             # a stacked product: one (P, d) @ (d, d) gemm per entity, as in the matcher
             for name, block in (("enc", new), ("hw", new @ weights["match.w_bm"])):
-                held = np.concatenate([slot[name].reshape(-1, d), block.reshape(-1, d)])
+                held = np.concatenate([getattr(self, name).reshape(-1, P, d), block])
                 held.flags.writeable = False
-                slot[name] = held.reshape(-1, P, d)     # a view: stays read-only
-            rows.update(zip(missing, range(len(rows), len(slot["enc"]))))
-        enc, hw = slot["enc"], slot["hw"]
+                setattr(self, name, held[:])        # a view: cannot be made writeable
+            rows.update(zip(missing, range(len(rows), len(self.enc))))
+        enc, hw = self.enc, self.hw
         out = [None] * len(left)
         by_length = {}
         for i, cands in enumerate(right):
@@ -281,11 +252,34 @@ def _scorer(params, config, data, emb, seed):
                 lb = li[at:at + per_call]
                 for j in range(0, K, width):
                     rb = ri[at:at + per_call, j:j + width]
-                    r = matcher.match_score(enc[lb], hw[lb], enc[rb], config.leaky)
+                    r = matcher.match_score(enc[lb], hw[lb], enc[rb], leaky)
                     scores[at:at + per_call, j:j + width] = r.score.reshape(rb.shape)
             for i, row in zip(queries, scores):
                 out[i] = row
         return out
+
+
+def _scorer(params, config, data, emb, seed):
+    """data.scorer if it has this model's key, emb object and weights, bit for
+    bit, or else a new Scorer stored there; the seed is checked first."""
+    check_seed(seed)
+    held = data.scorer
+    if (held is None or held.key != _model_key(config, seed) or held.emb is not emb
+            or not _same_weights(params, held.weights)):
+        held = data.scorer = Scorer(params, config, data, emb, seed)
+    return held
+
+
+def entity_scorer(params, config, data, emb, seed):
+    """Scores of entity pairs as `_scorer` gives them, for any entities: each
+    score call passes its ids through `corpus.entity_ids`, names included."""
+    scores = _scorer(params, config, data, emb, seed)
+
+    def score(left, right):
+        if len(left) != len(right):
+            raise DataError(f"{len(left)} left entities but {len(right)} candidate lists")
+        ids = iter(corpus.entity_ids(list(chain(left, *right)), data.vocab, len(data.vocab)))
+        return scores(list(islice(ids, len(left))), [list(islice(ids, len(c))) for c in right])
 
     return score
 
@@ -378,9 +372,10 @@ def evaluate(params, config, data, table, split="test", seed=0,
     if not pairs:
         raise MetricError(f"split {split!r} yields no evaluation pairs")
     entity_ids = sorted(store.entities(split))
-    # an entity without context fails here, even one that no score call names
-    eval_contexts(data, entity_ids, config.contexts_per_entity, config.max_context_len, seed)
     score = _scorer(params, config, data, table.matrix, seed)
+    # every split entity is held before any is scored: one without context
+    # fails here, even one that no pair and no shortlist names
+    score(entity_ids, [[]] * len(entity_ids))
 
     scores = np.concatenate(score([p.a for p in pairs], [[p.b] for p in pairs]))
     auc_value = auc([(s, p.label) for s, p in zip(scores, pairs)])

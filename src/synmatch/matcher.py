@@ -22,7 +22,7 @@ aggregations as one (P, d) @ (d, Q) and one (1, P) @ (P, d) product per
 pair whatever the grouping, so every pair keeps its bits.  The forward
 takes the projected left side H W_BM from its caller: `pair_score_vars`
 computes it once per call and its backward reuses it, and `match_score`
-takes the one its caller holds (`evaluation.entity_scorer` projects each
+takes the one its caller holds (`evaluation.Scorer` projects each
 entity when it encodes it).  numpy takes a stack's product as one (P, d) @
 (d, d) gemm per entity, so a projection held per entity has the bits of one
 taken in the batch.

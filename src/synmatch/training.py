@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import autodiff as ad
-from . import corpus, embeddings, encoder, evaluation, matcher
+from . import corpus, encoder, evaluation, matcher
 from .errors import DataError, NumericError
 from .rng import check_seed, stream_rng
 
@@ -222,9 +222,9 @@ def clip_gradients(grads):
 # ---------------------------------------------------------------------------
 # model assembly
 
-def init_model_params(config, table, rng):
-    """Named parameter dict for the configured model."""
-    params = encoder.init_encoder_params(table.dim, config.d_ce, rng)
+def init_model_params(config, d_embed, rng):
+    """Named parameter dict for the configured model over d_embed-wide embeddings."""
+    params = encoder.init_encoder_params(d_embed, config.d_ce, rng)
     # identity start: matching an entity against itself then scores exactly 1
     params["match.w_bm"] = np.eye(config.d_ce)
     return params
@@ -301,8 +301,7 @@ def gradcheck_model(seed=0):
                 else:
                     items = [corpus.TrainingPair(ents[0], ents[1], 1),
                              corpus.TrainingPair(ents[2], ents[3], 0)]
-                params = init_model_params(
-                    config, embeddings.EmbeddingTable(matrix=table, vocab=None), rng)
+                params = init_model_params(config, d_embed, rng)
                 builder = batch_loss_builder(items, ctx, config, table)
                 report = ad.finite_diff_check(builder, params, eps=1e-5)
                 label = f"{objective}/{variant}/leaky={'on' if leaky else 'off'}"
@@ -339,7 +338,7 @@ def train(config, data, table):
 
     P = config.contexts_per_entity
     T = config.max_context_len
-    params = init_model_params(config, table, stream_rng(config.seed, "init"))
+    params = init_model_params(config, table.dim, stream_rng(config.seed, "init"))
     opt = Adam(config.learning_rate)
 
     valid_pairs = evaluation.make_eval_pairs(store, "valid", stream_rng(config.seed, "eval", 1))
@@ -350,8 +349,8 @@ def train(config, data, table):
             f"negative pairs; validation AUC needs both, so two or more synsets, "
             f"one of them with two or more entities")
     valid_ids = sorted({eid for p in valid_pairs for eid in (p.a, p.b)})
-    # an entity without context fails here, before the first epoch
-    evaluation.eval_contexts(data, valid_ids, P, T, config.seed)
+    # drawn once for all epochs: an entity without context fails before the first
+    valid_windows = evaluation.eval_contexts(data, valid_ids, P, T, config.seed)
 
     n_items = config.pairs_per_epoch or _auto_items_per_epoch(store, config)
     history = []
@@ -386,7 +385,8 @@ def train(config, data, table):
 
         valid_auc = None
         if valid_pairs:
-            score = evaluation.entity_scorer(params, config, data, table.matrix, config.seed)
+            score = evaluation.Scorer(params, config, data, table.matrix, config.seed,
+                                      valid_windows)
             scores = np.concatenate(score([p.a for p in valid_pairs],
                                           [[p.b] for p in valid_pairs]))
             valid_auc = evaluation.auc([(s, p.label) for s, p in zip(scores, valid_pairs)])

@@ -281,8 +281,8 @@ def evaluate(params, config, data, table, split="test", seed=0, ks=(1, 5, 10), k
     # hold every entity of the split, each scored against itself
     evaluation.entity_scorer(params, config, data, table.matrix, seed)(
         entity_ids, [[eid] for eid in entity_ids])
-    slot = data.eval_encodings
-    rows, enc, hw = slot["rows"], slot["enc"], slot["hw"]
+    held = data.scorer
+    rows, enc, hw = held.rows, held.enc, held.hw
 
     def score(left, right):
         """One query's candidates as one group, or pairs as groups of one."""

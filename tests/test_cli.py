@@ -595,7 +595,8 @@ def test_negative_min_count_exits_two(work, tmp_path, capsys):
                      "--synsets", str(work / "data/synsets.tsv"),
                      "--out", str(tmp_path / "index.npz"), "--min-count", "-5")
     assert rc == 2
-    assert "min_count must be non-negative, got -5" in err and "Traceback" not in err
+    assert "min_count must be a non-negative integer (at least 0), got -5" in err
+    assert "Traceback" not in err
     assert not any(tmp_path.iterdir())
 
 

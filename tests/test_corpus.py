@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from collections import Counter
 
 import numpy as np
@@ -45,8 +46,11 @@ def test_ingest_drops_low_frequency_entity(tmp_path):
 def test_ingest_rejects_negative_min_count(tmp_path):
     corpus_path = write(tmp_path / "c.txt", "a b c\n")
     synset_path = write(tmp_path / "s.tsv", "a\tb\n")
-    with pytest.raises(DataError, match="min_count must be non-negative, got -5"):
-        corpus.ingest(corpus_path, synset_path, min_count=-5)
+    # the count check: an integer, not a bool, of at least 0
+    for bad in (-5, "5", 2.5, True):
+        with pytest.raises(DataError, match=re.escape(
+                f"min_count must be a non-negative integer (at least 0), got {bad!r}")):
+            corpus.ingest(corpus_path, synset_path, min_count=bad)
     assert len(corpus.ingest(corpus_path, synset_path, min_count=0).store) == 1
 
 
@@ -344,7 +348,7 @@ def boundary_model():
     table = embeddings.EmbeddingTable(matrix=matrix, vocab=MODEL_VOCAB)
     config = training.TrainConfig(d_ce=4, contexts_per_entity=2, max_context_len=4,
                                   epochs=0).validate()
-    return data, table, config, training.init_model_params(config, table, stream_rng(1, "init"))
+    return data, table, config, training.init_model_params(config, table.dim, stream_rng(1, "init"))
 
 
 MODEL = boundary_model()
@@ -547,7 +551,7 @@ def test_lines_are_built_on_first_use_only(tmp_path, small_data):
         filled = [li for li, line in enumerate(data.line_slots) if line is not None]
         assert filled == sorted({w.source_line for w in ws}) and len(filled) == 3
     spec = {f.name: f for f in dataclasses.fields(corpus.CorpusData)}
-    for name in ("line_slots", "eval_windows"):
+    for name in ("line_slots", "scorer"):
         assert not spec[name].repr and not spec[name].compare, name
     assert "line_slots" not in repr(small_data)
 
@@ -620,6 +624,13 @@ def test_sample_pairs_ratio():
     pairs = corpus.sample_pairs(store, 100, rng=stream_rng(1, "train"))
     assert len(pairs) == 100
     assert sum(p.label for p in pairs) == 50
+
+
+@pytest.mark.parametrize("n, n_pos", [(1, 1), (2, 1), (3, 2), (4, 2), (5, 3), (6, 3)])
+def test_sample_pairs_never_draws_fewer_positives_than_negatives(n, n_pos):
+    pairs = corpus.sample_pairs(all_train(make_store(5)), n, stream_rng(n, "train"))
+    assert len(pairs) == n
+    assert sum(p.label for p in pairs) == n_pos
 
 
 def test_sample_pairs_negatives_never_synonyms():

@@ -196,7 +196,7 @@ def tiny(tmp_path_factory):
     table = embeddings.EmbeddingTable(matrix=matrix, vocab=vocab)
     config = training.TrainConfig(d_ce=8, contexts_per_entity=3, max_context_len=6,
                                   epochs=0).validate()
-    params = training.init_model_params(config, table, stream_rng(7, "init"))
+    params = training.init_model_params(config, table.dim, stream_rng(7, "init"))
     return data, table, config, params
 
 
@@ -443,7 +443,7 @@ def test_evaluate_report_shape(tiny):
 
 
 # ---------------------------------------------------------------------------
-# evaluation windows are drawn once per CorpusData
+# evaluation windows are drawn once per scorer, and a scorer is kept per CorpusData
 
 def fresh_copy(data):
     """A CorpusData over the same corpus, with nothing drawn yet."""
@@ -467,7 +467,7 @@ def test_eval_contexts_equal_fresh_draws(tiny):
                 assert list(got) == ids
                 assert {eid: list(w) for eid, w in got.items()} == want
                 assert all(type(w) is tuple for w in got.values())
-    assert len(data.eval_windows) == 2 * 2 * len(ids)
+    assert data.scorer is None          # a pure draw: nothing is kept on the corpus
 
 
 def count_retrievals(monkeypatch):
@@ -501,36 +501,36 @@ def test_second_discover_draws_no_windows(tiny, monkeypatch):
 def test_memo_starts_empty_on_ingest_and_index_load(tiny, tmp_path):
     _, table, config, params = tiny
     data = fresh_copy(tiny[0])
-    assert data.eval_windows == {} and data.eval_encodings == {}
+    assert data.scorer is None
     evaluation.discover(params, config, data, table, "sun", k=10)
-    assert data.eval_windows
+    assert len(data.scorer.rows) == 4
     cli.save_index(str(tmp_path / "index.npz"), data)
-    assert cli.load_index(str(tmp_path / "index.npz")).eval_windows == {}
-    loaded = cli.load_index(str(tmp_path / "index.npz"))
-    assert data.eval_encodings and loaded.eval_encodings == {}
-    for name in ("eval_windows", "eval_encodings"):
-        memo = next(f for f in dataclasses.fields(corpus.CorpusData) if f.name == name)
-        assert not memo.init and not memo.repr and not memo.compare
-        assert name not in repr(data)
-        assert getattr(fresh_copy(data), name) == {}
+    assert cli.load_index(str(tmp_path / "index.npz")).scorer is None
+    memo = next(f for f in dataclasses.fields(corpus.CorpusData) if f.name == "scorer")
+    assert not memo.init and not memo.repr and not memo.compare
+    assert "scorer" not in repr(data)
+    assert fresh_copy(data).scorer is None
 
 
 def test_callers_cannot_change_stored_windows(tiny):
+    _, table, config, params = tiny
     data = fresh_copy(tiny[0])
     ids = sorted(data.store.entities())
-    want = fresh_draws(data, ids, 3, 6, 0)
-    got = evaluation.eval_contexts(data, ids, 3, 6, 0)
-    got[ids[0]] = ()
-    del got[ids[1]]
-    windows = got[ids[2]]
+    P, T = config.contexts_per_entity, config.max_context_len
+    want = fresh_draws(data, ids, P, T, 0)
+    given = evaluation.eval_contexts(data, ids, P, T, 0)
+    score = evaluation.Scorer(params, config, data, table.matrix, 0, given)
+    # the scorer holds a copy of the dict it was given, of tuples of frozen windows
+    given[ids[0]] = ()
+    del given[ids[1]]
+    windows = score.windows[ids[2]]
     with pytest.raises(AttributeError):
         windows.append(windows[0])
     with pytest.raises(TypeError):
         windows[0] = windows[1]
     with pytest.raises(dataclasses.FrozenInstanceError):
         windows[0].token_ids = ()
-    again = evaluation.eval_contexts(data, ids, 3, 6, 0)
-    assert {eid: list(w) for eid, w in again.items()} == want
+    assert {eid: list(w) for eid, w in score.windows.items()} == want
 
 
 def test_entity_without_context_raises_every_call(tiny, monkeypatch):
@@ -540,11 +540,10 @@ def test_entity_without_context_raises_every_call(tiny, monkeypatch):
         with pytest.raises(NoContextError):
             evaluation.eval_contexts(data, [corpus.PAD], 3, 6, 0)
         assert len(calls) == attempt
-    assert data.eval_windows == {}
 
 
 # ---------------------------------------------------------------------------
-# encodings are kept per CorpusData for one model at a time
+# data.scorer holds one model at a time
 
 def count_encoded(monkeypatch):
     """Windows encoded by each encoder.encode_batch call from now on."""
@@ -609,6 +608,8 @@ MODEL_CHANGES = {
     "P": lambda p, t, c: (p, t, dataclasses.replace(c, contexts_per_entity=2)),
     "T": lambda p, t, c: (p, t, dataclasses.replace(c, max_context_len=4)),
     "variant": lambda p, t, c: (p, t, dataclasses.replace(c, encoder="bilstm")),
+    # the leak changes no encoding, but a held scorer matches with its own
+    "leak": lambda p, t, c: (p, t, dataclasses.replace(c, leaky=not c.leaky)),
 }
 
 
@@ -628,9 +629,9 @@ def test_model_change_encodes_again(tiny, monkeypatch, change):
     assert calls == [4 * config.contexts_per_entity]
     want = evaluation.discover(params, config, fresh_copy(data), table, "sun", k=10, seed=seed)
     assert got.ranked == want.ranked and got.candidates == want.candidates
-    # the whole slot was replaced: the old model's encodings and projections are gone
-    slot = data.eval_encodings
-    assert len(slot["rows"]) == len(slot["enc"]) == len(slot["hw"]) == 4
+    # a new scorer took the old one's place: its encodings and projections are gone
+    held = data.scorer
+    assert len(held.rows) == len(held.enc) == len(held.hw) == 4
 
 
 def test_scorer_keeps_the_weights_it_was_made_with(tiny, monkeypatch):
@@ -646,13 +647,13 @@ def test_scorer_keeps_the_weights_it_was_made_with(tiny, monkeypatch):
         change(params, table, config)
     # the other two are encoded and projected with the weights as they were
     assert [x.tolist() for x in score(ids, [ids] * 4)] == want
-    # the changed weights take the memo over; the first scorer's next call
-    # starts it again for its own weights
+    # the changed weights get a new scorer on data; the first keeps its own
+    # encodings and encodes nothing again
     calls = count_encoded(monkeypatch)
     changed = evaluation.entity_scorer(params, config, data, table.matrix, 0)(ids, [ids] * 4)
     assert [x.tolist() for x in changed] != want
     assert [x.tolist() for x in score(ids, [ids] * 4)] == want
-    assert calls == [4 * config.contexts_per_entity] * 2
+    assert calls == [4 * config.contexts_per_entity]
 
 
 def test_weights_copied_to_new_arrays_encode_nothing(tiny, monkeypatch):
@@ -704,7 +705,7 @@ def test_entity_without_context_is_not_encoded(tiny, monkeypatch):
             score([sun], [[corpus.PAD]])
     # the call draws every window before it encodes: sun is not encoded either
     assert calls == []
-    assert data.eval_encodings["rows"] == {}
+    assert data.scorer.rows == {}
     # evaluate draws the windows of every split entity before it scores any, so
     # a split entity with no context fails it though, at seed 5, no evaluation
     # pair and no shortlist of one candidate names it
@@ -726,16 +727,16 @@ def test_callers_cannot_write_stored_encodings(tiny):
     _, table, config, params = tiny
     data = fresh_copy(tiny[0])
     evaluation.discover(params, config, data, table, "sun", k=10)
-    slot = data.eval_encodings
-    assert len(slot["rows"]) == len(slot["enc"]) == len(slot["hw"]) == 4
-    for stored in (slot["enc"], slot["hw"], slot["enc"][0], slot["hw"][0]):
+    held = data.scorer
+    assert len(held.rows) == len(held.enc) == len(held.hw) == 4
+    for stored in (held.enc, held.hw, held.enc[0], held.hw[0]):
         with pytest.raises(ValueError):
             stored[0, 0] = 1.0
         with pytest.raises(ValueError):
             stored.flags.writeable = True
     # the seven weight copies the check compares with are read-only too
-    assert sorted(slot["weights"]) == sorted(encoder.PARAM_NAMES + ("match.w_bm",))
-    for w in slot["weights"].values():
+    assert sorted(held.weights) == sorted(encoder.PARAM_NAMES + ("match.w_bm",))
+    for w in held.weights.values():
         with pytest.raises(ValueError):
             w[0, 0] = 1.0
 
@@ -748,7 +749,7 @@ def test_callers_cannot_write_stored_encodings(tiny):
 def test_entity_scorer_equals_unprojected_oracle(tiny, monkeypatch, d_ce, P, leaky):
     data, table, config, _ = tiny
     config = dataclasses.replace(config, d_ce=d_ce, contexts_per_entity=P, leaky=leaky)
-    params = training.init_model_params(config, table, stream_rng(8, "init"))
+    params = training.init_model_params(config, table.dim, stream_rng(8, "init"))
     params["match.w_bm"] = stream_rng(9, "init").normal(size=(d_ce, d_ce)) / np.sqrt(d_ce)
     ids = sorted(data.store.entities())
     # all at once, and over two calls: the second appends its rows to the held ones
@@ -757,11 +758,11 @@ def test_entity_scorer_equals_unprojected_oracle(tiny, monkeypatch, d_ce, P, lea
         score = evaluation.entity_scorer(params, config, data, table.matrix, 0)
         for some in arrivals:
             score(some, [some] * len(some))
-        slot = data.eval_encodings
-        assert sorted(slot["rows"]) == ids and len(slot["hw"]) == len(ids)
+        held = data.scorer
+        assert sorted(held.rows) == ids and len(held.hw) == len(ids)
 
         def want(left, right):
-            return ref.entity_scores(slot["enc"], slot["rows"], params["match.w_bm"], leaky,
+            return ref.entity_scores(held.enc, held.rows, params["match.w_bm"], leaky,
                                      left, right)
 
         # gathered left sides as pairs, then every id against all ids, at the
@@ -796,7 +797,7 @@ def tier1(tmp_path_factory):
 
 def scoring_model(config, table):
     """Initial weights with a random match.w_bm, so that scores spread."""
-    params = training.init_model_params(config, table, stream_rng(13, "init"))
+    params = training.init_model_params(config, table.dim, stream_rng(13, "init"))
     params["match.w_bm"] = stream_rng(14, "init").normal(size=(config.d_ce,) * 2) / np.sqrt(
         config.d_ce)
     return params
@@ -869,15 +870,17 @@ def test_evaluate_projects_each_left_entity_once(tiny, monkeypatch):
     _, table, config, params = tiny
     data = fresh_copy(tiny[0])
     first = evaluation.evaluate(params, config, data, table, split="test", ks=(1, 2))
-    slot = data.eval_encodings
+    held = data.scorer
     pairs = evaluation.make_eval_pairs(data.store, "test", stream_rng(0, "eval", 1))
     lefts = {p.a for p in pairs} | set(data.store.entities("test"))   # every one is a query
     # one projected row per left entity: none was projected twice
-    assert sorted(slot["rows"]) == sorted(lefts) and len(slot["hw"]) == len(lefts)
-    hw = slot["hw"]
+    assert sorted(held.rows) == sorted(lefts) and len(held.hw) == len(lefts)
+    hw = held.hw
     calls = count_encoded(monkeypatch)
+    retrievals = count_retrievals(monkeypatch)
     again = evaluation.evaluate(params, config, data, table, split="test", ks=(1, 2))
-    assert calls == [] and data.eval_encodings["hw"] is hw    # nothing encoded or projected
+    # nothing drawn, encoded or projected
+    assert calls == [] and retrievals == [] and data.scorer is held and held.hw is hw
     assert again.to_text() == first.to_text()
 
 
@@ -897,12 +900,16 @@ def test_validation_encodes_once_an_epoch_and_keeps_its_history(tmp_path, capsys
     assert cli.main(["ingest", "--workdir", root, "--corpus", "data/corpus.txt",
                      "--synsets", "data/synsets.tsv", "--valid-frac", "0.25",
                      "--test-frac", "0.25", "--seed", "11"]) == 0
+    valid = sorted(cli.load_index(str(tmp_path / "index.npz")).store.entities("valid"))
     calls = count_encoded(monkeypatch)
+    retrievals = count_retrievals(monkeypatch)
     assert cli.main(["train", "--workdir", root, "--index", "index.npz",
                      "--embeddings", "data/embeddings.txt", "--d-ce", "8",
                      "--contexts-per-entity", "3", "--max-context-len", "13",
                      "--epochs", "3", "--seed", "11"]) == 0
     capsys.readouterr()
-    # each epoch's new weights replace the slot: all valid windows, once an epoch
+    # each epoch's new weights get a scorer of their own: all valid windows,
+    # encoded once an epoch, but drawn once for the whole run
     assert len(calls) == 3 and len(set(calls)) == 1
+    assert valid and sorted(eid for eid in retrievals if eid in valid) == valid
     assert (tmp_path / "history.txt").read_text() == VALID_HISTORY

@@ -335,7 +335,7 @@ def test_contexts_are_resampled_every_epoch(tmp_path, monkeypatch):
 def test_train_zero_learning_rate_keeps_parameters(tmp_path):
     data, table, config = toy_setup(tmp_path, epochs=1, learning_rate=0.0)
     params, _ = training.train(config, data, table)
-    fresh = training.init_model_params(config, table, stream_rng(config.seed, "init"))
+    fresh = training.init_model_params(config, table.dim, stream_rng(config.seed, "init"))
     assert sorted(params) == sorted(fresh)
     for k in params:
         assert np.array_equal(params[k], fresh[k])
@@ -405,7 +405,7 @@ def test_full_model_gradcheck(tmp_path):
         config = training.TrainConfig(
             objective=objective, d_ce=4, contexts_per_entity=2, max_context_len=5,
             leaky=True, seed=3).validate()
-        params = training.init_model_params(config, table, stream_rng(3, "init"))
+        params = training.init_model_params(config, table.dim, stream_rng(3, "init"))
         ep_rng = stream_rng(3, "train")
         if objective == "triplet":
             items = corpus.sample_triplets(data.store, 2, ep_rng)
@@ -421,7 +421,7 @@ def test_full_model_gradcheck(tmp_path):
 @pytest.mark.parametrize("objective", training.OBJECTIVES)
 def test_batch_tape_size_does_not_grow_with_the_batch(tmp_path, objective):
     data, table, config = toy_setup(tmp_path, objective=objective)
-    params = training.init_model_params(config, table, stream_rng(3, "init"))
+    params = training.init_model_params(config, table.dim, stream_rng(3, "init"))
     counts = []
     for n in (2, 16):
         rng = stream_rng(3, "train", n)
@@ -443,7 +443,7 @@ def test_batch_tape_is_weights_encoder_matchers_and_loss(tmp_path, objective):
     triplets) and 1 loss node: 10 nodes for a siamese batch, 11 for a triplet
     batch."""
     data, table, config = toy_setup(tmp_path, objective=objective)
-    params = training.init_model_params(config, table, stream_rng(3, "init"))
+    params = training.init_model_params(config, table.dim, stream_rng(3, "init"))
     rng = stream_rng(3, "train")
     if objective == "triplet":
         items = corpus.sample_triplets(data.store, 4, rng)
@@ -469,12 +469,7 @@ def test_batch_tape_is_weights_encoder_matchers_and_loss(tmp_path, objective):
 
 def make_small_model(seed=5):
     config = training.TrainConfig(d_ce=6).validate()
-
-    class Table:
-        dim = 4
-        matrix = stream_rng(seed, "init", 1).normal(size=(11, 4))
-
-    params = training.init_model_params(config, Table(), stream_rng(seed, "init"))
+    params = training.init_model_params(config, 4, stream_rng(seed, "init"))
     return params, config
 
 
@@ -637,7 +632,7 @@ def test_checkpoint_stating_retired_numbers_as_ints_loads(tmp_path):
     """neg_ratio and clip_norm were float fields, which took an int and saved
     it as a JSON int: a number equal in value to the fixed one loads."""
     data, table, config = toy_setup(tmp_path)
-    params = training.init_model_params(config, table, stream_rng(3, "init"))
+    params = training.init_model_params(config, table.dim, stream_rng(3, "init"))
     path = tmp_path / "model.ckpt"
     training.save_checkpoint(str(path), params, config)
     blob = json.loads(path.read_text())
