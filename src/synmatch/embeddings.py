@@ -153,11 +153,11 @@ def load_embeddings(path, vocab):
 
 def save_embeddings(path, tokens, matrix):
     """Write a "count dim" header, then each token with its row of matrix,
-    values at 6-decimal precision."""
+    values at 6-decimal precision, in one write."""
+    line = "%s" + " %.6f" * matrix.shape[1] + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("%d %d\n" % matrix.shape)
-        for tok, row in zip(tokens, matrix):
-            fh.write(tok + " " + " ".join("%.6f" % x for x in row) + "\n")
+        fh.write("%d %d\n" % matrix.shape
+                 + "".join(line % (tok, *row) for tok, row in zip(tokens, matrix.tolist())))
 
 
 def nearest_neighbors(table, entities, k, universe):

@@ -115,8 +115,9 @@ def _pool_exp(Lt, leaky):
 
 def _match(H, HW, G, leaky):
     """Match, aggregate and score float groups H (N, P, d) and G (N, K, Q, d),
-    with or without the leak slot; HW is H @ w_bm.  Every field has a leading
-    axis of the B = N K pairs."""
+    with or without the leak slot; HW is H @ w_bm.  Returns the MatchResult,
+    every field with a leading axis of the B = N K pairs, and the global-context
+    norms from `_norms`, which the backward takes as they are."""
     L = HW[:, None] @ G.transpose(0, 1, 3, 2)
     N, K, P, Q = L.shape
     B = N * K
@@ -149,7 +150,8 @@ def _match(H, HW, G, leaky):
     if not np.isfinite(raw).all():
         raise NumericError(f"match score is not finite: {raw[~np.isfinite(raw)]}")
     score = np.minimum(np.maximum(raw, -1.0), 1.0)  # keep rounding inside [-1, 1]
-    return MatchResult(m_fwd, m_bwd, leak_fwd, leak_bwd, a_h, a_g, h_bar, g_bar, score)
+    return (MatchResult(m_fwd, m_bwd, leak_fwd, leak_bwd, a_h, a_g, h_bar, g_bar, score),
+            (nh, ng, live))
 
 
 def match_score(H, HW, G, leaky=False):
@@ -162,15 +164,15 @@ def match_score(H, HW, G, leaky=False):
     """
     H, HW, G = (np.asarray(x, dtype=float) for x in (H, HW, G))
     _check_dims(H, HW, G)
-    return _match(H, HW, G, leaky)
+    return _match(H, HW, G, leaky)[0]
 
 
-def _score_backward(r, H, HW, G, w_bm, g):
+def _score_backward(r, norms, H, HW, G, w_bm, g):
     """Gradients of the scores r.score weighted by g (B, 1), from the saved
-    forward result r and its pairs' inputs H (B, P, d), HW = H @ w_bm and G
-    (B, Q, d): dH and dG per pair, and dW summed over the batch."""
+    forward result r, its norms and its pairs' inputs H (B, P, d), HW = H @
+    w_bm and G (B, Q, d): dH and dG per pair, and dW summed over the batch."""
     B, P, Q = r.m_fwd.shape
-    nh, ng, live = _norms(r.h_bar, r.g_bar)
+    nh, ng, live = norms
     nh, ng, s = nh[:, None], ng[:, None], r.score[:, None]
     # zero-norm pairs score a constant 0, so they pass back no gradient
     up = np.where(live, g.reshape(B), 0.0)[:, None]
@@ -209,10 +211,10 @@ def pair_score_vars(Hv, Gv, wv, leaky, rows):
         raise ShapeError(f"bilinear matrix is {wv.shape}, expected {(d, d)}")
     HW = H @ wv.value
     _check_dims(H, HW, G[:, None])
-    r = _match(H, HW, G[:, None], leaky)
+    r, norms = _match(H, HW, G[:, None], leaky)
 
     def backward(g):
-        dH, dG, dW = _score_backward(r, H, HW, G, wv.value, g)
+        dH, dG, dW = _score_backward(r, norms, H, HW, G, wv.value, g)
         dHv, dGv = np.zeros_like(Hv.value), np.zeros_like(Gv.value)
         np.add.at(dHv, h_rows, dH)
         np.add.at(dGv, g_rows, dG)

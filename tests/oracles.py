@@ -7,7 +7,10 @@ and the matcher's outputs to the scalar a gradient check needs. Binary ops
 take two operands of one shape. `cosine` is
 the per-row reference for the KNN scan, and `nearest_neighbors` is the KNN
 scan as it was written with a Python loop over the universe and the results:
-the library's scan must return the same (id, cosine) lists, bit for bit. The
+the library's scan must return the same (id, cosine) lists, bit for bit.
+`save_embeddings` writes an embedding file one value at a time: the
+library, which formats each row with one format string, must write the same
+bytes. The
 library's tape has no ops: every node it records has a hand-written backward.
 `retrieve_contexts` cuts windows as the library did when it built every line's
 tuple up front: the library, which builds a line only when it cuts from it,
@@ -220,6 +223,14 @@ def nearest_neighbors(table, qid, k, universe):
     cos = np.divide(dots, norms, out=np.zeros_like(dots), where=norms != 0.0)
     best = np.lexsort((ids, -cos))[:k]
     return [(int(ids[j]), float(cos[j])) for j in best]
+
+
+def save_embeddings(path, tokens, matrix):
+    """The embedding file as it was written one row and one value at a time."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("%d %d\n" % matrix.shape)
+        for tok, row in zip(tokens, matrix):
+            fh.write(tok + " " + " ".join("%.6f" % x for x in row) + "\n")
 
 
 def retrieve_contexts(data, eid, P, T, rng):

@@ -1,12 +1,14 @@
 import dataclasses
+import os
 import re
+import tempfile
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from synmatch import cli, corpus, embeddings, evaluation, training
+from synmatch import cli, corpus, embeddings, evaluation, synthetic, training
 from synmatch.errors import DataError, NoContextError, SynmatchError, UnknownEntityError
 from synmatch.rng import stream_rng
 
@@ -515,6 +517,62 @@ def test_entity_scorer_scores_or_raises_a_typed_error(groups, seed):
     assert valid
     want = evaluation.entity_scorer(params, config, data, table.matrix, int(seed))(lids, rids)
     assert [x.tolist() for x in got] == [x.tolist() for x in want]
+
+
+NOISES = st.one_of(st.floats(allow_nan=True), st.integers(-1, 2), st.booleans(),
+                   st.sampled_from(["0.3", None, np.float64(0.3), np.float32(0.5),
+                                    np.bool_(True)]))
+VOCAB_SIZES = st.one_of(st.integers(-2, 60), st.integers(0, 60).map(np.int64),
+                        st.sampled_from([True, 40.0, 40.5, "40", None]))
+
+
+@st.composite
+def generate_args(draw):
+    """Tiny valid arguments of `synthetic.generate`, now and then one of them
+    drawn from its strategy of good and bad values."""
+    clusters = draw(st.integers(1, 3))
+    # 8 signature tokens a cluster: a vocab_size of 8 * clusters leaves no background
+    args = dict(clusters=clusters, entities_per_cluster=draw(st.integers(2, 3)),
+                contexts_per_entity=draw(st.integers(1, 3)),
+                vocab_size=8 * clusters + draw(st.integers(0, 30)),
+                noise=draw(st.floats(0.0, 1.0)), embed_dim=draw(st.integers(1, 3)),
+                tokens_per_context=draw(st.integers(0, 4)), seed=draw(st.integers(0, 2)))
+    name = draw(st.one_of(st.none(), st.sampled_from(list(args))))
+    if name is not None:
+        args[name] = draw({"noise": NOISES, "vocab_size": VOCAB_SIZES,
+                           "seed": SEEDS}.get(name, COUNTS))
+    return args
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(args=generate_args())
+@example(args=dict(clusters=2, entities_per_cluster=2, contexts_per_entity=1, vocab_size=16,
+                   noise=0.5, embed_dim=1, tokens_per_context=0, seed=0))
+@example(args=dict(clusters=1, entities_per_cluster=2, contexts_per_entity=1, vocab_size=9,
+                   noise=True, embed_dim=1, tokens_per_context=1, seed=0))
+@example(args=dict(clusters=1, entities_per_cluster=2, contexts_per_entity=1, vocab_size=9.0,
+                   noise=0.5, embed_dim=1, tokens_per_context=1, seed=0))
+def test_generate_writes_files_or_raises_a_typed_error(args):
+    clusters, vocab_size, noise = args["clusters"], args["vocab_size"], args["noise"]
+    floors = dict(clusters=1, entities_per_cluster=2, contexts_per_entity=1, vocab_size=1,
+                  embed_dim=1, tokens_per_context=0, seed=0)
+    valid = (all(count_ok(args[name], floor) for name, floor in floors.items())
+             and not isinstance(noise, (bool, np.bool_, str, type(None))) and 0 <= noise <= 1
+             and vocab_size > 8 * clusters)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "data")
+        try:
+            paths = synthetic.generate(out, **args)
+        except SynmatchError:
+            assert not valid and not os.path.exists(out)
+            return
+        assert valid
+        lines = open(paths["corpus"]).read().splitlines()
+        n_entities = clusters * args["entities_per_cluster"]
+        assert len(lines) == n_entities * args["contexts_per_entity"]
+        assert {len(line.split()) for line in lines} == {args["tokens_per_context"] + 1}
+        header = open(paths["embeddings"]).readline().split()
+        assert header == [str(vocab_size + n_entities), str(args["embed_dim"])]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -228,6 +228,21 @@ def test_save_load_round_trip(tmp_path):
     assert np.max(np.abs(again.matrix - table.matrix)) <= 1e-6
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (7, 1), (40, 3), (25, 16)])
+def test_save_writes_the_reference_bytes(tmp_path, shape):
+    rng = np.random.default_rng(shape)
+    matrix = rng.normal(size=shape) * rng.choice([1e-7, 1.0, 1e3], size=shape)
+    # signed zeros, values that round to a signed zero, and values at a rounding edge
+    specials = [0.0, -0.0, 1e-7, -1e-7, 4.9999999e-7, -5.0000001e-7, 999.9999995,
+                -999.9999995, 1e3, -1e3]
+    flat = matrix.reshape(-1)
+    flat[:len(specials)] = specials[:flat.size]
+    tokens = [f"tok{i}" for i in range(shape[0])]
+    embeddings.save_embeddings(str(tmp_path / "got.txt"), tokens, matrix)
+    ref.save_embeddings(str(tmp_path / "want.txt"), tokens, matrix)
+    assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
+
+
 def unit_table(vectors):
     vocab = make_vocab(sorted(vectors))
     dim = len(next(iter(vectors.values())))

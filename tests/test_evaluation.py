@@ -886,9 +886,9 @@ def test_evaluate_projects_each_left_entity_once(tiny, monkeypatch):
 
 # history.txt of the run below, as written when each epoch's validation
 # encoded all of its windows in one batch of its own
-VALID_HISTORY = ("epoch=0 loss=4.934040688187e-02 valid_auc=0.916667\n"
-                 "epoch=1 loss=5.777678501486e-02 valid_auc=0.944444\n"
-                 "epoch=2 loss=3.142681825610e-02 valid_auc=0.944444\n")
+VALID_HISTORY = ("epoch=0 loss=6.699439970529e-02 valid_auc=0.888889\n"
+                 "epoch=1 loss=7.850567270028e-02 valid_auc=0.888889\n"
+                 "epoch=2 loss=6.043637145286e-02 valid_auc=0.888889\n")
 
 
 def test_validation_encodes_once_an_epoch_and_keeps_its_history(tmp_path, capsys,

@@ -338,13 +338,15 @@ def check_bits_against_reference(H, G, W, leaky):
     HW = H @ W
     # the pairs: query n repeated for each of its K candidates
     Hp, HWp, Gp = np.repeat(H, K, axis=0), np.repeat(HW, K, axis=0), G.reshape(N * K, Q, d)
-    want, got = ref.match(Hp, HWp, Gp, leaky), matcher._match(H, HW, G, leaky)
+    want, (got, norms) = ref.match(Hp, HWp, Gp, leaky), matcher._match(H, HW, G, leaky)
     for f in dataclasses.fields(want):
         assert same_bits(getattr(got, f.name), getattr(want, f.name)), f.name
     # the backward reads the forward's fields, whatever their memory layout
     g = stream_rng(0, "init", *H.shape).normal(size=(len(want.score), 1))
-    for name, x, y in zip(("dH", "dG", "dW"), matcher._score_backward(got, Hp, HWp, Gp, W, g),
-                          matcher._score_backward(want, Hp, HWp, Gp, W, g)):
+    want_norms = matcher._norms(want.h_bar, want.g_bar)
+    for name, x, y in zip(("dH", "dG", "dW"),
+                          matcher._score_backward(got, norms, Hp, HWp, Gp, W, g),
+                          matcher._score_backward(want, want_norms, Hp, HWp, Gp, W, g)):
         assert same_bits(x, y), name
 
 

@@ -1,5 +1,7 @@
 """Synthetic corpus generator: structure, signal, determinism."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,32 @@ def test_noise_one_uses_only_background(tmp_path):
         assert sum(t.startswith("w") for t in toks) == len(toks) - 1
 
 
+@pytest.mark.parametrize("T", [0, 1])
+def test_short_contexts(tmp_path, T):
+    paths, _ = gen(tmp_path, tokens_per_context=T)
+    lines = [ln.split() for ln in open(paths["corpus"]).read().splitlines()]
+    assert len(lines) == 6 * 3 * 10
+    assert all(len(toks) == T + 1 and sum(t.startswith("ent") for t in toks) == 1
+               for toks in lines)
+    per_entity = Counter(t for toks in lines for t in toks if t.startswith("ent"))
+    assert len(per_entity) == 18 and set(per_entity.values()) == {10}
+
+
+def test_every_entity_slot_occurs(tmp_path):
+    paths, _ = gen(tmp_path, tokens_per_context=12)
+    slots = [next(i for i, t in enumerate(ln.split()) if t.startswith("ent"))
+             for ln in open(paths["corpus"]).read().splitlines()]
+    assert set(slots) == set(range(13))
+
+
+def test_background_share_follows_noise(tmp_path):
+    paths, _ = gen(tmp_path, contexts_per_entity=20, tokens_per_context=12)
+    toks = [t for ln in open(paths["corpus"]).read().splitlines() for t in ln.split()
+            if not t.startswith("ent")]
+    assert len(toks) == 6 * 3 * 20 * 12
+    assert abs(sum(t.startswith("w") for t in toks) / len(toks) - 0.3) <= 0.03
+
+
 def test_embeddings_unit_norm_and_cluster_signal(tmp_path):
     paths, _ = gen(tmp_path)
     vecs = {}
@@ -97,7 +125,9 @@ def test_rejects_bad_parameters(tmp_path):
 @pytest.mark.parametrize("field, value", [
     ("embed_dim", -1), ("embed_dim", 0), ("contexts_per_entity", 0),
     ("tokens_per_context", -1), ("clusters", 0), ("entities_per_cluster", 1),
-    ("contexts_per_entity", 2.5), ("embed_dim", True), ("clusters", 2.0)])
+    ("contexts_per_entity", 2.5), ("embed_dim", True), ("clusters", 2.0),
+    ("vocab_size", 2000.5), ("vocab_size", "2000"), ("noise", "0.3"), ("noise", None),
+    ("noise", True), ("noise", float("nan"))])
 def test_rejects_sizes_that_write_unusable_files(tmp_path, field, value):
     with pytest.raises(DataError, match=field):
         gen(tmp_path, **{field: value})

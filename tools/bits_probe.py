@@ -10,6 +10,10 @@ train_tier1 layout at noise 0.9, it hashes:
   - one `score_pair`.
 Two checkouts that print the same hash give those results bit for bit.
 
+Before that hash, the last line, it prints one line per dataset, "<name> data
+<SHA-256 of its corpus, synsets and embeddings files>", so that a change of
+the generated data can be told from a change of the library.
+
 It imports src/ and perfbench/ of the checkout it sits in:
 
     python tools/bits_probe.py
@@ -67,7 +71,12 @@ def result_bits(result):
 
 
 def load(out_dir, data_args, valid_frac):
+    """The generated dataset, split and with its embeddings; prints its digest."""
     paths = synthetic.generate(out_dir, seed=SEED, **data_args)
+    digest = hashlib.sha256()
+    for key in ("corpus", "synsets", "embeddings"):
+        digest.update(Path(paths[key]).read_bytes())
+    print(os.path.basename(out_dir), "data", digest.hexdigest())
     data = corpus.ingest(paths["corpus"], paths["synsets"])
     data.store = corpus.split_synsets(data.store, valid_frac, workloads.TEST_FRAC,
                                       stream_rng(SEED, "ingest"))
