@@ -29,21 +29,28 @@ def generate(out_dir, clusters, entities_per_cluster=3, contexts_per_entity=30,
 
     Returns a dict with the three file paths.  vocab_size counts the
     non-entity tokens (cluster signatures plus shared background); entity
-    tokens come on top.  The counts pass `corpus.check_count`, and noise is
-    a real fraction in [0, 1] (a bool is not one).  Every random choice is
-    drawn for the whole corpus or vocabulary in one array call, and the same
-    seed writes the same files.
+    tokens come on top.  The counts pass `corpus.check_count`, noise is a
+    real fraction in [0, 1] (a bool is not one), and counts whose arrays
+    numpy cannot allocate are a DataError before any array or file is made.
+    Every random choice is drawn for the whole corpus or vocabulary in one
+    array call, and the same seed writes the same files.  contexts_per_entity
+    counts lines written, and ingest drops repeated lines: at a small
+    tokens_per_context an entity has fewer distinct contexts.
     """
-    for name, value, floor in (("clusters", clusters, 1),
-                               ("entities_per_cluster", entities_per_cluster, 2),
-                               ("contexts_per_entity", contexts_per_entity, 1),
-                               ("vocab_size", vocab_size, 1),
-                               ("embed_dim", embed_dim, 1),
-                               ("tokens_per_context", tokens_per_context, 0)):
+    counts = (("clusters", clusters, 1), ("entities_per_cluster", entities_per_cluster, 2),
+              ("contexts_per_entity", contexts_per_entity, 1), ("vocab_size", vocab_size, 1),
+              ("embed_dim", embed_dim, 1), ("tokens_per_context", tokens_per_context, 0))
+    for name, value, floor in counts:
         check_count(name, value, floor)
     if (isinstance(noise, bool) or not isinstance(noise, numbers.Real)
             or not 0.0 <= noise <= 1.0):
         raise DataError(f"noise must be a real fraction in [0, 1], got {noise!r}")
+    # numpy makes no array past intp-max bytes, 8-byte items here; Python ints do not wrap
+    n_entities = int(clusters) * int(entities_per_cluster)
+    if 8 * max(n_entities * int(contexts_per_entity) * (int(tokens_per_context) + 1),
+               (int(vocab_size) + n_entities) * int(embed_dim)) > np.iinfo(np.intp).max:
+        raise DataError(", ".join(f"{name}={value}" for name, value, _ in counts)
+                        + ": arrays past what numpy can allocate")
     n_signature = clusters * SIGNATURE_TOKENS_PER_CLUSTER
     n_background = vocab_size - n_signature
     if n_background < 1:
@@ -62,7 +69,7 @@ def generate(out_dir, clusters, entities_per_cluster=3, contexts_per_entity=30,
 
     # contexts_per_entity lines for each entity, entity by entity, each line's
     # cluster and the entity's place in it
-    ci, j = np.divmod(np.repeat(np.arange(clusters * entities_per_cluster),
+    ci, j = np.divmod(np.repeat(np.arange(n_entities),
                                 contexts_per_entity), entities_per_cluster)
     first = ci[:, None] * per_cluster             # the cluster's first signature token
     shape = (len(ci), tokens_per_context)

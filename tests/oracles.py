@@ -10,7 +10,10 @@ scan as it was written with a Python loop over the universe and the results:
 the library's scan must return the same (id, cosine) lists, bit for bit.
 `save_embeddings` writes an embedding file one value at a time: the
 library, which formats each row with one format string, must write the same
-bytes. The
+bytes. `read_corpus_lines` reads a corpus as ingest did, one line of the
+file at a time with a set of the lines seen: the library, which reads blocks
+of lines and assigns token ids in the same pass, must keep the same lines
+in the same order. The
 library's tape has no ops: every node it records has a hand-written backward.
 `retrieve_contexts` cuts windows as the library did when it built every line's
 tuple up front: the library, which builds a line only when it cuts from it,
@@ -231,6 +234,21 @@ def save_embeddings(path, tokens, matrix):
         fh.write("%d %d\n" % matrix.shape)
         for tok, row in zip(tokens, matrix):
             fh.write(tok + " " + " ".join("%.6f" % x for x in row) + "\n")
+
+
+def read_corpus_lines(path):
+    """The corpus's distinct non-empty lines as token tuples, first occurrences
+    in file order, read line by line."""
+    seen = set()
+    lines = []
+    with corpus.open_text(path) as fh:
+        for raw in fh:
+            toks = tuple(raw.split())
+            if not toks or toks in seen:
+                continue
+            seen.add(toks)
+            lines.append(toks)
+    return lines
 
 
 def retrieve_contexts(data, eid, P, T, rng):

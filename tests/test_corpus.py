@@ -92,7 +92,7 @@ def dict_of_lists_ingest(path):
     id_to_token = [corpus.UNK_TOKEN, corpus.PAD_TOKEN]
     token_to_id = {t: i for i, t in enumerate(id_to_token)}
     lines, occurrences = [], {}
-    for li, toks in enumerate(corpus.read_corpus_lines(path)):
+    for li, toks in enumerate(ref.read_corpus_lines(path)):
         ids = []
         for t in toks:
             if t not in token_to_id:
@@ -146,6 +146,21 @@ def test_csr_index_matches_dict_of_lists_oracle(tmp_path):
                     for i in rng.choice(len(occ), size=P, replace=len(occ) < P)]
             assert got == want
             assert all(type(w.entity_pos) is int and type(w.source_line) is int for w in got)
+
+
+def test_ingest_dedupes_across_read_blocks(tmp_path, monkeypatch):
+    # "a b" and "c d" come back in later blocks, "a b" with other whitespace
+    corpus_path = write(tmp_path / "c.txt", "a b\nc d\n\n  a   b\ne a\nc d\nb\n")
+    synset_path = write(tmp_path / "s.tsv", "a\tc\n")
+    id_to_token, lines, _ = dict_of_lists_ingest(corpus_path)
+    assert len(lines) == 4
+    # one block; two lines a block ("a b\n" is 4 characters, then the hint is passed);
+    # one line a block
+    for block in (corpus.READ_BLOCK, 5, 1):
+        monkeypatch.setattr(corpus, "READ_BLOCK", block)
+        data = corpus.ingest(corpus_path, synset_path, min_count=1)
+        assert data.vocab.id_to_token == id_to_token and data.lines == lines
+        assert data.line_start.tolist() == [0, 2, 4, 6, 7]
 
 
 def test_occurrence_index_is_one_postings_array(small_data):
@@ -724,7 +739,8 @@ def test_streams_differ():
 
 
 WORDS = ["a", "b", "ent", "\u00e9t\u00e9", "<unk>", "<pad>", "x_1"]
-SEPARATORS = [" ", "  ", "\t", "\u00a0", "\u2028", "\r", "\r\n"]
+# "\x0c", "\x1c" and "\x85" end a line for str.splitlines, not for file reads
+SEPARATORS = [" ", "  ", "\t", "\u00a0", "\u2028", "\r", "\r\n", "\x0c", "\x1c", "\x85"]
 
 
 @st.composite
@@ -782,5 +798,7 @@ def test_ingest_matches_line_reading_or_raises_data_error(tmp_path, inputs):
     assert problem is None
     token = data.vocab.token
     assert [tuple(map(token, ln)) for ln in data.lines] == lines
+    assert data.vocab.id_to_token == list(dict.fromkeys(
+        [corpus.UNK_TOKEN, corpus.PAD_TOKEN] + [t for ln in lines for t in ln]))
     assert [[token(e) for e in ss] for ss in data.store.synsets] == want
     assert data.occ_start[-1] == len(data.tokens) == sum(map(len, lines))

@@ -134,6 +134,15 @@ def test_rejects_sizes_that_write_unusable_files(tmp_path, field, value):
     assert not (tmp_path / "data").exists()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("contexts_per_entity", 2**70), ("tokens_per_context", 2**70), ("embed_dim", 2**70),
+    ("contexts_per_entity", np.int64(2**61)), ("vocab_size", 2**70)])
+def test_rejects_sizes_numpy_cannot_allocate(tmp_path, field, value):
+    with pytest.raises(DataError, match=f"{field}={value}"):
+        gen(tmp_path, **{"clusters": 2, "vocab_size": 40, field: value})
+    assert not (tmp_path / "data").exists()
+
+
 def test_ingest_keeps_every_generated_entity(tmp_path):
     paths, _ = gen(tmp_path)
     data = corpus.ingest(paths["corpus"], paths["synsets"])

@@ -10,9 +10,11 @@ train_tier1 layout at noise 0.9, it hashes:
   - one `score_pair`.
 Two checkouts that print the same hash give those results bit for bit.
 
-Before that hash, the last line, it prints one line per dataset, "<name> data
-<SHA-256 of its corpus, synsets and embeddings files>", so that a change of
-the generated data can be told from a change of the library.
+Before that hash, the last line, it prints two lines per dataset: "<name>
+data <SHA-256 of its corpus, synsets and embeddings files>", then "<name>
+index <SHA-256 of what ingest made of them: the vocabulary, the token ids,
+the line offsets and the synsets>", so that a change of the generated data
+or of ingest can be told from a change of the rest of the library.
 
 It imports src/ and perfbench/ of the checkout it sits in:
 
@@ -70,14 +72,22 @@ def result_bits(result):
     return bits([result.query, result.ranked, result.candidates, result.accepted])
 
 
+def index_digest(data):
+    """SHA-256 of an ingest result, before any split."""
+    parts = [data.vocab.id_to_token, data.tokens.tolist(), data.line_start.tolist(),
+             data.store.synsets]
+    return hashlib.sha256(json.dumps(parts).encode()).hexdigest()
+
+
 def load(out_dir, data_args, valid_frac):
-    """The generated dataset, split and with its embeddings; prints its digest."""
+    """The generated dataset, split and with its embeddings; prints its digests."""
     paths = synthetic.generate(out_dir, seed=SEED, **data_args)
     digest = hashlib.sha256()
     for key in ("corpus", "synsets", "embeddings"):
         digest.update(Path(paths[key]).read_bytes())
     print(os.path.basename(out_dir), "data", digest.hexdigest())
     data = corpus.ingest(paths["corpus"], paths["synsets"])
+    print(os.path.basename(out_dir), "index", index_digest(data))
     data.store = corpus.split_synsets(data.store, valid_frac, workloads.TEST_FRAC,
                                       stream_rng(SEED, "ingest"))
     return data, embeddings.load_embeddings(paths["embeddings"], data.vocab)
