@@ -1,6 +1,8 @@
-"""Minimal reverse-mode gradient tape over dense float64 matrices.
+"""Minimal reverse-mode gradient tape over dense float matrices.
 
-Every tape value is a 2-D numpy float64 array; scalars are 1x1 matrices.
+Every tape value is a 2-D numpy float array; scalars are 1x1 matrices.  The
+tape keeps each value's dtype: a model's float32 weights give float32 nodes
+and gradients, and `finite_diff_check` differentiates in float64.
 `Var` wraps one matrix as a node in an operation graph. This module has no
 ops: the encoder, the matcher and each training loss record a batch as one
 node with a hand-written backward, so a training graph is the seven weight
@@ -25,8 +27,11 @@ from .errors import NumericError, ShapeError
 
 
 def as_matrix(x):
-    """Coerce `x` to a 2-D float64 array; scalars become 1x1."""
-    a = np.asarray(x, dtype=np.float64)
+    """Coerce `x` to a 2-D float array, float64 unless it already is one;
+    scalars become 1x1."""
+    a = np.asarray(x)
+    if a.dtype.kind != "f":
+        a = a.astype(np.float64)
     if a.ndim == 0:
         a = a.reshape(1, 1)
     elif a.ndim == 1:
@@ -48,7 +53,7 @@ class Var:
 
     def __init__(self, value, parents=(), backward_fn=None):
         self.value = value if isinstance(value, np.ndarray) and value.ndim == 2 \
-            and value.dtype == np.float64 else as_matrix(value)
+            and value.dtype.kind == "f" else as_matrix(value)
         self.parents = parents
         self.backward_fn = backward_fn
 
@@ -112,10 +117,11 @@ def grad(loss_builder, params):
 
     `loss_builder` receives a dict name -> Var and must return a scalar Var.
     Returns (loss value, dict name -> gradient array). Raises NumericError if
-    the loss is not finite.
+    the loss is not finite.  Each leaf is a copy of its parameter in the
+    parameter's own dtype, so its gradient comes back in that dtype.
     """
     names = list(params)
-    leaves = {name: Var(np.array(params[name], dtype=np.float64, copy=True))
+    leaves = {name: Var(np.array(params[name], copy=True))
               for name in names}
     loss = loss_builder(leaves)
     value = loss.item()
@@ -143,6 +149,8 @@ def finite_diff_check(loss_builder, params, eps=1e-4):
 
     Relative error per entry is |ad - fd| / (|ad| + |fd| + 1e-3); the floor
     1e-3 keeps entries too small for the step size to resolve from dominating.
+    The check runs on float64 copies of the parameters, whatever their dtype,
+    so the differences resolve steps far below float32's precision.
     Returns a FiniteDiffReport with the worst entry and its parameter name.
     """
     if eps <= 0:

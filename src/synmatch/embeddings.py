@@ -16,6 +16,8 @@ from .errors import DataError
 
 @dataclass
 class EmbeddingTable:
+    """The word vectors by vocabulary id.  The matrix stays float64, so KNN
+    cosines keep their bits; the float32 model casts it once per encode."""
     matrix: np.ndarray          # (vocab size, embed dim) float64
     vocab: object
 

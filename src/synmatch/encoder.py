@@ -35,6 +35,11 @@ dWh is one product over them.
 A one-row step goes to gemm as two rows, so a window encodes to the same
 bits in any batch, for inference and training alike.
 
+The encoder computes in its weights' dtype (`model_dtype`): float32 for a
+trained model, float64 for the gradient check.  The embedding table is
+cast to it once per call, and every buffer the forward and the backward
+make is of that dtype, so float32 weights run sgemm and float32 tanh.
+
 Each direction steps only the (step, row) pairs it uses: a row stops at its
 stop step (the entity token for the anchored variant, the window's end for
 the plain one) and is never padded past it.  The batch is packed the way
@@ -58,8 +63,20 @@ DIRECTIONS = ("fw", "bw")
 PARAM_NAMES = tuple(f"enc.{d}.{part}" for d in DIRECTIONS for part in ("Wx", "Wh", "b"))
 
 
+def model_dtype(weights):
+    """The float dtype a model with these weights computes in: their common
+    type, float32 at least (integer weights compute in float64)."""
+    return np.result_type(*weights, np.float32)
+
+
+def _in_model_dtype(W, emb):
+    """The weights W and the embedding matrix, cast to W's `model_dtype`."""
+    dtype = model_dtype(W)
+    return [w.astype(dtype, copy=False) for w in W], np.asarray(emb, dtype=dtype)
+
+
 def init_encoder_params(d_embed, d_ce, rng):
-    """Fresh stacked LSTM weights for both directions.
+    """Fresh stacked float64 LSTM weights for both directions.
 
     Weights are uniform in [-0.08, 0.08], drawn gate by gate (Wx then Wh for
     each of i, f, o, g); biases start at zero except the forget gate's, which
@@ -110,7 +127,8 @@ def _forward(E, tok, pk, Wx, Wh, b, save):
     n, offs = np.append(pk.n, 0), pk.offs
     d_h = Wh.shape[0]
     w = 4 * d_h
-    half = np.array([0.5, 0.5, 0.5, 1.0])[:, None, None]
+    dtype = Wx.dtype
+    half = np.array([0.5, 0.5, 0.5, 1.0], dtype)[:, None, None]
     # each weight as four contiguous (k, d_h) gate blocks, i, f, o halved
     Wx, Wh, b = (np.ascontiguousarray(W.reshape(len(W), 4, d_h).transpose(1, 0, 2)) * half
                  for W in (Wx, Wh, b))
@@ -119,11 +137,11 @@ def _forward(E, tok, pk, Wx, Wh, b, save):
     base = offs if save else np.zeros_like(offs)
     # A holds each step's (4, n[t], d_h) pre-activations (i, f, o halved) at
     # the flat range of its rows, then in place its gate values
-    A = np.empty((len(tok) if save else n[0]) * w)
-    C = np.empty((len(A) // w, d_h))       # cell after each step
-    H = np.empty((n[0], d_h))              # the live rows' state
-    S = np.empty((n[0], d_h))              # the live rows' f c, then tanh(c)
-    Z = np.empty(max(n[0], 2) * w)         # the live rows' x Wx, then h Wh
+    A = np.empty((len(tok) if save else n[0]) * w, dtype)
+    C = np.empty((len(A) // w, d_h), dtype)    # cell after each step
+    H = np.empty((n[0], d_h), dtype)           # the live rows' state
+    S = np.empty((n[0], d_h), dtype)           # the live rows' f c, then tanh(c)
+    Z = np.empty(max(n[0], 2) * w, dtype)      # the live rows' x Wx, then h Wh
     for t in range(len(n) - 1):
         a = A[base[t] * w:(base[t] + n[t]) * w].reshape(4, n[t], d_h)
         c, h, s = C[base[t]:base[t] + n[t]], H[:n[t]], S[:n[t]]
@@ -178,7 +196,7 @@ def _backward(dout, saved, E, Wh):
     # gradient, since later steps write only rows below n[t + 1]
     dh = dout[pk.order]
     dc = np.zeros_like(dh)
-    D = np.empty(len(pk.order) * w)        # the live rows' gate derivatives
+    D = np.empty(len(pk.order) * w, A.dtype)   # the live rows' gate derivatives
     for t in range(len(n) - 2, -1, -1):
         now = slice(offs[t], offs[t + 1])
         h, c = dh[:n[t]], dc[:n[t]]
@@ -218,7 +236,7 @@ def _encode(windows, weights, E, variant, save=True):
     if variant not in ("anchored", "bilstm"):
         raise DataError(f"unknown encoder variant {variant!r}")
     if not windows:
-        return np.zeros((0, 2 * weights[1].shape[0])), ()
+        return np.zeros((0, 2 * weights[1].shape[0]), E.dtype), ()
     lengths = np.array([len(w) for w in windows], dtype=np.intp)
     t_e = np.array([w.entity_pos for w in windows], dtype=np.intp)
     flat = np.fromiter(chain.from_iterable(w.token_ids for w in windows),
@@ -249,13 +267,12 @@ def encode_batch_vars(windows, params, emb, variant="anchored"):
     whose parents are the six weights.
 
     `params` maps names to Vars (training) or arrays; `emb` is the frozen
-    (vocab, d_embed) embedding matrix.  variant is "anchored" (stop each
-    direction at the entity token) or "bilstm" (run to the ends and keep the
-    final states).
+    (vocab, d_embed) embedding matrix, cast to the weights' dtype.  variant
+    is "anchored" (stop each direction at the entity token) or "bilstm" (run
+    to the ends and keep the final states).
     """
     weights = [ad.lift(params[name]) for name in PARAM_NAMES]
-    W = [w.value for w in weights]
-    E = np.asarray(emb, dtype=float)
+    W, E = _in_model_dtype([w.value for w in weights], emb)
     out, saved = _encode(windows, W, E, variant)
     if not windows:
         return ad.Var(out)
@@ -276,5 +293,5 @@ def encode_batch_vars(windows, params, emb, variant="anchored"):
 
 def encode_batch(windows, params, emb, variant="anchored"):
     """Encode a batch for inference: plain (B, d_CE) array out, no tape."""
-    W = [np.asarray(params[name], dtype=float) for name in PARAM_NAMES]
-    return _encode(windows, W, np.asarray(emb, dtype=float), variant, save=False)[0]
+    W, E = _in_model_dtype([np.asarray(params[name]) for name in PARAM_NAMES], emb)
+    return _encode(windows, W, E, variant, save=False)[0]

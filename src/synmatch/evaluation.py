@@ -28,8 +28,8 @@ written in place between calls; nothing in this package writes it.
 Each entity is projected when it is encoded, enc[e] @ w_bm, and the
 projection is held read-only beside its encodings under the same row: the
 matcher takes it in place of multiplying again, with the same bits.  Both
-cost entities x P x d_ce floats each, 20 MB for 500 entities at the paper
-config.
+are held in the model's dtype, float32 for a trained model, and cost
+entities x P x d_ce floats each, 10 MB for 500 entities at the paper config.
 """
 
 import math
@@ -163,22 +163,36 @@ SCORE_FLOATS = 2**17
 SCORE_SLICE = 64
 
 
+WEIGHT_NAMES = encoder.PARAM_NAMES + ("match.w_bm",)
+
+
+def _weights_dtype(params):
+    """The dtype the seven scoring weights are held and scored in, the
+    encoder's `model_dtype` of them: float32 for a trained model."""
+    return encoder.model_dtype([np.asarray(params[name]) for name in WEIGHT_NAMES])
+
+
 def _held_copies(params):
-    """Read-only float64 copies of the seven scoring weights, by name."""
-    held = {name: np.array(params[name], dtype=float)
-            for name in encoder.PARAM_NAMES + ("match.w_bm",)}
+    """Read-only copies of the seven scoring weights, by name, all in
+    `_weights_dtype`."""
+    dtype = _weights_dtype(params)
+    held = {name: np.array(params[name], dtype=dtype) for name in WEIGHT_NAMES}
     for w in held.values():
         w.flags.writeable = False
     return held
 
 
 def _same_weights(params, held):
-    """Whether the weights in params, as float64, equal the held copies bit
-    for bit, shapes included, compared as int64 views: -0.0 differs from
-    0.0, NaNs with equal payloads match."""
+    """Whether the weights in params have the held copies' dtype and, in it,
+    equal them bit for bit, shapes included, compared as integer views of
+    the same width (int32 for float32): -0.0 differs from 0.0, NaNs with
+    equal payloads match."""
+    dtype = _weights_dtype(params)
+    ints = f"i{dtype.itemsize}"
     for name, w in held.items():
-        x = np.asarray(params[name], dtype=float)
-        if x.shape != w.shape or np.count_nonzero(x.view(np.int64) != w.view(np.int64)):
+        x = np.asarray(params[name], dtype=dtype)
+        if (x.dtype != w.dtype or x.shape != w.shape
+                or np.count_nonzero(x.view(ints) != w.view(ints))):
             return False
     return True
 
@@ -195,9 +209,10 @@ class Scorer:
     candidates of left[i], gives one array of model scores per left id.
 
     It encodes and projects with read-only copies of the seven weights (the
-    encoder's six and match.w_bm) taken when it is made.  It keeps a copy of
-    `windows`, by entity, and a call draws the windows of the other entities
-    it names (`eval_contexts`) before it encodes any.  A call encodes the
+    encoder's six and match.w_bm) taken when it is made, in their
+    `_weights_dtype`, and holds its encodings and scores in that dtype.  It
+    keeps a copy of `windows`, by entity, and a call draws the windows of the
+    other entities it names (`eval_contexts`) before it encodes any.  A call encodes the
     entities it names that are not held yet in one batch and projects them
     at once, enc[e] @ w_bm; the encoder gives an entity the same bits in any
     batch.  The encodings and the projections are two read-only (entities,
@@ -217,7 +232,7 @@ class Scorer:
         self.weights = _held_copies(params)
         self.windows = dict(windows or {})
         self.rows = {}
-        self.enc = self.hw = np.empty(0)
+        self.enc = self.hw = np.empty(0, self.weights["match.w_bm"].dtype)
 
     def __call__(self, left, right):
         variant, leaky, seed, P, T = self.key
@@ -247,7 +262,7 @@ class Scorer:
                           dtype=np.intp).reshape(len(queries), K)
             width = min(K, SCORE_SLICE) or 1     # no candidates: empty score rows
             per_call = max(1, SCORE_FLOATS // ((width + 2) * entity))
-            scores = np.empty(ri.shape)
+            scores = np.empty(ri.shape, enc.dtype)
             for at in range(0, len(queries), per_call):
                 lb = li[at:at + per_call]
                 for j in range(0, K, width):
@@ -316,7 +331,7 @@ def knn_rerank(table, queries, k, universe, score):
     if live:
         cands = [[eid for eid, _ in shortlists[i].neighbors] for i in live]
         for i, ids, scores in zip(live, cands, score([shortlists[i].query for i in live], cands)):
-            ids, scores = np.array(ids, dtype=np.intp), np.asarray(scores, dtype=float)
+            ids, scores = np.array(ids, dtype=np.intp), np.asarray(scores)
             order = np.lexsort((ids, -scores))
             ranked[i] = list(zip(ids[order].tolist(), scores[order].tolist()))
     return list(zip(shortlists, ranked))

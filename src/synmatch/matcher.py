@@ -15,7 +15,8 @@ encodings, and the final score is the cosine of the two global vectors.
 
 One numpy forward serves inference (`match_score`) and training
 (`pair_score_vars`, one tape node with a hand-written backward); both take
-`leaky`, a bool.  The forward takes groups only: N left entities H (N, P, d),
+`leaky`, a bool, and compute in their inputs' dtype, float32 for the model's
+encodings.  The forward takes groups only: N left entities H (N, P, d),
 each against its own K candidates G (N, K, Q, d), B = N K pairs, and a
 training batch is B groups of one candidate.  numpy runs the logits and the
 aggregations as one (P, d) @ (d, Q) and one (1, P) @ (P, d) product per
@@ -107,7 +108,7 @@ def _pool_sum(e):
 def _pool_exp(Lt, leaky):
     """exp of logits Lt laid out with the pooled axis first, each pool shifted
     by its max, the leak slot a zero slab after the logits."""
-    e = np.zeros((len(Lt) + 1 if leaky else len(Lt),) + Lt.shape[1:])
+    e = np.zeros((len(Lt) + 1 if leaky else len(Lt),) + Lt.shape[1:], Lt.dtype)
     e[:len(Lt)] = Lt
     e -= e.max(axis=0)
     return np.exp(e, out=e)
@@ -133,7 +134,7 @@ def _match(H, HW, G, leaky):
     if leaky:
         leak_fwd, leak_bwd = ec[P] / zc, er[Q] / zr
     else:
-        leak_fwd, leak_bwd = np.zeros((B, Q)), np.zeros((B, P))
+        leak_fwd, leak_bwd = np.zeros((B, Q), L.dtype), np.zeros((B, P), L.dtype)
     # a context's weight is its strongest match on the other side; the
     # weights are used as-is, with no renormalisation, and the leak shares
     # never enter
@@ -160,9 +161,12 @@ def match_score(H, HW, G, leaky=False):
     Groups H (N, P, d) and G (N, K, Q, d) score each H[n] against its K
     candidates G[n], B = N K pairs, query n's in rows n K to (n + 1) K.  HW,
     shaped like H, is H @ w_bm as the caller holds it; it is used as given,
-    so it must be that product.
+    so it must be that product.  The three are taken in their common float
+    dtype, float32 at least: float32 encodings score in float32.
     """
-    H, HW, G = (np.asarray(x, dtype=float) for x in (H, HW, G))
+    H, HW, G = (np.asarray(x) for x in (H, HW, G))
+    dtype = np.result_type(H, HW, G, np.float32)
+    H, HW, G = (x.astype(dtype, copy=False) for x in (H, HW, G))
     _check_dims(H, HW, G)
     return _match(H, HW, G, leaky)[0]
 

@@ -7,8 +7,14 @@ batch's tape is the seven weight leaves, one encoder node, one matcher node
 (two for triplets) and one loss node; the word embeddings stay frozen.
 Validation AUC on held-out synsets picks the parameters to keep.
 
+The model is float32 (DTYPE): `init_model_params` and `load_checkpoint`
+return float32 weights, and the tape, the losses, the clipped gradients and
+Adam's moments keep that dtype, so every product is an sgemm.  The word
+embeddings stay float64 and the encoder casts them per call.  Only
+`gradcheck_model` builds float64 weights, for its finite differences.
+
 Checkpoints are canonical JSON: sorted keys, parameters as base64-encoded
-little-endian float64 blocks, so saving the same model twice gives the same
+little-endian float32 blocks, so saving the same model twice gives the same
 bytes.
 """
 
@@ -32,11 +38,9 @@ OBJECTIVES = ("siamese", "triplet")
 ENCODERS = ("anchored", "bilstm")
 
 CHECKPOINT_FORMAT = "synmatch-checkpoint"
-CHECKPOINT_VERSION = 2
-# options earlier versions offered, now fixed at one value: a checkpoint's
-# config may still name one, but only at that value
-RETIRED_KEYS = {"optimizer": "adam", "leaky_trainable": False, "resample_contexts": True,
-                "fine_tune_embeddings": False, "neg_ratio": 1.0, "clip_norm": 5.0}
+CHECKPOINT_VERSION = 3
+# the dtype of every model weight, and of a checkpoint's data blocks
+DTYPE = np.float32
 # the values each field type takes; a bool is never read as a number
 _KINDS = {bool: bool, int: int, float: (int, float), str: str}
 # the global gradient norm cap: each batch's gradients are scaled down to it
@@ -144,7 +148,7 @@ def siamese_loss(s, y, margin):
     backward gives each score -(1 - s) y / 2 + 2 max(s - margin, 0) (1 - y),
     divided by the number of scores."""
     s = ad.lift(s)
-    y = np.asarray(y, dtype=float)
+    y = np.asarray(y, dtype=s.value.dtype)
     d = 1.0 - s.value
     r = np.maximum(s.value - margin, 0.0)
     terms = y * (d * d * 0.25) + (1.0 - y) * (r * r)
@@ -185,7 +189,7 @@ class Adam:
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
     def __init__(self, lr):
-        self.lr = lr
+        self.lr = float(lr)     # a Python float, so float32 weights stay float32
         self.t = 0
         self.m, self.v = {}, {}
 
@@ -208,8 +212,9 @@ def clip_gradients(grads):
     their norm before clipping.
 
     A norm that is not finite raises NumericError before any gradient is
-    scaled."""
-    total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    scaled.  The factor is a Python float, which numpy 2 takes in the
+    gradients' dtype; an np.float64 factor would make them float64."""
+    total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
     if not math.isfinite(total):
         raise NumericError(f"gradient norm is {total}")
     if total > CLIP_NORM:
@@ -223,11 +228,12 @@ def clip_gradients(grads):
 # model assembly
 
 def init_model_params(config, d_embed, rng):
-    """Named parameter dict for the configured model over d_embed-wide embeddings."""
+    """Named float32 parameter dict for the configured model over
+    d_embed-wide embeddings."""
     params = encoder.init_encoder_params(d_embed, config.d_ce, rng)
     # identity start: matching an entity against itself then scores exactly 1
     params["match.w_bm"] = np.eye(config.d_ce)
-    return params
+    return {name: w.astype(DTYPE) for name, w in params.items()}
 
 
 def _item_entities(item):
@@ -271,6 +277,9 @@ def gradcheck_model(seed=0):
 
     Covers both objectives, both encoder variants, and the leaky unit on and
     off.  Returns a list of (label, FiniteDiffReport), one per combination.
+    The weights are the model's initial ones made float64 here: the model
+    code follows its weights' dtype, so the check runs the code training
+    runs, at a precision the finite differences resolve.
     """
     n_vocab, d_embed, n_entities = 20, 4, 4
     base = stream_rng(seed, "init", 99)
@@ -301,7 +310,8 @@ def gradcheck_model(seed=0):
                 else:
                     items = [corpus.TrainingPair(ents[0], ents[1], 1),
                              corpus.TrainingPair(ents[2], ents[3], 0)]
-                params = init_model_params(config, d_embed, rng)
+                params = {name: w.astype(np.float64)
+                          for name, w in init_model_params(config, d_embed, rng).items()}
                 builder = batch_loss_builder(items, ctx, config, table)
                 report = ad.finite_diff_check(builder, params, eps=1e-5)
                 label = f"{objective}/{variant}/leaky={'on' if leaky else 'off'}"
@@ -406,7 +416,13 @@ def train(config, data, table):
 # checkpoints
 
 def save_checkpoint(path, params, config, meta=None):
-    """Canonical JSON checkpoint; identical models always produce identical bytes."""
+    """Canonical JSON checkpoint; identical models always produce identical
+    bytes.  A weight that is not a float32 array is a DataError naming it:
+    the blocks hold float32 and nothing is rounded on the way."""
+    wrong = sorted(name for name, arr in params.items()
+                   if not isinstance(arr, np.ndarray) or arr.dtype != DTYPE)
+    if wrong:
+        raise DataError(f"checkpoint weights must be float32; not so: {wrong}")
     blob = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -416,7 +432,7 @@ def save_checkpoint(path, params, config, meta=None):
             name: {
                 "shape": list(arr.shape),
                 "data": base64.b64encode(
-                    np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode("ascii"),
+                    np.ascontiguousarray(arr, dtype="<f4").tobytes()).decode("ascii"),
             }
             for name, arr in sorted(params.items())
         },
@@ -445,14 +461,7 @@ def load_checkpoint(path):
     if type(version) is not int or version != CHECKPOINT_VERSION:
         raise DataError(f"checkpoint version {version} unsupported "
                         f"(expected {CHECKPOINT_VERSION})")
-    cfg_dict = dict(_json_object(blob.get("config", {}), "config"))
-    for key, fixed in RETIRED_KEYS.items():
-        value = cfg_dict.pop(key, fixed)
-        # a float key's value, as a float field's, may be an int but never a bool
-        if (not isinstance(value, _KINDS[type(fixed)]) or value != fixed
-                or isinstance(value, bool) != isinstance(fixed, bool)):
-            raise DataError(f"checkpoint config key {key}={value!r} is no longer "
-                            f"supported; only {key}={fixed!r} is")
+    cfg_dict = _json_object(blob.get("config", {}), "config")
     unknown = set(cfg_dict) - {f.name for f in fields(TrainConfig)}
     if unknown:
         raise DataError(f"checkpoint config has unknown keys: {sorted(unknown)}")
@@ -469,11 +478,11 @@ def load_checkpoint(path):
         except ValueError as err:
             raise DataError(f"parameter {name}: data is not base64 ({err})") from err
         count = math.prod(shape)
-        if len(raw) != count * 8:
+        if len(raw) != count * 4:
             raise DataError(
-                f"parameter {name}: data block holds {len(raw) // 8} values "
+                f"parameter {name}: data block holds {len(raw) // 4} values "
                 f"but shape {shape} needs {count}")
-        params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        params[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(DTYPE)
     _check_params(params, config)
     return params, config, blob.get("meta", {})
 

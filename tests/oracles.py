@@ -174,8 +174,9 @@ def match(H, HW, G, leaky):
 
 def match_pair(H, G, W, leaky=False):
     """match_score of one pair H (P, d) and G (Q, d) as a group of one, with
-    each field the pair's own: a (P, Q) m_fwd, a float score."""
-    H, G = np.asarray(H, dtype=float), np.asarray(G, dtype=float)
+    each field the pair's own: a (P, Q) m_fwd, a float score.  H and G are
+    taken in W's float dtype: float64, or the model's float32."""
+    H, G = (np.asarray(x, dtype=np.result_type(W, np.float32)) for x in (H, G))
     r = matcher.match_score(H[None], H[None] @ W, G[None, None], leaky)
     one = {f.name: getattr(r, f.name)[0] for f in dataclasses.fields(r)}
     return MatchResult(**dict(one, score=float(one["score"])))

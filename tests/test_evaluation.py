@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -747,19 +748,22 @@ def test_callers_cannot_write_stored_encodings(tiny):
 @pytest.mark.parametrize("leaky", [False, True])
 @pytest.mark.parametrize("d_ce, P", [(8, 3), (256, 20)])     # tiny, and paper-shaped
 def test_entity_scorer_equals_unprojected_oracle(tiny, monkeypatch, d_ce, P, leaky):
+    """In the model's float32 and in float64."""
     data, table, config, _ = tiny
     config = dataclasses.replace(config, d_ce=d_ce, contexts_per_entity=P, leaky=leaky)
-    params = training.init_model_params(config, table.dim, stream_rng(8, "init"))
-    params["match.w_bm"] = stream_rng(9, "init").normal(size=(d_ce, d_ce)) / np.sqrt(d_ce)
+    model = training.init_model_params(config, table.dim, stream_rng(8, "init"))
+    model["match.w_bm"] = stream_rng(9, "init").normal(size=(d_ce, d_ce)) / np.sqrt(d_ce)
     ids = sorted(data.store.entities())
     # all at once, and over two calls: the second appends its rows to the held ones
-    for arrivals in ([ids], [ids[:2], ids]):
+    for dtype, arrivals in itertools.product((np.float32, np.float64), ([ids], [ids[:2], ids])):
+        params = {name: w.astype(dtype) for name, w in model.items()}
         data = fresh_copy(data)
         score = evaluation.entity_scorer(params, config, data, table.matrix, 0)
         for some in arrivals:
             score(some, [some] * len(some))
         held = data.scorer
         assert sorted(held.rows) == ids and len(held.hw) == len(ids)
+        assert held.enc.dtype == held.hw.dtype == dtype
 
         def want(left, right):
             return ref.entity_scores(held.enc, held.rows, params["match.w_bm"], leaky,
@@ -796,10 +800,11 @@ def tier1(tmp_path_factory):
 
 
 def scoring_model(config, table):
-    """Initial weights with a random match.w_bm, so that scores spread."""
+    """Initial weights with a random match.w_bm, so that scores spread; all
+    float32, as the model's are."""
     params = training.init_model_params(config, table.dim, stream_rng(13, "init"))
-    params["match.w_bm"] = stream_rng(14, "init").normal(size=(config.d_ce,) * 2) / np.sqrt(
-        config.d_ce)
+    w_bm = stream_rng(14, "init").normal(size=(config.d_ce,) * 2) / np.sqrt(config.d_ce)
+    params["match.w_bm"] = w_bm.astype(np.float32)
     return params
 
 
@@ -885,10 +890,12 @@ def test_evaluate_projects_each_left_entity_once(tiny, monkeypatch):
 
 
 # history.txt of the run below, as written when each epoch's validation
-# encoded all of its windows in one batch of its own
-VALID_HISTORY = ("epoch=0 loss=6.699439970529e-02 valid_auc=0.888889\n"
-                 "epoch=1 loss=7.850567270028e-02 valid_auc=0.888889\n"
-                 "epoch=2 loss=6.043637145286e-02 valid_auc=0.888889\n")
+# encoded all of its windows in one batch of its own, by the float32 model
+# (the float64 model wrote losses 6.699439970529e-02, 7.850567270028e-02
+# and 6.043637145286e-02, within 1.5e-7 relative, at the same AUCs)
+VALID_HISTORY = ("epoch=0 loss=6.699438972606e-02 valid_auc=0.888889\n"
+                 "epoch=1 loss=7.850567106571e-02 valid_auc=0.888889\n"
+                 "epoch=2 loss=6.043637129996e-02 valid_auc=0.888889\n")
 
 
 def test_validation_encodes_once_an_epoch_and_keeps_its_history(tmp_path, capsys,

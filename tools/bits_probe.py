@@ -14,7 +14,10 @@ Before that hash, the last line, it prints two lines per dataset: "<name>
 data <SHA-256 of its corpus, synsets and embeddings files>", then "<name>
 index <SHA-256 of what ingest made of them: the vocabulary, the token ids,
 the line offsets and the synsets>", so that a change of the generated data
-or of ingest can be told from a change of the rest of the library.
+or of ingest can be told from a change of the rest of the library.  After
+each training run it prints "<run> dtypes <weight>=<dtype> ...", the dtypes
+of the trained weights (float32 each), so that a weight that turns float64
+shows by name, not only as a new hash.
 
 It imports src/ and perfbench/ of the checkout it sits in:
 
@@ -93,9 +96,11 @@ def load(out_dir, data_args, valid_frac):
     return data, embeddings.load_embeddings(paths["embeddings"], data.vocab)
 
 
-def probe(data, table, config):
-    """The bits of one training run and of scoring with its model."""
+def probe(name, data, table, config):
+    """The bits of one training run and of scoring with its model; prints
+    the trained weights' dtypes."""
     params, history = training.train(config, data, table)
+    print(name, "dtypes", " ".join(f"{k}={w.dtype}" for k, w in sorted(params.items())))
     report = evaluation.evaluate(params, config, data, table, split="test", seed=SEED,
                                  knn_k=workloads.KNN_K)
     store = sorted(data.store.entities())
@@ -118,14 +123,15 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         for name, w in workloads.WORKLOADS.items():
             data, table = load(os.path.join(tmp, name), w.data, workloads.VALID_FRAC)
-            out[name] = probe(data, table, w.config(SEED))
+            out[name] = probe(name, data, table, w.config(SEED))
         tier1 = workloads.WORKLOADS["train_tier1"]
         # noisy contexts, so that validation AUC moves between epochs
         data, table = load(os.path.join(tmp, "valid"), dict(tier1.data, noise=0.9), VALID_FRAC)
         for objective in training.OBJECTIVES:
             config = dataclasses.replace(tier1.config(SEED), objective=objective, epochs=3,
                                          pairs_per_epoch=0)
-            out[f"valid/{objective}"] = probe(data, table, config.validate())
+            out[f"valid/{objective}"] = probe(f"valid/{objective}", data, table,
+                                              config.validate())
     print(hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest())
 
 
