@@ -186,7 +186,7 @@ class CorpusData:
     occ_start: np.ndarray = field(init=False, repr=False)   # (len(vocab) + 1,) int64
     occ: np.ndarray = field(init=False, repr=False)         # (n_tokens,) int64
     # the evaluation.Scorer of the last model scored on this corpus; set by
-    # evaluation._scorer
+    # evaluation._scorer.  The Scorer refers back weakly: no reference cycle
     scorer: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):

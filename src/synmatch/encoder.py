@@ -36,9 +36,11 @@ A one-row step goes to gemm as two rows, so a window encodes to the same
 bits in any batch, for inference and training alike.
 
 The encoder computes in its weights' dtype (`model_dtype`): float32 for a
-trained model, float64 for the gradient check.  The embedding table is
-cast to it once per call, and every buffer the forward and the backward
-make is of that dtype, so float32 weights run sgemm and float32 tanh.
+trained model, float64 for the gradient check.  Its callers pass the
+embedding table in that dtype (`training.train` and `evaluation.Scorer`
+cast it once); a table of another dtype is cast per call.  Every buffer the
+forward and the backward make is of that dtype, so float32 weights run
+sgemm and float32 tanh.
 
 Each direction steps only the (step, row) pairs it uses: a row stops at its
 stop step (the entity token for the anchored variant, the window's end for
@@ -70,7 +72,8 @@ def model_dtype(weights):
 
 
 def _in_model_dtype(W, emb):
-    """The weights W and the embedding matrix, cast to W's `model_dtype`."""
+    """The weights W and the embedding matrix in W's `model_dtype`; a
+    matrix already in it is used as it is, not copied."""
     dtype = model_dtype(W)
     return [w.astype(dtype, copy=False) for w in W], np.asarray(emb, dtype=dtype)
 
@@ -267,7 +270,8 @@ def encode_batch_vars(windows, params, emb, variant="anchored"):
     whose parents are the six weights.
 
     `params` maps names to Vars (training) or arrays; `emb` is the frozen
-    (vocab, d_embed) embedding matrix, cast to the weights' dtype.  variant
+    (vocab, d_embed) embedding matrix, best passed in the weights' dtype
+    (another is cast per call).  variant
     is "anchored" (stop each direction at the entity token) or "bilstm" (run
     to the ends and keep the final states).
     """

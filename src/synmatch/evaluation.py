@@ -11,19 +11,21 @@ discovery runs against held-out synsets.  `evaluate`, `discover` and
 `knn_rerank`: one KNN scan shortlists every query, then the matcher scores
 whole queries per call, each query's encodings and projection against a
 stack of its own candidates, as many queries with as many candidates as
-SCORE_FLOATS allows, and up to SCORE_SLICE candidates of a query a call.
-numpy still runs one product per pair, so a query scores the same bits
-alone, grouped or sliced.  All context sampling is keyed by (seed, entity),
+fit in SCORE_BYTES (1 MiB, 2**18 float32 values, chosen from a measured
+grid: see its comment), and up to SCORE_SLICE candidates of a query a call.  numpy still runs one product per pair, so a
+query scores the same bits alone, grouped or sliced.  All context sampling is keyed by (seed, entity),
 so a metric run is a pure function of (model, data, seed).  A `Scorer`
 holds one model's windows, encodings and projections, and each score call
 draws and encodes, in one batch, only the entities it names that are not
 held yet.  discover, score and evaluate calls find their Scorer on
 data.scorer, kept for one model at a time, so repeated calls on one
-CorpusData encode each entity once.  The model is recognised by its seven
-weights, compared bit for bit with the Scorer's copies, so a weight changed
-in place between calls is seen.  The embedding matrix is compared by
-identity only: the encodings are kept on the assumption that it is not
-written in place between calls; nothing in this package writes it.
+CorpusData encode each entity once; the Scorer refers back to its corpus
+weakly, so the pair forms no reference cycle and a corpus is freed when its
+last reference goes.  The model is recognised by its seven weights,
+compared bit for bit with the Scorer's copies, so a weight changed in place
+between calls is seen.  The embedding matrix is compared by identity
+only: the encodings are kept on the assumption that it is not written in
+place between calls; nothing in this package writes it.
 
 Each entity is projected when it is encoded, enc[e] @ w_bm, and the
 projection is held read-only beside its encodings under the same row: the
@@ -34,6 +36,7 @@ entities x P x d_ce floats each, 10 MB for 500 entities at the paper config.
 
 import math
 import numbers
+import weakref
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain, islice
@@ -150,16 +153,23 @@ def stack_windows(ctx, ids):
     return windows, rows
 
 
-# A matcher call takes whole queries, as many as SCORE_FLOATS allows and at
+# A matcher call takes whole queries, as many as fit in SCORE_BYTES and at
 # least one, and at most SCORE_SLICE candidates of each.  A query's encodings
-# and projection and its K candidates' encodings are (K + 2) x P x d_ce floats.
-# At P 5, d_ce 32 a call takes 15 queries of 50 candidates, 998 KB; calls that
-# stacked two or four times as much took longer per pair.  At the paper config
-# (P 20, d_ce 256) a call takes one query of up to 64 candidates, 2.1 MB at 50
-# and 2.7 MB at 64: scoring a query of 50 in three calls of 1 MB took 9-22%
-# longer.  Evaluation pairs go 8 to a call there, 983 KB, in a third to two
-# fifths of the time of 64 pairs a call.
-SCORE_FLOATS = 2**17
+# and projection and its K candidates' encodings are (K + 2) x P x d_ce
+# values of the held dtype: the budget is in bytes, as cache blocking is, so a
+# float32 model stacks 2**18 values a call and a float64 one 2**17.  At P 5,
+# d_ce 32 a float32 call takes 31 queries of 50 candidates.  At the paper
+# config (P 20, d_ce 256) a call takes one query of up to 64 candidates, 1.0
+# MiB at 50 and 1.3 MiB at 64, or 17 evaluation pairs.  Measured over
+# 512 KiB, 1, 2 and 4 MiB, the fastest of 60 in-process evaluates at two
+# seeds: train_paper 3.63 / 2.90-2.94 / 2.82-2.83 / 2.70-2.76 ms (19 / 7 / 4
+# / 3 matcher calls), serve_rank 6.02-6.12 / 5.95-6.05 / 5.91-5.94 /
+# 5.78-5.84 ms, train_tier1 2.01-2.02 / 1.92-1.93 / 1.91-1.94 / 1.88-1.92
+# ms; a paper-config discover of 50 candidates is one call at each.  Past
+# 1 MiB the gain is 2-5%, while an evaluate's tracemalloc peak grows 1.6 ->
+# 5.5 MB on train_paper and the stacks outgrow the 2 MiB L2 of a core (a
+# 2-vCPU Xeon VM, numpy 2.4.6 / OpenBLAS, one BLAS thread).
+SCORE_BYTES = 2**20
 SCORE_SLICE = 64
 
 
@@ -210,39 +220,51 @@ class Scorer:
 
     It encodes and projects with read-only copies of the seven weights (the
     encoder's six and match.w_bm) taken when it is made, in their
-    `_weights_dtype`, and holds its encodings and scores in that dtype.  It
-    keeps a copy of `windows`, by entity, and a call draws the windows of the
-    other entities it names (`eval_contexts`) before it encodes any.  A call encodes the
+    `_weights_dtype`, and holds its encodings and scores in that dtype; it
+    casts emb to that dtype once, and keeps emb itself as `_scorer`'s identity
+    key.  It keeps a copy of `windows`, by entity, and a call draws the
+    windows of the other entities it names (`eval_contexts`) from its corpus,
+    held by a weak reference, before it encodes any.  A call encodes the
     entities it names that are not held yet in one batch and projects them
     at once, enc[e] @ w_bm; the encoder gives an entity the same bits in any
     batch.  The encodings and the projections are two read-only (entities,
     P, d_ce) arrays under one row map.
 
     Queries with as many candidates are scored together: one matcher call
-    takes as many whole queries as SCORE_FLOATS allows, at least one, each
-    query's encodings and projection against its own candidates, and a query
-    of more than SCORE_SLICE candidates is scored in slices of that many.  A
-    pair's score has the same bits however its query is grouped or sliced,
-    and a query with no candidates gets an empty score array."""
+    takes as many whole queries as fit in SCORE_BYTES of the held dtype, at
+    least one, each query's encodings and projection against its own
+    candidates, and a query of more than SCORE_SLICE candidates is scored in
+    slices of that many.  A pair's score has the same bits however its query
+    is grouped or sliced, and a query with no candidates gets an empty score
+    array.  A Scorer whose corpus is gone still scores the entities whose
+    windows it holds; one that would draw windows raises DataError."""
 
     def __init__(self, params, config, data, emb, seed, windows=None):
         check_seed(seed)
         self.key = _model_key(config, seed)
-        self.data, self.emb = data, emb
+        # weakly: the corpus holds its scorer as data.scorer
+        self.data = weakref.ref(data)
         self.weights = _held_copies(params)
+        dtype = self.weights["match.w_bm"].dtype
+        self.emb, self.E = emb, np.asarray(emb, dtype)   # the key, and cast once
         self.windows = dict(windows or {})
         self.rows = {}
-        self.enc = self.hw = np.empty(0, self.weights["match.w_bm"].dtype)
+        self.enc = self.hw = np.empty(0, dtype)
 
     def __call__(self, left, right):
         variant, leaky, seed, P, T = self.key
         rows, weights = self.rows, self.weights
         missing = sorted(int(eid) for eid in set(chain(left, *right)).difference(rows))
         if missing:
-            self.windows.update(eval_contexts(
-                self.data, [eid for eid in missing if eid not in self.windows], P, T, seed))
+            draw = [eid for eid in missing if eid not in self.windows]
+            if draw:
+                data = self.data()
+                if data is None:
+                    raise DataError(f"this Scorer's corpus is gone: cannot draw windows "
+                                    f"for entities {draw}")
+                self.windows.update(eval_contexts(data, draw, P, T, seed))
             new = encoder.encode_batch([w for eid in missing for w in self.windows[eid]],
-                                       weights, self.emb, variant).reshape(len(missing), P, -1)
+                                       weights, self.E, variant).reshape(len(missing), P, -1)
             d = new.shape[2]
             # a stacked product: one (P, d) @ (d, d) gemm per entity, as in the matcher
             for name, block in (("enc", new), ("hw", new @ weights["match.w_bm"])):
@@ -255,13 +277,13 @@ class Scorer:
         by_length = {}
         for i, cands in enumerate(right):
             by_length.setdefault(len(cands), []).append(i)
-        entity = P * enc.shape[-1]          # floats of one entity's encodings
+        entity = P * enc.shape[-1]          # values of one entity's encodings
         for K, queries in by_length.items():
             li = np.array([rows[left[i]] for i in queries], dtype=np.intp)
             ri = np.array([rows[c] for i in queries for c in right[i]],
                           dtype=np.intp).reshape(len(queries), K)
             width = min(K, SCORE_SLICE) or 1     # no candidates: empty score rows
-            per_call = max(1, SCORE_FLOATS // ((width + 2) * entity))
+            per_call = max(1, SCORE_BYTES // ((width + 2) * entity * enc.itemsize))
             scores = np.empty(ri.shape, enc.dtype)
             for at in range(0, len(queries), per_call):
                 lb = li[at:at + per_call]

@@ -10,7 +10,8 @@ Validation AUC on held-out synsets picks the parameters to keep.
 The model is float32 (DTYPE): `init_model_params` and `load_checkpoint`
 return float32 weights, and the tape, the losses, the clipped gradients and
 Adam's moments keep that dtype, so every product is an sgemm.  The word
-embeddings stay float64 and the encoder casts them per call.  Only
+embeddings stay float64; `train` casts them to the model dtype once, for
+every batch and every validation `Scorer` of the run.  Only
 `gradcheck_model` builds float64 weights, for its finite differences.
 
 Checkpoints are canonical JSON: sorted keys, parameters as base64-encoded
@@ -349,6 +350,7 @@ def train(config, data, table):
     P = config.contexts_per_entity
     T = config.max_context_len
     params = init_model_params(config, table.dim, stream_rng(config.seed, "init"))
+    emb = table.matrix.astype(DTYPE)        # frozen: cast once, not per batch
     opt = Adam(config.learning_rate)
 
     valid_pairs = evaluation.make_eval_pairs(store, "valid", stream_rng(config.seed, "eval", 1))
@@ -381,7 +383,7 @@ def train(config, data, table):
         epoch_loss = 0.0
         for batch_no in range(0, len(items), config.batch_size):
             batch = items[batch_no:batch_no + config.batch_size]
-            builder = batch_loss_builder(batch, contexts, config, table.matrix)
+            builder = batch_loss_builder(batch, contexts, config, emb)
             try:
                 value, grads = ad.grad(builder, params)
                 clip_gradients(grads)
@@ -395,8 +397,7 @@ def train(config, data, table):
 
         valid_auc = None
         if valid_pairs:
-            score = evaluation.Scorer(params, config, data, table.matrix, config.seed,
-                                      valid_windows)
+            score = evaluation.Scorer(params, config, data, emb, config.seed, valid_windows)
             scores = np.concatenate(score([p.a for p in valid_pairs],
                                           [[p.b] for p in valid_pairs]))
             valid_auc = evaluation.auc([(s, p.label) for s, p in zip(scores, valid_pairs)])

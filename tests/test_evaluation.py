@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -247,8 +249,8 @@ def test_entity_scorer_slices_score_like_single_pairs(tiny, monkeypatch):
     assert calls == [(7, 1), (1, 1), (1, 2), (2, 3), (1, 4), (2, 7)]
     # a bound of 8 entities' encodings and 6 candidates: 2 pairs a call, 1
     # query of 3 or 4 candidates, and a query of 7 in slices of 6 and 1
-    monkeypatch.setattr(evaluation, "SCORE_FLOATS",
-                        8 * config.contexts_per_entity * config.d_ce)
+    monkeypatch.setattr(evaluation, "SCORE_BYTES", 8 * config.contexts_per_entity
+                        * config.d_ce * params["match.w_bm"].itemsize)
     monkeypatch.setattr(evaluation, "SCORE_SLICE", 6)
     calls.clear()
     sliced_pairs, sliced = score(left, [[b] for b in right]), score(left, shortlists)
@@ -763,7 +765,7 @@ def test_entity_scorer_equals_unprojected_oracle(tiny, monkeypatch, d_ce, P, lea
             score(some, [some] * len(some))
         held = data.scorer
         assert sorted(held.rows) == ids and len(held.hw) == len(ids)
-        assert held.enc.dtype == held.hw.dtype == dtype
+        assert held.enc.dtype == held.hw.dtype == held.E.dtype == dtype
 
         def want(left, right):
             return ref.entity_scores(held.enc, held.rows, params["match.w_bm"], leaky,
@@ -773,8 +775,8 @@ def test_entity_scorer_equals_unprojected_oracle(tiny, monkeypatch, d_ce, P, lea
         # set bound and at one of 6 pairs or 3 such queries a matcher call
         left = [ids[i % 4] for i in range(14)]
         right = [ids[(i * 3 + i // 4) % 4] for i in range(len(left))]
-        for floats in (evaluation.SCORE_FLOATS, 18 * P * d_ce):
-            monkeypatch.setattr(evaluation, "SCORE_FLOATS", floats)
+        for n_bytes in (evaluation.SCORE_BYTES, 18 * P * d_ce * np.dtype(dtype).itemsize):
+            monkeypatch.setattr(evaluation, "SCORE_BYTES", n_bytes)
             assert np.concatenate(score(left, [[b] for b in right])).tolist() == want(left,
                                                                                      right)
             assert [x.tolist() for x in score(ids, [ids] * 4)] == [want([a], ids) for a in ids]
@@ -823,20 +825,87 @@ def test_evaluate_equals_per_query_oracle(request, monkeypatch, split_data, leak
     params = scoring_model(config, table)
     data = fresh_copy(data)
     n = len(data.store.entities("test"))
-    entity = config.contexts_per_entity * config.d_ce
+    # bytes of one entity's encodings
+    entity = config.contexts_per_entity * config.d_ce * params["match.w_bm"].itemsize
     for knn_k in (2, 50):                   # 50: more candidates than the split holds
         K = min(knn_k, n - 1)
         want = report_bits(ref.evaluate(params, config, data, table, knn_k=knn_k))
         # the set bounds, 3 queries a call, and 2 queries a call with every
         # query in two slices
         half = (K + 1) // 2
-        for floats, width in ((evaluation.SCORE_FLOATS, evaluation.SCORE_SLICE),
-                              (3 * (K + 2) * entity, evaluation.SCORE_SLICE),
-                              (2 * (half + 2) * entity, half)):
-            monkeypatch.setattr(evaluation, "SCORE_FLOATS", floats)
+        for n_bytes, width in ((evaluation.SCORE_BYTES, evaluation.SCORE_SLICE),
+                               (3 * (K + 2) * entity, evaluation.SCORE_SLICE),
+                               (2 * (half + 2) * entity, half)):
+            monkeypatch.setattr(evaluation, "SCORE_BYTES", n_bytes)
             monkeypatch.setattr(evaluation, "SCORE_SLICE", width)
             got = evaluation.evaluate(params, config, data, table, knn_k=knn_k)
-            assert report_bits(got) == want, (knn_k, floats, width)
+            assert report_bits(got) == want, (knn_k, n_bytes, width)
+
+
+def test_score_budget_is_in_bytes(tier1, monkeypatch):
+    """One byte budget: a float64 model stacks half the queries a matcher call
+    that a float32 model does, no call stacks more than the budget unless it
+    holds one query larger than it, and scores keep their bits at budgets of
+    1, 2 and 4 float32 queries of 3 candidates a call."""
+    data, table, config = tier1
+    model = scoring_model(config, table)
+    ids = sorted(data.store.entities())
+    # 16 queries of 3 candidates and 8 of 6, interleaved
+    lengths = [6 if i % 3 == 0 else 3 for i in range(24)]
+    left = ids[:24]
+    right = [ids[30 + i:30 + i + n] for i, n in enumerate(lengths)]
+    query = 5 * config.contexts_per_entity * config.d_ce * 4   # float32 bytes, 3 candidates
+    stacks, match_score = [], matcher.match_score
+
+    def recorded(H, HW, G, *args, **kwargs):
+        stacks.append((len(G), H.nbytes + HW.nbytes + G.nbytes))
+        return match_score(H, HW, G, *args, **kwargs)
+
+    monkeypatch.setattr(matcher, "match_score", recorded)
+    calls, over = {}, {}
+    for dtype in (np.float32, np.float64):
+        params = {name: w.astype(dtype) for name, w in model.items()}
+        score = evaluation.entity_scorer(params, config, fresh_copy(data), table.matrix, 0)
+        bits = []
+        for n_queries in (1, 2, 4):
+            monkeypatch.setattr(evaluation, "SCORE_BYTES", n_queries * query)
+            stacks.clear()
+            bits.append([x.tobytes() for x in score(left, right)])
+            calls[dtype, n_queries] = len(stacks)
+            big = [n for n, n_bytes in stacks if n_bytes > n_queries * query]
+            assert set(big) <= {1}          # only a query larger than the budget, alone
+            over[dtype, n_queries] = len(big)
+        assert bits[0] == bits[1] == bits[2]
+    # in budget units: a query of 3 candidates is 1 in float32 and 2 in
+    # float64, a query of 6 is 8/5 and 16/5
+    assert [calls[np.float32, n] for n in (1, 2, 4)] == [16 + 8, 8 + 8, 4 + 4]
+    assert [calls[np.float64, n] for n in (1, 2, 4)] == [16 + 8, 16 + 8, 8 + 8]
+    assert calls[np.float64, 4] == 2 * calls[np.float32, 4]
+    assert [over[np.float32, n] for n in (1, 2, 4)] == [8, 0, 0]
+    assert [over[np.float64, n] for n in (1, 2, 4)] == [24, 8, 0]
+
+
+def test_corpus_is_freed_without_the_cycle_collector(tiny):
+    """A corpus that has served discover, evaluate and score_pair goes when
+    its last reference does; a Scorer kept past it scores what it holds and
+    cannot draw more windows."""
+    data, table, config, params = tiny
+    data = fresh_copy(data)
+    ids = sorted(data.store.entities())
+    evaluation.discover(params, config, data, table, ids[0], k=2, threshold=0.0)
+    evaluation.evaluate(params, config, data, table, split="test", ks=(1, 2))
+    want = evaluation.score_pair(params, config, data, table.matrix, ids[0], ids[1])
+    held, alive = data.scorer, weakref.ref(data)
+    gc.disable()
+    try:
+        del data
+        assert alive() is None
+    finally:
+        gc.enable()
+    assert held([ids[0]], [[ids[1]]])[0].tolist() == [want]
+    orphan = evaluation.Scorer(params, config, fresh_copy(tiny[0]), table.matrix, 0)
+    with pytest.raises(DataError, match="corpus is gone"):
+        orphan([ids[0]], [[ids[1]]])
 
 
 def result_bits(result):
@@ -854,21 +923,22 @@ def test_discover_many_equals_one_query_at_a_time(request, monkeypatch, split_da
     # the first query is outside the universe, so its shortlist is one longer;
     # a query may come twice
     queries = [test[0]] + test[1::2] + [test[1]]
-    entity = config.contexts_per_entity * config.d_ce
+    # bytes of one entity's encodings
+    entity = config.contexts_per_entity * config.d_ce * params["match.w_bm"].itemsize
     for k in (2, 50):
         K = min(k, len(universe))
         alone = [result_bits(evaluation.discover(params, config, fresh_copy(data), table, q,
                                                  k=k, threshold=0.0, universe=universe))
                  for q in queries]
         # the set bounds, 2 queries a call, and the longer query in two slices
-        for floats, width in ((evaluation.SCORE_FLOATS, evaluation.SCORE_SLICE),
-                              (2 * (K + 2) * entity, evaluation.SCORE_SLICE),
-                              (2 * (K + 2) * entity, K)):
-            monkeypatch.setattr(evaluation, "SCORE_FLOATS", floats)
+        for n_bytes, width in ((evaluation.SCORE_BYTES, evaluation.SCORE_SLICE),
+                               (2 * (K + 2) * entity, evaluation.SCORE_SLICE),
+                               (2 * (K + 2) * entity, K)):
+            monkeypatch.setattr(evaluation, "SCORE_BYTES", n_bytes)
             monkeypatch.setattr(evaluation, "SCORE_SLICE", width)
             got = evaluation.discover_many(params, config, fresh_copy(data), table, queries,
                                            k=k, threshold=0.0, universe=universe)
-            assert [result_bits(r) for r in got] == alone, (k, floats, width)
+            assert [result_bits(r) for r in got] == alone, (k, n_bytes, width)
 
 
 def test_evaluate_projects_each_left_entity_once(tiny, monkeypatch):

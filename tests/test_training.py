@@ -521,6 +521,26 @@ def test_training_keeps_the_model_float32(tmp_path, monkeypatch, objective):
          "weights", "validation scores"], {np.dtype(np.float32)})
 
 
+def test_training_casts_the_embedding_table_once(tmp_path, monkeypatch):
+    """Every encoder call of a run, its training batches and its validation
+    scoring alike, gets one table already in the weights' float32: the run
+    casts it once, and no call copies it.  The caller's table is untouched."""
+    data, table, config = toy_setup(tmp_path, epochs=2)
+    before = table.matrix.copy()
+    seen, encode = [], encoder._encode
+
+    def recording(windows, weights, E, variant, save=True):
+        seen.append((E, save))
+        return encode(windows, weights, E, variant, save)
+
+    monkeypatch.setattr(encoder, "_encode", recording)
+    training.train(config, data, table)
+    assert {save for _, save in seen} == {True, False}
+    E = seen[0][0]
+    assert E.dtype == np.float32 and all(e is E for e, _ in seen)
+    assert table.matrix.dtype == np.float64 and np.array_equal(table.matrix, before)
+
+
 def test_float32_gradients_match_float64_to_float32_rounding(tmp_path):
     """The float32 model's loss and gradients of one fixed batch equal those
     the same code takes from the same weights in float64, to float32
