@@ -39,7 +39,7 @@ print(f"synsets: {[[data.vocab.token(e) for e in s] for s in data.store.synsets]
 # the occurrence index is CSR: one run of flat token positions per token id,
 # in corpus order; retrieval samples from the entity's run and finds each
 # pick's line by a binary search of the line offsets
-eid = data.entity_id("metropolis")
+eid = corpus.entity_id("metropolis", data.vocab, len(data.vocab))
 lo, hi = data.occ_start[eid], data.occ_start[eid + 1]
 first = data.occ[lo:lo + 3]
 lis = np.searchsorted(data.line_start[1:], first, side="right")

@@ -24,7 +24,7 @@ config = training.TrainConfig(objective="siamese", d_ce=16,
                               contexts_per_entity=4, max_context_len=13,
                               learning_rate=0.001, batch_size=8, epochs=6,
                               seed=1).validate()
-print(config.to_text())
+print(config.to_dict())
 
 params, history = training.train(config, data, table)
 for h in history:

@@ -8,6 +8,7 @@ token arrays; a line's tuple of ids is built only when a window is cut from it.
 """
 
 import logging
+import numbers
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -101,7 +102,6 @@ class ContextWindow:
 
     token_ids: tuple
     entity_pos: int
-    source_line: int
 
     def __post_init__(self):
         if not 0 <= self.entity_pos < len(self.token_ids):
@@ -212,10 +212,6 @@ class CorpusData:
             got = self.line_slots[li] = tuple(self.tokens[a:b].tolist())
         return got
 
-    def entity_id(self, entity):
-        """The token id entity names: `entity_id` over the vocabulary."""
-        return entity_id(entity, self.vocab, len(self.vocab))
-
 
 def unflatten(flat, starts):
     """Tuples of Python ints flat[starts[i]:starts[i + 1]], one per run."""
@@ -303,7 +299,7 @@ def ingest(corpus_path, synset_path, min_count=5):
     return data
 
 
-def window_around(token_ids, pos, T, source_line=-1):
+def window_around(token_ids, pos, T):
     """Cut a window of at most T tokens around position pos.
 
     The entity keeps floor((T-1)/2) tokens on its left and the remainder on
@@ -312,7 +308,7 @@ def window_around(token_ids, pos, T, source_line=-1):
     """
     n = len(token_ids)
     if n <= T:
-        return ContextWindow(tuple(token_ids), pos, source_line)
+        return ContextWindow(tuple(token_ids), pos)
     left = (T - 1) // 2
     start = pos - left
     end = start + T
@@ -320,7 +316,7 @@ def window_around(token_ids, pos, T, source_line=-1):
         start, end = 0, T
     elif end > n:
         start, end = n - T, n
-    return ContextWindow(tuple(token_ids[start:end]), pos - start, source_line)
+    return ContextWindow(tuple(token_ids[start:end]), pos - start)
 
 
 def retrieve_contexts(data, entity, P, T, rng):
@@ -328,9 +324,9 @@ def retrieve_contexts(data, entity, P, T, rng):
 
     Occurrences are drawn uniformly, without replacement when the entity has
     at least P of them, with replacement otherwise.  The entity resolves
-    through `CorpusData.entity_id`; P and T are positive integers.
+    through `entity_id` over the vocabulary; P and T are positive integers.
     """
-    eid = data.entity_id(entity)
+    eid = entity_id(entity, data.vocab, len(data.vocab))
     check_count("P", P, 1)
     check_count("T", T, 1)
     lo, hi = data.occ_start[eid:eid + 2].tolist()
@@ -339,7 +335,7 @@ def retrieve_contexts(data, entity, P, T, rng):
         raise NoContextError(f"entity id {eid} has no occurrences in the corpus")
     at = data.occ[lo + rng.choice(count, size=P, replace=count < P)]
     lis = np.searchsorted(data.line_start[1:], at, side="right")
-    return [window_around(data.line(li), pos, T, source_line=li)
+    return [window_around(data.line(li), pos, T)
             for li, pos in zip(lis.tolist(), (at - data.line_start[lis]).tolist())]
 
 
@@ -347,13 +343,13 @@ def split_synsets(store, valid_frac, test_frac, rng):
     """Assign each synset to train, valid or test.
 
     Splitting whole synsets keeps evaluation entities disjoint from training
-    entities.  A fraction of exactly 0 yields an empty split; a positive
-    fraction that rounds to zero synsets is an error.
+    entities.  A fraction is a real number in [0, 1), not a bool: exactly 0
+    yields an empty split, a positive one that rounds to zero synsets is an error.
     """
     n = len(store.synsets)
     for name, frac in (("valid", valid_frac), ("test", test_frac)):
-        if not 0.0 <= frac < 1.0:
-            raise DataError(f"{name} fraction {frac} outside [0, 1)")
+        if isinstance(frac, bool) or not isinstance(frac, numbers.Real) or not 0 <= frac < 1:
+            raise DataError(f"{name} fraction must be a real number in [0, 1), got {frac!r}")
     n_valid = round(n * valid_frac)
     n_test = round(n * test_frac)
     if valid_frac > 0 and n_valid == 0:
@@ -364,15 +360,10 @@ def split_synsets(store, valid_frac, test_frac, rng):
     if n_train <= 0:
         raise DataError(f"no synsets left for training ({n} total, "
                         f"{n_valid} valid, {n_test} test)")
-    order = rng.permutation(n)
-    split = {}
-    for si in order[:n_test]:
-        split[int(si)] = "test"
-    for si in order[n_test:n_test + n_valid]:
-        split[int(si)] = "valid"
-    for si in order[n_test + n_valid:]:
-        split[int(si)] = "train"
-    return SynsetStore(synsets=list(store.synsets), split=split)
+    # the first n_test synsets of a seeded permutation are test, the next n_valid valid
+    names = ["test"] * n_test + ["valid"] * n_valid + ["train"] * n_train
+    return SynsetStore(synsets=list(store.synsets),
+                       split=dict(zip(rng.permutation(n).tolist(), names)))
 
 
 def _positive_pool(store, split="train"):

@@ -39,7 +39,7 @@ import numbers
 import weakref
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -76,6 +76,7 @@ def rank_metrics(ranked, relevant, ks):
     """AP of one ranked list, with the number of relevant items as its
     denominator, and {k: (P@k, R@k, F1@k)} for each k of ks, from one walk
     over the list; each k is an integer (a bool is not one) of at least 1."""
+    ks = tuple(ks)
     if not relevant:
         raise MetricError("rank metrics need at least one relevant item")
     if not all(corpus.is_integer(k) and k >= 1 for k in ks):
@@ -214,9 +215,9 @@ def _model_key(config, seed):
 
 
 class Scorer:
-    """One model's scores of entity pairs, for checked ids as discover_many
-    and evaluate pass them: score(left, right), where right[i] lists the
-    candidates of left[i], gives one array of model scores per left id.
+    """One model's scores of entity pairs, for checked ids: score(left, right),
+    where right[i] lists the candidates of left[i], gives one array of model
+    scores per left id; left and right of unequal lengths are a DataError.
 
     It encodes and projects with read-only copies of the seven weights (the
     encoder's six and match.w_bm) taken when it is made, in their
@@ -252,6 +253,8 @@ class Scorer:
         self.enc = self.hw = np.empty(0, dtype)
 
     def __call__(self, left, right):
+        if len(left) != len(right):
+            raise DataError(f"{len(left)} left entities but {len(right)} candidate lists")
         variant, leaky, seed, P, T = self.key
         rows, weights = self.rows, self.weights
         missing = sorted(int(eid) for eid in set(chain(left, *right)).difference(rows))
@@ -307,23 +310,11 @@ def _scorer(params, config, data, emb, seed):
     return held
 
 
-def entity_scorer(params, config, data, emb, seed):
-    """Scores of entity pairs as `_scorer` gives them, for any entities: each
-    score call passes its ids through `corpus.entity_ids`, names included."""
-    scores = _scorer(params, config, data, emb, seed)
-
-    def score(left, right):
-        if len(left) != len(right):
-            raise DataError(f"{len(left)} left entities but {len(right)} candidate lists")
-        ids = iter(corpus.entity_ids(list(chain(left, *right)), data.vocab, len(data.vocab)))
-        return scores(list(islice(ids, len(left))), [list(islice(ids, len(c))) for c in right])
-
-    return score
-
-
 def score_pair(params, config, data, emb, a, b, seed=0):
-    """Score one entity pair: sample (or reuse) contexts, encode, match."""
-    return float(entity_scorer(params, config, data, emb, seed)([a], [[b]])[0][0])
+    """Score one entity pair, each a name or an id: resolve, sample, encode, match."""
+    score = _scorer(params, config, data, emb, seed)
+    a, b = corpus.entity_ids([a, b], data.vocab, len(data.vocab)).tolist()
+    return float(score([a], [[b]])[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +325,8 @@ class DiscoveryResult:
     query: int
     ranked: list                # (candidate id, model score), best first
     threshold: float
-    candidates: list = field(default_factory=list)  # (id, embedding cosine)
-    accepted: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.accepted:
-            self.accepted = [(c, s) for c, s in self.ranked if s > self.threshold]
+    candidates: list            # (id, embedding cosine)
+    accepted: list              # the ranked (id, score) strictly above threshold
 
 
 def knn_rerank(table, queries, k, universe, score):
@@ -378,7 +365,8 @@ def discover_many(params, config, data, table, queries, k=50, threshold=0.8,
     if universe is None:
         universe = data.store.entities()
     score = _scorer(params, config, data, table.matrix, seed)
-    return [DiscoveryResult(nl.query, ranked, threshold, candidates=nl.neighbors)
+    return [DiscoveryResult(nl.query, ranked, threshold, nl.neighbors,
+                            [(c, s) for c, s in ranked if s > threshold])
             for nl, ranked in knn_rerank(table, queries, k, universe, score)]
 
 
@@ -403,6 +391,7 @@ def evaluate(params, config, data, table, split="test", seed=0,
     is taken only for callers that pass discover's keywords.  knn_k is an
     integer of at least 1.
     """
+    ks = tuple(ks)      # read by every query's rank_metrics and by the means
     corpus.check_count("knn_k", knn_k, 1)
     store = data.store
     pairs = make_eval_pairs(store, split, stream_rng(seed, "eval", 1))

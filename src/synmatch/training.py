@@ -88,15 +88,6 @@ class TrainConfig:
     def to_dict(self):
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    def to_text(self):
-        out = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool):
-                value = "true" if value else "false"
-            out.append(f"{f.name}={value}")
-        return "\n".join(out) + "\n"
-
 
 def _coerce(field, raw):
     if field.type is bool:
@@ -303,7 +294,7 @@ def gradcheck_model(seed=0):
                         ids = rng.integers(2, n_vocab, size=5)
                         pos = int(rng.integers(5))
                         ids[pos] = eid
-                        wins.append(corpus.ContextWindow(tuple(int(t) for t in ids), pos, -1))
+                        wins.append(corpus.ContextWindow(tuple(int(t) for t in ids), pos))
                     ctx[eid] = wins
                 if objective == "triplet":
                     items = [corpus.TrainingTriplet(ents[0], ents[1], ents[2]),

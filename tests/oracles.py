@@ -258,7 +258,7 @@ def retrieve_contexts(data, eid, P, T, rng):
     lines = corpus.unflatten(data.tokens, data.line_start)
     occ = [(li, pos) for li, line in enumerate(lines) for pos, t in enumerate(line) if t == eid]
     picks = rng.choice(len(occ), size=P, replace=len(occ) < P)
-    return [corpus.window_around(lines[occ[i][0]], occ[i][1], T, occ[i][0]) for i in picks]
+    return [corpus.window_around(lines[occ[i][0]], occ[i][1], T) for i in picks]
 
 
 def entity_scores(enc, rows, w_bm, leaky, left, right):
@@ -309,7 +309,7 @@ def evaluate(params, config, data, table, split="test", seed=0, ks=(1, 5, 10), k
     pairs = evaluation.make_eval_pairs(store, split, stream_rng(seed, "eval", 1))
     entity_ids = sorted(store.entities(split))
     # hold every entity of the split, each scored against itself
-    evaluation.entity_scorer(params, config, data, table.matrix, seed)(
+    evaluation._scorer(params, config, data, table.matrix, seed)(
         entity_ids, [[eid] for eid in entity_ids])
     held = data.scorer
     rows, enc, hw = held.rows, held.enc, held.hw

@@ -230,20 +230,20 @@ def test_encoder_truncation_invariant():
         length = int(rng.integers(3, 9))
         pos = int(rng.integers(length))
         ids = [int(t) for t in rng.integers(2, n_vocab, size=length)]
-        base = corpus.ContextWindow(tuple(ids), pos, -1)
+        base = corpus.ContextWindow(tuple(ids), pos)
         out = encoder.encode_batch([base], params, table, "anchored")[0]
 
         edited = list(ids)
         for i in range(pos + 1, length):
             edited[i] = int(rng.integers(2, n_vocab))
-        suffix = corpus.ContextWindow(tuple(edited), pos, -1)
+        suffix = corpus.ContextWindow(tuple(edited), pos)
         out_s = encoder.encode_batch([suffix], params, table, "anchored")[0]
         assert np.array_equal(out[:d_h], out_s[:d_h]), "forward half changed"
 
         edited = list(ids)
         for i in range(pos):
             edited[i] = int(rng.integers(2, n_vocab))
-        prefix = corpus.ContextWindow(tuple(edited), pos, -1)
+        prefix = corpus.ContextWindow(tuple(edited), pos)
         out_p = encoder.encode_batch([prefix], params, table, "anchored")[0]
         assert np.array_equal(out[d_h:], out_p[d_h:]), "backward half changed"
         checked += 1

@@ -142,10 +142,10 @@ def test_csr_index_matches_dict_of_lists_oracle(tmp_path):
         for P in (1, 3, len(occ), len(occ) + 4):
             got = corpus.retrieve_contexts(data, tid, P, 5, stream_rng(2, "eval", tid))
             rng = stream_rng(2, "eval", tid)
-            want = [corpus.window_around(lines[occ[i][0]], occ[i][1], 5, occ[i][0])
+            want = [corpus.window_around(lines[occ[i][0]], occ[i][1], 5)
                     for i in rng.choice(len(occ), size=P, replace=len(occ) < P)]
             assert got == want
-            assert all(type(w.entity_pos) is int and type(w.source_line) is int for w in got)
+            assert all(type(w.entity_pos) is int for w in got)
 
 
 def test_ingest_dedupes_across_read_blocks(tmp_path, monkeypatch):
@@ -234,7 +234,10 @@ def test_retrieve_single_occurrence_repeats(small_data):
 def test_retrieve_without_replacement_when_enough(small_data):
     rng = stream_rng(0, "ingest")
     ws = corpus.retrieve_contexts(small_data, "alpha", P=6, T=50, rng=rng)
-    assert len({w.source_line for w in ws}) == 6
+    # alpha occurs once on each of six lines, all distinct and shorter than T:
+    # six distinct draws are six distinct whole lines
+    assert len({w.token_ids for w in ws}) == 6
+    assert {w.token_ids for w in ws} == set(small_data.lines[:6])
 
 
 def test_retrieve_entity_pos_invariant(small_data):
@@ -270,13 +273,13 @@ def test_retrieve_errors(small_data):
 def test_entity_id_must_be_an_integer(small_data, bad):
     # 2.7 would read as 2, True as 1, which is PAD
     with pytest.raises(UnknownEntityError, match="not an integer"):
-        small_data.entity_id(bad)
+        corpus.entity_id(bad, small_data.vocab, len(small_data.vocab))
 
 
 def test_entity_id_takes_python_and_numpy_integers(small_data):
     eid = small_data.vocab.get("alpha")
     for x in (eid, np.int64(eid), np.uint8(eid), np.intp(eid)):
-        got = small_data.entity_id(x)
+        got = corpus.entity_id(x, small_data.vocab, len(small_data.vocab))
         assert got == eid and type(got) is int
 
 
@@ -519,19 +522,21 @@ def test_evaluate_returns_a_report_or_a_typed_error(knn_k, ks, seed):
 @example(groups=[("e0", ["e3", 6])], seed=1)
 @example(groups=[(2.0, [5])], seed=1)
 @example(groups=[(2, [5])], seed=True)
-def test_entity_scorer_scores_or_raises_a_typed_error(groups, seed):
+def test_score_pair_scores_as_the_held_scorer_or_raises_a_typed_error(groups, seed):
     data, table, config, params = MODEL
-    left, right = [a for a, _ in groups], [cands for _, cands in groups]
-    lids, rids = model_ids(left), [model_ids(cands) for cands in right]
-    valid = lids is not None and None not in rids and count_ok(seed, 0)
-    try:
-        got = evaluation.entity_scorer(params, config, data, table.matrix, seed)(left, right)
-    except SynmatchError:
-        assert not valid or no_context(*lids, *(e for ids in rids for e in ids))
-        return
-    assert valid
-    want = evaluation.entity_scorer(params, config, data, table.matrix, int(seed))(lids, rids)
-    assert [x.tolist() for x in got] == [x.tolist() for x in want]
+    for a, cands in groups:
+        for b in cands:
+            ids = model_ids([a, b])
+            valid = ids is not None and count_ok(seed, 0)
+            try:
+                got = evaluation.score_pair(params, config, data, table.matrix, a, b, seed)
+            except SynmatchError:
+                assert not valid or no_context(*ids)
+                continue
+            assert valid
+            # the held Scorer's score of the ids a and b name
+            score = evaluation._scorer(params, config, data, table.matrix, int(seed))
+            assert got == float(score([ids[0]], [[ids[1]]])[0][0])
 
 
 NOISES = st.one_of(st.floats(allow_nan=True), st.integers(-1, 2), st.booleans(),
@@ -604,7 +609,7 @@ def test_retrieve_matches_eager_line_oracle(case):
     got = corpus.retrieve_contexts(data, eid, P, T, stream_rng(seed, "eval", eid))
     assert got == ref.retrieve_contexts(data, eid, P, T, stream_rng(seed, "eval", eid))
     assert all(type(t) is int for w in got for t in w.token_ids)
-    assert all(type(w.entity_pos) is int and type(w.source_line) is int for w in got)
+    assert all(type(w.entity_pos) is int for w in got)
     lines = data.lines
     for li, want in enumerate(lines):
         line = data.line(li)
@@ -622,7 +627,14 @@ def test_lines_are_built_on_first_use_only(tmp_path, small_data):
         assert data.line_slots == [None] * n_lines        # reading lines fills none
         ws = corpus.retrieve_contexts(data, "gamma", 3, 4, stream_rng(0, "eval"))
         filled = [li for li, line in enumerate(data.line_slots) if line is not None]
-        assert filled == sorted({w.source_line for w in ws}) and len(filled) == 3
+        # the same draw at a T above every line's length cuts the whole lines
+        # drawn, which fills no other slot: three distinct lines, as ingest
+        # keeps each line once, with the windows cut from them
+        whole = corpus.retrieve_contexts(data, "gamma", 3, 50, stream_rng(0, "eval"))
+        assert [li for li, line in enumerate(data.line_slots) if line is not None] == filled
+        assert filled == sorted(data.lines.index(w.token_ids) for w in whole)
+        assert len(filled) == 3
+        assert ws == [corpus.window_around(w.token_ids, w.entity_pos, 4) for w in whole]
     spec = {f.name: f for f in dataclasses.fields(corpus.CorpusData)}
     for name in ("line_slots", "scorer"):
         assert not spec[name].repr and not spec[name].compare, name
@@ -672,6 +684,19 @@ def test_split_too_small_errors():
     store = make_store(3)
     with pytest.raises(DataError):
         corpus.split_synsets(store, 0.05, 0.05, stream_rng(0, "ingest"))
+
+
+@pytest.mark.parametrize("bad", ["0.3", None, True, np.bool_(False), float("nan"), 1.0, -0.1])
+def test_split_fraction_is_a_real_number_in_range(bad):
+    store = make_store(10)
+    for name, fracs in (("valid", (bad, 0.2)), ("test", (0.2, bad))):
+        with pytest.raises(DataError, match=re.escape(
+                f"{name} fraction must be a real number in [0, 1), got {bad!r}")):
+            corpus.split_synsets(store, *fracs, stream_rng(0, "ingest"))
+    # numpy reals and integers are fractions; 0 yields an empty split
+    want = corpus.split_synsets(store, 0.2, 0.0, stream_rng(3, "ingest"))
+    for fracs in ((np.float64(0.2), 0), (np.float32(0.2), np.int64(0))):
+        assert corpus.split_synsets(store, *fracs, stream_rng(3, "ingest")) == want
 
 
 def test_store_rejects_entity_in_two_synsets():

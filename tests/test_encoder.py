@@ -28,7 +28,7 @@ def setup():
 
 
 def window(ids, pos):
-    return ContextWindow(tuple(ids), pos, source_line=0)
+    return ContextWindow(tuple(ids), pos)
 
 
 def rand_window(rng, min_len=1, max_len=9):

@@ -238,7 +238,7 @@ def test_entity_scorer_slices_score_like_single_pairs(tiny, monkeypatch):
     # queries of 1 to 7 candidates, an id may come twice
     lengths = (1, 2, 3, 4, 7, 3, 7)
     shortlists = [[ids[(i + j) % 4] for j in range(n)] for i, n in enumerate(lengths)]
-    score = evaluation.entity_scorer(params, config, data, table.matrix, 0)
+    score = evaluation._scorer(params, config, data, table.matrix, 0)
     single = [score([a], [[b]])[0][0] for a, b in zip(left, right)]
     alone = [score([a], [cands])[0] for a, cands in zip(left, shortlists)]
     assert [x.tolist() for x in alone] == [[score([a], [[b]])[0][0] for b in cands]
@@ -265,7 +265,7 @@ def test_entity_scorer_slices_score_like_single_pairs(tiny, monkeypatch):
 def test_entity_scorer_scores_empty_shortlists_as_empty(tiny, monkeypatch):
     data, table, config, params = tiny
     ids = sorted(data.store.entities())
-    score = evaluation.entity_scorer(params, config, data, table.matrix, 0)
+    score = evaluation._scorer(params, config, data, table.matrix, 0)
     left = [ids[0], ids[1], ids[2], ids[1]]
     right = [[], [ids[2], ids[3]], [], [ids[0]]]
     calls = record_calls(monkeypatch)
@@ -276,6 +276,19 @@ def test_entity_scorer_scores_empty_shortlists_as_empty(tiny, monkeypatch):
     assert got[1].tolist() == score([ids[1]], [[ids[2], ids[3]]])[0].tolist()
     assert got[3].tolist() == score([ids[1]], [[ids[0]]])[0].tolist()
     assert [x.shape for x in score([ids[3]], [[]])] == [(0,)]
+
+
+def test_scorer_refuses_left_and_right_of_different_lengths(tiny):
+    data, table, config, params = tiny
+    data = fresh_copy(data)
+    a, b, c = sorted(data.store.entities())[:3]
+    score = evaluation._scorer(params, config, data, table.matrix, 0)
+    for left, right in (([a, b], [[c]]), ([a], [[b], [c]]), ([], [[]])):
+        with pytest.raises(DataError, match=f"^{len(left)} left entities but {len(right)} "
+                                            f"candidate lists$"):
+            score(left, right)
+    # refused before any window is drawn
+    assert score.rows == {} and score.windows == {}
 
 
 @pytest.mark.parametrize("k", [0, -1])
@@ -290,7 +303,7 @@ def test_bad_integer_id_is_an_unknown_entity(tiny, eid):
     data, table, config, params = tiny
     eid = len(data.vocab) if eid == "vocab-size" else eid
     with pytest.raises(UnknownEntityError, match=f"entity id {eid} outside"):
-        data.entity_id(eid)
+        corpus.entity_id(eid, data.vocab, len(data.vocab))
     with pytest.raises(UnknownEntityError, match=f"entity id {eid} outside"):
         evaluation.discover(params, config, data, table, eid, k=2)
     # a caller's universe is checked too, where the KNN scan reads it
@@ -343,14 +356,14 @@ def test_a_warm_memo_refuses_a_seed_equal_to_an_integer_one(tiny):
     data = fresh_copy(data)
     want = evaluation.discover(params, config, data, table, "sun", k=3, seed=1)
     pair = evaluation.score_pair(params, config, data, table.matrix, "sun", "sea", seed=1)
-    sun = data.entity_id("sun")
+    sun = corpus.entity_id("sun", data.vocab, len(data.vocab))
     # 1.0 == True == 1, with equal hashes: each would find seed 1's memo entries
     for seed in (1.0, True, np.float64(1.0)):
         for call in (lambda: evaluation.discover(params, config, data, table, "sun", k=3,
                                                  seed=seed),
                      lambda: evaluation.score_pair(params, config, data, table.matrix, "sun",
                                                    "sea", seed=seed),
-                     lambda: evaluation.entity_scorer(params, config, data, table.matrix, seed),
+                     lambda: evaluation._scorer(params, config, data, table.matrix, seed),
                      lambda: evaluation.eval_contexts(data, [sun], 3, 6, seed)):
             with pytest.raises(DataError, match="seed must be an integer"):
                 call()
@@ -388,6 +401,17 @@ def test_numpy_integer_cutoffs_are_cutoffs(tiny):
     want = evaluation.evaluate(params, config, data, table, ks=(1, 2))
     assert evaluation.evaluate(params, config, data, table,
                                ks=(np.int64(1), np.uint8(2))).to_text() == want.to_text()
+
+
+def test_a_one_shot_iterable_of_cutoffs_gives_every_cutoff(tiny):
+    data, table, config, params = tiny
+    want = evaluation.rank_metrics([3, 4, 5], {4}, (1, 2))
+    assert set(want[1]) == {1, 2}
+    assert evaluation.rank_metrics([3, 4, 5], {4}, (k for k in (1, 2))) == want
+    report = evaluation.evaluate(params, config, data, table, ks=(1, 5))
+    assert len(report.to_text().splitlines()) == 8
+    assert evaluation.evaluate(params, config, data, table,
+                               ks=(k for k in (1, 5))).to_text() == report.to_text()
 
 
 def test_discover_sorted_by_model_score(tiny):
@@ -642,9 +666,10 @@ def test_scorer_keeps_the_weights_it_was_made_with(tiny, monkeypatch):
     params = {k: v.copy() for k, v in params.items()}
     data = fresh_copy(tiny[0])
     ids = sorted(data.store.entities())
-    want = [x.tolist() for x in evaluation.entity_scorer(
-        params, config, fresh_copy(data), table.matrix, 0)(ids, [ids] * 4)]
-    score = evaluation.entity_scorer(params, config, data, table.matrix, 0)
+    other = fresh_copy(data)        # a Scorer holds its corpus weakly
+    want = [x.tolist() for x in evaluation._scorer(
+        params, config, other, table.matrix, 0)(ids, [ids] * 4)]
+    score = evaluation._scorer(params, config, data, table.matrix, 0)
     score(ids[:2], [ids[:2]] * 2)               # two entities held
     for change in (_change_weight_in_place, _change_w_bm_in_place):
         change(params, table, config)
@@ -653,7 +678,7 @@ def test_scorer_keeps_the_weights_it_was_made_with(tiny, monkeypatch):
     # the changed weights get a new scorer on data; the first keeps its own
     # encodings and encodes nothing again
     calls = count_encoded(monkeypatch)
-    changed = evaluation.entity_scorer(params, config, data, table.matrix, 0)(ids, [ids] * 4)
+    changed = evaluation._scorer(params, config, data, table.matrix, 0)(ids, [ids] * 4)
     assert [x.tolist() for x in changed] != want
     assert [x.tolist() for x in score(ids, [ids] * 4)] == want
     assert calls == [4 * config.contexts_per_entity]
@@ -700,9 +725,9 @@ def test_weight_check_compares_shapes_and_bits(tiny):
 def test_entity_without_context_is_not_encoded(tiny, monkeypatch):
     _, table, config, params = tiny
     data = fresh_copy(tiny[0])
-    sun = data.entity_id("sun")
+    sun = corpus.entity_id("sun", data.vocab, len(data.vocab))
     calls = count_encoded(monkeypatch)
-    score = evaluation.entity_scorer(params, config, data, table.matrix, 0)
+    score = evaluation._scorer(params, config, data, table.matrix, 0)
     for _ in range(2):
         with pytest.raises(NoContextError):
             score([sun], [[corpus.PAD]])
@@ -760,7 +785,7 @@ def test_entity_scorer_equals_unprojected_oracle(tiny, monkeypatch, d_ce, P, lea
     for dtype, arrivals in itertools.product((np.float32, np.float64), ([ids], [ids[:2], ids])):
         params = {name: w.astype(dtype) for name, w in model.items()}
         data = fresh_copy(data)
-        score = evaluation.entity_scorer(params, config, data, table.matrix, 0)
+        score = evaluation._scorer(params, config, data, table.matrix, 0)
         for some in arrivals:
             score(some, [some] * len(some))
         held = data.scorer
@@ -865,7 +890,8 @@ def test_score_budget_is_in_bytes(tier1, monkeypatch):
     calls, over = {}, {}
     for dtype in (np.float32, np.float64):
         params = {name: w.astype(dtype) for name, w in model.items()}
-        score = evaluation.entity_scorer(params, config, fresh_copy(data), table.matrix, 0)
+        copy = fresh_copy(data)         # a Scorer holds its corpus weakly
+        score = evaluation._scorer(params, config, copy, table.matrix, 0)
         bits = []
         for n_queries in (1, 2, 4):
             monkeypatch.setattr(evaluation, "SCORE_BYTES", n_queries * query)

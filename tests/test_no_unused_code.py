@@ -1,12 +1,20 @@
-"""Every function in src/ has a caller in src/, so code kept only for tests
-or demos cannot build up there.
+"""Every function in src/ has a caller in src/, and every field of a
+dataclass or NamedTuple there a reader, so code kept only for tests or demos
+cannot build up there.
 
 A top-level function counts as called when another function's body names it:
 bare inside its own module or where it was imported by name, or as an
 attribute of a name bound to its module. A non-dunder method counts as called
 when another function's body reads an attribute of that name from anything;
 a property only when that read is not the callee of a call, so a call
-`x.name(...)` of a same-named method does not keep a property alive.
+`x.name(...)` of a same-named method does not keep a property alive. Methods
+are matched by name alone: a method that shares its name with another
+class's method is kept alive by that method's callers, which is how a
+`to_text` with no caller outlived its use beside `EvalReport.to_text`.
+
+A field of a top-level dataclass or NamedTuple counts as read when src/ code
+anywhere loads an attribute of that name, from anything; the same gap holds
+for a field that shares its name with another attribute.
 """
 
 import ast
@@ -22,6 +30,17 @@ ENTRY_POINTS = {
     # perfbench's checks compare it; ROADMAP item 3 switches them to the
     # token arrays and retires it
     "corpus.CorpusData.lines",
+}
+
+# fields no src/ code reads, by design
+UNREAD_FIELDS = {
+    # demos/demo_context_matching.py prints the leak shares, and the gauges of
+    # ROADMAP items 1 (mean leak share) and 6 (traces, explain) read them
+    "matcher.MatchResult.leak_fwd",
+    "matcher.MatchResult.leak_bwd",
+    # perfbench's discover check compares it, and bits_probe.py and
+    # demos/demo_discovery.py read it
+    "evaluation.DiscoveryResult.ranked",
 }
 
 
@@ -107,6 +126,38 @@ def unreferenced(parsed=None):
     return missing
 
 
+def _fields(tree):
+    """(qualified name, field name) for the annotated names in the body of
+    each top-level class that is a dataclass (@dataclass, with or without
+    arguments) or a NamedTuple."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        marks = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if {getattr(x, "id", getattr(x, "attr", None))
+                for x in marks + node.bases} & {"dataclass", "NamedTuple"}:
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield f"{node.name}.{item.target.id}", item.target.id
+
+
+def _attributes_read(parsed):
+    """The names of every attribute load in the {module: tree}."""
+    return {node.attr for tree in parsed.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def unread_fields(parsed=None):
+    """Fields of the dataclasses and NamedTuples in src/ (or in the given
+    {module: tree}) whose name no attribute load there reads, less
+    UNREAD_FIELDS."""
+    parsed = _parsed() if parsed is None else parsed
+    read = _attributes_read(parsed)
+    return [f"{module}.{qualname}" for module, tree in parsed.items()
+            for qualname, name in _fields(tree)
+            if name not in read and f"{module}.{qualname}" not in UNREAD_FIELDS]
+
+
 def test_every_src_function_has_a_src_caller():
     assert unreferenced() == []
 
@@ -131,3 +182,34 @@ def test_a_call_does_not_keep_a_property():
         "def main():\n"
         "    return A().run\n")
     assert unreferenced({"m": tree}) == ["m.A.key", "m.main"]
+
+
+def test_every_src_record_field_has_a_src_reader():
+    assert unread_fields() == []
+
+
+def test_unread_fields_exist_and_are_unread():
+    parsed = _parsed()
+    assert UNREAD_FIELDS <= {f"{module}.{qualname}" for module, tree in parsed.items()
+                             for qualname, _ in _fields(tree)}
+    # a listed field that gained a src/ reader leaves the list
+    assert not {name.rsplit(".", 1)[1] for name in UNREAD_FIELDS} & _attributes_read(parsed)
+
+
+def test_a_field_is_read_only_by_an_attribute_load():
+    tree = ast.parse(
+        "import dataclasses\n"
+        "from typing import NamedTuple\n"
+        "@dataclasses.dataclass(frozen=True)\n"
+        "class A:\n"
+        "    kept: int\n"
+        "    written: int\n"
+        "    X = 3\n"
+        "class B(NamedTuple):\n"
+        "    named: int\n"
+        "class C:\n"
+        "    plain: int\n"
+        "def use(a, b):\n"
+        "    a.written = a.kept\n"
+        "    return getattr(b, 'named')\n")
+    assert unread_fields({"m": tree}) == ["m.A.written", "m.B.named"]
