@@ -8,6 +8,7 @@ overrides flag values.  Exit codes: 0 success, 1 usage error, 2 data error,
 """
 
 import argparse
+import inspect
 import os
 import sys
 import tokenize
@@ -32,6 +33,13 @@ INDEX_ARRAYS = {"vocab": np.uint8, "tokens": np.int32, "line_start": np.int64,
 _UNREADABLE = (ValueError, EOFError, OSError, RuntimeError, zipfile.BadZipFile,
                zlib.error, tokenize.TokenError)
 GRADCHECK_TOL = 1e-4
+# every path flag of any subcommand; main resolves each one present against --workdir
+PATH_FLAGS = ("corpus", "synsets", "out", "index", "embeddings", "checkpoint", "history",
+              "config")
+# synth's size and noise flags: generate's keywords and defaults, taken once
+SYNTH_KEYWORDS = {name: p.default for name, p in
+                  inspect.signature(synthetic.generate).parameters.items()
+                  if name not in ("out_dir", "seed")}
 
 
 class _UsageError(Exception):
@@ -48,30 +56,12 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # plumbing
 
-def _resolve(workdir, path):
-    if path is None or os.path.isabs(path):
-        return path
-    return os.path.normpath(os.path.join(workdir, path))
-
-
-def _resolve_args(args, *names):
-    """Rewrite path flags in place so the echoed config shows real locations."""
-    for name in names:
-        setattr(args, name, _resolve(args.workdir, getattr(args, name)))
-
-
 def _fmt_value(v):
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, list):
         return " ".join(map(str, v))
     return str(v)
-
-
-def _echo(pairs):
-    print("# resolved config")
-    for key in sorted(pairs):
-        print(f"{key}={_fmt_value(pairs[key])}")
 
 
 def _echo_args(args, config=None, skip=()):
@@ -81,7 +71,9 @@ def _echo_args(args, config=None, skip=()):
     if config is not None:
         pairs.update(config.to_dict())
         pairs.pop("seed", None)
-    _echo(pairs)
+    print("# resolved config")
+    for key in sorted(pairs):
+        print(f"{key}={_fmt_value(pairs[key])}")
 
 
 def save_index(path, data):
@@ -180,18 +172,18 @@ def _apply_config(args, base):
     """Overlay the --config file (if any) on a TrainConfig built from flags."""
     if args.config is None:
         return base.validate()
-    with corpus.open_text(_resolve(args.workdir, args.config)) as fh:
+    with corpus.open_text(args.config) as fh:
         return training.parse_config_text(fh.read(), base=base).validate()
 
 
 def _load_model(args, entities=()):
-    """Resolve --index, --checkpoint and --embeddings, load all three, check
-    that every name in entities is known and echo the config; returns (data,
-    params, config, table).  A --config file may change how the model is
-    run, not its width: a d_ce other than the checkpoint's is a DataError."""
+    """Load --index, --checkpoint and --embeddings, check that every name in
+    entities is known and echo the config; returns (data, params, config,
+    table).  A --config file may change how the model is run, not its width:
+    a d_ce other than the checkpoint's is a DataError.  An embedding width
+    other than the model's is the Scorer's DataError."""
     if not np.isfinite(getattr(args, "threshold", 0.0)):
         raise DataError(f"--threshold must be a finite number, got {args.threshold}")
-    _resolve_args(args, "index", "checkpoint", "embeddings")
     data = load_index(args.index)
     params, saved, _ = training.load_checkpoint(args.checkpoint)
     config = _apply_config(args, saved)
@@ -199,10 +191,6 @@ def _load_model(args, entities=()):
         raise DataError(f"--config sets d_ce={config.d_ce}, but checkpoint "
                         f"{args.checkpoint} holds a model of d_ce={saved.d_ce}")
     table = embeddings.load_embeddings(args.embeddings, data.vocab)
-    if table.dim != params["enc.fw.Wx"].shape[0]:
-        raise DataError(
-            f"embedding file {args.embeddings} has {table.dim}-wide vectors, "
-            f"but the model expects {params['enc.fw.Wx'].shape[0]}")
     corpus.entity_ids(entities, data.vocab, len(data.vocab))
     _echo_args(args, config)
     return data, params, config, table
@@ -212,7 +200,6 @@ def _load_model(args, entities=()):
 # subcommands
 
 def cmd_ingest(args):
-    _resolve_args(args, "corpus", "synsets", "out")
     _echo_args(args)
     data = corpus.ingest(args.corpus, args.synsets, min_count=args.min_count)
     data.store = corpus.split_synsets(data.store, args.valid_frac,
@@ -229,7 +216,6 @@ def cmd_ingest(args):
 
 
 def cmd_train(args):
-    _resolve_args(args, "index", "embeddings", "checkpoint", "history")
     data = load_index(args.index)
     flags = {f.name: getattr(args, f.name) for f in fields(training.TrainConfig)
              if f.name != "seed"}
@@ -262,7 +248,6 @@ def _parse_ks(text):
 
 
 def cmd_evaluate(args):
-    _resolve_args(args, "out")
     data, params, config, table = _load_model(args)
     ks = _parse_ks(args.ks)
     report = evaluation.evaluate(params, config, data, table, split=args.split,
@@ -314,15 +299,9 @@ def cmd_gradcheck(args):
 
 
 def cmd_synth(args):
-    _resolve_args(args, "out")
     _echo_args(args)
-    paths = synthetic.generate(
-        args.out, clusters=args.clusters,
-        entities_per_cluster=args.entities_per_cluster,
-        contexts_per_entity=args.contexts_per_entity,
-        vocab_size=args.vocab_size, noise=args.noise,
-        embed_dim=args.embed_dim, tokens_per_context=args.tokens_per_context,
-        seed=args.seed)
+    paths = synthetic.generate(args.out, seed=args.seed,
+                               **{name: getattr(args, name) for name in SYNTH_KEYWORDS})
     for name in ("corpus", "synsets", "embeddings"):
         print(f"wrote {paths[name]}")
     return 0
@@ -406,13 +385,8 @@ def build_parser():
     p = sub.add_parser("synth", parents=[common],
                        help="generate a synthetic corpus with known synonyms")
     p.add_argument("--out", default="synth")
-    p.add_argument("--clusters", type=int, default=40)
-    p.add_argument("--entities-per-cluster", type=int, default=3)
-    p.add_argument("--contexts-per-entity", type=int, default=30)
-    p.add_argument("--vocab-size", type=int, default=2000)
-    p.add_argument("--noise", type=float, default=0.3)
-    p.add_argument("--embed-dim", type=int, default=16)
-    p.add_argument("--tokens-per-context", type=int, default=12)
+    for name, default in SYNTH_KEYWORDS.items():
+        p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
     p.set_defaults(func=cmd_synth)
 
     return parser
@@ -425,6 +399,10 @@ def main(argv=None):
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
+    for name in PATH_FLAGS:     # so the echoed config shows real locations
+        path = getattr(args, name, None)
+        if path is not None and not os.path.isabs(path):
+            setattr(args, name, os.path.normpath(os.path.join(args.workdir, path)))
     try:
         return args.func(args)
     except FileNotFoundError as exc:

@@ -52,11 +52,15 @@ from .rng import check_seed, stream_rng
 # metrics
 
 def auc(scored):
-    """Rank-based (Mann-Whitney) AUC over (score, label) pairs; ties count half."""
+    """Rank-based (Mann-Whitney) AUC over (score, label) pairs; ties count half.
+    Each label equals 0 or 1 (True and False do); any other is a MetricError."""
     scores = np.array([s for s, _ in scored], dtype=float)
-    labels = np.array([y for _, y in scored], dtype=int)
+    labels = np.array([y for _, y in scored])
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
+    if n_pos + n_neg != len(labels):
+        bad = labels[(labels != 1) & (labels != 0)]
+        raise MetricError(f"AUC labels must be 0 or 1, got {list(dict.fromkeys(bad.tolist()))}")
     if n_pos == 0 or n_neg == 0:
         raise MetricError(f"AUC needs both classes, got {n_pos} positives "
                           f"and {n_neg} negatives")
@@ -75,8 +79,9 @@ def auc(scored):
 def rank_metrics(ranked, relevant, ks):
     """AP of one ranked list, with the number of relevant items as its
     denominator, and {k: (P@k, R@k, F1@k)} for each k of ks, from one walk
-    over the list; each k is an integer (a bool is not one) of at least 1."""
-    ks = tuple(ks)
+    over the list; each k is an integer (a bool is not one) of at least 1.
+    relevant is taken once as a set, so a repeat counts once."""
+    ks, relevant = tuple(ks), set(relevant)
     if not relevant:
         raise MetricError("rank metrics need at least one relevant item")
     if not all(corpus.is_integer(k) and k >= 1 for k in ks):
@@ -229,7 +234,8 @@ class Scorer:
     entities it names that are not held yet in one batch and projects them
     at once, enc[e] @ w_bm; the encoder gives an entity the same bits in any
     batch.  The encodings and the projections are two read-only (entities,
-    P, d_ce) arrays under one row map.
+    P, d_ce) arrays under one row map.  An emb whose vectors are not as wide
+    as the encoder's input is a DataError naming both widths.
 
     Queries with as many candidates are scored together: one matcher call
     takes as many whole queries as fit in SCORE_BYTES of the held dtype, at
@@ -248,6 +254,10 @@ class Scorer:
         self.weights = _held_copies(params)
         dtype = self.weights["match.w_bm"].dtype
         self.emb, self.E = emb, np.asarray(emb, dtype)   # the key, and cast once
+        width = self.weights["enc.fw.Wx"].shape[0]
+        if self.E.shape[-1] != width:
+            raise DataError(f"the embedding table has {self.E.shape[-1]}-wide vectors, "
+                            f"but the model expects {width}")
         self.windows = dict(windows or {})
         self.rows = {}
         self.enc = self.hw = np.empty(0, dtype)
@@ -324,7 +334,6 @@ def score_pair(params, config, data, emb, a, b, seed=0):
 class DiscoveryResult:
     query: int
     ranked: list                # (candidate id, model score), best first
-    threshold: float
     candidates: list            # (id, embedding cosine)
     accepted: list              # the ranked (id, score) strictly above threshold
 
@@ -365,7 +374,7 @@ def discover_many(params, config, data, table, queries, k=50, threshold=0.8,
     if universe is None:
         universe = data.store.entities()
     score = _scorer(params, config, data, table.matrix, seed)
-    return [DiscoveryResult(nl.query, ranked, threshold, nl.neighbors,
+    return [DiscoveryResult(nl.query, ranked, nl.neighbors,
                             [(c, s) for c, s in ranked if s > threshold])
             for nl, ranked in knn_rerank(table, queries, k, universe, score)]
 

@@ -22,7 +22,7 @@ from .rng import stream_rng
 SIGNATURE_TOKENS_PER_CLUSTER = 8
 
 
-def generate(out_dir, clusters, entities_per_cluster=3, contexts_per_entity=30,
+def generate(out_dir, clusters=40, entities_per_cluster=3, contexts_per_entity=30,
              vocab_size=2000, noise=0.3, embed_dim=16, tokens_per_context=12,
              seed=0):
     """Write corpus.txt, synsets.tsv and embeddings.txt under out_dir.

@@ -1,6 +1,7 @@
 """Command-line workflows: exit codes, output formats, determinism."""
 
 import base64
+import inspect
 import json
 import pickle
 import re
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from synmatch import cli, corpus, training
+from synmatch import cli, corpus, synthetic, training
 from synmatch.errors import DataError
 
 SUBCOMMANDS = ("ingest", "train", "evaluate", "score", "discover",
@@ -71,12 +72,34 @@ def test_usage_errors_exit_one(capsys):
 
 
 def test_every_run_echoes_resolved_config(work, capsys):
+    (work / "echo.cfg").write_text("d_ce=8\n")
     rc, out, _ = run(capsys, "score", *model_args(work), "ent0_0", "ent0_1",
-                     "--seed", "3")
+                     "--seed", "3", "--config", "echo.cfg")
     assert rc == 0
     assert "# resolved config" in out
     assert "objective=siamese" in out
-    assert f"index={work}/index.npz" in out             # paths shown resolved
+    # every path shown resolved, --config included
+    for name, path in (("config", "echo.cfg"), ("index", "index.npz"),
+                       ("checkpoint", "model.json"), ("embeddings", "data/embeddings.txt")):
+        assert f"\n{name}={work}/{path}\n" in out
+
+
+def generate_keywords():
+    return {name: p.default for name, p in inspect.signature(synthetic.generate).parameters.items()
+            if name not in ("out_dir", "seed")}
+
+
+def test_synth_flags_are_generate_keywords_with_its_defaults():
+    args = vars(cli.build_parser().parse_args(["synth"]))
+    flags = {k: v for k, v in args.items()
+             if k not in ("subcommand", "func", "workdir", "seed", "out")}
+    assert flags == generate_keywords()
+    assert list(flags) == list(generate_keywords())      # in generate's order
+
+
+def test_no_generate_keyword_defaults_to_a_bool():
+    # its flag would take type=bool, which reads "--x False" as True
+    assert not [k for k, v in generate_keywords().items() if isinstance(v, bool)]
 
 
 def test_self_score_prints_one(work, capsys):

@@ -78,6 +78,26 @@ def test_auc_single_class_errors():
         evaluation.auc([(0.4, 1), (0.2, 1)])
 
 
+@pytest.mark.parametrize("bad", [2, -1, 0.5])
+def test_auc_refuses_a_label_other_than_zero_or_one(bad):
+    # a 2 counted as neither class made the AUC 2.0; a 0.5 was cast to 0
+    with pytest.raises(MetricError, match=rf"labels must be 0 or 1, got \[{bad}\]"):
+        evaluation.auc([(0.9, 1), (0.8, bad), (0.1, 0)])
+
+
+def test_auc_takes_bools_and_floats_as_labels():
+    scored = [(0.9, 1), (0.8, 0), (0.7, 1), (0.6, 0)]
+    for cast in (bool, float):
+        assert evaluation.auc([(s, cast(y)) for s, y in scored]) == 0.75
+
+
+def test_rank_metrics_take_relevant_items_once_as_a_set():
+    want = evaluation.rank_metrics([3, 4, 5], {4}, (1, 2))
+    assert want == (0.5, {1: (0.0, 0.0, 0.0), 2: (0.5, 1.0, 2 / 3)})
+    for relevant in ([4, 4], (x for x in [4, 4]), iter({4})):
+        assert evaluation.rank_metrics([3, 4, 5], relevant, (1, 2)) == want
+
+
 def test_average_precision_examples():
     assert evaluation.rank_metrics([5], {5}, ())[0] == 1.0
     ap = evaluation.rank_metrics([7, 3, 9, 4], {7, 9}, ())[0]
@@ -289,6 +309,24 @@ def test_scorer_refuses_left_and_right_of_different_lengths(tiny):
             score(left, right)
     # refused before any window is drawn
     assert score.rows == {} and score.windows == {}
+
+
+def test_an_embedding_table_of_another_width_is_a_data_error(tiny):
+    data, table, config, params = tiny
+    data = fresh_copy(data)
+    narrow = embeddings.EmbeddingTable(matrix=table.matrix[:, :4], vocab=table.vocab)
+    calls = [lambda: evaluation.discover(params, config, data, narrow, "sun", k=2),
+             lambda: evaluation.discover_many(params, config, data, narrow, ["sun", "sea"], k=2),
+             lambda: evaluation.evaluate(params, config, data, narrow, knn_k=2),
+             lambda: evaluation.score_pair(params, config, data, narrow.matrix, "sun", "sol")]
+    for call in calls:
+        with pytest.raises(DataError, match="^the embedding table has 4-wide vectors, "
+                                            "but the model expects 5$"):
+            call()
+    # refused before a Scorer is kept
+    assert data.scorer is None
+    assert evaluation.score_pair(params, config, data, table.matrix, "sun", "sun") \
+        == pytest.approx(1.0, abs=1e-6)
 
 
 @pytest.mark.parametrize("k", [0, -1])

@@ -13,8 +13,9 @@ class's method is kept alive by that method's callers, which is how a
 `to_text` with no caller outlived its use beside `EvalReport.to_text`.
 
 A field of a top-level dataclass or NamedTuple counts as read when src/ code
-anywhere loads an attribute of that name, from anything; the same gap holds
-for a field that shares its name with another attribute.
+anywhere loads an attribute of that name, from anything but `args`, the
+argparse namespace in `cli`, whose flags are not record fields; the same gap
+holds for a field that shares its name with another attribute.
 """
 
 import ast
@@ -142,9 +143,11 @@ def _fields(tree):
 
 
 def _attributes_read(parsed):
-    """The names of every attribute load in the {module: tree}."""
+    """The names of every attribute load in the {module: tree}, less loads
+    from a name `args`: the CLI's flags."""
     return {node.attr for tree in parsed.values() for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and not (isinstance(node.value, ast.Name) and node.value.id == "args")}
 
 
 def unread_fields(parsed=None):
@@ -207,9 +210,10 @@ def test_a_field_is_read_only_by_an_attribute_load():
         "    X = 3\n"
         "class B(NamedTuple):\n"
         "    named: int\n"
+        "    flag: int\n"
         "class C:\n"
         "    plain: int\n"
-        "def use(a, b):\n"
+        "def use(a, b, args):\n"
         "    a.written = a.kept\n"
-        "    return getattr(b, 'named')\n")
-    assert unread_fields({"m": tree}) == ["m.A.written", "m.B.named"]
+        "    return getattr(b, 'named'), args.flag\n")
+    assert unread_fields({"m": tree}) == ["m.A.written", "m.B.named", "m.B.flag"]
