@@ -42,7 +42,9 @@ assert report.max_rel_error < 1e-4
 
 # the loss node's backward is one line per score:
 # (-(1 - s) y / 2 + 2 max(s - margin, 0) (1 - y)) / n
-s = matcher.pair_score_vars(params["E"], params["E"], params["W"], False,
+# the matcher's node takes Vars: the parameters go in as constant leaves
+leaves = {name: ad.Var(p) for name, p in params.items()}
+s = matcher.pair_score_vars(leaves["E"], leaves["E"], leaves["W"], False,
                             (anchor, others)).value
 _, g = ad.grad(lambda v: training.siamese_loss(v["s"], labels, margin), {"s": s})
 closed = (-(1 - s) * labels / 2 + 2 * np.maximum(s - margin, 0) * (1 - labels)) / len(s)

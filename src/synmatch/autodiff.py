@@ -1,6 +1,7 @@
 """Minimal reverse-mode gradient tape over dense float matrices.
 
-Every tape value is a 2-D numpy float array; scalars are 1x1 matrices.  The
+Every tape value is a 2-D numpy float array, kept as given; `Var` refuses
+anything else with a ShapeError, and a scalar loss is a 1x1 matrix.  The
 tape keeps each value's dtype: a model's float32 weights give float32 nodes
 and gradients, and `finite_diff_check` differentiates in float64.
 `Var` wraps one matrix as a node in an operation graph. This module has no
@@ -26,21 +27,6 @@ import numpy as np
 from .errors import NumericError, ShapeError
 
 
-def as_matrix(x):
-    """Coerce `x` to a 2-D float array, float64 unless it already is one;
-    scalars become 1x1."""
-    a = np.asarray(x)
-    if a.dtype.kind != "f":
-        a = a.astype(np.float64)
-    if a.ndim == 0:
-        a = a.reshape(1, 1)
-    elif a.ndim == 1:
-        a = a.reshape(1, -1)
-    elif a.ndim != 2:
-        raise ShapeError(f"expected matrix, got array of shape {a.shape}")
-    return a
-
-
 class Var:
     """One node of the recorded operation graph.
 
@@ -52,8 +38,10 @@ class Var:
     __slots__ = ("value", "parents", "backward_fn")
 
     def __init__(self, value, parents=(), backward_fn=None):
-        self.value = value if isinstance(value, np.ndarray) and value.ndim == 2 \
-            and value.dtype.kind == "f" else as_matrix(value)
+        if not (isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype.kind == "f"):
+            raise ShapeError(f"a tape value is a 2-D float ndarray, got {type(value).__name__}"
+                             f" of shape {np.shape(value)}, dtype {getattr(value, 'dtype', None)}")
+        self.value = value
         self.parents = parents
         self.backward_fn = backward_fn
 
@@ -67,32 +55,23 @@ class Var:
         return float(self.value[0, 0])
 
 
-def lift(x):
-    """Wrap `x` as a constant leaf unless it already is a Var."""
-    return x if isinstance(x, Var) else Var(x)
-
-
 # ---------------------------------------------------------------------------
 # gradient evaluation
 
 def _topo_order(root):
-    order = []
-    state = {}  # id -> 1 visiting, 2 done
-    stack = [root]
-    while stack:
-        node = stack[-1]
-        st = state.get(id(node), 0)
-        if st == 0:
-            state[id(node)] = 1
-            for p in node.parents:
-                if state.get(id(p), 0) == 0:
-                    stack.append(p)
-        else:
-            stack.pop()
-            if st == 1:
-                state[id(node)] = 2
-                order.append(node)
-    return order  # inputs before consumers
+    """`root` and its inputs, inputs first: a depth-first walk, parents last to first."""
+    return _visit(root, set(), [])
+
+
+def _visit(node, seen, order):
+    # not a closure: one that calls itself is a reference cycle, which would
+    # keep the tape's saved activations alive until the cyclic collector runs
+    seen.add(id(node))
+    for p in reversed(node.parents):
+        if id(p) not in seen:
+            _visit(p, seen, order)
+    order.append(node)
+    return order
 
 
 def backward(loss, wrt):

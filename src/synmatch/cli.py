@@ -25,7 +25,7 @@ from .rng import stream_rng
 INDEX_FORMAT = "synmatch-index"
 INDEX_VERSION = 2
 # split codes in the index: 0 is a synset with no split
-SPLIT_NAMES = (None, "train", "valid", "test")
+SPLIT_NAMES = (None, *corpus.SPLITS)
 # the arrays of an index file besides format and version, with their dtypes
 INDEX_ARRAYS = {"vocab": np.uint8, "tokens": np.int32, "line_start": np.int64,
                 "synset_members": np.int32, "synset_start": np.int64, "split": np.int8}
@@ -65,12 +65,12 @@ def _fmt_value(v):
 
 
 def _echo_args(args, config=None, skip=()):
+    """Print the flags not in `skip` over `config`'s fields: a run that reads
+    a checkpoint echoes its own --seed, not the seed the model trained with."""
     drop = {"func"} | set(skip)
-    pairs = {k.replace("_", "-"): v for k, v in vars(args).items()
-             if k not in drop and v is not None}
-    if config is not None:
-        pairs.update(config.to_dict())
-        pairs.pop("seed", None)
+    pairs = {} if config is None else config.to_dict()
+    pairs.update((k.replace("_", "-"), v) for k, v in vars(args).items()
+                 if k not in drop and v is not None)
     print("# resolved config")
     for key in sorted(pairs):
         print(f"{key}={_fmt_value(pairs[key])}")
@@ -206,7 +206,7 @@ def cmd_ingest(args):
                                       args.test_frac, stream_rng(args.seed, "ingest"))
     save_index(args.out, data)
     counts = {name: len(data.store.synset_ids(name))
-              for name in ("train", "valid", "test")}
+              for name in corpus.SPLITS}
     print(f"ingested {len(data.line_start) - 1} lines, vocabulary {len(data.vocab)}, "
           f"{len(data.store.entities())} entities in {len(data.store)} synsets")
     print(f"split train={counts['train']} valid={counts['valid']} "
@@ -359,7 +359,7 @@ def build_parser():
 
     p = sub.add_parser("evaluate", parents=[common, config, model],
                        help="compute AUC, MAP and ranking metrics on a split")
-    p.add_argument("--split", default="test", choices=("train", "valid", "test"))
+    p.add_argument("--split", default="test", choices=corpus.SPLITS)
     p.add_argument("--out", default="metrics.txt")
     p.add_argument("--ks", default="1,5,10", help="comma-separated cutoffs")
     p.add_argument("--knn-k", type=int, default=50)

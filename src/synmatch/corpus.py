@@ -25,6 +25,7 @@ PAD = 1
 UNK_TOKEN = "<unk>"
 PAD_TOKEN = "<pad>"
 READ_BLOCK = 1 << 16   # characters of whole corpus lines ingest reads at a time
+SPLITS = ("train", "valid", "test")   # an index file codes each as its place + 1
 
 
 def is_integer(x):
@@ -118,9 +119,13 @@ class SynsetStore:
     """Groups of synonym entity ids plus an optional train/valid/test split."""
 
     synsets: list = field(default_factory=list)   # list of tuples of entity ids
-    split: dict = field(default_factory=dict)     # synset index -> "train"|"valid"|"test"
+    split: dict = field(default_factory=dict)     # synset index -> one of SPLITS
 
     def __post_init__(self):
+        for si, label in self.split.items():
+            if label not in SPLITS:
+                raise DataError(f"synset {si} has split label {label!r}; "
+                                f"a split is one of {', '.join(SPLITS)}")
         seen = {}
         for si, members in enumerate(self.synsets):
             for e in members:

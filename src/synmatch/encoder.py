@@ -269,13 +269,12 @@ def encode_batch_vars(windows, params, emb, variant="anchored"):
     """Encode a batch of ContextWindows into a (B, d_CE) Var: one tape node
     whose parents are the six weights.
 
-    `params` maps names to Vars (training) or arrays; `emb` is the frozen
-    (vocab, d_embed) embedding matrix, best passed in the weights' dtype
-    (another is cast per call).  variant
-    is "anchored" (stop each direction at the entity token) or "bilstm" (run
-    to the ends and keep the final states).
+    `params` maps names to Vars; `emb` is the frozen (vocab, d_embed)
+    embedding matrix, best passed in the weights' dtype (another is cast per
+    call).  variant is "anchored" (stop each direction at the entity token)
+    or "bilstm" (run to the ends and keep the final states).
     """
-    weights = [ad.lift(params[name]) for name in PARAM_NAMES]
+    weights = [params[name] for name in PARAM_NAMES]
     W, E = _in_model_dtype([w.value for w in weights], emb)
     out, saved = _encode(windows, W, E, variant)
     if not windows:

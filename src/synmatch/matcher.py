@@ -203,11 +203,10 @@ def _score_backward(r, norms, H, HW, G, w_bm, g):
 def pair_score_vars(Hv, Gv, wv, leaky, rows):
     """Differentiable match-aggregate-score for a batch of pairs: one tape node.
 
-    Pair b matches rows h_rows[b] of Hv against rows g_rows[b] of Gv, where
-    rows = (h_rows, g_rows) are index arrays (B, P) and (B, Q); the result is
-    the (B, 1) column of scores.  Each pair is matched as a group of one.
+    Pair b matches rows h_rows[b] of Var Hv against rows g_rows[b] of Var Gv
+    under Var wv, rows = (h_rows, g_rows) being index arrays (B, P) and (B, Q);
+    the result is the (B, 1) column of scores, each pair a group of one.
     """
-    Hv, Gv, wv = ad.lift(Hv), ad.lift(Gv), ad.lift(wv)
     h_rows, g_rows = (np.asarray(x, dtype=np.intp) for x in rows)
     H, G = Hv.value[h_rows], Gv.value[g_rows]
     d = Hv.shape[1]

@@ -139,7 +139,6 @@ def siamese_loss(s, y, margin):
     for a synonym pair, max(s - margin, 0)^2 otherwise.  One tape node, whose
     backward gives each score -(1 - s) y / 2 + 2 max(s - margin, 0) (1 - y),
     divided by the number of scores."""
-    s = ad.lift(s)
     y = np.asarray(y, dtype=s.value.dtype)
     d = 1.0 - s.value
     r = np.maximum(s.value - margin, 0.0)
@@ -158,7 +157,6 @@ def siamese_loss(s, y, margin):
 def triplet_loss(s_pos, s_neg, margin):
     """Mean triplet margin loss max(s_neg - s_pos + margin, 0) over pairs of
     scores in two Vars: one tape node."""
-    s_pos, s_neg = ad.lift(s_pos), ad.lift(s_neg)
     z = s_neg.value - s_pos.value + margin
     terms = np.maximum(z, 0.0)
 

@@ -4,7 +4,9 @@ The tape ops here compose the matcher's score from small recorded steps, each
 with its textbook backward; `test_matcher` checks the matcher's hand-written
 backward against them, and `sum_all`, `square` and `mul` reduce the encoder's
 and the matcher's outputs to the scalar a gradient check needs. Binary ops
-take two operands of one shape. `cosine` is
+take two operands of one shape.  The ops take Vars, arrays or scalars:
+`lift` wraps anything but a Var as a constant leaf through `as_matrix`, since
+the library's `Var` takes a 2-D float array only. `cosine` is
 the per-row reference for the KNN scan, and `nearest_neighbors` is the KNN
 scan as it was written with a Python loop over the universe and the results:
 the library's scan must return the same (id, cosine) lists, bit for bit.
@@ -59,8 +61,24 @@ from synmatch.rng import stream_rng
 log = logging.getLogger(__name__)
 
 
+def as_matrix(x):
+    """`x` as a 2-D float array, float64 unless it already is one; scalars
+    become 1x1 and vectors one row."""
+    a = np.asarray(x)
+    if a.dtype.kind != "f":
+        a = a.astype(np.float64)
+    if a.ndim > 2:
+        raise ShapeError(f"expected matrix, got array of shape {a.shape}")
+    return a.reshape(1, -1) if a.ndim < 2 else a
+
+
+def lift(x):
+    """`x` as a tape node: a Var as given, anything else a constant leaf."""
+    return x if isinstance(x, ad.Var) else ad.Var(as_matrix(x))
+
+
 def _binary(a, b):
-    a, b = ad.lift(a), ad.lift(b)
+    a, b = lift(a), lift(b)
     if a.shape != b.shape:
         raise ShapeError(f"operand shapes differ: {a.shape} and {b.shape}")
     return a, b
@@ -78,18 +96,18 @@ def div(a, b):
 
 
 def square(a):
-    a = ad.lift(a)
+    a = lift(a)
     return ad.Var(a.value * a.value, (a,), lambda g: (2.0 * a.value * g,))
 
 
 def sum_all(a):
-    a = ad.lift(a)
+    a = lift(a)
     return ad.Var(np.array([[a.value.sum()]]), (a,),
                   lambda g: (np.full_like(a.value, g[0, 0]),))
 
 
 def sqrt(a):
-    a = ad.lift(a)
+    a = lift(a)
     y = np.sqrt(a.value)
     return ad.Var(y, (a,), lambda g: (g / (2.0 * y),))
 
@@ -97,11 +115,11 @@ def sqrt(a):
 def matmul(a, b):
     """Row-major matrix product; raises ShapeError naming both shapes."""
     if not isinstance(a, ad.Var) and not isinstance(b, ad.Var):
-        a2, b2 = ad.as_matrix(a), ad.as_matrix(b)
+        a2, b2 = as_matrix(a), as_matrix(b)
         if a2.shape[1] != b2.shape[0]:
             raise ShapeError(f"cannot multiply {a2.shape} by {b2.shape}")
         return a2 @ b2
-    a, b = ad.lift(a), ad.lift(b)
+    a, b = lift(a), lift(b)
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
     return ad.Var(a.value @ b.value, (a, b),
@@ -109,13 +127,13 @@ def matmul(a, b):
 
 
 def transpose(a):
-    a = ad.lift(a)
+    a = lift(a)
     return ad.Var(a.value.T.copy(), (a,), lambda g: (g.T.copy(),))
 
 
 def max_axis(a, axis):
     """Max along an axis (keepdims). Gradient flows to the first maximum."""
-    a = ad.lift(a)
+    a = lift(a)
     idx = np.argmax(a.value, axis=axis)
     out = np.take_along_axis(a.value, np.expand_dims(idx, axis), axis=axis)
 
@@ -183,7 +201,7 @@ def match_pair(H, G, W, leaky=False):
 
 
 def _softmax_op(a, axis):
-    a = ad.lift(a)
+    a = lift(a)
     y = _softmax(a.value, axis)
 
     def backward(g):
@@ -198,14 +216,14 @@ def softmax_rows(x):
     when x is a Var."""
     if isinstance(x, ad.Var):
         return _softmax_op(x, axis=1)
-    return _softmax(ad.as_matrix(x), axis=1)
+    return _softmax(as_matrix(x), axis=1)
 
 
 def softmax_cols(x):
     """Softmax over each column; see softmax_rows."""
     if isinstance(x, ad.Var):
         return _softmax_op(x, axis=0)
-    return _softmax(ad.as_matrix(x), axis=0)
+    return _softmax(as_matrix(x), axis=0)
 
 
 def cosine(u, v):

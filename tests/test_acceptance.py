@@ -71,7 +71,10 @@ def test_gradient_fidelity():
 
 def test_loss_trivial_cases_exact():
     m = 0.75
-    S = ad.Var
+
+    def S(score):
+        return ad.Var(np.array([[score]]))
+
     vals = [
         training.siamese_loss(S(1.0), 1, m).item(),
         training.siamese_loss(S(0.0), 0, m).item(),

@@ -3,6 +3,9 @@ and encoder tests compare against (their softmax forward is the one of the
 matcher's reference forward, `oracles.match`): both are checked against
 loop oracles and central differences."""
 
+import gc
+import re
+
 import numpy as np
 import pytest
 
@@ -129,7 +132,35 @@ def test_grad_deterministic_bitwise():
 def test_grad_nonfinite_loss_raises():
     with np.errstate(divide="ignore"):
         with pytest.raises(NumericError):
-            ad.grad(lambda v: ref.div(ref.sum_all(v["p"]), ad.Var(0.0)), {"p": np.ones((1, 1))})
+            ad.grad(lambda v: ref.div(ref.sum_all(v["p"]), ad.Var(np.zeros((1, 1)))),
+                    {"p": np.ones((1, 1))})
+
+
+def node(*parents):
+    return ad.Var(np.zeros((1, 1)), parents)
+
+
+def test_topo_order_visits_parents_last_to_first():
+    # a diamond: each node once, inputs before consumers, and each node's
+    # parents walked last to first, which fixes the order backward sums in
+    a, b = node(), node()
+    c = node(a, b)
+    d = node(a, c)
+    root = node(d, b)
+    assert ad._topo_order(root) == [b, a, c, d, root]
+
+
+def test_topo_order_leaves_no_reference_cycle():
+    # a cycle would hold the walked nodes, and with them the encoder's saved
+    # activations, until the cyclic collector runs
+    root = node(node(), node(node()))
+    gc.collect()
+    gc.disable()
+    try:
+        ad._topo_order(root)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_finite_diff_quadratic():
@@ -206,10 +237,18 @@ def test_tape_records_no_ops_of_its_own():
 
 
 def test_scalar_item_and_shapes():
-    v = ad.Var(3.5)
-    assert v.shape == (1, 1) and v.item() == 3.5
-    assert ad.Var([1.0, 2.0]).shape == (1, 2)
-    with pytest.raises(ShapeError):
-        ad.Var(np.zeros((2, 2, 2)))
+    value = np.array([[3.5]])
+    v = ad.Var(value)
+    assert v.value is value and v.shape == (1, 1) and v.item() == 3.5
+    f32 = np.ones((2, 3), np.float32)
+    assert ad.Var(f32).value is f32
+    # a tape value is a 2-D float ndarray as given: nothing is coerced
+    for bad, named in ((3.5, "float of shape (), dtype None"),
+                       ([1.0, 2.0], "list of shape (2,), dtype None"),
+                       (np.array([1.0, 2.0]), "ndarray of shape (2,), dtype float64"),
+                       (np.ones((2, 2), np.int64), "ndarray of shape (2, 2), dtype int64"),
+                       (np.zeros((2, 2, 2)), "ndarray of shape (2, 2, 2), dtype float64")):
+        with pytest.raises(ShapeError, match=re.escape(named)):
+            ad.Var(bad)
     with pytest.raises(ShapeError):
         ad.Var(np.zeros((2, 2))).item()

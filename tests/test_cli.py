@@ -84,6 +84,25 @@ def test_every_run_echoes_resolved_config(work, capsys):
         assert f"\n{name}={work}/{path}\n" in out
 
 
+def test_every_run_echoes_its_seed(work, tmp_path, capsys):
+    """train echoes the seed it trains with, --config's over --seed; evaluate,
+    score and discover echo their --seed, not the checkpoint's (3)."""
+    (tmp_path / "seed.cfg").write_text("seed=9\n")
+    train = ["train", "--workdir", str(work), "--index", "index.npz",
+             "--embeddings", "data/embeddings.txt", "--d-ce", "8", "--epochs", "0",
+             "--checkpoint", str(tmp_path / "model.json"),
+             "--history", str(tmp_path / "history.txt"), "--seed", "7"]
+    runs = [("7", train), ("9", train + ["--config", str(tmp_path / "seed.cfg")]),
+            ("5", ["evaluate", *model_args(work), "--out", str(tmp_path / "metrics.txt"),
+                   "--seed", "5"]),
+            ("5", ["score", *model_args(work), "ent0_0", "ent0_1", "--seed", "5"]),
+            ("5", ["discover", *model_args(work), "ent0_0", "--seed", "5"])]
+    for seed, argv in runs:
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 0
+        assert re.findall(r"^seed=.*$", out, re.M) == [f"seed={seed}"], argv[0]
+
+
 def generate_keywords():
     return {name: p.default for name, p in inspect.signature(synthetic.generate).parameters.items()
             if name not in ("out_dir", "seed")}

@@ -704,6 +704,16 @@ def test_store_rejects_entity_in_two_synsets():
         corpus.SynsetStore(synsets=[(1, 2), (2, 3)])
 
 
+@pytest.mark.parametrize("label", ["dev", "Train", None, 1])
+def test_store_rejects_a_split_label_other_than_train_valid_or_test(label):
+    # the index stores a split as its position in SPLITS: another label
+    # could not be saved
+    with pytest.raises(DataError, match=re.escape(f"synset 1 has split label {label!r}")):
+        corpus.SynsetStore(synsets=[(1, 2), (3, 4)], split={0: "train", 1: label})
+    for name in corpus.SPLITS:
+        assert corpus.SynsetStore(synsets=[(1, 2)], split={0: name}).synset_ids(name) == [0]
+
+
 def all_train(store):
     store = corpus.SynsetStore(synsets=list(store.synsets),
                                split={i: "train" for i in range(len(store.synsets))})

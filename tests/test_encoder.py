@@ -170,9 +170,11 @@ def test_hidden_states_bounded(setup):
 
 def test_unknown_variant_rejected(setup):
     params, emb = setup
-    for encode in (encoder.encode_batch, encoder.encode_batch_vars):
+    leaves = {k: ad.Var(v) for k, v in params.items()}
+    for encode, weights in ((encoder.encode_batch, params),
+                            (encoder.encode_batch_vars, leaves)):
         with pytest.raises(DataError, match="unknown encoder variant 'gru'"):
-            encode([window([3], 0)], params, emb, variant="gru")
+            encode([window([3], 0)], weights, emb, variant="gru")
 
 
 def test_gradients_match_finite_differences(setup):
@@ -231,7 +233,8 @@ def test_tape_holds_one_gate_block_per_direction():
         # every row stops at the last step, whose o tanh(c) is the output
         o = gates[0][-B * 4 * d_h:].reshape(4, B, d_h)[2]
         assert np.array_equal(o * np.tanh(states[0][-B:]), out[:, k * d_h:(k + 1) * d_h])
-    out = encoder.encode_batch_vars(windows, params, emb, "bilstm")
+    leaves = {k: ad.Var(v) for k, v in params.items()}
+    out = encoder.encode_batch_vars(windows, leaves, emb, "bilstm")
     g = np.ones_like(out.value)
     tracemalloc.start()
     try:
@@ -495,5 +498,6 @@ def test_rows_encode_to_the_same_bits_in_any_batch(windows, draws):
         for k, w in enumerate(windows):
             assert encoder.encode_batch([w], params, emb, variant).tobytes() == \
                 whole[k:k + 1].tobytes()
-        trained = encoder.encode_batch_vars(windows, params, emb, variant)
+        leaves = {name: ad.Var(w) for name, w in params.items()}
+        trained = encoder.encode_batch_vars(windows, leaves, emb, variant)
         assert trained.value.tobytes() == whole.tobytes()

@@ -1,6 +1,6 @@
-"""Every function in src/ has a caller in src/, and every field of a
-dataclass or NamedTuple there a reader, so code kept only for tests or demos
-cannot build up there.
+"""Every function in src/ has a caller in src/, every field of a dataclass
+or NamedTuple there a reader, and every function parameter a read in its
+function, so code kept only for tests or demos cannot build up there.
 
 A top-level function counts as called when another function's body names it:
 bare inside its own module or where it was imported by name, or as an
@@ -16,6 +16,10 @@ A field of a top-level dataclass or NamedTuple counts as read when src/ code
 anywhere loads an attribute of that name, from anything but `args`, the
 argparse namespace in `cli`, whose flags are not record fields; the same gap
 holds for a field that shares its name with another attribute.
+
+A parameter of a function, method or lambda, nested ones included, counts as
+read when its function's body, nested functions included, loads its name;
+`self` and `cls` are not checked.
 """
 
 import ast
@@ -42,6 +46,14 @@ UNREAD_FIELDS = {
     # perfbench's discover check compares it, and bits_probe.py and
     # demos/demo_discovery.py read it
     "evaluation.DiscoveryResult.ranked",
+}
+
+# parameters their function never reads, by design
+UNREAD_PARAMETERS = {
+    # evaluate accepts nothing, so no threshold applies, but perfbench's
+    # evaluate op passes it; ROADMAP item 2 gives it a reader (the calibrated
+    # cut), or item 3 drops perfbench's argument and the parameter with it
+    "evaluation.evaluate.threshold",
 }
 
 
@@ -161,6 +173,37 @@ def unread_fields(parsed=None):
             if name not in read and f"{module}.{qualname}" not in UNREAD_FIELDS]
 
 
+def _defs(node, prefix=""):
+    """(qualified name, node) of every def and lambda under node, nested ones
+    included; a name is the dotted path of the classes and defs around it."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.Lambda, ast.ClassDef)):
+            yield from _defs(child, prefix)
+            continue
+        name = prefix + getattr(child, "name", "<lambda>")
+        if not isinstance(child, ast.ClassDef):
+            yield name, child
+        yield from _defs(child, name + ".")
+
+
+def unread_parameters(parsed=None, allowed=UNREAD_PARAMETERS):
+    """Parameters, less self and cls, that their function's body in src/ (or
+    in the given {module: tree}) never loads, less `allowed`."""
+    parsed = _parsed() if parsed is None else parsed
+    out = []
+    for module, tree in parsed.items():
+        for qualname, node in _defs(tree):
+            body = node.body if isinstance(node.body, list) else [node.body]
+            loads = {sub.id for part in body for sub in ast.walk(part)
+                     if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            a = node.args
+            names = [x.arg for x in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg)
+                     if x is not None and x.arg not in ("self", "cls")]
+            out += [f"{module}.{qualname}.{name}" for name in names if name not in loads
+                    and f"{module}.{qualname}.{name}" not in allowed]
+    return out
+
+
 def test_every_src_function_has_a_src_caller():
     assert unreferenced() == []
 
@@ -217,3 +260,27 @@ def test_a_field_is_read_only_by_an_attribute_load():
         "    a.written = a.kept\n"
         "    return getattr(b, 'named'), args.flag\n")
     assert unread_fields({"m": tree}) == ["m.A.written", "m.B.named", "m.B.flag"]
+
+
+def test_every_src_parameter_is_read():
+    assert unread_parameters() == []
+
+
+def test_unread_parameters_exist_and_are_unread():
+    # a listed parameter that is gone or gained a reader leaves the list
+    assert UNREAD_PARAMETERS <= set(unread_parameters(allowed=set()))
+
+
+def test_a_parameter_is_read_only_by_a_name_load():
+    tree = ast.parse(
+        "class A:\n"
+        "    def run(self, used, written, *rest, key=0, **extra):\n"
+        "        written = used + key\n"
+        "        return lambda x, y: x\n"
+        "def outer(kept, dropped, /):\n"
+        "    def inner(z):\n"
+        "        return kept\n"
+        "    return inner\n")
+    assert unread_parameters({"m": tree}) == [
+        "m.A.run.written", "m.A.run.rest", "m.A.run.extra", "m.A.run.<lambda>.y",
+        "m.outer.dropped", "m.outer.inner.z"]

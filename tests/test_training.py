@@ -20,12 +20,17 @@ from test_matcher import single_context_score
 # ---------------------------------------------------------------------------
 # losses
 
+def scores(s):
+    """A score or a column of scores as the (n, 1) float64 Var a loss takes."""
+    return ad.Var(np.array(s, dtype=np.float64).reshape(-1, 1))
+
+
 def siamese(s, y, margin):
-    return training.siamese_loss(s, y, margin).item()
+    return training.siamese_loss(scores(s), y, margin).item()
 
 
 def triplet(s_pos, s_neg, margin):
-    return training.triplet_loss(s_pos, s_neg, margin).item()
+    return training.triplet_loss(scores(s_pos), scores(s_neg), margin).item()
 
 
 def test_siamese_trivial_zeros_exact():
