@@ -7,7 +7,7 @@ and gradients, and `finite_diff_check` differentiates in float64.
 `Var` wraps one matrix as a node in an operation graph. This module has no
 ops: the encoder, the matcher and each training loss record a batch as one
 node with a hand-written backward, so a training graph is the seven weight
-leaves and three or four nodes above them. `backward` replays the graph in
+leaves and three nodes above them. `backward` replays the graph in
 reverse topological order and accumulates gradients.
 `grad` evaluates a scalar loss builder over a named parameter set and returns
 every gradient; `finite_diff_check` verifies those gradients against central

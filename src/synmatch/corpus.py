@@ -262,7 +262,9 @@ def ingest(corpus_path, synset_path, min_count=5):
 
     Duplicate corpus lines are dropped.  Synset entities that never occur in
     the corpus, or occur fewer than min_count times, are dropped from the
-    store (with a warning); their contexts would be too thin to encode.
+    store (with a warning); their contexts would be too thin to encode.  A
+    name repeated within its synset line is kept once (with a warning); the
+    same name on two lines is a DataError.
     """
     check_count("min_count", min_count, 0)
     token_lines = {}   # each distinct line's tokens, in file order
@@ -286,7 +288,10 @@ def ingest(corpus_path, synset_path, min_count=5):
     synsets = []
     for members in read_synset_lines(synset_path):
         kept = []
-        for surface in members:
+        for i, surface in enumerate(members):
+            if surface in members[:i]:
+                log.warning("synset entity %r repeats within its line; kept once", surface)
+                continue
             if surface not in vocab:
                 log.warning("synset entity %r never occurs in the corpus; dropped", surface)
                 continue

@@ -17,16 +17,17 @@ One numpy forward serves inference (`match_score`) and training
 (`pair_score_vars`, one tape node with a hand-written backward); both take
 `leaky`, a bool, and compute in their inputs' dtype, float32 for the model's
 encodings.  The forward takes groups only: N left entities H (N, P, d),
-each against its own K candidates G (N, K, Q, d), B = N K pairs, and a
-training batch is B groups of one candidate.  numpy runs the logits and the
-aggregations as one (P, d) @ (d, Q) and one (1, P) @ (P, d) product per
-pair whatever the grouping, so every pair keeps its bits.  The forward
-takes the projected left side H W_BM from its caller: `pair_score_vars`
-computes it once per call and its backward reuses it, and `match_score`
-takes the one its caller holds (`evaluation.Scorer` projects each
-entity when it encodes it).  numpy takes a stack's product as one (P, d) @
-(d, d) gemm per entity, so a projection held per entity has the bits of one
-taken in the batch.
+each against its own K candidates G (N, K, Q, d), B = N K pairs; a training
+batch is N groups of one candidate (pairs) or two (triplets).  numpy runs
+the logits and the aggregations as one (P, d) @ (d, Q) and one (1, P) @
+(P, d) product per pair whatever the grouping, so every pair keeps its
+bits, and the backward sums the columns in order, as one node per column
+would.  The forward takes the projected left side H W_BM from its caller:
+`pair_score_vars` computes it once per call and its backward reuses it, and
+`match_score` takes the one its caller holds (`evaluation.Scorer` projects
+each entity when it encodes it).  numpy takes a stack's product as one
+(P, d) @ (d, d) gemm per entity, so a projection held per entity has the
+bits of one taken in the batch.
 
 The softmaxes reduce over axes of P or Q, a few to a few dozen terms, and
 numpy is slow at a reduction over such an axis when it is the innermost one
@@ -200,27 +201,32 @@ def _score_backward(r, norms, H, HW, G, w_bm, g):
     return dH, dG, dW
 
 
-def pair_score_vars(Hv, Gv, wv, leaky, rows):
-    """Differentiable match-aggregate-score for a batch of pairs: one tape node.
-
-    Pair b matches rows h_rows[b] of Var Hv against rows g_rows[b] of Var Gv
-    under Var wv, rows = (h_rows, g_rows) being index arrays (B, P) and (B, Q);
-    the result is the (B, 1) column of scores, each pair a group of one.
-    """
-    h_rows, g_rows = (np.asarray(x, dtype=np.intp) for x in rows)
-    H, G = Hv.value[h_rows], Gv.value[g_rows]
-    d = Hv.shape[1]
+def pair_score_vars(Ev, wv, leaky, rows):
+    """One tape node of (N, K) scores: group n matches rows left[n] of Var Ev
+    against rows cands[n, k] of each of its K candidates under Var wv, rows =
+    (left, cands) being index arrays (N, P) and (N, K, Q)."""
+    left, cands = (np.asarray(x, dtype=np.intp) for x in rows)
+    H, G = Ev.value[left], Ev.value[cands]
+    d = Ev.shape[1]
     if wv.shape != (d, d):
         raise ShapeError(f"bilinear matrix is {wv.shape}, expected {(d, d)}")
     HW = H @ wv.value
-    _check_dims(H, HW, G[:, None])
-    r, norms = _match(H, HW, G[:, None], leaky)
+    _check_dims(H, HW, G)
+    r, norms = _match(H, HW, G, leaky)
+    N, K = G.shape[:2]
 
     def backward(g):
-        dH, dG, dW = _score_backward(r, norms, H, HW, G, wv.value, g)
-        dHv, dGv = np.zeros_like(Hv.value), np.zeros_like(Gv.value)
-        np.add.at(dHv, h_rows, dH)
-        np.add.at(dGv, g_rows, dG)
-        return dHv, dGv, dW
+        # column k's pairs are rows k::K: its left share, then its candidates'
+        dE, dW = np.zeros_like(Ev.value), np.zeros_like(wv.value)
+        for k in range(K):
+            rk = MatchResult(*(x[k::K] for x in vars(r).values()))
+            dH, dG, dWk = _score_backward(rk, [x[k::K] for x in norms], H, HW, G[:, k],
+                                          wv.value, g[:, k:k + 1])
+            for at, share in ((left, dH), (cands[:, k], dG)):
+                part = np.zeros_like(Ev.value)
+                np.add.at(part, at, share)
+                dE = dE + part
+            dW = dWk if k == 0 else dW + dWk
+        return dE, dW
 
-    return ad.Var(r.score[:, None], (Hv, Gv, wv), backward)
+    return ad.Var(r.score.reshape(N, K), (Ev, wv), backward)

@@ -4,7 +4,8 @@ Entity pairs (or triplets) are sampled from the train synsets each epoch,
 their contexts retrieved and encoded in one batched pass, matched and scored,
 and the siamese or triplet loss backpropagated through the whole stack.  A
 batch's tape is the seven weight leaves, one encoder node, one matcher node
-(two for triplets) and one loss node; the word embeddings stay frozen.
+(each pair a group of one candidate, each triplet of two) and one loss node;
+the word embeddings stay frozen.
 Validation AUC on held-out synsets picks the parameters to keep.
 
 The model is float32 (DTYPE): `init_model_params` and `load_checkpoint`
@@ -154,19 +155,17 @@ def siamese_loss(s, y, margin):
     return _mean_node(terms, (s,), backward)
 
 
-def triplet_loss(s_pos, s_neg, margin):
-    """Mean triplet margin loss max(s_neg - s_pos + margin, 0) over pairs of
-    scores in two Vars: one tape node."""
-    z = s_neg.value - s_pos.value + margin
+def triplet_loss(s, margin):
+    """Mean triplet margin loss max(s_neg - s_pos + margin, 0) over the rows
+    (s_neg, s_pos) of the (N, 2) scores in the Var s: one tape node."""
+    z = s.value[:, :1] - s.value[:, 1:] + margin
     terms = np.maximum(z, 0.0)
 
     def backward(g):
         d_neg = g[0, 0] * (1.0 / terms.size) * (z > 0.0)
-        return d_neg, -d_neg
+        return (np.hstack([d_neg, -d_neg]),)
 
-    # s_neg first: backward adds the negative pairs' share of the encoder
-    # gradient before the positive pairs'; the other order rounds differently
-    return _mean_node(terms, (s_neg, s_pos), backward)
+    return _mean_node(terms, (s,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +226,10 @@ def init_model_params(config, d_embed, rng):
 
 
 def _item_entities(item):
+    """An item as a group, its left entity then its candidates: a triplet's are
+    (negative, positive), so the negative's gradient share is added first."""
     if isinstance(item, corpus.TrainingTriplet):
-        return (item.anchor, item.positive, item.negative)
+        return (item.anchor, item.negative, item.positive)
     return (item.a, item.b)
 
 
@@ -236,28 +237,20 @@ def batch_loss_builder(items, contexts, config, emb):
     """Builder for ad.grad: mean loss over a batch of pairs or triplets.
 
     contexts maps entity id -> list of ContextWindow (length P); all windows
-    in the batch are encoded in one pass, and one matcher node (two for
-    triplets) scores every pair from the encoder output's rows.
+    in the batch are encoded in one pass, and one matcher node scores every
+    item, as a group, from the encoder output's rows.
     """
     order = sorted({eid for item in items for eid in _item_entities(item)})
     windows, rows = evaluation.stack_windows(contexts, order)
-    # one (B, P) row-index array per role: a/b, or anchor/positive/negative
-    roles = [np.stack([rows[eid] for eid in role])
-             for role in zip(*map(_item_entities, items))]
-    triplets = isinstance(items[0], corpus.TrainingTriplet)
-    labels = None if triplets else [[item.label] for item in items]
+    groups = np.array([[rows[eid] for eid in _item_entities(item)] for item in items])
 
     def builder(v):
         encoded = encoder.encode_batch_vars(windows, v, emb, config.encoder)
-        w_bm = v["match.w_bm"]
-
-        def scores(other):
-            return matcher.pair_score_vars(encoded, encoded, w_bm, config.leaky,
-                                           (roles[0], other))
-
-        if triplets:
-            return triplet_loss(scores(roles[1]), scores(roles[2]), config.margin)
-        return siamese_loss(scores(roles[1]), labels, config.margin)
+        s = matcher.pair_score_vars(encoded, v["match.w_bm"], config.leaky,
+                                    (groups[:, 0], groups[:, 1:]))
+        if isinstance(items[0], corpus.TrainingTriplet):
+            return triplet_loss(s, config.margin)
+        return siamese_loss(s, [[item.label] for item in items], config.margin)
 
     return builder
 
@@ -480,7 +473,7 @@ def load_checkpoint(path):
 def _check_params(params, config):
     """Raise DataError unless `params` has exactly the names and shapes that
     `init_model_params` builds for `config` (None: any length)."""
-    names = set(encoder.PARAM_NAMES) | {"match.w_bm"}
+    names = set(evaluation.WEIGHT_NAMES)
     missing, unexpected = sorted(names - set(params)), sorted(set(params) - names)
     if missing or unexpected:
         raise DataError(f"checkpoint parameters do not match its config: "

@@ -21,7 +21,9 @@ library's tape has no ops: every node it records has a hand-written backward.
 tuple up front: the library, which builds a line only when it cuts from it,
 must return the same windows under the same random stream. `match_pair`
 scores one pair as a group of one, projecting the left side itself, and
-returns the pair's own fields. `entity_scores` scores held encodings one
+returns the pair's own fields.  `pair_score` composes one pair's score, the
+leak slot included, from the tape ops here, and `stack_rows` puts two
+operands' rows in one matrix, as `pair_score_vars` takes its encodings. `entity_scores` scores held encodings one
 pair at a time with `match_pair`: the library, which keeps each left
 entity's projection, must return the same scores, bit for bit. `match` is the
 matcher's forward as it was written with one softmax per direction, each
@@ -126,6 +128,13 @@ def matmul(a, b):
                   lambda g: (g @ b.value.T, a.value.T @ g))
 
 
+def stack_rows(a, b):
+    """The rows of a, then those of b, as one matrix."""
+    a, b = lift(a), lift(b)
+    n = a.shape[0]
+    return ad.Var(np.vstack([a.value, b.value]), (a, b), lambda g: (g[:n], g[n:]))
+
+
 def transpose(a):
     a = lift(a)
     return ad.Var(a.value.T.copy(), (a,), lambda g: (g.T.copy(),))
@@ -224,6 +233,29 @@ def softmax_cols(x):
     if isinstance(x, ad.Var):
         return _softmax_op(x, axis=0)
     return _softmax(as_matrix(x), axis=0)
+
+
+def pair_score(H, G, W, leaky=False):
+    """One pair's score composed from the tape ops above: the logits H W G^T,
+    a softmax over each row and each column, the weights, the global
+    contexts and their cosine.  The leak slot, when leaky, is a zero logit
+    column or row that constant [I | 0] and [I; 0] products append before a
+    softmax and take off after it.  A pair with a zero-norm global context
+    scores a constant 0, which passes no gradient back."""
+    L = matmul(matmul(H, W), transpose(G))
+    P, Q = L.shape
+    if leaky:
+        cols, rows = np.eye(Q, Q + 1), np.eye(P + 1, P)
+        m_bwd = matmul(softmax_rows(matmul(L, cols)), cols.T)
+        m_fwd = matmul(rows.T, softmax_cols(matmul(rows, L)))
+    else:
+        m_bwd, m_fwd = softmax_rows(L), softmax_cols(L)
+    h = matmul(transpose(max_axis(m_bwd, axis=1)), H)
+    g = matmul(max_axis(m_fwd, axis=0), G)
+    norms = mul(sqrt(sum_all(square(h))), sqrt(sum_all(square(g))))
+    if norms.item() == 0.0:
+        return lift(0.0)
+    return div(sum_all(mul(h, g)), norms)
 
 
 def cosine(u, v):

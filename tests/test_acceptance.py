@@ -72,8 +72,8 @@ def test_gradient_fidelity():
 def test_loss_trivial_cases_exact():
     m = 0.75
 
-    def S(score):
-        return ad.Var(np.array([[score]]))
+    def S(*scores):
+        return ad.Var(np.array([scores]))
 
     vals = [
         training.siamese_loss(S(1.0), 1, m).item(),
@@ -81,8 +81,8 @@ def test_loss_trivial_cases_exact():
         training.siamese_loss(S(0.74), 0, m).item(),
         training.siamese_loss(S(m), 0, m).item(),
         training.siamese_loss(S(-1.0), 0, m).item(),
-        training.triplet_loss(S(0.9), S(0.9 - m), m).item(),
-        training.triplet_loss(S(1.0), S(-1.0), m).item(),
+        training.triplet_loss(S(0.9 - m, 0.9), m).item(),     # (s_neg, s_pos)
+        training.triplet_loss(S(-1.0, 1.0), m).item(),
     ]
     ok = all(v == 0.0 for v in vals)
     report(ok, "loss trivial cases", f"all seven zero-loss cases exactly 0.0: {vals}")

@@ -79,6 +79,21 @@ def test_ingest_warns_on_absent_entity(tmp_path, caplog):
     assert data.store.synsets == [(data.vocab.get("a"),)]
 
 
+def test_ingest_keeps_a_name_repeated_within_its_line_once(tmp_path, caplog):
+    corpus_path = write(tmp_path / "c.txt", "a b c\nb c d\n")
+    synset_path = write(tmp_path / "s.tsv", "a\ta\tb\ta\nc\td\n")
+    with caplog.at_level("WARNING"):
+        data = corpus.ingest(corpus_path, synset_path, min_count=1)
+    get = data.vocab.get
+    assert data.store.synsets == [(get("a"), get("b")), (get("c"), get("d"))]
+    assert [r.getMessage() for r in caplog.records] == [
+        "synset entity 'a' repeats within its line; kept once"] * 2
+    # the same name on two lines is still an error
+    write(tmp_path / "s.tsv", "a\tb\nc\ta\n")
+    with pytest.raises(DataError, match="appears in synsets 0 and 1"):
+        corpus.ingest(corpus_path, synset_path, min_count=1)
+
+
 def test_min_count_invariant(small_data):
     counts = np.diff(small_data.occ_start)
     for ss in small_data.store.synsets:

@@ -45,8 +45,15 @@ def rand_instance(seed, P=5, Q=4, d=8):
 
 
 def pair_rows(H, G):
-    """pair_score_vars' rows for one pair: every row of H against every row of G."""
-    return np.arange(H.shape[0])[None], np.arange(G.shape[0])[None]
+    """pair_score_vars' rows for one pair, every row of H against every row of
+    G, with H's rows and then G's stacked in one matrix."""
+    P, Q = H.shape[0], G.shape[0]
+    return np.arange(P)[None], P + np.arange(Q)[None, None]
+
+
+def pair_vars(H, G, W, leaky):
+    """pair_score_vars of the one pair H, G: a (1, 1) score Var."""
+    return matcher.pair_score_vars(ref.stack_rows(H, G), W, leaky, pair_rows(H, G))
 
 
 def test_single_pair_no_leaky():
@@ -156,9 +163,7 @@ def test_zero_norm_score_warns(caplog):
     with caplog.at_level("WARNING"):
         assert ref.match_pair(params["H"], params["G"], params["W"]).score == 0.0
         assert zero_norm_warnings() == 1
-        value, grads = ad.grad(
-            lambda v: matcher.pair_score_vars(v["H"], v["G"], v["W"], False,
-                                              pair_rows(v["H"], v["G"])), params)
+        value, grads = ad.grad(lambda v: pair_vars(v["H"], v["G"], v["W"], False), params)
         assert value == 0.0
         assert zero_norm_warnings() == 1
     for name, g in grads.items():
@@ -180,8 +185,7 @@ def test_nonfinite_score_raises():
                 with pytest.raises(NumericError):
                     ref.match_pair(H, G, W, leaky)
                 with pytest.raises(NumericError):
-                    matcher.pair_score_vars(ad.Var(H), ad.Var(G), ad.Var(W), leaky,
-                                            pair_rows(H, G))
+                    pair_vars(ad.Var(H), ad.Var(G), ad.Var(W), leaky)
 
 
 def test_swap_symmetry_with_transposed_bilinear():
@@ -247,8 +251,7 @@ def test_dimension_mismatches_rejected():
     # pair_score_vars projects its left side: the bilinear matrix must be d x d
     for W in (np.eye(7), np.ones((8, 7))):
         with pytest.raises(ShapeError):
-            matcher.pair_score_vars(ad.Var(H[0]), ad.Var(G[0, 0]), ad.Var(W), False,
-                                    pair_rows(H[0], G[0, 0]))
+            pair_vars(ad.Var(H[0]), ad.Var(G[0, 0]), ad.Var(W), False)
 
 
 def test_gradients_through_full_match_pipeline():
@@ -260,19 +263,19 @@ def test_gradients_through_full_match_pipeline():
     }
     for leaky in (False, True):
         def builder(v):
-            return matcher.pair_score_vars(v["H"], v["G"], v["W"], leaky,
-                                           pair_rows(v["H"], v["G"]))
+            return pair_vars(v["H"], v["G"], v["W"], leaky)
         report = ad.finite_diff_check(builder, params, eps=1e-5)
         assert report.max_rel_error < 1e-4, str(report)
 
 
 def test_pair_score_is_one_tape_node():
-    H, G, W = (ad.Var(x) for x in rand_instance(19))
-    inputs = {id(v) for v in (H, G, W)}
+    H, G, W = rand_instance(19)
+    E, W = ad.Var(np.vstack([H, G])), ad.Var(W)
+    inputs = {id(v) for v in (E, W)}
     for leaky in (False, True):
-        s = matcher.pair_score_vars(H, G, W, leaky, pair_rows(H, G))
+        s = matcher.pair_score_vars(E, W, leaky, pair_rows(H, G))
         added = [n for n in ad._topo_order(s) if id(n) not in inputs]
-        assert len(added) <= 2
+        assert len(added) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +408,9 @@ def test_batch_pair_counts_must_agree():
     with pytest.raises(ShapeError):
         matcher.match_score(H, H @ W, G)
     E = stream_rng(22, "init").normal(size=(8, 6))
-    rows = (np.zeros((3, 3), dtype=np.intp), np.zeros((2, 3), dtype=np.intp))
+    rows = (np.zeros((3, 3), dtype=np.intp), np.zeros((2, 1, 3), dtype=np.intp))
     with pytest.raises(ShapeError):
-        matcher.pair_score_vars(ad.Var(E), ad.Var(E), ad.Var(W), False, rows)
+        matcher.pair_score_vars(ad.Var(E), ad.Var(W), False, rows)
 
 
 def test_zero_norm_pair_in_batch_scores_zero_alone(caplog):
@@ -423,103 +426,133 @@ def test_zero_norm_pair_in_batch_scores_zero_alone(caplog):
     with pytest.raises(NumericError):
         matcher.match_score(H, H @ W, G)
     with pytest.raises(NumericError):
-        matcher.pair_score_vars(ad.Var(H.reshape(-1, 6)), ad.Var(G.reshape(-1, 6)), ad.Var(W),
-                                False, (np.arange(12).reshape(3, 4).repeat(2, axis=0),
-                                        np.arange(24).reshape(6, 4)))
+        matcher.pair_score_vars(ad.Var(np.vstack([H.reshape(-1, 6), G.reshape(-1, 6)])),
+                                ad.Var(W), False, (np.arange(12).reshape(3, 4),
+                                                   12 + np.arange(24).reshape(3, 2, 4)))
 
 
-@pytest.mark.parametrize("N,K", [(0, 0), (1, 0), (0, 1)])
+@pytest.mark.parametrize("N,K", [(0, 0), (1, 0), (0, 1), (0, 2)])
 def test_empty_batch_scores_nothing(N, K):
     # no groups, or one query with no candidates
     H, G, W = group_instance(27, N, K, 3, 4)
     E = stream_rng(27, "init").normal(size=(8, 6))
-    rows = (np.zeros((N * K, 3), dtype=np.intp), np.zeros((N * K, 4), dtype=np.intp))
+    rows = (np.zeros((N, 3), dtype=np.intp), np.zeros((N, K, 4), dtype=np.intp))
     for leaky in (False, True):
         got = matcher.match_score(H, H @ W, G, leaky)
         assert {f.name: getattr(got, f.name).shape for f in dataclasses.fields(got)} == {
             "m_fwd": (0, 3, 4), "m_bwd": (0, 3, 4), "leak_fwd": (0, 4), "leak_bwd": (0, 3),
             "a_h": (0, 3), "a_g": (0, 4), "h_bar": (0, 6), "g_bar": (0, 6), "score": (0,)}
+        s = matcher.pair_score_vars(ad.Var(E), ad.Var(W), leaky, rows)
+        assert s.shape == (N, K)
         value, grads = ad.grad(lambda v: ref.sum_all(matcher.pair_score_vars(
-            v["E"], v["E"], v["W"], leaky, rows)), {"E": E, "W": W})
+            v["E"], v["W"], leaky, rows)), {"E": E, "W": W})
         assert value == 0.0
         assert not grads["E"].any() and not grads["W"].any()
 
 
-def batched_setup(seed=24, d=6, P=3):
-    """Eight entities of P rows in one matrix E, six pairs that reuse them."""
+def batched_setup(K, seed=24, d=6, P=3):
+    """Eight entities of P rows in one matrix E and four groups that reuse
+    them, each left entity against the first K of its candidates: the lefts
+    are candidates too, and entity 1 is on both sides."""
     rng = stream_rng(seed, "init")
     params = {"E": rng.normal(size=(8 * P, d)), "W": rng.normal(size=(d, d))}
     ents = np.arange(8 * P).reshape(8, P)
-    h_rows = ents[[0, 0, 1, 2, 3, 3]]
-    g_rows = ents[[4, 1, 1, 5, 6, 0]]
-    weights = rng.normal(size=(6, 1))
-    return params, h_rows, g_rows, weights
+    left = ents[[0, 0, 1, 3]]
+    cands = ents[[[4, 1, 2], [1, 5, 0], [1, 6, 3], [2, 0, 7]]][:, :K]
+    weights = rng.normal(size=(4, K))
+    return params, left, cands, weights
 
 
 @pytest.mark.parametrize("leak_key", [None, "zero"])   # no leak slot; the zero leak
 @pytest.mark.parametrize("broadcast", [False, True])
 def test_batched_pair_score_vars_gradients(leak_key, broadcast):
-    params, h_rows, g_rows, weights = batched_setup()
     leaky = leak_key == "zero"
+    for K in (1, 2, 3):
+        check_grouped_gradients(K, leaky, broadcast)
+
+
+def check_grouped_gradients(K, leaky, broadcast):
+    params, left, cands, weights = batched_setup(K)
     if broadcast:
-        h_rows = h_rows[[0] * len(g_rows)]          # entity 0 against every G entity
+        left = left[[0] * len(left)]                # entity 0 in every group
 
     def builder(v):
-        s = matcher.pair_score_vars(v["E"], v["E"], v["W"], leaky, (h_rows, g_rows))
+        s = matcher.pair_score_vars(v["E"], v["W"], leaky, (left, cands))
         return ref.sum_all(ref.mul(weights, s))
 
     report = ad.finite_diff_check(builder, params, eps=1e-5)
-    assert report.max_rel_error < 1e-4, str(report)
+    assert report.max_rel_error < 1e-4, (K, str(report))
 
-    # reference: one single-pair node per pair, gradients summed by hand; the
-    # second round zeroes entity 1, so the pairs using it score a constant 0
+    # reference: each pair composed from the oracle's tape ops, gradients
+    # summed by hand; the second round zeroes entity 1, so the pairs using it
+    # score a constant 0
     for zeroed in (False, True):
         if zeroed:
             params["E"][3:6] = 0.0
         _, got = ad.grad(builder, params)
         want = {name: np.zeros_like(value) for name, value in params.items()}
-        for b in range(len(g_rows)):
-            hr = h_rows[b]
-            pair = {"H": params["E"][hr], "G": params["E"][g_rows[b]], "W": params["W"]}
-            _, g = ad.grad(lambda v: ref.mul(matcher.pair_score_vars(
-                v["H"], v["G"], v["W"], leaky, pair_rows(v["H"], v["G"])), weights[b, 0]),
-                pair)
+        for n, k in np.ndindex(cands.shape[:2]):
+            hr, gr = left[n], cands[n, k]
+            pair = {"H": params["E"][hr], "G": params["E"][gr], "W": params["W"]}
+            _, g = ad.grad(lambda v: ref.mul(ref.pair_score(v["H"], v["G"], v["W"], leaky),
+                                             weights[n, k]), pair)
             np.add.at(want["E"], hr, g["H"])
-            np.add.at(want["E"], g_rows[b], g["G"])
+            np.add.at(want["E"], gr, g["G"])
             want["W"] += g["W"]
         for name in params:
-            assert np.max(np.abs(got[name] - want[name])) < 1e-12, (zeroed, name)
+            assert np.max(np.abs(got[name] - want[name])) < 1e-12, (K, zeroed, name)
         if zeroed:
             assert np.array_equal(got["E"][3:6], np.zeros((3, 6)))
 
 
 def test_batched_pair_score_vars_is_one_tape_node():
-    params, h_rows, g_rows, _ = batched_setup()
+    params, left, cands, _ = batched_setup(3)
     E, W = ad.Var(params["E"]), ad.Var(params["W"])
-    s = matcher.pair_score_vars(E, E, W, False, (h_rows, g_rows))
-    assert s.shape == (len(g_rows), 1)
+    s = matcher.pair_score_vars(E, W, False, (left, cands))
+    assert s.shape == cands.shape[:2]
     assert len(ad._topo_order(s)) == 3
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("leaky", [False, True])
+def test_groups_of_two_keep_the_bits_of_one_node_per_column(dtype, leaky):
+    """A node of groups of two candidates gives the bits of one
+    single-candidate node per column whose shares the tape sums in column
+    order: column 0's left share, its candidates' share, then column 1's,
+    and dW column by column.  That is how a triplet batch, (negative,
+    positive) groups, was taped as two nodes.  Each entity here is a left
+    and a candidate in both columns, so another order rounds differently."""
+    rng = stream_rng(28, "init")
+    E, W = rng.normal(size=(12, 8)).astype(dtype), rng.normal(size=(8, 8)).astype(dtype)
+    ents = np.arange(12).reshape(4, 3)
+    left = ents[[0, 1, 2, 3, 0, 3]]
+    cands = ents[[[1, 2], [0, 2], [3, 1], [0, 1], [2, 3], [1, 0]]]
+    g = rng.normal(size=(6, 2)).astype(dtype)
+    s = matcher.pair_score_vars(ad.Var(E), ad.Var(W), leaky, (left, cands))
+    dE, dW = s.backward_fn(g)
+    # column k alone, with its left rows in one copy of E and its candidate
+    # rows in another, so the node's gradient splits into the two shares
+    want_E, want_W = None, None
+    for k in range(2):
+        sk = matcher.pair_score_vars(ref.stack_rows(E, E), ad.Var(W), leaky,
+                                     (left, len(E) + cands[:, k:k + 1]))
+        assert same_bits(s.value[:, k], sk.value[:, 0]), k
+        dEk, dWk = sk.backward_fn(g[:, k:k + 1])
+        for share in (dEk[:len(E)], dEk[len(E):]):
+            want_E = share if want_E is None else want_E + share
+        want_W = dWk if want_W is None else want_W + dWk
+    assert dE.dtype == dW.dtype == dtype
+    assert same_bits(dE, want_E) and same_bits(dW, want_W)
 
 
 def test_tied_maxima_route_gradient_to_first():
     # duplicate rows tie for the max match; the analytic backward must pick
     # the first maximum, as the composite reference ops (ref.max_axis) do
-    def tape_reference(v):
-        L = ref.matmul(ref.matmul(v["H"], v["W"]), ref.transpose(v["G"]))
-        a_h = ref.max_axis(ref.softmax_rows(L), axis=1)
-        a_g = ref.max_axis(ref.softmax_cols(L), axis=0)
-        h = ref.matmul(ref.transpose(a_h), v["H"])
-        g = ref.matmul(a_g, v["G"])
-        norms = ref.mul(ref.sqrt(ref.sum_all(ref.square(h))),
-                        ref.sqrt(ref.sum_all(ref.square(g))))
-        return ref.div(ref.sum_all(ref.mul(h, g)), norms)
-
     H, G, W = rand_instance(20, P=3, Q=3)
     for params in ({"H": np.vstack([H[0], H[0]]), "G": G, "W": W},
                    {"H": H, "G": np.vstack([G[0], G[0]]), "W": W}):
-        want_value, want = ad.grad(tape_reference, params)
-        got_value, got = ad.grad(lambda v: matcher.pair_score_vars(
-            v["H"], v["G"], v["W"], False, pair_rows(v["H"], v["G"])), params)
+        want_value, want = ad.grad(lambda v: ref.pair_score(v["H"], v["G"], v["W"]), params)
+        got_value, got = ad.grad(lambda v: pair_vars(v["H"], v["G"], v["W"], False), params)
         assert abs(got_value - want_value) < 1e-12
         for name in params:
             assert np.max(np.abs(got[name] - want[name])) < 1e-10, name

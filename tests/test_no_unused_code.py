@@ -5,17 +5,19 @@ function, so code kept only for tests or demos cannot build up there.
 A top-level function counts as called when another function's body names it:
 bare inside its own module or where it was imported by name, or as an
 attribute of a name bound to its module. A non-dunder method counts as called
-when another function's body reads an attribute of that name from anything;
-a property only when that read is not the callee of a call, so a call
-`x.name(...)` of a same-named method does not keep a property alive. Methods
-are matched by name alone: a method that shares its name with another
-class's method is kept alive by that method's callers, which is how a
-`to_text` with no caller outlived its use beside `EvalReport.to_text`.
+when another function's body reads an attribute of that name; a property
+only when that read is not the callee of a call, so a call `x.name(...)` of
+a same-named method does not keep a property alive.  An attribute a method
+takes from its first parameter, `self.name`, names its own class's member
+and no other; any other attribute read is matched by name alone, so a method
+that shares its name with another class's method is kept alive by callers
+of that method through anything but `self`, which is how a `to_text` with
+no caller outlived its use beside `EvalReport.to_text`.
 
 A field of a top-level dataclass or NamedTuple counts as read when src/ code
-anywhere loads an attribute of that name, from anything but `args`, the
-argparse namespace in `cli`, whose flags are not record fields; the same gap
-holds for a field that shares its name with another attribute.
+loads `self.name` in a method of its class, or an attribute of that name
+anywhere from anything but `self` or `args`, the argparse namespace in
+`cli`, whose flags are not record fields; the same name-alone gap holds.
 
 A parameter of a function, method or lambda, nested ones included, counts as
 read when its function's body, nested functions included, loads its name;
@@ -91,11 +93,28 @@ def _imports(tree):
     return modules, names
 
 
+def _self_owners(module, tree):
+    """(module, class) by id of each attribute node that a method of a
+    top-level class takes from its first parameter: `self.x` there names
+    that class's own member x."""
+    owners = {}
+    for qualname, _, node in _functions(tree):
+        if "." in qualname and node.args.args:
+            me, owner = node.args.args[0].arg, (module, qualname.split(".")[0])
+            owners.update((id(sub), owner) for sub in ast.walk(node)
+                          if isinstance(sub, ast.Attribute)
+                          and isinstance(sub.value, ast.Name) and sub.value.id == me)
+    return owners
+
+
 def _references(module, tree, defs):
     """For each def node of the module: the set of functions its body refers
-    to, as ("function", module, name), ("method", None, name) and, for an
-    attribute read that is not called, ("property", None, name)."""
+    to, as ("function", module, name), ("method", owner, name) and, for an
+    attribute read that is not called, ("property", owner, name), the owner
+    being (module, class) for a `self.x` in a method of that class and None
+    for any other attribute."""
     modules, names = _imports(tree)
+    owners = _self_owners(module, tree)
     out = {}
     for _, _, node in defs:
         refs = set()
@@ -104,9 +123,10 @@ def _references(module, tree, defs):
             if isinstance(sub, ast.Name):
                 refs.add(("function",) + names.get(sub.id, (module, sub.id)))
             elif isinstance(sub, ast.Attribute):
-                refs.add(("method", None, sub.attr))
+                owner = owners.get(id(sub))
+                refs.add(("method", owner, sub.attr))
                 if id(sub) not in callees:
-                    refs.add(("property", None, sub.attr))
+                    refs.add(("property", owner, sub.attr))
                 if isinstance(sub.value, ast.Name) and sub.value.id in modules:
                     refs.add(("function", modules[sub.value.id], sub.attr))
         out[id(node)] = refs
@@ -132,9 +152,12 @@ def unreferenced(parsed=None):
         for qualname, kind, node in items:
             if _is_dunder(qualname) or f"{module}.{qualname}" in ENTRY_POINTS:
                 continue
-            key = ("function", module, qualname) if kind == "function" \
-                else (kind, None, qualname.split(".")[-1])
-            if not any(key in found for caller, found in refs.items() if caller != id(node)):
+            if kind == "function":
+                keys = {("function", module, qualname)}
+            else:
+                cls, name = qualname.split(".")
+                keys = {(kind, None, name), (kind, (module, cls), name)}
+            if not any(keys & found for caller, found in refs.items() if caller != id(node)):
                 missing.append(f"{module}.{qualname}")
     return missing
 
@@ -155,22 +178,28 @@ def _fields(tree):
 
 
 def _attributes_read(parsed):
-    """The names of every attribute load in the {module: tree}, less loads
-    from a name `args`: the CLI's flags."""
-    return {node.attr for tree in parsed.values() for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-            and not (isinstance(node.value, ast.Name) and node.value.id == "args")}
+    """Every attribute load in the {module: tree}, less loads from a name
+    `args`, the CLI's flags: "module.class.name" for a `self.name` in a
+    method of that class, the bare name for any other."""
+    read = set()
+    for module, tree in parsed.items():
+        owners = _self_owners(module, tree)
+        read.update(".".join(owners[id(node)] + (node.attr,)) if id(node) in owners
+                    else node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and not (isinstance(node.value, ast.Name) and node.value.id == "args"))
+    return read
 
 
-def unread_fields(parsed=None):
+def unread_fields(parsed=None, allowed=UNREAD_FIELDS):
     """Fields of the dataclasses and NamedTuples in src/ (or in the given
-    {module: tree}) whose name no attribute load there reads, less
-    UNREAD_FIELDS."""
+    {module: tree}) that no attribute load there reads, less `allowed`."""
     parsed = _parsed() if parsed is None else parsed
     read = _attributes_read(parsed)
     return [f"{module}.{qualname}" for module, tree in parsed.items()
             for qualname, name in _fields(tree)
-            if name not in read and f"{module}.{qualname}" not in UNREAD_FIELDS]
+            if not {name, f"{module}.{qualname}"} & read
+            and f"{module}.{qualname}" not in allowed]
 
 
 def _defs(node, prefix=""):
@@ -230,16 +259,35 @@ def test_a_call_does_not_keep_a_property():
     assert unreferenced({"m": tree}) == ["m.A.key", "m.main"]
 
 
+def test_a_self_load_names_only_its_own_class_member():
+    tree = ast.parse(
+        "import dataclasses\n"
+        "@dataclasses.dataclass\n"
+        "class A:\n"
+        "    size: int\n"
+        "    def run(self):\n"
+        "        return self.count() + self.size + self.limit\n"
+        "    def count(self):\n"
+        "        return 1\n"
+        "@dataclasses.dataclass\n"
+        "class B:\n"
+        "    size: int\n"
+        "    limit: int\n"
+        "    def count(self):\n"
+        "        return 2\n"
+        "def main():\n"
+        "    return A(1).run(), B(2, 3)\n")
+    assert unreferenced({"m": tree}) == ["m.B.count", "m.main"]
+    assert unread_fields({"m": tree}) == ["m.B.size", "m.B.limit"]
+
+
 def test_every_src_record_field_has_a_src_reader():
     assert unread_fields() == []
 
 
 def test_unread_fields_exist_and_are_unread():
-    parsed = _parsed()
-    assert UNREAD_FIELDS <= {f"{module}.{qualname}" for module, tree in parsed.items()
-                             for qualname, _ in _fields(tree)}
-    # a listed field that gained a src/ reader leaves the list
-    assert not {name.rsplit(".", 1)[1] for name in UNREAD_FIELDS} & _attributes_read(parsed)
+    # a listed field that is gone or gained a src/ reader leaves the list
+    assert UNREAD_FIELDS <= set(unread_fields(allowed=set()))
 
 
 def test_a_field_is_read_only_by_an_attribute_load():

@@ -20,9 +20,10 @@ from test_matcher import single_context_score
 # ---------------------------------------------------------------------------
 # losses
 
-def scores(s):
-    """A score or a column of scores as the (n, 1) float64 Var a loss takes."""
-    return ad.Var(np.array(s, dtype=np.float64).reshape(-1, 1))
+def scores(*columns):
+    """Columns of scores, each a score or a column of them, side by side as
+    the (n, k) float64 Var a loss takes."""
+    return ad.Var(np.hstack([np.array(c, dtype=np.float64).reshape(-1, 1) for c in columns]))
 
 
 def siamese(s, y, margin):
@@ -30,7 +31,7 @@ def siamese(s, y, margin):
 
 
 def triplet(s_pos, s_neg, margin):
-    return training.triplet_loss(scores(s_pos), scores(s_neg), margin).item()
+    return training.triplet_loss(scores(s_neg, s_pos), margin).item()
 
 
 def test_siamese_trivial_zeros_exact():
@@ -89,18 +90,17 @@ def test_loss_gradients_match_central_differences():
     report = ad.finite_diff_check(
         lambda v: training.siamese_loss(v["s"], y, margin), {"s": s}, eps=1e-6)
     assert report.max_rel_error < 1e-8, str(report)
+    groups = np.hstack([s_neg, s])              # each row (s_neg, s_pos)
     report = ad.finite_diff_check(
-        lambda v: training.triplet_loss(v["pos"], v["neg"], margin),
-        {"pos": s, "neg": s_neg}, eps=1e-6)
+        lambda v: training.triplet_loss(v["s"], margin), {"s": groups}, eps=1e-6)
     assert report.max_rel_error < 1e-8, str(report)
     # the closed forms, divided by the number of scores
     _, g = ad.grad(lambda v: training.siamese_loss(v["s"], y, margin), {"s": s})
     want = (-(1 - s) * y / 2 + 2 * np.maximum(s - margin, 0) * (1 - y)) / len(s)
     assert np.max(np.abs(g["s"] - want)) < 1e-15
-    _, g = ad.grad(lambda v: training.triplet_loss(v["pos"], v["neg"], margin),
-                   {"pos": s, "neg": s_neg})
+    _, g = ad.grad(lambda v: training.triplet_loss(v["s"], margin), {"s": groups})
     active = (s_neg - s + margin > 0) / len(s)
-    assert np.array_equal(g["neg"], active) and np.array_equal(g["pos"], -active)
+    assert np.array_equal(g["s"][:, :1], active) and np.array_equal(g["s"][:, 1:], -active)
 
 
 # ---------------------------------------------------------------------------
@@ -451,9 +451,9 @@ def test_batch_tape_size_does_not_grow_with_the_batch(tmp_path, objective):
 
 @pytest.mark.parametrize("objective", training.OBJECTIVES)
 def test_batch_tape_is_weights_encoder_matchers_and_loss(tmp_path, objective):
-    """7 weight leaves, 1 encoder node, 1 matcher node per role pair (2 for
-    triplets) and 1 loss node: 10 nodes for a siamese batch, 11 for a triplet
-    batch."""
+    """7 weight leaves, 1 encoder node, 1 matcher node and 1 loss node: 10
+    nodes for either objective.  The matcher scores every item as a group,
+    of one candidate for a pair and of two for a triplet."""
     data, table, config = toy_setup(tmp_path, objective=objective)
     params = training.init_model_params(config, table.dim, stream_rng(3, "init"))
     rng = stream_rng(3, "train")
@@ -466,13 +466,13 @@ def test_batch_tape_is_weights_encoder_matchers_and_loss(tmp_path, objective):
     leaves = {name: ad.Var(value) for name, value in params.items()}
     loss = training.batch_loss_builder(items, ctx, config, table.matrix)(leaves)
     order = ad._topo_order(loss)
-    assert len(order) == (11 if objective == "triplet" else 10)
+    assert len(order) == 10
     assert {id(n) for n in order if not n.parents} == {id(v) for v in leaves.values()}
     assert len(leaves) == 7
-    matchers = loss.parents
-    assert len(matchers) == (2 if objective == "triplet" else 1)
-    (enc,) = {id(m.parents[0]): m.parents[0] for m in matchers}.values()
-    assert all(m.parents[1] is enc and m.parents[2] is leaves["match.w_bm"] for m in matchers)
+    (match,) = loss.parents
+    assert match.shape == (4, 2 if objective == "triplet" else 1)
+    enc, w_bm = match.parents
+    assert w_bm is leaves["match.w_bm"]
     assert enc.parents == tuple(leaves[name] for name in encoder.PARAM_NAMES)
 
 
