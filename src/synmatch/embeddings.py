@@ -5,7 +5,7 @@ then one "token f1 ... fd" line per word.  Candidate generation for synonym
 discovery is an exact brute-force cosine scan over the entity universe.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -26,10 +26,18 @@ class EmbeddingTable:
         return self.matrix.shape[1]
 
 
-@dataclass
+@dataclass(eq=False)
 class NeighborList:
+    """One query's shortlist, best first: entity ids (intp) and their cosines
+    (float64), two arrays of one length; compared by identity."""
     query: int
-    neighbors: list = field(default_factory=list)  # (entity id, cosine), best first
+    ids: np.ndarray
+    cos: np.ndarray
+
+    @property
+    def neighbors(self):
+        """The shortlist as (entity id, cosine) tuples of Python numbers."""
+        return list(zip(self.ids.tolist(), self.cos.tolist()))
 
 
 def _parse_header(parts):
@@ -169,16 +177,26 @@ def nearest_neighbors(table, entities, k, universe):
     Exact brute-force scan.  The universe rows are gathered and their norms
     taken once per call, each the square root of the row's sum of squares, the
     sum np.linalg.norm takes; each query's cosines are one matrix-vector
-    product over the rows left once the query itself is excluded, the product a
-    one-query scan takes, so a query gets the same bits alone or in a batch
-    (neither the product over all rows nor one product for all queries does).
+    product over the rows left once the query itself is excluded, in the
+    universe's order.  A row's dot product can take other bits at another
+    place in the gathered rows (the BLAS kernel splits the rows into blocks),
+    so the rows keep the given order and each query gets the product a
+    one-query scan takes: the same bits alone or in a batch (neither the
+    product over all rows nor one product for all queries gives them).
     Queries and universe pass `corpus.entity_ids` over the table's rows, k
-    `corpus.check_count`.  A zero-norm row (or query) scores 0, and ties break
+    `corpus.check_count`; a universe that names an entity twice is a
+    DataError naming the smallest such id, found with one marker array over
+    the table's rows.  A zero-norm row (or query) scores 0, and ties break
     toward the smaller entity id so results are reproducible.
     """
     check_count("k", k, 0)
     qids = entity_ids(entities, table.vocab, len(table.matrix)).tolist()
     ids = entity_ids(universe, table.vocab, len(table.matrix))
+    marked = np.zeros(len(table.matrix), dtype=bool)
+    marked[ids] = True
+    if np.count_nonzero(marked) != len(ids):
+        values, counts = np.unique(ids, return_counts=True)
+        raise DataError(f"the universe names entity id {values[counts > 1][0]} more than once")
     # take copies the rows fancy indexing would, in about two thirds of the time
     rows = table.matrix.take(ids, axis=0)
     row_norms = np.sqrt((rows * rows).sum(axis=1))
@@ -190,5 +208,5 @@ def nearest_neighbors(table, entities, k, universe):
         norms = row_norms.take(keep) * np.sqrt(q.dot(q))
         cos = np.divide(dots, norms, out=np.zeros(len(dots)), where=norms != 0.0)
         best = np.lexsort((kept, -cos))[:k]
-        out.append(NeighborList(qid, list(zip(kept[best].tolist(), cos[best].tolist()))))
+        out.append(NeighborList(qid, kept.take(best), cos.take(best)))
     return out

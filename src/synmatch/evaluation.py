@@ -5,23 +5,27 @@ shortlist candidates by embedding cosine, rescore each candidate with the
 full context-matching model, keep those above a threshold.
 
 Evaluation reports AUC over labeled entity pairs plus ranking metrics
-(MAP, P@K, R@K, F1@K, from one walk over each ranked list) over per-entity
-discovery runs against held-out synsets.  `evaluate`, `discover` and
-`discover_many` rank through one multi-query shortlist-then-rerank,
-`knn_rerank`: one KNN scan shortlists every query, then the matcher scores
-whole queries per call, each query's encodings and projection against a
-stack of its own candidates, as many queries with as many candidates as
-fit in SCORE_BYTES (1 MiB, 2**18 float32 values, chosen from a measured
-grid: see its comment), and up to SCORE_SLICE candidates of a query a call.  numpy still runs one product per pair, so a
-query scores the same bits alone, grouped or sliced.  All context sampling is keyed by (seed, entity),
-so a metric run is a pure function of (model, data, seed).  A `Scorer`
-holds one model's windows, encodings and projections, and each score call
-draws and encodes, in one batch, only the entities it names that are not
-held yet.  discover, score and evaluate calls find their Scorer on
-data.scorer, kept for one model at a time, so repeated calls on one
-CorpusData encode each entity once; the Scorer refers back to its corpus
-weakly, so the pair forms no reference cycle and a corpus is freed when its
-last reference goes.  The model is recognised by its seven weights,
+(MAP, P@K, R@K, F1@K, read off one hits matrix of all queries) over
+per-entity discovery runs against held-out synsets.  `evaluate`, `discover`
+and `discover_many` rank through one multi-query shortlist-then-rerank,
+`knn_rerank`, which works on (queries x k) arrays: one KNN scan gives every
+query's shortlist as id and cosine arrays, the shortlists of one length
+form one 2-D id array, the matcher scores it in calls of whole queries, each
+query's encodings and projection against a stack of its own candidates, as
+many queries with as many candidates as fit in SCORE_BYTES (1 MiB, 2**18
+float32 values, chosen from a measured grid: see its comment), and up to
+SCORE_SLICE candidates of a query a call, and one lexsort orders all its
+rows.  numpy still runs one product per pair, so a query scores the same
+bits alone, grouped or sliced, and a one-query discover runs the same code.
+All context sampling is keyed by (seed, entity), so a metric run is a pure
+function of (model, data, seed).  A `Scorer` holds one model's windows,
+encodings and projections, their rows found by id in one intp array, and
+each score call draws and encodes, in one batch, only the entities it
+names that are not held yet.  discover, score and evaluate calls find their
+Scorer on data.scorer, kept for one model at a time, so repeated calls on
+one CorpusData encode each entity once; the Scorer refers back to its
+corpus weakly, so the pair forms no reference cycle and a corpus is freed
+when its last reference goes.  The model is recognised by its seven weights,
 compared bit for bit with the Scorer's copies, so a weight changed in place
 between calls is seen.  The embedding matrix is compared by identity
 only: the encodings are kept on the assumption that it is not written in
@@ -37,7 +41,6 @@ entities x P x d_ce floats each, 10 MB for 500 entities at the paper config.
 import math
 import numbers
 import weakref
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -77,25 +80,46 @@ def auc(scored):
 
 
 def rank_metrics(ranked, relevant, ks):
-    """AP of one ranked list, with the number of relevant items as its
-    denominator, and {k: (P@k, R@k, F1@k)} for each k of ks, from one walk
-    over the list; each k is an integer (a bool is not one) of at least 1.
-    relevant is taken once as a set, so a repeat counts once."""
-    ks, relevant = tuple(ks), set(relevant)
-    if not relevant:
+    """AP and {k: (P@k, R@k, F1@k)} of each row of ranked, an (n, L) array of
+    ids best first, against relevant[i], the ids relevant to row i; each
+    value an (n,) float64 array.  AP has the number of relevant items as its
+    denominator.  Each relevant collection is taken once as a set, so a
+    repeat counts once; a row that names an id twice is a MetricError, and
+    each k is an integer (a bool is not one) of at least 1.
+
+    Every metric is read off the (n, L) hits matrix with the bits of one walk
+    down each list: AP adds its hit precisions along each row with np.cumsum,
+    in rank order where np.sum would pair them, and the 0.0 it adds at a miss
+    changes no bit."""
+    ks, relevant = tuple(ks), [set(r) for r in relevant]
+    ranked = np.asarray(ranked)
+    n_relevant = np.array([len(r) for r in relevant])
+    if not n_relevant.all():
         raise MetricError("rank metrics need at least one relevant item")
     if not all(corpus.is_integer(k) and k >= 1 for k in ks):
         raise MetricError(f"K must be positive integers, got {ks!r}")
-    found = [i for i, item in enumerate(ranked, start=1) if item in relevant]  # hits' ranks
-    total = 0.0
-    for hits, i in enumerate(found, start=1):
-        total += hits / i
+    by_id = np.sort(ranked, axis=1)
+    repeats = by_id[:, 1:] == by_id[:, :-1]
+    if repeats.any():
+        row, col = np.argwhere(repeats)[0]
+        raise MetricError(f"ranked list {row} names {by_id[row, col]} more than once")
+    n, L = ranked.shape
+    # each row's relevant ids, padded to the widest set; `known` marks the real ones
+    known = np.arange(n_relevant.max(initial=0)) < n_relevant[:, None]
+    targets = np.zeros(known.shape, ranked.dtype)
+    targets[known] = list(chain.from_iterable(relevant))
+    hits = np.zeros(ranked.shape, dtype=bool)
+    for j in range(targets.shape[1]):       # one pass per place in the widest set
+        hits |= (ranked == targets[:, j:j + 1]) & known[:, j:j + 1]
+    found = np.cumsum(hits, axis=1)          # hits in the first 1, 2, ..., L
+    precision = np.where(hits, found / np.arange(1, L + 1), 0.0)
+    ap = (np.cumsum(precision, axis=1)[:, -1] if L else np.zeros(n)) / n_relevant
     at_k = {}
     for k in ks:
-        h = bisect_right(found, k)          # hits in the first k
-        p, r = h / k, h / len(relevant)
-        at_k[k] = (p, r, 0.0 if p + r == 0.0 else 2.0 * p * r / (p + r))
-    return total / len(relevant), at_k
+        h = found[:, min(k, L) - 1] if L else np.zeros(n)
+        p, r = h / k, h / n_relevant
+        at_k[k] = (p, r, np.divide(2.0 * p * r, p + r, out=np.zeros(n), where=p + r != 0.0))
+    return ap, at_k
 
 
 @dataclass
@@ -221,8 +245,9 @@ def _model_key(config, seed):
 
 class Scorer:
     """One model's scores of entity pairs, for checked ids: score(left, right),
-    where right[i] lists the candidates of left[i], gives one array of model
-    scores per left id; left and right of unequal lengths are a DataError.
+    where left is n ids and right an (n, K) array whose row i holds the
+    candidates of left[i], gives the (n, K) model scores; left and right of
+    unequal lengths are a DataError.
 
     It encodes and projects with read-only copies of the seven weights (the
     encoder's six and match.w_bm) taken when it is made, in their
@@ -234,17 +259,17 @@ class Scorer:
     entities it names that are not held yet in one batch and projects them
     at once, enc[e] @ w_bm; the encoder gives an entity the same bits in any
     batch.  The encodings and the projections are two read-only (entities,
-    P, d_ce) arrays under one row map.  An emb whose vectors are not as wide
-    as the encoder's input is a DataError naming both widths.
+    P, d_ce) arrays whose rows `row_of`, an intp array over the embedding
+    table's ids (-1 for an entity not held), looks up.  An emb whose vectors
+    are not as wide as the encoder's input is a DataError naming both widths.
 
-    Queries with as many candidates are scored together: one matcher call
-    takes as many whole queries as fit in SCORE_BYTES of the held dtype, at
-    least one, each query's encodings and projection against its own
-    candidates, and a query of more than SCORE_SLICE candidates is scored in
-    slices of that many.  A pair's score has the same bits however its query
-    is grouped or sliced, and a query with no candidates gets an empty score
-    array.  A Scorer whose corpus is gone still scores the entities whose
-    windows it holds; one that would draw windows raises DataError."""
+    One matcher call takes as many whole queries as fit in SCORE_BYTES of the
+    held dtype, at least one, each query's encodings and projection against
+    its own candidates, and a query of more than SCORE_SLICE candidates is
+    scored in slices of that many.  A pair's score has the same bits however
+    its query is grouped or sliced; K = 0 makes no matcher call.  A Scorer
+    whose corpus is gone still scores the entities whose windows it holds;
+    one that would draw windows raises DataError."""
 
     def __init__(self, params, config, data, emb, seed, windows=None):
         check_seed(seed)
@@ -259,16 +284,19 @@ class Scorer:
             raise DataError(f"the embedding table has {self.E.shape[-1]}-wide vectors, "
                             f"but the model expects {width}")
         self.windows = dict(windows or {})
-        self.rows = {}
+        self.row_of = np.full(len(self.E), -1, dtype=np.intp)
         self.enc = self.hw = np.empty(0, dtype)
 
     def __call__(self, left, right):
+        left, right = np.asarray(left, dtype=np.intp), np.asarray(right, dtype=np.intp)
         if len(left) != len(right):
             raise DataError(f"{len(left)} left entities but {len(right)} candidate lists")
         variant, leaky, seed, P, T = self.key
-        rows, weights = self.rows, self.weights
-        missing = sorted(int(eid) for eid in set(chain(left, *right)).difference(rows))
-        if missing:
+        row_of, weights = self.row_of, self.weights
+        named = np.concatenate([left, right.ravel()])
+        missing = named[row_of[named] < 0]
+        if len(missing):
+            missing = np.unique(missing).tolist()
             draw = [eid for eid in missing if eid not in self.windows]
             if draw:
                 data = self.data()
@@ -284,29 +312,22 @@ class Scorer:
                 held = np.concatenate([getattr(self, name).reshape(-1, P, d), block])
                 held.flags.writeable = False
                 setattr(self, name, held[:])        # a view: cannot be made writeable
-            rows.update(zip(missing, range(len(rows), len(self.enc))))
+            row_of[missing] = np.arange(len(self.enc) - len(missing), len(self.enc))
         enc, hw = self.enc, self.hw
-        out = [None] * len(left)
-        by_length = {}
-        for i, cands in enumerate(right):
-            by_length.setdefault(len(cands), []).append(i)
-        entity = P * enc.shape[-1]          # values of one entity's encodings
-        for K, queries in by_length.items():
-            li = np.array([rows[left[i]] for i in queries], dtype=np.intp)
-            ri = np.array([rows[c] for i in queries for c in right[i]],
-                          dtype=np.intp).reshape(len(queries), K)
-            width = min(K, SCORE_SLICE) or 1     # no candidates: empty score rows
+        li, ri = row_of[left], row_of[right]
+        scores = np.empty(ri.shape, enc.dtype)
+        if scores.size:
+            n, K = ri.shape
+            width = min(K, SCORE_SLICE)
+            entity = P * enc.shape[-1]          # values of one entity's encodings
             per_call = max(1, SCORE_BYTES // ((width + 2) * entity * enc.itemsize))
-            scores = np.empty(ri.shape, enc.dtype)
-            for at in range(0, len(queries), per_call):
+            for at in range(0, n, per_call):
                 lb = li[at:at + per_call]
                 for j in range(0, K, width):
                     rb = ri[at:at + per_call, j:j + width]
                     r = matcher.match_score(enc[lb], hw[lb], enc[rb], leaky)
                     scores[at:at + per_call, j:j + width] = r.score.reshape(rb.shape)
-            for i, row in zip(queries, scores):
-                out[i] = row
-        return out
+        return scores
 
 
 def _scorer(params, config, data, emb, seed):
@@ -324,7 +345,7 @@ def score_pair(params, config, data, emb, a, b, seed=0):
     """Score one entity pair, each a name or an id: resolve, sample, encode, match."""
     score = _scorer(params, config, data, emb, seed)
     a, b = corpus.entity_ids([a, b], data.vocab, len(data.vocab)).tolist()
-    return float(score([a], [[b]])[0][0])
+    return float(score([a], [[b]])[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -340,19 +361,27 @@ class DiscoveryResult:
 
 def knn_rerank(table, queries, k, universe, score):
     """Shortlist each query's k embedding neighbors in universe, then rerank
-    every shortlist by score(query ids, shortlists), one call for all queries
-    with a candidate; returns (neighbors, [(id, score)] best first) per
-    query, equal scores (-0.0 equals 0.0) toward the smaller id."""
+    the shortlists of each length as one (n, K) id array: one call
+    score(query ids, shortlist ids) and one lexsort a length, empty
+    shortlists unscored.  Returns the NeighborLists and, for each length in
+    the order first met, (the positions of its queries, their (n, K)
+    candidate ids and model scores, each row best first), equal scores
+    (-0.0 equals 0.0) toward the smaller id."""
     shortlists = embeddings.nearest_neighbors(table, queries, k, universe)
-    live = [i for i, nl in enumerate(shortlists) if nl.neighbors]
-    ranked = [[] for _ in shortlists]
-    if live:
-        cands = [[eid for eid, _ in shortlists[i].neighbors] for i in live]
-        for i, ids, scores in zip(live, cands, score([shortlists[i].query for i in live], cands)):
-            ids, scores = np.array(ids, dtype=np.intp), np.asarray(scores)
-            order = np.lexsort((ids, -scores))
-            ranked[i] = list(zip(ids[order].tolist(), scores[order].tolist()))
-    return list(zip(shortlists, ranked))
+    by_length = {}
+    for i, nl in enumerate(shortlists):
+        by_length.setdefault(len(nl.ids), []).append(i)
+    groups = []
+    for K, members in by_length.items():
+        ids = np.array([shortlists[i].ids for i in members])
+        scores = np.empty(ids.shape)
+        if K:
+            scores = score([shortlists[i].query for i in members], ids)
+            # flat positions of each row's order in the contiguous (n, K) arrays
+            order = np.lexsort((ids, -scores), axis=-1) + np.arange(0, ids.size, K)[:, None]
+            ids, scores = ids.take(order), scores.take(order)
+        groups.append((members, ids, scores))
+    return shortlists, groups
 
 
 def discover_many(params, config, data, table, queries, k=50, threshold=0.8,
@@ -374,9 +403,13 @@ def discover_many(params, config, data, table, queries, k=50, threshold=0.8,
     if universe is None:
         universe = data.store.entities()
     score = _scorer(params, config, data, table.matrix, seed)
-    return [DiscoveryResult(nl.query, ranked, nl.neighbors,
-                            [(c, s) for c, s in ranked if s > threshold])
-            for nl, ranked in knn_rerank(table, queries, k, universe, score)]
+    shortlists, groups = knn_rerank(table, queries, k, universe, score)
+    ranked = [None] * len(shortlists)
+    for members, ids, scores in groups:
+        for i, id_row, score_row in zip(members, ids.tolist(), scores.tolist()):
+            ranked[i] = list(zip(id_row, score_row))
+    return [DiscoveryResult(nl.query, r, nl.neighbors, [(c, s) for c, s in r if s > threshold])
+            for nl, r in zip(shortlists, ranked)]
 
 
 def discover(params, config, data, table, query, k=50, threshold=0.8,
@@ -395,12 +428,12 @@ def evaluate(params, config, data, table, split="test", seed=0,
 
     Ranking metrics run the discovery pipeline for every entity of the split
     that has at least one synonym there, against the split's entities as the
-    candidate universe, all queries in one `knn_rerank`.  The report ranks
-    candidates and accepts none, so it does not depend on `threshold`, which
-    is taken only for callers that pass discover's keywords.  knn_k is an
-    integer of at least 1.
+    candidate universe, all queries in one `knn_rerank` and their metrics
+    from one `rank_metrics` call.  The report ranks candidates and accepts
+    none, so it does not depend on `threshold`, which is taken only for
+    callers that pass discover's keywords.  knn_k is an integer of at least 1.
     """
-    ks = tuple(ks)      # read by every query's rank_metrics and by the means
+    ks = tuple(ks)      # read by rank_metrics and by the means
     corpus.check_count("knn_k", knn_k, 1)
     store = data.store
     pairs = make_eval_pairs(store, split, stream_rng(seed, "eval", 1))
@@ -412,18 +445,18 @@ def evaluate(params, config, data, table, split="test", seed=0,
     # fails here, even one that no pair and no shortlist names
     score(entity_ids, [[]] * len(entity_ids))
 
-    scores = np.concatenate(score([p.a for p in pairs], [[p.b] for p in pairs]))
+    scores = score([p.a for p in pairs], [[p.b] for p in pairs])[:, 0]
     auc_value = auc([(s, p.label) for s, p in zip(scores, pairs)])
 
     synonyms = {qid: set(store.synsets[store.synset_of(qid)]) - {qid} for qid in entity_ids}
     queries = [qid for qid in entity_ids if synonyms[qid]]
-    per_query = [rank_metrics([eid for eid, _ in reranked], synonyms[qid], ks)
-                 for qid, (_, reranked) in zip(queries, knn_rerank(table, queries, knn_k,
-                                                                   entity_ids, score))]
-    if not per_query:
+    if not queries:
         raise MetricError(f"split {split!r} has no entity with a synonym")
+    # every query is in the universe: one shortlist length, one group in query order
+    _, [(_, ranked, _)] = knn_rerank(table, queries, knn_k, entity_ids, score)
+    ap, at = rank_metrics(ranked, [synonyms[qid] for qid in queries], ks)
 
     mean = lambda xs: float(np.mean(xs))
-    at_k = lambda j: {k: mean([at[k][j] for _, at in per_query]) for k in ks}
-    return EvalReport(auc=float(auc_value), map=mean([ap for ap, _ in per_query]),
+    at_k = lambda j: {k: mean(at[k][j]) for k in ks}
+    return EvalReport(auc=float(auc_value), map=mean(ap),
                       p_at_k=at_k(0), r_at_k=at_k(1), f1_at_k=at_k(2))

@@ -380,8 +380,7 @@ def train(config, data, table):
         valid_auc = None
         if valid_pairs:
             score = evaluation.Scorer(params, config, data, emb, config.seed, valid_windows)
-            scores = np.concatenate(score([p.a for p in valid_pairs],
-                                          [[p.b] for p in valid_pairs]))
+            scores = score([p.a for p in valid_pairs], [[p.b] for p in valid_pairs])[:, 0]
             valid_auc = evaluation.auc([(s, p.label) for s, p in zip(scores, valid_pairs)])
             if best_auc is None or valid_auc > best_auc:
                 best_auc = valid_auc

@@ -362,7 +362,7 @@ def evaluate(params, config, data, table, split="test", seed=0, ks=(1, 5, 10), k
     evaluation._scorer(params, config, data, table.matrix, seed)(
         entity_ids, [[eid] for eid in entity_ids])
     held = data.scorer
-    rows, enc, hw = held.rows, held.enc, held.hw
+    rows, enc, hw = held.row_of, held.enc, held.hw
 
     def score(left, right):
         """One query's candidates as one group, or pairs as groups of one."""

@@ -16,7 +16,7 @@ from synmatch import (cli, corpus, embeddings, encoder, evaluation,
                       synthetic, training)
 from synmatch import autodiff as ad
 from synmatch.rng import stream_rng
-from test_evaluation import auc_pair_oracle
+from test_evaluation import auc_pair_oracle, one_list
 from test_matcher import scalar_match_oracle
 
 import oracles as ref
@@ -121,15 +121,15 @@ def test_metric_oracles():
         worst = max(worst, abs(evaluation.auc(scored) - auc_pair_oracle(scored)))
     auc_ok = worst == 0.0
 
-    ap1 = evaluation.rank_metrics([1, 2, 3, 4], {1, 3}, ())[0]
-    ap2 = evaluation.rank_metrics([9, 4, 1, 2], {9, 1, 2}, ())[0]
-    _, at = evaluation.rank_metrics([1, 2, 3, 4], {2, 4, 8}, (2, 4))
+    ap1 = one_list([1, 2, 3, 4], {1, 3}, ())[0]
+    ap2 = one_list([9, 4, 1, 2], {9, 1, 2}, ())[0]
+    _, at = one_list([1, 2, 3, 4], {2, 4, 8}, (2, 4))
     hand_ok = (
         abs(ap1 - (1.0 + 2.0 / 3.0) / 2.0) < 1e-12
         and abs(ap2 - (1.0 + 2.0 / 3.0 + 3.0 / 4.0) / 3.0) < 1e-12
         and at[2][0] == 0.5
         and at[4][1] == 2.0 / 3.0
-        and abs(evaluation.rank_metrics([1, 2], {1, 9, 8, 7}, (2,))[1][2][2]
+        and abs(one_list([1, 2], {1, 9, 8, 7}, (2,))[1][2][2]
                 - (2 * 0.5 * 0.25 / (0.5 + 0.25))) < 1e-12
     )
     ok = auc_ok and hand_ok

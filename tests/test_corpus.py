@@ -426,6 +426,11 @@ def model_ids(xs):
     return None if None in ids else ids
 
 
+def once_each(ids):
+    """Whether ids (None or a list) names no id twice."""
+    return ids is not None and len(set(ids)) == len(ids)
+
+
 def count_ok(n, floor):
     return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= floor
 
@@ -444,10 +449,12 @@ def no_context(*ids):
 @example(queries=[3], k=2, universe=np.array([2**63 + 5], dtype=np.uint64))
 @example(queries=[2, [3, 4]], k=2, universe=[2, 3])
 @example(queries=[2], k=2, universe=[[2], 3])
+@example(queries=[2], k=2, universe=[3, "e1", np.int64(3)])
 def test_knn_returns_neighbors_or_a_typed_error(queries, k, universe):
     data, table, _, _ = MODEL
     qids, uids = model_ids(queries), model_ids(universe)
-    valid = qids is not None and uids is not None and count_ok(k, 0)
+    # a universe that names an id twice is refused
+    valid = qids is not None and once_each(uids) and count_ok(k, 0)
     try:
         got = embeddings.nearest_neighbors(table, queries, k, universe)
     except SynmatchError:
@@ -472,12 +479,13 @@ def test_knn_returns_neighbors_or_a_typed_error(queries, k, universe):
 @example(queries=[2, [3, 4]], k=3, threshold=0.5, seed=0, universe=None)
 @example(queries=[[2], 3], k=3, threshold=0.5, seed=0, universe=None)
 @example(queries=["e0"], k=3, threshold=0.5, seed=0, universe=[2, [3, 4]])
+@example(queries=["e0", 3], k=3, threshold=0.5, seed=0, universe=[3, 4, 3])
 def test_discover_returns_results_or_a_typed_error(queries, k, threshold, seed, universe):
     data, table, config, params = MODEL
     many = isinstance(queries, (list, np.ndarray))
     qids = model_ids(queries if many else [queries])
     uids = data.store.entities() if universe is None else model_ids(universe)
-    valid = (qids is not None and uids is not None and count_ok(k, 1) and count_ok(seed, 0)
+    valid = (qids is not None and once_each(uids) and count_ok(k, 1) and count_ok(seed, 0)
              and not isinstance(threshold, (bool, str, type(None)))
              and -np.inf < threshold < np.inf)
     call = evaluation.discover_many if many else evaluation.discover

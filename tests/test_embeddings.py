@@ -308,17 +308,35 @@ def test_knn_universe_ids_must_be_integers(bad):
         embeddings.nearest_neighbors(table, ["a"], k=2, universe=bad)
 
 
+def shortlists(*args):
+    """nearest_neighbors(*args) as (query, [(id, cosine)]) per query."""
+    return [(nl.query, nl.neighbors) for nl in embeddings.nearest_neighbors(*args)]
+
+
+def test_knn_refuses_a_universe_that_names_an_entity_twice():
+    # the parent listed a repeated id at each of its places, with cosines
+    # whose bits could differ between places
+    table = unit_table({"a": [1, 0], "b": [1, 1], "c": [0, 1]})
+    a, b, c = (table.vocab.get(t) for t in "abc")
+    for universe, twice in (([b, c, b], b), (["b", c, b], b), (np.array([c, a, a]), a),
+                            ([c, c], c)):
+        for queries in (["a"], [], [a, b]):
+            with pytest.raises(DataError, match=f"^the universe names entity id {twice} "
+                                                f"more than once$"):
+                embeddings.nearest_neighbors(table, queries, 2, universe)
+
+
 def test_knn_takes_python_and_numpy_integers():
     table = unit_table({"a": [1, 0], "b": [1, 1], "c": [0, 1]})
     a, b, c = (table.vocab.get(t) for t in "abc")
-    want = embeddings.nearest_neighbors(table, [a], k=2, universe=[a, b, c])
+    want = shortlists(table, [a], 2, [a, b, c])
     # numpy makes float64 of np.uint64 mixed with signed integers; names are
     # ids too, in the universe as in the queries
     for query, universe, k in ((np.int64(a), np.array([a, b, c], dtype=np.uint8), np.int32(2)),
                                (np.intp(a), [np.int16(a), b, np.uint32(c)], 2),
                                (np.uint64(a), [np.int16(a), b, np.uint64(c)], 2),
                                ("a", ["a", b, "c"], np.uint64(2))):
-        assert embeddings.nearest_neighbors(table, [query], k, universe) == want
+        assert shortlists(table, [query], k, universe) == want
     # an empty universe is valid whatever its dtype
     for universe in ([], (), np.array([]), np.array([], dtype=bool)):
         assert embeddings.nearest_neighbors(table, [a], 2, universe)[0].neighbors == []
@@ -338,9 +356,9 @@ def test_knn_names_a_uint64_id_as_given():
 def test_knn_takes_ids_0_and_1_but_not_bools():
     # numpy reads a bool among integers as 0 or 1, so those ids go one by one
     table = unit_table({"a": [1, 0], "b": [1, 1]})
-    got = embeddings.nearest_neighbors(table, [np.int64(2)], k=3, universe=[0, 1, 2, 3])
-    assert [e for e, _ in got[0].neighbors] == [3, 0, 1]
-    assert got == embeddings.nearest_neighbors(table, [2], 3, np.arange(4, dtype=np.uint8))
+    got = shortlists(table, [np.int64(2)], 3, [0, 1, 2, 3])
+    assert [e for e, _ in got[0][1]] == [3, 0, 1]
+    assert got == shortlists(table, [2], 3, np.arange(4, dtype=np.uint8))
     for universe in ([0, True, 3], [False, 2]):
         with pytest.raises(UnknownEntityError, match="is not an integer"):
             embeddings.nearest_neighbors(table, [2], k=3, universe=universe)
@@ -430,7 +448,8 @@ def test_knn_equals_reference_scan_exactly():
         # each query alone, then all in one call: every query keeps its bits
         qids = [7, 20, 41, int(rng.integers(2, len(vocab)))]
         for queries in [[qid] for qid in qids] + [qids]:
-            for members in (ids, ids[ids != queries[0]], np.append(ids, queries[0]), ids[:0]):
+            others = ids[ids != queries[0]]
+            for members in (ids, others, np.append(others, queries[0]), ids[:0]):
                 universes = (members.tolist(), list(members), tuple(members.tolist()),
                              members)
                 for universe in universes:

@@ -91,38 +91,55 @@ def test_auc_takes_bools_and_floats_as_labels():
         assert evaluation.auc([(s, cast(y)) for s, y in scored]) == 0.75
 
 
+def one_list(ranked, relevant, ks):
+    """rank_metrics of one ranked list, as Python floats: (AP, {k: (P, R, F1)})."""
+    ap, at = evaluation.rank_metrics([ranked], [relevant], ks)
+    return float(ap[0]), {k: tuple(float(x[0]) for x in v) for k, v in at.items()}
+
+
 def test_rank_metrics_take_relevant_items_once_as_a_set():
-    want = evaluation.rank_metrics([3, 4, 5], {4}, (1, 2))
+    want = one_list([3, 4, 5], {4}, (1, 2))
     assert want == (0.5, {1: (0.0, 0.0, 0.0), 2: (0.5, 1.0, 2 / 3)})
     for relevant in ([4, 4], (x for x in [4, 4]), iter({4})):
-        assert evaluation.rank_metrics([3, 4, 5], relevant, (1, 2)) == want
+        assert one_list([3, 4, 5], relevant, (1, 2)) == want
+
+
+@pytest.mark.parametrize("ranked", [[5, 5, 5], [3, 5, 4, 5]])
+def test_rank_metrics_refuse_a_ranked_list_that_repeats_an_item(ranked):
+    # counted at every place, [5, 5, 5] against {5} gave AP 3.0 and R@3 3.0
+    with pytest.raises(MetricError, match="ranked list 0 names 5 more than once"):
+        evaluation.rank_metrics([ranked], [{5}], (3,))
+    with pytest.raises(MetricError, match="ranked list 1 names 5 more than once"):
+        evaluation.rank_metrics([[1, 2, 3] + [4] * (len(ranked) - 3), ranked], [{5}, {5}], ())
 
 
 def test_average_precision_examples():
-    assert evaluation.rank_metrics([5], {5}, ())[0] == 1.0
-    ap = evaluation.rank_metrics([7, 3, 9, 4], {7, 9}, ())[0]
+    assert one_list([5], {5}, ())[0] == 1.0
+    ap = one_list([7, 3, 9, 4], {7, 9}, ())[0]
     assert ap == (1 / 1 + 2 / 3) / 2
     assert ap == pytest.approx(0.8333, abs=1e-4)
 
 
 def test_average_precision_needs_relevant():
     with pytest.raises(MetricError):
-        evaluation.rank_metrics([1, 2], set(), (1,))
+        one_list([1, 2], set(), (1,))
+    with pytest.raises(MetricError, match="at least one relevant item"):
+        evaluation.rank_metrics([[1, 2], [3, 4]], [{1}, set()], (1,))
     for k in (0, -1):
         with pytest.raises(MetricError, match="K must be positive"):
-            evaluation.rank_metrics([1, 2], {1}, (1, k))
+            one_list([1, 2], {1}, (1, k))
 
 
 def test_precision_recall_f1_at_k():
     ranked = [1, 2, 3, 4]
     relevant = {1, 3}
-    _, at = evaluation.rank_metrics(ranked, relevant, (1, 3, 4))
+    _, at = one_list(ranked, relevant, (1, 3, 4))
     assert at[1][0] == 1.0
     assert at[4][1] == 1.0
     assert at[1][1] == 0.5
     p, r = 2 / 3, 1.0
     assert at[3][2] == pytest.approx(2 * p * r / (p + r))
-    assert evaluation.rank_metrics([9, 8], {1}, (2,))[1][2][2] == 0.0
+    assert one_list([9, 8], {1}, (2,))[1][2][2] == 0.0
 
 
 def test_rank_metric_monotonicity():
@@ -131,7 +148,7 @@ def test_rank_metric_monotonicity():
         n = int(rng.integers(3, 30))
         ranked = list(rng.permutation(n))
         relevant = set(rng.choice(n, size=max(1, n // 3), replace=False).tolist())
-        _, at = evaluation.rank_metrics(ranked, relevant, range(1, n + 1))
+        _, at = one_list(ranked, relevant, range(1, n + 1))
         recalls = [at[k][1] for k in range(1, n + 1)]
         weighted = [k * at[k][0] for k in range(1, n + 1)]
         assert all(a <= b + 1e-12 for a, b in zip(recalls, recalls[1:]))
@@ -139,20 +156,33 @@ def test_rank_metric_monotonicity():
 
 
 def test_rank_metrics_keep_the_reference_bits():
-    # one walk gives the bits of one walk per metric, k within and past the list
+    # the hits matrix gives the bits of one walk per metric, k within and past
+    # the list, for a list alone and for rows of one length together
     rng = stream_rng(4, "eval")
+    cases = []
     for _ in range(200):
         n = int(rng.integers(0, 40))
         ranked = rng.permutation(60)[:n].tolist()
         relevant = set(rng.choice(60, size=int(rng.integers(1, 12)), replace=False).tolist())
         ks = sorted(set(rng.integers(1, 50, size=4).tolist()))
-        ap, at = evaluation.rank_metrics(ranked, relevant, ks)
+        ap, at = one_list(ranked, relevant, ks)
         assert ap.hex() == ref.average_precision(ranked, relevant).hex()
         assert list(at) == ks
         for k in ks:
             want = (ref.precision_at(ranked, relevant, k), ref.recall_at(ranked, relevant, k),
                     ref.f1_at(ranked, relevant, k))
             assert [x.hex() for x in at[k]] == [float(x).hex() for x in want], k
+        cases.append((ranked, relevant))
+    ks = (1, 5, 10, 45)
+    for n in {len(ranked) for ranked, _ in cases}:
+        rows = [(ranked, relevant) for ranked, relevant in cases if len(ranked) == n]
+        ap, at = evaluation.rank_metrics(np.array([r for r, _ in rows]).reshape(len(rows), n),
+                                         [rel for _, rel in rows], ks)
+        assert all(x.shape == (len(rows),) for v in at.values() for x in v)
+        for i, row in enumerate(rows):
+            assert ap[i].hex() == one_list(*row, ks)[0].hex()
+            assert all([float(x[i]).hex() for x in at[k]] == [
+                y.hex() for y in one_list(*row, ks)[1][k]] for k in ks)
 
 
 def test_report_serialization():
@@ -250,6 +280,25 @@ def record_calls(monkeypatch):
     return calls
 
 
+def held_ids(scorer):
+    """The ids a Scorer holds encodings of, ascending."""
+    return np.flatnonzero(scorer.row_of >= 0).tolist()
+
+
+def score_lists(score, left, right):
+    """score's rows for candidate lists of any lengths, called as knn_rerank
+    calls it: once per length, in the order first met, all its queries in one
+    (n, K) array; one score array per query."""
+    by_length, out = {}, [None] * len(left)
+    for i, cands in enumerate(right):
+        by_length.setdefault(len(cands), []).append(i)
+    for members in by_length.values():
+        rows = score([left[i] for i in members], [right[i] for i in members])
+        for i, row in zip(members, rows):
+            out[i] = row
+    return out
+
+
 def test_entity_scorer_slices_score_like_single_pairs(tiny, monkeypatch):
     data, table, config, params = tiny
     ids = sorted(data.store.entities())
@@ -264,7 +313,7 @@ def test_entity_scorer_slices_score_like_single_pairs(tiny, monkeypatch):
     assert [x.tolist() for x in alone] == [[score([a], [[b]])[0][0] for b in cands]
                                            for a, cands in zip(left, shortlists)]
     calls = record_calls(monkeypatch)
-    pairs, grouped = score(left, [[b] for b in right]), score(left, shortlists)
+    pairs, grouped = score(left, [[b] for b in right]), score_lists(score, left, shortlists)
     # one call per shortlist length: every query of a length in one call
     assert calls == [(7, 1), (1, 1), (1, 2), (2, 3), (1, 4), (2, 7)]
     # a bound of 8 entities' encodings and 6 candidates: 2 pairs a call, 1
@@ -273,7 +322,8 @@ def test_entity_scorer_slices_score_like_single_pairs(tiny, monkeypatch):
                         * config.d_ce * params["match.w_bm"].itemsize)
     monkeypatch.setattr(evaluation, "SCORE_SLICE", 6)
     calls.clear()
-    sliced_pairs, sliced = score(left, [[b] for b in right]), score(left, shortlists)
+    sliced_pairs = score(left, [[b] for b in right])
+    sliced = score_lists(score, left, shortlists)
     assert calls == [(2, 1)] * 3 + [(1, 1)] + [(1, 1), (1, 2), (1, 3), (1, 3), (1, 4)] + [
         (1, 6), (1, 1)] * 2
     assert [x.tolist() for x in sliced_pairs] == [x.tolist() for x in pairs] == [
@@ -289,7 +339,7 @@ def test_entity_scorer_scores_empty_shortlists_as_empty(tiny, monkeypatch):
     left = [ids[0], ids[1], ids[2], ids[1]]
     right = [[], [ids[2], ids[3]], [], [ids[0]]]
     calls = record_calls(monkeypatch)
-    got = score(left, right)
+    got = score_lists(score, left, right)
     # the empty queries make no matcher call
     assert calls == [(1, 2), (1, 1)]
     assert [x.shape for x in got] == [(0,), (2,), (0,), (1,)]
@@ -308,7 +358,7 @@ def test_scorer_refuses_left_and_right_of_different_lengths(tiny):
                                             f"candidate lists$"):
             score(left, right)
     # refused before any window is drawn
-    assert score.rows == {} and score.windows == {}
+    assert held_ids(score) == [] and score.windows == {}
 
 
 def test_an_embedding_table_of_another_width_is_a_data_error(tiny):
@@ -429,7 +479,7 @@ def test_discover_k_is_a_positive_integer(tiny, bad):
 def test_a_cutoff_that_is_not_a_positive_integer_is_a_metric_error(tiny, ks):
     data, table, config, params = tiny
     with pytest.raises(MetricError, match="K must be positive integers"):
-        evaluation.rank_metrics([1, 2], {1}, ks)
+        one_list([1, 2], {1}, ks)
     with pytest.raises(MetricError, match="K must be positive integers"):
         evaluation.evaluate(params, config, data, table, ks=ks)
 
@@ -443,9 +493,9 @@ def test_numpy_integer_cutoffs_are_cutoffs(tiny):
 
 def test_a_one_shot_iterable_of_cutoffs_gives_every_cutoff(tiny):
     data, table, config, params = tiny
-    want = evaluation.rank_metrics([3, 4, 5], {4}, (1, 2))
+    want = one_list([3, 4, 5], {4}, (1, 2))
     assert set(want[1]) == {1, 2}
-    assert evaluation.rank_metrics([3, 4, 5], {4}, (k for k in (1, 2))) == want
+    assert one_list([3, 4, 5], {4}, (k for k in (1, 2))) == want
     report = evaluation.evaluate(params, config, data, table, ks=(1, 5))
     assert len(report.to_text().splitlines()) == 8
     assert evaluation.evaluate(params, config, data, table,
@@ -463,6 +513,16 @@ def test_discover_sorted_by_model_score(tiny):
         assert s == pytest.approx(direct, abs=1e-12)
 
 
+def reranked(table, queries, k, universe, score):
+    """knn_rerank's (NeighborList, [(id, score)] best first) per query."""
+    shortlists, groups = evaluation.knn_rerank(table, queries, k, universe, score)
+    ranked = [None] * len(shortlists)
+    for members, ids, scores in groups:
+        for i, id_row, score_row in zip(members, ids.tolist(), scores.tolist()):
+            ranked[i] = list(zip(id_row, score_row))
+    return list(zip(shortlists, ranked))
+
+
 def test_knn_rerank_breaks_score_ties_toward_the_smaller_id():
     # row i's cosine to row 0 grows with i, so the KNN lists 9, 8, ..., 1:
     # a tie keeps that order unless the rerank puts the smaller id first
@@ -474,11 +534,10 @@ def test_knn_rerank_breaks_score_ties_toward_the_smaller_id():
     def score(queries, shortlists):
         # query 0 reads the model; query 5 scores every candidate 0, odd ids as -0.0
         calls.append(list(queries))
-        return [np.array([model[c] if q == 0 else -0.0 if c % 2 else 0.0 for c in cands])
-                for q, cands in zip(queries, shortlists)]
+        return np.array([[model[c] if q == 0 else -0.0 if c % 2 else 0.0 for c in cands]
+                         for q, cands in zip(queries, shortlists.tolist())])
 
-    (neighbors, ranked), (_, ranked5) = evaluation.knn_rerank(table, [0, 5], 9, range(10),
-                                                              score)
+    (neighbors, ranked), (_, ranked5) = reranked(table, [0, 5], 9, range(10), score)
     assert calls == [[0, 5]]        # both queries reranked in one call
     assert [eid for eid, _ in neighbors.neighbors] == list(range(9, 0, -1))
     # -0.0 equals 0.0, so 3 goes before 5
@@ -489,10 +548,26 @@ def test_knn_rerank_breaks_score_ties_toward_the_smaller_id():
     assert all(type(eid) is int and type(s) is float for eid, s in ranked + ranked5)
     # an empty shortlist is not scored, and with no other query nothing is
     calls.clear()
-    (_, empty), (_, alone) = evaluation.knn_rerank(table, [3, 0], 9, [3], score)
+    (_, empty), (_, alone) = reranked(table, [3, 0], 9, [3], score)
     assert calls == [[0]] and empty == [] and alone == [(3, 0.0)]
-    assert evaluation.knn_rerank(table, [0], 9, [], None) == [
-        (embeddings.NeighborList(0, []), [])]
+    [(nl, ranked)] = reranked(table, [0], 9, [], None)
+    assert (nl.query, nl.neighbors, ranked) == (0, [], [])
+
+
+def test_a_universe_that_names_an_entity_twice_is_a_data_error(tiny):
+    # the parent ranked the repeated id at each of its places
+    data, table, config, params = tiny
+    sun, sol, sea, mar = (corpus.entity_id(e, data.vocab, len(data.vocab))
+                          for e in ("sun", "sol", "sea", "mar"))
+    universe = [sol, sea, mar, sea]
+    for call in (lambda: evaluation.discover(params, config, data, table, sun, k=10,
+                                             universe=universe),
+                 lambda: evaluation.discover_many(params, config, data, table, [sun, sol],
+                                                  k=10, universe=universe),
+                 lambda: evaluation.knn_rerank(table, [sun], 10, universe, None)):
+        with pytest.raises(DataError, match=f"^the universe names entity id {sea} more "
+                                            f"than once$"):
+            call()
 
 
 def test_evaluate_report_shape(tiny):
@@ -568,7 +643,7 @@ def test_memo_starts_empty_on_ingest_and_index_load(tiny, tmp_path):
     data = fresh_copy(tiny[0])
     assert data.scorer is None
     evaluation.discover(params, config, data, table, "sun", k=10)
-    assert len(data.scorer.rows) == 4
+    assert len(held_ids(data.scorer)) == 4
     cli.save_index(str(tmp_path / "index.npz"), data)
     assert cli.load_index(str(tmp_path / "index.npz")).scorer is None
     memo = next(f for f in dataclasses.fields(corpus.CorpusData) if f.name == "scorer")
@@ -696,7 +771,7 @@ def test_model_change_encodes_again(tiny, monkeypatch, change):
     assert got.ranked == want.ranked and got.candidates == want.candidates
     # a new scorer took the old one's place: its encodings and projections are gone
     held = data.scorer
-    assert len(held.rows) == len(held.enc) == len(held.hw) == 4
+    assert len(held_ids(held)) == len(held.enc) == len(held.hw) == 4
 
 
 def test_scorer_keeps_the_weights_it_was_made_with(tiny, monkeypatch):
@@ -771,7 +846,7 @@ def test_entity_without_context_is_not_encoded(tiny, monkeypatch):
             score([sun], [[corpus.PAD]])
     # the call draws every window before it encodes: sun is not encoded either
     assert calls == []
-    assert data.scorer.rows == {}
+    assert held_ids(data.scorer) == []
     # evaluate draws the windows of every split entity before it scores any, so
     # a split entity with no context fails it though, at seed 5, no evaluation
     # pair and no shortlist of one candidate names it
@@ -794,7 +869,7 @@ def test_callers_cannot_write_stored_encodings(tiny):
     data = fresh_copy(tiny[0])
     evaluation.discover(params, config, data, table, "sun", k=10)
     held = data.scorer
-    assert len(held.rows) == len(held.enc) == len(held.hw) == 4
+    assert len(held_ids(held)) == len(held.enc) == len(held.hw) == 4
     for stored in (held.enc, held.hw, held.enc[0], held.hw[0]):
         with pytest.raises(ValueError):
             stored[0, 0] = 1.0
@@ -827,11 +902,11 @@ def test_entity_scorer_equals_unprojected_oracle(tiny, monkeypatch, d_ce, P, lea
         for some in arrivals:
             score(some, [some] * len(some))
         held = data.scorer
-        assert sorted(held.rows) == ids and len(held.hw) == len(ids)
+        assert held_ids(held) == ids and len(held.hw) == len(ids)
         assert held.enc.dtype == held.hw.dtype == held.E.dtype == dtype
 
         def want(left, right):
-            return ref.entity_scores(held.enc, held.rows, params["match.w_bm"], leaky,
+            return ref.entity_scores(held.enc, held.row_of, params["match.w_bm"], leaky,
                                      left, right)
 
         # gathered left sides as pairs, then every id against all ids, at the
@@ -864,6 +939,94 @@ def tier1(tmp_path_factory):
     return data, table, config
 
 
+# e4 and e6 are twins: each occurs once, in lines alike but for it, and their
+# embedding rows are equal, so their windows encode to the same bits and every
+# query scores them alike
+TWIN_LINES = ["w0 e0 w1 e1", "e1 w2 e2 w3", "w1 e3 e0 w2", "e2 w0 e5 w3 e7", "w3 e7 e3 w1 e5",
+              "w0 w1 e4 w2 w3", "w0 w1 e6 w2 w3", "e5 w2 e1 e7"]
+
+
+@pytest.fixture(scope="module")
+def twins():
+    """Eight test entities e0-e7 (ids 2-9) in four synsets of two, over the
+    context words w0-w3; d_ce 4, P 2, T 4."""
+    vocab = corpus.Vocabulary([f"e{i}" for i in range(8)] + [f"w{i}" for i in range(4)])
+    lines = [[vocab.get(t) for t in line.split()] for line in TWIN_LINES]
+    store = corpus.SynsetStore(synsets=[(2, 3), (4, 5), (6, 7), (8, 9)],
+                               split=dict.fromkeys(range(4), "test"))
+    data = corpus.CorpusData(vocab=vocab, tokens=np.array(sum(lines, []), dtype=np.int32),
+                             line_start=np.cumsum([0] + [len(x) for x in lines], dtype=np.int64),
+                             store=store)
+    matrix = stream_rng(15, "init").normal(size=(len(vocab), 4))
+    matrix[corpus.PAD] = 0.0
+    matrix[vocab.get("e6")] = matrix[vocab.get("e4")]
+    table = embeddings.EmbeddingTable(matrix=matrix, vocab=vocab)
+    config = training.TrainConfig(d_ce=4, contexts_per_entity=2, max_context_len=4).validate()
+    return data, table, config
+
+
+def test_knn_rerank_orders_each_query_as_a_per_query_lexsort(twins):
+    data, table, config = twins
+    data = fresh_copy(data)
+    score = evaluation._scorer(scoring_model(config, table), config, data, table.matrix, 0)
+    e = lambda i: 2 + i
+    # five entities, fewer than k + 1; e0 and e5 are outside, so their
+    # shortlists hold 5 candidates and the others' 4
+    universe, queries = [e(6), e(1), e(4), e(3), e(7)], [e(0), e(4), e(5), e(6), e(3)]
+    calls = []
+
+    def signed(q, c):
+        # each query's scores as signed zeros, below its median -0.0: all tie
+        calls.append(len(q))
+        s = score(q, c)
+        return np.copysign(0.0, s - np.median(s, axis=1, keepdims=True))
+
+    for scorer in (score, signed):
+        shortlists, groups = evaluation.knn_rerank(table, queries, 9, universe, scorer)
+        assert [(members, ids.shape) for members, ids, _ in groups] == [
+            ([0, 2], (2, 5)), ([1, 3, 4], (3, 4))]
+        tied = 0
+        for members, ids, scores in groups:
+            for i, id_row, score_row in zip(members, ids, scores):
+                nl, = embeddings.nearest_neighbors(table, [queries[i]], 9, universe)
+                assert shortlists[i].query == queries[i]
+                assert shortlists[i].neighbors == nl.neighbors
+                alone = scorer([queries[i]], nl.ids[None])[0]
+                order = np.lexsort((nl.ids, -alone))
+                assert id_row.tolist() == nl.ids[order].tolist()
+                assert score_row.tobytes() == alone[order].tobytes()
+                tied += bool((score_row[1:] == score_row[:-1]).any())
+        # the twins tie in the model's scores of e0, e5 and e3
+        assert tied == (3 if scorer is score else 5)
+    signs = np.signbit(signed([e(0)], [[e(6), e(1), e(4), e(3), e(7)]]))
+    assert signs.any() and not signs.all()      # -0.0 and 0.0 in one query
+    assert calls[:2] == [2, 3]      # one score call per shortlist length
+
+
+def test_a_warm_evaluate_orders_each_shortlist_length_in_one_call(twins, monkeypatch):
+    data, table, config = twins
+    params = scoring_model(config, table)
+    data = fresh_copy(data)
+    first = evaluation.evaluate(params, config, data, table, knn_k=50)
+    shapes, lexsort = [], np.lexsort
+
+    def recorded(keys, axis=-1):
+        shapes.append(np.shape(keys[0]))
+        return lexsort(keys, axis=axis)
+
+    monkeypatch.setattr(np, "lexsort", recorded)
+    again = evaluation.evaluate(params, config, data, table, knn_k=50)
+    assert again.to_text() == first.to_text()
+    # the KNN sorts each of the 8 queries' cosines alone; the rerank orders the
+    # 8 queries' 7 candidates in one call
+    assert shapes == [(7,)] * 8 + [(8, 7)]
+    shapes.clear()
+    e = lambda i: 2 + i
+    evaluation.discover_many(params, config, data, table, [e(0), e(4), e(5), e(6), e(3)],
+                             k=9, universe=[e(6), e(1), e(4), e(3), e(7)])
+    assert [shape for shape in shapes if len(shape) == 2] == [(2, 5), (3, 4)]
+
+
 def scoring_model(config, table):
     """Initial weights with a random match.w_bm, so that scores spread; all
     float32, as the model's are."""
@@ -881,7 +1044,7 @@ def report_bits(report):
 
 @pytest.mark.parametrize("variant", ["anchored", "bilstm"])
 @pytest.mark.parametrize("leaky", [False, True])
-@pytest.mark.parametrize("split_data", ["tiny", "tier1"])
+@pytest.mark.parametrize("split_data", ["tiny", "tier1", "twins"])
 def test_evaluate_equals_per_query_oracle(request, monkeypatch, split_data, leaky, variant):
     data, table, config = request.getfixturevalue(split_data)[:3]
     config = dataclasses.replace(config, leaky=leaky, encoder=variant)
@@ -934,7 +1097,7 @@ def test_score_budget_is_in_bytes(tier1, monkeypatch):
         for n_queries in (1, 2, 4):
             monkeypatch.setattr(evaluation, "SCORE_BYTES", n_queries * query)
             stacks.clear()
-            bits.append([x.tobytes() for x in score(left, right)])
+            bits.append([x.tobytes() for x in score_lists(score, left, right)])
             calls[dtype, n_queries] = len(stacks)
             big = [n for n, n_bytes in stacks if n_bytes > n_queries * query]
             assert set(big) <= {1}          # only a query larger than the budget, alone
@@ -1013,7 +1176,7 @@ def test_evaluate_projects_each_left_entity_once(tiny, monkeypatch):
     pairs = evaluation.make_eval_pairs(data.store, "test", stream_rng(0, "eval", 1))
     lefts = {p.a for p in pairs} | set(data.store.entities("test"))   # every one is a query
     # one projected row per left entity: none was projected twice
-    assert sorted(held.rows) == sorted(lefts) and len(held.hw) == len(lefts)
+    assert held_ids(held) == sorted(lefts) and len(held.hw) == len(lefts)
     hw = held.hw
     calls = count_encoded(monkeypatch)
     retrievals = count_retrievals(monkeypatch)
